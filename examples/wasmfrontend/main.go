@@ -31,10 +31,10 @@ func gadgetDemo(name string, defense uarch.Defense) {
 	prog := wasm.SpectreV1Gadget().Lowered()
 	mk := func(secret byte) *isa.Input {
 		in := isa.NewInput(sb)
-		in.Regs[0] = 200 // idx, out of bounds
-		in.Regs[1] = 128 // &bound
-		in.Mem[128] = 64 // bound
-		in.Mem[200] = secret
+		in.Regs[0] = 200        // idx, out of bounds
+		in.Regs[1] = 128        // &bound
+		in.Mem.SetByte(128, 64) // bound
+		in.Mem.SetByte(200, secret)
 		return in
 	}
 	core := uarch.NewCore(uarch.DefaultConfig(), defense)

@@ -280,8 +280,9 @@ func diffInputs(a, b *isa.Input) string {
 	}
 	diff := 0
 	first := -1
-	for i := range a.Mem {
-		if a.Mem[i] != b.Mem[i] {
+	memA, memB := a.Mem.Dense(), b.Mem.Dense()
+	for i := range memA {
+		if memA[i] != memB[i] {
 			if first < 0 {
 				first = i
 			}

@@ -129,6 +129,29 @@ type ViolationRec struct {
 	DetectedAt   time.Duration
 }
 
+// UnmarshalJSON implements json.Unmarshaler. A record is read from bytes this
+// process did not write — a checkpoint file, a worker's submission — and its
+// inputs are later replayed on a machine built for the record's Sandbox, so
+// a record whose inputs are missing or of another geometry is rejected here,
+// as a decode error, rather than panicking at replay.
+func (r *ViolationRec) UnmarshalJSON(data []byte) error {
+	type plain ViolationRec // the same fields, without this method
+	var p plain
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
+	}
+	for _, in := range []*isa.Input{p.InputA, p.InputB} {
+		if in == nil {
+			return fmt.Errorf("checkpoint: violation record without both inputs")
+		}
+		if sb := in.Mem.Sandbox(); sb != p.Sandbox {
+			return fmt.Errorf("checkpoint: violation input has %d pages, its record's sandbox %d", sb.Pages, p.Sandbox.Pages)
+		}
+	}
+	*r = ViolationRec(p)
+	return nil
+}
+
 // EncodeViolation converts a live violation to its checkpoint record.
 func EncodeViolation(v *fuzzer.Violation) ViolationRec {
 	rec := ViolationRec{

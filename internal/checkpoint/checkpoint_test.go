@@ -1,7 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -89,8 +93,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Errorf("round-trip mismatch:\ngot  %+v\nwant %+v", got, st)
+	// Inputs decode to a different in-memory form (every page written out)
+	// than the generator builds (a background fill), so states are compared
+	// by content: their serialized form.
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("round-trip mismatch:\ngot  %s\nwant %s", gotJSON, wantJSON)
 	}
 
 	// The violation must decode back to the live form, traces nil.
@@ -100,7 +115,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("decoded violation carries µarch traces; checkpoints must drop them")
 	}
 	if v.Defense != want.Defense || v.ProgramIndex != want.ProgramIndex ||
-		!reflect.DeepEqual(v.InputA, want.InputA) || !reflect.DeepEqual(v.CTrace, want.CTrace) {
+		v.InputA.Regs != want.InputA.Regs || !bytes.Equal(v.InputA.Mem.Dense(), want.InputA.Mem.Dense()) ||
+		!reflect.DeepEqual(v.CTrace, want.CTrace) {
 		t.Errorf("decoded violation differs from encoded:\ngot  %+v\nwant %+v", v, want)
 	}
 
@@ -216,6 +232,46 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("garbage header: Load err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestLoadRejectsMalformedInput crafts checkpoints that are intact — header,
+// length and digest all agree — but whose violation carries input memory of
+// an impossible size, or of a size other than its record's sandbox. Before
+// inputs validated themselves at decode, these loaded fine and panicked
+// ("image size mismatch") once analysis replayed the violation.
+func TestLoadRejectsMalformedInput(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bytes int
+	}{
+		{"not a page multiple", 100},
+		{"three pages", 3 * isa.PageSize},
+		{"two pages in a one-page record", 2 * isa.PageSize},
+	} {
+		var doc map[string]any
+		payload, err := json.Marshal(testState(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(payload, &doc); err != nil {
+			t.Fatal(err)
+		}
+		viol := doc["Units"].([]any)[0].(map[string]any)["Result"].(map[string]any)["Violations"].([]any)[0].(map[string]any)
+		viol["InputB"].(map[string]any)["Mem"] = make([]byte, tc.bytes)
+		if payload, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(payload)
+		dir := t.TempDir()
+		file := append([]byte(fmt.Sprintf("%s %016x %d\n", magic, h.Sum64(), len(payload))), payload...)
+		if err := os.WriteFile(filepath.Join(dir, FileName), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load err = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 

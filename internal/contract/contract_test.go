@@ -52,7 +52,7 @@ func spectreProgram() *isa.Program {
 
 func boundsInput(sb isa.Sandbox) *isa.Input {
 	in := isa.NewInput(sb)
-	in.Mem[0] = 1
+	in.Mem.SetByte(0, 1)
 	return in
 }
 
@@ -117,7 +117,7 @@ func TestArchSeqObservesValuesAndRegs(t *testing.T) {
 
 	// Loaded-value sensitivity: change a loaded byte that CT-SEQ ignores.
 	inC := boundsInput(sb)
-	inC.Mem[0] = 2 // still non-zero: same path, same addresses
+	inC.Mem.SetByte(0, 2) // still non-zero: same path, same addresses
 	trC, _ := md.Collect(inC)
 	if trA.Equal(trC) {
 		t.Errorf("ARCH-SEQ must observe loaded values")
@@ -182,7 +182,7 @@ func TestModelDeterminism(t *testing.T) {
 		for i := range in.Regs {
 			in.Regs[i] = rng.Uint64()
 		}
-		rng.Read(in.Mem)
+		in.Mem.FillFrom(rng)
 		for _, c := range []Contract{CTSeq, CTCond, ArchSeq} {
 			md := NewModel(c, p, sb)
 			t1, _ := md.Collect(in)

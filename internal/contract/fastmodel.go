@@ -25,7 +25,7 @@ import (
 //     are precomputed as bitmasks, collapsing trackUsage's switch into two
 //     word operations.
 //   - One flat interpreter. runFast executes the micro-ops in a single
-//     function that owns the registers, flags, memory bytes and trace buffer
+//     function that owns the registers, flags, memory image and trace buffer
 //     as locals: observations append inline under pre-hoisted contract
 //     booleans (no hook closures, no nil checks), and speculative excursions
 //     (CT-COND's execution clause) run on an explicit checkpoint stack with
@@ -196,7 +196,7 @@ func (md *Model) runFast(in *isa.Input) {
 	m.LoadInput(in) // reuse the machine's register/memory containers
 	regs := &m.Regs
 	var flags isa.Flags
-	mem := m.Mem.Bytes()
+	mem := m.Mem
 	mask := md.sb.Mask()
 	uops := md.uops
 	plen := len(uops)
@@ -233,9 +233,7 @@ func (md *Model) runFast(in *isa.Input) {
 			f := &md.frames[len(md.frames)-1]
 			for i := len(md.journal) - 1; i >= f.journLen; i-- {
 				u := md.journal[i]
-				for k := uint64(0); k < uint64(u.size); k++ {
-					mem[(u.off+k)&mask] = byte(u.old >> (8 * k))
-				}
+				mem.Write(isa.DataBase+u.off, u.size, u.old)
 			}
 			md.journal = md.journal[:f.journLen]
 			*regs = f.regs
@@ -376,10 +374,7 @@ func (md *Model) runFast(in *isa.Input) {
 			}
 		case uLoad:
 			off := (regs[u.src1] + u.imm) & mask
-			var val uint64
-			for k := uint64(0); k < uint64(u.size); k++ {
-				val |= uint64(mem[(off+k)&mask]) << (8 * k)
-			}
+			val := mem.Read(isa.DataBase+off, u.size)
 			regs[u.dst] = val
 			if obsAddr {
 				tr = append(tr, Obs{Kind: ObsLoadAddr, V: isa.DataBase + off})
@@ -399,15 +394,9 @@ func (md *Model) runFast(in *isa.Input) {
 			off := (regs[u.src1] + u.imm) & mask
 			val := regs[u.src2]
 			if depth > 0 {
-				var old uint64
-				for k := uint64(0); k < uint64(u.size); k++ {
-					old |= uint64(mem[(off+k)&mask]) << (8 * k)
-				}
-				md.journal = append(md.journal, memUndo{off: off, size: u.size, old: old})
+				md.journal = append(md.journal, memUndo{off: off, size: u.size, old: mem.Read(isa.DataBase+off, u.size)})
 			}
-			for k := uint64(0); k < uint64(u.size); k++ {
-				mem[(off+k)&mask] = byte(val >> (8 * k))
-			}
+			mem.Write(isa.DataBase+off, u.size, val)
 			if obsAddr {
 				tr = append(tr, Obs{Kind: ObsStoreAddr, V: isa.DataBase + off})
 			}

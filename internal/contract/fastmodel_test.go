@@ -16,46 +16,67 @@ import (
 func TestFastModelEquivalence(t *testing.T) {
 	for _, c := range []contract.Contract{contract.CTSeq, contract.CTCond, contract.ArchSeq} {
 		t.Run(c.Name, func(t *testing.T) {
-			gcfg := generator.DefaultConfig()
-			gcfg.Pages = 2
-			gcfg.Seed = 9001
-			g := generator.New(gcfg)
-			sb := g.Sandbox()
-			for p := 0; p < 40; p++ {
-				prog := g.Program()
-				fast := contract.NewModel(c, prog, sb)
-				ref := contract.NewModel(c, prog, sb)
-				ref.SetReference(true)
-				for k := 0; k < 5; k++ {
-					in := g.Input()
-					ftr, fu := fast.Collect(in)
-					rtr, ru := ref.Collect(in)
-					if !ftr.Equal(rtr) {
-						t.Fatalf("program %d input %d: traces differ\nfast=%s\nref =%s\n%s",
-							p, k, ftr, rtr, prog)
-					}
-					if fu.LiveInRegs != ru.LiveInRegs {
-						t.Fatalf("program %d input %d: live-in regs differ: fast=%#x ref=%#x\n%s",
-							p, k, fu.LiveInRegs, ru.LiveInRegs, prog)
-					}
-					for off := uint64(0); off < sb.Size(); off++ {
-						if fu.Loaded(off) != ru.Loaded(off) {
-							t.Fatalf("program %d input %d: loaded bit differs at %#x: fast=%v ref=%v\n%s",
-								p, k, off, fu.Loaded(off), ru.Loaded(off), prog)
-						}
-					}
-					// CollectTrace (the mutation-verification path, no usage
-					// tracking) must agree too.
-					if !fast.CollectTrace(in).Equal(ref.CollectTrace(in)) {
-						t.Fatalf("program %d input %d: CollectTrace differs\n%s", p, k, prog)
-					}
-				}
-				if fast.Truncated() != ref.Truncated() {
-					t.Fatalf("program %d: truncation counts differ: fast=%d ref=%d",
-						p, fast.Truncated(), ref.Truncated())
-				}
+			// 2 pages, and the paper's 128-page STT sandbox: both paths run
+			// on the same paged image — background base inputs, and mutants
+			// that mix background with materialized pages.
+			for _, geo := range []struct{ pages, programs int }{{2, 40}, {128, 12}} {
+				fastModelEquivalence(t, c, geo.pages, geo.programs)
 			}
 		})
+	}
+}
+
+func fastModelEquivalence(t *testing.T, c contract.Contract, pages, programs int) {
+	gcfg := generator.DefaultConfig()
+	gcfg.Pages = pages
+	gcfg.Seed = 9001
+	g := generator.New(gcfg)
+	mut := generator.NewMutator(9002, !c.ObserveInitRegs, false)
+	sb := g.Sandbox()
+	for p := 0; p < programs; p++ {
+		prog := g.Program()
+		fast := contract.NewModel(c, prog, sb)
+		ref := contract.NewModel(c, prog, sb)
+		ref.SetReference(true)
+		mutModel := contract.NewModel(c, prog, sb) // keeps the compared models' run counts equal
+		for k := 0; k < 5; k++ {
+			in := g.Input()
+			if k%2 == 1 {
+				tr, usage := mutModel.Collect(in)
+				if m, ok := mut.Mutate(mutModel, in, usage, tr); ok {
+					in = m
+				}
+			}
+			ftr, fu := fast.Collect(in)
+			rtr, ru := ref.Collect(in)
+			if !ftr.Equal(rtr) {
+				t.Fatalf("%d pages, program %d input %d: traces differ\nfast=%s\nref =%s\n%s",
+					pages, p, k, ftr, rtr, prog)
+			}
+			if fu.LiveInRegs != ru.LiveInRegs {
+				t.Fatalf("%d pages, program %d input %d: live-in regs differ: fast=%#x ref=%#x\n%s",
+					pages, p, k, fu.LiveInRegs, ru.LiveInRegs, prog)
+			}
+			if fu.LoadedCount() != ru.LoadedCount() {
+				t.Fatalf("%d pages, program %d input %d: loaded counts differ: fast=%d ref=%d\n%s",
+					pages, p, k, fu.LoadedCount(), ru.LoadedCount(), prog)
+			}
+			for off := uint64(0); off < sb.Size(); off++ {
+				if fu.Loaded(off) != ru.Loaded(off) {
+					t.Fatalf("%d pages, program %d input %d: loaded bit differs at %#x: fast=%v ref=%v\n%s",
+						pages, p, k, off, fu.Loaded(off), ru.Loaded(off), prog)
+				}
+			}
+			// CollectTrace (the mutation-verification path, no usage
+			// tracking) must agree too.
+			if !fast.CollectTrace(in).Equal(ref.CollectTrace(in)) {
+				t.Fatalf("%d pages, program %d input %d: CollectTrace differs\n%s", pages, p, k, prog)
+			}
+		}
+		if fast.Truncated() != ref.Truncated() {
+			t.Fatalf("%d pages, program %d: truncation counts differ: fast=%d ref=%d",
+				pages, p, fast.Truncated(), ref.Truncated())
+		}
 	}
 }
 

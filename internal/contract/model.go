@@ -13,71 +13,124 @@ import (
 // input mutation): memory bytes never loaded and registers never read
 // before being written are free to vary.
 //
-// Byte-level tracking uses dense bitsets over the sandbox offset space
-// (one bit per byte) instead of hash maps: the model marks bytes on every
+// Byte-level tracking uses bitsets over the sandbox offset space (one bit
+// per byte) instead of hash maps: the model marks bytes on every
 // architectural load and store, and the mutator probes membership for every
-// candidate byte, so both sides of the hot loop become branch-free word
-// operations with no per-entry allocation.
+// candidate byte, so both sides of the hot loop are word operations. A test
+// touches a few dozen bytes of a sandbox of up to 2 MB, so the bitsets are
+// paged like the memory they describe (isa.Image): a page's bits exist only
+// while a byte of that page is marked, and the marked pages are kept as a
+// list. Building, clearing, counting and walking the summary cost O(touched),
+// not O(sandbox); membership stays O(1).
 type Usage struct {
-	// loaded marks sandbox offsets whose *initial* value was read by an
-	// architectural load, i.e. offsets loaded before any architectural store
-	// clobbered them. Offsets that are stored first and only read afterwards
-	// are not recorded: their initial content never reaches the
-	// architectural data flow, which is exactly what makes them usable as
-	// Spectre-v4 secrets.
-	loaded []uint64
-	// clobbered marks offsets overwritten by an architectural store.
-	clobbered []uint64
+	// pages holds, per sandbox page, the bits of its bytes; nil: none marked.
+	pages []*pageUse
+	// touched lists the indices of the non-nil pages, in first-touch order.
+	touched []uint32
+	// spare holds cleared pages released by Reset, for the next input.
+	spare []*pageUse
 	// LiveInRegs is a bitmask of registers read on the architectural path
 	// before being written.
 	LiveInRegs uint16
 }
 
+// pageUse is the usage of one sandbox page, one bit per byte.
+type pageUse struct {
+	// loaded marks offsets whose *initial* value was read by an
+	// architectural load, i.e. offsets loaded before any architectural store
+	// clobbered them. Offsets that are stored first and only read afterwards
+	// are not recorded: their initial content never reaches the
+	// architectural data flow, which is exactly what makes them usable as
+	// Spectre-v4 secrets.
+	loaded [isa.PageSize / 64]uint64
+	// clobbered marks offsets overwritten by an architectural store.
+	clobbered [isa.PageSize / 64]uint64
+}
+
+// word splits a sandbox offset into its page, its word within the page's
+// bitsets, and its bit within the word.
+func word(off uint64) (page, w uint64, bit uint64) {
+	return off / isa.PageSize, off % isa.PageSize / 64, 1 << (off % 64)
+}
+
 // NewUsage returns an empty usage summary for sandbox sb.
 func NewUsage(sb isa.Sandbox) *Usage {
-	words := (sb.Size() + 63) / 64
-	return &Usage{loaded: make([]uint64, words), clobbered: make([]uint64, words)}
+	return &Usage{pages: make([]*pageUse, sb.Pages)}
 }
 
 // Reset clears the summary for reuse across inputs.
 func (u *Usage) Reset() {
-	clear(u.loaded)
-	clear(u.clobbered)
+	for _, pi := range u.touched {
+		*u.pages[pi] = pageUse{}
+		u.spare = append(u.spare, u.pages[pi])
+		u.pages[pi] = nil
+	}
+	u.touched = u.touched[:0]
 	u.LiveInRegs = 0
 }
 
 // Loaded reports whether the initial byte at sandbox offset off was
 // consumed by an architectural load.
 func (u *Usage) Loaded(off uint64) bool {
-	return u.loaded[off/64]&(1<<(off%64)) != 0
+	pi, w, bit := word(off)
+	p := u.pages[pi]
+	return p != nil && p.loaded[w]&bit != 0
 }
 
 // LoadedCount returns the number of architecturally loaded bytes.
 func (u *Usage) LoadedCount() int {
 	n := 0
-	for _, w := range u.loaded {
-		n += bits.OnesCount64(w)
+	for _, pi := range u.touched {
+		for _, w := range u.pages[pi].loaded {
+			n += bits.OnesCount64(w)
+		}
 	}
 	return n
 }
 
-// CopyLoaded copies src[off] to dst[off] for every architecturally loaded
-// offset — the mutator's "restore the contract-visible bytes" fast path.
-// Words with no loaded bit are skipped entirely.
-func (u *Usage) CopyLoaded(dst, src []byte) {
-	for wi, w := range u.loaded {
-		for w != 0 {
-			off := uint64(wi*64 + bits.TrailingZeros64(w))
-			dst[off] = src[off]
-			w &= w - 1
+// CopyLoaded copies the byte at every architecturally loaded offset from
+// src to dst — the mutator's "restore the contract-visible bytes" fast
+// path. Only the pages of dst that hold such a byte are materialized.
+func (u *Usage) CopyLoaded(dst, src *isa.Image) {
+	for _, pi := range u.touched {
+		for wi, w := range u.pages[pi].loaded {
+			for ; w != 0; w &= w - 1 {
+				off := uint64(pi)*isa.PageSize + uint64(wi*64+bits.TrailingZeros64(w))
+				dst.SetByte(off, src.Byte(off))
+			}
 		}
 	}
 }
 
-func (u *Usage) markLoaded(off uint64)    { u.loaded[off/64] |= 1 << (off % 64) }
-func (u *Usage) markClobbered(off uint64) { u.clobbered[off/64] |= 1 << (off % 64) }
+// page returns the bits of sandbox page pi for marking.
+func (u *Usage) page(pi uint64) *pageUse {
+	p := u.pages[pi]
+	if p == nil {
+		if n := len(u.spare); n > 0 {
+			p, u.spare = u.spare[n-1], u.spare[:n-1]
+		} else {
+			p = new(pageUse)
+		}
+		u.pages[pi] = p
+		u.touched = append(u.touched, uint32(pi))
+	}
+	return p
+}
+
+func (u *Usage) markLoaded(off uint64) {
+	pi, w, bit := word(off)
+	u.page(pi).loaded[w] |= bit
+}
+
+func (u *Usage) markClobbered(off uint64) {
+	pi, w, bit := word(off)
+	u.page(pi).clobbered[w] |= bit
+}
+
 func (u *Usage) isClobbered(off uint64) bool {
-	return u.clobbered[off/64]&(1<<(off%64)) != 0
+	pi, w, bit := word(off)
+	p := u.pages[pi]
+	return p != nil && p.clobbered[w]&bit != 0
 }
 
 // RegLiveIn reports whether register r was consumed before being defined.

@@ -43,7 +43,7 @@ func TestBlocksV1MemSecret(t *testing.T) {
 		in := testgadget.BoundsInput(sb)
 		in.Regs[4] = 64
 		for k := 0; k < 8; k++ {
-			in.Mem[64+k] = byte(secret >> (8 * k))
+			in.Mem.SetByte(uint64(64+k), byte(secret>>(8*k)))
 		}
 		return in
 	}

@@ -21,7 +21,7 @@ func sttInputs(a, b uint64) (isa.Sandbox, *isa.Input, *isa.Input) {
 		in := testgadget.BoundsInput(sb)
 		in.Regs[4] = 64
 		for k := 0; k < 8; k++ {
-			in.Mem[64+k] = byte(secret >> (8 * k))
+			in.Mem.SetByte(uint64(64+k), byte(secret>>(8*k)))
 		}
 		return in
 	}
@@ -111,7 +111,7 @@ func TestUntaintAfterResolution(t *testing.T) {
 	in := testgadget.BoundsInput(sb)
 	in.Regs[4] = 64
 	for k := 0; k < 8; k++ {
-		in.Mem[64+k] = byte(uint64(0x5140) >> (8 * k))
+		in.Mem.SetByte(uint64(64+k), byte(uint64(0x5140)>>(8*k)))
 	}
 
 	core := newCore(stt.Config{})

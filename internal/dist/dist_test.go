@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"github.com/sith-lab/amulet-go/internal/experiments"
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
+	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
 // The golden campaign: the same budget, seed and fingerprints
@@ -405,5 +407,75 @@ func TestSubmitIntegrity(t *testing.T) {
 	}
 	if _, err := cl.Lease(ctx, &dist.LeaseRequest{WorkerID: jr.WorkerID, Max: 1}); !errors.Is(err, dist.ErrEvicted) {
 		t.Errorf("banned worker lease: err = %v, want ErrEvicted", err)
+	}
+}
+
+// TestSubmitRejectsMalformedInput: a result whose digest is right but whose
+// violation carries input memory that is not a whole sandbox — or not its
+// record's sandbox — must be refused at decode. Before inputs validated
+// themselves it folded, and panicked whoever replayed the violation.
+func TestSubmitRejectsMalformedInput(t *testing.T) {
+	ctx := context.Background()
+	cfg := goldenConfig(t)
+	runner, err := engine.NewUnitRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first unit of the golden campaign that reports a violation.
+	var id engine.UnitID
+	var rec checkpoint.ResultRec
+	var draws uint64
+	for ; len(rec.Violations) == 0; id.Prog++ {
+		if id.Prog == cfg.Campaign.Base.Programs {
+			t.Fatal("no violating unit in instance 0 of the golden campaign")
+		}
+		if rec, draws, err = runner.Run(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id.Prog--
+	good, digest, err := dist.EncodeResult(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, MaxStrikes: 10}, "127.0.0.1:0")
+	cl := dist.NewClient(base, nil, 1)
+	jr, err := cl.Join(ctx, &dist.JoinRequest{
+		Worker: "hand", ConfigFP: runner.ConfigFP(), Frontend: runner.FrontendName(),
+		Instances: cfg.Campaign.Instances, Programs: cfg.Campaign.Base.Programs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, n := range []int{100, 3 * isa.PageSize, 2 * isa.PageSize} {
+		var doc map[string]any
+		if err := json.Unmarshal(good, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["Violations"].([]any)[0].(map[string]any)["InputA"].(map[string]any)["Mem"] = make([]byte, n)
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &dist.SubmitRequest{
+			WorkerID: jr.WorkerID, Inst: id.Inst, Prog: id.Prog,
+			Draws: draws, ResultDigest: dist.Digest(bad), Result: bad,
+		}
+		if _, err := dist.DecodeResult(req); err == nil || errors.Is(err, dist.ErrBadDigest) {
+			t.Errorf("%d-byte input memory: DecodeResult err = %v, want a decode error", n, err)
+		}
+		if _, err := cl.Submit(ctx, req); err == nil {
+			t.Errorf("%d-byte input memory: coordinator accepted the submission", n)
+		}
+	}
+	// The unit is still open: the genuine result folds.
+	sr, err := cl.Submit(ctx, &dist.SubmitRequest{
+		WorkerID: jr.WorkerID, Inst: id.Inst, Prog: id.Prog,
+		Draws: draws, ResultDigest: digest, Result: good,
+	})
+	if err != nil || !sr.Folded {
+		t.Errorf("genuine result after rejected ones: folded=%v err=%v", sr != nil && sr.Folded, err)
 	}
 }

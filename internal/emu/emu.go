@@ -75,13 +75,15 @@ func New(p *isa.Program, sb isa.Sandbox, in *isa.Input) *Machine {
 
 // LoadInput resets the architectural state to input in and rewinds the PC,
 // without reconstructing the machine. This is the emulator-side analogue of
-// the AMuLeT-Opt register/memory overwrite.
+// the AMuLeT-Opt register/memory overwrite. Memory becomes a copy-on-write
+// view of the input's: stores land in pages private to the machine, and the
+// input is left untouched.
 func (m *Machine) LoadInput(in *isa.Input) {
 	m.Regs = in.Regs
 	m.Flags = isa.Flags{}
 	m.PCIdx = 0
 	m.steps = 0
-	m.Mem.SetBytes(in.Mem)
+	m.Mem.ViewOf(&in.Mem)
 	m.checkpoints = m.checkpoints[:0]
 	m.journal = m.journal[:0]
 }

@@ -225,13 +225,13 @@ func TestCheckpointRollbackProperty(t *testing.T) {
 		for i := range in.Regs {
 			in.Regs[i] = rng.Uint64()
 		}
-		rng.Read(in.Mem)
+		in.Mem.FillFrom(rng)
 		m := New(p, sb, in)
 		for i := 0; i < 10 && !m.Done(); i++ {
 			m.Step()
 		}
 		regs, flags, pc := m.Regs, m.Flags, m.PCIdx
-		memBefore := append([]byte(nil), m.Mem.Bytes()...)
+		memBefore := append([]byte(nil), m.Mem.Dense()...)
 		m.Checkpoint()
 		for i := 0; i < 15 && !m.Done(); i++ {
 			m.Step()
@@ -240,7 +240,7 @@ func TestCheckpointRollbackProperty(t *testing.T) {
 		if m.Regs != regs || m.Flags != flags || m.PCIdx != pc {
 			return false
 		}
-		for i, b := range m.Mem.Bytes() {
+		for i, b := range m.Mem.Dense() {
 			if b != memBefore[i] {
 				return false
 			}

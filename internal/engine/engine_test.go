@@ -47,7 +47,7 @@ func engineConfig(seed int64, instances, programs int) Config {
 func violationKey(inst int, v *fuzzer.Violation) string {
 	return fmt.Sprintf("i%d p%d regsA=%v regsB=%v memEq=%v trEq=%v",
 		inst, v.ProgramIndex, v.InputA.Regs, v.InputB.Regs,
-		bytes.Equal(v.InputA.Mem, v.InputB.Mem), v.TraceA.Equal(v.TraceB))
+		bytes.Equal(v.InputA.Mem.Dense(), v.InputB.Mem.Dense()), v.TraceA.Equal(v.TraceB))
 }
 
 func campaignKeys(t *testing.T, res *fuzzer.CampaignResult) []string {

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,7 +159,7 @@ func TestTraceFormats(t *testing.T) {
 		isa.Nop(),
 	}}
 	in := isa.NewInput(sb)
-	in.Mem[0] = 1
+	in.Mem.SetByte(0, 1)
 	for _, format := range []TraceFormat{FormatL1DTLB, FormatL1DTLBL1I, FormatBPState, FormatMemOrder, FormatBranchOrder} {
 		cfg := testConfig(StrategyOpt, PrimeFill)
 		cfg.Format = format
@@ -442,5 +443,43 @@ func TestCoverageDeterministicAcrossExecutors(t *testing.T) {
 	}
 	if run() != run() {
 		t.Errorf("identical executions recorded different coverage")
+	}
+}
+
+// TestRunLeavesInputUntouched: the core executes on a copy-on-write view of
+// the input, so Run and RunValidationPair — which replays the same input
+// objects three times and relies on them being unchanged — must leave an
+// input bit-identical and must not write a single page into it, however
+// many stores the program commits.
+func TestRunLeavesInputUntouched(t *testing.T) {
+	cfg := generator.DefaultConfig()
+	cfg.Seed, cfg.Pages = 5, 128
+	g := generator.New(cfg)
+	sb := g.Sandbox()
+	e := New(testConfig(StrategyOpt, PrimeFill), nil)
+	stored := 0 // pages the core wrote privately, over all programs
+	for p := 0; p < 20; p++ {
+		prog := g.Program()
+		a, b := g.Input(), g.Input()
+		wantA, wantB := a.Mem.Dense(), b.Mem.Dense()
+		if err := e.LoadProgram(prog, sb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(a); err != nil {
+			t.Fatal(err)
+		}
+		stored += e.Core().Image().Materialized()
+		if _, _, err := e.RunValidationPair(a, b); err != nil {
+			t.Fatal(err)
+		}
+		if n := a.Mem.Materialized() + b.Mem.Materialized(); n != 0 {
+			t.Fatalf("program %d: executing materialized %d page(s) into the inputs", p, n)
+		}
+		if !bytes.Equal(a.Mem.Dense(), wantA) || !bytes.Equal(b.Mem.Dense(), wantB) {
+			t.Fatalf("program %d: executing modified an input", p)
+		}
+	}
+	if stored == 0 {
+		t.Fatal("no program committed a store; the test checked nothing")
 	}
 }

@@ -262,3 +262,45 @@ func TestCrashResumeDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeSandboxViolationGolden pins a *violating* campaign on the paper's
+// 128-page STT configuration. The goldens above all run 1-page sandboxes,
+// and the benchmark's model-stt golden is the empty-set fingerprint, so
+// neither can see content drift in large inputs: here every byte of both
+// 512 KB inputs of each violation feeds the fingerprint, and the case count
+// pins every mutant accept/reject decision. Values recorded on the dense
+// []byte input representation, before inputs became paged images.
+func TestLargeSandboxViolationGolden(t *testing.T) {
+	golden := []struct {
+		seed        int64
+		violations  int
+		cases       int
+		fingerprint uint64
+	}{
+		{9, 3, 5901, 0xcd9e4115389b4844},
+		{3, 1, 5916, 0xfc84c27b44f1ba8e},
+	}
+	spec, err := experiments.DefenseByName("stt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range golden {
+		for _, workers := range []int{1, 2} {
+			sc := experiments.Scale{Instances: 2, Programs: 60, BaseInputs: 8, Mutants: 5, BootInsts: 2000, Seed: g.seed}
+			res, err := engine.RunCampaign(context.Background(), engine.Config{
+				Campaign: experiments.CampaignConfig(spec, sc), Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) != g.violations || res.TestCases != g.cases {
+				t.Errorf("stt seed=%d workers=%d: %d violations over %d cases, want %d over %d",
+					g.seed, workers, len(res.Violations), res.TestCases, g.violations, g.cases)
+			}
+			if fp := violationFingerprint(res.Violations); fp != g.fingerprint {
+				t.Errorf("stt seed=%d workers=%d: violation-set fingerprint %#x, want %#x",
+					g.seed, workers, fp, g.fingerprint)
+			}
+		}
+	}
+}

@@ -41,8 +41,8 @@ func steadyStateCase(t testing.TB) (Config, *executor.Executor, *ProgramCase) {
 	cls := &InputClass{}
 	for i := 0; i < 4; i++ {
 		in := isa.NewInput(sb)
-		for k := range in.Mem {
-			in.Mem[k] = byte(i * (k + 3))
+		for k := 0; k < int(sb.Size()); k++ {
+			in.Mem.SetByte(uint64(k), byte(i*(k+3)))
 		}
 		tr, _ := model.Collect(in)
 		if i == 0 {

@@ -6,8 +6,9 @@ import (
 )
 
 // ViolationFingerprint digests a violation set — defense, program index,
-// contract-trace hash, and the exact bytes of both violating inputs — in
-// the order given. Identical fingerprints mean identical violation sets bit
+// contract-trace hash, and the exact bytes of both violating inputs (the
+// dense sandbox content, written out here on demand: violations are rare) —
+// in the order given. Identical fingerprints mean identical violation sets bit
 // for bit. Feed it the aggregation-ordered set (CampaignResult.Violations)
 // and the value is the campaign's determinism fingerprint: the quantity the
 // golden-pinning tests compare across worker counts, perf knobs, and
@@ -20,11 +21,11 @@ func ViolationFingerprint(vs []*Violation) uint64 {
 		for _, r := range v.InputA.Regs {
 			fmt.Fprintf(h, "%x,", r)
 		}
-		h.Write(v.InputA.Mem)
+		h.Write(v.InputA.Mem.Dense())
 		for _, r := range v.InputB.Regs {
 			fmt.Fprintf(h, "%x,", r)
 		}
-		h.Write(v.InputB.Mem)
+		h.Write(v.InputB.Mem.Dense())
 	}
 	return h.Sum64()
 }

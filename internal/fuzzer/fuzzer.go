@@ -339,6 +339,11 @@ func buildCase(ctx context.Context, cfg Config, gen *generator.Generator, mut *g
 	pc.GenTime += time.Since(t0)
 	model := contract.NewModel(cfg.Contract, pc.Prog, pc.SB)
 	model.SetReference(cfg.ReferenceModel)
+	// The program's inputs, their page tables and the pages mutants
+	// materialize are carved from one slab: a handful of allocations per
+	// program instead of two or more per input. The slab lives exactly as
+	// long as the case does; nothing is recycled across cases.
+	slab := isa.NewSlab(pc.SB, cfg.BaseInputs*(1+cfg.MutantsPerInput))
 
 	classes := make(map[uint64]*InputClass)
 	var order []uint64
@@ -347,7 +352,7 @@ func buildCase(ctx context.Context, cfg Config, gen *generator.Generator, mut *g
 			return nil, err
 		}
 		t0 := time.Now()
-		base := gen.Input()
+		base := gen.InputIn(slab)
 		pc.GenTime += time.Since(t0)
 		t1 := time.Now()
 		ctrace, usage := model.CollectInto(base, tp.Get())
@@ -360,7 +365,7 @@ func buildCase(ctx context.Context, cfg Config, gen *generator.Generator, mut *g
 		}
 		cls.Inputs = append(cls.Inputs, base)
 		for m := 0; m < cfg.MutantsPerInput; m++ {
-			mutant, ok := mut.Mutate(model, base, usage, ctrace)
+			mutant, ok := mut.MutateIn(slab, model, base, usage, ctrace)
 			if !ok {
 				pc.RejectedMutants++
 				continue
@@ -524,6 +529,9 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 			continue
 		}
 		cls.retained = true
+		// Deep copies: a violation outlives its case by the whole campaign
+		// and must not pin the slab all of the case's inputs share.
+		inA, inB := cls.Inputs[i].Clone(), cls.Inputs[j].Clone()
 		res.Violations = append(res.Violations, &Violation{
 			Defense:      defName,
 			Contract:     cfg.Contract.Name,
@@ -531,8 +539,8 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 			Source:       pc.Source,
 			Program:      pc.Prog,
 			Sandbox:      pc.SB,
-			InputA:       cls.Inputs[i],
-			InputB:       cls.Inputs[j],
+			InputA:       inA,
+			InputB:       inB,
 			CTrace:       cls.CTrace,
 			TraceA:       trA,
 			TraceB:       trB,

@@ -5,6 +5,16 @@
 // with all memory accesses confined to a sandbox, plus random inputs and
 // contract-preserving input mutation. Every random decision is drawn from a
 // seeded stream, so campaigns are reproducible on any frontend.
+//
+// Inputs are built in O(bytes the test touches), not O(sandbox): the default
+// stream is counter-based, so the random memory of an input is addressable
+// and is recorded as an isa.Fill — a span of the stream — instead of being
+// written down (see the memory model in isa/image.go). A base input advances
+// the stream counter by Size()/8 and materializes nothing; a mutant is a
+// fresh fill plus the few contract-visible bytes restored from its base, or
+// a copy-on-write view of its base plus pokes. The legacy math/rand stream
+// (Config.LegacyRand) has no addressable outputs, so its Fill method writes
+// every page; that is the only place a dense image is ever produced.
 package generator
 
 import (
@@ -161,12 +171,18 @@ func (g *Generator) Splice(a, b *isa.Program) *isa.Program {
 }
 
 // Input generates a fully random input for the generator's sandbox.
-func (g *Generator) Input() *isa.Input {
-	in := isa.NewInput(g.Sandbox())
+func (g *Generator) Input() *isa.Input { return g.InputIn(nil) }
+
+// InputIn is Input with the input carved from slab (nil: the heap). The
+// memory is the next Size()/8 draws of the stream, recorded as the image's
+// background rather than written out, so the cost does not depend on the
+// sandbox size.
+func (g *Generator) InputIn(slab *isa.Slab) *isa.Input {
+	in := slab.NewInput(g.Sandbox())
 	for i := range in.Regs {
 		// Mixed magnitudes: small offsets and full-width values both occur.
 		in.Regs[i] = g.rng.Uint64() >> uint(g.rng.Intn(56))
 	}
-	g.rng.Read(in.Mem)
+	g.rng.Fill(&in.Mem)
 	return in
 }

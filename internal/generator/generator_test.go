@@ -1,6 +1,8 @@
 package generator
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -151,7 +153,7 @@ func TestInputMutatorDeterministic(t *testing.T) {
 			if a.Regs != b.Regs {
 				t.Fatalf("program %d mutant %d: register streams diverged", i, k)
 			}
-			if string(a.Mem) != string(b.Mem) {
+			if !bytes.Equal(a.Mem.Dense(), b.Mem.Dense()) {
 				t.Fatalf("program %d mutant %d: memory streams diverged", i, k)
 			}
 		}
@@ -183,14 +185,7 @@ func TestMutatorPreservesContractTrace(t *testing.T) {
 		if !tr.Equal(tr2) {
 			t.Fatalf("program %d: mutant broke the contract trace", i)
 		}
-		same := true
-		for off := range mutant.Mem {
-			if mutant.Mem[off] != base.Mem[off] {
-				same = false
-				break
-			}
-		}
-		if same && mutant.Regs == base.Regs {
+		if bytes.Equal(mutant.Mem.Dense(), base.Mem.Dense()) && mutant.Regs == base.Regs {
 			t.Errorf("program %d: mutant identical to base", i)
 		}
 	}
@@ -212,7 +207,7 @@ func TestMutatorRespectsLiveState(t *testing.T) {
 	md := contract.NewModel(contract.CTSeq, p, sb)
 	base := isa.NewInput(sb)
 	base.Regs[0] = 16
-	base.Mem[16] = 1
+	base.Mem.SetByte(16, 1)
 	tr, usage := md.Collect(base)
 
 	mut := NewMutator(3, true, false)
@@ -224,8 +219,8 @@ func TestMutatorRespectsLiveState(t *testing.T) {
 		if mutant.Regs[0] != base.Regs[0] {
 			t.Errorf("live-in register mutated")
 		}
-		for k := 16; k < 24; k++ {
-			if mutant.Mem[k] != base.Mem[k] {
+		for k := uint64(16); k < 24; k++ {
+			if mutant.Mem.Byte(k) != base.Mem.Byte(k) {
 				t.Errorf("architecturally loaded byte %d mutated", k)
 			}
 		}
@@ -271,5 +266,53 @@ func TestProgramsAreDAGsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMutateCollectAllocsIndependentOfSandbox pins the O(touched) claim on
+// the paper's 128-page STT geometry: once warm, collecting a contract trace
+// allocates nothing, and deriving a mutant allocates the mutant — its
+// Input, its page table and the pages the restored contract-visible bytes
+// live in — and not one byte proportional to the 512 KB sandbox. The dense
+// representation allocated and copied the sandbox several times per mutant.
+func TestMutateCollectAllocsIndependentOfSandbox(t *testing.T) {
+	sb := isa.Sandbox{Pages: 128}
+	// Three loads on three different pages, one store on a fourth.
+	prog := &isa.Program{Insts: []isa.Inst{
+		isa.Load(1, 0, 0x10, 8),
+		isa.Load(2, 0, 0x5020, 8),
+		isa.Load(3, 0, 0x7f000, 4),
+		isa.Store(0, 0x9008, 1, 8),
+	}}
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Pages = 11, sb.Pages
+	base := New(cfg).Input()
+	base.Regs[0] = 0
+	model := contract.NewModel(contract.ArchSeq, prog, sb)
+	mut := NewMutator(12, false, false)
+	var buf contract.Trace
+	run := func() {
+		tr, usage := model.CollectInto(base, buf)
+		buf = tr
+		if _, ok := mut.Mutate(model, base, usage, tr); !ok {
+			t.Fatal("mutation rejected")
+		}
+	}
+	run() // size the trace buffer and the model's private pages
+
+	const loadedPages = 3
+	if allocs := testing.AllocsPerRun(50, run); allocs > 2+loadedPages {
+		t.Errorf("collect + mutate allocates %v objects, want <= %d (input, page table, %d pages)",
+			allocs, 2+loadedPages, loadedPages)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const n = 50
+	for i := 0; i < n; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Errorf("collect + mutate allocates %d bytes per mutant on a %d-byte sandbox, want < 64 KB", per, sb.Size())
 	}
 }

@@ -11,9 +11,7 @@ import (
 // test case. The randomized state is the "secret" whose micro-architectural
 // visibility the fuzzer then checks.
 type Mutator struct {
-	rng  rngStream
-	buf  []byte     // scratch for bulk randomization
-	cand *isa.Input // reusable candidate; cloned only when a mutant verifies
+	rng rngStream
 
 	// MutateRegs also randomizes registers that are dead on the
 	// architectural path. Register-borne secrets are what single-load
@@ -38,43 +36,43 @@ func (m *Mutator) Draws() uint64 { return m.rng.Draws() }
 // accidentally influenced the trace, e.g. through a speculatively observed
 // path under CT-COND).
 func (m *Mutator) Mutate(model *contract.Model, base *isa.Input, usage *contract.Usage, baseTrace contract.Trace) (mutant *isa.Input, ok bool) {
+	return m.MutateIn(nil, model, base, usage, baseTrace)
+}
+
+// MutateIn is Mutate with the mutant carved from slab (nil: the heap).
+func (m *Mutator) MutateIn(slab *isa.Slab, model *contract.Model, base *isa.Input, usage *contract.Usage, baseTrace contract.Trace) (mutant *isa.Input, ok bool) {
 	// Later attempts shrink the mutation scope: under contracts that
 	// observe speculative paths (CT-COND) a full-scope mutation often
 	// touches a contract-visible byte and gets rejected, while a sparser
 	// one can still slip a secret into unobserved state.
 	scopes := []float64{1.0, 0.5, 0.2, 0.05}
-	if len(m.buf) != len(base.Mem) {
-		m.buf = make([]byte, len(base.Mem))
-	}
-	if m.cand == nil || len(m.cand.Mem) != len(base.Mem) {
-		m.cand = &isa.Input{Mem: make([]byte, len(base.Mem))}
-	}
+	sb := base.Mem.Sandbox()
+	size := int(sb.Size())
+	// One candidate serves every scope: rebuilding its memory hands the
+	// pages the rejected attempt materialized to the next one.
+	cand := slab.NewInput(sb)
 	for _, scope := range scopes {
-		// Each scope starts from a fresh copy of the base in the reusable
-		// candidate; only a verified mutant is cloned out (it is retained in
-		// the input class), so rejected attempts allocate nothing.
-		cand := m.cand
 		cand.Regs = base.Regs
-		copy(cand.Mem, base.Mem)
 		changed := false
 		if scope == 1.0 {
-			// Fast path: bulk-randomize the whole sandbox, then restore the
-			// contract-visible bytes from the base input.
-			m.rng.Read(m.buf)
-			copy(cand.Mem, m.buf)
-			usage.CopyLoaded(cand.Mem, base.Mem)
-			changed = usage.LoadedCount() < len(cand.Mem)
+			// Fast path: a fresh random background for the whole sandbox,
+			// then the contract-visible bytes restored from the base input —
+			// which materializes only the pages those bytes live in.
+			m.rng.Fill(&cand.Mem)
+			usage.CopyLoaded(&cand.Mem, &base.Mem)
+			changed = usage.LoadedCount() < size
 		} else {
-			n := int(float64(len(cand.Mem)) * scope)
+			cand.Mem.ViewOf(&base.Mem)
+			n := int(float64(size) * scope)
 			if n < 1 {
 				n = 1
 			}
 			for k := 0; k < n; k++ {
-				off := uint64(m.rng.Intn(len(cand.Mem)))
+				off := uint64(m.rng.Intn(size))
 				if usage.Loaded(off) {
 					continue
 				}
-				cand.Mem[off] = byte(m.rng.Intn(256))
+				cand.Mem.SetByte(off, byte(m.rng.Intn(256)))
 				changed = true
 			}
 		}
@@ -97,7 +95,7 @@ func (m *Mutator) Mutate(model *contract.Model, base *isa.Input, usage *contract
 		// and leaves the caller's base usage untouched; the returned trace
 		// is the model's scratch buffer, compared and dropped right here.
 		if model.CollectTrace(cand).Equal(baseTrace) {
-			return cand.Clone(), true
+			return cand, true
 		}
 	}
 	return nil, false

@@ -1,17 +1,16 @@
 package generator
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"math/rand"
 
 	"github.com/sith-lab/amulet-go/internal/isa"
-	"github.com/sith-lab/amulet-go/internal/mem"
 )
 
 // rngStream is the PRNG surface generation and mutation draw from — the
 // isa.RNG interface the frontend hooks consume, plus the draw counter the
-// checkpoint diagnostics record. Two implementations exist: counterRand
+// checkpoint diagnostics record and the whole-sandbox fill inputs are built
+// from. Two implementations exist: counterRand
 // (the default) and legacyRand (math/rand behind Config.LegacyRand /
 // NewMutator's legacy flag, kept for A/B comparison against the pre-switch
 // golden fingerprints).
@@ -27,14 +26,16 @@ type rngStream interface {
 	// it is exactly the splitmix counter position, so two runs of the same
 	// unit that report the same count consumed the identical stream prefix.
 	Draws() uint64
+	// Fill gives im Size() random bytes, eight per draw in address order —
+	// what reading the stream into a buffer of that size would produce. An addressable stream records
+	// the span as the image's background and writes nothing; one that is not
+	// materializes every page here, so no consumer of the image has to know
+	// which stream built it.
+	Fill(im *isa.Image)
 }
 
-// counterGamma is the splitmix64 stream increment (the golden-ratio odd
-// constant); coprime to 2^64, so the counter walk visits every state.
-const counterGamma = 0x9E3779B97F4A7C15
-
 // counterRand is a counter-based splitmix64 stream: output n is
-// Mix64(base + n*gamma), a pure function of (seed, n). Compared to
+// isa.StreamWord(base, n), a pure function of (seed, n). Compared to
 // math/rand's lagged-Fibonacci source it needs no 607-word state to seed —
 // campaigns build a fresh stream per work unit, and rand.(*rngSource).Seed
 // showed up in campaign profiles right next to the draw costs — and each
@@ -47,13 +48,13 @@ type counterRand struct {
 func newCounterRand(seed int64) *counterRand {
 	// Finalize the seed once so adjacent seeds (campaigns use seed, seed+1,
 	// ...) start from decorrelated bases.
-	return &counterRand{base: mem.Mix64(uint64(seed))}
+	return &counterRand{base: isa.Mix64(uint64(seed))}
 }
 
 // Uint64 returns the next 64 uniform bits.
 func (c *counterRand) Uint64() uint64 {
 	c.n++
-	return mem.Mix64(c.base + c.n*counterGamma)
+	return isa.StreamWord(c.base, c.n)
 }
 
 // Intn returns a uniform int in [0, n) via Lemire's multiply-shift range
@@ -73,18 +74,11 @@ func (c *counterRand) Float64() float64 {
 	return float64(c.Uint64()>>11) / (1 << 53)
 }
 
-// Read fills p with random bytes, eight per draw.
-func (c *counterRand) Read(p []byte) {
-	for len(p) >= 8 {
-		binary.LittleEndian.PutUint64(p, c.Uint64())
-		p = p[8:]
-	}
-	if len(p) > 0 {
-		v := c.Uint64()
-		for i := range p {
-			p[i] = byte(v >> (8 * uint(i)))
-		}
-	}
+// Fill implements rngStream: outputs are addressable, so the sandbox's worth
+// of draws is skipped over and named, not generated.
+func (c *counterRand) Fill(im *isa.Image) {
+	im.Reset(isa.StreamFill(c.base, c.n))
+	c.n += im.Sandbox().Size() / 8
 }
 
 // Perm returns a random permutation of [0, n) (inside-out Fisher–Yates).
@@ -101,8 +95,7 @@ func (c *counterRand) Perm(n int) []int {
 // Draws implements rngStream: the counter position itself.
 func (c *counterRand) Draws() uint64 { return c.n }
 
-// legacyRand adapts *rand.Rand to rngStream (Read drops the error return
-// math/rand carries for io.Reader compatibility; it cannot fail). Unlike
+// legacyRand adapts *rand.Rand to rngStream. Unlike
 // counterRand there is no natural counter in the source, so each rngStream
 // call counts as one draw; the absolute value differs from counterRand's
 // but is equally deterministic, which is all the checkpoint diagnostic
@@ -125,8 +118,10 @@ func (l *legacyRand) Uint64() uint64 { l.n++; return l.r.Uint64() }
 // Float64 implements rngStream.
 func (l *legacyRand) Float64() float64 { l.n++; return l.r.Float64() }
 
-// Read implements rngStream.
-func (l *legacyRand) Read(p []byte) { l.n++; l.r.Read(p) }
+// Fill implements rngStream. math/rand's outputs exist only in sequence, so
+// the image is written out in full — the one dense input representation
+// left, confined to this method. (*rand.Rand).Read cannot fail.
+func (l *legacyRand) Fill(im *isa.Image) { l.n++; _ = im.FillFrom(l.r) }
 
 // Perm implements rngStream.
 func (l *legacyRand) Perm(n int) []int { l.n++; return l.r.Perm(n) }

@@ -73,7 +73,6 @@ type RNG interface {
 	Intn(n int) int
 	Uint64() uint64
 	Float64() float64
-	Read(p []byte)
 	Perm(n int) []int
 }
 

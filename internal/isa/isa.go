@@ -28,6 +28,16 @@
 // the address-masking (AND reg, 0b111...) that the paper's generator inserts
 // before every x86 memory access. Frontends share the sandbox: lowering maps
 // source-level accesses onto the same wrapped addressing.
+//
+// Sandbox content has one representation, Image, shared by the generator,
+// the leakage model and the simulator: a page table over a procedural
+// background. A random input's memory is a span of the generator's
+// counter-based stream, named rather than written down; reads of background
+// compute the word they need and never materialize; a write materializes one
+// 4 KB page; and models and cores execute on a copy-on-write view, leaving
+// the input unmodified. Input cost is thus proportional to the bytes a test
+// touches, not to the sandbox size (the memory model is spelled out in
+// image.go). Serialized, an input is still its dense bytes.
 package isa
 
 import (

@@ -6,6 +6,8 @@ import "fmt"
 const (
 	// PageSize is the virtual page size.
 	PageSize = 4096
+	// MaxPages is the largest sandbox, in pages.
+	MaxPages = 512
 	// LineSize is the cache line size, visible architecturally only through
 	// the micro-architectural traces.
 	LineSize = 64
@@ -24,8 +26,8 @@ type Sandbox struct {
 
 // Validate reports whether the sandbox configuration is usable.
 func (s Sandbox) Validate() error {
-	if s.Pages < 1 || s.Pages > 512 || s.Pages&(s.Pages-1) != 0 {
-		return fmt.Errorf("sandbox pages must be a power of two in [1,512], got %d", s.Pages)
+	if s.Pages < 1 || s.Pages > MaxPages || s.Pages&(s.Pages-1) != 0 {
+		return fmt.Errorf("sandbox pages must be a power of two in [1,%d], got %d", MaxPages, s.Pages)
 	}
 	return nil
 }
@@ -49,84 +51,4 @@ func (s Sandbox) EffAddr(base uint64, imm int64) uint64 {
 // that runs past the sandbox end continues at the sandbox start.
 func (s Sandbox) ByteAddr(va uint64, k uint8) uint64 {
 	return DataBase + ((va - DataBase + uint64(k)) & s.Mask())
-}
-
-// Image is the byte-addressable content of a sandbox, the architectural data
-// memory of a test case.
-type Image struct {
-	sb   Sandbox
-	data []byte
-}
-
-// NewImage returns a zeroed image for sandbox sb.
-func NewImage(sb Sandbox) *Image {
-	return &Image{sb: sb, data: make([]byte, sb.Size())}
-}
-
-// Sandbox returns the sandbox geometry of the image.
-func (im *Image) Sandbox() Sandbox { return im.sb }
-
-// Bytes returns the backing storage. Mutating it mutates the image.
-func (im *Image) Bytes() []byte { return im.data }
-
-// Zero clears the image content (the state a freshly constructed image
-// starts in), letting a long-lived core reuse one image across programs.
-func (im *Image) Zero() {
-	clear(im.data)
-}
-
-// SetBytes overwrites the image content. src must have the sandbox size.
-func (im *Image) SetBytes(src []byte) {
-	if len(src) != len(im.data) {
-		panic(fmt.Sprintf("isa: image size mismatch: %d != %d", len(src), len(im.data)))
-	}
-	copy(im.data, src)
-}
-
-// Clone returns a deep copy of the image.
-func (im *Image) Clone() *Image {
-	c := NewImage(im.sb)
-	copy(c.data, im.data)
-	return c
-}
-
-// Read loads size bytes little-endian starting at virtual address va,
-// wrapping within the sandbox, and zero-extends to 64 bits.
-func (im *Image) Read(va uint64, size uint8) uint64 {
-	off := (va - DataBase) & im.sb.Mask()
-	var v uint64
-	for k := uint8(0); k < size; k++ {
-		b := im.data[(off+uint64(k))&im.sb.Mask()]
-		v |= uint64(b) << (8 * k)
-	}
-	return v
-}
-
-// Write stores the low size bytes of val little-endian starting at virtual
-// address va, wrapping within the sandbox.
-func (im *Image) Write(va uint64, size uint8, val uint64) {
-	off := (va - DataBase) & im.sb.Mask()
-	for k := uint8(0); k < size; k++ {
-		im.data[(off+uint64(k))&im.sb.Mask()] = byte(val >> (8 * k))
-	}
-}
-
-// Input is the architectural input of a test case: initial register values
-// and the initial sandbox memory content. A (program, input) pair forms one
-// test case, exactly as in the paper.
-type Input struct {
-	Regs [NumRegs]uint64
-	Mem  []byte // length Sandbox.Size()
-}
-
-// NewInput returns a zero input for sandbox sb.
-func NewInput(sb Sandbox) *Input {
-	return &Input{Mem: make([]byte, sb.Size())}
-}
-
-// Clone returns a deep copy of the input.
-func (in *Input) Clone() *Input {
-	c := &Input{Regs: in.Regs, Mem: make([]byte, len(in.Mem))}
-	copy(c.Mem, in.Mem)
-	return c
 }

@@ -70,43 +70,51 @@ func TestImageWrapAtEnd(t *testing.T) {
 	// start of the sandbox.
 	va := DataBase + sb.Size() - 2
 	im.Write(va, 8, 0x0807060504030201)
-	if im.Bytes()[sb.Size()-2] != 0x01 || im.Bytes()[sb.Size()-1] != 0x02 {
+	if im.Dense()[sb.Size()-2] != 0x01 || im.Dense()[sb.Size()-1] != 0x02 {
 		t.Errorf("head bytes wrong")
 	}
-	if im.Bytes()[0] != 0x03 || im.Bytes()[5] != 0x08 {
-		t.Errorf("wrapped tail wrong: % x", im.Bytes()[:6])
+	if im.Dense()[0] != 0x03 || im.Dense()[5] != 0x08 {
+		t.Errorf("wrapped tail wrong: % x", im.Dense()[:6])
 	}
 	if got := im.Read(va, 8); got != 0x0807060504030201 {
 		t.Errorf("read-back = %#x", got)
 	}
 }
 
-func TestImageCloneAndSetBytes(t *testing.T) {
-	sb := Sandbox{Pages: 1}
+func TestImageViewIsCopyOnWrite(t *testing.T) {
+	sb := Sandbox{Pages: 2}
 	im := NewImage(sb)
 	im.Write(DataBase, 8, 0xdead)
-	c := im.Clone()
-	c.Write(DataBase, 8, 0xbeef)
-	if im.Read(DataBase, 8) != 0xdead {
-		t.Errorf("Clone shares storage")
+	v := NewImage(sb)
+	v.ViewOf(im)
+	if v.Read(DataBase, 8) != 0xdead {
+		t.Errorf("view does not read the viewed image")
+	}
+	v.Write(DataBase, 8, 0xbeef)
+	v.Write(DataBase+PageSize, 8, 0xf00d)
+	if im.Read(DataBase, 8) != 0xdead || im.Materialized() != 1 {
+		t.Errorf("writing a view modified the viewed image")
+	}
+	if v.Read(DataBase, 8) != 0xbeef || v.Read(DataBase+PageSize, 8) != 0xf00d {
+		t.Errorf("view lost its own writes")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Errorf("SetBytes with wrong length must panic")
+			t.Errorf("ViewOf an image of another geometry must panic")
 		}
 	}()
-	im.SetBytes(make([]byte, 1))
+	v.ViewOf(NewImage(Sandbox{Pages: 1}))
 }
 
 func TestInputClone(t *testing.T) {
 	sb := Sandbox{Pages: 1}
 	in := NewInput(sb)
 	in.Regs[3] = 42
-	in.Mem[7] = 9
+	in.Mem.SetByte(7, 9)
 	c := in.Clone()
 	c.Regs[3] = 1
-	c.Mem[7] = 1
-	if in.Regs[3] != 42 || in.Mem[7] != 9 {
+	c.Mem.SetByte(7, 1)
+	if in.Regs[3] != 42 || in.Mem.Byte(7) != 9 {
 		t.Errorf("Clone shares state")
 	}
 }

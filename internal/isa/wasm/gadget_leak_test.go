@@ -16,10 +16,10 @@ import (
 // identical across inputs, which is what makes the pair contract-equivalent.
 func gadgetInput(sb isa.Sandbox, secret byte) *isa.Input {
 	in := isa.NewInput(sb)
-	in.Regs[0] = 200 // idx, architecturally out of bounds
-	in.Regs[1] = 128 // &bound
-	in.Mem[128] = 64 // bound
-	in.Mem[200] = secret
+	in.Regs[0] = 200        // idx, architecturally out of bounds
+	in.Regs[1] = 128        // &bound
+	in.Mem.SetByte(128, 64) // bound
+	in.Mem.SetByte(200, secret)
 	return in
 }
 

@@ -21,11 +21,6 @@ func (t *testRNG) Intn(n int) int   { return t.r.IntN(n) }
 func (t *testRNG) Uint64() uint64   { return t.r.Uint64() }
 func (t *testRNG) Float64() float64 { return t.r.Float64() }
 func (t *testRNG) Perm(n int) []int { return t.r.Perm(n) }
-func (t *testRNG) Read(p []byte) {
-	for i := range p {
-		p[i] = byte(t.r.Uint64())
-	}
-}
 
 func testParams() isa.GenParams {
 	return isa.GenParams{
@@ -125,7 +120,7 @@ func refRun(t *testing.T, p *Program, sb isa.Sandbox, in *isa.Input) ([NumLocals
 	var locals [NumLocals]uint64
 	copy(locals[:], in.Regs[:NumLocals])
 	mem := isa.NewImage(sb)
-	mem.SetBytes(in.Mem)
+	mem.ViewOf(&in.Mem)
 	var stack []uint64
 	pop := func() uint64 {
 		v := stack[len(stack)-1]
@@ -214,7 +209,7 @@ func refRun(t *testing.T, p *Program, sb isa.Sandbox, in *isa.Input) ([NumLocals
 		}
 		pc = next
 	}
-	return locals, mem.Bytes()
+	return locals, mem.Dense()
 }
 
 // TestLoweringEquivalence: running the lowered µop program on the
@@ -232,7 +227,9 @@ func TestLoweringEquivalence(t *testing.T) {
 		for r := range in.Regs {
 			in.Regs[r] = rng.Uint64()
 		}
-		rng.Read(in.Mem)
+		for off := uint64(0); off < sb.Size(); off++ {
+			in.Mem.SetByte(off, byte(rng.Uint64()))
+		}
 
 		wantLocals, wantMem := refRun(t, src, sb, in)
 
@@ -246,7 +243,7 @@ func TestLoweringEquivalence(t *testing.T) {
 			t.Fatalf("program %d: locals diverge\nref %v\nemu %v\nsource:\n%s\nlowered:\n%s",
 				i, wantLocals, gotLocals, src, low)
 		}
-		if !reflect.DeepEqual(m.Mem.Bytes(), wantMem) {
+		if !reflect.DeepEqual(m.Mem.Dense(), wantMem) {
 			t.Fatalf("program %d: memory diverges\nsource:\n%s\nlowered:\n%s", i, src, low)
 		}
 	}
@@ -272,8 +269,8 @@ func TestGadgetShape(t *testing.T) {
 	} {
 		in := isa.NewInput(sb)
 		in.Regs[0] = tc.idx
-		in.Regs[1] = 128 // &bound
-		in.Mem[128] = 64 // bound
+		in.Regs[1] = 128        // &bound
+		in.Mem.SetByte(128, 64) // bound
 		m := emu.New(low, sb, in)
 		loads := 0
 		m.Hooks.OnLoad = func(pc, addr uint64, size uint8, val uint64) { loads++ }

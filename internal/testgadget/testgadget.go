@@ -183,6 +183,6 @@ func appendTail(p *isa.Program, tail int) {
 // branches are architecturally taken) and R0 = 0.
 func BoundsInput(sb isa.Sandbox) *isa.Input {
 	in := isa.NewInput(sb)
-	in.Mem[0] = 1
+	in.Mem.SetByte(0, 1)
 	return in
 }

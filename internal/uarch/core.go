@@ -194,10 +194,11 @@ func (c *Core) LoadTest(p *isa.Program, sb isa.Sandbox) error {
 	c.prog = p
 	c.sb = sb
 	// Pooled executors load same-geometry sandboxes program after program;
-	// reusing the image (zeroed, exactly as a fresh one starts) keeps the
-	// per-program path allocation-free.
+	// reusing the image (reset to zero memory, exactly as a fresh one
+	// starts) keeps its recycled pages and the per-program path
+	// allocation-free.
 	if c.img != nil && c.img.Sandbox() == sb {
-		c.img.Zero()
+		c.img.Reset(isa.Fill{})
 	} else {
 		c.img = isa.NewImage(sb)
 	}
@@ -217,11 +218,14 @@ func (c *Core) ClearTest() {
 
 // ResetForInput rewinds the pipeline and loads the architectural input,
 // preserving predictor, cache and TLB state — the AMuLeT-Opt behaviour of
-// overwriting registers and sandbox memory in the running simulator.
+// overwriting registers and sandbox memory in the running simulator. The
+// committed memory image becomes a copy-on-write view of the input's:
+// committed stores land in pages private to the core, recycled input after
+// input, and the input itself is never modified (validation re-runs it).
 func (c *Core) ResetForInput(in *isa.Input) {
 	c.regs = in.Regs
 	c.flags = isa.Flags{}
-	c.img.SetBytes(in.Mem)
+	c.img.ViewOf(&in.Mem)
 
 	c.cycle = 0
 	c.seq = 0

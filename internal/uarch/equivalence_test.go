@@ -64,7 +64,7 @@ func TestSimEmuArchEquivalence(t *testing.T) {
 					t.Fatalf("program %d: register files differ\nsim=%v\nemu=%v\n%s",
 						i, core.Regs(), m.Regs, prog)
 				}
-				simMem, emuMem := core.Image().Bytes(), m.Mem.Bytes()
+				simMem, emuMem := core.Image().Dense(), m.Mem.Dense()
 				for off := range simMem {
 					if simMem[off] != emuMem[off] {
 						t.Fatalf("program %d: memory differs at %#x: sim=%#x emu=%#x\n%s",
@@ -158,7 +158,7 @@ func TestFenceSerializes(t *testing.T) {
 		isa.Nop(),
 	}}
 	in := isa.NewInput(sb)
-	in.Mem[0] = 1
+	in.Mem.SetByte(0, 1)
 	in.Regs[9] = 0x900
 
 	core := uarch.NewCore(uarch.DefaultConfig(), nil)

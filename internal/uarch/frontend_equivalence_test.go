@@ -73,7 +73,7 @@ func TestFrontendSimEmuArchEquivalence(t *testing.T) {
 							t.Fatalf("program %d: register files differ\nsim=%v\nemu=%v\nsource:\n%s\nlowered:\n%s",
 								i, core.Regs(), m.Regs, src, prog)
 						}
-						simMem, emuMem := core.Image().Bytes(), m.Mem.Bytes()
+						simMem, emuMem := core.Image().Dense(), m.Mem.Dense()
 						for off := range simMem {
 							if simMem[off] != emuMem[off] {
 								t.Fatalf("program %d: memory differs at %#x: sim=%#x emu=%#x\nsource:\n%s",

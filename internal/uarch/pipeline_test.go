@@ -122,7 +122,7 @@ func TestCMOVDependsOnOldValue(t *testing.T) {
 	}}
 	sb := isa.Sandbox{Pages: 1}
 	in := isa.NewInput(sb)
-	in.Mem[0] = 7
+	in.Mem.SetByte(0, 7)
 	in.Regs[3] = 99
 	core := runProg(t, prog, in, 1)
 	if core.Regs()[1] != 7 {
@@ -177,7 +177,7 @@ func TestMDPLearnsFromViolation(t *testing.T) {
 			prog.Insts = append(prog.Insts, isa.ALUImm(isa.OpAdd, 12, 12, 1))
 		}
 		in := isa.NewInput(isa.Sandbox{Pages: 1})
-		in.Mem[0] = 1
+		in.Mem.SetByte(0, 1)
 		in.Regs[2] = 128
 		return prog, in
 	}

@@ -49,7 +49,7 @@ func TestBaselineSpectreV1MemSecret(t *testing.T) {
 		in := testgadget.BoundsInput(sb)
 		in.Regs[4] = 64 // secret location
 		for k := 0; k < 8; k++ {
-			in.Mem[64+k] = byte(secret >> (8 * k))
+			in.Mem.SetByte(uint64(64+k), byte(secret>>(8*k)))
 		}
 		return in
 	}
@@ -106,7 +106,7 @@ func TestBaselineSpectreV4(t *testing.T) {
 		in := isa.NewInput(sb)
 		in.Regs[2] = 128
 		for k := 0; k < 8; k++ {
-			in.Mem[128+k] = byte(stale >> (8 * k))
+			in.Mem.SetByte(uint64(128+k), byte(stale>>(8*k)))
 		}
 		return in
 	}
@@ -147,8 +147,8 @@ func TestBaselineArchEquivalence(t *testing.T) {
 	if core.Regs() != m.Regs {
 		t.Errorf("register files differ:\n sim=%v\n emu=%v", core.Regs(), m.Regs)
 	}
-	simMem := core.Image().Bytes()
-	emuMem := m.Mem.Bytes()
+	simMem := core.Image().Dense()
+	emuMem := m.Mem.Dense()
 	for i := range simMem {
 		if simMem[i] != emuMem[i] {
 			t.Fatalf("memory differs at offset %d: sim=%#x emu=%#x", i, simMem[i], emuMem[i])
