@@ -1,5 +1,5 @@
 // Package checkpoint persists campaign state so a fuzzing campaign can die
-// anywhere — SIGINT, a worker panic, a machine crash — and resume to
+// anywhere — SIGINT, SIGKILL, a worker panic, a machine crash — and resume to
 // bit-identical final results. The engine's determinism contract (seed-
 // addressable work units, (instance, program)-ordered folding) is what
 // makes this possible: a checkpoint only has to record *which* units
@@ -7,31 +7,79 @@
 //
 // # File format
 //
-// A checkpoint is a single file, checkpoint.amulet, in the checkpoint
-// directory:
+// A checkpoint is a single append-only file, checkpoint.amulet, in the
+// checkpoint directory: a format tag, then records.
 //
-//	AMULETCKPT2 <fnv64a-digest-hex> <payload-length>\n
-//	<JSON-encoded State>
+//	AMULETCKPT3\n
+//	record*
+//	record := kind (1 byte) | length (uint32 LE) | CRC-32C (uint32 LE) | payload (length bytes, JSON)
 //
-// The header's digest covers exactly the payload bytes. Load rejects any
-// file whose length or digest disagrees with its header (ErrCorrupt), so a
-// torn or bit-flipped checkpoint can never be half-applied — the caller
-// falls back to a fresh campaign instead of resuming from garbage.
+// The CRC (Castagnoli) covers kind, length and payload. Four kinds exist:
 //
-// # Atomicity
+//	H  header   the campaign identity (config fingerprint, seed, shape,
+//	            strategy, frontend); always first, written when the log is
+//	            created
+//	U  unit     one completed unit (UnitRec), appended by the worker
+//	            goroutine that just finished it — every result is encoded
+//	            once and written once, and no buffer ever holds more than one
+//	            record
+//	C  commit   an epoch boundary: EpochsDone, the corpus entries admitted
+//	            since the previous commit, the merged coverage words
+//	P  pending  the generated programs of the done units of the epoch still
+//	            awaiting admission, written when a cancelled campaign has
+//	            drained its workers
 //
-// Save writes a temp file in the same directory, fsyncs it, renames it
-// over the previous checkpoint, and fsyncs the directory. A crash between
-// any two of those steps leaves either the old complete checkpoint or the
-// new complete checkpoint on disk, never a mixture; the fault-injection
-// tests kill the write between every pair of steps and prove it.
+// A unit record of a random-strategy campaign stands alone: the unit is
+// done. Under the corpus strategy a unit's epoch is admitted from the
+// generated programs of all its units, so a unit of an epoch with no commit
+// record yet is restored only if a pending record carries its program;
+// Load drops the others and resume runs them again. Files of earlier
+// formats (AMULETCKPT2 was one JSON document rewritten whole at every
+// save) are refused by their tag.
+//
+// # What is durable when
+//
+// Appends go to the page cache. The file is fsynced after every commit
+// record, after the pending record of an interrupted campaign, and — on a
+// distributed coordinator — every CoordinatorConfig.CheckpointEvery folds;
+// the directory is fsynced once, with the first of those. So a killed
+// process (SIGKILL, panic, OOM) loses at most the record it was in the
+// middle of writing, and a machine that loses power keeps at least
+// everything up to the last fsync.
+//
+// # Torn tail vs. corruption
+//
+// Load applies records in order and never applies anything after a record
+// whose length or CRC fails. When that record is the last thing in the file
+// it is a torn append — the process died mid-write — and is dropped: the
+// state before it is returned, old or new, never a mixture. When bytes
+// follow it, or it is the header, the file was damaged after it was written
+// and Load returns ErrCorrupt (so does an unsynced tail that a power loss
+// persisted out of order). A file that ends before its first whole record
+// holds nothing and loads as "no checkpoint yet". Resume truncates the file
+// to the end of the last applied record and appends from there. A failed
+// append (disk full, permissions) truncates the file back the same way
+// before it is reported, so half a record never precedes later ones.
+//
+// One flip cannot be told from a tear: a corrupted length field that makes a
+// middle record claim to run past the end of the file reads as a torn tail,
+// and the records behind it are re-run rather than restored — work is lost,
+// results are not.
+//
+// # Atomic files
+//
+// Save (a whole State written at once — tests and benchmarks) and
+// quarantine bundles are written whole instead: temp file in the same
+// directory, fsync, rename over the previous file, fsync the directory. A
+// crash between any two of those steps leaves either the old complete file
+// or the new one; the fault-injection tests kill the write between every
+// pair of steps and prove it.
 package checkpoint
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"time"
@@ -47,28 +95,29 @@ import (
 // FileName is the checkpoint file inside the checkpoint directory.
 const FileName = "checkpoint.amulet"
 
-// magic is the format/version tag; a format change bumps it, and Load
-// rejects unknown tags rather than guessing. Version 2 introduced
-// frontend-tagged source-program records (ProgRec) and the State.Frontend
-// header when the ISA frontends became pluggable.
-const magic = "AMULETCKPT2"
+// StrategyCorpus is the State.Strategy of coverage-guided campaigns, the one
+// strategy whose units depend on earlier epochs' admitted programs — Load
+// restores their unadmitted units only together with their programs.
+const StrategyCorpus = "corpus"
 
-// Write steps, in execution order — the coordinates KindCrashAtStep
-// injection points address. StepDirSync is last: a crash after the rename
-// but before the directory sync can still lose the rename on power fail,
-// which is exactly the window the tests exercise.
+// Steps of an atomic file write (Save, SaveBundle), in execution order —
+// the coordinates KindCrashAtStep injection points address. StepDirSync is
+// last: a crash after the rename but before the directory sync can still
+// lose the rename on power fail, which is exactly the window the tests
+// exercise.
 const (
 	StepTempWrite = iota // writing the temp file
 	StepTempSync         // fsync of the temp file
-	StepRename           // rename over the live checkpoint
+	StepRename           // rename over the live file
 	StepDirSync          // fsync of the directory
 )
 
-// ErrCorrupt reports a checkpoint whose bytes disagree with the self
-// digest in its header. Resume must treat it as absent-with-extreme-
-// prejudice: the caller reports it and starts fresh rather than trusting
-// any part of the payload.
-var ErrCorrupt = errors.New("checkpoint: digest mismatch (corrupt or torn checkpoint)")
+// ErrCorrupt reports a checkpoint that was damaged after it was written: a
+// record other than the last fails its CRC, a record that passes it says
+// something impossible, or the format tag is not this version's. Resume
+// must treat it as absent-with-extreme-prejudice: the caller reports it and
+// starts fresh rather than trusting any part of the file.
+var ErrCorrupt = errors.New("checkpoint: corrupt checkpoint")
 
 // ProgRec serializes one frontend-level source program, tagged with the
 // owning frontend's name so decoding resolves the right decoder through the
@@ -271,7 +320,7 @@ func (r ResultRec) Decode() *fuzzer.Result {
 // the unit's PRNG consumption — streams are counter-based, so a resumed
 // unit that drew a different count did not replay the same work), and —
 // only while the unit's epoch awaits corpus admission — the generated
-// program.
+// program (in a loaded State; in the file it travels in a pending record).
 type UnitRec struct {
 	Inst, Prog int
 	RNGDraws   uint64
@@ -318,24 +367,23 @@ type State struct {
 	Coverage []uint64    `json:",omitempty"`
 }
 
-// Save atomically writes st as dir's checkpoint, creating dir if needed.
-// inj (nil in production) lets the fault-injection tests kill the write
-// between steps and corrupt payload bytes after the digest is computed.
+// Save atomically writes st as dir's checkpoint — a fresh log holding the
+// whole state — creating dir if needed. Campaigns append to a Log instead;
+// this is for tests and benchmarks that have a State in hand. inj (nil in
+// production) lets the fault-injection tests kill the write between steps
+// and flip file bytes after the record CRCs are computed.
 func Save(dir string, st *State, inj *faultinject.Injector) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	payload, err := json.Marshal(st)
+	data, err := encodeState(st)
 	if err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
+		return err
 	}
-	h := fnv.New64a()
-	h.Write(payload)
-	header := fmt.Sprintf("%s %016x %d\n", magic, h.Sum64(), len(payload))
-	// Injected corruption happens after the digest so the file lands on
-	// disk exactly as bit rot or a torn sector would leave it.
-	inj.MutateBytes(payload)
-	return writeAtomic(dir, FileName, append([]byte(header), payload...), inj)
+	// Injected corruption happens after the CRCs so the file lands on disk
+	// exactly as bit rot or a torn sector would leave it.
+	inj.MutateBytes(data)
+	return writeAtomic(dir, FileName, data, inj)
 }
 
 // writeAtomic lands data as dir/name under the checkpoint write protocol:
@@ -378,12 +426,17 @@ func writeAtomic(dir, name string, data []byte, inj *faultinject.Injector) error
 	if inj.CrashAt(StepDirSync) {
 		return faultinject.ErrInjectedCrash
 	}
+	syncDirectory(dir)
+	return nil
+}
+
+// syncDirectory fsyncs dir, making a file creation or rename inside it
+// durable. Best-effort: some filesystems reject directory fsync.
+func syncDirectory(dir string) {
 	if d, err := os.Open(dir); err == nil {
-		// Best-effort: some filesystems reject directory fsync.
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // coverageFromWords rebuilds a coverage bitmap from checkpointed words.
@@ -393,46 +446,17 @@ func coverageFromWords(words []uint64) *uarch.Coverage {
 	return c
 }
 
-// Load reads and verifies dir's checkpoint. A missing file returns an
-// error satisfying errors.Is(err, os.ErrNotExist) — "no checkpoint yet" is
-// the caller's fresh-start path. A present but corrupt or truncated file
-// returns an error wrapping ErrCorrupt.
+// Load reads dir's checkpoint and replays its records into a State, units
+// in (instance, program) order. A missing file, or one that ends before its
+// first whole record, returns an error satisfying errors.Is(err,
+// os.ErrNotExist) — "no checkpoint yet" is the caller's fresh-start path. A
+// torn last record is dropped; a damaged file returns an error wrapping
+// ErrCorrupt.
 func Load(dir string) (*State, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, FileName))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var digest uint64
-	var length int
-	var tag string
-	n, err := fmt.Sscanf(string(firstLine(raw)), "%s %x %d", &tag, &digest, &length)
-	if err != nil || n != 3 || tag != magic {
-		return nil, fmt.Errorf("checkpoint: unrecognized header: %w", ErrCorrupt)
-	}
-	payload := raw[len(firstLine(raw))+1:]
-	if len(payload) != length {
-		return nil, fmt.Errorf("checkpoint: payload is %d bytes, header says %d: %w",
-			len(payload), length, ErrCorrupt)
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != digest {
-		return nil, fmt.Errorf("checkpoint: payload digest %016x, header says %016x: %w",
-			h.Sum64(), digest, ErrCorrupt)
-	}
-	st := &State{}
-	if err := json.Unmarshal(payload, st); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %v: %w", err, ErrCorrupt)
-	}
-	return st, nil
-}
-
-// firstLine returns raw up to (excluding) the first newline.
-func firstLine(raw []byte) []byte {
-	for i, b := range raw {
-		if b == '\n' {
-			return raw[:i]
-		}
-	}
-	return raw
+	st, _, err := replay(raw)
+	return st, err
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,7 +19,7 @@ import (
 )
 
 // mustProgRec encodes a source program into its checkpoint record form.
-func mustProgRec(t *testing.T, src isa.SourceProgram) *ProgRec {
+func mustProgRec(t testing.TB, src isa.SourceProgram) *ProgRec {
 	t.Helper()
 	rec, err := EncodeProg(src)
 	if err != nil {
@@ -32,7 +30,7 @@ func mustProgRec(t *testing.T, src isa.SourceProgram) *ProgRec {
 
 // testState builds a state with every field populated: a violating unit
 // result (program, inputs, contract trace), coverage words, corpus entries.
-func testState(t *testing.T) *State {
+func testState(t testing.TB) *State {
 	t.Helper()
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 42
@@ -134,10 +132,11 @@ func TestLoadMissingIsNotExist(t *testing.T) {
 	}
 }
 
-// TestSaveCrashMatrix kills the atomic write between every pair of steps
-// and proves the invariant: whatever step the process dies at, the
+// TestSaveCrashMatrix kills Save's atomic write between every pair of
+// steps and proves the invariant: whatever step the process dies at, the
 // directory holds a complete, loadable checkpoint — the old one for
-// crashes before the rename, the new one after.
+// crashes before the rename, the new one after. (Campaigns append to a Log
+// instead; its matrix is TestLogCrashMatrix.)
 func TestSaveCrashMatrix(t *testing.T) {
 	old := testState(t)
 	fresh := testState(t)
@@ -179,8 +178,8 @@ func TestSaveCrashMatrix(t *testing.T) {
 }
 
 // TestSaveCrashWithNoPriorCheckpoint: dying before the rename of the very
-// first checkpoint must leave "no checkpoint" (the fresh-start path), not
-// a partial file.
+// first Save must leave "no checkpoint" (the fresh-start path), not a
+// partial file.
 func TestSaveCrashWithNoPriorCheckpoint(t *testing.T) {
 	for _, step := range []int{StepTempWrite, StepTempSync, StepRename} {
 		dir := t.TempDir()
@@ -195,49 +194,105 @@ func TestSaveCrashWithNoPriorCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruption flips single payload bits (the faultinject
-// path, corrupting after the digest) and truncates the file; every case
-// must surface ErrCorrupt, never a half-applied state.
-func TestLoadRejectsCorruption(t *testing.T) {
-	for _, offset := range []int{0, 10, 100} {
-		dir := t.TempDir()
-		inj := faultinject.New()
-		inj.Arm(faultinject.KindFlipByte, offset, 3)
-		if err := Save(dir, testState(t), inj); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("bit flip at byte %d: Load err = %v, want ErrCorrupt", offset, err)
-		}
-	}
-
-	dir := t.TempDir()
-	if err := Save(dir, testState(t), nil); err != nil {
+// recordEnds returns the offset at which each whole record of a log ends —
+// the format tag counts as ending where the header record does.
+func recordEnds(t *testing.T, raw []byte) []int {
+	t.Helper()
+	var ends []int
+	if _, err := Walk(raw, func(_ byte, _ []byte, end int) error {
+		ends = append(ends, end)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, FileName)
-	raw, err := os.ReadFile(path)
+	return ends
+}
+
+// TestLoadRejectsCorruption damages a log after it was written. A flipped
+// bit in the header or in a middle record is corruption; the same flip in
+// the last record is indistinguishable from a torn append, and drops just
+// that record. A foreign or older format tag is refused outright.
+func TestLoadRejectsCorruption(t *testing.T) {
+	st := testState(t)
+	whole, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
+	ends := recordEnds(t, whole) // header, unit, unit, commit, pending
+	if len(ends) != 5 {
+		t.Fatalf("test state encodes to %d records, want 5", len(ends))
 	}
-	if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncated file: Load err = %v, want ErrCorrupt", err)
+	load := func(raw []byte) (*State, error) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, FileName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(dir)
+	}
+	flip := func(at int) []byte {
+		raw := append([]byte(nil), whole...)
+		raw[at] ^= 0x08
+		return raw
 	}
 
-	if err := os.WriteFile(path, []byte("not a checkpoint\n{}"), 0o644); err != nil {
+	for name, at := range map[string]int{
+		"format tag":              3,
+		"header kind":             len(magic),
+		"header payload":          len(magic) + frameLen + 4,
+		"middle record's payload": ends[0] + frameLen + 20,
+		"middle record's CRC":     ends[1] + 6,
+		"commit record's payload": ends[2] + frameLen + 2,
+	} {
+		if _, err := load(flip(at)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bit flip in the %s: Load err = %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// The last record (the pending programs): dropped, everything before it
+	// stands — unit (1,5) comes back without its program.
+	got, err := load(flip(ends[3] + frameLen + 8))
+	if err != nil {
+		t.Fatalf("bit flip in the last record: %v, want the tail dropped", err)
+	}
+	if len(got.Units) != 2 || got.EpochsDone != 1 || got.Units[1].GenSrc != nil {
+		t.Errorf("bit flip in the last record: loaded %d units, EpochsDone %d, program %v; want the state before the record",
+			len(got.Units), got.EpochsDone, got.Units[1].GenSrc)
+	}
+
+	// The faultinject path: Save flips the byte after the CRCs are computed.
+	dir := t.TempDir()
+	inj := faultinject.New()
+	inj.Arm(faultinject.KindFlipByte, ends[0]+frameLen+20, 3)
+	if err := Save(dir, st, inj); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("garbage header: Load err = %v, want ErrCorrupt", err)
+		t.Errorf("injected flip in a middle record: Load err = %v, want ErrCorrupt", err)
+	}
+
+	// A file cut short is a log with a torn tail — an earlier moment of the
+	// same campaign. Here that is before the first commit, where a
+	// corpus-strategy unit does not stand without its program.
+	got, err = load(whole[:ends[1]+(ends[2]-ends[1])/2])
+	if err != nil || len(got.Units) != 0 || got.EpochsDone != 0 {
+		t.Errorf("file cut inside its third record: %+v, %v; want the bare header", got, err)
+	}
+
+	for name, raw := range map[string][]byte{
+		"garbage":             []byte("not a checkpoint\n{}"),
+		"short garbage":       []byte("nope"),
+		"version 2 file":      []byte(magic[:len(magic)-2] + "2 00000000deadbeef 2\n{}"),
+		"tag without its \\n": append([]byte("AMULETCKPT3 "), whole[len(magic):]...),
+	} {
+		if _, err := load(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
-// TestLoadRejectsMalformedInput crafts checkpoints that are intact — header,
-// length and digest all agree — but whose violation carries input memory of
-// an impossible size, or of a size other than its record's sandbox. Before
+// TestLoadRejectsMalformedInput crafts logs whose records are intact — kind,
+// length and CRC all agree — but whose violation carries input memory of an
+// impossible size, or of a size other than its record's sandbox. Before
 // inputs validated themselves at decode, these loaded fine and panicked
 // ("image size mismatch") once analysis replayed the violation.
 func TestLoadRejectsMalformedInput(t *testing.T) {
@@ -249,24 +304,30 @@ func TestLoadRejectsMalformedInput(t *testing.T) {
 		{"three pages", 3 * isa.PageSize},
 		{"two pages in a one-page record", 2 * isa.PageSize},
 	} {
-		var doc map[string]any
-		payload, err := json.Marshal(testState(t))
+		st := testState(t)
+		var unit map[string]any
+		payload, err := json.Marshal(&st.Units[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(payload, &doc); err != nil {
+		if err := json.Unmarshal(payload, &unit); err != nil {
 			t.Fatal(err)
 		}
-		viol := doc["Units"].([]any)[0].(map[string]any)["Result"].(map[string]any)["Violations"].([]any)[0].(map[string]any)
+		viol := unit["Result"].(map[string]any)["Violations"].([]any)[0].(map[string]any)
 		viol["InputB"].(map[string]any)["Mem"] = make([]byte, tc.bytes)
-		if payload, err = json.Marshal(doc); err != nil {
+
+		buf := bytes.NewBufferString(magic)
+		if err := appendFrame(buf, RecHeader, st.header()); err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		h.Write(payload)
+		if err := appendFrame(buf, RecUnit, unit); err != nil {
+			t.Fatal(err)
+		}
+		if err := appendFrame(buf, RecCommit, &commitRec{EpochsDone: 1}); err != nil {
+			t.Fatal(err)
+		}
 		dir := t.TempDir()
-		file := append([]byte(fmt.Sprintf("%s %016x %d\n", magic, h.Sum64(), len(payload))), payload...)
-		if err := os.WriteFile(filepath.Join(dir, FileName), file, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, FileName), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Load(dir); !errors.Is(err, ErrCorrupt) {

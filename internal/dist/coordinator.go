@@ -54,9 +54,10 @@ type CoordinatorConfig struct {
 	// out-of-bounds submissions) a worker survives before being banned
 	// (default 2).
 	MaxStrikes int
-	// CheckpointEvery checkpoints after that many folded results, in
-	// addition to completion and interruption (default 16; requires
-	// Campaign.CheckpointDir).
+	// CheckpointEvery is the fsync cadence of the checkpoint log: every
+	// fold appends its unit's record as it happens, and after that many
+	// folds — as on completion and interruption — the file is fsynced
+	// (default 16; requires Campaign.CheckpointDir).
 	CheckpointEvery int
 	// Log receives coordinator events; nil discards them.
 	Log *log.Logger
@@ -117,7 +118,7 @@ type Coordinator struct {
 	tries      map[engine.UnitID]int  // reassignment count per unit
 	localOnly  map[engine.UnitID]bool // past MaxReassign: coordinator-only, guarded
 	nextWorker int64
-	folds      int // folded results since the last checkpoint
+	folds      int // folded results since the last checkpoint fsync
 
 	evictions, reassigned, dups, degraded int
 	degradedNow                           bool // currently in local-fallback mode
@@ -173,6 +174,7 @@ func (co *Coordinator) Addr() net.Addr { return co.ln.Addr() }
 // cancellation, the partial result alongside ErrInterrupted with the
 // checkpoint saved for resumption.
 func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) {
+	defer co.dc.Close()
 	defer func() {
 		if co.srv != nil {
 			sctx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -407,6 +409,103 @@ func TestSubmitIntegrity(t *testing.T) {
 	}
 	if _, err := cl.Lease(ctx, &dist.LeaseRequest{WorkerID: jr.WorkerID, Max: 1}); !errors.Is(err, dist.ErrEvicted) {
 		t.Errorf("banned worker lease: err = %v, want ErrEvicted", err)
+	}
+}
+
+// TestCoordinatorCheckpointIsIncremental: the coordinator's checkpoint is
+// the append-only log, so what a fold costs the disk does not depend on how
+// far the campaign has come. A hand-driven client submits the whole golden
+// campaign; with CheckpointEvery 4, the file grows between two consecutive
+// syncs by exactly the four records folded in between — at 10 % progress
+// and at 90 % alike — and a retransmitted submission adds nothing.
+func TestCoordinatorCheckpointIsIncremental(t *testing.T) {
+	ctx := context.Background()
+	cfg := goldenConfig(t)
+	runner, err := engine.NewUnitRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg.CheckpointDir = dir
+	_, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, CheckpointEvery: 4}, "127.0.0.1:0")
+	cl := dist.NewClient(base, nil, 1)
+	jr, err := cl.Join(ctx, &dist.JoinRequest{
+		Worker: "hand", ConfigFP: runner.ConfigFP(), Frontend: runner.FrontendName(),
+		Instances: cfg.Campaign.Instances, Programs: cfg.Campaign.Base.Programs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// unitsBehind walks the log and returns the units recorded at or behind
+	// offset from, and the offset the log ends at. Only the campaign's last
+	// fold may bring anything but unit records: the commit record.
+	complete := false
+	unitsBehind := func(from int) ([]engine.UnitID, int) {
+		raw, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var units []engine.UnitID
+		end, err := checkpoint.Walk(raw, func(kind byte, payload []byte, end int) error {
+			if end <= from || kind == checkpoint.RecHeader || (complete && kind == checkpoint.RecCommit) {
+				return nil
+			}
+			if kind != checkpoint.RecUnit {
+				return fmt.Errorf("a %q record behind offset %d", kind, from)
+			}
+			var u engine.UnitID
+			err := json.Unmarshal(payload, &u)
+			units = append(units, u)
+			return err
+		})
+		if err != nil || end != len(raw) {
+			t.Fatalf("log walk: ends at %d of %d: %v", end, len(raw), err)
+		}
+		return units, end
+	}
+
+	_, synced := unitsBehind(0) // the header
+	var batch []engine.UnitID
+	var last *dist.SubmitRequest
+	for i := 0; i < cfg.Campaign.Instances; i++ {
+		for p := 0; p < cfg.Campaign.Base.Programs; p++ {
+			id := engine.UnitID{Inst: i, Prog: p}
+			rec, draws, err := runner.Run(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, digest, err := dist.EncodeResult(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = &dist.SubmitRequest{WorkerID: jr.WorkerID, Inst: i, Prog: p, Draws: draws, ResultDigest: digest, Result: raw}
+			sr, err := cl.Submit(ctx, last)
+			if err != nil || !sr.Folded {
+				t.Fatalf("submit (%d,%d): folded=%v err=%v", i, p, sr != nil && sr.Folded, err)
+			}
+			if batch = append(batch, id); len(batch) < 4 {
+				continue
+			}
+			// The fourth fold since the last sync: the coordinator synced
+			// before replying.
+			complete = sr.Done
+			got, end := unitsBehind(synced)
+			if fmt.Sprint(got) != fmt.Sprint(batch) {
+				t.Fatalf("after %d folds the log grew by the records of %v, want exactly %v", i*cfg.Campaign.Base.Programs+p+1, got, batch)
+			}
+			synced, batch = end, nil
+		}
+	}
+	if sr, err := cl.Submit(ctx, last); err != nil || sr.Folded {
+		t.Fatalf("duplicate submit: folded=%v err=%v", sr != nil && sr.Folded, err)
+	}
+	if got, end := unitsBehind(synced); len(got) != 0 || end != synced {
+		t.Errorf("a duplicate submission grew the log by %d bytes", end-synced)
+	}
+	// 80 units, none recorded twice, committed: the file loads, to all of them.
+	if st, err := checkpoint.Load(dir); err != nil || len(st.Units) != 80 || st.EpochsDone != 1 {
+		t.Errorf("finished log: %v", err)
 	}
 }
 

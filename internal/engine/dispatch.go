@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -36,8 +35,8 @@ var ErrDistCorpus = errors.New("engine: distributed campaigns support the random
 
 // DistCampaign is the coordinator's half of a distributed campaign: it
 // tracks which units are done, folds remote results exactly once per unit,
-// runs units locally when the remote fleet degrades, and persists/restores
-// the same checkpoint format single-process campaigns use — so a lost
+// runs units locally when the remote fleet degrades, and appends to/restores
+// from the same checkpoint log single-process campaigns use — so a lost
 // coordinator resumes from its own checkpoint, and a distributed checkpoint
 // even resumes under the single-process engine (and vice versa).
 //
@@ -46,6 +45,14 @@ var ErrDistCorpus = errors.New("engine: distributed campaigns support the random
 // what makes the distributed outcome bit-identical to the single-process
 // one.
 type DistCampaign struct {
+	// foldMu orders folds against commits. A fold holds it shared from
+	// marking its unit done until the unit's record is in the checkpoint
+	// log; SaveCheckpoint holds it exclusively while it decides whether the
+	// campaign is complete and appends the commit record. So a commit record
+	// never precedes the record of a unit it vouches for, and folds still
+	// encode and append side by side. Taken before mu.
+	foldMu sync.RWMutex
+
 	mu        sync.Mutex
 	c         *campaign
 	localPool *executor.Pool
@@ -63,20 +70,15 @@ func NewDistCampaign(cfg Config) (*DistCampaign, error) {
 	if corpus {
 		return nil, ErrDistCorpus
 	}
-	if cfg.Resume {
-		st, err := checkpoint.Load(c.ckptDir)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-		case err != nil:
-			return nil, err
-		default:
-			if err := c.restore(st); err != nil {
-				return nil, err
-			}
-		}
+	if err := c.openLog(cfg.Resume); err != nil {
+		return nil, err
 	}
 	return &DistCampaign{c: c}, nil
 }
+
+// Close releases the checkpoint file. The campaign is over: fold nothing
+// afterwards.
+func (d *DistCampaign) Close() { d.c.closeLog() }
 
 // ConfigFP is the campaign's configuration fingerprint — the identity the
 // join handshake, submissions, and checkpoints are bound to.
@@ -133,14 +135,20 @@ func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws ui
 		return false, fmt.Errorf("engine: remote result for unit (%d,%d) out of campaign bounds %dx%d",
 			u.Inst, u.Prog, d.c.instances, d.c.programs)
 	}
+	d.foldMu.RLock()
+	defer d.foldMu.RUnlock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.c.done[u.Inst][u.Prog] {
+		d.mu.Unlock()
 		return false, nil
 	}
 	res := rec.Decode()
-	d.c.record(unit{inst: u.Inst, prog: u.Prog}, unitOutcome{res: res, draws: draws, done: true})
+	d.c.fold(unit{inst: u.Inst, prog: u.Prog}, unitOutcome{res: res, draws: draws, done: true})
 	d.noteViolationsLocked(u, res)
+	d.mu.Unlock()
+	// First fold only, and outside the campaign lock: the record is encoded
+	// and written while other submissions fold.
+	d.c.logUnit(unit{inst: u.Inst, prog: u.Prog}, rec, draws)
 	return true, nil
 }
 
@@ -224,31 +232,49 @@ func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
 	return errors.Join(errs...)
 }
 
-// recordLocal folds a locally-run unit outcome under the campaign lock.
+// recordLocal folds a locally-run unit outcome under the campaign lock and
+// appends its record outside it, exactly as RecordRemote does.
 func (d *DistCampaign) recordLocal(u unit, out unitOutcome) {
+	d.foldMu.RLock()
+	defer d.foldMu.RUnlock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.c.done[u.inst][u.prog] {
+		d.mu.Unlock()
 		return // a remote submission won the race; keep the first fold
 	}
-	d.c.record(u, out)
+	d.c.fold(u, out)
 	if out.res != nil {
 		d.noteViolationsLocked(UnitID{Inst: u.inst, Prog: u.prog}, out.res)
 	}
+	d.mu.Unlock()
+	d.c.logOutcome(u, out)
 }
 
-// SaveCheckpoint persists the campaign's progress through the checkpoint
-// package's atomic protocol. A no-op without a checkpoint directory. The
-// saved state is interchangeable with a single-process campaign's: a lost
-// coordinator resumes from it, and so does plain `amulet -resume`.
+// SaveCheckpoint makes every folded unit durable: the units' records are
+// already in the checkpoint log (each fold appended its own), so this is
+// the commit record once the campaign is complete, and one fsync — outside
+// every lock, so folds proceed while the disk works. A no-op without a
+// checkpoint directory. A unit append that failed is reported here, by
+// every call from then on: the log lacks that unit, and will get no commit
+// record. The log is interchangeable with a single-process campaign's: a
+// lost coordinator resumes from it, and so does plain `amulet -resume`.
 func (d *DistCampaign) SaveCheckpoint() error {
+	if d.c.log == nil {
+		return d.c.logFailure()
+	}
+	d.foldMu.Lock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	epochsDone := 0
 	if d.completeLocked() {
 		epochsDone = d.c.epochs
 	}
-	return d.c.saveCheckpoint(epochsDone)
+	d.mu.Unlock()
+	err := d.c.appendBoundary(epochsDone)
+	d.foldMu.Unlock()
+	if err == nil {
+		err = d.c.log.Sync()
+	}
+	return errors.Join(d.c.logFailure(), err)
 }
 
 func (d *DistCampaign) completeLocked() bool {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
+	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
@@ -179,4 +180,76 @@ func TestDistCampaignCheckpointRoundTrip(t *testing.T) {
 	if fp := fuzzer.ViolationFingerprint(res.Violations); fp != wantFP {
 		t.Errorf("resumed fingerprint %#x, want single-process %#x", fp, wantFP)
 	}
+}
+
+// TestLogInterchange: the coordinator and the single-process engine write
+// the same log, so each resumes the other's — `amulet -resume` finishes a
+// lost coordinator's campaign and `amulet-coordinator -resume` an
+// interrupted single-process one — including a log with no commit record
+// and one whose writer died inside a record.
+func TestLogInterchange(t *testing.T) {
+	want, err := RunCampaign(context.Background(), engineConfig(7, 2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFP := fuzzer.ViolationFingerprint(want.Violations)
+
+	t.Run("coordinator's log, engine resumes", func(t *testing.T) {
+		cfg := engineConfig(7, 2, 8)
+		cfg.CheckpointDir = t.TempDir()
+		dc, err := NewDistCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Six units folded, never synced or committed: a SIGKILLed coordinator.
+		if err := dc.RunLocal(context.Background(), dc.Pending()[:6]); err != nil {
+			t.Fatal(err)
+		}
+		dc.Close()
+		cfg.Resume = true
+		res, err := RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := fuzzer.ViolationFingerprint(res.Violations); fp != wantFP {
+			t.Errorf("fingerprint %#x, want %#x", fp, wantFP)
+		}
+		if res.Totals().Programs != 16 {
+			t.Errorf("%d programs in the result, want 16", res.Totals().Programs)
+		}
+	})
+
+	t.Run("engine's log, coordinator resumes", func(t *testing.T) {
+		cfg := engineConfig(7, 2, 8)
+		cfg.CheckpointDir = t.TempDir()
+		cfg.Workers = 2
+		inj := faultinject.New()
+		inj.Arm(faultinject.KindCrashInAppend, 8, 30) // dies inside the 7th unit record
+		cfg.Inject = inj
+		if _, err := RunCampaign(context.Background(), cfg); !errors.Is(err, faultinject.ErrInjectedCrash) {
+			t.Fatalf("killed run: err = %v", err)
+		}
+		cfg.Inject, cfg.Resume = nil, true
+		dc, err := NewDistCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dc.Close()
+		rest := dc.Pending()
+		if len(rest) != 10 {
+			t.Fatalf("%d units pending after resume, want 10", len(rest))
+		}
+		if err := dc.RunLocal(context.Background(), rest); err != nil {
+			t.Fatal(err)
+		}
+		if err := dc.SaveCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if fp := fuzzer.ViolationFingerprint(dc.Result().Violations); fp != wantFP {
+			t.Errorf("fingerprint %#x, want %#x", fp, wantFP)
+		}
+		if st, err := checkpoint.Load(cfg.CheckpointDir); err != nil || len(st.Units) != 16 || st.EpochsDone != 1 {
+			t.Errorf("finished log: %v", err)
+		}
+	})
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"runtime/debug"
 	"time"
 
@@ -49,64 +51,165 @@ func campaignFingerprint(base fuzzer.Config, defense, frontend string, instances
 	return h.Sum64()
 }
 
-// saveCheckpoint persists the campaign's progress: every done unit in
-// (instance, program) order, plus the corpus state frozen at the last
-// admitted epoch boundary. epochsDone is how many epochs have completed and
-// been admitted; generated programs are retained only for done units of
-// later epochs (they still await admission on resume). A no-op without a
-// checkpoint directory.
-func (c *campaign) saveCheckpoint(epochsDone int) error {
+// openLog opens the campaign's checkpoint log — a no-op without a
+// checkpoint directory. With resume set, an existing log is replayed into
+// the campaign and reopened for appending where its last applied record
+// ends; a missing one is a fresh start, a corrupt or mismatched one an
+// error. A log that cannot be created (unwritable directory, full disk)
+// does not stop the campaign: it runs without durability and the failure is
+// reported once, with its result.
+func (c *campaign) openLog(resume bool) error {
 	if c.ckptDir == "" {
 		return nil
 	}
-	st := &checkpoint.State{
-		ConfigFP:   c.configFP,
-		Seed:       c.base.Seed,
-		Instances:  c.instances,
-		Programs:   c.programs,
-		Epochs:     c.epochs,
-		Strategy:   c.strategyName,
-		Frontend:   c.frontendName,
-		EpochsDone: epochsDone,
+	if resume {
+		st, log, err := checkpoint.Resume(c.ckptDir, c.inject)
+		if err == nil {
+			if err := c.restore(st); err != nil {
+				log.Close()
+				return err
+			}
+			c.log, c.loggedEpochs, c.loggedEntries = log, st.EpochsDone, len(c.entries)
+			return nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+		// No checkpoint yet; resume of a campaign that never started is a
+		// fresh start.
 	}
-	pendingLo := c.programs
-	if epochsDone < c.epochs {
-		pendingLo, _ = epochBounds(c.programs, c.epochs, epochsDone)
+	log, err := checkpoint.Create(c.ckptDir, &checkpoint.State{
+		ConfigFP:  c.configFP,
+		Seed:      c.base.Seed,
+		Instances: c.instances,
+		Programs:  c.programs,
+		Epochs:    c.epochs,
+		Strategy:  c.strategyName,
+		Frontend:  c.frontendName,
+	}, c.inject)
+	if err != nil {
+		c.failLog(err)
+		return nil
 	}
+	c.log = log
+	return nil
+}
+
+// closeLog releases the checkpoint file once the campaign is over.
+func (c *campaign) closeLog() {
+	if c.log != nil {
+		c.log.Close() // everything that had to be durable was synced at its barrier
+	}
+}
+
+// logOutcome appends the record of a unit this process ran, once its
+// outcome is final. Without a checkpoint log it is one nil check.
+func (c *campaign) logOutcome(u unit, out unitOutcome) {
+	if out.done && c.log != nil {
+		c.logUnit(u, checkpoint.EncodeResult(out.res), out.draws)
+	}
+}
+
+// logUnit appends a finished unit's record to the checkpoint log, on the
+// goroutine that finished the unit. A failed append leaves a hole: the unit
+// is done here but absent from the log, so resume will run it again.
+func (c *campaign) logUnit(u unit, res checkpoint.ResultRec, draws uint64) {
+	if c.log == nil {
+		return
+	}
+	rec := checkpoint.UnitRec{Inst: u.inst, Prog: u.prog, RNGDraws: draws, Result: res}
+	if err := c.log.AppendUnit(&rec); err != nil {
+		c.failLog(err)
+	}
+}
+
+// failLog notes a failed unit append (or log creation). Only the first
+// failure is kept — a full disk fails every append the same way.
+func (c *campaign) failLog(err error) {
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	if c.logErr == nil {
+		c.logErr = err
+	}
+}
+
+// logFailure returns the first failed unit append, if any. While it is
+// non-nil the log has a hole — a unit done here but absent there — so no
+// commit or pending record may vouch for the units written so far
+// (appendBoundary), and resume will run the missing unit again.
+func (c *campaign) logFailure() error {
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
+	return c.logErr
+}
+
+// appendBoundary appends what a barrier owes the log. epochsDone is how
+// many epochs have completed and been admitted: when that is more than the
+// log's last commit record says, a commit record with the corpus entries
+// admitted since then and the merged coverage; and, when done units of the
+// next epoch exist (a cancelled campaign, its workers drained), a pending
+// record with their generated programs, which resume needs to admit that
+// epoch. The unit records themselves are already there — each worker
+// appended its own. The caller owns the barrier: no unit is in flight.
+func (c *campaign) appendBoundary(epochsDone int) error {
+	if c.logFailure() != nil {
+		return nil // reported by the caller; resume re-runs from the last commit
+	}
+	if epochsDone > c.loggedEpochs {
+		var corpus []checkpoint.CorpusRec
+		var cover []uint64
+		if c.cover != nil {
+			cover = c.cover.Words()
+			for _, e := range c.entries[c.loggedEntries:] {
+				src, err := checkpoint.EncodeProg(e.Prog)
+				if err != nil {
+					return err
+				}
+				corpus = append(corpus, checkpoint.CorpusRec{Src: src, NewBits: e.NewBits, Violating: e.Violating})
+			}
+		}
+		if err := c.log.AppendCommit(epochsDone, corpus, cover); err != nil {
+			return err
+		}
+		c.loggedEpochs, c.loggedEntries = epochsDone, len(c.entries)
+	}
+	if c.progs == nil || epochsDone >= c.epochs {
+		return nil
+	}
+	var pending []checkpoint.PendingRec
+	lo, hi := epochBounds(c.programs, c.epochs, epochsDone)
 	for i := 0; i < c.instances; i++ {
-		for p := 0; p < c.programs; p++ {
+		for p := lo; p < hi; p++ {
 			if !c.done[i][p] {
 				continue
 			}
-			rec := checkpoint.UnitRec{
-				Inst:     i,
-				Prog:     p,
-				RNGDraws: c.draws[i][p],
-				Result:   checkpoint.EncodeResult(c.results[i][p]),
-			}
-			if c.progs != nil && p >= pendingLo && c.progs[i][p] != nil {
+			rec := checkpoint.PendingRec{Inst: i, Prog: p}
+			if c.progs[i][p] != nil { // nil: quarantined or timed out
 				src, err := checkpoint.EncodeProg(c.progs[i][p])
 				if err != nil {
 					return err
 				}
 				rec.GenSrc = src
 			}
-			st.Units = append(st.Units, rec)
+			pending = append(pending, rec)
 		}
 	}
-	if c.cover != nil {
-		st.Coverage = c.cover.Words()
-		for _, e := range c.entries {
-			src, err := checkpoint.EncodeProg(e.Prog)
-			if err != nil {
-				return err
-			}
-			st.Corpus = append(st.Corpus, checkpoint.CorpusRec{
-				Src: src, NewBits: e.NewBits, Violating: e.Violating,
-			})
-		}
+	if pending == nil {
+		return nil
 	}
-	return checkpoint.Save(c.ckptDir, st, c.inject)
+	return c.log.AppendPending(pending)
+}
+
+// saveCheckpoint makes the campaign's progress durable at a barrier: the
+// boundary records, then the one fsync. A no-op without a checkpoint log.
+func (c *campaign) saveCheckpoint(epochsDone int) error {
+	if c.log == nil {
+		return nil
+	}
+	if err := c.appendBoundary(epochsDone); err != nil {
+		return err
+	}
+	return c.log.Sync()
 }
 
 // restore splices a loaded checkpoint into the campaign: identity check,

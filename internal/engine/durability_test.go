@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -265,13 +267,11 @@ func TestResumeRejectsMismatchAndCorruption(t *testing.T) {
 		t.Errorf("config-mismatch resume: err = %v, want fingerprint refusal", err)
 	}
 
-	// Flip one payload byte on disk: resume must surface ErrCorrupt.
+	// Flip one byte of a middle record on disk: resume must surface
+	// ErrCorrupt. (The same flip in the last record is a torn tail.)
 	path := filepath.Join(dir, checkpoint.FileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-2] ^= 0x10
+	raw, recs := readLog(t, dir)
+	raw[recs[2].end-2] ^= 0x10
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +294,285 @@ func TestResumeRejectsMismatchAndCorruption(t *testing.T) {
 	if _, err := RunCampaign(context.Background(), fresh); err != nil {
 		t.Errorf("resume with no checkpoint yet: %v", err)
 	}
+}
+
+// logRecord is one record of a checkpoint log, as the tests below see it.
+type logRecord struct {
+	kind       byte
+	inst, prog int // unit records only
+	end        int // offset at which the record ends
+}
+
+// readLog reads dir's checkpoint file and walks its records. The records
+// must tile the file: nothing torn, no garbage between or behind them.
+func readLog(t *testing.T, dir string) ([]byte, []logRecord) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []logRecord
+	end, err := checkpoint.Walk(raw, func(kind byte, payload []byte, end int) error {
+		r := logRecord{kind: kind, end: end}
+		if kind == checkpoint.RecUnit {
+			var u struct{ Inst, Prog int }
+			if err := json.Unmarshal(payload, &u); err != nil {
+				return err
+			}
+			r.inst, r.prog = u.Inst, u.Prog
+		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != len(raw) {
+		t.Fatalf("log records end at %d, the file at %d", end, len(raw))
+	}
+	return raw, recs
+}
+
+// TestLogWrittenOnce pins what the log is for. A 4-epoch corpus campaign
+// writes every unit's result in exactly one record; the bytes handed to the
+// file add up to the file's final size (nothing is written twice); an
+// epoch's stretch of the log holds that epoch's units and one commit record,
+// nothing else. And since every commit record ends a self-contained prefix,
+// the log cut after any of them resumes to the uninterrupted outcome.
+func TestLogWrittenOnce(t *testing.T) {
+	const instances, programs, epochs = 2, 12, 4
+	base := func() Config {
+		cfg := engineConfig(1, instances, programs)
+		cfg.Strategy = StrategyCorpus
+		cfg.Epochs = epochs
+		cfg.Workers = 4
+		return cfg
+	}
+	clean, err := RunCampaign(context.Background(), base())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	inj := faultinject.New() // arms nothing; counts the appends
+	cfg := base()
+	cfg.CheckpointDir = dir
+	cfg.Inject = inj
+	if _, err := RunCampaign(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	raw, recs := readLog(t, dir)
+	appends, written := inj.Appended()
+	if written != int64(len(raw)) {
+		t.Errorf("%d bytes were written to a log of %d bytes", written, len(raw))
+	}
+	if want := 1 + instances*programs + epochs; appends != want || len(recs) != want {
+		t.Errorf("%d appends, %d records; want %d (a header, one record a unit, one commit an epoch)", appends, len(recs), want)
+	}
+	if recs[0].kind != checkpoint.RecHeader {
+		t.Fatalf("first record is %q", recs[0].kind)
+	}
+	var commits []int // index into recs of each commit record
+	seen := map[[2]int]bool{}
+	k := 1
+	for e := 0; e < epochs; e++ {
+		lo, hi := epochBounds(programs, epochs, e)
+		for n := 0; n < instances*(hi-lo); n++ {
+			r := recs[k]
+			k++
+			if r.kind != checkpoint.RecUnit || r.prog < lo || r.prog >= hi {
+				t.Fatalf("epoch %d's stretch holds a %q record of unit (%d,%d)", e, r.kind, r.inst, r.prog)
+			}
+			if seen[[2]int{r.inst, r.prog}] {
+				t.Fatalf("unit (%d,%d) is in the log twice", r.inst, r.prog)
+			}
+			seen[[2]int{r.inst, r.prog}] = true
+		}
+		if recs[k].kind != checkpoint.RecCommit {
+			t.Fatalf("epoch %d's units are followed by a %q record, want its commit", e, recs[k].kind)
+		}
+		commits = append(commits, k)
+		k++
+	}
+
+	for e, ci := range commits[:epochs-1] {
+		cut := t.TempDir()
+		if err := os.WriteFile(filepath.Join(cut, checkpoint.FileName), raw[:recs[ci].end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := base()
+		cfg.Workers = 2
+		cfg.CheckpointDir = cut
+		cfg.Resume = true
+		res, err := RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("resume after commit %d: %v", e+1, err)
+		}
+		if got, want := fingerprint(res), fingerprint(clean); got != want {
+			t.Errorf("resume after commit %d: fingerprint %#x, uninterrupted %#x", e+1, got, want)
+		}
+		if got, want := res.Totals().Coverage.Count(), clean.Totals().Coverage.Count(); got != want {
+			t.Errorf("resume after commit %d: coverage %d, uninterrupted %d", e+1, got, want)
+		}
+		// The resumed run appended behind the cut; it rewrote nothing.
+		grown, _ := readLog(t, cut)
+		if !bytes.Equal(grown[:recs[ci].end], raw[:recs[ci].end]) {
+			t.Errorf("resume after commit %d rewrote the log it resumed from", e+1)
+		}
+	}
+}
+
+// TestResumeAfterKill: a process killed outright (SIGKILL, OOM) drains
+// nothing and writes no final records — the log just stops, possibly inside
+// a record. A random-strategy campaign keeps every whole unit record; a
+// corpus-strategy one keeps what its last commit vouches for. Either way
+// resume lands on the uninterrupted outcome.
+func TestResumeAfterKill(t *testing.T) {
+	for _, strategy := range []string{StrategyRandom, StrategyCorpus} {
+		base := func() Config {
+			cfg := engineConfig(1, 2, 12)
+			if strategy == StrategyCorpus {
+				cfg.Strategy, cfg.Epochs = StrategyCorpus, 3
+			}
+			return cfg
+		}
+		clean, err := RunCampaign(context.Background(), base())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		inj := faultinject.New()
+		// Append 13 is a unit record in the middle of the campaign (of epoch
+		// 1 of 3 under the corpus strategy, whose epoch 0 is 8 units and a
+		// commit); 40 bytes of it reach the file.
+		inj.Arm(faultinject.KindCrashInAppend, 13, 40)
+		cfg := base()
+		cfg.Workers = 2
+		cfg.CheckpointDir = dir
+		cfg.Inject = inj
+		if _, err := RunCampaign(context.Background(), cfg); !errors.Is(err, faultinject.ErrInjectedCrash) {
+			t.Fatalf("%s: killed run: err = %v, want ErrInjectedCrash", strategy, err)
+		}
+		st, err := checkpoint.Load(dir)
+		if err != nil {
+			t.Fatalf("%s: log unreadable after the kill: %v", strategy, err)
+		}
+		wantUnits := 11 // every whole unit record
+		if strategy == StrategyCorpus {
+			wantUnits = 8 // epoch 0; epoch 1's units have no programs in the log
+		}
+		if len(st.Units) != wantUnits {
+			t.Errorf("%s: %d units restored, want %d", strategy, len(st.Units), wantUnits)
+		}
+
+		cfg = base()
+		cfg.CheckpointDir = dir
+		cfg.Resume = true
+		res, err := RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", strategy, err)
+		}
+		if got, want := fingerprint(res), fingerprint(clean); got != want {
+			t.Errorf("%s: resumed fingerprint %#x, uninterrupted %#x", strategy, got, want)
+		}
+		if st, err = checkpoint.Load(dir); err != nil || len(st.Units) != 24 || st.EpochsDone != st.Epochs {
+			t.Errorf("%s: finished log: %v", strategy, err)
+		}
+	}
+}
+
+// TestCheckpointWriteFailure is the disk-full / unwritable-directory path.
+// A write the filesystem refuses must not stop the campaign: it finishes
+// with its full result and the failure joined into the returned error
+// exactly once; the file loads to what was fully written, with no half
+// record in front of the appends that came after; and resume makes it
+// whole again.
+func TestCheckpointWriteFailure(t *testing.T) {
+	base := func() Config { return engineConfig(1, 2, 12) }
+	clean, err := RunCampaign(context.Background(), base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := func(t *testing.T, err error, what string) {
+		t.Helper()
+		if err == nil || strings.Count(err.Error(), what) != 1 {
+			t.Errorf("err = %v, want %q in it exactly once", err, what)
+		}
+	}
+	resume := func(t *testing.T, dir string) {
+		t.Helper()
+		cfg := base()
+		cfg.CheckpointDir = dir
+		cfg.Resume = true
+		res, err := RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(res) != fingerprint(clean) {
+			t.Errorf("resumed fingerprint %#x, uninterrupted %#x", fingerprint(res), fingerprint(clean))
+		}
+		if st, err := checkpoint.Load(dir); err != nil || len(st.Units) != 24 || st.EpochsDone != 1 {
+			t.Errorf("log after resume is not whole: %v", err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		append    int // 1 header, 2..25 units, 26 the commit
+		keep      int
+		wantUnits int
+	}{
+		{"short write of a unit record", 6, 17, 23},
+		{"refused write of a unit record", 25, 0, 23},
+		{"short write of the commit record", 26, 5, 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := faultinject.New()
+			inj.Arm(faultinject.KindFailAppend, tc.append, tc.keep)
+			cfg := base()
+			cfg.Workers = 2
+			cfg.CheckpointDir = dir
+			cfg.Inject = inj
+			res, err := RunCampaign(context.Background(), cfg)
+			once(t, err, faultinject.ErrInjectedWriteFailure.Error())
+			if res == nil || fingerprint(res) != fingerprint(clean) || res.TestCases != clean.TestCases {
+				t.Fatalf("the failed write changed the campaign's result")
+			}
+			// The log holds whole records only (readLog insists they tile
+			// the file) and no commit vouching for a unit that is not there.
+			_, recs := readLog(t, dir)
+			units := 0
+			for _, r := range recs {
+				if r.kind == checkpoint.RecUnit {
+					units++
+				}
+			}
+			st, err := checkpoint.Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if units != tc.wantUnits || len(st.Units) != tc.wantUnits || st.EpochsDone != 0 {
+				t.Errorf("log holds %d unit records, loads %d units, EpochsDone %d; want %d, %d, 0",
+					units, len(st.Units), st.EpochsDone, tc.wantUnits, tc.wantUnits)
+			}
+			resume(t, dir)
+		})
+	}
+
+	t.Run("unwritable directory", func(t *testing.T) {
+		file := filepath.Join(t.TempDir(), "not-a-directory")
+		if err := os.WriteFile(file, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := base()
+		cfg.CheckpointDir = filepath.Join(file, "ckpt")
+		res, err := RunCampaign(context.Background(), cfg)
+		once(t, err, "not-a-directory")
+		if res == nil || fingerprint(res) != fingerprint(clean) {
+			t.Fatalf("the unwritable directory changed the campaign's result")
+		}
+	})
 }
 
 // TestUnitWatchdog: a wedged unit is abandoned at the deadline, counted as

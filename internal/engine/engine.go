@@ -50,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,8 +71,9 @@ const (
 	// streams — the paper's setup, and the default.
 	StrategyRandom = "random"
 	// StrategyCorpus is coverage-guided generation over deterministic
-	// epochs.
-	StrategyCorpus = "corpus"
+	// epochs. The checkpoint log knows it by name: only its units need
+	// their generated programs to resume.
+	StrategyCorpus = checkpoint.StrategyCorpus
 )
 
 // DefaultEpochs is the corpus-strategy epoch count when Config.Epochs is
@@ -101,11 +101,12 @@ type Config struct {
 	Epochs int
 
 	// CheckpointDir enables crash-safe campaigns: progress is persisted
-	// there (atomically — see internal/checkpoint) at epoch boundaries and
-	// when a cancelled campaign finishes draining its workers, and
-	// quarantined units' repro bundles land in its quarantine/ subdirectory.
-	// Empty disables durability; checkpoint I/O never sits on the per-unit
-	// hot path either way.
+	// there as an append-only log (see internal/checkpoint) — each worker
+	// appends the record of the unit it just finished, and the file is
+	// fsynced at epoch boundaries and when a cancelled campaign finishes
+	// draining its workers — and quarantined units' repro bundles land in
+	// its quarantine/ subdirectory. Empty disables durability, and the
+	// per-unit path then pays one nil check.
 	CheckpointDir string
 	// Resume restores progress from CheckpointDir before running: done
 	// units keep their checkpointed results and only unfinished work runs,
@@ -199,6 +200,16 @@ type campaign struct {
 	done  [][]bool
 	draws [][]uint64
 
+	// log is the open checkpoint log (nil without a checkpoint directory).
+	// loggedEpochs and loggedEntries are the EpochsDone of its last commit
+	// record and len(entries) when that was appended; only barrier code
+	// touches them. logErr, under logMu, is the first failed unit append.
+	log           *checkpoint.Log
+	loggedEpochs  int
+	loggedEntries int
+	logMu         sync.Mutex
+	logErr        error
+
 	ckptDir      string
 	inject       *faultinject.Injector
 	unitTimeout  time.Duration
@@ -223,26 +234,14 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 		return nil, err
 	}
 	c.pool = pool
-	startEpoch := 0
-	if cfg.Resume {
-		st, err := checkpoint.Load(c.ckptDir)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet; resume of a campaign that never started is
-			// a fresh start.
-		case err != nil:
-			return nil, err
-		default:
-			if err := c.restore(st); err != nil {
-				return nil, err
-			}
-			startEpoch = st.EpochsDone
-		}
+	if err := c.openLog(cfg.Resume); err != nil {
+		return nil, err
 	}
+	defer c.closeLog()
 
 	var errs []error
-	epochsDone := startEpoch
-	for e := startEpoch; e < c.epochs; e++ {
+	epochsDone := c.loggedEpochs // what a resumed log has admitted; 0 when fresh
+	for e := epochsDone; e < c.epochs; e++ {
 		var strat generator.Strategy = generator.Random{}
 		if corpus {
 			strat = generator.NewCorpusStrategy(c.entries)
@@ -276,7 +275,7 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 	}
 	out.Elapsed = time.Since(c.start)
 	out.Aggregate()
-	return out, errors.Join(append(errs, ctx.Err())...)
+	return out, errors.Join(append(errs, c.logFailure(), ctx.Err())...)
 }
 
 // newCampaign validates cfg and builds the campaign bookkeeping shared by
@@ -547,11 +546,19 @@ func (c *campaign) runWorker(ctx context.Context, w int, strat generator.Strateg
 	return errors.Join(errs...)
 }
 
-// record stores one unit's outcome. Only done units (completed or degraded
+// record folds one unit's outcome and, when it is final, appends its record
+// to the checkpoint log — on the worker that produced it, while the other
+// workers simulate.
+func (c *campaign) record(u unit, out unitOutcome) {
+	c.fold(u, out)
+	c.logOutcome(u, out)
+}
+
+// fold stores one unit's outcome. Only done units (completed or degraded
 // to a counted quarantine/timeout) are marked for the checkpoint; a
 // context-interrupted unit keeps its partial result for this run's report
 // but re-runs in full on resume.
-func (c *campaign) record(u unit, out unitOutcome) {
+func (c *campaign) fold(u unit, out unitOutcome) {
 	c.results[u.inst][u.prog] = out.res
 	if c.progs != nil {
 		c.progs[u.inst][u.prog] = out.prog

@@ -1,9 +1,10 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // campaign durability layer. An Injector holds a set of armed injection
 // points addressed in the same coordinate system the determinism contract
-// already uses — a work unit is (instance, program), a checkpoint write is
-// a fixed sequence of numbered steps, a checkpoint payload is a byte
-// offset — so every injected fault is exactly reproducible: arming the
+// already uses — a work unit is (instance, program), an atomic file write is
+// a fixed sequence of numbered steps, a checkpoint-log append is a sequence
+// number plus a byte count, a checkpoint payload is a byte offset — so every
+// injected fault is exactly reproducible: arming the
 // same point against the same seed produces the same failure at the same
 // place, no matter how the engine schedules work.
 //
@@ -31,14 +32,14 @@ const (
 	// HangDuration, modelling a wedged unit the watchdog must degrade to a
 	// counted timeout.
 	KindHangInUnit
-	// KindCrashAtStep makes a checkpoint write die between write steps:
-	// the write performs every step before step A and then returns
-	// ErrInjectedCrash, leaving the filesystem exactly as a process crash
-	// at that point would.
+	// KindCrashAtStep makes an atomic file write (checkpoint.Save, quarantine
+	// bundles) die between write steps: the write performs every step before
+	// step A and then returns ErrInjectedCrash, leaving the filesystem
+	// exactly as a process crash at that point would.
 	KindCrashAtStep
-	// KindFlipByte flips bit B of payload byte A after the checkpoint
-	// self-digest is computed, so the file lands on disk corrupted the way
-	// a torn write or bit rot would corrupt it.
+	// KindFlipByte flips bit B of file byte A after checkpoint.Save has
+	// computed the record CRCs, so the file lands on disk corrupted the way
+	// a torn sector or bit rot would corrupt it.
 	KindFlipByte
 	// KindDropRPC performs RPC A (the injector-local call sequence number,
 	// first call = 1) but discards its response, modelling a response lost
@@ -62,6 +63,18 @@ const (
 	// network is gone from that call on, every RPC fails without being
 	// sent, and the peer sees the silence as a lapsed heartbeat.
 	KindSeverRPC
+	// KindCrashInAppend kills the process in the middle of checkpoint-log
+	// append A (the injector-local append sequence number; the header record
+	// a fresh log opens with is append 1): only the first B bytes of the
+	// record reach the file — B at or past the record's length is "written
+	// whole, died before the fsync" — the append returns ErrInjectedCrash,
+	// and the log never touches the file again.
+	KindCrashInAppend
+	// KindFailAppend makes checkpoint-log append A fail after B bytes — a
+	// short write, as a full disk gives; B=0 fails outright, as a directory
+	// gone read-only does. The append returns ErrInjectedWriteFailure; the
+	// process lives on and later appends proceed.
+	KindFailAppend
 )
 
 func (k Kind) String() string {
@@ -84,6 +97,10 @@ func (k Kind) String() string {
 		return "corrupt-rpc"
 	case KindSeverRPC:
 		return "sever-rpc"
+	case KindCrashInAppend:
+		return "crash-in-append"
+	case KindFailAppend:
+		return "fail-append"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -102,8 +119,12 @@ type Point struct {
 }
 
 // ErrInjectedCrash is returned by a checkpoint write that was killed
-// between steps by KindCrashAtStep.
+// between steps by KindCrashAtStep, or mid-append by KindCrashInAppend.
 var ErrInjectedCrash = errors.New("faultinject: injected crash")
+
+// ErrInjectedWriteFailure is the write error a KindFailAppend point makes a
+// checkpoint-log append fail with.
+var ErrInjectedWriteFailure = errors.New("faultinject: injected write failure")
 
 // InjectedPanic is the value a KindPanicInUnit point panics with; the
 // quarantine round-trip test matches it to prove a repro bundle replays
@@ -144,6 +165,11 @@ type Injector struct {
 	rpcSeq     int
 	severAfter int
 	dropEvery  int
+
+	// appendSeq counts Append() calls — the A coordinate of the log-append
+	// faults — and appendBytes the bytes those appends were asked to write.
+	appendSeq   int
+	appendBytes int64
 }
 
 // New returns an empty injector.
@@ -217,6 +243,22 @@ func (i *Injector) fire(p Point) bool {
 	i.armed[p] = n - 1
 	i.fired = append(i.fired, p)
 	return true
+}
+
+// fireAt consumes one charge of an armed (kind, a, ·) point, whatever its B
+// coordinate, and returns that B — for kinds whose B is a parameter of the
+// fault rather than part of its address.
+func (i *Injector) fireAt(kind Kind, a int) (b int, ok bool) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	for p, n := range i.armed {
+		if p.Kind == kind && p.A == a && n > 0 {
+			i.armed[p] = n - 1
+			i.fired = append(i.fired, p)
+			return p.B, true
+		}
+	}
+	return 0, false
 }
 
 // UnitStart is the engine's per-unit hook: it panics when a
@@ -308,17 +350,7 @@ func (i *Injector) RPC() RPCFault {
 	if i.fire(Point{KindDupRPC, seq, 0}) {
 		f.Dup = true
 	}
-	i.mu.Lock()
-	for p, n := range i.armed {
-		if p.Kind == KindCorruptRPC && p.A == seq && n > 0 {
-			i.armed[p] = n - 1
-			i.fired = append(i.fired, p)
-			f.Corrupt = true
-			f.CorruptByte = p.B
-			break
-		}
-	}
-	i.mu.Unlock()
+	f.CorruptByte, f.Corrupt = i.fireAt(KindCorruptRPC, seq)
 	return f
 }
 
@@ -341,10 +373,54 @@ func (i *Injector) CrashAt(step int) bool {
 	return i.fire(Point{KindCrashAtStep, step, 0})
 }
 
+// AppendFault is the verdict of one Append() call: what the armed faults do
+// to this checkpoint-log append. The zero value is a clean append.
+type AppendFault struct {
+	// Crash: the process dies mid-append. Only the first Keep bytes of the
+	// record reach the file; the log returns ErrInjectedCrash and never
+	// touches the file again, leaving it exactly as the kill would.
+	Crash bool
+	// Fail: the write fails after Keep bytes with ErrInjectedWriteFailure;
+	// the process lives on.
+	Fail bool
+	Keep int
+}
+
+// Append is the checkpoint log's per-append hook, called with the size of
+// the record about to be written: it advances the injector's append
+// sequence number (first append = 1) and returns the fault armed for this
+// append. A nil injector returns the clean verdict.
+func (i *Injector) Append(size int) AppendFault {
+	if i == nil {
+		return AppendFault{}
+	}
+	i.mu.Lock()
+	i.appendSeq++
+	i.appendBytes += int64(size)
+	seq := i.appendSeq
+	i.mu.Unlock()
+	if keep, ok := i.fireAt(KindCrashInAppend, seq); ok {
+		return AppendFault{Crash: true, Keep: keep}
+	}
+	if keep, ok := i.fireAt(KindFailAppend, seq); ok {
+		return AppendFault{Fail: true, Keep: keep}
+	}
+	return AppendFault{}
+}
+
+// Appended returns how many log appends the injector has seen and the bytes
+// they were asked to write in total — what "every record is written once"
+// is measured with.
+func (i *Injector) Appended() (appends int, bytes int64) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.appendSeq, i.appendBytes
+}
+
 // MutateBytes applies every armed KindFlipByte point to buf (offsets past
-// the end are ignored, spent either way). The checkpoint writer calls it
-// after computing the self-digest, so the corruption is exactly what the
-// digest check must catch on load.
+// the end are ignored, spent either way). checkpoint.Save calls it after
+// computing the record CRCs, so the corruption is exactly what the CRC
+// check must catch on load.
 func (i *Injector) MutateBytes(buf []byte) {
 	if i == nil {
 		return

@@ -76,6 +76,31 @@ func TestCrashAtStep(t *testing.T) {
 	}
 }
 
+// TestAppendFaults: log-append faults are addressed by the append's sequence
+// number, carry the byte count in B, fire once, and the injector keeps count
+// of what it saw either way. A nil injector is a clean append.
+func TestAppendFaults(t *testing.T) {
+	inj := New()
+	inj.Arm(KindCrashInAppend, 3, 17)
+	inj.Arm(KindFailAppend, 2, 0)
+	want := []AppendFault{{}, {Fail: true}, {Crash: true, Keep: 17}, {}}
+	for i, w := range want {
+		if got := inj.Append(10 * (i + 1)); got != w {
+			t.Errorf("append %d: %+v, want %+v", i+1, got, w)
+		}
+	}
+	if n, bytes := inj.Appended(); n != 4 || bytes != 100 {
+		t.Errorf("Appended() = %d, %d; want 4 appends, 100 bytes", n, bytes)
+	}
+	if got := inj.Fired(); len(got) != 2 || got[0].Kind != KindFailAppend || got[1].Kind != KindCrashInAppend {
+		t.Errorf("fired %v", got)
+	}
+	var none *Injector
+	if got := none.Append(5); got != (AppendFault{}) {
+		t.Errorf("nil injector: %+v", got)
+	}
+}
+
 func TestMutateBytesFlipsExactlyTheArmedBit(t *testing.T) {
 	inj := New()
 	inj.Arm(KindFlipByte, 2, 5)
