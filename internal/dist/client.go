@@ -34,7 +34,7 @@ var (
 // (a config mismatch does not heal by retrying).
 //
 // Safe for concurrent use (the heartbeat goroutine shares it with the
-// submit loop).
+// exchange in flight).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -75,21 +75,27 @@ func NewClient(base string, inj *faultinject.Injector, jitterSeed int64) *Client
 // include client-side recovery.
 func (c *Client) Retries() int { return int(c.retries.Load()) }
 
-// Join, Lease, Heartbeat and Submit are the four protocol calls.
+// Join, Exchange and Heartbeat are the worker's protocol calls; Lease and
+// Submit are Exchange's single-step forms.
 
 func (c *Client) Join(ctx context.Context, req *JoinRequest) (*JoinReply, error) {
 	reply := &JoinReply{}
 	return reply, c.call(ctx, PathJoin, req, reply)
 }
 
-func (c *Client) Lease(ctx context.Context, req *LeaseRequest) (*LeaseReply, error) {
-	reply := &LeaseReply{}
-	return reply, c.call(ctx, PathLease, req, reply)
+func (c *Client) Exchange(ctx context.Context, req *ExchangeRequest) (*ExchangeReply, error) {
+	reply := &ExchangeReply{}
+	return reply, c.call(ctx, PathExchange, req, reply)
 }
 
 func (c *Client) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatReply, error) {
 	reply := &HeartbeatReply{}
 	return reply, c.call(ctx, PathHeartbeat, req, reply)
+}
+
+func (c *Client) Lease(ctx context.Context, req *LeaseRequest) (*LeaseReply, error) {
+	reply := &LeaseReply{}
+	return reply, c.call(ctx, PathLease, req, reply)
 }
 
 func (c *Client) Submit(ctx context.Context, req *SubmitRequest) (*SubmitReply, error) {
@@ -98,10 +104,12 @@ func (c *Client) Submit(ctx context.Context, req *SubmitRequest) (*SubmitReply, 
 }
 
 // call posts a sealed request and unseals the reply, retrying transient
-// failures. All four protocol calls are idempotent or exactly-once
-// server-side (submissions fold once per unit), so retrying a call whose
-// response was lost is always safe — that is precisely how duplicate
-// submissions arise, and why the coordinator deduplicates.
+// failures with the same bytes. Every call is idempotent or exactly-once
+// server-side — results fold once per unit, and an exchange's sequence
+// number makes its retransmission earn the same grant, not a second one —
+// so retrying a call whose response was lost is always safe; that is
+// precisely how duplicate results arise, and why the coordinator
+// deduplicates.
 func (c *Client) call(ctx context.Context, path string, req, reply any) error {
 	body, err := Seal(req)
 	if err != nil {
@@ -175,17 +183,36 @@ func (c *Client) post(ctx context.Context, path string, body []byte) ([]byte, in
 	if err != nil {
 		return nil, 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(http.MaxBytesReader(nil, resp.Body, maxBody), resp.ContentLength)
 	if err != nil {
 		return nil, 0, err
 	}
 	return data, resp.StatusCode, nil
+}
+
+// maxBody bounds a request or response body; nothing past it is buffered.
+// maxPresize bounds what a declared length alone can make a reader allocate
+// before the bytes have come: an exchange is a few KB.
+const (
+	maxBody    = 64 << 20
+	maxPresize = 1 << 20
+)
+
+// readBody reads a body that is already limited to maxBody, into a buffer
+// presized from the declared length when that is a sane one.
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if contentLength > 0 {
+		buf.Grow(int(min(contentLength, maxPresize)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // jittered adds up to 50% random jitter so retrying workers desynchronize

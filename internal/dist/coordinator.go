@@ -40,7 +40,8 @@ type CoordinatorConfig struct {
 	// heartbeat before it is reassigned (default 10s). Workers heartbeat
 	// at TTL/3.
 	LeaseTTL time.Duration
-	// LeaseUnits is the default units per lease grant (default 4).
+	// LeaseUnits is the units per lease grant (default 4); a worker holds
+	// at most two grants, one running and one prefetched.
 	LeaseUnits int
 	// DegradeGrace is how long the coordinator waits with zero live
 	// workers before finishing the campaign locally (default 2×LeaseTTL).
@@ -99,7 +100,13 @@ type workerState struct {
 	lastBeat time.Time
 	evicted  bool
 	strikes  int
-	retries  int // latest cumulative client-retry count it reported
+	retries  int // highest cumulative client-retry count it reported
+	held     int // leases it holds
+
+	// The last numbered exchange and what it was granted: a retransmission
+	// (same seq) is answered from here.
+	lastSeq   uint64
+	lastGrant []engine.UnitID
 }
 
 // Coordinator owns a distributed campaign: it serves the worker protocol,
@@ -114,7 +121,9 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	workers    map[int64]*workerState
+	live       int // workers not evicted
 	leases     map[engine.UnitID]lease
+	requeue    []engine.UnitID        // lapsed leases, granted again before the cursor moves on
 	tries      map[engine.UnitID]int  // reassignment count per unit
 	localOnly  map[engine.UnitID]bool // past MaxReassign: coordinator-only, guarded
 	nextWorker int64
@@ -142,6 +151,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		tries:             map[engine.UnitID]int{},
 		localOnly:         map[engine.UnitID]bool{},
 		lastFleetActivity: time.Now(),
+		// Worker IDs start where no earlier incarnation's did: a worker that
+		// outlived a restarted coordinator must be told 410, not taken for a
+		// new worker that was dealt its old ID — sequence numbers and held
+		// leases are per identity.
+		nextWorker: time.Now().UnixNano(),
 	}, nil
 }
 
@@ -155,11 +169,16 @@ func (co *Coordinator) Start(addr string) (net.Addr, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathJoin, co.handleJoin)
-	mux.HandleFunc(PathLease, co.handleLease)
+	mux.HandleFunc(PathExchange, co.handleExchange)
 	mux.HandleFunc(PathHeartbeat, co.handleHeartbeat)
+	mux.HandleFunc(PathLease, co.handleLease)
 	mux.HandleFunc(PathSubmit, co.handleSubmit)
 	co.ln = ln
-	co.srv = &http.Server{Handler: mux}
+	// A peer slower than a lease is as good as gone — its leases lapse
+	// before its request has arrived — so it does not get to hold a
+	// connection either. Workers talk at least every TTL/3.
+	ttl := co.cfg.LeaseTTL
+	co.srv = &http.Server{Handler: mux, ReadHeaderTimeout: ttl, ReadTimeout: 2 * ttl, IdleTimeout: 4 * ttl}
 	go co.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	return ln.Addr(), nil
 }
@@ -198,6 +217,7 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 				co.cfg.Log.Printf("dist: checkpoint on interrupt: %v", err)
 			}
 			return co.result(), errors.Join(ErrInterrupted, ctx.Err())
+		case <-co.dc.Finished(): // the last fold, not the next tick
 		case <-ticker.C:
 		}
 
@@ -234,6 +254,7 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 				if err := co.dc.RunLocal(ctx, units); err != nil && ctx.Err() == nil {
 					localErrs = append(localErrs, err)
 				}
+				co.requeueOpen(units)
 			}
 		}
 	}
@@ -300,6 +321,7 @@ func (co *Coordinator) evictLocked(id int64, why string) {
 		return
 	}
 	w.evicted = true
+	co.live--
 	co.evictions++
 	co.cfg.Log.Printf("dist: evicting worker %d (%s): %s", id, w.name, why)
 	for u, l := range co.leases {
@@ -309,20 +331,43 @@ func (co *Coordinator) evictLocked(id int64, why string) {
 	}
 }
 
-// expireLeaseLocked returns a unit to the pending pool, counting the
+// retireLocked ends unit u's lease, if it has one.
+func (co *Coordinator) retireLocked(u engine.UnitID) {
+	if l, ok := co.leases[u]; ok {
+		delete(co.leases, u)
+		co.workers[l.worker].held--
+	}
+}
+
+// expireLeaseLocked queues a unit to be granted again, counting the
 // reassignment and degrading chronic offenders to local-only execution.
 func (co *Coordinator) expireLeaseLocked(u engine.UnitID, why string) {
-	delete(co.leases, u)
+	co.retireLocked(u)
 	if co.dc.Done(u) {
 		return
 	}
 	co.reassigned++
 	co.tries[u]++
-	if co.tries[u] > co.cfg.MaxReassign && !co.localOnly[u] {
+	if co.tries[u] <= co.cfg.MaxReassign {
+		co.requeue = append(co.requeue, u)
+	} else if !co.localOnly[u] {
 		co.localOnly[u] = true
 		co.cfg.Log.Printf("dist: unit (%d,%d) reassigned %d times (%s); degrading to guarded local execution",
 			u.Inst, u.Prog, co.tries[u], why)
 	}
+}
+
+// nextUnitLocked takes the next unit to schedule: a lapsed lease that is
+// still open, else the campaign cursor's. Nothing it returns is leased.
+func (co *Coordinator) nextUnitLocked() (engine.UnitID, bool) {
+	for len(co.requeue) > 0 {
+		u := co.requeue[0]
+		co.requeue = co.requeue[1:]
+		if co.dc.Open(u) {
+			return u, true
+		}
+	}
+	return co.dc.Next()
 }
 
 // takeLocalOnly returns the degraded units awaiting local execution.
@@ -361,22 +406,32 @@ func (co *Coordinator) fleetDead() bool {
 	return true
 }
 
-// takeFallbackChunk claims up to LeaseUnits pending, unleased units for
-// local execution during fleet-death fallback.
+// takeFallbackChunk claims up to LeaseUnits unleased units for local
+// execution during fleet-death fallback.
 func (co *Coordinator) takeFallbackChunk() []engine.UnitID {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	var out []engine.UnitID
-	for _, u := range co.dc.Pending() {
-		if _, leased := co.leases[u]; leased || co.localOnly[u] {
-			continue
-		}
-		out = append(out, u)
-		if len(out) >= co.cfg.LeaseUnits {
+	for len(out) < co.cfg.LeaseUnits {
+		u, ok := co.nextUnitLocked()
+		if !ok {
 			break
 		}
+		out = append(out, u)
 	}
 	return out
+}
+
+// requeueOpen puts back the units of a fallback chunk its local run left
+// open (a failed or interrupted unit): the cursor has moved past them.
+func (co *Coordinator) requeueOpen(units []engine.UnitID) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, u := range units {
+		if co.dc.Open(u) {
+			co.requeue = append(co.requeue, u)
+		}
+	}
 }
 
 // --- handlers ---
@@ -388,20 +443,31 @@ func reply(w http.ResponseWriter, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data) //nolint:errcheck
 }
 
-// readReq unseals the request body into v; a digest failure or garbage
-// body is a 400 the client treats as permanent for this attempt's payload
-// (its retry re-sends a fresh copy).
+// readReq unseals the request body into v. A body past maxBody is a 413 —
+// refused on its declared length where it declares one, and never buffered
+// past the limit; a digest failure or garbage body is a 400 the client
+// treats as permanent for this attempt's payload (its retry re-sends a
+// fresh copy).
 func readReq(w http.ResponseWriter, r *http.Request, v any) bool {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	if r.ContentLength > maxBody {
+		http.Error(w, "dist: request body too large", http.StatusRequestEntityTooLarge)
+		return false
+	}
+	data, err := readBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
 	if err == nil {
 		err = Unseal(data, v)
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return false
 	}
 	return true
@@ -431,6 +497,7 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	co.nextWorker++
 	id := co.nextWorker
 	co.workers[id] = &workerState{name: req.Worker, lastBeat: time.Now()}
+	co.live++
 	co.degradedNow = false
 	co.lastFleetActivity = time.Now()
 	co.mu.Unlock()
@@ -440,51 +507,6 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		LeaseTTLMS: co.cfg.LeaseTTL.Milliseconds(),
 		LeaseUnits: co.cfg.LeaseUnits,
 	})
-}
-
-func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readReq(w, r, &req) {
-		return
-	}
-	co.mu.Lock()
-	ws := co.workers[req.WorkerID]
-	if ws == nil || ws.evicted {
-		co.mu.Unlock()
-		http.Error(w, "dist: unknown or evicted worker", http.StatusGone)
-		return
-	}
-	ws.lastBeat = time.Now()
-	max := req.Max
-	if max <= 0 || max > co.cfg.LeaseUnits {
-		max = co.cfg.LeaseUnits
-	}
-	var grant []Unit
-	deadline := time.Now().Add(co.cfg.LeaseTTL)
-	// Re-deliver units already leased to this worker. The worker protocol
-	// is strictly lease → run all → submit all → lease again, so any unit
-	// still leased to the requester is a grant whose response was lost in
-	// transit; without re-delivery it would stay leased forever (heartbeats
-	// keep renewing it) and the campaign would never complete. Re-granting
-	// is idempotent: a submitted unit's lease is already deleted.
-	for u, l := range co.leases {
-		if l.worker == req.WorkerID {
-			co.leases[u] = lease{worker: req.WorkerID, deadline: deadline}
-			grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
-		}
-	}
-	for _, u := range co.dc.Pending() {
-		if len(grant) >= max {
-			break
-		}
-		if _, leased := co.leases[u]; leased || co.localOnly[u] {
-			continue
-		}
-		co.leases[u] = lease{worker: req.WorkerID, deadline: deadline}
-		grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
-	}
-	co.mu.Unlock()
-	reply(w, &LeaseReply{Units: grant, Done: co.dc.Complete()})
 }
 
 func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -498,7 +520,7 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		now := time.Now()
 		ws.lastBeat = now
-		ws.retries = req.Retries
+		ws.retries = max(ws.retries, req.Retries)
 		deadline := now.Add(co.cfg.LeaseTTL)
 		for u, l := range co.leases {
 			if l.worker == req.WorkerID {
@@ -510,46 +532,114 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	reply(w, &HeartbeatReply{OK: ok, Done: co.dc.Complete()})
 }
 
+func (co *Coordinator) handleExchange(w http.ResponseWriter, r *http.Request) {
+	var req ExchangeRequest
+	if !readReq(w, r, &req) {
+		return
+	}
+	if rep, ok := co.serveExchange(w, &req); ok {
+		reply(w, rep)
+	}
+}
+
+// handleLease and handleSubmit adapt exchange's single-step forms. They
+// carry no sequence number, so a lease whose reply is lost strands its
+// grant until the lease lapses and is granted again: safe, merely slow.
+
+func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	var req LeaseRequest
+	if !readReq(w, r, &req) {
+		return
+	}
+	if req.Max <= 0 {
+		req.Max = co.cfg.LeaseUnits
+	}
+	if rep, ok := co.serveExchange(w, &ExchangeRequest{WorkerID: req.WorkerID, Want: req.Max}); ok {
+		reply(w, &LeaseReply{Units: rep.Units, Done: rep.Done})
+	}
+}
+
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !readReq(w, r, &req) {
 		return
 	}
-	rec, err := DecodeResult(&req)
-	if err != nil {
-		// A payload that disagrees with its own digest is a worker-side
-		// integrity failure, not line noise (the envelope already survived
-		// its digest check): strike the sender, ban repeat offenders.
-		co.strike(req.WorkerID, err)
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
+	res := UnitResult{Inst: req.Inst, Prog: req.Prog, Draws: req.Draws, ResultDigest: req.ResultDigest, Result: req.Result}
+	if rep, ok := co.serveExchange(w, &ExchangeRequest{WorkerID: req.WorkerID, Results: []UnitResult{res}, Retries: req.Retries}); ok {
+		reply(w, &SubmitReply{Folded: rep.Folded == 1, Done: rep.Done})
 	}
-	folded, err := co.dc.RecordRemote(engine.UnitID{Inst: req.Inst, Prog: req.Prog}, rec, req.Draws)
+}
+
+// serveExchange runs exchange and writes its refusal, if it is one.
+func (co *Coordinator) serveExchange(w http.ResponseWriter, req *ExchangeRequest) (*ExchangeReply, bool) {
+	rep, status, err := co.exchange(req)
 	if err != nil {
-		co.strike(req.WorkerID, err)
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
+		http.Error(w, err.Error(), status)
+		return nil, false
+	}
+	return rep, true
+}
+
+// errGone refuses a worker the coordinator does not know (it restarted) or
+// has evicted.
+var errGone = errors.New("dist: unknown or evicted worker")
+
+// exchange is the one server path of the worker protocol: it folds the
+// request's results in order, retires their leases, keeps the checkpoint's
+// fsync cadence, and grants units.
+//
+// A result that fails its digest, does not decode, or names a unit outside
+// the campaign is a worker-side integrity failure, not line noise (the
+// frame already survived its digest check): the sender is struck — banned
+// at MaxStrikes — the results before it stay folded, the ones after it are
+// not looked at, and the call is refused with 409. Eviction revokes
+// scheduling, not results: what an evicted or unknown worker brought is
+// folded first, then it is refused with 410 and gets no units.
+func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, error) {
+	var bad error
+	taken, folded := 0, 0
+	for i := range req.Results {
+		r := &req.Results[i]
+		rec, err := decodeResult(r.Result, r.ResultDigest)
+		first := false
+		if err == nil {
+			first, err = co.dc.RecordRemote(engine.UnitID{Inst: r.Inst, Prog: r.Prog}, rec, r.Draws)
+		}
+		if err != nil {
+			bad = err
+			break
+		}
+		taken++
+		if first {
+			folded++
+		}
 	}
 
 	co.mu.Lock()
-	if ws := co.workers[req.WorkerID]; ws != nil {
-		// Eviction revokes scheduling, not results: a late submission from
-		// an evicted worker still folds if it arrived first.
-		ws.retries = req.Retries
-		if !ws.evicted {
-			ws.lastBeat = time.Now()
+	for _, r := range req.Results[:taken] {
+		co.retireLocked(engine.UnitID{Inst: r.Inst, Prog: r.Prog})
+	}
+	co.dups += taken - folded
+	co.folds += folded
+	ckpt := co.folds >= co.cfg.CheckpointEvery
+	if ckpt {
+		co.folds = 0
+	}
+	ws := co.workers[req.WorkerID]
+	if ws != nil {
+		ws.retries = max(ws.retries, req.Retries)
+		if bad != nil {
+			co.strikeLocked(req.WorkerID, ws, bad)
 		}
 	}
-	delete(co.leases, engine.UnitID{Inst: req.Inst, Prog: req.Prog})
-	ckpt := false
-	if folded {
-		co.folds++
-		if co.folds >= co.cfg.CheckpointEvery {
-			co.folds = 0
-			ckpt = true
+	var units []Unit
+	if ws != nil && !ws.evicted {
+		ws.lastBeat = time.Now()
+		if bad == nil {
+			units = co.grantLocked(req.WorkerID, ws, req)
 		}
-	} else {
-		co.dups++
+	} else if bad == nil {
+		bad = errGone
 	}
 	co.mu.Unlock()
 
@@ -558,22 +648,63 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			co.cfg.Log.Printf("dist: periodic checkpoint: %v", err)
 		}
 	}
-	reply(w, &SubmitReply{Folded: folded, Done: co.dc.Complete()})
+	if bad == errGone {
+		return nil, http.StatusGone, bad
+	}
+	if bad != nil {
+		return nil, http.StatusConflict, bad
+	}
+	return &ExchangeReply{Units: units, Folded: folded, Done: co.dc.Complete()}, http.StatusOK, nil
 }
 
-// strike records an integrity failure against a worker; at MaxStrikes the
-// worker is banned (evicted with its leases reassigned).
-func (co *Coordinator) strike(workerID int64, cause error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	ws := co.workers[workerID]
-	if ws == nil {
-		return
+// grantLocked leases units to a live worker. A retransmission — the seq of
+// the worker's last numbered exchange — gets that exchange's grant again:
+// the leases it still holds, refreshed, minus the units done since; an
+// older seq gets nothing. Anything else is a fresh grant of up to LeaseUnits, within the two grants
+// a worker may hold, and tapered near the end of the campaign so that
+// prefetching does not leave one worker holding the last units while the
+// others idle.
+func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeRequest) []Unit {
+	deadline := time.Now().Add(co.cfg.LeaseTTL)
+	var grant []Unit
+	if req.Seq != 0 && req.Seq <= ws.lastSeq {
+		if req.Seq < ws.lastSeq {
+			return nil // a stray copy its successor overtook: nobody is waiting for this reply
+		}
+		for _, u := range ws.lastGrant {
+			if l, ok := co.leases[u]; ok && l.worker == id {
+				co.leases[u] = lease{worker: id, deadline: deadline}
+				grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
+			}
+		}
+		return grant
 	}
+	unleased := co.dc.Remaining() - len(co.leases)
+	n := min(req.Want, co.cfg.LeaseUnits, 2*co.cfg.LeaseUnits-ws.held, max(1, unleased/(2*co.live)))
+	var granted []engine.UnitID
+	for len(granted) < n {
+		u, ok := co.nextUnitLocked()
+		if !ok {
+			break
+		}
+		co.leases[u] = lease{worker: id, deadline: deadline}
+		granted = append(granted, u)
+		grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
+	}
+	ws.held += len(granted)
+	if req.Seq != 0 {
+		ws.lastSeq, ws.lastGrant = req.Seq, granted
+	}
+	return grant
+}
+
+// strikeLocked records an integrity failure against a worker; at MaxStrikes
+// the worker is banned (evicted with its leases reassigned).
+func (co *Coordinator) strikeLocked(id int64, ws *workerState, cause error) {
 	ws.strikes++
 	co.cfg.Log.Printf("dist: worker %d (%s) strike %d/%d: %v",
-		workerID, ws.name, ws.strikes, co.cfg.MaxStrikes, cause)
+		id, ws.name, ws.strikes, co.cfg.MaxStrikes, cause)
 	if ws.strikes >= co.cfg.MaxStrikes {
-		co.evictLocked(workerID, "integrity strikes exhausted")
+		co.evictLocked(id, "integrity strikes exhausted")
 	}
 }

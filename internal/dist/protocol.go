@@ -15,13 +15,23 @@
 // # Topology
 //
 // One coordinator owns the campaign state (an engine.DistCampaign) and
-// serves four POST endpoints; N workers each own a persistent executor (an
+// serves POST endpoints; N workers each own a persistent executor (an
 // engine.UnitRunner) and pull work:
 //
 //	join      → validate config fingerprint + frontend, get a worker ID
-//	lease     → lease up to K units, deadline now+TTL
+//	exchange  → deliver a finished batch's results (each folded exactly
+//	            once) and lease up to K more units, deadline now+TTL
 //	heartbeat → renew the lease deadlines; learn of eviction/completion
-//	submit    → deliver one unit's result (folded exactly once)
+//	lease, submit → exchange's single-step forms (no results / one result
+//	            and no units), for a client that replays a campaign call
+//	            by call; no worker uses them
+//
+// A worker keeps one exchange in flight while it simulates: batch n's
+// results travel, and the batch after next is leased, while batch n+1 runs,
+// so it holds at most two batches of leases and waits for the network only
+// when the coordinator is slower than a whole batch. Exchanges carry a
+// per-worker sequence number: a retransmission (the reply was lost) is
+// answered with the same grant again, never a second one.
 //
 // Workers that stop heartbeating are evicted and their leased units
 // reassigned; a unit reassigned too many times is degraded to guarded
@@ -34,18 +44,20 @@
 //
 // # Wire integrity
 //
-// Every request and response body travels in an Envelope carrying an
-// fnv64a digest of the payload; a mismatch is treated as a failed call
-// (the client retries, the server rejects). Submissions additionally
-// digest the serialized unit result itself, so a worker whose payloads
-// disagree with their own digests accumulates strikes and is banned.
+// Every request and response body is one frame: the CRC-32C (Castagnoli)
+// of the JSON body, as 8 little-endian bytes, then the body. A mismatch is
+// treated as a failed call (the client retries, the server rejects).
+// Each unit result additionally carries the CRC-32C of its own serialized
+// bytes, so a worker whose payloads disagree with their own digests
+// accumulates strikes and is banned.
 package dist
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
 )
@@ -53,49 +65,54 @@ import (
 // Endpoint paths served by the coordinator.
 const (
 	PathJoin      = "/v1/join"
-	PathLease     = "/v1/lease"
+	PathExchange  = "/v1/exchange"
 	PathHeartbeat = "/v1/heartbeat"
+	PathLease     = "/v1/lease"
 	PathSubmit    = "/v1/submit"
 )
 
-// Envelope wraps every request and response body: Digest is the fnv64a of
-// the Body bytes. Unseal rejects a mismatch, so corruption anywhere in
-// flight surfaces as a failed call instead of a silently wrong payload.
-type Envelope struct {
-	Digest uint64          `json:"digest"`
-	Body   json.RawMessage `json:"body"`
-}
-
-// ErrBadDigest reports an envelope or result payload whose bytes disagree
-// with their digest.
+// ErrBadDigest reports a frame or result payload whose bytes disagree with
+// their digest.
 var ErrBadDigest = errors.New("dist: payload digest mismatch")
 
-// Digest is the wire digest: fnv64a over the exact payload bytes.
-func Digest(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal marshals v and wraps it in a digested envelope.
+// Digest is the wire digest: CRC-32C over the exact payload bytes — the
+// checkpoint log's checksum, hardware-accelerated where the CPU has it.
+func Digest(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
+
+// frameHeader is the size of the digest a frame opens with.
+const frameHeader = 8
+
+// Seal marshals v into a frame: the body's Digest, then the body.
 func Seal(v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encode: %w", err)
 	}
-	return json.Marshal(Envelope{Digest: Digest(body), Body: body})
+	return frame(body), nil
 }
 
-// Unseal verifies data's envelope digest and unmarshals the body into v.
+// frame puts body's digest in front of it.
+func frame(body []byte) []byte {
+	out := make([]byte, frameHeader+len(body))
+	binary.LittleEndian.PutUint64(out, Digest(body))
+	copy(out[frameHeader:], body)
+	return out
+}
+
+// Unseal verifies data's frame digest and unmarshals the body into v, so
+// corruption anywhere in flight surfaces as a failed call instead of a
+// silently wrong payload.
 func Unseal(data []byte, v any) error {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("dist: decode envelope: %w", err)
+	if len(data) < frameHeader {
+		return fmt.Errorf("dist: decode frame: %d bytes, shorter than its digest", len(data))
 	}
-	if Digest(env.Body) != env.Digest {
+	body := data[frameHeader:]
+	if Digest(body) != binary.LittleEndian.Uint64(data) {
 		return ErrBadDigest
 	}
-	if err := json.Unmarshal(env.Body, v); err != nil {
+	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("dist: decode body: %w", err)
 	}
 	return nil
@@ -125,22 +142,59 @@ type JoinReply struct {
 	LeaseUnits int   `json:"lease_units"`
 }
 
-// LeaseRequest asks for up to Max units (0 = the coordinator's default).
+// UnitResult is one unit's result on the wire. Result is the raw JSON of
+// the checkpoint.ResultRec and ResultDigest its Digest — digesting the
+// exact bytes (rather than re-marshalling server-side) makes verification
+// independent of encoder details.
+type UnitResult struct {
+	Inst         int             `json:"inst"`
+	Prog         int             `json:"prog"`
+	Draws        uint64          `json:"draws"`
+	ResultDigest uint64          `json:"result_digest"`
+	Result       json.RawMessage `json:"result"`
+}
+
+// ExchangeRequest delivers a batch of results and asks for up to Want more
+// units (0 = none; the coordinator grants at most its LeaseUnits). Seq
+// numbers the worker's exchanges from 1: a retransmission repeats its Seq
+// and is answered with the grant the first copy got, so a lost reply
+// neither strands a grant nor earns a second one. 0 is an unnumbered call,
+// always answered afresh. Retries is the worker transport's cumulative
+// retry count, reported so the coordinator's robustness counters cover
+// client-side recovery too.
+type ExchangeRequest struct {
+	WorkerID int64        `json:"worker_id"`
+	Seq      uint64       `json:"seq"`
+	Results  []UnitResult `json:"results,omitempty"`
+	Want     int          `json:"want"`
+	Retries  int          `json:"retries"`
+}
+
+// ExchangeReply grants units and acknowledges the request's results: all
+// of them are folded, Folded of them by this call (the rest were already
+// done — duplicates, harmless, dropped). Done means the campaign has
+// nothing left to schedule; a worker granted no units should exit.
+type ExchangeReply struct {
+	Units  []Unit `json:"units,omitempty"`
+	Folded int    `json:"folded"`
+	Done   bool   `json:"done"`
+}
+
+// LeaseRequest is an exchange that delivers nothing: it asks for up to Max
+// units (0 = the coordinator's default).
 type LeaseRequest struct {
 	WorkerID int64 `json:"worker_id"`
 	Max      int   `json:"max"`
 }
 
-// LeaseReply grants units. Done means the campaign has nothing left to
-// schedule; a worker holding no units should exit.
+// LeaseReply grants units. Done as in ExchangeReply.
 type LeaseReply struct {
 	Units []Unit `json:"units,omitempty"`
 	Done  bool   `json:"done"`
 }
 
-// HeartbeatRequest renews the worker's lease deadlines. Retries is the
-// worker transport's cumulative retry count, reported so the coordinator's
-// robustness counters cover client-side recovery too.
+// HeartbeatRequest renews the worker's lease deadlines. Retries as in
+// ExchangeRequest.
 type HeartbeatRequest struct {
 	WorkerID int64 `json:"worker_id"`
 	Retries  int   `json:"retries"`
@@ -153,10 +207,8 @@ type HeartbeatReply struct {
 	Done bool `json:"done"`
 }
 
-// SubmitRequest delivers one unit's result. Result is the raw JSON of the
-// checkpoint.ResultRec and ResultDigest its fnv64a — digesting the exact
-// bytes (rather than re-marshalling server-side) makes verification
-// independent of encoder details. Retries mirrors HeartbeatRequest's.
+// SubmitRequest is an exchange of one result that asks for no units; the
+// fields are UnitResult's and ExchangeRequest's.
 type SubmitRequest struct {
 	WorkerID     int64           `json:"worker_id"`
 	Inst         int             `json:"inst"`
@@ -167,7 +219,14 @@ type SubmitRequest struct {
 	Retries      int             `json:"retries"`
 }
 
-// EncodeResult serializes a unit result for a SubmitRequest.
+// SubmitReply: Folded=false means the unit was already done (a duplicate —
+// harmless, dropped). Done as in ExchangeReply.
+type SubmitReply struct {
+	Folded bool `json:"folded"`
+	Done   bool `json:"done"`
+}
+
+// EncodeResult serializes a unit result for the wire.
 func EncodeResult(rec checkpoint.ResultRec) (raw json.RawMessage, digest uint64, err error) {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -180,19 +239,16 @@ func EncodeResult(rec checkpoint.ResultRec) (raw json.RawMessage, digest uint64,
 // digest and deserializes it. A mismatch is ErrBadDigest — the strike that
 // gets a worker banned.
 func DecodeResult(req *SubmitRequest) (checkpoint.ResultRec, error) {
-	if Digest(req.Result) != req.ResultDigest {
+	return decodeResult(req.Result, req.ResultDigest)
+}
+
+func decodeResult(raw json.RawMessage, digest uint64) (checkpoint.ResultRec, error) {
+	if Digest(raw) != digest {
 		return checkpoint.ResultRec{}, ErrBadDigest
 	}
 	var rec checkpoint.ResultRec
-	if err := json.Unmarshal(req.Result, &rec); err != nil {
+	if err := json.Unmarshal(raw, &rec); err != nil {
 		return checkpoint.ResultRec{}, fmt.Errorf("dist: decode result: %w", err)
 	}
 	return rec, nil
-}
-
-// SubmitReply: Folded=false means the unit was already done (a duplicate —
-// harmless, dropped). Done as in LeaseReply.
-type SubmitReply struct {
-	Folded bool `json:"folded"`
-	Done   bool `json:"done"`
 }

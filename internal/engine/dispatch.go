@@ -56,6 +56,16 @@ type DistCampaign struct {
 	mu        sync.Mutex
 	c         *campaign
 	localPool *executor.Pool
+
+	// remaining counts the units still needing execution: not done and not
+	// beyond their instance's stop-on-first cut. Every fold and cut move
+	// keeps it current, so Complete is a compare; finished is closed when it
+	// reaches zero.
+	remaining int
+	finished  chan struct{}
+	// The scheduling cursor: every open unit before (curInst, curProg) in
+	// (instance, program) order has been handed out by Next.
+	curInst, curProg int
 }
 
 // NewDistCampaign validates cfg and builds the coordinator-side campaign
@@ -73,7 +83,20 @@ func NewDistCampaign(cfg Config) (*DistCampaign, error) {
 	if err := c.openLog(cfg.Resume); err != nil {
 		return nil, err
 	}
-	return &DistCampaign{c: c}, nil
+	d := &DistCampaign{c: c, finished: make(chan struct{})}
+	// The one full scan of the grid: what a resumed log left open.
+	for i := 0; i < c.instances; i++ {
+		cut := c.stopAt[i].Load()
+		for p := 0; p < c.programs && int64(p) <= cut; p++ {
+			if !c.done[i][p] {
+				d.remaining++
+			}
+		}
+	}
+	if d.remaining == 0 {
+		close(d.finished)
+	}
+	return d, nil
 }
 
 // Close releases the checkpoint file. The campaign is over: fold nothing
@@ -92,36 +115,65 @@ func (d *DistCampaign) Shape() (instances, programs int) {
 	return d.c.instances, d.c.programs
 }
 
-// Pending returns the units still needing execution, in (instance, program)
-// order: not done, and — under StopOnFirstViolation — not beyond the
-// instance's current cut (a violation at program p makes every unit q > p
-// of that instance dead work; the merge drops their results anyway).
-func (d *DistCampaign) Pending() []UnitID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []UnitID
-	for i := 0; i < d.c.instances; i++ {
-		cut := d.c.stopAt[i].Load()
-		for p := 0; p < d.c.programs; p++ {
-			if d.c.done[i][p] || int64(p) > cut {
-				continue
-			}
-			out = append(out, UnitID{Inst: i, Prog: p})
-		}
-	}
-	return out
-}
-
 // Complete reports whether every unit is done or beyond its instance's
 // stop-on-first cut — the campaign has nothing left to schedule.
-func (d *DistCampaign) Complete() bool { return len(d.Pending()) == 0 }
+func (d *DistCampaign) Complete() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.remaining == 0
+}
+
+// Remaining is how many units still need execution.
+func (d *DistCampaign) Remaining() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.remaining
+}
+
+// Finished is closed once the campaign is complete — already so when a
+// resumed log left nothing open.
+func (d *DistCampaign) Finished() <-chan struct{} { return d.finished }
+
+// Next hands out the next unit needing execution, in (instance, program)
+// order: not done, and — under StopOnFirstViolation — not beyond the
+// instance's current cut (a violation at program p makes every unit q > p
+// of that instance dead work; the merge drops their results anyway). Each
+// unit is handed out once: whoever takes one and does not see it folded
+// (a lapsed lease, a failed local run) schedules it again itself. The
+// cursor only moves forward, so a campaign's calls cost O(units) together.
+func (d *DistCampaign) Next() (UnitID, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.curInst < d.c.instances {
+		if d.curProg >= d.c.programs || int64(d.curProg) > d.c.stopAt[d.curInst].Load() {
+			d.curInst, d.curProg = d.curInst+1, 0
+			continue
+		}
+		p := d.curProg
+		d.curProg++
+		if !d.c.done[d.curInst][p] {
+			return UnitID{Inst: d.curInst, Prog: p}, true
+		}
+	}
+	return UnitID{}, false
+}
+
+// Open reports whether unit u still needs execution.
+func (d *DistCampaign) Open(u UnitID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inBounds(u) && !d.c.done[u.Inst][u.Prog] && int64(u.Prog) <= d.c.stopAt[u.Inst].Load()
+}
+
+func (d *DistCampaign) inBounds(u UnitID) bool {
+	return u.Inst >= 0 && u.Inst < d.c.instances && u.Prog >= 0 && u.Prog < d.c.programs
+}
 
 // Done reports whether unit u has a final folded result.
 func (d *DistCampaign) Done(u UnitID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return u.Inst >= 0 && u.Inst < d.c.instances && u.Prog >= 0 && u.Prog < d.c.programs &&
-		d.c.done[u.Inst][u.Prog]
+	return d.inBounds(u) && d.c.done[u.Inst][u.Prog]
 }
 
 // RecordRemote folds one remotely-executed unit result into the campaign,
@@ -131,7 +183,7 @@ func (d *DistCampaign) Done(u UnitID) bool {
 // unit carry identical payloads. Out-of-bounds coordinates are an error
 // (a malfunctioning or malicious worker, never folded).
 func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws uint64) (folded bool, err error) {
-	if u.Inst < 0 || u.Inst >= d.c.instances || u.Prog < 0 || u.Prog >= d.c.programs {
+	if !d.inBounds(u) {
 		return false, fmt.Errorf("engine: remote result for unit (%d,%d) out of campaign bounds %dx%d",
 			u.Inst, u.Prog, d.c.instances, d.c.programs)
 	}
@@ -144,7 +196,7 @@ func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws ui
 	}
 	res := rec.Decode()
 	d.c.fold(unit{inst: u.Inst, prog: u.Prog}, unitOutcome{res: res, draws: draws, done: true})
-	d.noteViolationsLocked(u, res)
+	d.accountLocked(u, res)
 	d.mu.Unlock()
 	// First fold only, and outside the campaign lock: the record is encoded
 	// and written while other submissions fold.
@@ -152,18 +204,29 @@ func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws ui
 	return true, nil
 }
 
-// noteViolationsLocked advances the instance's stop-on-first cut after a
-// violating result, mirroring runWorker's CAS (the lock makes a plain
-// compare sufficient here, but the atomic keeps RunLocal's reads safe).
-func (d *DistCampaign) noteViolationsLocked(u UnitID, res *fuzzer.Result) {
-	if !d.c.base.StopOnFirstViolation || res == nil || len(res.Violations) == 0 {
+// accountLocked settles remaining after unit u's first fold, and advances
+// the instance's stop-on-first cut after a violating result (stopAt stays
+// atomic for RunLocal's unlocked reads). A unit at or before the cut was
+// counted; one beyond it is dead work folding late and never was. A cut
+// moving down from old to u.Prog kills the not-done units in between — the
+// ranges of an instance's successive moves are disjoint, so they cost
+// O(programs) per instance over the whole campaign.
+func (d *DistCampaign) accountLocked(u UnitID, res *fuzzer.Result) {
+	cut := d.c.stopAt[u.Inst].Load()
+	if int64(u.Prog) > cut {
 		return
 	}
-	for {
-		cur := d.c.stopAt[u.Inst].Load()
-		if int64(u.Prog) >= cur || d.c.stopAt[u.Inst].CompareAndSwap(cur, int64(u.Prog)) {
-			return
+	d.remaining--
+	if d.c.base.StopOnFirstViolation && res != nil && len(res.Violations) > 0 && int64(u.Prog) < cut {
+		for p := u.Prog + 1; p < d.c.programs && int64(p) <= cut; p++ {
+			if !d.c.done[u.Inst][p] {
+				d.remaining--
+			}
 		}
+		d.c.stopAt[u.Inst].Store(int64(u.Prog))
+	}
+	if d.remaining == 0 {
+		close(d.finished)
 	}
 }
 
@@ -243,8 +306,8 @@ func (d *DistCampaign) recordLocal(u unit, out unitOutcome) {
 		return // a remote submission won the race; keep the first fold
 	}
 	d.c.fold(u, out)
-	if out.res != nil {
-		d.noteViolationsLocked(UnitID{Inst: u.inst, Prog: u.prog}, out.res)
+	if out.done { // an interrupted unit keeps its partial result and stays open
+		d.accountLocked(UnitID{Inst: u.inst, Prog: u.prog}, out.res)
 	}
 	d.mu.Unlock()
 	d.c.logOutcome(u, out)
@@ -265,7 +328,7 @@ func (d *DistCampaign) SaveCheckpoint() error {
 	d.foldMu.Lock()
 	d.mu.Lock()
 	epochsDone := 0
-	if d.completeLocked() {
+	if d.remaining == 0 {
 		epochsDone = d.c.epochs
 	}
 	d.mu.Unlock()
@@ -275,18 +338,6 @@ func (d *DistCampaign) SaveCheckpoint() error {
 		err = d.c.log.Sync()
 	}
 	return errors.Join(d.c.logFailure(), err)
-}
-
-func (d *DistCampaign) completeLocked() bool {
-	for i := 0; i < d.c.instances; i++ {
-		cut := d.c.stopAt[i].Load()
-		for p := 0; p < d.c.programs; p++ {
-			if !d.c.done[i][p] && int64(p) <= cut {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Result folds the campaign outcome in (instance, program) order — the

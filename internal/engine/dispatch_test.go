@@ -3,12 +3,36 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
+	"github.com/sith-lab/amulet-go/internal/isa"
 )
+
+// Pending is the full scan the coordinator used to schedule from and to
+// decide completion with, kept as the oracle for remaining and the cursor:
+// the units still needing execution, in (instance, program) order — not
+// done, and not beyond their instance's stop-on-first cut.
+func (d *DistCampaign) Pending() []UnitID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []UnitID
+	for i := 0; i < d.c.instances; i++ {
+		cut := d.c.stopAt[i].Load()
+		for p := 0; p < d.c.programs; p++ {
+			if d.c.done[i][p] || int64(p) > cut {
+				continue
+			}
+			out = append(out, UnitID{Inst: i, Prog: p})
+		}
+	}
+	return out
+}
 
 // TestDistCampaignLocalEquivalence proves the two distributed execution
 // paths — RunLocal (the coordinator's degradation path) and
@@ -252,4 +276,158 @@ func TestLogInterchange(t *testing.T) {
 			t.Errorf("finished log: %v", err)
 		}
 	})
+}
+
+// TestRemainingAndCursorMatchFullScan pins the O(1) bookkeeping against the
+// full scan it replaced. Synthetic results fold in random order — through
+// RecordRemote, through recordLocal, through both at once, twice, and as
+// interrupted local runs that must leave the unit open — with and without
+// StopOnFirstViolation (cuts move down past done and not-done units, dead
+// units beyond a cut fold late), units are drawn from the cursor in between,
+// and the campaign is now and then resumed from its log. After every step
+// Complete, Remaining and Finished must say what Pending says, and the
+// cursor's next unit must be the first pending unit not handed out yet.
+func TestRemainingAndCursorMatchFullScan(t *testing.T) {
+	const instances, programs = 3, 12
+	sb := isa.Sandbox{Pages: 1}
+	result := func(u UnitID, violating bool) checkpoint.ResultRec {
+		rec := checkpoint.ResultRec{TestCases: 1, Programs: 1}
+		if violating {
+			rec.Violations = []checkpoint.ViolationRec{{
+				Sandbox: sb, InputA: isa.NewInput(sb), InputB: isa.NewInput(sb), ProgramIndex: u.Prog,
+			}}
+		}
+		return rec
+	}
+	for _, stopFirst := range []bool{false, true} {
+		for seed := int64(0); seed < 25; seed++ {
+			t.Run(fmt.Sprintf("stop-first=%v/seed=%d", stopFirst, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				cfg := engineConfig(1, instances, programs)
+				cfg.Campaign.Base.StopOnFirstViolation = stopFirst
+				cfg.CheckpointDir = t.TempDir()
+				dc, err := NewDistCampaign(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { dc.Close() }()
+				violating := map[UnitID]bool{}
+				for i := 0; i < instances; i++ {
+					for p := 0; p < programs; p++ {
+						violating[UnitID{i, p}] = rng.Intn(5) == 0
+					}
+				}
+				handed := map[UnitID]bool{}
+
+				check := func(step string) {
+					t.Helper()
+					pending := dc.Pending()
+					if got := dc.Remaining(); got != len(pending) {
+						t.Fatalf("%s: Remaining() = %d, the full scan finds %d", step, got, len(pending))
+					}
+					if got := dc.Complete(); got != (len(pending) == 0) {
+						t.Fatalf("%s: Complete() = %v with %d units pending", step, got, len(pending))
+					}
+					select {
+					case <-dc.Finished():
+						if len(pending) != 0 {
+							t.Fatalf("%s: Finished closed with %d units pending", step, len(pending))
+						}
+					default:
+						if len(pending) == 0 {
+							t.Fatalf("%s: campaign complete, Finished still open", step)
+						}
+					}
+				}
+				next := func(step string) {
+					t.Helper()
+					var want *UnitID
+					for _, u := range dc.Pending() {
+						if !handed[u] {
+							want = &u
+							break
+						}
+					}
+					got, ok := dc.Next()
+					switch {
+					case want == nil && ok:
+						t.Fatalf("%s: cursor hands out %v, the full scan has nothing left to hand out", step, got)
+					case want != nil && (!ok || got != *want):
+						t.Fatalf("%s: cursor hands out %v (ok=%v), the full scan's next is %v", step, got, ok, *want)
+					}
+					if ok {
+						handed[got] = true
+					}
+				}
+
+				check("fresh")
+				for step := 0; step < 200 && !dc.Complete(); step++ {
+					u := UnitID{rng.Intn(instances), rng.Intn(programs)}
+					local := unit{inst: u.Inst, prog: u.Prog}
+					rec := result(u, violating[u])
+					label := fmt.Sprintf("step %d, unit %v", step, u)
+					switch op := rng.Intn(40); {
+					case op < 16:
+						was := dc.Done(u)
+						folded, err := dc.RecordRemote(u, rec, 1)
+						if err != nil || folded == was {
+							t.Fatalf("%s: RecordRemote folded=%v err=%v, unit done before: %v", label, folded, err, was)
+						}
+					case op < 24:
+						dc.recordLocal(local, unitOutcome{res: rec.Decode(), draws: 1, done: true})
+					case op < 28:
+						// Interrupted local run: the partial result is kept, the unit stays open.
+						was := dc.Done(u)
+						dc.recordLocal(local, unitOutcome{res: &fuzzer.Result{}, err: context.Canceled})
+						if dc.Done(u) != was {
+							t.Fatalf("%s: an interrupted local run marked the unit done", label)
+						}
+					case op < 32:
+						// A late remote result races the local fallback: one fold.
+						var wg sync.WaitGroup
+						wg.Add(2)
+						go func() {
+							defer wg.Done()
+							dc.recordLocal(local, unitOutcome{res: rec.Decode(), draws: 1, done: true})
+						}()
+						go func() {
+							defer wg.Done()
+							if _, err := dc.RecordRemote(u, rec, 1); err != nil {
+								t.Error(err)
+							}
+						}()
+						wg.Wait()
+					case op < 39:
+						for n := rng.Intn(4); n >= 0; n-- {
+							next(label)
+						}
+					default: // rare: every resume costs an fsync
+						if err := dc.SaveCheckpoint(); err != nil {
+							t.Fatal(err)
+						}
+						dc.Close()
+						cfg.Resume = true
+						if dc, err = NewDistCampaign(cfg); err != nil {
+							t.Fatalf("%s: resume: %v", label, err)
+						}
+						handed = map[UnitID]bool{} // a restarted coordinator schedules from the top
+					}
+					check(label)
+				}
+				// Drain: what was handed out and never folded is its taker's to
+				// run again; everything else still comes from the cursor.
+				for !dc.Complete() {
+					u := dc.Pending()[0]
+					if !handed[u] {
+						next(fmt.Sprintf("drain %v", u))
+					}
+					if _, err := dc.RecordRemote(u, result(u, violating[u]), 1); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("drain %v", u))
+				}
+				next("complete")
+			})
+		}
+	}
 }

@@ -354,6 +354,14 @@ func (i *Injector) RPC() RPCFault {
 	return f
 }
 
+// RPCs returns how many RPC attempts the injector's transport has made —
+// what "exchanges per unit" is pinned with.
+func (i *Injector) RPCs() int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.rpcSeq
+}
+
 // record appends a fired point for rule-based faults (sever, drop-every)
 // that have no armed map entry to consume.
 func (i *Injector) record(p Point) {

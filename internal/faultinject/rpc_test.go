@@ -28,6 +28,9 @@ func TestRPCCleanByDefault(t *testing.T) {
 		if f.Seq != want {
 			t.Fatalf("RPC sequence %d, want %d", f.Seq, want)
 		}
+		if got := inj.RPCs(); got != want {
+			t.Fatalf("RPCs() = %d after %d calls", got, want)
+		}
 	}
 }
 

@@ -315,7 +315,7 @@ func (in *Input) Clone() *Input {
 
 // inputJSON is the serialized shape of an Input: registers and the dense
 // memory content (base64), whatever the in-memory representation. Checkpoint
-// format v2, quarantine bundles and dist envelopes all carry it.
+// format v2, quarantine bundles and dist frames all carry it.
 type inputJSON struct {
 	Regs  [NumRegs]uint64
 	Dense []byte `json:"Mem"`
