@@ -76,10 +76,6 @@ func main() {
 		mshrs      = flag.Int("mshrs", 0, "override MSHR count (leakage amplification)")
 		pages      = flag.Int("pages", 0, "override sandbox pages")
 		naive      = flag.Bool("naive", false, "use the Naive strategy (restart per input)")
-		schedule   = flag.String("schedule", "auto", "pipeline scheduler: auto, event, naive (A/B measurement; bit-identical results)")
-		fills      = flag.String("fills", "ring", "fill-queue structure: ring (calendar ring) or heap (reference min-heap; A/B measurement, bit-identical results)")
-		issue      = flag.String("issue", "scoreboard", "naive-scheduler issue walk: scoreboard (unissued list + completion bitmask) or scan (reference full-ROB walk; bit-identical results)")
-		ctmodel    = flag.String("ctmodel", "specialized", "contract emulator: specialized (predecoded interpreter) or reference (hook-driven; bit-identical results)")
 		format     = flag.String("format", "", "µarch trace format: l1d-tlb, l1d-tlb-l1i, bp-state, mem-order, branch-order")
 		stopFirst  = flag.Bool("stop-on-first", false, "stop each instance at its first confirmed violation")
 		report     = flag.Bool("report", false, "analyze and print violation reports (paper-figure style)")
@@ -200,36 +196,6 @@ func main() {
 	}
 	if *naive {
 		ccfg.Base.Exec.Strategy = executor.StrategyNaive
-	}
-	switch *schedule {
-	case "", "auto":
-	case "event":
-		ccfg.Base.Exec.Core.EventSchedule = true
-	case "naive":
-		ccfg.Base.Exec.Core.NaiveSchedule = true
-	default:
-		fatal(fmt.Errorf("unknown -schedule %q (auto, event, naive)", *schedule))
-	}
-	switch *fills {
-	case "", "ring":
-	case "heap":
-		ccfg.Base.Exec.Core.Hier.HeapFills = true
-	default:
-		fatal(fmt.Errorf("unknown -fills %q (ring, heap)", *fills))
-	}
-	switch *issue {
-	case "", "scoreboard":
-	case "scan":
-		ccfg.Base.Exec.Core.NoScoreboard = true
-	default:
-		fatal(fmt.Errorf("unknown -issue %q (scoreboard, scan)", *issue))
-	}
-	switch *ctmodel {
-	case "", "specialized":
-	case "reference":
-		ccfg.Base.ReferenceModel = true
-	default:
-		fatal(fmt.Errorf("unknown -ctmodel %q (specialized, reference)", *ctmodel))
 	}
 	if *format != "" {
 		f, err := parseFormat(*format)

@@ -47,25 +47,21 @@
 // TestViolationSetDeterminism and the mem prime tests);
 // executor.Config.FullPrime forces the reference full prime.
 //
-// # Pipeline scheduling (uarch.Config.NaiveSchedule / EventSchedule)
+// # Pipeline scheduling
 //
-// The out-of-order core has two bit-identical pipeline schedulers. The
-// reference path walks the ROB: every cycle writeback and issue scan all
-// entries (with a completion watermark skipping quiescent writeback
-// cycles), and the store-queue search, memory-order check and speculation
-// shadow re-derive their answers from the window. The event-driven path
-// (uarch/scheduler.go) replaces the walks with scheduler structures — a
-// short-latency writeback calendar plus (DoneAt, Seq) heap, a
-// wakeup-select ready list whose consumers of long-latency producers park
-// on the producer's wake list, dedicated seq-ordered load/store queues and
-// an unresolved-branch queue giving O(1) UnderShadow — all pre-allocated
-// and rewound per input. Same cycle counts, same debug-log records, same
-// traces, same coverage bits; TestSchedulerBitIdentity and the
-// determinism-suite sweep across {event, naive} x workers {1, 4} pin it.
-// With neither knob set the core picks by window size
-// (uarch.EventScheduleMinROB): at the paper's 64-entry ROB the scans win
-// on constant factors, at 128+ entries the event structures win and the
-// gap grows with the window (BenchmarkCoreRunLargeWindow).
+// The out-of-order core has one pipeline. Writeback walks the ROB window
+// (a completion watermark skips the walk on cycles that wait on one long
+// fill), and the store-queue search, memory-order check and speculation
+// shadow re-derive their answers from the window. Issue walks an unissued
+// list against a completion bitmask (the scoreboard) whenever its two mask
+// words cover the window's buffer (ROBSize <= 64); larger windows issue by
+// the plain full-ROB scan, which is also the scoreboard's test oracle.
+// Provably idle spans of cycles are skipped wholesale (uarch/quiescent.go).
+// The reference paths — scan issue, cycle-by-cycle loop, all-heap fill
+// queue, hook-driven contract model, full-walk digests — are selectable
+// only from tests, through each package's export_test.go, and each is held
+// bit-identical to the fast path by a test in its package.
+// docs/removal-ledger.md records what each cost and why it stayed or went.
 //
 // Entry points:
 //

@@ -34,9 +34,8 @@ import (
 //
 // The two paths are bit-identical — same observation sequence, same usage
 // summary, same truncation accounting — which TestFastModelEquivalence
-// cross-checks on random programs and the determinism suite pins end to
-// end. fuzzer.Config.ReferenceModel selects the reference path for
-// regression pinning and A/B measurement, like the simulator-side knobs.
+// cross-checks on random programs. The reference path stays in the package
+// as that test's oracle; no configuration selects it.
 //
 // Flag semantics are not restated here: the per-kind cases call
 // isa.ArithFlags/isa.LogicFlags, the same helpers EvalALU uses, and the

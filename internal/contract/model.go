@@ -146,8 +146,9 @@ type Model struct {
 	m    *emu.Machine
 
 	// uops is the predecoded micro-op table the specialized interpreter
-	// (fastmodel.go) executes; reference pins the hook-driven emu.Machine
-	// path instead (fuzzer.Config.ReferenceModel).
+	// (fastmodel.go) executes; reference runs the hook-driven emu.Machine
+	// path instead, the interpreter's test oracle (set only through
+	// export_test.go).
 	uops      []uop
 	reference bool
 	truncated int
@@ -179,12 +180,6 @@ func NewModel(c Contract, p *isa.Program, sb isa.Sandbox) *Model {
 	}
 	return md
 }
-
-// SetReference selects between the specialized predecoded interpreter
-// (fastmodel.go, the default) and the reference hook-driven emulator path.
-// The two are bit-identical; the knob exists only for regression pinning and
-// A/B measurement, like executor.Config.FullPrime.
-func (md *Model) SetReference(on bool) { md.reference = on }
 
 // Truncated returns how many runs since NewModel hit the MaxSteps budget
 // before the program exited. Generated programs are DAGs, so a non-zero

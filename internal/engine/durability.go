@@ -24,26 +24,24 @@ import (
 // contract only holds for an identical configuration, so splicing restored
 // units into a differently-configured run would silently produce garbage.
 //
-// The knobs pinned bit-identical by the determinism suite (FullPrime,
-// FullDigest, the schedule/scoreboard/cycle-skip selectors, HeapFills,
-// ReferenceModel) are zeroed before digesting: they change how fast a
-// campaign runs, never what it produces, so a checkpoint written under one
-// A/B setting resumes cleanly under the other. Exec.Coverage is likewise
-// zeroed — it is derived from the strategy, which is digested by name. The
-// frontend is digested by name too (the Config field is an interface whose
-// rendering would be an unstable pointer).
+// Exec.FullPrime, the one selector pinned bit-identical by the determinism
+// suite, is zeroed before digesting: it changes how fast a campaign runs,
+// never what it produces, so a checkpoint written under one setting resumes
+// cleanly under the other. Exec.Coverage is likewise zeroed — it is derived
+// from the strategy, which is digested by name. The frontend is digested by
+// name too (the Config field is an interface whose rendering would be an
+// unstable pointer). Every other field renders through %+v, so adding or
+// removing one changes the fingerprint: state written by a binary with a
+// different Config shape is refused, by design.
 func campaignFingerprint(base fuzzer.Config, defense, frontend string, instances, epochs int, strategy string) uint64 {
 	exec := base.Exec
-	exec.FullPrime, exec.FullDigest, exec.Coverage = false, false, false
-	exec.Core.NaiveSchedule, exec.Core.EventSchedule = false, false
-	exec.Core.NoScoreboard, exec.Core.NoCycleSkip = false, false
-	exec.Core.Hier.HeapFills = false
+	exec.FullPrime, exec.Coverage = false, false
 	mutRegs := "auto"
 	if base.MutateRegs != nil {
 		mutRegs = fmt.Sprint(*base.MutateRegs)
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "contract=%+v|gen=%+v|exec=%+v|defense=%s|frontend=%s|seed=%d|programs=%d|baseinputs=%d|mutants=%d|mutregs=%s|refmodel=false|stopfirst=%t|maxviol=%d|instances=%d|epochs=%d|strategy=%s",
+	fmt.Fprintf(h, "contract=%+v|gen=%+v|exec=%+v|defense=%s|frontend=%s|seed=%d|programs=%d|baseinputs=%d|mutants=%d|mutregs=%s|stopfirst=%t|maxviol=%d|instances=%d|epochs=%d|strategy=%s",
 		base.Contract, base.Gen, exec, defense, frontend, base.Seed, base.Programs,
 		base.BaseInputs, base.MutantsPerInput, mutRegs,
 		base.StopOnFirstViolation, base.MaxViolationsPerProgram,

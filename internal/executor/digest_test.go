@@ -26,7 +26,7 @@ func rebuildFullWalk(tr *UTrace) *UTrace {
 // trace format and asserts, for every extracted trace, that the hash built
 // from the incrementally maintained section sums equals the full-walk
 // reference digest of the same content — and that a twin executor with
-// FullDigest set produces the identical hash. Consecutive inputs of a
+// fullDigest set produces the identical hash. Consecutive inputs of a
 // program exercise the interesting dirty/clean mixes: the incremental prime
 // leaves most sets clean between cases, so the per-set refresh covers
 // partially-dirty bitmaps, and the prime-template restores re-seed digests
@@ -40,10 +40,9 @@ func TestIncrementalDigestMatchesFullWalk(t *testing.T) {
 		for _, prime := range primes {
 			cfg := testConfig(StrategyOpt, prime)
 			cfg.Format = format
-			refCfg := cfg
-			refCfg.FullDigest = true
 			inc := New(cfg, nil)
-			ref := New(refCfg, nil)
+			ref := New(cfg, nil)
+			ref.fullDigest = true
 			for seed := int64(1); seed <= 3; seed++ {
 				gcfg := generator.DefaultConfig()
 				gcfg.Seed = seed * 977
@@ -74,7 +73,7 @@ func TestIncrementalDigestMatchesFullWalk(t *testing.T) {
 							format, prime, seed, i, trInc.Hash(), walk.Hash())
 					}
 					if trInc.Hash() != trRef.Hash() {
-						t.Errorf("format %v prime %v seed %d input %d: incremental hash %#x != FullDigest executor hash %#x",
+						t.Errorf("format %v prime %v seed %d input %d: incremental hash %#x != fullDigest executor hash %#x",
 							format, prime, seed, i, trInc.Hash(), trRef.Hash())
 					}
 					inc.ReleaseTrace(trInc)

@@ -88,14 +88,6 @@ type Config struct {
 	// bit-identical either way (the determinism tests pin that), so this
 	// exists only for regression pinning and A/B measurement.
 	FullPrime bool
-
-	// FullDigest disables the incremental trace digests: extraction does
-	// not pass the memory structures' incrementally maintained content
-	// digests to the trace, so Hash re-derives the section sums by walking
-	// the section words (the reference path). The digest value is identical
-	// either way — the sums are pure functions of the section content —
-	// which the digest cross-check tests and the determinism suite pin.
-	FullDigest bool
 }
 
 // DefaultBootInsts is the default startup workload length.
@@ -215,6 +207,13 @@ type Executor struct {
 	// execute→compare loop reuses a small working set of traces instead of
 	// allocating cache-snapshot-sized buffers per case.
 	traceFree []*UTrace
+
+	// fullDigest withholds the memory structures' incrementally maintained
+	// content digests from extracted traces, so Hash re-derives the section
+	// sums by walking the section words — the incremental digests' test
+	// oracle (the sums are pure functions of the section content). Only the
+	// package's tests set it.
+	fullDigest bool
 
 	met Metrics
 }
@@ -554,14 +553,14 @@ func (e *Executor) extract() *UTrace {
 	case FormatL1DTLB:
 		tr.L1D = e.core.Hier.L1D.SnapshotInto(tr.L1D[:0])
 		tr.TLB = e.core.Hier.DTLB.SnapshotInto(tr.TLB[:0])
-		if !e.cfg.FullDigest {
+		if !e.fullDigest {
 			tr.setSectionSums(e.core.Hier.L1D.ContentDigest(), e.core.Hier.DTLB.ContentDigest(), 0)
 		}
 	case FormatL1DTLBL1I:
 		tr.L1D = e.core.Hier.L1D.SnapshotInto(tr.L1D[:0])
 		tr.TLB = e.core.Hier.DTLB.SnapshotInto(tr.TLB[:0])
 		tr.L1I = e.core.Hier.L1I.SnapshotInto(tr.L1I[:0])
-		if !e.cfg.FullDigest {
+		if !e.fullDigest {
 			tr.setSectionSums(e.core.Hier.L1D.ContentDigest(), e.core.Hier.DTLB.ContentDigest(), e.core.Hier.L1I.ContentDigest())
 		}
 	case FormatBPState:

@@ -77,7 +77,7 @@ type UTrace struct {
 	// (Σ Mix64(word)) when sumsDone is set. The extractor fills them from
 	// the structures' incrementally maintained content digests, so
 	// computeHash skips re-mixing the section words; hand-built traces and
-	// the FullDigest reference path leave sumsDone unset and computeHash
+	// the executor's fullDigest oracle leave sumsDone unset and computeHash
 	// derives identical sums by walking the slices.
 	l1dSum, tlbSum, l1iSum uint64
 	sumsDone               bool

@@ -27,14 +27,13 @@ func violationFingerprint(vs []*fuzzer.Violation) uint64 {
 // (scratch arenas, bitset usage tracking, fill-queue heap, hash-first trace
 // comparison). It fails if any optimization — present or future — shifts a
 // single violating input byte. Each budget runs at two worker counts (the
-// engine's schedule-independence contract), with both the default
+// engine's schedule-independence contract) and with both the default
 // incremental dirty-set prime and the reference full prime
-// (Config.FullPrime), and under both pipeline schedulers (the event-driven
-// wakeup structures forced on via Core.EventSchedule, and the reference
-// scan walks via Core.NaiveSchedule — which at this geometry is also what
-// the auto default picks): every combination must hit the same golden
-// fingerprint, which is what pins the incremental prime and the
-// event-driven scheduler as bit-identical.
+// (Config.FullPrime): every combination must hit the same golden
+// fingerprint. The simulator's and the leakage model's other reference
+// paths are not swept here — they are test oracles no campaign
+// configuration can select, each compared cycle by cycle (stats, debug log,
+// traces, coverage) by its own package's bit-identity test.
 func TestViolationSetDeterminism(t *testing.T) {
 	golden := []struct {
 		defense     string
@@ -74,55 +73,6 @@ func TestViolationSetDeterminism(t *testing.T) {
 			t.Errorf("legacy baseline: fingerprint %#x, want 0x55a5d1a9d682b04e", fp)
 		}
 	})
-
-	// Reference-path pins for the PR-7 perf levers. The main sweep below
-	// runs the defaults — scoreboard issue, calendar-ring fills, specialized
-	// contract model — so each lever's reference path gets its own pass
-	// against the same goldens: one per knob (to attribute a failure), one
-	// with all three pinned at once, and one heap-fills run under the event
-	// scheduler (the ring serves both schedulers). A full cross with the
-	// existing 24-combination sweep would add nothing but runtime: the
-	// levers touch disjoint machinery.
-	refCombos := []struct {
-		name  string
-		apply func(*fuzzer.Config)
-	}{
-		{"no-scoreboard", func(c *fuzzer.Config) { c.Exec.Core.NoScoreboard = true }},
-		{"heap-fills", func(c *fuzzer.Config) { c.Exec.Core.Hier.HeapFills = true }},
-		{"reference-model", func(c *fuzzer.Config) { c.ReferenceModel = true }},
-		{"all-reference", func(c *fuzzer.Config) {
-			c.Exec.Core.NoScoreboard = true
-			c.Exec.Core.Hier.HeapFills = true
-			c.ReferenceModel = true
-		}},
-		{"heap-fills-event", func(c *fuzzer.Config) {
-			c.Exec.Core.Hier.HeapFills = true
-			c.Exec.Core.EventSchedule = true
-		}},
-	}
-	for _, g := range golden {
-		for _, combo := range refCombos {
-			spec, err := experiments.DefenseByName(g.defense)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := experiments.Scale{Instances: 2, Programs: 40, BaseInputs: 6, Mutants: 4, BootInsts: 2000, Seed: 1}
-			ccfg := experiments.CampaignConfig(spec, sc)
-			combo.apply(&ccfg.Base)
-			res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Violations) != g.violations {
-				t.Errorf("%s %s: %d violations, want %d",
-					g.defense, combo.name, len(res.Violations), g.violations)
-			}
-			if fp := violationFingerprint(res.Violations); fp != g.fingerprint {
-				t.Errorf("%s %s: violation-set fingerprint %#x, want %#x",
-					g.defense, combo.name, fp, g.fingerprint)
-			}
-		}
-	}
 
 	// The stack frontend gets its own golden sweep: same budget and seed,
 	// wasm-generated programs. The sweep pins the frontend's generation,
@@ -170,28 +120,24 @@ func TestViolationSetDeterminism(t *testing.T) {
 	for _, g := range golden {
 		for _, workers := range []int{1, 4} {
 			for _, fullPrime := range []bool{false, true} {
-				for _, eventSched := range []bool{false, true} {
-					spec, err := experiments.DefenseByName(g.defense)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sc := experiments.Scale{Instances: 2, Programs: 40, BaseInputs: 6, Mutants: 4, BootInsts: 2000, Seed: 1}
-					ccfg := experiments.CampaignConfig(spec, sc)
-					ccfg.Base.Exec.FullPrime = fullPrime
-					ccfg.Base.Exec.Core.EventSchedule = eventSched
-					ccfg.Base.Exec.Core.NaiveSchedule = !eventSched
-					res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Violations) != g.violations {
-						t.Errorf("%s workers=%d fullPrime=%v event=%v: %d violations, want %d",
-							g.defense, workers, fullPrime, eventSched, len(res.Violations), g.violations)
-					}
-					if fp := violationFingerprint(res.Violations); fp != g.fingerprint {
-						t.Errorf("%s workers=%d fullPrime=%v event=%v: violation-set fingerprint %#x, want %#x",
-							g.defense, workers, fullPrime, eventSched, fp, g.fingerprint)
-					}
+				spec, err := experiments.DefenseByName(g.defense)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := experiments.Scale{Instances: 2, Programs: 40, BaseInputs: 6, Mutants: 4, BootInsts: 2000, Seed: 1}
+				ccfg := experiments.CampaignConfig(spec, sc)
+				ccfg.Base.Exec.FullPrime = fullPrime
+				res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Violations) != g.violations {
+					t.Errorf("%s workers=%d fullPrime=%v: %d violations, want %d",
+						g.defense, workers, fullPrime, len(res.Violations), g.violations)
+				}
+				if fp := violationFingerprint(res.Violations); fp != g.fingerprint {
+					t.Errorf("%s workers=%d fullPrime=%v: violation-set fingerprint %#x, want %#x",
+						g.defense, workers, fullPrime, fp, g.fingerprint)
 				}
 			}
 		}

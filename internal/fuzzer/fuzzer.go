@@ -52,17 +52,6 @@ type Config struct {
 	// complement of the contract's ObserveInitRegs.
 	MutateRegs *bool
 
-	// ReferenceModel pins the leakage model's reference path: contract
-	// traces are collected by driving the generic functional emulator
-	// through its hook interface. By default the model runs its specialized
-	// interpreter instead — the program predecoded once into micro-ops with
-	// pre-resolved ALU kinds and usage masks, observations appended inline
-	// (contract/fastmodel.go). The two are bit-identical (same traces, same
-	// usage, pinned by TestFastModelEquivalence and the determinism sweep);
-	// like Exec.FullPrime, this knob exists only for regression pinning and
-	// A/B measurement.
-	ReferenceModel bool
-
 	// StopOnFirstViolation ends the campaign at the first confirmed
 	// violation (the paper's detection-time experiments).
 	StopOnFirstViolation bool
@@ -338,7 +327,6 @@ func buildCase(ctx context.Context, cfg Config, gen *generator.Generator, mut *g
 	pc.SB = gen.Sandbox()
 	pc.GenTime += time.Since(t0)
 	model := contract.NewModel(cfg.Contract, pc.Prog, pc.SB)
-	model.SetReference(cfg.ReferenceModel)
 	// The program's inputs, their page tables and the pages mutants
 	// materialize are carved from one slab: a handful of allocations per
 	// program instead of two or more per input. The slab lives exactly as

@@ -20,16 +20,6 @@ type HierConfig struct {
 	LatL2      int // additional latency for an L2 hit
 	LatMem     int // additional latency for main memory
 	LatTLBWalk int // page-walk latency on a D-TLB miss
-
-	// HeapFills pins the reference fill queue: every scheduled fill goes
-	// through the (ready-cycle, id) min-heap. By default fills completing
-	// within the next fillRingSlots cycles — which, with the bounded
-	// latencies above, is nearly all of them — are kept in a fixed calendar
-	// ring with O(1) schedule and pop instead; fills beyond the ring's
-	// horizon (MSHR waits, port blocks) still take the heap. The two paths
-	// apply identical fill batches in identical order, pinned by
-	// TestRingHeapFillIdentity and the determinism sweep.
-	HeapFills bool
 }
 
 // DefaultHierConfig returns the default (paper-like) hierarchy.
@@ -154,7 +144,10 @@ type Hierarchy struct {
 	done       []CompletedFill
 	nextFillID uint64
 
-	// Calendar ring (the default fill queue unless Cfg.HeapFills): slot
+	// Calendar ring: fills completing within the next fillRingSlots cycles
+	// — which, with the bounded latencies of HierConfig, is nearly all of
+	// them — get O(1) schedule and pop here; fills beyond that horizon
+	// (MSHR waits, port blocks) take the pending heap. Slot
 	// at&(fillRingSlots-1) holds the fills completing at cycle at. ringNow
 	// is the cycle the ring was last drained to, so the live window is
 	// (ringNow, ringNow+fillRingSlots): distinct completion cycles inside
@@ -168,6 +161,12 @@ type Hierarchy struct {
 	ringOcc   [fillRingSlots / 64]uint64
 	ringCount int
 	ringNow   uint64
+
+	// heapOnly routes every fill through the pending heap, the ring's test
+	// oracle: the two apply identical fill batches in identical order
+	// (TestRingVsHeapPopOrder, TestCalendarFillBitIdentity). Only
+	// export_test.go sets it.
+	heapOnly bool
 
 	// portBusyUntil blocks the data port: accesses issued before this
 	// cycle wait for it. CleanupSpec's rollback raises it, putting cleanup
@@ -560,12 +559,12 @@ func (h *Hierarchy) CancelFill(id uint64) {
 }
 
 // ScheduleFill enqueues a fill of lineAddr completing at cycle at. Fills
-// inside the ring's horizon take an O(1) calendar slot; later ones (and
-// every fill under HeapFills) take the reference heap.
+// inside the ring's horizon take an O(1) calendar slot; later ones take the
+// heap.
 func (h *Hierarchy) ScheduleFill(at, lineAddr uint64, sink FillSink, owner uint64) uint64 {
 	h.nextFillID++
 	f := pendingFill{id: h.nextFillID, at: at, lineAddr: lineAddr, sink: sink, owner: owner}
-	if !h.Cfg.HeapFills && at > h.ringNow && at-h.ringNow < fillRingSlots {
+	if !h.heapOnly && at > h.ringNow && at-h.ringNow < fillRingSlots {
 		s := at & (fillRingSlots - 1)
 		h.ring[s] = append(h.ring[s], f)
 		h.ringOcc[s>>6] |= 1 << (s & 63)

@@ -3,7 +3,7 @@ package mem
 import "testing"
 
 // TestRingVsHeapPopOrder randomly exercises the calendar-ring fill queue
-// against the reference min-heap (HeapFills) through the public surface:
+// against the reference min-heap (UseHeapFills) through the public surface:
 // identical schedule/cancel/tick sequences — due times inside the ring
 // window, past it (heap spill), and at-or-behind the clock — must complete
 // identical fill batches in identical order, and agree on NextReady and the
@@ -11,9 +11,8 @@ import "testing"
 // TestCalendarFillBitIdentity.
 func TestRingVsHeapPopOrder(t *testing.T) {
 	ring := NewHierarchy(DefaultHierConfig())
-	hcfg := DefaultHierConfig()
-	hcfg.HeapFills = true
-	heap := NewHierarchy(hcfg)
+	heap := NewHierarchy(DefaultHierConfig())
+	heap.UseHeapFills()
 
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(n uint64) uint64 {

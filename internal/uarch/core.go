@@ -60,54 +60,40 @@ type Core struct {
 	robBuf    []*DynInst
 	squashBuf []*DynInst
 
-	// Event-driven scheduler state (scheduler.go), maintained only when
-	// !cfg.NaiveSchedule: the short-latency writeback calendar ring and the
-	// long-latency wakeup heap with their due-batch scratch, the seq-sorted
-	// ready list with its wake and merge scratch buffers, the in-flight
-	// load/store queues, and the unresolved-branch queue. robOff is the
-	// robBuf index of rob[0], so an instruction's ROB position is
-	// RobIdx - robOff without scanning; naive caches cfg.NaiveSchedule for
-	// the hot-path checks.
-	wbRing   [wbRingSlots][]*DynInst
-	wbHeap   []*DynInst
-	wbDue    []*DynInst
-	ready    []*DynInst
-	readyNew []*DynInst
-	readyBuf []*DynInst
-	loadQ    instQueue
-	storeQ   instQueue
-	brq      instQueue
-	robOff   int
-	naive    bool
+	// robOff is the robBuf index of rob[0], so an instruction's ROB position
+	// is RobIdx - robOff without scanning.
+	robOff int
 
-	// wbNext is the naive writeback walk's skip watermark: a conservative
-	// lower bound on the earliest completion among executing instructions.
+	// wbNext is the writeback walk's skip watermark: a conservative lower
+	// bound on the earliest completion among executing instructions.
 	wbNext uint64
 
-	// Scoreboard state (naive schedule, unless cfg.NoScoreboard; see the
-	// Config.NoScoreboard doc). sbDone has the bit of every robBuf slot
-	// whose instruction reached StDone/StCommitted — set at writeback,
-	// cleared when a squash frees slots for reuse, rebuilt on window
-	// compaction. unissued is the seq-ordered list of dispatched entries
-	// the issue walk still has to visit, held as robBuf slot indices
-	// rather than pointers so the per-cycle compaction writes plain ints
-	// (no GC write barriers on the hottest loop in the profile); issued
-	// entries are compacted out lazily, squashes truncate it, and the
-	// compaction rebuild renumbers it along with the masks. A slot index
-	// always denotes the instruction that appended it: slots are only
-	// reused after a squash (which truncated the list first) or a
-	// compaction (which rebuilt it).
+	// Issue scoreboard, on (sbOn) whenever its two mask words cover the
+	// robBuf slots, i.e. 2*ROBSize <= 128; larger windows issue by the
+	// full-ROB scan, which is also the scoreboard's test oracle (the two
+	// are bit-identical: same visit order, same attemptIssue calls, same
+	// side effects). sbDone has the bit of every robBuf slot whose
+	// instruction reached StDone/StCommitted — set at writeback, cleared
+	// when a squash frees slots for reuse, rebuilt on window compaction.
+	// unissued is the seq-ordered list of dispatched entries the issue walk
+	// still has to visit, held as robBuf slot indices rather than pointers
+	// so the per-cycle compaction writes plain ints (no GC write barriers
+	// on the hottest loop in the profile); issued entries are compacted out
+	// lazily, squashes truncate it, and the compaction rebuild renumbers it
+	// along with the masks. A slot index always denotes the instruction
+	// that appended it: slots are only reused after a squash (which
+	// truncated the list first) or a compaction (which rebuilt it).
 	sbOn     bool
 	sbDone   [2]uint64
 	unissued []int32
 
 	// lastActCycle is the last cycle in which an instruction changed state
-	// (issued, wrote back or committed). skipQuiescentSpan's naive branch
-	// uses it to pay for the span-proof ROB walk only on cycles that were
-	// themselves fully quiet — on a busy cycle the very activity that just
-	// happened almost always seeds more next cycle, so the walk would fail
-	// anyway. Suppressing the attempt only forgoes a skip; it can never
-	// change behaviour.
+	// (issued, wrote back or committed). skipQuiescentSpan uses it to pay
+	// for the span-proof ROB walk only on cycles that were themselves fully
+	// quiet — on a busy cycle the very activity that just happened almost
+	// always seeds more next cycle, so the walk would fail anyway.
+	// Suppressing the attempt only forgoes a skip; it can never change
+	// behaviour.
 	lastActCycle uint64
 
 	// cov, when non-nil, receives speculation-coverage features as the core
@@ -115,6 +101,10 @@ type Core struct {
 	// data-access outcome into transition-edge features.
 	cov          *Coverage
 	lastMemClass uint64
+
+	// noSkip pins the cycle-by-cycle loop, the test oracle of quiescent-span
+	// skipping (quiescent.go); only export_test.go sets it.
+	noSkip bool
 
 	ended    bool
 	endCycle uint64
@@ -129,18 +119,15 @@ func NewCore(cfg Config, def Defense) *Core {
 	if def == nil {
 		def = NopDefense{}
 	}
-	naive := cfg.NaiveSchedule || (!cfg.EventSchedule && cfg.ROBSize < EventScheduleMinROB)
 	c := &Core{
-		cfg:   cfg,
-		def:   def,
-		Hier:  mem.NewHierarchy(cfg.Hier),
-		BP:    NewBPred(cfg.BPred),
-		MD:    NewMDP(),
-		naive: naive,
+		cfg:  cfg,
+		def:  def,
+		Hier: mem.NewHierarchy(cfg.Hier),
+		BP:   NewBPred(cfg.BPred),
+		MD:   NewMDP(),
 		// The scoreboard needs one bit per robBuf slot (2*ROBSize) in its
-		// two mask words; larger windows keep the reference walk (and run
-		// the event scheduler by default anyway).
-		sbOn: naive && !cfg.NoScoreboard && 2*cfg.ROBSize <= 128,
+		// two mask words; larger windows issue by the full-ROB scan.
+		sbOn: 2*cfg.ROBSize <= 128,
 	}
 	def.Attach(c)
 	return c
@@ -238,9 +225,6 @@ func (c *Core) ResetForInput(in *isa.Input) {
 	c.lastActCycle = 0
 	c.sbDone = [2]uint64{}
 	c.unissued = c.unissued[:0]
-	if !c.naive {
-		c.schedInit()
-	}
 	c.dyn.reset()
 	for i := range c.renameReg {
 		c.renameReg[i] = nil
@@ -354,7 +338,7 @@ func (c *Core) Run() error {
 			for c.Hier.PendingFills() > 0 && c.cycle < c.cfg.MaxCycles {
 				next := c.Hier.NextReady()
 				switch {
-				case c.cfg.NoCycleSkip || next <= c.cycle+1:
+				case c.noSkip || next <= c.cycle+1:
 					c.cycle++
 				case next <= c.cfg.MaxCycles:
 					c.cycle = next
@@ -369,7 +353,7 @@ func (c *Core) Run() error {
 			return nil
 		}
 
-		if !c.cfg.NoCycleSkip {
+		if !c.noSkip {
 			c.skipQuiescentSpan()
 		}
 	}
@@ -377,25 +361,17 @@ func (c *Core) Run() error {
 
 // --- writeback & branch resolution ---
 
-// startExec moves in to the executing state, completing at doneAt, and
-// registers it with the writeback wakeup heap under the event-driven
-// scheduler.
+// startExec moves in to the executing state, completing at doneAt.
 func (c *Core) startExec(in *DynInst, doneAt uint64) {
 	in.State = StExecuting
 	in.DoneAt = doneAt
 	c.lastActCycle = c.cycle
-	if !c.naive {
-		c.schedExec(in, doneAt)
-	} else if doneAt < c.wbNext {
+	if doneAt < c.wbNext {
 		c.wbNext = doneAt
 	}
 }
 
 func (c *Core) writeback() {
-	if !c.naive {
-		c.writebackEvent()
-		return
-	}
 	// wbNext is a conservative lower bound on the earliest DoneAt of any
 	// executing instruction (startExec lowers it, the walk re-derives it),
 	// so the cycles spent waiting on one long-latency fill skip the ROB
@@ -418,7 +394,9 @@ func (c *Core) writeback() {
 			continue
 		}
 		in.State = StDone
-		c.sbDone[in.RobIdx>>6] |= 1 << (in.RobIdx & 63)
+		if c.sbOn {
+			c.sbDone[in.RobIdx>>6] |= 1 << (in.RobIdx & 63)
+		}
 		c.lastActCycle = c.cycle
 		if in.IsBranch() {
 			if c.resolveBranch(in) {
@@ -470,9 +448,6 @@ func (c *Core) squashYoungerThan(seq uint64, redirectIdx int) {
 	squashed := append(c.squashBuf[:0], c.rob[cut:]...)
 	c.squashBuf = squashed
 	c.rob = c.rob[:cut]
-	if !c.naive {
-		c.schedSquash(seq)
-	}
 	if c.sbOn {
 		// The truncated slots are the next ones robPush reuses: their done
 		// bits must not leak onto the instructions that take them over. The
@@ -572,9 +547,6 @@ func (c *Core) commit() {
 		}
 		c.rob = c.rob[1:]
 		c.robOff++
-		if !c.naive {
-			c.schedCommit(in)
-		}
 		c.stats.Committed++
 	}
 }
@@ -625,20 +597,7 @@ func (c *Core) accessLines(in *DynInst, opts mem.DataAccessOpts) (res1, res2 mem
 
 // UnderShadow reports whether an older unresolved conditional branch exists
 // for in: the speculation shadow that defenses key their protection on.
-// Under the event-driven scheduler this is one compare against the oldest
-// unresolved branch; the naive schedule keeps the reference ROB walk.
 func (c *Core) UnderShadow(in *DynInst) bool {
-	if !c.naive {
-		q := c.brq.q
-		if len(q) == 0 {
-			return false
-		}
-		if f := q[0]; f.State == StDispatched || f.State == StExecuting {
-			return f.Seq < in.Seq // front already unresolved: the hot path
-		}
-		br := c.oldestUnresolvedBranch()
-		return br != nil && br.Seq < in.Seq
-	}
 	for _, older := range c.rob {
 		if older.Seq >= in.Seq {
 			return false
@@ -650,11 +609,25 @@ func (c *Core) UnderShadow(in *DynInst) bool {
 	return false
 }
 
-func (c *Core) issue() {
-	if !c.naive {
-		c.issueEvent()
-		return
+// InFlightLoadsBefore calls fn for every in-flight (dispatched, executing
+// or done) load older than seq, oldest first, stopping early when fn
+// returns false. Defenses that scan the load queue (SpecLFB's
+// isPrevNoUnsafe) use it.
+func (c *Core) InFlightLoadsBefore(seq uint64, fn func(*DynInst) bool) {
+	for _, in := range c.rob {
+		if in.Seq >= seq {
+			return
+		}
+		if !in.IsLoad() || in.State == StCommitted || in.State == StSquashed {
+			continue
+		}
+		if !fn(in) {
+			return
+		}
 	}
+}
+
+func (c *Core) issue() {
 	if c.sbOn {
 		c.issueScoreboard()
 		return
@@ -671,12 +644,12 @@ func (c *Core) issue() {
 	}
 }
 
-// issueScoreboard is the naive issue walk over the unissued list: the same
+// issueScoreboard is the issue walk over the unissued list: the same
 // attemptIssue calls in the same (program) order as the reference full-ROB
 // scan — dispatched entries are exactly the list's live entries, in seq
 // order — minus the visits to already-executing, done and committed
 // entries the reference walk steps over. Issued and squashed entries are
-// compacted out with a write cursor, mirroring issueEvent.
+// compacted out with a write cursor.
 func (c *Core) issueScoreboard() {
 	issued := 0
 	list := c.unissued
@@ -745,7 +718,7 @@ func (c *Core) depsDone(in *DynInst) bool {
 // attemptIssue tries to advance one dispatched instruction through its next
 // issue step, incrementing *issued per consumed slot. head reports whether
 // the instruction is at the ROB head (fences serialize there). It reports
-// whether a memory-order squash rewrote the pipeline. Both schedules share
+// whether a memory-order squash rewrote the pipeline. Both issue walks share
 // it, so the per-instruction issue semantics — and every defense/coverage
 // side effect of an attempt — are identical by construction.
 func (c *Core) attemptIssue(in *DynInst, head bool, issued *int) (squashed bool) {
@@ -907,23 +880,11 @@ func (c *Core) tryIssueLoad(ld *DynInst) bool {
 // first. It returns a forwarded value when the youngest older overlapping
 // store fully covers the load, blocks the load when a partial overlap or a
 // must-wait dependence prediction demands it, and otherwise lets the load
-// bypass (recording that it did, for memory-order violation checks).
-//
-// Under the event-driven scheduler the walk covers exactly the older
-// entries of the dedicated store queue (binary search by the load's Seq);
-// the naive schedule walks the ROB downward from the load's own position,
-// which RobIdx now yields directly instead of the old linear self-scan.
+// bypass (recording that it did, for memory-order violation checks). The
+// walk runs down the ROB from the load's own position, which RobIdx yields
+// without a scan.
 func (c *Core) searchStoreQueue(ld *DynInst) (fwd bool, val uint64, blocked bool) {
 	ldBytes := spanOf(c.sb, ld.EffAddr, ld.In.Size)
-	if !c.naive {
-		sq := c.storeQ.q
-		for i := c.storeQ.olderThan(ld.Seq) - 1; i >= 0; i-- {
-			if fwd, val, blocked, decided := c.searchStoreStep(ld, sq[i], &ldBytes); decided {
-				return fwd, val, blocked
-			}
-		}
-		return false, 0, false
-	}
 	for i := ld.RobIdx - c.robOff - 1; i >= 0; i-- {
 		st := c.rob[i]
 		if !st.IsStore() || st.State == StCommitted {
@@ -1065,8 +1026,7 @@ func (c *Core) tryIssueStore(st *DynInst, issued *int) (squashed bool) {
 
 // movVictim reports whether the younger load in violated memory ordering
 // against store st: it executed, did not take its value from a store
-// younger than st, and its resolved address overlaps st's bytes. One
-// predicate shared by both scheduler paths, so the filters cannot drift.
+// younger than st, and its resolved address overlaps st's bytes.
 func (c *Core) movVictim(st, in *DynInst, stBytes *byteSpan) bool {
 	if in.State != StExecuting && in.State != StDone {
 		return false
@@ -1084,29 +1044,17 @@ func (c *Core) movVictim(st, in *DynInst, stBytes *byteSpan) bool {
 // checkMemOrderViolation looks for younger loads that already executed and
 // overlap the store whose address just resolved. Such loads consumed stale
 // data (the Spectre-v4 window); the pipeline squashes from the oldest
-// violating load and trains the dependence predictor. The event-driven
-// scheduler scans only the executed younger loads of the dedicated load
-// queue; the naive schedule keeps the reference full-ROB walk.
+// violating load and trains the dependence predictor.
 func (c *Core) checkMemOrderViolation(st *DynInst) bool {
 	stBytes := spanOf(c.sb, st.EffAddr, st.In.Size)
 	var victim *DynInst
-	if !c.naive {
-		lq := c.loadQ.q
-		for i := c.loadQ.olderThan(st.Seq); i < len(lq); i++ {
-			if in := lq[i]; c.movVictim(st, in, &stBytes) {
-				victim = in
-				break // the queue is in program order: first match is the oldest
-			}
+	for _, in := range c.rob {
+		if in.Seq <= st.Seq || !in.IsLoad() {
+			continue
 		}
-	} else {
-		for _, in := range c.rob {
-			if in.Seq <= st.Seq || !in.IsLoad() {
-				continue
-			}
-			if c.movVictim(st, in, &stBytes) {
-				victim = in
-				break // ROB is in program order: first match is the oldest
-			}
+		if c.movVictim(st, in, &stBytes) {
+			victim = in
+			break // ROB is in program order: first match is the oldest
 		}
 	}
 	if victim == nil {
@@ -1270,9 +1218,6 @@ func (c *Core) dispatch(idx int) {
 		c.renameFlags = d
 	}
 	c.robPush(d)
-	if !c.naive {
-		c.schedDispatch(d)
-	}
 	if c.sbOn {
 		// After robPush: a window compaction in there renumbers the
 		// producers' slots the mask refers to.

@@ -3,13 +3,6 @@ package uarch_test
 import (
 	"testing"
 
-	"github.com/sith-lab/amulet-go/internal/defense/cleanupspec"
-	"github.com/sith-lab/amulet-go/internal/defense/delayonmiss"
-	"github.com/sith-lab/amulet-go/internal/defense/fenceall"
-	"github.com/sith-lab/amulet-go/internal/defense/ghostminion"
-	"github.com/sith-lab/amulet-go/internal/defense/invisispec"
-	"github.com/sith-lab/amulet-go/internal/defense/speclfb"
-	"github.com/sith-lab/amulet-go/internal/defense/stt"
 	"github.com/sith-lab/amulet-go/internal/emu"
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/isa"
@@ -23,19 +16,9 @@ import (
 // Speculation, squashes, store bypassing, taint blocking and rollback may
 // change *timing* and *µarch state* but never architectural results.
 func TestSimEmuArchEquivalence(t *testing.T) {
-	defenses := map[string]func() uarch.Defense{
-		"baseline":    func() uarch.Defense { return uarch.NopDefense{} },
-		"invisispec":  func() uarch.Defense { return invisispec.New(invisispec.Config{}) },
-		"cleanupspec": func() uarch.Defense { return cleanupspec.New(cleanupspec.Config{}) },
-		"stt":         func() uarch.Defense { return stt.New(stt.Config{}) },
-		"speclfb":     func() uarch.Defense { return speclfb.New(speclfb.Config{}) },
-		"delayonmiss": func() uarch.Defense { return delayonmiss.New() },
-		"ghostminion": func() uarch.Defense { return ghostminion.New() },
-		"fenceall":    func() uarch.Defense { return fenceall.New() },
-	}
 	cfg := generator.DefaultConfig()
 	cfg.Pages = 2
-	for name, mk := range defenses {
+	for name, mk := range allDefenses() {
 		t.Run(name, func(t *testing.T) {
 			gcfg := cfg
 			gcfg.Seed = 12345

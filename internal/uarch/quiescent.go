@@ -4,13 +4,12 @@ import "github.com/sith-lab/amulet-go/internal/isa"
 
 // Quiescent-span cycle skipping.
 //
-// The event-driven scheduler (PR 5) made an idle cycle cheap — a handful of
-// comparisons — but campaigns still pay for every one of them: a single
-// L2-missing load under a fenced pipeline burns tens of cycles in which
-// fetch is stalled, nothing issues, nothing writes back and nothing commits.
-// Profiles after the scheduler rewrite put the per-cycle loop overhead
-// (Tick, empty OnFills/OnTick, four stage calls that immediately return) at
-// the top of Core.Run.
+// An idle cycle is cheap — a handful of comparisons — but campaigns pay for
+// every one of them: a single L2-missing load under a fenced pipeline burns
+// tens of cycles in which fetch is stalled, nothing issues, nothing writes
+// back and nothing commits, and the per-cycle loop overhead (Tick, empty
+// OnFills/OnTick, four stage calls that immediately return) sat at the top
+// of Core.Run's profile.
 //
 // skipQuiescentSpan removes those cycles wholesale. At the end of a cycle it
 // tries to prove that every stage of every following cycle, up to some bound,
@@ -19,9 +18,9 @@ import "github.com/sith-lab/amulet-go/internal/isa"
 // the loop's increment lands exactly on the first cycle that can act. The
 // proof is conservative: whenever a stage *might* act, the span ends there
 // (or no skip happens at all), so the skipped execution is bit-identical to
-// the reference loop by construction. Config.NoCycleSkip pins the reference
-// cycle-by-cycle loop, and TestQuiescentSkipBitIdentity compares the two
-// across every defense.
+// the cycle-by-cycle loop by construction. That loop survives as a test
+// oracle (Core.noSkip, set only through export_test.go), and
+// TestQuiescentSkipBitIdentity compares the two across every defense.
 //
 // The per-stage no-op proofs:
 //
@@ -38,15 +37,11 @@ import "github.com/sith-lab/amulet-go/internal/isa"
 //     walk skips with a side-effect-free early return — a pending
 //     register/flags producer, or a fence away from the ROB head. Stalls
 //     with observable re-attempt side effects (store-queue blocks, defense
-//     delays — they invoke hooks and coverage) forbid skipping entirely,
-//     exactly mirroring the event scheduler's issueBlocker split between
-//     parked and polling instructions. Blocked-on-producer is stable: only
-//     a writeback can release it, and writebacks bound the span.
-//   - Writeback: the span ends before the earliest executing DoneAt (naive:
-//     a ROB walk shared with the issue proof; event: the wakeup heap top and
-//     the earliest non-empty calendar ring slot, whose entries must drain at
-//     their due cycle even when squashed-stale, or they would alias
-//     wbRingSlots cycles later).
+//     delays — they invoke hooks and coverage) forbid skipping entirely.
+//     Blocked-on-producer is stable: only a writeback can release it, and
+//     writebacks bound the span.
+//   - Writeback: the span ends before the earliest executing DoneAt, found
+//     by the ROB walk the issue proof already makes.
 //   - Fetch: blocked by an uncommitted fence for the whole span, stalled
 //     until fetchStallUntil (which then bounds the span), or pure-blocked on
 //     a full ROB that cannot drain inside the span. An active fetch —
@@ -59,18 +54,13 @@ import "github.com/sith-lab/amulet-go/internal/isa"
 // any pipeline stage can act, when every intervening cycle is provably a
 // no-op. Called at the end of a cycle, after all stages ran.
 func (c *Core) skipQuiescentSpan() {
-	// Cheapest, most-discriminating rejections first: on a busy cycle the
-	// event scheduler almost always has a ready instruction, and the ROB
-	// head is frequently done — both are plain field reads, so the common
-	// can't-skip case costs a couple of loads before the interface call and
-	// heap peek below.
-	if !c.naive && (len(c.ready) != 0 || len(c.readyNew) != 0) {
-		return // something issues, or polls with side effects
-	}
+	// Cheapest, most-discriminating rejections first: plain field reads, so
+	// the common can't-skip case costs a couple of loads before the
+	// interface call and the fill-queue peek below.
 	if len(c.rob) > 0 && c.rob[0].State == StDone {
 		return // the head would commit next cycle
 	}
-	if c.naive && c.lastActCycle == c.cycle {
+	if c.lastActCycle == c.cycle {
 		// Something issued, wrote back or committed this cycle, so the
 		// proof walk below would almost certainly fail — the new activity
 		// seeds next cycle's. Spend the walk only on cycles that were
@@ -98,31 +88,15 @@ func (c *Core) skipQuiescentSpan() {
 			return // fetch (or the phantom fetch) acts next cycle
 		}
 	}
-	if c.naive {
-		for _, in := range c.rob {
-			switch in.State {
-			case StExecuting:
-				if in.DoneAt < bound {
-					bound = in.DoneAt
-				}
-			case StDispatched:
-				if !c.issueBlockedPure(in) {
-					return
-				}
+	for _, in := range c.rob {
+		switch in.State {
+		case StExecuting:
+			if in.DoneAt < bound {
+				bound = in.DoneAt
 			}
-		}
-	} else {
-		if len(c.wbHeap) > 0 && c.wbHeap[0].DoneAt < bound {
-			bound = c.wbHeap[0].DoneAt
-		}
-		for s := uint64(1); s <= wbRingSlots; s++ {
-			cy := c.cycle + s
-			if cy >= bound {
-				break
-			}
-			if len(c.wbRing[cy&(wbRingSlots-1)]) != 0 {
-				bound = cy
-				break
+		case StDispatched:
+			if !c.issueBlockedPure(in) {
+				return
 			}
 		}
 	}
@@ -131,9 +105,9 @@ func (c *Core) skipQuiescentSpan() {
 	}
 }
 
-// issueBlockedPure reports whether the naive issue walk's attempt on
-// dispatched instruction in is a side-effect-free early return that stays
-// one for every cycle of a span in which no writeback or commit occurs. It
+// issueBlockedPure reports whether the issue walk's attempt on dispatched
+// instruction in is a side-effect-free early return that stays one for
+// every cycle of a span in which no writeback or commit occurs. It
 // mirrors attemptIssue case by case; anything that would issue, or whose
 // re-attempt has observable side effects (address resolution, store-queue
 // search, defense and coverage hooks), returns false.

@@ -1,7 +1,6 @@
 package uarch_test
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -9,38 +8,28 @@ import (
 )
 
 // TestQuiescentSkipBitIdentity is the direct equivalence proof of
-// quiescent-span cycle skipping: for every defense, under both schedulers,
+// quiescent-span cycle skipping: for every defense, under both issue walks,
 // a core that skips provably idle spans must produce identical cycle
-// counts, stats, debug logs, µarch-order traces and snapshots to a core
-// ticking through every cycle (Config.NoCycleSkip). compareCores reuses the
-// scheduler suite's full observable-state comparison.
+// counts, stats, debug logs, µarch-order traces, snapshots and coverage
+// bits to a core ticking through every cycle.
 func TestQuiescentSkipBitIdentity(t *testing.T) {
-	for name, mk := range schedDefenses() {
-		for _, sched := range []struct {
-			name  string
-			naive bool
-		}{{"event", false}, {"naive", true}} {
-			t.Run(name+"/"+sched.name, func(t *testing.T) {
+	for name, mk := range allDefenses() {
+		for _, issue := range []string{"scoreboard", "scan"} {
+			t.Run(name+"/"+issue, func(t *testing.T) {
 				gcfg := generator.DefaultConfig()
 				gcfg.Seed = 1234
 				gcfg.Pages = 2
-				g := generator.New(gcfg)
-				sb := g.Sandbox()
-				skipCfg := uarch.DefaultConfig()
-				skipCfg.EventSchedule = !sched.naive
-				skipCfg.NaiveSchedule = sched.naive
-				refCfg := skipCfg
-				refCfg.NoCycleSkip = true
-				skip := uarch.NewCore(skipCfg, mk())
-				ref := uarch.NewCore(refCfg, mk())
-				for p := 0; p < 15; p++ {
-					prog := g.Program()
-					for k := 0; k < 3; k++ {
-						in := g.Input()
-						compareCores(t, fmt.Sprintf("%s/%s prog %d input %d", name, sched.name, p, k),
-							skip, ref, prog, sb, in)
-					}
+				skip := uarch.NewCore(uarch.DefaultConfig(), mk())
+				ref := uarch.NewCore(uarch.DefaultConfig(), mk())
+				ref.UseCycleByCycle()
+				if issue == "scan" {
+					skip.UseScanIssue()
+					ref.UseScanIssue()
 				}
+				// Coverage on the scan pass only: collecting it makes
+				// specAtIssue count the shadow depth, without it the query is
+				// UnderShadow's early out, and both must hold.
+				oracleSweep(t, name+"/"+issue, skip, ref, gcfg, 15, 3, issue == "scan")
 			})
 		}
 	}
@@ -53,32 +42,8 @@ func TestQuiescentSkipBitIdentity(t *testing.T) {
 func TestQuiescentSkipSmallROB(t *testing.T) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 321
-	g := generator.New(gcfg)
-	sb := g.Sandbox()
-	skipCfg := uarch.DefaultConfig()
-	skipCfg.ROBSize = 8
-	skipCfg.IssueWidth = 2
-	skipCfg.FetchWidth = 2
-	skipCfg.CommitWidth = 2
-	refCfg := skipCfg
-	refCfg.NoCycleSkip = true
-	for _, sched := range []struct {
-		name  string
-		naive bool
-	}{{"event", false}, {"naive", true}} {
-		t.Run(sched.name, func(t *testing.T) {
-			sc, rc := skipCfg, refCfg
-			sc.EventSchedule = !sched.naive
-			sc.NaiveSchedule = sched.naive
-			rc.EventSchedule = !sched.naive
-			rc.NaiveSchedule = sched.naive
-			skip := uarch.NewCore(sc, nil)
-			ref := uarch.NewCore(rc, nil)
-			for p := 0; p < 40; p++ {
-				prog := g.Program()
-				in := g.Input()
-				compareCores(t, fmt.Sprintf("%s prog %d", sched.name, p), skip, ref, prog, sb, in)
-			}
-		})
-	}
+	skip := uarch.NewCore(smallROBConfig(), nil)
+	ref := uarch.NewCore(smallROBConfig(), nil)
+	ref.UseCycleByCycle()
+	oracleSweep(t, "small-rob", skip, ref, gcfg, 40, 1, false)
 }

@@ -1,41 +1,39 @@
 package uarch_test
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// TestScoreboardBitIdentity is the direct equivalence proof of the naive
-// scheduler's issue scoreboard: for every defense, random programs and
-// inputs with state carried across inputs, the scoreboard walk (unissued
-// list + completion bitmask) and the reference full-ROB scan with
-// per-producer DepsDone checks must produce identical cycle counts, stats,
-// debug logs, µarch-order traces and snapshots.
+// TestScoreboardBitIdentity is the direct equivalence proof of the issue
+// scoreboard: for every defense, random programs and inputs with state
+// carried across inputs, the scoreboard walk (unissued list + completion
+// bitmask) and the full-ROB scan with per-producer DepsDone checks must
+// produce identical cycle counts, stats, debug logs, µarch-order traces and
+// snapshots — and, in the coverage pass, identical coverage bits.
 func TestScoreboardBitIdentity(t *testing.T) {
-	for name, mk := range schedDefenses() {
-		t.Run(name, func(t *testing.T) {
-			gcfg := generator.DefaultConfig()
-			gcfg.Seed = 271
-			gcfg.Pages = 2
-			g := generator.New(gcfg)
-			sb := g.Sandbox()
-			sbCfg := uarch.DefaultConfig()
-			sbCfg.NaiveSchedule = true // the scoreboard serves the naive walk
-			refCfg := sbCfg
-			refCfg.NoScoreboard = true
-			sc := uarch.NewCore(sbCfg, mk())
-			ref := uarch.NewCore(refCfg, mk())
-			for p := 0; p < 20; p++ {
-				prog := g.Program()
-				for k := 0; k < 3; k++ {
-					in := g.Input()
-					compareCores(t, fmt.Sprintf("%s prog %d input %d", name, p, k), sc, ref, prog, sb, in)
-				}
+	for name, mk := range allDefenses() {
+		for _, cov := range []bool{false, true} {
+			tag := name
+			if cov {
+				tag += "/coverage"
 			}
-		})
+			t.Run(tag, func(t *testing.T) {
+				gcfg := generator.DefaultConfig()
+				gcfg.Seed = 271
+				gcfg.Pages = 2
+				sc := uarch.NewCore(uarch.DefaultConfig(), mk())
+				scan := uarch.NewCore(uarch.DefaultConfig(), mk())
+				scan.UseScanIssue()
+				progs := 20
+				if cov {
+					progs = 8
+				}
+				oracleSweep(t, tag, sc, scan, gcfg, progs, 3, cov)
+			})
+		}
 	}
 }
 
@@ -45,56 +43,8 @@ func TestScoreboardBitIdentity(t *testing.T) {
 func TestScoreboardBitIdentitySmallROB(t *testing.T) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 272
-	g := generator.New(gcfg)
-	sb := g.Sandbox()
-	sbCfg := uarch.DefaultConfig()
-	sbCfg.NaiveSchedule = true
-	sbCfg.ROBSize = 8
-	sbCfg.IssueWidth = 2
-	sbCfg.FetchWidth = 2
-	sbCfg.CommitWidth = 2
-	refCfg := sbCfg
-	refCfg.NoScoreboard = true
-	sc := uarch.NewCore(sbCfg, nil)
-	ref := uarch.NewCore(refCfg, nil)
-	for p := 0; p < 40; p++ {
-		prog := g.Program()
-		in := g.Input()
-		compareCores(t, fmt.Sprintf("prog %d", p), sc, ref, prog, sb, in)
-	}
-}
-
-// TestCalendarFillBitIdentity is the core-level equivalence proof of the
-// calendar-ring fill queue: with fills routed through the ring (default)
-// versus pinned to the reference min-heap (HeapFills), every defense must
-// see identical fill batches — same cycles, same id order — and therefore
-// produce identical runs. Both schedulers share the hierarchy, so the ring
-// is exercised under each.
-func TestCalendarFillBitIdentity(t *testing.T) {
-	for name, mk := range schedDefenses() {
-		t.Run(name, func(t *testing.T) {
-			for _, event := range []bool{false, true} {
-				gcfg := generator.DefaultConfig()
-				gcfg.Seed = 273
-				gcfg.Pages = 2
-				g := generator.New(gcfg)
-				sb := g.Sandbox()
-				ringCfg := uarch.DefaultConfig()
-				ringCfg.EventSchedule = event
-				ringCfg.NaiveSchedule = !event
-				heapCfg := ringCfg
-				heapCfg.Hier.HeapFills = true
-				ring := uarch.NewCore(ringCfg, mk())
-				heap := uarch.NewCore(heapCfg, mk())
-				for p := 0; p < 12; p++ {
-					prog := g.Program()
-					for k := 0; k < 2; k++ {
-						in := g.Input()
-						compareCores(t, fmt.Sprintf("%s event=%v prog %d input %d", name, event, p, k),
-							ring, heap, prog, sb, in)
-					}
-				}
-			}
-		})
-	}
+	sc := uarch.NewCore(smallROBConfig(), nil)
+	scan := uarch.NewCore(smallROBConfig(), nil)
+	scan.UseScanIssue()
+	oracleSweep(t, "small-rob", sc, scan, gcfg, 40, 1, false)
 }
