@@ -68,7 +68,10 @@
 //   - cmd/amulet: run campaigns and regenerate the paper's tables
 //   - cmd/amulet-trace: run one test case under the microscope
 //   - examples/: runnable walkthroughs of the paper's case studies
-//   - bench_test.go: one benchmark per evaluation table/figure
+//   - internal/experiments/bench_test.go: one benchmark per evaluation
+//     table/figure
+//   - bench/: the repository benchmark (five campaign workloads, per-layer
+//     metrics; bench/run.sh)
 //
 // See README.md.
 package amulet

@@ -12,9 +12,9 @@ import (
 	"log"
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
 func classify(defense string, programs int) map[analysis.Signature]int {
@@ -25,8 +25,12 @@ func classify(defense string, programs int) map[analysis.Signature]int {
 	scale := experiments.QuickScale()
 	scale.Instances = 3
 	scale.Programs = programs
+	// The rollback bugs are rare (UV5 about once per 15k test cases): seed 5
+	// is the seed Table 8 pins, where both implementations show UV5 within
+	// this budget.
+	scale.Seed = 5
 	ccfg := experiments.CampaignConfig(spec, scale)
-	res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+	res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 	if err != nil {
 		log.Fatal(err)
 	}

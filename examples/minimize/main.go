@@ -13,6 +13,7 @@ import (
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -36,14 +37,13 @@ func main() {
 		MutantsPerInput:      4,
 		StopOnFirstViolation: true,
 	}
-	f, err := fuzzer.New(cfg)
+	out, err := engine.RunCampaign(context.Background(), engine.Config{
+		Campaign: fuzzer.CampaignConfig{Base: cfg, Instances: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := out.Instances[0]
 	if len(res.Violations) == 0 {
 		fmt.Println("no violation found — try more programs")
 		return
@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("found a CT-SEQ violation in a %d-instruction random program:\n\n%s\n",
 		v.Program.Len(), v.Program)
 
-	min, removed, err := analysis.Minimize(f.Executor(), cfg.Contract, v)
+	min, removed, err := analysis.Minimize(executor.New(cfg.Exec, cfg.DefenseFactory()), cfg.Contract, v)
 	if err != nil {
 		log.Fatal(err)
 	}

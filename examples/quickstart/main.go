@@ -16,6 +16,7 @@ import (
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -43,14 +44,15 @@ func main() {
 		StopOnFirstViolation: true,
 	}
 
-	f, err := fuzzer.New(cfg)
+	// One fuzzing instance through the campaign engine (Workers: 0 uses
+	// every core; the violation found is the same at any worker count).
+	out, err := engine.RunCampaign(context.Background(), engine.Config{
+		Campaign: fuzzer.CampaignConfig{Base: cfg, Instances: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := out.Instances[0]
 
 	fmt.Printf("ran %d test cases in %v (%.0f/s)\n", res.TestCases, res.Elapsed.Round(1e6), res.Throughput())
 	if len(res.Violations) == 0 {
@@ -62,8 +64,9 @@ func main() {
 		v.DetectedAt.Round(1e6), v.Contract)
 
 	// Root-cause the violation the way §3.3 does: replay the pair with the
-	// debug log on and classify the leak.
-	rep, err := analysis.Analyze(f.Executor(), v)
+	// debug log on, on a fresh simulator of the campaign's configuration, and
+	// classify the leak.
+	rep, err := analysis.Analyze(executor.New(cfg.Exec, cfg.DefenseFactory()), v)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 	"log"
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
 func run(defense string, seed int64) {
@@ -31,7 +31,7 @@ func run(defense string, seed int64) {
 	ccfg := experiments.CampaignConfig(spec, scale)
 	ccfg.Base.StopOnFirstViolation = true
 
-	res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+	res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 	if err != nil {
 		log.Fatal(err)
 	}

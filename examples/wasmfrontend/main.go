@@ -15,8 +15,8 @@ import (
 	"log"
 
 	"github.com/sith-lab/amulet-go/internal/defense/fenceall"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/experiments"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/isa/wasm"
 	"github.com/sith-lab/amulet-go/internal/testgadget"
@@ -61,7 +61,7 @@ func campaign(defense string) {
 	ccfg.Base.Frontend = wasm.Frontend
 	ccfg.Base.StopOnFirstViolation = true
 
-	res, err := fuzzer.RunCampaign(context.Background(), ccfg)
+	res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"context"
-
 	"strings"
 	"testing"
 
@@ -11,29 +10,29 @@ import (
 	"github.com/sith-lab/amulet-go/internal/defense/invisispec"
 	"github.com/sith-lab/amulet-go/internal/defense/speclfb"
 	"github.com/sith-lab/amulet-go/internal/defense/stt"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// findViolation runs a small campaign until the first violation and
-// returns it with the fuzzer (whose executor is reused for the replay).
-func findViolation(t *testing.T, cfg fuzzer.Config) (*fuzzer.Fuzzer, *fuzzer.Violation) {
+// findViolation runs a small single-instance campaign until the first
+// violation and returns it with a fresh executor of the campaign's
+// configuration to replay it on.
+func findViolation(t *testing.T, cfg fuzzer.Config) (*executor.Executor, *fuzzer.Violation) {
 	t.Helper()
 	cfg.StopOnFirstViolation = true
-	f, err := fuzzer.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Run(context.Background())
+	res, err := engine.RunCampaign(context.Background(), engine.Config{
+		Campaign: fuzzer.CampaignConfig{Base: cfg, Instances: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Violations) == 0 {
 		t.Fatalf("campaign found no violation to analyze")
 	}
-	return f, res.Violations[0]
+	return executor.New(cfg.Exec, cfg.DefenseFactory()), res.Violations[0]
 }
 
 func baseConfig(seed int64, programs int) fuzzer.Config {
@@ -59,9 +58,9 @@ func baseConfig(seed int64, programs int) fuzzer.Config {
 func TestClassifyInvisiSpecUV1(t *testing.T) {
 	cfg := baseConfig(2, 120)
 	cfg.DefenseFactory = func() uarch.Defense { return invisispec.New(invisispec.Config{}) }
-	f, v := findViolation(t, cfg)
+	exec, v := findViolation(t, cfg)
 
-	rep, err := analysis.Analyze(f.Executor(), v)
+	rep, err := analysis.Analyze(exec, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +82,9 @@ func TestClassifySTTKV3(t *testing.T) {
 	cfg.Contract = contract.ArchSeq
 	cfg.Gen.Pages = 128
 	cfg.DefenseFactory = func() uarch.Defense { return stt.New(stt.Config{}) }
-	f, v := findViolation(t, cfg)
+	exec, v := findViolation(t, cfg)
 
-	rep, err := analysis.Analyze(f.Executor(), v)
+	rep, err := analysis.Analyze(exec, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +101,9 @@ func TestClassifyUV2Interference(t *testing.T) {
 	cfg.Exec.Core.Hier.L1D.Ways = 2
 	cfg.Exec.Core.Hier.MSHRs = 2
 	cfg.DefenseFactory = func() uarch.Defense { return invisispec.New(invisispec.Config{PatchUV1: true}) }
-	f, v := findViolation(t, cfg)
+	exec, v := findViolation(t, cfg)
 
-	rep, err := analysis.Analyze(f.Executor(), v)
+	rep, err := analysis.Analyze(exec, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +113,17 @@ func TestClassifyUV2Interference(t *testing.T) {
 	}
 }
 
-// TestDedupGroupsBySignature checks the unique-violation grouping.
+// TestDedupGroupsBySignature checks the unique-violation grouping on
+// SpecLFB's UV6, at seed 8: with every program drawing from its own unit
+// stream, seed 7 finds nothing in 250 programs while seeds 5, 8 and 12 find
+// UV6 at programs 53, 38 and 43.
 func TestDedupGroupsBySignature(t *testing.T) {
-	cfg := baseConfig(7, 250)
+	cfg := baseConfig(8, 250)
 	cfg.Exec.Prime = executor.PrimeInvalidate
 	cfg.DefenseFactory = func() uarch.Defense { return speclfb.New(speclfb.Config{}) }
-	f, v := findViolation(t, cfg)
+	exec, v := findViolation(t, cfg)
 
-	rep, err := analysis.Analyze(f.Executor(), v)
+	rep, err := analysis.Analyze(exec, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ type Obs struct {
 type Trace []Obs
 
 // TracePool recycles contract trace buffers across test cases. One pool
-// belongs to one goroutine (it lives in a fuzzer workspace, which the serial
-// fuzzer or one engine worker owns); it is not safe for concurrent use. Get
+// belongs to one goroutine (it lives in a fuzzer workspace, which one engine
+// worker owns); it is not safe for concurrent use. Get
 // hands out an emptied recycled buffer (or nil, which Model.CollectInto
 // treats as "allocate fresh"), and Put returns a buffer whose contents are
 // dead.

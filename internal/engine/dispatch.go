@@ -193,49 +193,48 @@ func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws ui
 		d.mu.Unlock()
 		return false, nil
 	}
+	lu := unit{inst: u.Inst, prog: u.Prog}
 	res := rec.Decode()
-	d.c.fold(unit{inst: u.Inst, prog: u.Prog}, unitOutcome{res: res, draws: draws, done: true})
-	d.accountLocked(u, res)
+	d.c.fold(lu, unitOutcome{res: res, draws: draws, done: true})
+	d.accountLocked(lu, res)
 	d.mu.Unlock()
 	// First fold only, and outside the campaign lock: the record is encoded
 	// and written while other submissions fold.
-	d.c.logUnit(unit{inst: u.Inst, prog: u.Prog}, rec, draws)
+	d.c.logUnit(lu, rec, draws)
 	return true, nil
 }
 
 // accountLocked settles remaining after unit u's first fold, and advances
-// the instance's stop-on-first cut after a violating result (stopAt stays
-// atomic for RunLocal's unlocked reads). A unit at or before the cut was
+// the instance's stop-on-first cut after a violating result (lowerCut, the
+// helper in-process workers use too). A unit at or before the cut was
 // counted; one beyond it is dead work folding late and never was. A cut
-// moving down from old to u.Prog kills the not-done units in between — the
+// moving down from old to u.prog kills the not-done units in between — the
 // ranges of an instance's successive moves are disjoint, so they cost
 // O(programs) per instance over the whole campaign.
-func (d *DistCampaign) accountLocked(u UnitID, res *fuzzer.Result) {
-	cut := d.c.stopAt[u.Inst].Load()
-	if int64(u.Prog) > cut {
+func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
+	if int64(u.prog) > d.c.stopAt[u.inst].Load() {
 		return
 	}
 	d.remaining--
-	if d.c.base.StopOnFirstViolation && res != nil && len(res.Violations) > 0 && int64(u.Prog) < cut {
-		for p := u.Prog + 1; p < d.c.programs && int64(p) <= cut; p++ {
-			if !d.c.done[u.Inst][p] {
+	if old, moved := d.c.lowerCut(u, res); moved {
+		for p := u.prog + 1; p < d.c.programs && int64(p) <= old; p++ {
+			if !d.c.done[u.inst][p] {
 				d.remaining--
 			}
 		}
-		d.c.stopAt[u.Inst].Store(int64(u.Prog))
 	}
 	if d.remaining == 0 {
 		close(d.finished)
 	}
 }
 
-// RunLocal executes the given units in-process, through the same
-// fault-isolation layer engine workers use (panic quarantine, optional
-// watchdog), folding their results into the campaign. It is the
-// coordinator's graceful-degradation path: already-done units are skipped,
-// so racing a late remote submission is harmless. The executor pool (one
-// executor, boot paid once) is created on first use and reused across
-// calls.
+// RunLocal executes the given units in-process, in order, through the
+// engine's one unit loop (runWorker) and so the same fault-isolation layer
+// (panic quarantine, optional watchdog), folding their results into the
+// campaign. It is the coordinator's graceful-degradation path: units done
+// or past their cut are skipped, so racing a late remote submission is
+// harmless. The executor pool (one executor, boot paid once) is created on
+// first use and reused across calls.
 func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
 	d.mu.Lock()
 	if d.localPool == nil {
@@ -249,45 +248,11 @@ func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
 	pool := d.localPool
 	d.mu.Unlock()
 
-	s, err := acquireSlot(ctx, pool)
-	if err != nil {
-		return err
+	q := &deque{units: make([]unit, len(units))}
+	for k, id := range units {
+		q.units[k] = d.c.unitAt(id.Inst, id.Prog)
 	}
-	defer s.release()
-	var errs []error
-	for _, id := range units {
-		if ctx.Err() != nil {
-			break
-		}
-		if d.Done(id) || int64(id.Prog) > d.c.stopAt[id.Inst].Load() {
-			continue
-		}
-		u := unit{
-			inst: id.Inst,
-			prog: id.Prog,
-			seed: fuzzer.UnitSeed(fuzzer.InstanceSeed(d.c.base.Seed, id.Inst), id.Prog),
-		}
-		out := d.c.runUnitIsolated(ctx, s.exec, s.ws, generator.Random{}, u)
-		if out.poison {
-			if err := s.replace(ctx); err != nil {
-				d.recordLocal(u, out)
-				errs = append(errs, err)
-				break
-			}
-		}
-		d.recordLocal(u, out)
-		if out.err != nil {
-			var qe *QuarantineError
-			if errors.As(out.err, &qe) {
-				continue // isolated and counted, like any engine worker
-			}
-			if errors.Is(out.err, ctx.Err()) && ctx.Err() != nil {
-				break
-			}
-			errs = append(errs, fmt.Errorf("engine: local unit (%d,%d): %w", u.inst, u.prog, out.err))
-		}
-	}
-	return errors.Join(errs...)
+	return d.c.runWorker(ctx, pool, generator.Random{}, []*deque{q}, 0, d)
 }
 
 // recordLocal folds a locally-run unit outcome under the campaign lock and
@@ -302,7 +267,7 @@ func (d *DistCampaign) recordLocal(u unit, out unitOutcome) {
 	}
 	d.c.fold(u, out)
 	if out.done { // an interrupted unit keeps its partial result and stays open
-		d.accountLocked(UnitID{Inst: u.inst, Prog: u.prog}, out.res)
+		d.accountLocked(u, out.res)
 	}
 	d.mu.Unlock()
 	d.c.logOutcome(u, out)
@@ -402,11 +367,7 @@ func (r *UnitRunner) Run(ctx context.Context, id UnitID) (checkpoint.ResultRec, 
 		return checkpoint.ResultRec{}, 0, fmt.Errorf("engine: unit (%d,%d) out of campaign bounds %dx%d",
 			id.Inst, id.Prog, r.c.instances, r.c.programs)
 	}
-	u := unit{
-		inst: id.Inst,
-		prog: id.Prog,
-		seed: fuzzer.UnitSeed(fuzzer.InstanceSeed(r.c.base.Seed, id.Inst), id.Prog),
-	}
+	u := r.c.unitAt(id.Inst, id.Prog)
 	r.c.inject.UnitStart(u.inst, u.prog)
 	res, _, draws, err := r.c.runUnit(ctx, r.s.exec, r.s.ws, generator.Random{}, u)
 	if err != nil {

@@ -383,38 +383,26 @@ func (c *campaign) quarantine(u unit, kind, value, stack string) {
 // only first-epoch units (generated before any corpus existed) are
 // guaranteed to replay bit-identically.
 func ReplayUnit(ctx context.Context, cfg Config, b *checkpoint.Bundle, inj *faultinject.Injector) (*fuzzer.Result, error) {
-	base := cfg.Campaign.Base
-	if err := base.Validate(); err != nil {
+	// The replay writes no checkpoint or bundle and runs the unit inline.
+	cfg.CheckpointDir, cfg.Resume, cfg.UnitTimeout, cfg.Inject = "", false, 0, inj
+	cfg.Campaign.Instances = max(cfg.Campaign.Instances, 1)
+	c, corpus, err := newCampaign(cfg)
+	if err != nil {
 		return nil, err
 	}
-	instances := cfg.Campaign.Instances
-	if instances < 1 {
-		instances = 1
-	}
-	strategy := cfg.Strategy
-	if strategy == "" {
-		strategy = StrategyRandom
-	}
-	epochs := resolveEpochs(cfg, base.Programs)
-	defense := base.DefenseFactory().Name()
-	frontend := base.ResolvedFrontend().Name()
-	if b.Frontend != "" && b.Frontend != frontend {
+	if b.Frontend != "" && b.Frontend != c.frontendName {
 		return nil, fmt.Errorf("engine: bundle was captured on the %q ISA frontend, campaign is configured for %q — refusing to replay the unit under the wrong decoder",
-			b.Frontend, frontend)
+			b.Frontend, c.frontendName)
 	}
-	fp := campaignFingerprint(base, defense, frontend, instances, epochs, strategy)
-	if fp != b.ConfigFP {
+	if c.configFP != b.ConfigFP {
 		return nil, fmt.Errorf("engine: bundle was captured under a different campaign configuration (fingerprint %016x, configured %016x)",
-			b.ConfigFP, fp)
+			b.ConfigFP, c.configFP)
 	}
-	if b.Inst < 0 || b.Inst >= instances || b.Prog < 0 || b.Prog >= base.Programs {
+	if b.Inst < 0 || b.Inst >= c.instances || b.Prog < 0 || b.Prog >= c.programs {
 		return nil, fmt.Errorf("engine: bundle unit (%d,%d) out of campaign bounds %dx%d",
-			b.Inst, b.Prog, instances, base.Programs)
+			b.Inst, b.Prog, c.instances, c.programs)
 	}
-	if strategy == StrategyCorpus {
-		base.Exec.Coverage = true
-	}
-	pool, err := executor.NewPool(base.Exec, base.DefenseFactory, 1)
+	pool, err := executor.NewPool(c.base.Exec, c.base.DefenseFactory, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -422,25 +410,10 @@ func ReplayUnit(ctx context.Context, cfg Config, b *checkpoint.Bundle, inj *faul
 	if err != nil {
 		return nil, err
 	}
-	c := &campaign{
-		base:         base,
-		instances:    instances,
-		programs:     base.Programs,
-		start:        time.Now(),
-		inject:       inj,
-		configFP:     fp,
-		defenseName:  defense,
-		frontendName: frontend,
-	}
-	u := unit{
-		inst: b.Inst,
-		prog: b.Prog,
-		seed: fuzzer.UnitSeed(fuzzer.InstanceSeed(base.Seed, b.Inst), b.Prog),
-	}
 	var strat generator.Strategy = generator.Random{}
-	if strategy == StrategyCorpus {
+	if corpus {
 		strat = generator.NewCorpusStrategy(nil)
 	}
-	out := c.runUnitGuarded(ctx, s.exec, s.ws, strat, u)
+	out := c.runUnitGuarded(ctx, s.exec, s.ws, strat, c.unitAt(b.Inst, b.Prog))
 	return out.res, out.err
 }

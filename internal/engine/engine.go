@@ -1,16 +1,18 @@
-// Package engine is the campaign scheduler: it decomposes a fuzzing
-// campaign into program-level work units (generate → contract-model
-// collect → µarch execute → compare → validate) and runs them on a
-// work-stealing worker pool, each worker owning a pooled executor whose
-// simulated core — and post-boot checkpoint — is reused across programs.
+// Package engine is the campaign driver: RunCampaign is the one way to run
+// a fuzzing campaign in-process (serial is Workers: 1, a single fuzzing
+// instance is Instances: 1), and DistCampaign/UnitRunner are the seams the
+// distributed coordinator and workers drive. It decomposes a campaign into
+// program-level work units (generate → contract-model collect → µarch
+// execute → compare → validate) and runs them on a work-stealing worker
+// pool, each worker owning a pooled executor whose simulated core — and
+// post-boot checkpoint — is reused across programs.
 //
-// The coarse per-instance layout (fuzzer.RunCampaign) parallelizes at
-// instance granularity, so a campaign of few instances cannot use many
-// cores and a slow instance straggles the whole run. The engine schedules
-// the ~Instances×Programs individual programs instead: workers drain their
-// own queues front-first and steal from the back of others' queues when
-// empty, so load imbalance (programs vary widely in simulation cost)
-// evens out automatically.
+// Scheduling the ~Instances×Programs individual programs, rather than whole
+// instances, lets a campaign of few instances use many cores and keeps a
+// slow instance from straggling the run: workers drain their own queues
+// front-first and steal from the back of others' queues when empty, so load
+// imbalance (programs vary widely in simulation cost) evens out
+// automatically.
 //
 // # Generation strategies and epochs
 //
@@ -82,8 +84,7 @@ const DefaultEpochs = 4
 // Config configures an engine-scheduled campaign.
 type Config struct {
 	// Campaign is the campaign shape: Base config plus the instance count.
-	// Base.Seed seeds the whole campaign; MaxParallel is ignored (Workers
-	// bounds parallelism here).
+	// Base.Seed seeds the whole campaign.
 	Campaign fuzzer.CampaignConfig
 	// Workers sets the worker-pool size (and thus the executor-pool size);
 	// zero uses GOMAXPROCS. The violation set is identical for every
@@ -131,6 +132,12 @@ type Config struct {
 type unit struct {
 	inst, prog int
 	seed       int64
+}
+
+// unitAt names unit (inst, prog) of the campaign together with the seed of
+// its RNG streams.
+func (c *campaign) unitAt(inst, prog int) unit {
+	return unit{inst: inst, prog: prog, seed: fuzzer.UnitSeed(fuzzer.InstanceSeed(c.base.Seed, inst), prog)}
 }
 
 // deque is one worker's unit queue. The owner pops from the front; idle
@@ -219,10 +226,12 @@ type campaign struct {
 	configFP     uint64
 }
 
-// RunCampaign executes the campaign on the engine. A context error stops
-// all workers between test cases; whatever completed is aggregated and
-// returned alongside the context's error. Unit failures likewise don't
-// discard the campaign: errors are joined and partial results returned.
+// RunCampaign executes the campaign on the engine — the one in-process
+// campaign driver: a serial run is Workers: 1, a single fuzzing instance
+// Instances: 1. A context error stops all workers between test cases;
+// whatever completed is aggregated and returned alongside the context's
+// error. Unit failures likewise don't discard the campaign: errors are
+// joined and partial results returned.
 func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error) {
 	c, corpus, err := newCampaign(cfg)
 	if err != nil {
@@ -293,6 +302,16 @@ func newCampaign(cfg Config) (*campaign, bool, error) {
 	if err := base.Validate(); err != nil {
 		return nil, false, err
 	}
+	c := &campaign{
+		instances:    cfg.Campaign.Instances,
+		programs:     base.Programs,
+		start:        time.Now(),
+		ckptDir:      cfg.CheckpointDir,
+		inject:       cfg.Inject,
+		unitTimeout:  cfg.UnitTimeout,
+		strategyName: StrategyRandom,
+		epochs:       1,
+	}
 	corpus := false
 	switch cfg.Strategy {
 	case "", StrategyRandom:
@@ -300,28 +319,20 @@ func newCampaign(cfg Config) (*campaign, bool, error) {
 			return nil, false, fmt.Errorf("engine: epochs require -strategy=corpus")
 		}
 	case StrategyCorpus:
-		corpus = true
+		// Epochs default to DefaultEpochs and never exceed the program count.
+		corpus, c.strategyName = true, StrategyCorpus
+		c.epochs = DefaultEpochs
+		if cfg.Epochs > 0 {
+			c.epochs = cfg.Epochs
+		}
+		c.epochs = min(c.epochs, c.programs)
 		base.Exec.Coverage = true
 	default:
 		return nil, false, fmt.Errorf("engine: unknown strategy %q (%s or %s)",
 			cfg.Strategy, StrategyRandom, StrategyCorpus)
 	}
-
-	c := &campaign{
-		base:        base,
-		instances:   cfg.Campaign.Instances,
-		programs:    base.Programs,
-		start:       time.Now(),
-		ckptDir:     cfg.CheckpointDir,
-		inject:      cfg.Inject,
-		unitTimeout: cfg.UnitTimeout,
-	}
-	c.strategyName = cfg.Strategy
-	if c.strategyName == "" {
-		c.strategyName = StrategyRandom
-	}
+	c.base = base
 	c.frontendName = base.ResolvedFrontend().Name()
-	c.epochs = resolveEpochs(cfg, c.programs)
 	if corpus {
 		c.cover = uarch.NewCoverage()
 		c.progs = make([][]isa.SourceProgram, c.instances)
@@ -355,23 +366,6 @@ func newCampaign(cfg Config) (*campaign, bool, error) {
 	return c, corpus, nil
 }
 
-// resolveEpochs resolves Config.Epochs exactly as RunCampaign does:
-// random campaigns are one epoch, corpus campaigns default to
-// DefaultEpochs and never exceed the program count.
-func resolveEpochs(cfg Config, programs int) int {
-	if cfg.Strategy != StrategyCorpus {
-		return 1
-	}
-	epochs := cfg.Epochs
-	if epochs < 1 {
-		epochs = DefaultEpochs
-	}
-	if epochs > programs {
-		epochs = programs
-	}
-	return epochs
-}
-
 // epochBounds returns the program-index range [lo, hi) of epoch e when
 // programs are split into the given number of epochs (contiguous,
 // near-equal chunks; every program belongs to exactly one epoch).
@@ -401,10 +395,9 @@ func (c *campaign) runEpoch(ctx context.Context, strat generator.Strategy, lo, h
 	}
 	k := 0
 	for i := 0; i < c.instances; i++ {
-		instSeed := fuzzer.InstanceSeed(c.base.Seed, i)
 		for p := lo; p < hi; p++ {
 			d := deques[k%workers]
-			d.units = append(d.units, unit{inst: i, prog: p, seed: fuzzer.UnitSeed(instSeed, p)})
+			d.units = append(d.units, c.unitAt(i, p))
 			k++
 		}
 	}
@@ -415,7 +408,7 @@ func (c *campaign) runEpoch(ctx context.Context, strat generator.Strategy, lo, h
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errCh <- c.runWorker(ctx, w, strat, deques)
+			errCh <- c.runWorker(ctx, c.pool, strat, deques, w, nil)
 		}(w)
 	}
 	wg.Wait()
@@ -512,21 +505,26 @@ func (s *slot) replace(ctx context.Context) error {
 // release returns the slot's executor to the pool.
 func (s *slot) release() { s.pool.Release(s.exec) }
 
-// runWorker drains its own deque and then steals until no work is left.
-// It owns one pooled executor and one workspace for its whole lifetime —
-// unless a unit poisons them (panic or watchdog abandonment), in which case
-// both are discarded and fresh ones acquired, and the campaign keeps going.
-func (c *campaign) runWorker(ctx context.Context, w int, strat generator.Strategy, deques []*deque) error {
-	s, err := acquireSlot(ctx, c.pool)
+// runWorker is the one unit loop. A worker drains deque w and then steals
+// from the back of the others until no work is left; it skips units that
+// are done or beyond their instance's stop-on-first cut, runs the rest
+// behind the fault-isolation layer, and folds every outcome. It owns one
+// executor from pool and one workspace for its whole lifetime — unless a
+// unit poisons them (panic or watchdog abandonment), in which case both are
+// discarded and fresh ones acquired, and the campaign keeps going.
+//
+// d is nil for RunCampaign's workers. The coordinator's local fallback
+// (DistCampaign.RunLocal) passes its DistCampaign and one deque: remote
+// results fold concurrently there, so units are checked and folded under
+// its lock.
+func (c *campaign) runWorker(ctx context.Context, pool *executor.Pool, strat generator.Strategy, deques []*deque, w int, d *DistCampaign) error {
+	s, err := acquireSlot(ctx, pool)
 	if err != nil {
 		return err
 	}
 	defer s.release()
 	var errs []error
-	for {
-		if ctx.Err() != nil {
-			break
-		}
+	for ctx.Err() == nil {
 		u, ok := deques[w].popFront()
 		for v := 1; !ok && v < len(deques); v++ {
 			u, ok = deques[(w+v)%len(deques)].stealBack()
@@ -534,10 +532,7 @@ func (c *campaign) runWorker(ctx context.Context, w int, strat generator.Strateg
 		if !ok {
 			break
 		}
-		if c.done[u.inst][u.prog] {
-			continue // restored from a checkpoint; the result is already final
-		}
-		if int64(u.prog) > c.stopAt[u.inst].Load() {
+		if !c.open(u, d) {
 			continue
 		}
 		out := c.runUnitIsolated(ctx, s.exec, s.ws, strat, u)
@@ -546,41 +541,77 @@ func (c *campaign) runWorker(ctx context.Context, w int, strat generator.Strateg
 			// abandoned wedged unit's goroutine still holds both); replace
 			// them before touching any more work.
 			if err := s.replace(ctx); err != nil {
-				c.record(u, out)
+				c.settle(u, out, d)
 				errs = append(errs, err)
 				break
 			}
 		}
-		c.record(u, out)
+		c.settle(u, out, d)
 		if out.err != nil {
 			var qe *QuarantineError
 			if errors.As(out.err, &qe) {
 				continue // isolated, bundled, and counted — not a campaign error
 			}
 			if errors.Is(out.err, ctx.Err()) && ctx.Err() != nil {
-				break // reported once by RunCampaign
+				break // reported once by the caller
 			}
-			errs = append(errs, fmt.Errorf("engine: instance %d program %d: %w", u.inst, u.prog, out.err))
-			continue
-		}
-		if c.base.StopOnFirstViolation && len(out.res.Violations) > 0 {
-			for {
-				cur := c.stopAt[u.inst].Load()
-				if int64(u.prog) >= cur || c.stopAt[u.inst].CompareAndSwap(cur, int64(u.prog)) {
-					break
-				}
-			}
+			errs = append(errs, fmt.Errorf("engine: unit (%d,%d): %w", u.inst, u.prog, out.err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// record folds one unit's outcome and, when it is final, appends its record
+// open reports whether unit u still needs running: not done (restored from
+// a checkpoint, or folded already) and not beyond its instance's
+// stop-on-first cut. In-process, a done cell is written only by the worker
+// that popped its unit or by restore before any worker starts, so it is
+// read without a lock.
+func (c *campaign) open(u unit, d *DistCampaign) bool {
+	if d != nil {
+		return d.Open(UnitID{Inst: u.inst, Prog: u.prog})
+	}
+	return !c.done[u.inst][u.prog] && int64(u.prog) <= c.stopAt[u.inst].Load()
+}
+
+// settle folds one unit's outcome: in-process through record, for the
+// coordinator's local fallback through DistCampaign.recordLocal.
+func (c *campaign) settle(u unit, out unitOutcome, d *DistCampaign) {
+	if d != nil {
+		d.recordLocal(u, out)
+		return
+	}
+	c.record(u, out)
+}
+
+// record folds one unit's outcome, moves the stop-on-first cut after a
+// final violating result and, when the outcome is final, appends its record
 // to the checkpoint log — on the worker that produced it, while the other
 // workers simulate.
 func (c *campaign) record(u unit, out unitOutcome) {
 	c.fold(u, out)
+	if out.done {
+		c.lowerCut(u, out.res)
+	}
 	c.logOutcome(u, out)
+}
+
+// lowerCut moves instance u.inst's stop-on-first cut down to u.prog when
+// the campaign stops on first violation and res violates below the current
+// cut, and reports the cut it replaced. Workers race on the cut, so the
+// move is a compare-and-swap; the distributed fold calls it under its lock.
+func (c *campaign) lowerCut(u unit, res *fuzzer.Result) (from int64, moved bool) {
+	if !c.base.StopOnFirstViolation || res == nil || len(res.Violations) == 0 {
+		return 0, false
+	}
+	for {
+		cur := c.stopAt[u.inst].Load()
+		if int64(u.prog) >= cur {
+			return cur, false
+		}
+		if c.stopAt[u.inst].CompareAndSwap(cur, int64(u.prog)) {
+			return cur, true
+		}
+	}
 }
 
 // fold stores one unit's outcome. Only done units (completed or degraded

@@ -334,9 +334,24 @@ func TestEngineRejectsBadConfig(t *testing.T) {
 		t.Errorf("zero instances accepted")
 	}
 	cfg = engineConfig(1, 1, 4)
+	cfg.Campaign.Base.Programs = 0
+	if _, err := RunCampaign(context.Background(), cfg); err == nil {
+		t.Errorf("zero programs accepted")
+	}
+	cfg = engineConfig(1, 1, 4)
 	cfg.Campaign.Base.DefenseFactory = nil
 	if _, err := RunCampaign(context.Background(), cfg); err == nil {
 		t.Errorf("nil defense factory accepted")
+	}
+	cfg = engineConfig(1, 1, 4)
+	cfg.Campaign.Base.Gen.Pages = 3
+	if _, err := RunCampaign(context.Background(), cfg); err == nil {
+		t.Errorf("invalid generator config accepted")
+	}
+	cfg = engineConfig(1, 1, 4)
+	cfg.Campaign.Base.Exec.Core.ROBSize = 1
+	if _, err := RunCampaign(context.Background(), cfg); err == nil {
+		t.Errorf("invalid core config accepted")
 	}
 	cfg = engineConfig(1, 1, 4)
 	cfg.Strategy = "genetic"

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4) on the AMuLeT-Go stack. Each TableN function runs the
-// corresponding testing campaign(s) and renders a table in the paper's
-// layout; cmd/amulet exposes them on the command line and the repository's
-// top-level benchmarks time them.
+// corresponding testing campaign(s) through engine.RunCampaign and renders
+// a table in the paper's layout; cmd/amulet exposes them on the command line
+// and this package's benchmarks (bench_test.go) time them.
 //
 // Campaign sizes are scaled: the paper's full campaigns (100 parallel
 // instances x 200 programs x 140 inputs, ~80 hours of server time) shrink
@@ -13,7 +13,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -28,7 +27,6 @@ import (
 	"github.com/sith-lab/amulet-go/internal/defense/invisispec"
 	"github.com/sith-lab/amulet-go/internal/defense/speclfb"
 	"github.com/sith-lab/amulet-go/internal/defense/stt"
-	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -75,7 +73,7 @@ type DefenseSpec struct {
 	Pages    int
 }
 
-// Specs returns the named defense configuration.
+// DefenseByName returns the named defense configuration.
 func DefenseByName(name string) (DefenseSpec, error) {
 	for _, d := range AllDefenses() {
 		if d.Name == name {
@@ -170,15 +168,6 @@ func CampaignConfig(spec DefenseSpec, scale Scale) fuzzer.CampaignConfig {
 			MutantsPerInput: scale.Mutants,
 		},
 	}
-}
-
-// RunCampaign drives one campaign through the engine scheduler: the
-// campaign is decomposed into program-level work units executed on a
-// work-stealing worker pool with pooled (boot-checkpointed) executors.
-// workers=0 uses GOMAXPROCS; the violation set is identical for every
-// worker count. Every TableN experiment routes its campaigns through here.
-func RunCampaign(ctx context.Context, ccfg fuzzer.CampaignConfig, workers int) (*fuzzer.CampaignResult, error) {
-	return engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: workers})
 }
 
 // Table is a rendered experiment result.

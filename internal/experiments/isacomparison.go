@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/isa/wasm"
@@ -52,7 +53,7 @@ func ISAComparison(ctx context.Context, scale Scale) (*Table, error) {
 			ccfg := CampaignConfig(spec, scale)
 			ccfg.Base.Frontend = fe
 			ccfg.Base.Exec.Coverage = true
-			res, err := RunCampaign(ctx, ccfg, scale.Workers)
+			res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 			if err != nil {
 				return nil, fmt.Errorf("isa comparison: %s/%s: %w", name, fe.Name(), err)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/isa"
@@ -83,7 +84,7 @@ func DefenseComparison(ctx context.Context, scale Scale) (*Table, error) {
 		sc.Instances = 2
 		ccfg := CampaignConfig(spec, sc)
 		ccfg.Base.StopOnFirstViolation = true
-		res, err := RunCampaign(ctx, ccfg, scale.Workers)
+		res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,8 @@ import (
 	"context"
 	"time"
 
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
-	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
 // Table2 reproduces the paper's Table 2: the per-test-program time
@@ -23,22 +23,20 @@ func Table2(ctx context.Context, scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := CampaignConfig(spec, scale).Base
+		// One instance on one worker: the paper's per-program breakdown of a
+		// single simulator.
+		ccfg := CampaignConfig(spec, scale)
+		ccfg.Instances = 1
+		cfg := &ccfg.Base
 		cfg.Exec.Strategy = strategy
 		// The paper measures 30 programs x 140 inputs; scale the program
 		// count down for Naive-speed reasons while keeping inputs/program.
-		cfg.Programs = scale.Programs / 10
-		if cfg.Programs < 2 {
-			cfg.Programs = 2
-		}
-		f, err := fuzzer.New(cfg)
+		cfg.Programs = max(scale.Programs/10, 2)
+		out, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
-		res, err := f.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
+		res := out.Totals()
 		m := res.Metrics
 		b := &breakdown{
 			startup:  m.Startup,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
@@ -36,7 +37,7 @@ func Table3(ctx context.Context, scale Scale) (*Table, error) {
 				ccfg.Base.Programs = 2
 			}
 		}
-		res, err := RunCampaign(ctx, ccfg, scale.Workers)
+		res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
@@ -71,7 +72,7 @@ func Table4(ctx context.Context, scale Scale) (*Table4Result, error) {
 			defer wg.Done()
 			o := &outcomes[si]
 			ccfg := CampaignConfig(spec, scale)
-			o.res, o.err = RunCampaign(ctx, ccfg, workersFor(si))
+			o.res, o.err = engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: workersFor(si)})
 			if o.err != nil {
 				return
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 )
 
@@ -37,7 +38,7 @@ func Table5(ctx context.Context, scale Scale) (*Table, error) {
 	for _, f := range formats {
 		ccfg := CampaignConfig(spec, scale)
 		ccfg.Base.Exec.Format = f
-		res, err := RunCampaign(ctx, ccfg, scale.Workers)
+		res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 		if err != nil {
 			return nil, err
 		}

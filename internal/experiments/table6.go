@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+
+	"github.com/sith-lab/amulet-go/internal/engine"
 )
 
 // Table6 reproduces the paper's Table 6: leakage amplification on the
@@ -43,7 +45,7 @@ func Table6(ctx context.Context, scale Scale) (*Table, error) {
 		ccfg := CampaignConfig(spec, scale)
 		ccfg.Base.Exec.Core.Hier.L1D.Ways = r.ways
 		ccfg.Base.Exec.Core.Hier.MSHRs = r.mshrs
-		res, err := RunCampaign(ctx, ccfg, scale.Workers)
+		res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 		if err != nil {
 			return nil, err
 		}

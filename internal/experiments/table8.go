@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 )
 
@@ -32,7 +33,7 @@ func Table8(ctx context.Context, scale Scale) (*Table, error) {
 			}
 		}
 		ccfg := CampaignConfig(spec, sc)
-		res, err := RunCampaign(ctx, ccfg, scale.Workers)
+		res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 		if err != nil {
 			return nil, err
 		}

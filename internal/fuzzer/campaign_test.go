@@ -1,8 +1,8 @@
-package fuzzer
+package fuzzer_test
 
 import (
 	"context"
-
+	"slices"
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
@@ -10,7 +10,10 @@ import (
 	"github.com/sith-lab/amulet-go/internal/defense/invisispec"
 	"github.com/sith-lab/amulet-go/internal/defense/speclfb"
 	"github.com/sith-lab/amulet-go/internal/defense/stt"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
+	"github.com/sith-lab/amulet-go/internal/fuzzer"
+	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
@@ -19,16 +22,25 @@ import (
 // which implementations violate their contracts and which patched variants
 // stop doing so.
 
-func runCampaign(t *testing.T, name string, cfg Config) *Result {
+// runCampaign runs cfg as a single fuzzing instance through the engine and
+// returns the instance's result.
+func runCampaign(t *testing.T, name string, cfg fuzzer.Config) *fuzzer.Result {
 	t.Helper()
-	f, err := New(cfg)
+	return runCampaignOn(t, name, cfg, 0)
+}
+
+// runCampaignOn is runCampaign on the given number of engine workers (zero:
+// GOMAXPROCS).
+func runCampaignOn(t *testing.T, name string, cfg fuzzer.Config, workers int) *fuzzer.Result {
+	t.Helper()
+	out, err := engine.RunCampaign(context.Background(), engine.Config{
+		Campaign: fuzzer.CampaignConfig{Base: cfg, Instances: 1},
+		Workers:  workers,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := out.Instances[0]
 	t.Logf("%-24s programs=%-4d tests=%-6d violations=%-3d validations=%-4d throughput=%.0f/s elapsed=%v",
 		name, res.Programs, res.TestCases, len(res.Violations), res.ValidationRuns,
 		res.Throughput(), res.Elapsed)
@@ -36,10 +48,10 @@ func runCampaign(t *testing.T, name string, cfg Config) *Result {
 }
 
 // campaignConfig is the shared base configuration for campaign tests.
-func campaignConfig(seed int64, programs int) Config {
-	return Config{
+func campaignConfig(seed int64, programs int) fuzzer.Config {
+	return fuzzer.Config{
 		Contract: contract.CTSeq,
-		Gen:      generatorDefaults(),
+		Gen:      generator.DefaultConfig(),
 		Exec: executor.Config{
 			Core:     uarch.DefaultConfig(),
 			Format:   executor.FormatL1DTLB,
@@ -102,8 +114,11 @@ func TestCampaignCleanupSpecFindsLeaks(t *testing.T) {
 	}
 }
 
+// TestCampaignSpecLFBFindsUV6 runs at seed 8: UV6 is rare, and with every
+// program drawing from its own unit stream, seed 7 finds nothing in 250
+// programs while seeds 5, 8 and 12 find it at programs 53, 38 and 43.
 func TestCampaignSpecLFBFindsUV6(t *testing.T) {
-	cfg := campaignConfig(7, 250)
+	cfg := campaignConfig(8, 250)
 	cfg.StopOnFirstViolation = true
 	cfg.Exec.Prime = executor.PrimeInvalidate
 	cfg.DefenseFactory = func() uarch.Defense { return speclfb.New(speclfb.Config{}) }
@@ -125,9 +140,10 @@ func TestCampaignSpecLFBPatchedClean(t *testing.T) {
 
 // TestCampaignSpecLFBFilteredByArchSeq reproduces the paper's filtering
 // step: the UV6 register-value leak is contract-allowed under ARCH-SEQ, so
-// the same campaign finds nothing against that contract.
+// the same campaign finds nothing against that contract. It runs at the UV6
+// seed, 8, where the CT-SEQ campaign finds the leak at program 38.
 func TestCampaignSpecLFBFilteredByArchSeq(t *testing.T) {
-	cfg := campaignConfig(7, 120)
+	cfg := campaignConfig(8, 120)
 	cfg.Contract = contract.ArchSeq
 	cfg.Exec.Prime = executor.PrimeInvalidate
 	cfg.DefenseFactory = func() uarch.Defense { return speclfb.New(speclfb.Config{}) }
@@ -150,7 +166,7 @@ func TestCampaignSTTFindsKV3(t *testing.T) {
 	// The KV3 leak is TLB-only: tainted stores install translations but
 	// never touch the cache.
 	v := res.Violations[0]
-	if eqU64(v.TraceA.TLB, v.TraceB.TLB) {
+	if slices.Equal(v.TraceA.TLB, v.TraceB.TLB) {
 		t.Errorf("expected the STT violation to differ in TLB state:\n%s", v.TraceA.Diff(v.TraceB))
 	}
 }
@@ -164,18 +180,6 @@ func TestCampaignSTTPatchedClean(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Errorf("expected no violations in patched STT, got %d", len(res.Violations))
 	}
-}
-
-func eqU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCampaignInvisiSpecKV1ICache reproduces the paper's KV1: InvisiSpec
@@ -195,11 +199,11 @@ func TestCampaignInvisiSpecKV1ICache(t *testing.T) {
 	cfg.DefenseFactory = func() uarch.Defense { return invisispec.New(invisispec.Config{PatchUV1: true}) }
 	res := runCampaign(t, "InvisiSpec-P +L1I", cfg)
 	if len(res.Violations) == 0 {
-		t.Skipf("no KV1 violation at this budget (timing-driven; needs larger campaigns on some seeds)")
+		t.Fatalf("expected a KV1 instruction-cache violation in patched InvisiSpec (program 75 at this seed)")
 	}
 	v := res.Violations[0]
-	if eqU64(v.TraceA.L1D, v.TraceB.L1D) && eqU64(v.TraceA.TLB, v.TraceB.TLB) &&
-		!eqU64(v.TraceA.L1I, v.TraceB.L1I) {
-		t.Logf("KV1 confirmed: L1I-only difference")
+	if !slices.Equal(v.TraceA.L1D, v.TraceB.L1D) || !slices.Equal(v.TraceA.TLB, v.TraceB.TLB) ||
+		slices.Equal(v.TraceA.L1I, v.TraceB.L1I) {
+		t.Errorf("expected an L1I-only difference at program %d:\n%s", v.ProgramIndex, v.TraceA.Diff(v.TraceB))
 	}
 }

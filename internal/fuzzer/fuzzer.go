@@ -5,9 +5,10 @@
 // traces.
 //
 // The loop is decomposed into program-level stages — generate,
-// contract-model collect, µarch execute, compare, validate — that the
-// serial Fuzzer drives one program at a time and internal/engine schedules
-// across a worker pool.
+// contract-model collect (Workspace.Case), µarch execute, compare, validate
+// (ExecuteCase) — that internal/engine runs as work units on a worker pool.
+// Campaigns run through engine.RunCampaign; this package holds the stages,
+// the configuration and the result types.
 package fuzzer
 
 import (
@@ -61,8 +62,8 @@ type Config struct {
 	MaxViolationsPerProgram int
 }
 
-// Validate reports configuration problems. Campaign entry points (New,
-// Workspace.Reset, engine.RunCampaign) call it on entry.
+// Validate reports configuration problems. Campaign entry points
+// (Workspace.Reset, engine.RunCampaign) call it on entry.
 func (c Config) Validate() error {
 	if c.Programs < 1 || c.BaseInputs < 1 || c.MutantsPerInput < 0 {
 		return fmt.Errorf("fuzzer: bad campaign sizes (programs=%d, base=%d, mutants=%d)",
@@ -202,73 +203,9 @@ func (r *Result) FirstDetection() (time.Duration, bool) {
 	return first, true
 }
 
-// Fuzzer is one fuzzing instance: the serial driver that runs every
-// program of its budget through the stages on a single executor.
-type Fuzzer struct {
-	cfg  Config
-	ws   *Workspace
-	exec *executor.Executor
-	def  uarch.Defense
-}
-
-// New builds a fuzzer. It returns an error on invalid configuration.
-func New(cfg Config) (*Fuzzer, error) {
-	// One workspace for the whole instance: its generator and mutator
-	// streams run on from program to program (seeded once, from the
-	// instance seed), and everything else it holds is recycled per program.
-	ws := NewWorkspace()
-	if err := ws.Reset(cfg, cfg.Seed); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	def := cfg.DefenseFactory()
-	exec := executor.New(cfg.Exec, def)
-	// A serial fuzzing instance keeps its one simulator alive for the whole
-	// campaign, exactly like a pooled engine worker: the first Opt start
-	// simulates the boot workload and checkpoints the post-boot context,
-	// later program loads restore it. Naive-strategy startups never use the
-	// checkpoint (per-input boot cost is what the Naive experiments
-	// measure), and the restore is behaviourally identical to re-booting,
-	// so violations are unchanged — TestViolationSetDeterminism pins it.
-	exec.EnableBootCheckpoint()
-	return &Fuzzer{cfg: cfg, ws: ws, exec: exec, def: def}, nil
-}
-
 // mutatorSeedMix decorrelates the mutator stream from the generator stream
 // derived from the same seed.
 const mutatorSeedMix = 0x5eed
-
-// Executor exposes the underlying executor (tests, analysis replays).
-func (f *Fuzzer) Executor() *executor.Executor { return f.exec }
-
-// Run executes the campaign. A context error aborts the campaign between
-// test cases; the partial result accumulated so far is returned alongside
-// the context's error.
-func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
-	start := time.Now()
-	res := &Result{}
-	finish := func() {
-		res.Elapsed = time.Since(start)
-		res.Metrics = f.exec.Metrics()
-	}
-	for p := 0; p < f.cfg.Programs; p++ {
-		pc, err := f.ws.Case(ctx, generator.Random{}, p)
-		if err != nil {
-			finish()
-			return res, err
-		}
-		found, err := ExecuteCase(ctx, f.exec, f.cfg, pc, res, start)
-		if err != nil {
-			finish()
-			return res, err
-		}
-		if found && f.cfg.StopOnFirstViolation {
-			break
-		}
-	}
-	finish()
-	return res, nil
-}
 
 // InputClass is one contract-equivalence class: inputs whose contract
 // traces are identical.

@@ -1,78 +1,22 @@
-package fuzzer
+package fuzzer_test
 
 import (
 	"context"
-	"errors"
-	"strings"
+	"fmt"
 	"testing"
-	"time"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
+	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-func TestNewRejectsBadConfig(t *testing.T) {
-	good := quickConfig(1, 5)
-
-	bad := good
-	bad.Programs = 0
-	if _, err := New(bad); err == nil {
-		t.Errorf("zero programs accepted")
-	}
-	bad = good
-	bad.DefenseFactory = nil
-	if _, err := New(bad); err == nil {
-		t.Errorf("nil defense factory accepted")
-	}
-	bad = good
-	bad.Gen.Pages = 3
-	if _, err := New(bad); err == nil {
-		t.Errorf("invalid generator config accepted")
-	}
-	bad = good
-	bad.Exec.Core.ROBSize = 1
-	if _, err := New(bad); err == nil {
-		t.Errorf("invalid core config accepted")
-	}
-}
-
-func TestRunDeterministic(t *testing.T) {
-	run := func() *Result {
-		f, err := New(quickConfig(42, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	r1, r2 := run(), run()
-	if r1.TestCases != r2.TestCases || len(r1.Violations) != len(r2.Violations) {
-		t.Errorf("identical seeds diverge: tests %d/%d violations %d/%d",
-			r1.TestCases, r2.TestCases, len(r1.Violations), len(r2.Violations))
-	}
-	for i := range r1.Violations {
-		if r1.Violations[i].ProgramIndex != r2.Violations[i].ProgramIndex {
-			t.Errorf("violation %d at different programs", i)
-		}
-	}
-}
-
 func TestViolationRecordConsistency(t *testing.T) {
-	cfg := quickConfig(1, 20)
+	cfg := fuzzer.QuickConfig(1, 20)
 	cfg.StopOnFirstViolation = true
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCampaign(t, "Baseline", cfg)
 	if len(res.Violations) == 0 {
 		t.Fatalf("no violation found")
 	}
@@ -97,8 +41,8 @@ func TestViolationRecordConsistency(t *testing.T) {
 }
 
 func TestCampaignAggregation(t *testing.T) {
-	ccfg := CampaignConfig{Base: quickConfig(1, 8), Instances: 3}
-	res, err := RunCampaign(context.Background(), ccfg)
+	ccfg := fuzzer.CampaignConfig{Base: fuzzer.QuickConfig(1, 8), Instances: 3}
+	res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,96 +61,31 @@ func TestCampaignAggregation(t *testing.T) {
 	}
 }
 
-func TestCampaignInstancesDiffer(t *testing.T) {
-	ccfg := CampaignConfig{Base: quickConfig(1, 6), Instances: 2, MaxParallel: 1}
-	res, err := RunCampaign(context.Background(), ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different instance seeds must generate different programs; the
-	// simplest observable proxy is differing per-instance behaviour
-	// somewhere in the counters.
-	a, b := res.Instances[0], res.Instances[1]
-	if a.TestCases == b.TestCases && a.ValidationRuns == b.ValidationRuns &&
-		a.RejectedMutants == b.RejectedMutants && a.GenTime == b.GenTime {
-		t.Logf("instances look identical (possible, but suspicious)")
-	}
-}
-
 func TestCampaignRejectsBadConfig(t *testing.T) {
-	if _, err := RunCampaign(context.Background(), CampaignConfig{Base: quickConfig(1, 4), Instances: 0}); err == nil {
+	ccfg := fuzzer.CampaignConfig{Base: fuzzer.QuickConfig(1, 4), Instances: 0}
+	if _, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg}); err == nil {
 		t.Errorf("zero instances accepted")
 	}
 }
 
-// TestCampaignJoinsInstanceErrors checks that one failing instance no
-// longer discards the campaign: every instance's error is joined and the
-// (possibly empty) partial result is returned alongside.
-func TestCampaignJoinsInstanceErrors(t *testing.T) {
-	bad := quickConfig(1, 3)
-	bad.BaseInputs = 0 // invalid: every instance fails to build
-	res, err := RunCampaign(context.Background(), CampaignConfig{Base: bad, Instances: 3})
-	if err == nil {
-		t.Fatal("invalid instance config accepted")
-	}
-	if res == nil {
-		t.Fatal("no partial result alongside the error")
-	}
-	for _, want := range []string{"instance 0", "instance 1", "instance 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q: %v", want, err)
-		}
-	}
-}
-
-// TestCampaignPartialResultsOnCancel checks end-to-end cancellation of the
-// per-instance campaign path: a cancelled context stops promptly and the
-// work done so far is returned.
-func TestCampaignPartialResultsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ccfg := CampaignConfig{Base: quickConfig(1, 500), Instances: 2, MaxParallel: 2}
-	var res *CampaignResult
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res, err = RunCampaign(ctx, ccfg)
-	}()
-	time.Sleep(150 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("campaign did not stop within 10s of cancellation")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context.Canceled, got %v", err)
-	}
-	if res == nil || res.TestCases == 0 {
-		t.Fatalf("expected partial results, got %+v", res)
-	}
-}
-
 func TestMutateRegsDefaultsFollowContract(t *testing.T) {
-	cfg := quickConfig(1, 1)
+	cfg := fuzzer.QuickConfig(1, 1)
 	cfg.Contract = contract.ArchSeq
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = f
 	// ARCH-SEQ observes registers, so mutants must not vary them: covered
 	// behaviourally by TestCampaignSTTPatchedClean; here we just ensure the
 	// config builds with both defaults and an explicit override.
+	if err := fuzzer.NewWorkspace().Reset(cfg, cfg.Seed); err != nil {
+		t.Fatal(err)
+	}
 	on := true
 	cfg.MutateRegs = &on
-	if _, err := New(cfg); err != nil {
+	if err := fuzzer.NewWorkspace().Reset(cfg, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestResultHelpers(t *testing.T) {
-	r := &Result{}
+	r := &fuzzer.Result{}
 	if _, ok := r.FirstDetection(); ok {
 		t.Errorf("empty result has a detection time")
 	}
@@ -215,39 +94,33 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// TestStrategyNaiveCampaign exercises the Naive path end to end.
+// TestStrategyNaiveCampaign exercises the Naive path end to end, through
+// pooled executors on one and on two workers: the pool's boot checkpoint
+// must never stand in for a Naive start.
 func TestStrategyNaiveCampaign(t *testing.T) {
-	cfg := quickConfig(1, 6)
-	cfg.Exec.Strategy = executor.StrategyNaive
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Validation replays (three runs per validation) intentionally reuse a
-	// captured context without a fresh startup — Definition 2.1 requires the
-	// identical-µ replay — so they count as test cases but not starts.
-	if want := res.TestCases - 3*res.ValidationRuns; res.Metrics.Starts != want {
-		t.Errorf("Naive must start the simulator per fuzzing test case: %d starts, want %d (%d tests, %d validations)",
-			res.Metrics.Starts, want, res.TestCases, res.ValidationRuns)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := fuzzer.QuickConfig(1, 6)
+			cfg.Exec.Strategy = executor.StrategyNaive
+			res := runCampaignOn(t, "Naive", cfg, workers)
+			// Validation replays (three runs per validation) intentionally
+			// reuse a captured context without a fresh startup — Definition
+			// 2.1 requires the identical-µ replay — so they count as test
+			// cases but not starts.
+			if want := res.TestCases - 3*res.ValidationRuns; res.Metrics.Starts != want {
+				t.Errorf("Naive must start the simulator per fuzzing test case: %d starts, want %d (%d tests, %d validations)",
+					res.Metrics.Starts, want, res.TestCases, res.ValidationRuns)
+			}
+		})
 	}
 }
 
 // TestGeneratorExecutorIntegration runs generated programs through both
 // engines at a defense other than baseline, exercising the whole stack.
 func TestGeneratorExecutorIntegration(t *testing.T) {
-	cfg := quickConfig(5, 10)
+	cfg := fuzzer.QuickConfig(5, 10)
 	cfg.DefenseFactory = func() uarch.Defense { return uarch.NopDefense{} }
 	cfg.Gen = generator.DefaultConfig()
 	cfg.Gen.Pages = 4
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	runCampaign(t, "NopDefense, 4 pages", cfg)
 }

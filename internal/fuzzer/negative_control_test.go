@@ -1,4 +1,4 @@
-package fuzzer
+package fuzzer_test
 
 import (
 	"testing"

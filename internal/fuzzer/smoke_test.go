@@ -1,54 +1,18 @@
-package fuzzer
+package fuzzer_test
 
 import (
-	"context"
-
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
-	"github.com/sith-lab/amulet-go/internal/executor"
-	"github.com/sith-lab/amulet-go/internal/generator"
-	"github.com/sith-lab/amulet-go/internal/uarch"
+	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
-
-// generatorDefaults returns the generator configuration campaign tests use.
-func generatorDefaults() generator.Config { return generator.DefaultConfig() }
-
-// quickConfig returns a small campaign configuration against the baseline.
-func quickConfig(seed int64, programs int) Config {
-	return Config{
-		Contract: contract.CTSeq,
-		Gen:      generator.DefaultConfig(),
-		Exec: executor.Config{
-			Core:      uarch.DefaultConfig(),
-			Format:    executor.FormatL1DTLB,
-			Prime:     executor.PrimeFill,
-			Strategy:  executor.StrategyOpt,
-			BootInsts: 500,
-		},
-		DefenseFactory:  func() uarch.Defense { return uarch.NopDefense{} },
-		Seed:            seed,
-		Programs:        programs,
-		BaseInputs:      5,
-		MutantsPerInput: 4,
-	}
-}
 
 // TestCampaignBaselineSpectreV1 checks that the insecure out-of-order CPU
 // violates CT-SEQ (Spectre-v1-style leaks) within a small budget.
 func TestCampaignBaselineSpectreV1(t *testing.T) {
-	cfg := quickConfig(1, 20)
+	cfg := fuzzer.QuickConfig(1, 20)
 	cfg.StopOnFirstViolation = true
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("programs=%d tests=%d violations=%d validations=%d rejectedMutants=%d elapsed=%v",
-		res.Programs, res.TestCases, len(res.Violations), res.ValidationRuns, res.RejectedMutants, res.Elapsed)
+	res := runCampaign(t, "Baseline", cfg)
 	if len(res.Violations) == 0 {
 		t.Fatalf("expected a CT-SEQ violation on the baseline CPU, found none")
 	}
@@ -63,16 +27,7 @@ func TestCampaignBaselineSpectreV1(t *testing.T) {
 // minutes of campaign time), so this test only requires the campaign to
 // run cleanly and reports what it finds.
 func TestCampaignBaselineCTCond(t *testing.T) {
-	cfg := quickConfig(11, 120)
+	cfg := fuzzer.QuickConfig(11, 120)
 	cfg.Contract = contract.CTCond
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("CT-COND: programs=%d tests=%d violations=%d (Spectre-v4 family)",
-		res.Programs, res.TestCases, len(res.Violations))
+	runCampaign(t, "Baseline vs CT-COND", cfg)
 }

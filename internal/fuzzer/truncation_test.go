@@ -8,10 +8,9 @@ import (
 
 // TestTruncationsReachMetrics pins the plumbing of the leakage-model
 // step-budget counter: truncations recorded on a ProgramCase must land in
-// the executor metrics, the one channel both campaign drivers preserve (the
-// serial fuzzer snapshots executor metrics wholesale; the engine diffs
-// per-unit snapshots around ExecuteCase). The model-level detection itself
-// is pinned by contract.TestModelTruncationCounted.
+// the executor metrics, the channel the engine attributes per unit (it diffs
+// snapshots around ExecuteCase). The model-level detection itself is pinned
+// by contract.TestModelTruncationCounted.
 func TestTruncationsReachMetrics(t *testing.T) {
 	cfg, exec, pc := steadyStateCase(t)
 	pc.Truncations = 3

@@ -21,11 +21,10 @@ import (
 // that.
 //
 // A workspace belongs to one goroutine at a time, like the executor it runs
-// beside: the serial Fuzzer owns one, every engine worker and distributed
-// UnitRunner owns one for its lifetime. When a unit poisons its worker's
-// executor (a panic mid-pipeline, or a wedged goroutine the watchdog
-// abandoned, which may still be writing to both), the workspace is replaced
-// with it.
+// beside: every engine worker and distributed UnitRunner owns one for its
+// lifetime. When a unit poisons its worker's executor (a panic
+// mid-pipeline, or a wedged goroutine the watchdog abandoned, which may
+// still be writing to both), the workspace is replaced with it.
 type Workspace struct {
 	cfg   Config // the current unit's configuration, defaults resolved
 	gen   *generator.Generator
@@ -181,12 +180,6 @@ type UnitGen struct {
 	strat generator.Strategy
 }
 
-// NewUnitGen builds the generation state for one work unit with the blind
-// Random strategy (the seed campaigns' exact behaviour).
-func NewUnitGen(cfg Config, seed int64) (*UnitGen, error) {
-	return NewUnitGenStrategy(cfg, seed, generator.Random{})
-}
-
 // NewUnitGenStrategy builds the generation state for one work unit with an
 // explicit strategy. Corpus strategies must be frozen (read-only) for the
 // unit's whole epoch; the engine guarantees this.
@@ -202,10 +195,6 @@ func NewUnitGenStrategy(cfg Config, seed int64, strat generator.Strategy) (*Unit
 // instead of its workspace's own pool, so a caller that builds a UnitGen per
 // unit can still recycle trace buffers across all of them.
 func (u *UnitGen) SetTracePool(tp *contract.TracePool) { u.ws.tp = tp }
-
-// Draws returns the combined draw count of the unit's generation and
-// mutation PRNG streams (see Workspace.Draws).
-func (u *UnitGen) Draws() uint64 { return u.ws.Draws() }
 
 // Case runs the generate + collect stages for program pIdx.
 func (u *UnitGen) Case(ctx context.Context, pIdx int) (*ProgramCase, error) {
