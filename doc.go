@@ -57,10 +57,11 @@
 // words cover the window's buffer (ROBSize <= 64); larger windows issue by
 // the plain full-ROB scan, which is also the scoreboard's test oracle.
 // Provably idle spans of cycles are skipped wholesale (uarch/quiescent.go).
-// The reference paths — scan issue, cycle-by-cycle loop, all-heap fill
-// queue, hook-driven contract model, full-walk digests — are selectable
-// only from tests, through each package's export_test.go, and each is held
-// bit-identical to the fast path by a test in its package.
+// The reference paths — scan issue, cycle-by-cycle loop, full-walk
+// digests — are selectable only from tests, through each package's
+// export_test.go, and each is held bit-identical to the fast path by a test
+// in its package. The pending-fill queue is one (ready cycle, id) min-heap
+// and the leakage model one hook-driven emulator.
 // docs/removal-ledger.md records what each cost and why it stayed or went.
 //
 // Entry points:

@@ -198,6 +198,44 @@ func TestModelDeterminism(t *testing.T) {
 	}
 }
 
+// TestModelTruncationCounted pins the MaxSteps budget: a program that loops
+// past it must be cut off AND counted. Before the counter existed the
+// truncation was silent — the trace just ended — which this test would have
+// caught.
+func TestModelTruncationCounted(t *testing.T) {
+	// A two-instruction architectural loop: the backward jump never exits,
+	// so the model must stop at MaxSteps.
+	prog := &isa.Program{Insts: []isa.Inst{
+		isa.ALUImm(isa.OpAdd, 0, 0, 1),
+		isa.Jmp(0),
+	}}
+	sb := isa.Sandbox{Pages: 1}
+	in := isa.NewInput(sb)
+	for _, c := range []Contract{CTSeq, CTCond, ArchSeq} {
+		md := NewModel(c, prog, sb)
+		tr, _ := md.Collect(in)
+		if md.Truncated() != 1 {
+			t.Fatalf("%s: Truncated()=%d, want 1", c.Name, md.Truncated())
+		}
+		pcs := 0
+		for _, o := range tr {
+			if o.Kind == ObsPC {
+				pcs++
+			}
+		}
+		if pcs != MaxSteps {
+			t.Fatalf("%s: trace has %d PC obs, want exactly MaxSteps=%d", c.Name, pcs, MaxSteps)
+		}
+		// A second, well-behaved run must not inflate the counter.
+		exit := &isa.Program{Insts: []isa.Inst{isa.Nop()}}
+		md.Load(exit, sb)
+		md.Collect(in)
+		if md.Truncated() != 0 {
+			t.Fatalf("%s: clean run counted a truncation", c.Name)
+		}
+	}
+}
+
 // TestSpeculationDoesNotCorruptArchState: CT-COND exploration must leave
 // the architectural results identical to CT-SEQ's.
 func TestSpeculationDoesNotCorruptArchState(t *testing.T) {

@@ -137,26 +137,16 @@ func (u *Usage) isClobbered(off uint64) bool {
 func (u *Usage) RegLiveIn(r isa.Reg) bool { return u.LiveInRegs&(1<<uint(r)) != 0 }
 
 // Model is the executable leakage model: it runs test cases on the
-// functional emulator and produces contract traces. One Model is reusable
-// across inputs of the same program (the emulator is reset per input), and
-// across programs through Load.
+// functional emulator (emu.Machine) and builds contract traces from the
+// emulator's hooks, forking CT-COND's mispredicted-path excursions on the
+// machine's nested checkpoints. One Model is reusable across inputs of the
+// same program (the emulator is reset per input), and across programs
+// through Load.
 type Model struct {
-	C    Contract
-	prog *isa.Program
-	sb   isa.Sandbox
-	m    *emu.Machine
-
-	// uops is the predecoded micro-op table the specialized interpreter
-	// (fastmodel.go) executes; reference runs the hook-driven emu.Machine
-	// path instead, the interpreter's test oracle (set only through
-	// export_test.go).
-	uops      []uop
-	reference bool
+	C         Contract
+	sb        isa.Sandbox
+	m         *emu.Machine
 	truncated int
-
-	// specialized-interpreter scratch, reused across runs
-	frames  []specFrame
-	journal []memUndo
 
 	// per-run state
 	trace   Trace
@@ -183,14 +173,13 @@ func NewModel(c Contract, p *isa.Program, sb isa.Sandbox) *Model {
 }
 
 // Load retargets the model at program p in sandbox sb, as NewModel would
-// build it, but keeping what it has already allocated: the predecode table,
-// the emulator's memory image, the usage summary (and its spare pages) and
-// the trace and speculation scratch. The image and the summary are rebuilt
-// only when the sandbox geometry changes. The Usage returned by an earlier
-// Collect is invalid afterwards.
+// build it, but keeping what it has already allocated: the emulator's memory
+// image and checkpoint stack, the usage summary (and its spare pages) and
+// the trace buffer. The image and the summary are rebuilt only when the
+// sandbox geometry changes. The Usage returned by an earlier Collect is
+// invalid afterwards.
 func (md *Model) Load(p *isa.Program, sb isa.Sandbox) {
-	md.prog, md.sb = p, sb
-	md.uops = predecode(md.uops, p)
+	md.sb = sb
 	md.m.Load(p, sb)
 	if md.usage == nil || len(md.usage.pages) != sb.Pages {
 		md.usage = NewUsage(sb)
@@ -246,12 +235,8 @@ func (md *Model) run(in *isa.Input, track bool) {
 			md.trace = append(md.trace, Obs{Kind: ObsInitReg, V: v})
 		}
 	}
-	if md.reference {
-		md.m.LoadInput(in)
-		md.runArch()
-		return
-	}
-	md.runFast(in)
+	md.m.LoadInput(in)
+	md.runArch()
 }
 
 // runArch executes the architectural path to completion, forking a

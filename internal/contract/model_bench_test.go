@@ -8,9 +8,11 @@ import (
 	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
-// benchModels builds reusable models over random programs, fast or
-// reference path.
-func benchModels(tb testing.TB, c contract.Contract, ref bool) ([]*contract.Model, []*isa.Input) {
+// contracts are the paper's three contracts, the ones every model test runs.
+var contracts = []contract.Contract{contract.CTSeq, contract.CTCond, contract.ArchSeq}
+
+// benchModels builds reusable models over random programs.
+func benchModels(tb testing.TB, c contract.Contract) ([]*contract.Model, []*isa.Input) {
 	tb.Helper()
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 42
@@ -19,64 +21,49 @@ func benchModels(tb testing.TB, c contract.Contract, ref bool) ([]*contract.Mode
 	var models []*contract.Model
 	var ins []*isa.Input
 	for i := 0; i < 8; i++ {
-		md := contract.NewModel(c, g.Program(), sb)
-		md.SetReference(ref)
-		models = append(models, md)
+		models = append(models, contract.NewModel(c, g.Program(), sb))
 		ins = append(ins, g.Input())
 	}
 	return models, ins
 }
 
-// TestModelSteadyStateAllocs pins the zero-alloc invariant of the
-// specialized predecoded interpreter (and the reference path it replaces):
-// after warm-up — trace buffer, speculation frames and store journal all
-// sized — collecting a contract trace allocates nothing. CT-COND exercises
-// the explicit checkpoint stack, ARCH-SEQ the densest observation set.
+// TestModelSteadyStateAllocs pins the leakage model's zero-alloc invariant:
+// after warm-up — trace buffer and the emulator's checkpoint stack and store
+// journal all sized — collecting a contract trace allocates nothing. CT-COND
+// exercises the nested checkpoints, ARCH-SEQ the densest observation set.
 func TestModelSteadyStateAllocs(t *testing.T) {
-	for _, c := range []contract.Contract{contract.CTSeq, contract.CTCond, contract.ArchSeq} {
-		for _, ref := range []bool{false, true} {
-			name := c.Name + "/fast"
-			if ref {
-				name = c.Name + "/reference"
+	for _, c := range contracts {
+		t.Run(c.Name, func(t *testing.T) {
+			models, ins := benchModels(t, c)
+			run := func() {
+				for i, md := range models {
+					md.CollectTrace(ins[i])
+				}
 			}
-			t.Run(name, func(t *testing.T) {
-				models, ins := benchModels(t, c, ref)
-				run := func() {
-					for i, md := range models {
-						md.CollectTrace(ins[i])
-					}
-				}
-				for i := 0; i < 5; i++ {
-					run()
-				}
-				if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
-					t.Errorf("CollectTrace allocates %v objects per run in steady state, want 0", allocs)
-				}
-			})
-		}
+			for i := 0; i < 5; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+				t.Errorf("CollectTrace allocates %v objects per run in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 
 // BenchmarkModelCollect measures the leakage model's per-input cost: one
 // usage-tracked collection plus one mutant-style trace-only collection per
-// iteration, on the specialized and reference paths. The fast/ref ratio is
-// the predecoded interpreter's contribution in isolation.
+// iteration.
 func BenchmarkModelCollect(b *testing.B) {
-	for _, c := range []contract.Contract{contract.CTSeq, contract.CTCond} {
-		for _, mode := range []struct {
-			name string
-			ref  bool
-		}{{"fast", false}, {"reference", true}} {
-			b.Run(c.Name+"/"+mode.name, func(b *testing.B) {
-				models, ins := benchModels(b, c, mode.ref)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					md := models[i%len(models)]
-					md.Collect(ins[i%len(ins)])
-					md.CollectTrace(ins[(i+1)%len(ins)])
-				}
-			})
-		}
+	for _, c := range contracts {
+		b.Run(c.Name, func(b *testing.B) {
+			models, ins := benchModels(b, c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				md := models[i%len(models)]
+				md.Collect(ins[i%len(ins)])
+				md.CollectTrace(ins[(i+1)%len(ins)])
+			}
+		})
 	}
 }

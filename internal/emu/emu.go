@@ -3,7 +3,9 @@
 // paper: it executes test programs architecturally, reports every observable
 // event through hooks, and supports checkpoint/rollback so the contract
 // layer (package contract) can explore mispredicted branch paths for
-// contracts with non-empty execution clauses (CT-COND).
+// contracts with non-empty execution clauses (CT-COND). Every contract trace
+// a campaign collects is produced by this emulator, so Step is on the hot
+// path of every campaign.
 //
 // The emulator executes the µop IR (isa.Program), not frontend source
 // programs — every ISA frontend lowers to that IR before anything runs, so
@@ -21,10 +23,9 @@ import (
 // skipped. Hooks fire on speculative paths too, when the driver explores
 // them; the driver distinguishes paths itself.
 type Hooks struct {
-	OnPC     func(pc uint64)
-	OnLoad   func(pc, addr uint64, size uint8, val uint64)
-	OnStore  func(pc, addr uint64, size uint8, val uint64)
-	OnBranch func(pc uint64, taken bool, target uint64)
+	OnPC    func(pc uint64)
+	OnLoad  func(pc, addr uint64, size uint8, val uint64)
+	OnStore func(pc, addr uint64, size uint8, val uint64)
 }
 
 // ErrStepLimit is returned by Run when the step budget is exhausted before
@@ -161,16 +162,9 @@ func (m *Machine) Step() bool {
 		}
 	case in.Op == isa.OpJmp:
 		next = in.Target
-		if h := m.Hooks.OnBranch; h != nil {
-			h(pc, true, isa.PCOf(in.Target))
-		}
 	case in.Op == isa.OpBranch:
-		taken := m.Flags.Eval(in.Cond)
-		if taken {
+		if m.Flags.Eval(in.Cond) {
 			next = in.Target
-		}
-		if h := m.Hooks.OnBranch; h != nil {
-			h(pc, taken, isa.PCOf(in.Target))
 		}
 	default:
 		panic(fmt.Sprintf("emu: unhandled opcode %v", in.Op))

@@ -99,19 +99,18 @@ func TestHooksFire(t *testing.T) {
 		isa.Nop(),
 	}}
 	m := New(p, sb, in)
-	var pcs, loads, stores, branches int
+	var pcs, loads, stores int
 	var loadVal uint64
 	m.Hooks = Hooks{
-		OnPC:     func(uint64) { pcs++ },
-		OnLoad:   func(_, _ uint64, _ uint8, v uint64) { loads++; loadVal = v },
-		OnStore:  func(_, _ uint64, _ uint8, _ uint64) { stores++ },
-		OnBranch: func(_ uint64, taken bool, _ uint64) { branches++; _ = taken },
+		OnPC:    func(uint64) { pcs++ },
+		OnLoad:  func(_, _ uint64, _ uint8, v uint64) { loads++; loadVal = v },
+		OnStore: func(_, _ uint64, _ uint8, _ uint64) { stores++ },
 	}
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if pcs != 5 || loads != 1 || stores != 1 || branches != 1 {
-		t.Errorf("hook counts: pc=%d ld=%d st=%d br=%d", pcs, loads, stores, branches)
+	if pcs != 5 || loads != 1 || stores != 1 {
+		t.Errorf("hook counts: pc=%d ld=%d st=%d", pcs, loads, stores)
 	}
 	if loadVal != 0x11 {
 		t.Errorf("load hook value = %#x", loadVal)

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/sith-lab/amulet-go/internal/contract"
 	"github.com/sith-lab/amulet-go/internal/engine"
+	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
@@ -247,6 +249,35 @@ func TestLargeSandboxViolationGolden(t *testing.T) {
 				t.Errorf("stt seed=%d workers=%d: violation-set fingerprint %#x, want %#x",
 					g.seed, workers, fp, g.fingerprint)
 			}
+		}
+	}
+}
+
+// TestCTCondCampaignGolden pins a campaign under CT-COND, the one contract
+// whose leakage model forks mispredicted-path excursions on nested emulator
+// checkpoints; no other golden runs it. It is the CLI's
+// `-defense baseline -contract CT-COND -instances 2 -programs 200 -seed 3`.
+// Every mutant is accepted or rejected by CT-COND trace equality, so the
+// case and rejected-mutant counts pin the model's trace for each candidate,
+// and the validation-run count pins which classes reached the simulator's
+// comparison.
+func TestCTCondCampaignGolden(t *testing.T) {
+	spec, err := experiments.DefenseByName("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := experiments.Scale{Instances: 2, Programs: 200, BaseInputs: 8, Mutants: 5, BootInsts: executor.DefaultBootInsts, Seed: 3}
+	ccfg := experiments.CampaignConfig(spec, sc)
+	ccfg.Base.Contract = contract.CTCond
+	for _, workers := range []int{1, 4} {
+		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot := res.Totals()
+		if res.TestCases != 18544 || len(res.Violations) != 0 || tot.RejectedMutants != 1118 || tot.ValidationRuns != 154 {
+			t.Errorf("workers=%d: %d cases, %d violations, %d rejected mutants, %d validation runs; want 18544, 0, 1118, 154",
+				workers, res.TestCases, len(res.Violations), tot.RejectedMutants, tot.ValidationRuns)
 		}
 	}
 }

@@ -26,31 +26,31 @@ func EvalALU(op Op, cond Cond, a, b, oldDst uint64, prevFlags Flags) (result uin
 		result = a
 	case OpAdd:
 		result = a + b
-		flags = ArithFlags(result, result < a)
+		flags = arithFlags(result, result < a)
 	case OpSub:
 		result = a - b
-		flags = ArithFlags(result, a < b)
+		flags = arithFlags(result, a < b)
 	case OpAnd:
 		result = a & b
-		flags = LogicFlags(result)
+		flags = logicFlags(result)
 	case OpOr:
 		result = a | b
-		flags = LogicFlags(result)
+		flags = logicFlags(result)
 	case OpXor:
 		result = a ^ b
-		flags = LogicFlags(result)
+		flags = logicFlags(result)
 	case OpShl:
 		result = a << (b & 63)
-		flags = LogicFlags(result)
+		flags = logicFlags(result)
 	case OpShr:
 		result = a >> (b & 63)
-		flags = LogicFlags(result)
+		flags = logicFlags(result)
 	case OpMul:
 		result = a * b
-		flags = LogicFlags(result)
+		flags = logicFlags(result)
 	case OpCmp:
 		r := a - b
-		flags = ArithFlags(r, a < b)
+		flags = arithFlags(r, a < b)
 		writesReg = false
 	case OpCmov:
 		if prevFlags.Eval(cond) {
@@ -65,17 +65,14 @@ func EvalALU(op Op, cond Cond, a, b, oldDst uint64, prevFlags Flags) (result uin
 	return result, flags, writesReg
 }
 
-// ArithFlags returns the flags an arithmetic operation (ADD, SUB, CMP) sets:
+// arithFlags returns the flags an arithmetic operation (ADD, SUB, CMP) sets:
 // zero and sign from the result, carry as computed by the operation.
-// Exported so interpreters that pre-resolve the ALU operation per instruction
-// (the contract layer's predecoded model) share the exact flag semantics with
-// EvalALU instead of restating them.
-func ArithFlags(result uint64, carry bool) Flags {
+func arithFlags(result uint64, carry bool) Flags {
 	return Flags{Z: result == 0, S: result>>63 == 1, C: carry}
 }
 
-// LogicFlags returns the flags a logic/shift/multiply operation sets: zero
+// logicFlags returns the flags a logic/shift/multiply operation sets: zero
 // and sign from the result, carry cleared.
-func LogicFlags(result uint64) Flags {
+func logicFlags(result uint64) Flags {
 	return Flags{Z: result == 0, S: result>>63 == 1, C: false}
 }

@@ -73,14 +73,6 @@ const (
 	SinkLFB                   // stage in the line-fill buffer (SpecLFB)
 )
 
-// fillRingSlots is the calendar ring's horizon in cycles (a power of two,
-// for mask indexing). It comfortably covers the deepest single-access
-// completion the default latencies can produce (port wait excluded):
-// TLB walk + L1 + L2 + memory is well under 128 cycles. Anything later —
-// MSHR serialization, CleanupSpec port blocks — overflows to the heap,
-// which is correct for any horizon.
-const fillRingSlots = 128
-
 type pendingFill struct {
 	id        uint64
 	at        uint64
@@ -134,39 +126,15 @@ type Hierarchy struct {
 	DTLB  *TLB
 	LFBuf *LFB
 
-	// pending is a binary min-heap ordered by (at, id): the root is always
-	// the next fill to complete, so a quiescent Tick is a single compare
-	// instead of the former O(pending) re-filter every cycle. due and done
-	// are scratch buffers reused across Ticks, keeping the per-cycle path
+	// pending is the pending-fill queue, a binary min-heap ordered by
+	// (at, id): the root is always the next fill to complete, so a quiescent
+	// Tick and NextReady are one look at the root. due and done are scratch
+	// buffers reused across Ticks, keeping the per-cycle path
 	// allocation-free in steady state.
 	pending    []pendingFill
 	due        []pendingFill
 	done       []CompletedFill
 	nextFillID uint64
-
-	// Calendar ring: fills completing within the next fillRingSlots cycles
-	// — which, with the bounded latencies of HierConfig, is nearly all of
-	// them — get O(1) schedule and pop here; fills beyond that horizon
-	// (MSHR waits, port blocks) take the pending heap. Slot
-	// at&(fillRingSlots-1) holds the fills completing at cycle at. ringNow
-	// is the cycle the ring was last drained to, so the live window is
-	// (ringNow, ringNow+fillRingSlots): distinct completion cycles inside
-	// it map to distinct slots, and same-cycle fills share a slot in
-	// schedule (id) order. ringOcc is the occupancy bitmap (one bit per
-	// slot) that Tick, NextReady and the quiescent-span proof scan instead
-	// of walking 128 slot headers; ringCount counts ring-resident fills.
-	// Every clock rewind in the system is preceded by DropPendingFills,
-	// which empties the ring and rewinds ringNow with it.
-	ring      [fillRingSlots][]pendingFill
-	ringOcc   [fillRingSlots / 64]uint64
-	ringCount int
-	ringNow   uint64
-
-	// heapOnly routes every fill through the pending heap, the ring's test
-	// oracle: the two apply identical fill batches in identical order
-	// (TestRingVsHeapPopOrder, TestCalendarFillBitIdentity). Only
-	// export_test.go sets it.
-	heapOnly bool
 
 	// portBusyUntil blocks the data port: accesses issued before this
 	// cycle wait for it. CleanupSpec's rollback raises it, putting cleanup
@@ -228,7 +196,7 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{
+	return &Hierarchy{
 		Cfg:   cfg,
 		L1D:   NewCache(cfg.L1D),
 		L1I:   NewCache(cfg.L1I),
@@ -237,14 +205,6 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 		DTLB:  NewTLB(cfg.TLBEntries),
 		LFBuf: NewLFB(cfg.LFBEntries),
 	}
-	// Seed every calendar slot with a little capacity out of one backing
-	// array, so the first fill landing in a cold slot doesn't allocate
-	// (slots grow past this only when >4 fills complete on one cycle).
-	backing := make([]pendingFill, fillRingSlots*4)
-	for i := range h.ring {
-		h.ring[i] = backing[i*4 : i*4 : (i+1)*4]
-	}
-	return h
 }
 
 // Reset restores the post-construction state (empty caches, free MSHRs).
@@ -266,30 +226,14 @@ func (h *Hierarchy) Reset() {
 // returned slice is a buffer owned by the hierarchy, valid until the next
 // Tick; no caller retains it past the cycle.
 func (h *Hierarchy) Tick(now uint64) []CompletedFill {
-	ringDue := h.ringCount > 0 && h.ringHasDue(now)
-	if !ringDue && (len(h.pending) == 0 || h.pending[0].at > now) {
-		// Quiescent tick: advance the ring's window so later ScheduleFills
-		// measure their horizon from the current cycle, not a stale one.
-		// Sound because no occupied slot lies in (ringNow, now] — that is
-		// exactly what !ringDue established.
-		if now > h.ringNow {
-			h.ringNow = now
-		}
+	if len(h.pending) == 0 || h.pending[0].at > now {
 		return nil
 	}
-	// Pop everything due — ring slots and heap prefix alike — then apply in
-	// schedule (id) order, the order the former append-only queue preserved
-	// naturally, so fills scheduled earlier install first even when a later
-	// request completes sooner. Fill ids are allocated in schedule order, so
-	// the id sort makes the merged ring+heap batch bit-identical to the
-	// all-heap reference batch.
+	// Pop everything due, then apply in schedule (id) order, the order the
+	// former append-only queue preserved naturally, so fills scheduled
+	// earlier install first even when a later request completes sooner
+	// (fill ids are allocated in schedule order).
 	h.due = h.due[:0]
-	if ringDue {
-		h.popDueRing(now)
-	}
-	if now > h.ringNow {
-		h.ringNow = now
-	}
 	for len(h.pending) > 0 && h.pending[0].at <= now {
 		h.due = append(h.due, h.heapPop())
 	}
@@ -373,125 +317,30 @@ func (h *Hierarchy) heapPop() pendingFill {
 	return top
 }
 
-// ringFirstOcc returns the offset of the first occupied ring slot past
-// ringNow — i.e. the earliest resident completion cycle is ringNow+1+off —
-// or fillRingSlots when the ring is empty. Rotating the 128-bit occupancy
-// bitmap so slot ringNow+1 becomes bit 0 turns the cyclic minimum into two
-// trailing-zero counts; this runs inside the quiescent-span wakeup query
-// (NextReady) on every potentially-idle cycle, so it must not loop.
-func (h *Hierarchy) ringFirstOcc() uint64 {
-	base := (h.ringNow + 1) & (fillRingSlots - 1)
-	lo, hi := h.ringOcc[0], h.ringOcc[1]
-	if base >= 64 {
-		lo, hi = hi, lo
-		base -= 64
-	}
-	// Rotate the (hi,lo) pair right by base bits (shifts by 64 are defined
-	// as 0 in Go, so base == 0 degenerates correctly).
-	rlo := lo>>base | hi<<(64-base)
-	rhi := hi>>base | lo<<(64-base)
-	if rlo != 0 {
-		return uint64(bits.TrailingZeros64(rlo))
-	}
-	if rhi != 0 {
-		return uint64(64 + bits.TrailingZeros64(rhi))
-	}
-	return fillRingSlots
-}
-
-// ringHasDue reports whether any occupied ring slot holds fills due at or
-// before cycle now. The common case — the core's once-per-cycle tick, where
-// now == ringNow+1 — is a single bit test.
-func (h *Hierarchy) ringHasDue(now uint64) bool {
-	if now <= h.ringNow {
-		return false
-	}
-	span := now - h.ringNow
-	if span == 1 {
-		s := now & (fillRingSlots - 1)
-		return h.ringOcc[s>>6]&(1<<(s&63)) != 0
-	}
-	return h.ringFirstOcc() < span
-}
-
-// popDueRing moves every ring fill due at or before now into h.due and
-// frees its slot. Order within the batch is irrelevant: Tick id-sorts the
-// combined ring+heap batch before applying it.
-func (h *Hierarchy) popDueRing(now uint64) {
-	base := (h.ringNow + 1) & (fillRingSlots - 1)
-	span := now - h.ringNow
-	for wi, word := range h.ringOcc {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			s := uint64(wi<<6 + b)
-			if span < fillRingSlots && (s-base)&(fillRingSlots-1) >= span {
-				continue // completes after now; stays resident
-			}
-			h.due = append(h.due, h.ring[s]...)
-			h.ringCount -= len(h.ring[s])
-			h.ring[s] = h.ring[s][:0]
-			h.ringOcc[wi] &^= 1 << uint(b)
-		}
-	}
-}
-
 // NoFillPending is NextReady's result when no fill is in flight: later
 // than any real completion cycle, so min-folding it with other wakeup
 // bounds needs no special case.
 const NoFillPending = ^uint64(0)
 
-// NextReady returns the completion cycle of the earliest in-flight fill —
-// the minimum of the heap root and the earliest occupied calendar slot —
-// or NoFillPending when both queues are empty. Quiescent cores use it to
+// NextReady returns the completion cycle of the earliest in-flight fill (the
+// heap root), or NoFillPending when none is. Quiescent cores use it to
 // skip straight to the next cycle where Tick can do work: every Tick
 // strictly before NextReady returns nil by definition, so the jump is
 // bit-identical to ticking through the span cycle by cycle.
 func (h *Hierarchy) NextReady() uint64 {
-	next := NoFillPending
-	if len(h.pending) > 0 {
-		next = h.pending[0].at
+	if len(h.pending) == 0 {
+		return NoFillPending
 	}
-	if h.ringCount > 0 {
-		if at := h.ringNow + 1 + h.ringFirstOcc(); at < next {
-			next = at
-		}
-	}
-	return next
-}
-
-// AdvanceTo advances the fill queue to cycle now in one step, applying
-// every fill due at or before it, exactly as a Tick at that cycle would.
-// It exists as the named counterpart of NextReady for the quiescent-span
-// skip: AdvanceTo(NextReady()) replaces a run of no-op Ticks.
-func (h *Hierarchy) AdvanceTo(now uint64) []CompletedFill {
-	return h.Tick(now)
+	return h.pending[0].at
 }
 
 // PendingFills returns the number of fills still in flight (cancelled
-// fills included until their completion cycle, matching the heap).
-func (h *Hierarchy) PendingFills() int { return len(h.pending) + h.ringCount }
+// fills included until their completion cycle).
+func (h *Hierarchy) PendingFills() int { return len(h.pending) }
 
 // DropPendingFills abandons all in-flight fills without applying them
-// (m5exit / checkpoint-restore semantics between test cases). It also
-// rewinds the ring's window to cycle 0: every clock rewind in the system
-// (ResetForInput, checkpoint Restore, the primes) passes through here, so
-// ringNow never runs ahead of the core clock.
-func (h *Hierarchy) DropPendingFills() {
-	h.pending = h.pending[:0]
-	if h.ringCount > 0 {
-		for wi, word := range h.ringOcc {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				h.ring[wi<<6+b] = h.ring[wi<<6+b][:0]
-			}
-			h.ringOcc[wi] = 0
-		}
-		h.ringCount = 0
-	}
-	h.ringNow = 0
-}
+// (m5exit / checkpoint-restore semantics between test cases).
+func (h *Hierarchy) DropPendingFills() { h.pending = h.pending[:0] }
 
 // HierState is an opaque copy of the hierarchy's persistent state (caches
 // and TLB). Transient state — MSHRs, LFB, pending fills — is not captured:
@@ -531,8 +380,7 @@ func (h *Hierarchy) Restore(st *HierState) {
 }
 
 // CancelFill marks an in-flight fill as cancelled (squash paths of
-// InvisiSpec's speculative buffer and SpecLFB). A live id is in exactly
-// one of the heap and the ring.
+// InvisiSpec's speculative buffer and SpecLFB).
 func (h *Hierarchy) CancelFill(id uint64) {
 	for i := range h.pending {
 		if h.pending[i].id == id {
@@ -540,38 +388,13 @@ func (h *Hierarchy) CancelFill(id uint64) {
 			return
 		}
 	}
-	if h.ringCount == 0 {
-		return
-	}
-	for wi, word := range h.ringOcc {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			slot := h.ring[wi<<6+b]
-			for i := range slot {
-				if slot[i].id == id {
-					slot[i].cancelled = true
-					return
-				}
-			}
-		}
-	}
 }
 
-// ScheduleFill enqueues a fill of lineAddr completing at cycle at. Fills
-// inside the ring's horizon take an O(1) calendar slot; later ones take the
-// heap.
+// ScheduleFill enqueues a fill of lineAddr completing at cycle at and
+// returns its id.
 func (h *Hierarchy) ScheduleFill(at, lineAddr uint64, sink FillSink, owner uint64) uint64 {
 	h.nextFillID++
-	f := pendingFill{id: h.nextFillID, at: at, lineAddr: lineAddr, sink: sink, owner: owner}
-	if !h.heapOnly && at > h.ringNow && at-h.ringNow < fillRingSlots {
-		s := at & (fillRingSlots - 1)
-		h.ring[s] = append(h.ring[s], f)
-		h.ringOcc[s>>6] |= 1 << (s & 63)
-		h.ringCount++
-	} else {
-		h.heapPush(f)
-	}
+	h.heapPush(pendingFill{id: h.nextFillID, at: at, lineAddr: lineAddr, sink: sink, owner: owner})
 	return h.nextFillID
 }
 

@@ -348,7 +348,7 @@ func (c *Core) Run() error {
 					c.cycle = c.cfg.MaxCycles
 					continue
 				}
-				c.def.OnFills(c.Hier.AdvanceTo(c.cycle))
+				c.def.OnFills(c.Hier.Tick(c.cycle))
 			}
 			return nil
 		}
