@@ -49,14 +49,15 @@
 //
 // # Pipeline scheduling
 //
-// The out-of-order core has one pipeline. Writeback walks the ROB window
-// (a completion watermark skips the walk on cycles that wait on one long
-// fill), and the store-queue search, memory-order check and speculation
-// shadow re-derive their answers from the window. Issue walks an unissued
-// list against a completion bitmask (the scoreboard) whenever its two mask
-// words cover the window's buffer (ROBSize <= 64); larger windows issue by
-// the plain full-ROB scan, which is also the scoreboard's test oracle.
-// Provably idle spans of cycles are skipped wholesale (uarch/quiescent.go).
+// The out-of-order core has one pipeline. The store-queue search,
+// memory-order check and speculation shadow re-derive their answers from
+// the ROB window. Issue, writeback and the idle-span proof read slot
+// bitmasks instead (the scoreboard: done, waiting, blocked and executing
+// slots, woken on writeback and commit) whenever its two mask words cover
+// the window's buffer (ROBSize <= 64); larger windows walk the full ROB,
+// which is also the scoreboard's test oracle. A completion watermark skips
+// writeback on cycles that wait on one long fill, and provably idle spans
+// of cycles are skipped wholesale (uarch/quiescent.go).
 // The reference paths — scan issue, cycle-by-cycle loop, full-walk
 // digests — are selectable only from tests, through each package's
 // export_test.go, and each is held bit-identical to the fast path by a test

@@ -355,11 +355,11 @@ func (e *Executor) runOnce(in *isa.Input) (*UTrace, error) {
 	e.met.Prime += t0.Sub(tp)
 	e.core.ResetForInput(in)
 	err := e.core.Run()
-	e.met.Simulate += time.Since(t0)
+	t1 := time.Now() // closes Simulate and opens TraceExtract
+	e.met.Simulate += t1.Sub(t0)
 	if err != nil {
 		return nil, err
 	}
-	t1 := time.Now()
 	tr := e.extract()
 	t2 := time.Now()
 	e.met.TraceExtract += t2.Sub(t1)

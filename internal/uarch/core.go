@@ -3,6 +3,7 @@ package uarch
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/mem"
@@ -10,6 +11,10 @@ import (
 
 // ErrMaxCycles is returned by Run when the cycle budget is exhausted.
 var ErrMaxCycles = errors.New("uarch: simulation exceeded MaxCycles")
+
+// sbSlots is the number of robBuf slots the scoreboard's two mask words
+// name.
+const sbSlots = 128
 
 // Core is the out-of-order processor. One Core is reused across the many
 // inputs of a test program (the AMuLeT-Opt strategy): LoadTest installs a
@@ -69,23 +74,38 @@ type Core struct {
 	wbNext uint64
 
 	// Issue scoreboard, on (sbOn) whenever its two mask words cover the
-	// robBuf slots, i.e. 2*ROBSize <= 128; larger windows issue by the
-	// full-ROB scan, which is also the scoreboard's test oracle (the two
+	// robBuf slots, i.e. 2*ROBSize <= sbSlots; larger windows run the
+	// full-ROB walks, which are also the scoreboard's test oracle (the two
 	// are bit-identical: same visit order, same attemptIssue calls, same
-	// side effects). sbDone has the bit of every robBuf slot whose
-	// instruction reached StDone/StCommitted — set at writeback, cleared
-	// when a squash frees slots for reuse, rebuilt on window compaction.
-	// unissued is the seq-ordered list of dispatched entries the issue walk
-	// still has to visit, held as robBuf slot indices rather than pointers
-	// so the per-cycle compaction writes plain ints (no GC write barriers
-	// on the hottest loop in the profile); issued entries are compacted out
-	// lazily, squashes truncate it, and the compaction rebuild renumbers it
-	// along with the masks. A slot index always denotes the instruction
-	// that appended it: slots are only reused after a squash (which
-	// truncated the list first) or a compaction (which rebuilt it).
-	sbOn     bool
-	sbDone   [2]uint64
-	unissued []int32
+	// side effects). Each mask has one bit per robBuf slot, and slot order
+	// is seq order, since the window occupies robBuf[robOff:] contiguously.
+	// The masks change only when the facts behind them do:
+	//
+	//   - sbDone: slots whose instruction reached StDone/StCommitted. Set at
+	//     writeback; committed slots below the window keep their bits until
+	//     the next compaction, since a live consumer may still name them.
+	//   - sbWaiting: dispatched (StDispatched) slots. Set at dispatch,
+	//     cleared when the instruction starts executing.
+	//   - sbBlocked: the waiting slots whose next attemptIssue is a pure,
+	//     side-effect-free early return — exactly issueBlockedPure's cases.
+	//     sbWait[s] holds the producer slots such an attempt waits on; the
+	//     slot is woken when the last of them reaches sbDone at writeback.
+	//     A fence waits on no producer and is woken once commit has made it
+	//     the ROB head; a store whose address phase completes is
+	//     re-classified to wait on its data producer instead.
+	//   - sbExec: executing slots, each completing at sbDoneAt[s].
+	//
+	// A squash clears the freed tail of robBuf out of every mask
+	// (sbTruncate), and a window compaction re-derives all of them from
+	// the renumbered ROB (sbRebuild), so a reused slot never inherits
+	// state from the instruction that held it before.
+	sbOn      bool
+	sbDone    [2]uint64
+	sbWaiting [2]uint64
+	sbBlocked [2]uint64
+	sbExec    [2]uint64
+	sbWait    [sbSlots][2]uint64
+	sbDoneAt  [sbSlots]uint64
 
 	// lastActCycle is the last cycle in which an instruction changed state
 	// (issued, wrote back or committed). skipQuiescentSpan uses it to pay
@@ -127,7 +147,7 @@ func NewCore(cfg Config, def Defense) *Core {
 		MD:   NewMDP(),
 		// The scoreboard needs one bit per robBuf slot (2*ROBSize) in its
 		// two mask words; larger windows issue by the full-ROB scan.
-		sbOn: 2*cfg.ROBSize <= 128,
+		sbOn: 2*cfg.ROBSize <= sbSlots,
 	}
 	def.Attach(c)
 	return c
@@ -223,8 +243,7 @@ func (c *Core) ResetForInput(in *isa.Input) {
 	c.robOff = 0
 	c.wbNext = 0
 	c.lastActCycle = 0
-	c.sbDone = [2]uint64{}
-	c.unissued = c.unissued[:0]
+	c.sbTruncate(0)
 	c.dyn.reset()
 	for i := range c.renameReg {
 		c.renameReg[i] = nil
@@ -369,16 +388,26 @@ func (c *Core) startExec(in *DynInst, doneAt uint64) {
 	if doneAt < c.wbNext {
 		c.wbNext = doneAt
 	}
+	if c.sbOn {
+		w, b := slotBit(in.RobIdx)
+		c.sbWaiting[w] &^= b
+		c.sbExec[w] |= b
+		c.sbDoneAt[in.RobIdx] = doneAt
+	}
 }
 
 func (c *Core) writeback() {
 	// wbNext is a conservative lower bound on the earliest DoneAt of any
 	// executing instruction (startExec lowers it, the walk re-derives it),
-	// so the cycles spent waiting on one long-latency fill skip the ROB
-	// walk entirely. A stale-low bound after a squash merely costs an
-	// extra no-op walk; the walk itself is side-effect-free for non-due
-	// entries, so the skip cannot change behaviour.
+	// so the cycles spent waiting on one long-latency fill skip the walk
+	// entirely. A stale-low bound after a squash merely costs an extra
+	// no-op walk; the walk itself is side-effect-free for non-due entries,
+	// so the skip cannot change behaviour.
 	if c.cycle < c.wbNext {
+		return
+	}
+	if c.sbOn {
+		c.writebackScoreboard()
 		return
 	}
 	next := ^uint64(0)
@@ -393,23 +422,74 @@ func (c *Core) writeback() {
 			}
 			continue
 		}
-		in.State = StDone
-		if c.sbOn {
-			c.sbDone[in.RobIdx>>6] |= 1 << (in.RobIdx & 63)
+		if c.complete(in) {
+			// Squash truncated the ROB; younger entries are gone, and
+			// the walk did not finish deriving the bound.
+			c.wbNext = 0
+			return
 		}
-		c.lastActCycle = c.cycle
-		if in.IsBranch() {
-			if c.resolveBranch(in) {
-				// Squash truncated the ROB; younger entries are gone, and
-				// the walk did not finish deriving the bound.
-				c.wbNext = 0
-				return
-			}
-			continue
-		}
-		c.def.OnResult(in)
 	}
 	c.wbNext = next
+}
+
+// writebackScoreboard is the writeback walk over the executing slots: the
+// same completions in the same (program) order as the ROB walk, without
+// visiting the entries that are not executing. Every slot that completes
+// joins sbDone, and the blocked slots whose last producer it was wake up.
+func (c *Core) writebackScoreboard() {
+	next := ^uint64(0)
+	var woke [2]uint64
+walk:
+	for w := range c.sbExec {
+		for m := c.sbExec[w]; m != 0; m &= m - 1 {
+			s := w<<6 | bits.TrailingZeros64(m)
+			if at := c.sbDoneAt[s]; at > c.cycle {
+				next = min(next, at)
+				continue
+			}
+			b := uint64(1) << (s & 63)
+			c.sbExec[w] &^= b
+			c.sbDone[w] |= b
+			woke[w] |= b
+			if c.complete(c.robBuf[s]) {
+				// The squash removed every slot past this branch, and every
+				// executing slot before it was visited: next is exact.
+				break walk
+			}
+		}
+	}
+	c.wbNext = next
+	c.sbWake(woke)
+}
+
+// complete writes back executing instruction in and reports whether it was
+// a mispredicted branch whose resolution squashed the younger pipeline.
+func (c *Core) complete(in *DynInst) bool {
+	in.State = StDone
+	c.lastActCycle = c.cycle
+	if in.IsBranch() {
+		return c.resolveBranch(in)
+	}
+	c.def.OnResult(in)
+	return false
+}
+
+// sbWake clears the blocked bit of every blocked slot whose last pending
+// producer is among woke, the slots that just completed. A fence waits on
+// no producer; issueScoreboard wakes it when it reaches the ROB head.
+func (c *Core) sbWake(woke [2]uint64) {
+	if woke == ([2]uint64{}) {
+		return
+	}
+	for w := range c.sbBlocked {
+		for m := c.sbBlocked[w]; m != 0; m &= m - 1 {
+			s := w<<6 | bits.TrailingZeros64(m)
+			on := &c.sbWait[s]
+			if (on[0]&woke[0])|(on[1]&woke[1]) != 0 && (on[0]&^c.sbDone[0])|(on[1]&^c.sbDone[1]) == 0 {
+				c.sbBlocked[w] &^= 1 << (s & 63)
+			}
+		}
+	}
 }
 
 // resolveBranch resolves a conditional branch and reports whether it
@@ -448,23 +528,10 @@ func (c *Core) squashYoungerThan(seq uint64, redirectIdx int) {
 	squashed := append(c.squashBuf[:0], c.rob[cut:]...)
 	c.squashBuf = squashed
 	c.rob = c.rob[:cut]
-	if c.sbOn {
-		// The truncated slots are the next ones robPush reuses: their done
-		// bits must not leak onto the instructions that take them over. The
-		// unissued list is seq-ordered, so the squash is a truncation there
-		// too — done before any slot is reused, while every listed index
-		// still names the instruction that appended it.
-		for _, in := range squashed {
-			c.sbDone[in.RobIdx>>6] &^= 1 << (in.RobIdx & 63)
-		}
-		ucut := len(c.unissued)
-		for i, idx := range c.unissued {
-			if c.robBuf[idx].Seq > seq {
-				ucut = i
-				break
-			}
-		}
-		c.unissued = c.unissued[:ucut]
+	if c.sbOn && len(squashed) > 0 {
+		// The truncated slots are the next ones robPush reuses: none of
+		// their bits may leak onto the instructions that take them over.
+		c.sbTruncate(squashed[0].RobIdx)
 	}
 	// Youngest first, matching squash walk order in hardware.
 	for i, j := 0, len(squashed)-1; i < j; i, j = i+1, j-1 {
@@ -644,75 +711,52 @@ func (c *Core) issue() {
 	}
 }
 
-// issueScoreboard is the issue walk over the unissued list: the same
-// attemptIssue calls in the same (program) order as the reference full-ROB
-// scan — dispatched entries are exactly the list's live entries, in seq
-// order — minus the visits to already-executing, done and committed
-// entries the reference walk steps over. Issued and squashed entries are
-// compacted out with a write cursor.
+// issueScoreboard is the issue walk over the waiting slots that are not
+// blocked: the same attemptIssue calls in the same (program) order as the
+// reference full-ROB scan, minus the visits to executing and done entries
+// it steps over and the attempts on blocked entries that it would burn on
+// a side-effect-free early return. A store the attempt leaves dispatched is
+// re-classified: once its address resolved, it waits on its data producer.
 func (c *Core) issueScoreboard() {
-	issued := 0
-	list := c.unissued
-	w := 0
-	for i := 0; i < len(list); i++ {
-		idx := list[i]
-		in := c.robBuf[idx]
-		if in.State != StDispatched {
-			continue // issued since its last visit: drop
-		}
-		if issued >= c.cfg.IssueWidth || c.issueBlockedPure(in) {
-			// Width exhausted, or the attempt would be a side-effect-free
-			// early return (pending producer, fence away from the head):
-			// skip the attemptIssue call the reference walk would burn on
-			// it. issueBlockedPure is exactly the predicate the quiescent
-			// span proof uses for the same question.
-			if w != i {
-				list[w] = idx
-			}
-			w++
-			continue
-		}
-		if c.attemptIssue(in, in.RobIdx == c.robOff, &issued) {
-			// Memory-order squash: squashYoungerThan already truncated
-			// c.unissued to the surviving seq range (the walked prefix is
-			// older than the victim, so it is intact). Stitch the kept
-			// prefix, the store itself, and the not-yet-walked survivors
-			// back together, then stop issuing — the reference walk
-			// returns here too.
-			list = c.unissued // re-read: the squash truncated it
-			if in.State == StDispatched {
-				if w != i {
-					list[w] = idx
-				}
-				w++
-			}
-			if w != i+1 {
-				w += copy(list[w:], list[i+1:])
-			} else {
-				w = len(list)
-			}
-			c.unissued = list[:w]
-			return
-		}
-		if in.State != StDispatched {
-			continue // issued this cycle
-		}
-		if w != i {
-			list[w] = idx
-		}
-		w++
+	if c.fence != nil && c.rob[0] == c.fence {
+		// This cycle's commit may have made the fence the ROB head, which
+		// lifts its serialization block. (Kept out of commit, whose inlined
+		// body sits at the compiler's budget.)
+		w, b := slotBit(c.fence.RobIdx)
+		c.sbBlocked[w] &^= b
 	}
-	c.unissued = list[:w]
+	issued := 0
+	for w := range c.sbWaiting {
+		// Only the visited slot changes state inside the walk, and a
+		// memory-order squash ends it, so the word can be read once.
+		for m := c.sbWaiting[w] &^ c.sbBlocked[w]; m != 0; m &= m - 1 {
+			if issued >= c.cfg.IssueWidth {
+				return
+			}
+			s := w<<6 | bits.TrailingZeros64(m)
+			in := c.robBuf[s]
+			squashed := c.attemptIssue(in, s == c.robOff, &issued)
+			if in.State == StDispatched && in.IsStore() {
+				// The one attempt that can leave its instruction blocked:
+				// every other kind visited here either issues or, like a
+				// load stalled on the store queue or a defense delay,
+				// stays unblocked, since its producers are still done.
+				c.sbClassify(in)
+			}
+			if squashed {
+				return // the squash rewrote the ROB; the scan stops here too
+			}
+		}
+	}
 }
 
-// depsDone reports whether in's register/flags dependencies have all
-// produced their results: the scoreboard mask test when it is on, the
-// reference per-producer walk otherwise.
+// depsDone reports whether branch or ALU op in, about to be attempted, has
+// all its register/flags dependencies produced. The scoreboard walk only
+// attempts slots that are not blocked, and for these kinds that means
+// exactly that every slot in the wait set is done; the scan asks the
+// producers.
 func (c *Core) depsDone(in *DynInst) bool {
-	if c.sbOn {
-		return (in.waitMask[0]&^c.sbDone[0])|(in.waitMask[1]&^c.sbDone[1]) == 0
-	}
-	return in.DepsDone()
+	return c.sbOn || in.DepsDone()
 }
 
 // attemptIssue tries to advance one dispatched instruction through its next
@@ -1220,47 +1264,96 @@ func (c *Core) dispatch(idx int) {
 	c.robPush(d)
 	if c.sbOn {
 		// After robPush: a window compaction in there renumbers the
-		// producers' slots the mask refers to.
-		c.sbComputeWait(d)
-		c.unissued = append(c.unissued, int32(d.RobIdx))
+		// producers' slots the wait set refers to.
+		w, b := slotBit(d.RobIdx)
+		c.sbWaiting[w] |= b
+		c.sbClassify(d)
 	}
 	c.stats.Fetched++
 	c.fetchIdx = next
 }
 
-// sbComputeWait fills d's scoreboard wait mask with the robBuf slots of
-// its still-pending register/flags producers. Producers already done or
-// committed stay done for as long as d is live, so they need no bit.
-func (c *Core) sbComputeWait(d *DynInst) {
-	d.waitMask = [2]uint64{}
-	for _, p := range d.Deps {
-		if p != nil && p.State != StDone && p.State != StCommitted {
-			d.waitMask[p.RobIdx>>6] |= 1 << (p.RobIdx & 63)
+// slotBit returns the scoreboard mask word and bit of robBuf slot s.
+func slotBit(s int) (int, uint64) { return s >> 6, 1 << (s & 63) }
+
+// sbClassify records which pending producers the next issue attempt of
+// dispatched instruction in waits on, and whether that attempt is a pure
+// block — issueBlockedPure's cases, kept as bits: a branch or ALU op waits
+// on every register/flags producer, a load on its address producer, a
+// store on its address producer and then, once the address resolved, on
+// its data producer; a fence away from the ROB head waits on no producer
+// but is blocked all the same. Producers already done or committed stay
+// done for as long as in is live, so they need no bit, and a pending one
+// can only complete (squashing a producer squashes in with it).
+func (c *Core) sbClassify(in *DynInst) {
+	var on [2]uint64
+	switch {
+	case in.IsBranch(), in.In.Op.IsALU():
+		for _, p := range in.Deps {
+			waitOn(&on, p)
 		}
+		waitOn(&on, in.FlagsDep)
+	case in.IsLoad():
+		waitOn(&on, in.Deps[0])
+	case in.IsStore() && in.AddrValid:
+		waitOn(&on, in.Deps[1])
+	case in.IsStore():
+		waitOn(&on, in.Deps[0])
 	}
-	if p := d.FlagsDep; p != nil && p.State != StDone && p.State != StCommitted {
-		d.waitMask[p.RobIdx>>6] |= 1 << (p.RobIdx & 63)
+	c.sbWait[in.RobIdx] = on
+	w, b := slotBit(in.RobIdx)
+	if on != ([2]uint64{}) || in.In.Op == isa.OpFence && in != c.rob[0] {
+		c.sbBlocked[w] |= b
+	} else {
+		c.sbBlocked[w] &^= b
 	}
 }
 
-// sbRebuild recomputes the scoreboard after a window compaction renumbered
-// every live RobIdx: completion bits from the live entries' states, wait
-// masks from the dispatched entries' producer pointers, and the unissued
-// list from the dispatched entries in ROB order — which is exactly the
-// list's live content in its existing order, since both are seq-ordered
-// and the list holds every dispatched entry. Slots of committed entries
-// that left the ROB are irrelevant — any mask bit that referred to one was
-// recomputed away, because its producer is committed.
+// waitOn adds producer p's slot to the wait set on while p has not
+// completed.
+func waitOn(on *[2]uint64, p *DynInst) {
+	if p != nil && p.State != StDone && p.State != StCommitted {
+		w, b := slotBit(p.RobIdx)
+		on[w] |= b
+	}
+}
+
+// sbTruncate clears robBuf slot from, and every slot above it, out of every
+// scoreboard mask.
+func (c *Core) sbTruncate(from int) {
+	for w := range c.sbDone {
+		keep := ^uint64(0)
+		switch lo := w << 6; {
+		case from <= lo:
+			keep = 0
+		case from < lo+64:
+			keep = 1<<(from-lo) - 1
+		}
+		c.sbDone[w] &= keep
+		c.sbWaiting[w] &= keep
+		c.sbBlocked[w] &= keep
+		c.sbExec[w] &= keep
+	}
+}
+
+// sbRebuild re-derives the scoreboard after a window compaction renumbered
+// every live RobIdx: each mask from the live entries' states, and each
+// dispatched entry's wait set and blocked bit from its producer pointers.
+// Slots of committed entries that left the ROB are dropped — any wait bit
+// that named one was recomputed away, because its producer is committed.
 func (c *Core) sbRebuild() {
-	c.sbDone = [2]uint64{}
-	c.unissued = c.unissued[:0]
+	c.sbTruncate(0)
 	for _, in := range c.rob {
+		w, b := slotBit(in.RobIdx)
 		switch in.State {
 		case StDone, StCommitted:
-			c.sbDone[in.RobIdx>>6] |= 1 << (in.RobIdx & 63)
+			c.sbDone[w] |= b
+		case StExecuting:
+			c.sbExec[w] |= b
+			c.sbDoneAt[in.RobIdx] = in.DoneAt
 		case StDispatched:
-			c.sbComputeWait(in)
-			c.unissued = append(c.unissued, int32(in.RobIdx))
+			c.sbWaiting[w] |= b
+			c.sbClassify(in)
 		}
 	}
 }

@@ -244,7 +244,7 @@ func TestStoreTLBLatencyInvisible(t *testing.T) {
 
 // TestCoreRunSteadyStateAllocs pins the zero-alloc invariant of the
 // pipeline under every defense: after warm-up, the DynInst arena, the ROB
-// window, the unissued list, the trace slices and the defense's own
+// window and its scoreboard masks, the trace slices and the defense's own
 // metadata (InvisiSpec's expose queue, SpecLFB's staged lines,
 // CleanupSpec's undo records) are all rewound per input — a full
 // ResetForInput + Run cycle allocates nothing. The program is long enough
@@ -290,10 +290,13 @@ func TestCoreRunSteadyStateAllocs(t *testing.T) {
 
 // benchCoreRun measures the raw pipeline: one simulated test case per
 // iteration with Opt-style resets, without generation or comparison costs.
-func benchCoreRun(b *testing.B, gcfg generator.Config, cfg uarch.Config, primeL1D bool) {
+// Beside ns/op it reports the simulated cycles per case and the host time
+// per simulated cycle, so a change that alters the simulated work shows
+// apart from one that only changes its cost.
+func benchCoreRun(b *testing.B, gcfg generator.Config, cfg uarch.Config, def uarch.Defense, primeL1D bool) {
 	g := generator.New(gcfg)
 	sb := g.Sandbox()
-	core := uarch.NewCore(cfg, nil)
+	core := uarch.NewCore(cfg, def)
 	const nProgs = 8
 	progs := make([]*isa.Program, nProgs)
 	inputs := make([]*isa.Input, nProgs)
@@ -301,6 +304,7 @@ func benchCoreRun(b *testing.B, gcfg generator.Config, cfg uarch.Config, primeL1
 		progs[i] = g.Program()
 		inputs[i] = g.Input()
 	}
+	var cycles uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -315,15 +319,29 @@ func benchCoreRun(b *testing.B, gcfg generator.Config, cfg uarch.Config, primeL1
 		if err := core.Run(); err != nil {
 			b.Fatal(err)
 		}
+		cycles += core.Stats().Cycles
 	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "host-ns/cycle")
 }
 
 // BenchmarkCoreRun is the paper geometry: 64-entry ROB, 36-56-instruction
-// programs, scoreboard issue.
+// programs, scoreboard issue. It runs no defense on an unprimed L1D, so
+// after the first iterations nearly every load hits.
 func BenchmarkCoreRun(b *testing.B) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 17
-	benchCoreRun(b, gcfg, uarch.DefaultConfig(), false)
+	benchCoreRun(b, gcfg, uarch.DefaultConfig(), nil, false)
+}
+
+// BenchmarkCoreRunPrimed is the pipeline in the regime a campaign runs it
+// in (the sim-invisispec workload): paper geometry, InvisiSpec, and a
+// fill-primed L1D before every case, so nearly every load misses and most
+// cycles wait on fills with instructions blocked behind them.
+func BenchmarkCoreRunPrimed(b *testing.B) {
+	gcfg := generator.DefaultConfig()
+	gcfg.Seed = 17
+	benchCoreRun(b, gcfg, uarch.DefaultConfig(), invisispec.New(invisispec.Config{}), true)
 }
 
 // BenchmarkCoreRunLargeWindow keeps the large-window cost of the one
@@ -338,5 +356,5 @@ func BenchmarkCoreRunLargeWindow(b *testing.B) {
 	gcfg.MaxBlocks = 8
 	cfg := uarch.DefaultConfig()
 	cfg.ROBSize = 256
-	benchCoreRun(b, gcfg, cfg, true)
+	benchCoreRun(b, gcfg, cfg, nil, true)
 }

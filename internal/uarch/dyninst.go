@@ -75,16 +75,6 @@ type DynInst struct {
 	// Speculation state.
 	SpecAtIssue bool // issued under an unresolved older branch (its shadow)
 	Tainted     bool // STT: result derived from speculatively accessed data
-
-	// waitMask is the scoreboard wait mask (maintained while Core.sbOn): one
-	// bit per robBuf slot of each register/flags producer that had not
-	// completed when this instruction dispatched.
-	// DepsDone then reduces to waitMask &^ Core.sbDone == 0 — producers of
-	// a live instruction only ever advance toward completion (a squashed
-	// producer implies this instruction was squashed with it), so a mask
-	// computed at dispatch never needs per-producer re-checks. Rebuilt on
-	// ROB-window compaction, when slots are renumbered.
-	waitMask [2]uint64
 }
 
 // IsLoad reports whether the instruction is a load.

@@ -39,9 +39,15 @@ import "github.com/sith-lab/amulet-go/internal/isa"
 //     with observable re-attempt side effects (store-queue blocks, defense
 //     delays — they invoke hooks and coverage) forbid skipping entirely.
 //     Blocked-on-producer is stable: only a writeback can release it, and
-//     writebacks bound the span.
-//   - Writeback: the span ends before the earliest executing DoneAt, found
-//     by the ROB walk the issue proof already makes.
+//     writebacks bound the span; blocked-away-from-head is stable because
+//     nothing commits. With the scoreboard on, this is one mask test —
+//     every waiting slot is a blocked slot — since sbBlocked holds exactly
+//     these cases; the scan path asks issueBlockedPure of each dispatched
+//     entry on a ROB walk.
+//   - Writeback: the span ends before the earliest executing DoneAt. The
+//     scoreboard path takes wbNext, a lower bound on it (a stale-low value
+//     only shortens the skip); the scan path finds it on the same ROB
+//     walk as the issue proof.
 //   - Fetch: blocked by an uncommitted fence for the whole span, stalled
 //     until fetchStallUntil (which then bounds the span), or pure-blocked on
 //     a full ROB that cannot drain inside the span. An active fetch —
@@ -62,11 +68,14 @@ func (c *Core) skipQuiescentSpan() {
 	}
 	if c.lastActCycle == c.cycle {
 		// Something issued, wrote back or committed this cycle, so the
-		// proof walk below would almost certainly fail — the new activity
-		// seeds next cycle's. Spend the walk only on cycles that were
-		// themselves quiet; a span entered one cycle late is still skipped
-		// from its second cycle on, and forgoing a skip is always sound.
+		// proof below would almost certainly fail — the new activity seeds
+		// next cycle's. Spend the proof only on cycles that were themselves
+		// quiet; a span entered one cycle late is still skipped from its
+		// second cycle on, and forgoing a skip is always sound.
 		return
+	}
+	if c.sbOn && (c.sbWaiting[0]&^c.sbBlocked[0])|(c.sbWaiting[1]&^c.sbBlocked[1]) != 0 {
+		return // a dispatched instruction's next attempt can act
 	}
 	if !c.def.TickIdle() {
 		return
@@ -88,15 +97,19 @@ func (c *Core) skipQuiescentSpan() {
 			return // fetch (or the phantom fetch) acts next cycle
 		}
 	}
-	for _, in := range c.rob {
-		switch in.State {
-		case StExecuting:
-			if in.DoneAt < bound {
-				bound = in.DoneAt
-			}
-		case StDispatched:
-			if !c.issueBlockedPure(in) {
-				return
+	if c.sbOn {
+		bound = min(bound, c.wbNext)
+	} else {
+		for _, in := range c.rob {
+			switch in.State {
+			case StExecuting:
+				if in.DoneAt < bound {
+					bound = in.DoneAt
+				}
+			case StDispatched:
+				if !c.issueBlockedPure(in) {
+					return
+				}
 			}
 		}
 	}
@@ -110,7 +123,9 @@ func (c *Core) skipQuiescentSpan() {
 // every cycle of a span in which no writeback or commit occurs. It
 // mirrors attemptIssue case by case; anything that would issue, or whose
 // re-attempt has observable side effects (address resolution, store-queue
-// search, defense and coverage hooks), returns false.
+// search, defense and coverage hooks), returns false. The scan path asks
+// it per entry; the scoreboard keeps its answers as sbBlocked bits
+// (sbClassify), and its test oracle recomputes them with it.
 func (c *Core) issueBlockedPure(in *DynInst) bool {
 	switch {
 	case in.In.Op == isa.OpNop, in.In.Op == isa.OpJmp:
@@ -118,7 +133,7 @@ func (c *Core) issueBlockedPure(in *DynInst) bool {
 	case in.In.Op == isa.OpFence:
 		return in != c.rob[0] // serialized: issues only at the head
 	case in.IsBranch(), in.In.Op.IsALU():
-		return !c.depsDone(in) // the scoreboard mask when it is on
+		return !in.DepsDone()
 	case in.IsLoad():
 		p := in.Deps[0]
 		return p != nil && p.State != StDone && p.State != StCommitted
