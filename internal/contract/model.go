@@ -90,16 +90,36 @@ func (u *Usage) LoadedCount() int {
 
 // CopyLoaded copies the byte at every architecturally loaded offset from
 // src to dst — the mutator's "restore the contract-visible bytes" fast
-// path. Only the pages of dst that hold such a byte are materialized.
+// path. It copies a memory word at a time, so only the words of dst that
+// hold such a byte are materialized, and a word loaded whole is copied
+// without computing dst's background for it.
 func (u *Usage) CopyLoaded(dst, src *isa.Image) {
 	for _, pi := range u.touched {
 		for wi, w := range u.pages[pi].loaded {
-			for ; w != 0; w &= w - 1 {
-				off := uint64(pi)*isa.PageSize + uint64(wi*64+bits.TrailingZeros64(w))
-				dst.SetByte(off, src.Byte(off))
+			for w != 0 {
+				k := bits.TrailingZeros64(w) &^ 7 // first bit of the lowest loaded word
+				m := w >> k & 0xff                // its loaded bytes
+				w &^= 0xff << k
+				va := isa.DataBase + uint64(pi)*isa.PageSize + uint64(wi*64+k)
+				x := src.Read(va, 8)
+				if m != 0xff {
+					keep := ^byteMask(m)
+					x = x&^keep | dst.Read(va, 8)&keep
+				}
+				dst.Write(va, 8, x)
 			}
 		}
 	}
+}
+
+// byteMask widens an 8-bit mask of a word's bytes to the 64-bit mask of
+// their bits.
+func byteMask(m uint64) uint64 {
+	var x uint64
+	for ; m != 0; m &= m - 1 {
+		x |= 0xff << (8 * bits.TrailingZeros64(m))
+	}
+	return x
 }
 
 // page returns the bits of sandbox page pi for marking.

@@ -2,6 +2,7 @@ package generator
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -314,5 +315,41 @@ func TestMutateCollectAllocsIndependentOfSandbox(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
 		t.Errorf("collect + mutate allocates %d bytes per mutant on a %d-byte sandbox, want < 64 KB", per, sb.Size())
+	}
+}
+
+// BenchmarkCollectMutate prices what the fuzzer does per mutant before the
+// simulator runs: collect the base input's trace and derive one verified
+// mutant from it, on generated programs, on the default sandbox and on the
+// paper's 128-page STT one (ARCH-SEQ, the model-stt workload's contract).
+// Both pay for every store the model commits into a page of its view.
+func BenchmarkCollectMutate(b *testing.B) {
+	for _, pages := range []int{1, 128} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Seed, cfg.Pages = 21, pages
+			g := New(cfg)
+			sb := g.Sandbox()
+			type unit struct {
+				model *contract.Model
+				base  *isa.Input
+			}
+			var units []unit
+			for i := 0; i < 16; i++ {
+				units = append(units, unit{contract.NewModel(contract.ArchSeq, g.Program(), sb), g.Input()})
+			}
+			mut := NewMutator(22, false, false)
+			slab := isa.NewSlab(sb, 1)
+			var buf contract.Trace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := units[i%len(units)]
+				slab.Reset(sb, 1)
+				tr, usage := u.model.CollectInto(u.base, buf)
+				buf = tr
+				mut.MutateIn(slab, u.model, u.base, usage, tr)
+			}
+		})
 	}
 }

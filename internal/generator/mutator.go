@@ -61,7 +61,7 @@ func (m *Mutator) MutateIn(slab *isa.Slab, model *contract.Model, base *isa.Inpu
 		if scope == 1.0 {
 			// Fast path: a fresh random background for the whole sandbox,
 			// then the contract-visible bytes restored from the base input —
-			// which materializes only the pages those bytes live in.
+			// which materializes only the words those bytes live in.
 			m.rng.Fill(&cand.Mem)
 			usage.CopyLoaded(&cand.Mem, &base.Mem)
 			changed = usage.LoadedCount() < size

@@ -19,26 +19,70 @@ import (
 //     (base, n). Word i of the sandbox is output n0+1+i of the stream —
 //     exactly the bytes a bulk Read over the whole sandbox would have
 //     written down — so a random input is recorded as two integers.
-//   - pages[i] == nil means page i is background. Reads of a background page
-//     compute the word they need and never materialize: a read-only consumer
-//     (the leakage model collecting a trace, the simulator running loads)
-//     must not turn a 16-byte description back into 512 KB.
-//   - Writes materialize the one 4 KB page they land in.
+//   - pages[i] == nil means page i is background. A non-nil page holds the
+//     words written down so far (Page.have); its other words are still
+//     background. Reads compute a background word when they need it and
+//     never write it down: a read-only consumer (the leakage model
+//     collecting a trace, the simulator running loads) must not turn a
+//     16-byte description back into 512 KB.
+//   - Writes materialize words, not pages: a write computes the one or two
+//     background words it lands in, not the 512 of its page, and a write of
+//     a whole aligned word computes none.
 //   - A view (ViewOf) shares the pages of another image read-only and copies
-//     a page on first write. The leakage model and the simulator execute on
-//     a view of the input, so stores land in private pages that are recycled
-//     for the next input, and the input itself is never modified.
+//     a page's written-down words on first write. The leakage model and the
+//     simulator execute on a view of the input, so stores land in private
+//     pages that are recycled for the next input, and the input itself is
+//     never modified.
 //
 // The cost of building, copying and loading an input is thus proportional
-// to the bytes the test touches, not to Sandbox.Size().
+// to the words the test touches, not to Sandbox.Size().
 
 const (
 	pageShift    = 12
 	wordsPerPage = PageSize / 8
 )
 
-// Page is the storage of one materialized sandbox page.
-type Page [PageSize]byte
+// Page is the storage of one sandbox page that holds written-down words.
+// Word i (bytes 8i to 8i+7, little-endian) is written down when bit i of
+// have is set; the storage of the other words is stale and never read.
+type Page struct {
+	w    [wordsPerPage]uint64
+	have [wordsPerPage / 64]uint64
+}
+
+// holds reports whether word i of the page is written down.
+func (p *Page) holds(i uint64) bool { return p.have[i>>6]&(1<<(i&63)) != 0 }
+
+// set writes down x as word i of the page.
+func (p *Page) set(i, x uint64) {
+	p.w[i] = x
+	p.have[i>>6] |= 1 << (i & 63)
+}
+
+// load writes down every word of the page from the PageSize bytes of b.
+func (p *Page) load(b []byte) {
+	for i := range p.w {
+		p.w[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	for i := range p.have {
+		p.have[i] = ^uint64(0)
+	}
+}
+
+// copyFrom makes p hold exactly the words src holds.
+func (p *Page) copyFrom(src *Page) {
+	p.have = src.have
+	for wi, h := range src.have {
+		if h == ^uint64(0) {
+			copy(p.w[wi*64:wi*64+64], src.w[wi*64:])
+			continue
+		}
+		for ; h != 0; h &= h - 1 {
+			i := wi*64 + bits.TrailingZeros64(h)
+			p.w[i] = src.w[i]
+		}
+	}
+}
 
 // streamGamma is the splitmix64 stream increment (the golden-ratio odd
 // constant); coprime to 2^64, so the counter walk visits every state.
@@ -76,19 +120,6 @@ func (f Fill) word(i uint64) uint64 {
 		return 0
 	}
 	return StreamWord(f.base, f.n0+1+i)
-}
-
-// page writes background page pi into p.
-func (f Fill) page(p *Page, pi uint64) {
-	if !f.stream {
-		*p = Page{}
-		return
-	}
-	x := f.base + (f.n0+1+pi*wordsPerPage)*streamGamma
-	for o := 0; o < PageSize; o += 8 {
-		binary.LittleEndian.PutUint64(p[o:], Mix64(x))
-		x += streamGamma
-	}
 }
 
 // Image is the byte-addressable content of a sandbox, the architectural data
@@ -150,7 +181,8 @@ func (im *Image) ViewOf(src *Image) {
 	im.fill = src.fill
 }
 
-// own attaches a private, uninitialized page at index pi.
+// own attaches a private page at index pi. Its words and have mask are
+// stale: the caller sets both.
 func (im *Image) own(pi uint64) *Page {
 	var p *Page
 	if n := len(im.spare); n > 0 {
@@ -163,7 +195,9 @@ func (im *Image) own(pi uint64) *Page {
 	return p
 }
 
-// writable returns page pi for writing, materializing it on first use.
+// writable returns page pi for writing. A background page becomes a private
+// page that holds no word yet; a shared one, a private copy of the words it
+// holds.
 func (im *Image) writable(pi uint64) *Page {
 	if im.owned[pi>>6]&(1<<(pi&63)) != 0 {
 		return im.pages[pi]
@@ -171,24 +205,41 @@ func (im *Image) writable(pi uint64) *Page {
 	shared := im.pages[pi]
 	p := im.own(pi)
 	if shared != nil {
-		*p = *shared
+		p.copyFrom(shared)
 	} else {
-		im.fill.page(p, pi)
+		p.have = [wordsPerPage / 64]uint64{}
 	}
 	return p
 }
 
+// word returns little-endian word i of the sandbox.
+func (im *Image) word(i uint64) uint64 {
+	if p := im.pages[i/wordsPerPage]; p != nil && p.holds(i%wordsPerPage) {
+		return p.w[i%wordsPerPage]
+	}
+	return im.fill.word(i)
+}
+
+// wordAt returns word i of sandbox page pi, which p stores privately, for
+// writing: computed from the background first if p does not hold it yet.
+func (im *Image) wordAt(p *Page, pi, i uint64) *uint64 {
+	if !p.holds(i) {
+		p.set(i, im.fill.word(pi*wordsPerPage+i))
+	}
+	return &p.w[i]
+}
+
 // Byte returns the byte at sandbox offset off.
 func (im *Image) Byte(off uint64) byte {
-	if p := im.pages[off>>pageShift]; p != nil {
-		return p[off&(PageSize-1)]
-	}
-	return byte(im.fill.word(off>>3) >> (8 * (off & 7)))
+	return byte(im.word(off>>3) >> (8 * (off & 7)))
 }
 
 // SetByte stores b at sandbox offset off.
 func (im *Image) SetByte(off uint64, b byte) {
-	im.writable(off >> pageShift)[off&(PageSize-1)] = b
+	pi := off >> pageShift
+	x := im.wordAt(im.writable(pi), pi, (off>>3)%wordsPerPage)
+	sh := 8 * (off & 7)
+	*x = *x&^(0xff<<sh) | uint64(b)<<sh
 }
 
 // Read loads size bytes little-endian starting at virtual address va,
@@ -196,26 +247,19 @@ func (im *Image) SetByte(off uint64, b byte) {
 func (im *Image) Read(va uint64, size uint8) uint64 {
 	mask := im.sb.Mask()
 	off := (va - DataBase) & mask
-	o := off & (PageSize - 1)
 	var v uint64
-	if o+uint64(size) > PageSize {
+	if off&(PageSize-1)+uint64(size) > PageSize {
 		// Straddles a page boundary, or wraps at the sandbox end.
 		for k := uint64(0); k < uint64(size); k++ {
 			v |= uint64(im.Byte((off+k)&mask)) << (8 * k)
 		}
 		return v
 	}
-	if p := im.pages[off>>pageShift]; p != nil {
-		for k := uint64(0); k < uint64(size); k++ {
-			v |= uint64(p[o+k]) << (8 * k)
-		}
-		return v
-	}
-	// Background: the access lies in one word, or in two of the same page.
+	// The access lies in one word, or in two of the same page.
 	sh := 8 * (off & 7)
-	v = im.fill.word(off>>3) >> sh
+	v = im.word(off>>3) >> sh
 	if sh+8*uint64(size) > 64 {
-		v |= im.fill.word(off>>3+1) << (64 - sh)
+		v |= im.word(off>>3+1) << (64 - sh)
 	}
 	if size < 8 {
 		v &= 1<<(8*size) - 1
@@ -228,28 +272,43 @@ func (im *Image) Read(va uint64, size uint8) uint64 {
 func (im *Image) Write(va uint64, size uint8, val uint64) {
 	mask := im.sb.Mask()
 	off := (va - DataBase) & mask
-	o := off & (PageSize - 1)
-	if o+uint64(size) > PageSize {
+	if off&(PageSize-1)+uint64(size) > PageSize {
 		for k := uint64(0); k < uint64(size); k++ {
 			im.SetByte((off+k)&mask, byte(val>>(8*k)))
 		}
 		return
 	}
-	p := im.writable(off >> pageShift)
-	for k := uint64(0); k < uint64(size); k++ {
-		p[o+k] = byte(val >> (8 * k))
+	pi, i, sh := off>>pageShift, (off>>3)%wordsPerPage, 8*(off&7)
+	p := im.writable(pi)
+	if size == 8 && sh == 0 {
+		// A whole word: nothing of the background survives it.
+		p.set(i, val)
+		return
+	}
+	m := ^uint64(0)
+	if size < 8 {
+		m = 1<<(8*size) - 1
+	}
+	val &= m
+	x := im.wordAt(p, pi, i)
+	*x = *x&^(m<<sh) | val<<sh
+	if sh+8*uint64(size) > 64 {
+		x = im.wordAt(p, pi, i+1)
+		*x = *x&^(m>>(64-sh)) | val>>(64-sh)
 	}
 }
 
-// FillFrom materializes every page with bytes read from r, in address
-// order: the way in for content that is not addressable — a decoded dense
-// image, or a PRNG whose outputs can only be had in sequence.
+// FillFrom writes down every word of the image from bytes read from r, in
+// address order: the way in for content that is not addressable — a
+// decoded dense image, or a PRNG whose outputs can only be had in sequence.
 func (im *Image) FillFrom(r io.Reader) error {
 	im.Reset(Fill{})
+	var buf [PageSize]byte
 	for pi := range im.pages {
-		if _, err := io.ReadFull(r, im.own(uint64(pi))[:]); err != nil {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return err
 		}
+		im.own(uint64(pi)).load(buf[:])
 	}
 	return nil
 }
@@ -257,19 +316,14 @@ func (im *Image) FillFrom(r io.Reader) error {
 // Dense returns the image content written out as Sandbox.Size() bytes.
 func (im *Image) Dense() []byte {
 	out := make([]byte, im.sb.Size())
-	for pi, p := range im.pages {
-		dst := (*Page)(out[pi*PageSize:])
-		if p != nil {
-			*dst = *p
-		} else {
-			im.fill.page(dst, uint64(pi))
-		}
+	for i := uint64(0); i < uint64(len(out))/8; i++ {
+		binary.LittleEndian.PutUint64(out[8*i:], im.word(i))
 	}
 	return out
 }
 
-// Materialized returns how many pages of the image are written down rather
-// than background.
+// Materialized returns how many pages of the image hold written-down words
+// rather than being pure background.
 func (im *Image) Materialized() int {
 	n := 0
 	for _, p := range im.pages {
@@ -295,8 +349,8 @@ func NewInput(sb Sandbox) *Input {
 }
 
 // Clone returns a deep copy of the input on the heap: same background, and
-// a private copy of every materialized page. It shares nothing with the
-// original or with the slab the original was carved from.
+// a private copy of every page that holds written-down words. It shares
+// nothing with the original or with the slab the original was carved from.
 func (in *Input) Clone() *Input {
 	c := NewInput(in.Mem.sb)
 	c.Regs = in.Regs
@@ -339,9 +393,10 @@ func (in *Input) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("isa: input memory is %d bytes, not a sandbox of 2^k pages, k <= 9", len(w.Dense))
 	}
 	*in = Input{Regs: w.Regs, Mem: makeImage(sb)}
+	store := make([]Page, sb.Pages)
 	for pi := range in.Mem.pages {
-		// The pages alias the decoded buffer, which nothing else holds.
-		in.Mem.pages[pi] = (*Page)(w.Dense[pi*PageSize:])
+		store[pi].load(w.Dense[pi*PageSize:])
+		in.Mem.pages[pi] = &store[pi]
 		in.Mem.owned[pi>>6] |= 1 << (pi & 63)
 	}
 	return nil
@@ -373,8 +428,8 @@ func NewSlab(sb Sandbox, n int) *Slab {
 // Reset rewinds the slab for n inputs of sandbox sb. Every input and page
 // carved since the last Reset becomes free storage again; the slab allocates
 // only when this program needs more than any before it. Pages come back
-// holding stale bytes, which is sound because an image never reads a page
-// it owns before writing all of it (writable copies or fills it whole).
+// holding stale words and masks, which is sound because an image sets a
+// page's have mask before it reads or writes the page (see writable).
 func (s *Slab) Reset(sb Sandbox, n int) {
 	s.sb, s.nIn, s.ci, s.pi = sb, 0, 0, 0
 	if cap(s.inputs) < n {

@@ -22,14 +22,17 @@ func denseFill(sb Sandbox, stream bool, base, n0 uint64) []byte {
 // op sequence decoded from the fuzz input, next to dense []byte models.
 // Every read must agree with the model, the viewed image must never change
 // under writes through the view, and writing either image out (Dense) must
-// equal its model. Accesses are steered onto page boundaries and the
-// sandbox end, where they straddle and wrap.
+// equal its model. Neither image may hold a word written down that no write
+// since its last reset touched: reads, views and copies write nothing down.
+// Accesses are steered onto page boundaries and the sandbox end, where they
+// straddle and wrap.
 func FuzzImage(f *testing.F) {
 	// pages selector, fill selector, then ops of 5 bytes: op, where, lo, hi, val.
 	f.Add([]byte{1, 1, 0, 2, 0xff, 0x0f, 8, 1, 2, 0xfe, 0x0f, 0xaa, 0, 2, 0xfd, 0x0f, 8})          // straddling read, write, read back
 	f.Add([]byte{0, 1, 1, 3, 0xfc, 0xff, 0x5a, 0, 3, 0xfb, 0xff, 8, 2, 0, 0, 0, 1})                // wrap at the sandbox end
 	f.Add([]byte{1, 1, 3, 0, 0, 0, 0, 1, 0, 0x10, 0x00, 0x77, 0, 0, 0x10, 0x00, 8, 3, 0, 0, 0, 0}) // view, write through it, re-view
 	f.Add([]byte{2, 0, 1, 1, 0x01, 0x20, 0x11, 3, 0, 0, 0, 0, 2, 1, 0x01, 0x20, 0x22, 4, 0, 9, 9, 0, 6, 0, 0, 0, 0, 1, 0, 5, 0, 0x33})
+	f.Add([]byte{0, 1, 1, 0, 0x13, 0x00, 0x02, 3, 0, 0, 0, 0, 1, 0, 0x16, 0x00, 0x03, 0, 0, 0x10, 0x00, 8, 6, 0, 0, 0, 0, 0, 0, 0x16, 0x00, 3}) // write a partial page, view it, write beside the word
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -47,7 +50,20 @@ func FuzzImage(f *testing.F) {
 		var frozen []byte     // model of img while viewed
 		spare := NewImage(sb) // the one view object, re-aimed by every view op
 		mask := sb.Mask()
+		// wrote marks the words writes touched since the image's last reset;
+		// a view starts from the words of the image it views.
+		wrote, viewWrote := make([]bool, sb.Size()/8), []bool(nil)
 
+		onlyWritten := func(im *Image, wrote []bool) {
+			t.Helper()
+			for pi, p := range im.pages {
+				for i := uint64(0); p != nil && i < wordsPerPage; i++ {
+					if n := uint64(pi)*wordsPerPage + i; p.holds(i) && !wrote[n] {
+						t.Fatalf("word %#x is written down, but no write touched it", n)
+					}
+				}
+			}
+		}
 		check := func() {
 			t.Helper()
 			want := model
@@ -56,10 +72,12 @@ func FuzzImage(f *testing.F) {
 				if got := view.Dense(); !bytes.Equal(got, model) {
 					t.Fatalf("view written out differs from its model")
 				}
+				onlyWritten(view, viewWrote)
 			}
 			if got := img.Dense(); !bytes.Equal(got, want) {
 				t.Fatalf("image written out differs from its model (viewed: %v)", view != nil)
 			}
+			onlyWritten(img, wrote)
 		}
 
 		for ops := data[2:]; len(ops) >= 5; ops = ops[5:] {
@@ -73,9 +91,14 @@ func FuzzImage(f *testing.F) {
 			}
 			off &= mask
 			size := uint8(1) << (val % 4)
-			cur := img
+			cur, curWrote := img, wrote
 			if view != nil {
-				cur = view
+				cur, curWrote = view, viewWrote
+			}
+			touch := func(n uint8) {
+				for k := uint64(0); k < uint64(n); k++ {
+					curWrote[(off+k)&mask/8] = true
+				}
 			}
 			switch op {
 			case 0: // Read
@@ -89,11 +112,13 @@ func FuzzImage(f *testing.F) {
 			case 1: // Write
 				v := uint64(val)*0x0101010101010101 ^ off
 				cur.Write(DataBase+off, size, v)
+				touch(size)
 				for k := uint64(0); k < uint64(size); k++ {
 					model[(off+k)&mask] = byte(v >> (8 * k))
 				}
 			case 2: // SetByte, Byte
 				cur.SetByte(off, val)
+				touch(1)
 				model[off] = val
 				if got := cur.Byte(off); got != val {
 					t.Fatalf("Byte(%#x) = %#x after SetByte %#x", off, got, val)
@@ -106,9 +131,11 @@ func FuzzImage(f *testing.F) {
 				model = append([]byte(nil), frozen...)
 				view = spare
 				view.ViewOf(img)
+				viewWrote = append(viewWrote[:0], wrote...)
 			case 4: // reset the current image to a new background
 				s, b, n := val&1 == 1, uint64(ops[2])<<32|uint64(val), uint64(ops[3])
 				model = denseFill(sb, s, b, n)
+				clear(curWrote)
 				if s {
 					cur.Reset(StreamFill(b, n))
 				} else {

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
@@ -142,5 +143,109 @@ func TestSlabResetRecyclesStorage(t *testing.T) {
 	slab.Reset(wide, 2)
 	if in := slab.NewInput(wide); in.Mem.Sandbox() != wide || in.Mem.Materialized() != 0 {
 		t.Errorf("slab reset to %d pages carved a %d-page input", wide.Pages, in.Mem.Sandbox().Pages)
+	}
+}
+
+// heldWords returns how many words page pi of im holds written down.
+func heldWords(im *Image, pi int) int {
+	n := 0
+	if p := im.pages[pi]; p != nil {
+		for _, h := range p.have {
+			n += bits.OnesCount64(h)
+		}
+	}
+	return n
+}
+
+// TestWritesMaterializeWords pins what a write costs: reads write down
+// nothing; a write into a background page writes down the one or two words
+// it lands in, not the page; a view's first write into a shared page copies
+// the words that page holds and no others; and a page recycled from the
+// spare list starts out holding nothing, whatever it held before.
+func TestWritesMaterializeWords(t *testing.T) {
+	sb := Sandbox{Pages: 4}
+	im := NewImage(sb)
+	im.Reset(StreamFill(0xfeed, 3))
+	want := denseFill(sb, true, 0xfeed, 3)
+	for off := uint64(0); off < sb.Size(); off += 61 {
+		im.Read(DataBase+off, 8)
+		im.Byte(off)
+	}
+	if im.Materialized() != 0 {
+		t.Fatalf("reads materialized %d page(s)", im.Materialized())
+	}
+	for _, c := range []struct {
+		off   uint64
+		size  uint8
+		held  [2]int // words held by pages 0 and 1 after the write
+		where string
+	}{
+		{0x100, 8, [2]int{1, 0}, "an aligned word"},
+		{0x203, 2, [2]int{2, 0}, "bytes inside a word"},
+		{0x306, 4, [2]int{4, 0}, "two words"},
+		{0x104, 4, [2]int{4, 0}, "a word already held"},
+		{PageSize - 4, 8, [2]int{5, 1}, "two pages"},
+	} {
+		v := uint64(0x1122334455667788)
+		im.Write(DataBase+c.off, c.size, v)
+		for k := uint64(0); k < uint64(c.size); k++ {
+			want[c.off+k] = byte(v >> (8 * k))
+		}
+		if got := [2]int{heldWords(im, 0), heldWords(im, 1)}; got != c.held {
+			t.Errorf("a write of %s: pages hold %v words, want %v", c.where, got, c.held)
+		}
+	}
+	if !bytes.Equal(im.Dense(), want) {
+		t.Fatalf("image differs from its model after partial-page writes")
+	}
+
+	view := NewImage(sb)
+	view.ViewOf(im)
+	view.SetByte(0x400, 0xaa)
+	if got := heldWords(view, 0); got != heldWords(im, 0)+1 {
+		t.Errorf("a write through a view holds %d words of the shared page's %d, want one more", got, heldWords(im, 0))
+	}
+	want[0x400] = 0xaa
+	if !bytes.Equal(view.Dense(), want) {
+		t.Fatalf("view differs from its model after a write into a shared partial page")
+	}
+
+	// im's pages go to its spare list still holding their words; the next
+	// write takes one of them back and must not see those words.
+	im.Reset(StreamFill(0xbeef, 9))
+	im.SetByte(2*PageSize+1, 0x5a)
+	if got := heldWords(im, 2); got != 1 {
+		t.Errorf("a recycled page holds %d words after one write, want 1", got)
+	}
+	want = denseFill(sb, true, 0xbeef, 9)
+	want[2*PageSize+1] = 0x5a
+	if !bytes.Equal(im.Dense(), want) {
+		t.Fatalf("a recycled page leaked the words it held before")
+	}
+}
+
+// BenchmarkImageWrite prices a store's first write into a page of a view,
+// the way the leakage model and the simulator meet it once per input: into
+// a background page (a base input) and into a shared page that holds a few
+// written-down words (a mutant, whose restored bytes live there).
+func BenchmarkImageWrite(b *testing.B) {
+	sb := Sandbox{Pages: 1}
+	src := NewImage(sb)
+	src.Reset(StreamFill(0x1234, 5))
+	b.Run("background", func(b *testing.B) { benchViewWrite(b, src) })
+	mutant := NewImage(sb)
+	mutant.Reset(StreamFill(0x5678, 6))
+	for _, off := range []uint64{0x10, 0x38, 0x200, 0x7f8} {
+		mutant.Write(DataBase+off, 8, off)
+	}
+	b.Run("shared", func(b *testing.B) { benchViewWrite(b, mutant) })
+}
+
+func benchViewWrite(b *testing.B, src *Image) {
+	view := NewImage(src.Sandbox())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		view.ViewOf(src)
+		view.Write(DataBase+0x104, 4, uint64(i))
 	}
 }

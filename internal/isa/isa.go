@@ -33,10 +33,11 @@
 // the leakage model and the simulator: a page table over a procedural
 // background. A random input's memory is a span of the generator's
 // counter-based stream, named rather than written down; reads of background
-// compute the word they need and never materialize; a write materializes one
-// 4 KB page; and models and cores execute on a copy-on-write view, leaving
-// the input unmodified. Input cost is thus proportional to the bytes a test
-// touches, not to the sandbox size (the memory model is spelled out in
+// compute the word they need and never materialize; a write materializes the
+// one or two 8-byte words it lands in, not their 4 KB page; and models and
+// cores execute on a copy-on-write view, leaving the input unmodified. Input
+// cost is thus proportional to the words a test touches, not to the sandbox
+// size (the memory model is spelled out in
 // image.go). Serialized, an input is still its dense bytes.
 package isa
 
