@@ -1,6 +1,6 @@
 // Command amulet-coordinator runs the coordinator side of a distributed
 // AMuLeT-Go campaign: it shards the campaign's work units across workers
-// (cmd/amulet-worker) over HTTP/JSON and folds their results into a final
+// (cmd/amulet-worker) over HTTP and folds their results into a final
 // summary bit-identical to a single-process `amulet` run at the same seed.
 //
 // Usage:

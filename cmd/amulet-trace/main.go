@@ -7,6 +7,12 @@
 //
 //	amulet-trace -defense invisispec -seed 7 -program 3 -input 2
 //	amulet-trace -defense baseline -isa wasm -seed 7 -program 3
+//
+// With -dump-log DIR it instead prints the records of the checkpoint log in
+// DIR, one JSON object per line: the log is binary, and this keeps it
+// readable (inputs as registers, fill and written words).
+//
+//	amulet-trace -dump-log /tmp/ck
 package main
 
 import (
@@ -31,8 +37,15 @@ func main() {
 		program = flag.Int("program", 0, "program index within the seed's stream")
 		input   = flag.Int("input", 0, "input index within the program")
 		prime   = flag.Bool("prime", true, "fill-prime the L1D (and D-TLB) with conflicting lines before the run, as campaigns do")
+		dumpDir = flag.String("dump-log", "", "print the records of the checkpoint log in `DIR` as JSON lines, then exit")
 	)
 	flag.Parse()
+	if *dumpDir != "" {
+		if err := dumpLog(os.Stdout, *dumpDir); err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	spec, err := experiments.DefenseByName(*defense)
 	if err != nil {

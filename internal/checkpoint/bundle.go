@@ -64,9 +64,9 @@ func SaveBundle(dir string, b *Bundle, inj *faultinject.Injector) (string, error
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return "", fmt.Errorf("checkpoint: quarantine: %w", err)
 	}
-	data, err := json.MarshalIndent(b, "", "  ")
+	data, err := encodeBundle(b)
 	if err != nil {
-		return "", fmt.Errorf("checkpoint: quarantine: %w", err)
+		return "", err
 	}
 	name := fmt.Sprintf("unit-%d-%d-%s.json", b.Inst, b.Prog, b.Kind)
 	if err := writeAtomic(qdir, name, data, inj); err != nil {
@@ -75,15 +75,43 @@ func SaveBundle(dir string, b *Bundle, inj *faultinject.Injector) (string, error
 	return filepath.Join(qdir, name), nil
 }
 
+// encodeBundle renders a bundle as its file's bytes: indented JSON, for the
+// person who opens it.
+func encodeBundle(b *Bundle) ([]byte, error) {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: quarantine: %w", err)
+	}
+	return data, nil
+}
+
 // LoadBundle reads a repro bundle.
 func LoadBundle(path string) (*Bundle, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: quarantine: %w", err)
 	}
+	b, err := DecodeBundle(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return b, nil
+}
+
+// DecodeBundle decodes a bundle file's bytes. A bundle may have been copied
+// in from anywhere, so it is checked as far as it can be on its own: a
+// known kind, unit coordinates that are not negative. ReplayUnit checks the
+// rest against the campaign.
+func DecodeBundle(data []byte) (*Bundle, error) {
 	b := &Bundle{}
 	if err := json.Unmarshal(data, b); err != nil {
-		return nil, fmt.Errorf("checkpoint: quarantine: %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: quarantine: %w", err)
+	}
+	if b.Kind != BundlePanic && b.Kind != BundleTimeout {
+		return nil, fmt.Errorf("checkpoint: quarantine: unknown bundle kind %q", b.Kind)
+	}
+	if b.Inst < 0 || b.Prog < 0 {
+		return nil, fmt.Errorf("checkpoint: quarantine: unit (%d,%d)", b.Inst, b.Prog)
 	}
 	return b, nil
 }

@@ -10,11 +10,13 @@
 // A checkpoint is a single append-only file, checkpoint.amulet, in the
 // checkpoint directory: a format tag, then records.
 //
-//	AMULETCKPT3\n
+//	AMULETCKPT4\n
 //	record*
-//	record := kind (1 byte) | length (uint32 LE) | CRC-32C (uint32 LE) | payload (length bytes, JSON)
+//	record := kind (1 byte) | length (uint32 LE) | CRC-32C (uint32 LE) | payload (length bytes, binary)
 //
-// The CRC (Castagnoli) covers kind, length and payload. Four kinds exist:
+// The CRC (Castagnoli) covers kind, length and payload. Payloads are the
+// binary encoding codec.go lays out: varints, sparse inputs (registers,
+// fill, written words), programs stored raw. Four kinds exist:
 //
 //	H  header   the campaign identity (config fingerprint, seed, shape,
 //	            strategy, frontend); always first, written when the log is
@@ -22,7 +24,8 @@
 //	U  unit     one completed unit (UnitRec), appended by the worker
 //	            goroutine that just finished it — every result is encoded
 //	            once and written once, and no buffer ever holds more than one
-//	            record
+//	            record. A distributed coordinator writes the bytes its worker
+//	            sent: a unit record is also the unit's result on the wire
 //	C  commit   an epoch boundary: EpochsDone, the corpus entries admitted
 //	            since the previous commit, the merged coverage words
 //	P  pending  the generated programs of the done units of the epoch still
@@ -34,8 +37,8 @@
 // generated programs of all its units, so a unit of an epoch with no commit
 // record yet is restored only if a pending record carries its program;
 // Load drops the others and resume runs them again. Files of earlier
-// formats (AMULETCKPT2 was one JSON document rewritten whole at every
-// save) are refused by their tag.
+// formats are refused by their tag: AMULETCKPT2 was one JSON document
+// rewritten whole at every save, AMULETCKPT3 this log with JSON payloads.
 //
 // # What is durable when
 //
@@ -77,7 +80,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -167,8 +169,8 @@ func (r *ProgRec) Decode() (isa.SourceProgram, error) {
 type ViolationRec struct {
 	Defense      string
 	Contract     string
-	Frontend     string   `json:",omitempty"`
-	Source       *ProgRec `json:",omitempty"`
+	Frontend     string
+	Source       *ProgRec
 	Program      *isa.Program
 	Sandbox      isa.Sandbox
 	InputA       *isa.Input
@@ -176,29 +178,6 @@ type ViolationRec struct {
 	CTrace       contract.Trace
 	ProgramIndex int
 	DetectedAt   time.Duration
-}
-
-// UnmarshalJSON implements json.Unmarshaler. A record is read from bytes this
-// process did not write — a checkpoint file, a worker's submission — and its
-// inputs are later replayed on a machine built for the record's Sandbox, so
-// a record whose inputs are missing or of another geometry is rejected here,
-// as a decode error, rather than panicking at replay.
-func (r *ViolationRec) UnmarshalJSON(data []byte) error {
-	type plain ViolationRec // the same fields, without this method
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	for _, in := range []*isa.Input{p.InputA, p.InputB} {
-		if in == nil {
-			return fmt.Errorf("checkpoint: violation record without both inputs")
-		}
-		if sb := in.Mem.Sandbox(); sb != p.Sandbox {
-			return fmt.Errorf("checkpoint: violation input has %d pages, its record's sandbox %d", sb.Pages, p.Sandbox.Pages)
-		}
-	}
-	*r = ViolationRec(p)
-	return nil
 }
 
 // EncodeViolation converts a live violation to its checkpoint record.
@@ -269,8 +248,8 @@ type ResultRec struct {
 	RejectedMutants int
 	GenTime         time.Duration
 	ModelTime       time.Duration
-	Coverage        []uint64       `json:",omitempty"`
-	Violations      []ViolationRec `json:",omitempty"`
+	Coverage        []uint64
+	Violations      []ViolationRec
 }
 
 // EncodeResult converts a unit result to its checkpoint record.
@@ -328,7 +307,7 @@ type UnitRec struct {
 	// GenSrc is the unit's generated source program, retained only for
 	// units of epochs whose corpus admission has not happened yet (corpus
 	// strategy); admitted epochs' programs live in Corpus or are dropped.
-	GenSrc *ProgRec `json:",omitempty"`
+	GenSrc *ProgRec
 }
 
 // CorpusRec is one admitted corpus entry.
@@ -363,8 +342,8 @@ type State struct {
 	EpochsDone int
 
 	Units    []UnitRec
-	Corpus   []CorpusRec `json:",omitempty"`
-	Coverage []uint64    `json:",omitempty"`
+	Corpus   []CorpusRec
+	Coverage []uint64
 }
 
 // Save atomically writes st as dir's checkpoint — a fresh log holding the

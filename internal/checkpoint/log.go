@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -18,9 +17,10 @@ import (
 
 // magic opens every checkpoint file; a format change bumps it, and Load
 // refuses any other tag rather than guessing. Version 2 was a single
-// whole-state JSON document rewritten at every save; version 3 is the
-// append-only record log described in the package comment.
-const magic = "AMULETCKPT3\n"
+// whole-state JSON document rewritten at every save; version 3 the
+// append-only record log with JSON payloads; version 4 is that log with the
+// binary payloads described in the package comment.
+const magic = "AMULETCKPT4\n"
 
 // Record kinds, as Walk reports them.
 const (
@@ -45,13 +45,13 @@ type headerRec struct {
 	Strategy, Frontend          string
 }
 
-// commitRec marks an epoch boundary: EpochsDone epochs are complete and
+// CommitRec marks an epoch boundary: EpochsDone epochs are complete and
 // admitted, Corpus holds the entries admitted since the previous commit
 // record, Coverage the merged coverage words as of this boundary.
-type commitRec struct {
+type CommitRec struct {
 	EpochsDone int
-	Corpus     []CorpusRec `json:",omitempty"`
-	Coverage   []uint64    `json:",omitempty"`
+	Corpus     []CorpusRec
+	Coverage   []uint64
 }
 
 // PendingRec carries the generated program of one done unit whose epoch has
@@ -65,28 +65,25 @@ type PendingRec struct {
 
 // framePool recycles record buffers: every unit is encoded once, on the
 // goroutine that produced it, into a buffer no larger than that one record.
-var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendFrame encodes v as one record of the given kind at the end of buf.
-func appendFrame(buf *bytes.Buffer, kind byte, v any) error {
-	start := buf.Len()
-	var fixed [frameLen]byte
-	buf.Write(fixed[:])
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Truncate(start)
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	buf.Truncate(buf.Len() - 1) // Encode's trailing newline
-	rec := buf.Bytes()[start:]
+// beginFrame reserves a record's fixed part at the end of buf; the payload
+// is appended behind it, then endFrame fills the fixed part in.
+func beginFrame(buf []byte) ([]byte, int) {
+	return append(buf, make([]byte, frameLen)...), len(buf)
+}
+
+// endFrame completes the record of the given kind that begins at start.
+func endFrame(buf []byte, start int, kind byte) ([]byte, error) {
+	rec := buf[start:]
 	n := len(rec) - frameLen
 	if n > math.MaxUint32 {
-		buf.Truncate(start)
-		return fmt.Errorf("checkpoint: encode: %d-byte record exceeds the frame's length field", n)
+		return buf[:start], fmt.Errorf("checkpoint: encode: %d-byte record exceeds the frame's length field", n)
 	}
 	rec[0] = kind
 	binary.LittleEndian.PutUint32(rec[1:5], uint32(n))
 	binary.LittleEndian.PutUint32(rec[5:9], frameCRC(rec))
-	return nil
+	return buf, nil
 }
 
 // frameCRC digests everything of a whole record but the CRC field itself.
@@ -127,13 +124,10 @@ func Create(dir string, id *State, inj *faultinject.Injector) (*Log, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	l := &Log{dir: dir, inj: inj, f: f}
-	buf := framePool.Get().(*bytes.Buffer)
-	defer framePool.Put(buf)
-	buf.Reset()
-	buf.WriteString(magic)
-	err = appendFrame(buf, RecHeader, id.header())
+	buf, start := beginFrame([]byte(magic))
+	buf, err = endFrame(id.header().appendBinary(buf), start, RecHeader)
 	if err == nil {
-		err = l.write(buf.Bytes())
+		err = l.write(buf)
 	}
 	if err != nil {
 		f.Close()
@@ -203,31 +197,49 @@ func (l *Log) write(recs []byte) error {
 	return nil
 }
 
-// appendRecord encodes v on the calling goroutine and appends it.
-func (l *Log) appendRecord(kind byte, v any) error {
-	buf := framePool.Get().(*bytes.Buffer)
-	defer framePool.Put(buf)
-	buf.Reset()
-	if err := appendFrame(buf, kind, v); err != nil {
+// appendRecord appends one record of the given kind whose payload enc
+// appends, encoded on the calling goroutine into a pooled buffer.
+func (l *Log) appendRecord(kind byte, enc func([]byte) ([]byte, error)) error {
+	p := framePool.Get().(*[]byte)
+	defer framePool.Put(p)
+	buf, start := beginFrame((*p)[:0])
+	buf, err := enc(buf)
+	if err == nil {
+		buf, err = endFrame(buf, start, kind)
+	}
+	*p = buf
+	if err != nil {
 		return err
 	}
-	return l.write(buf.Bytes())
+	return l.write(buf)
 }
 
 // AppendUnit appends one completed unit. The unit's program, if resume will
 // need it, travels in a later pending record, never here.
-func (l *Log) AppendUnit(u *UnitRec) error { return l.appendRecord(RecUnit, u) }
+func (l *Log) AppendUnit(u *UnitRec) error { return l.appendRecord(RecUnit, u.AppendBinary) }
+
+// AppendEncodedUnit appends the record of a unit whose result arrived
+// encoded (ResultRec.AppendBinary): result is written as it is, behind the
+// unit header — the record is byte for byte the one its worker encoded.
+func (l *Log) AppendEncodedUnit(inst, prog int, draws uint64, result []byte) error {
+	return l.appendRecord(RecUnit, func(b []byte) ([]byte, error) {
+		return append(AppendUnitHeader(b, inst, prog, draws), result...), nil
+	})
+}
 
 // AppendPending appends the programs of the done units of the epoch still
 // awaiting admission. Every unit record written before it counts as
 // resumable from then on, so recs must name all of them.
-func (l *Log) AppendPending(recs []PendingRec) error { return l.appendRecord(RecPending, recs) }
+func (l *Log) AppendPending(recs []PendingRec) error {
+	return l.appendRecord(RecPending, func(b []byte) ([]byte, error) { return appendPending(b, recs), nil })
+}
 
 // AppendCommit appends an epoch boundary: epochsDone epochs are complete
 // and admitted, corpus holds the entries admitted since the previous commit
 // record, coverage is the merged bitmap.
 func (l *Log) AppendCommit(epochsDone int, corpus []CorpusRec, coverage []uint64) error {
-	return l.appendRecord(RecCommit, &commitRec{EpochsDone: epochsDone, Corpus: corpus, Coverage: coverage})
+	c := &CommitRec{EpochsDone: epochsDone, Corpus: corpus, Coverage: coverage}
+	return l.appendRecord(RecCommit, func(b []byte) ([]byte, error) { return c.appendBinary(b), nil })
 }
 
 // Sync makes everything appended so far durable: one fsync of the file and,
@@ -376,7 +388,7 @@ func (r *replayer) apply(kind byte, payload []byte) error {
 		return err
 	case RecUnit:
 		var u UnitRec
-		if err := json.Unmarshal(payload, &u); err != nil {
+		if err := u.UnmarshalBinary(payload); err != nil {
 			return err
 		}
 		if u.Inst < 0 || u.Inst >= st.Instances || u.Prog < 0 || u.Prog >= st.Programs {
@@ -390,8 +402,8 @@ func (r *replayer) apply(kind byte, payload []byte) error {
 		r.seen[key] = len(st.Units)
 		st.Units = append(st.Units, u)
 	case RecCommit:
-		var c commitRec
-		if err := json.Unmarshal(payload, &c); err != nil {
+		var c CommitRec
+		if err := c.unmarshalBinary(payload); err != nil {
 			return err
 		}
 		if c.EpochsDone < st.EpochsDone || c.EpochsDone > st.Epochs {
@@ -401,8 +413,8 @@ func (r *replayer) apply(kind byte, payload []byte) error {
 		st.Corpus = append(st.Corpus, c.Corpus...)
 		st.Coverage = c.Coverage
 	case RecPending:
-		var ps []PendingRec
-		if err := json.Unmarshal(payload, &ps); err != nil {
+		ps, err := readPending(payload)
+		if err != nil {
 			return err
 		}
 		for _, p := range ps {
@@ -424,7 +436,7 @@ const maxGrid = 1 << 31
 
 func decodeHeader(payload []byte) (*State, error) {
 	var h headerRec
-	if err := json.Unmarshal(payload, &h); err != nil {
+	if err := h.unmarshalBinary(payload); err != nil {
 		return nil, err
 	}
 	if h.Instances < 1 || h.Instances > maxGrid || h.Programs < 1 || h.Programs > maxGrid ||
@@ -456,25 +468,30 @@ func (st *State) pendingLo() int {
 // encodeState renders st as a whole log: header, unit records, one commit
 // record, and a pending record when units still carry their programs.
 func encodeState(st *State) ([]byte, error) {
-	buf := &bytes.Buffer{}
-	buf.WriteString(magic)
-	if err := appendFrame(buf, RecHeader, st.header()); err != nil {
-		return nil, err
-	}
+	buf, start := beginFrame([]byte(magic))
+	buf, err := endFrame(st.header().appendBinary(buf), start, RecHeader)
 	var pending []PendingRec
-	for i := range st.Units {
-		u := st.Units[i]
+	for i := 0; err == nil && i < len(st.Units); i++ {
+		u := &st.Units[i]
 		if u.GenSrc != nil {
 			pending = append(pending, PendingRec{Inst: u.Inst, Prog: u.Prog, GenSrc: u.GenSrc})
-			u.GenSrc = nil
 		}
-		if err := appendFrame(buf, RecUnit, &u); err != nil {
-			return nil, err
+		buf, start = beginFrame(buf)
+		if buf, err = u.AppendBinary(buf); err == nil {
+			buf, err = endFrame(buf, start, RecUnit)
 		}
 	}
-	err := appendFrame(buf, RecCommit, &commitRec{EpochsDone: st.EpochsDone, Corpus: st.Corpus, Coverage: st.Coverage})
+	if err == nil {
+		c := &CommitRec{EpochsDone: st.EpochsDone, Corpus: st.Corpus, Coverage: st.Coverage}
+		buf, start = beginFrame(buf)
+		buf, err = endFrame(c.appendBinary(buf), start, RecCommit)
+	}
 	if err == nil && pending != nil {
-		err = appendFrame(buf, RecPending, pending)
+		buf, start = beginFrame(buf)
+		buf, err = endFrame(appendPending(buf, pending), start, RecPending)
 	}
-	return buf.Bytes(), err
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
 }

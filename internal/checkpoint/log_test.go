@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,17 +10,6 @@ import (
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
-
-// stateJSON renders a state by content, the way TestSaveLoadRoundTrip
-// compares them. A nil state (no checkpoint yet) renders as "null".
-func stateJSON(t testing.TB, st *State) string {
-	t.Helper()
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
 
 // loadOrNil loads dir's checkpoint; "no checkpoint yet" is a nil state.
 func loadOrNil(t testing.TB, dir string) *State {
@@ -162,8 +149,8 @@ func TestLogCrashMatrix(t *testing.T) {
 			if keep == whole {
 				expect = want[tc.append-1]
 			}
-			if got := loadOrNil(t, dir); stateJSON(t, got) != stateJSON(t, expect) {
-				t.Errorf("%s killed after %d bytes: loaded\n  %.200s\nwant\n  %.200s", tc.name, keep, stateJSON(t, got), stateJSON(t, expect))
+			if got := loadOrNil(t, dir); !sameState(got, expect) {
+				t.Errorf("%s killed after %d bytes: loaded %s, want %s", tc.name, keep, describe(got), describe(expect))
 			}
 		}
 	}
@@ -182,8 +169,8 @@ func TestLogCrashMatrix(t *testing.T) {
 			t.Errorf("step %d after the kill: err = %v, want ErrInjectedCrash", i, err)
 		}
 	}
-	if got := loadOrNil(t, dir); stateJSON(t, got) != stateJSON(t, want[0]) {
-		t.Errorf("appends after the kill changed the file: %.200s", stateJSON(t, got))
+	if got := loadOrNil(t, dir); !sameState(got, want[0]) {
+		t.Errorf("appends after the kill changed the file: %s", describe(got))
 	}
 }
 
@@ -205,10 +192,6 @@ func TestLogEveryPrefixLoads(t *testing.T) {
 	want := statesAfter(t, id, steps)
 	if len(ends) != len(want) {
 		t.Fatalf("%d records, %d states", len(ends), len(want))
-	}
-	wantJSON := make([]string, len(want))
-	for i, st := range want {
-		wantJSON[i] = stateJSON(t, st)
 	}
 	for cut := 0; cut <= len(raw); cut++ {
 		// Every byte near a record boundary, every 13th inside a payload.
@@ -238,7 +221,7 @@ func TestLogEveryPrefixLoads(t *testing.T) {
 		if end != ends[k] {
 			t.Fatalf("cut at %d: appending would resume at %d, want %d", cut, end, ends[k])
 		}
-		if got := stateJSON(t, st); got != wantJSON[k] {
+		if !sameState(st, want[k]) {
 			t.Fatalf("cut at %d: state is not the one after record %d", cut, k)
 		}
 	}
@@ -257,8 +240,8 @@ func TestLoadDropsUnadmittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := statesAfter(t, id, steps[:3])[3] // up to the commit
-	if got := loadOrNil(t, dir); stateJSON(t, got) != stateJSON(t, want) {
-		t.Fatalf("loaded %.300s\nwant the state as of the commit", stateJSON(t, got))
+	if got := loadOrNil(t, dir); !sameState(got, want) {
+		t.Fatalf("loaded %s, want the state as of the commit", describe(got))
 	}
 
 	st, l, err := Resume(dir, nil)
@@ -336,30 +319,42 @@ func TestFailedAppendRollsBack(t *testing.T) {
 // something no writer says.
 func TestLoadRejectsImpossibleRecords(t *testing.T) {
 	id, _ := logScript(t, "random")
-	unit := func(inst, prog int) *UnitRec { return &UnitRec{Inst: inst, Prog: prog} }
+	header := func(h *headerRec) []byte { return h.appendBinary(nil) }
+	unit := func(inst, prog int) []byte {
+		b, err := (&UnitRec{Inst: inst, Prog: prog}).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	commit := func(epochs int) []byte { return (&CommitRec{EpochsDone: epochs}).appendBinary(nil) }
 	for name, recs := range map[string][]struct {
-		kind byte
-		v    any
+		kind    byte
+		payload []byte
 	}{
-		"unit twice":                 {{RecHeader, id.header()}, {RecUnit, unit(0, 1)}, {RecUnit, unit(0, 1)}},
-		"unit out of bounds":         {{RecHeader, id.header()}, {RecUnit, unit(2, 0)}},
+		"unit twice":                 {{RecHeader, header(id.header())}, {RecUnit, unit(0, 1)}, {RecUnit, unit(0, 1)}},
+		"unit out of bounds":         {{RecHeader, header(id.header())}, {RecUnit, unit(2, 0)}},
 		"no header":                  {{RecUnit, unit(0, 1)}},
-		"second header":              {{RecHeader, id.header()}, {RecHeader, id.header()}},
-		"commit going back":          {{RecHeader, id.header()}, {RecCommit, &commitRec{EpochsDone: 2}}, {RecCommit, &commitRec{EpochsDone: 1}}},
-		"commit past the last epoch": {{RecHeader, id.header()}, {RecCommit, &commitRec{EpochsDone: 3}}},
-		"pending without its unit":   {{RecHeader, id.header()}, {RecPending, []PendingRec{{Inst: 0, Prog: 1}}}},
-		"unknown kind":               {{RecHeader, id.header()}, {'X', unit(0, 1)}},
-		"not JSON":                   {{RecHeader, id.header()}, {RecUnit, "a string"}},
-		"no instances":               {{RecHeader, &headerRec{Programs: 4, Epochs: 1}}},
-		"more epochs than programs":  {{RecHeader, &headerRec{Instances: 1, Programs: 4, Epochs: 5}}},
+		"second header":              {{RecHeader, header(id.header())}, {RecHeader, header(id.header())}},
+		"commit going back":          {{RecHeader, header(id.header())}, {RecCommit, commit(2)}, {RecCommit, commit(1)}},
+		"commit past the last epoch": {{RecHeader, header(id.header())}, {RecCommit, commit(3)}},
+		"pending without its unit":   {{RecHeader, header(id.header())}, {RecPending, appendPending(nil, []PendingRec{{Inst: 0, Prog: 1}})}},
+		"unknown kind":               {{RecHeader, header(id.header())}, {'X', unit(0, 1)}},
+		"not a record":               {{RecHeader, header(id.header())}, {RecUnit, []byte("a string")}},
+		"trailing bytes":             {{RecHeader, header(id.header())}, {RecUnit, append(unit(0, 1), 0)}},
+		"no instances":               {{RecHeader, header(&headerRec{Programs: 4, Epochs: 1})}},
+		"more epochs than programs":  {{RecHeader, header(&headerRec{Instances: 1, Programs: 4, Epochs: 5})}},
 	} {
-		buf := bytes.NewBufferString(magic)
+		buf := []byte(magic)
 		for _, r := range recs {
-			if err := appendFrame(buf, r.kind, r.v); err != nil {
+			var start int
+			buf, start = beginFrame(buf)
+			var err error
+			if buf, err = endFrame(append(buf, r.payload...), start, r.kind); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := replay(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := replay(buf); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -387,7 +382,7 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("append offset %d in a file of %d bytes", end, len(data))
 		}
 		again, end2, err := replay(data[:end])
-		if err != nil || end2 != end || stateJSON(t, again) != stateJSON(t, st) {
+		if err != nil || end2 != end || !sameState(again, st) {
 			t.Fatalf("the file cut at its append offset loads differently: %v", err)
 		}
 	})

@@ -27,7 +27,7 @@ var (
 )
 
 // Client is the worker side of the coordinator protocol: a retrying
-// HTTP/JSON caller. Every call retries transient failures — connection
+// HTTP caller. Every call retries transient failures — connection
 // errors, 5xx, dropped or corrupt responses — with capped exponential
 // backoff plus jitter, so a coordinator that crashes and restarts within
 // the retry budget is invisible to the worker. 4xx responses are permanent

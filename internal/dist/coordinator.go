@@ -600,10 +600,9 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 	taken, folded := 0, 0
 	for i := range req.Results {
 		r := &req.Results[i]
-		rec, err := decodeResult(r.Result, r.ResultDigest)
-		first := false
-		if err == nil {
-			first, err = co.dc.RecordRemote(engine.UnitID{Inst: r.Inst, Prog: r.Prog}, rec, r.Draws)
+		first, err := false, ErrBadDigest
+		if Digest(r.Result) == r.ResultDigest {
+			first, err = co.dc.RecordEncoded(engine.UnitID{Inst: r.Inst, Prog: r.Prog}, r.Draws, r.Result)
 		}
 		if err != nil {
 			bad = err

@@ -3,7 +3,6 @@ package dist_test
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -460,7 +459,8 @@ func TestCoordinatorCheckpointIsIncremental(t *testing.T) {
 				return fmt.Errorf("a %q record behind offset %d", kind, from)
 			}
 			var u engine.UnitID
-			err := json.Unmarshal(payload, &u)
+			var err error
+			u.Inst, u.Prog, _, _, err = checkpoint.SplitUnit(payload)
 			units = append(units, u)
 			return err
 		})
@@ -515,7 +515,7 @@ func TestCoordinatorCheckpointIsIncremental(t *testing.T) {
 }
 
 // TestSubmitRejectsMalformedInput: a result whose digest is right but whose
-// violation carries input memory that is not a whole sandbox — or not its
+// violation carries an input that is not a valid sandbox — or not its
 // record's sandbox — must be refused at decode. Before inputs validated
 // themselves it folded, and panicked whoever replayed the violation.
 func TestSubmitRejectsMalformedInput(t *testing.T) {
@@ -553,25 +553,23 @@ func TestSubmitRejectsMalformedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, n := range []int{100, 3 * isa.PageSize, 2 * isa.PageSize} {
-		var doc map[string]any
-		if err := json.Unmarshal(good, &doc); err != nil {
-			t.Fatal(err)
-		}
-		doc["Violations"].([]any)[0].(map[string]any)["InputA"].(map[string]any)["Mem"] = make([]byte, n)
-		bad, err := json.Marshal(doc)
+	for _, pages := range []int{0, 3, 2} {
+		doc := rec
+		doc.Violations = append([]checkpoint.ViolationRec(nil), rec.Violations...)
+		doc.Violations[0].InputA = isa.NewInput(isa.Sandbox{Pages: pages})
+		bad, _, err := dist.EncodeResult(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := new(checkpoint.ResultRec).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%d-page input: the result decodes", pages)
 		}
 		req := &dist.SubmitRequest{
 			WorkerID: jr.WorkerID, Inst: id.Inst, Prog: id.Prog,
 			Draws: draws, ResultDigest: dist.Digest(bad), Result: bad,
 		}
-		if _, err := dist.DecodeResult(req); err == nil || errors.Is(err, dist.ErrBadDigest) {
-			t.Errorf("%d-byte input memory: DecodeResult err = %v, want a decode error", n, err)
-		}
 		if _, err := cl.Submit(ctx, req); err == nil {
-			t.Errorf("%d-byte input memory: coordinator accepted the submission", n)
+			t.Errorf("%d-page input: coordinator accepted the submission", pages)
 		}
 	}
 	// The unit is still open: the genuine result folds.

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -41,7 +41,7 @@ func testCoordinator(tb testing.TB, instances, programs int) *Coordinator {
 type exchanger struct {
 	co     *Coordinator
 	req    ExchangeRequest
-	empty  json.RawMessage
+	empty  []byte
 	digest uint64
 }
 
@@ -105,14 +105,44 @@ func BenchmarkExchange(b *testing.B) {
 	}
 }
 
+// TestExchangeAllocs pins what the coordinator allocates to fold a batch
+// of four non-violating results and grant the next four units: the decode
+// of an encoded result allocates nothing, so what is left is the folded
+// result itself and the grant's bookkeeping.
+func TestExchangeAllocs(t *testing.T) {
+	const budget = 12 // 39 when results crossed JSON
+	x := newExchanger(t, testCoordinator(t, 2, 4000))
+	x.step(t)
+	allocs := testing.AllocsPerRun(20, func() { x.step(t) })
+	if allocs > budget {
+		t.Errorf("an exchange of %d results allocates %.0f times, budget %d", DefaultLeaseUnits, allocs, budget)
+	}
+}
+
+// sealedExchange is a valid exchange frame carrying one result.
+func sealedExchange(tb testing.TB, result []byte) []byte {
+	data, err := Seal(&ExchangeRequest{WorkerID: 1, Seq: 2, Want: 4, Results: []UnitResult{
+		{Inst: 0, Prog: 3, Draws: 102, ResultDigest: Digest(result), Result: result},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // FuzzUnseal: a frame is bytes another process wrote. Whatever they are,
 // every message type must come back decoded or as an error — no panic, no
 // allocation sized by anything but the input — and a decoded exchange's
-// results must survive their own decode the same way.
+// results must survive their own decode the same way. A binary body that
+// decodes seals back to the same frame: its encoding is canonical.
 func FuzzUnseal(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(frame([]byte(`{"worker_id":1,"seq":2,"want":4,"retries":0}`)))
 	f.Add(frame([]byte(`{"units":[{"inst":0,"prog":1}],"folded":4,"done":false}`)))
+	raw, _, err := EncodeResult(checkpoint.ResultRec{TestCases: 30, Programs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealedExchange(f, raw))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, v := range []any{
 			&JoinRequest{}, &JoinReply{}, &ExchangeReply{}, &HeartbeatRequest{}, &HeartbeatReply{},
@@ -120,14 +150,24 @@ func FuzzUnseal(f *testing.F) {
 		} {
 			_ = Unseal(data, v)
 		}
-		var sub SubmitRequest
-		if Unseal(data, &sub) == nil {
-			_, _ = DecodeResult(&sub)
-		}
-		var req ExchangeRequest
-		if Unseal(data, &req) == nil {
-			for _, r := range req.Results {
-				_, _ = decodeResult(r.Result, r.ResultDigest)
+		for _, m := range []binaryMessage{&SubmitRequest{}, &ExchangeRequest{}} {
+			if Unseal(data, m) != nil {
+				continue
+			}
+			var results [][]byte
+			switch m := m.(type) {
+			case *SubmitRequest:
+				results = append(results, m.Result)
+			case *ExchangeRequest:
+				for _, r := range m.Results {
+					results = append(results, r.Result)
+				}
+			}
+			for _, r := range results {
+				_ = new(checkpoint.ResultRec).UnmarshalBinary(r)
+			}
+			if again, err := Seal(m); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("a decoded %T seals to other bytes: %v", m, err)
 			}
 		}
 	})
@@ -138,7 +178,11 @@ func FuzzUnseal(f *testing.F) {
 // hostile worker can get past every checksum — and runs it through the
 // coordinator: it folds or refuses, and never panics.
 func FuzzExchangeRequest(f *testing.F) {
-	f.Add([]byte(`{"TestCases":30,"Programs":1}`))
+	raw, _, err := EncodeResult(checkpoint.ResultRec{TestCases: 30, Programs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
 	var co *Coordinator
 	next := 0
 	f.Fuzz(func(t *testing.T, result []byte) {
@@ -146,11 +190,16 @@ func FuzzExchangeRequest(f *testing.F) {
 		if co == nil || next == programs { // every input gets a unit that is still open
 			co, next = testCoordinator(t, 1, programs), 0
 		}
-		body := fmt.Appendf(nil, `{"worker_id":1,"results":[{"inst":0,"prog":%d,"draws":1,"result_digest":%d,"result":%s}]}`,
-			next, Digest(result), result)
+		sent := &ExchangeRequest{WorkerID: 1, Results: []UnitResult{
+			{Inst: 0, Prog: next, Draws: 1, ResultDigest: Digest(result), Result: result},
+		}}
+		data, err := Seal(sent)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var req ExchangeRequest
-		if err := Unseal(frame(body), &req); err != nil {
-			return // not JSON: refused before any result is looked at
+		if err := Unseal(data, &req); err != nil {
+			t.Fatalf("a sealed exchange does not unseal: %v", err)
 		}
 		rep, status, err := co.exchange(&req)
 		if (err == nil) != (status == 200) || (err == nil) != (rep != nil) {

@@ -1,5 +1,5 @@
 // Package dist shards a fuzzing campaign's work units across remote
-// workers over HTTP/JSON, tolerating every failure a network adds —
+// workers over HTTP, tolerating every failure a network adds —
 // crashed workers, lost responses, duplicated requests, corrupted bytes,
 // a killed coordinator — while producing final results bit-identical to a
 // single-process run at the same seed.
@@ -45,30 +45,40 @@
 // # Wire integrity
 //
 // Every request and response body is one frame: the CRC-32C (Castagnoli)
-// of the JSON body, as 8 little-endian bytes, then the body. A mismatch is
+// of the body, as 8 little-endian bytes, then the body. A mismatch is
 // treated as a failed call (the client retries, the server rejects).
-// Each unit result additionally carries the CRC-32C of its own serialized
-// bytes, so a worker whose payloads disagree with their own digests
-// accumulates strikes and is banned.
+//
+// Each message type has one body encoding. The two that carry results —
+// ExchangeRequest and SubmitRequest — are binary (package codec's
+// varints), and each result in them is a checkpoint unit record: the
+// worker encodes a result once, the coordinator checks it, decodes it once
+// to fold it, and appends the worker's bytes to its checkpoint log
+// unchanged. Every other message is a few dozen bytes of JSON. Each unit
+// result additionally carries the CRC-32C of its encoded result, so a
+// worker whose payloads disagree with their own digests accumulates
+// strikes and is banned.
+//
+// The endpoints are versioned by the encoding: a peer that speaks an older
+// one is refused at join (404), not on its first result.
 package dist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
+	"github.com/sith-lab/amulet-go/internal/codec"
 )
 
 // Endpoint paths served by the coordinator.
 const (
-	PathJoin      = "/v1/join"
-	PathExchange  = "/v1/exchange"
-	PathHeartbeat = "/v1/heartbeat"
-	PathLease     = "/v1/lease"
-	PathSubmit    = "/v1/submit"
+	PathJoin      = "/v2/join"
+	PathExchange  = "/v2/exchange"
+	PathHeartbeat = "/v2/heartbeat"
+	PathLease     = "/v2/lease"
+	PathSubmit    = "/v2/submit"
 )
 
 // ErrBadDigest reports a frame or result payload whose bytes disagree with
@@ -84,13 +94,26 @@ func Digest(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
 // frameHeader is the size of the digest a frame opens with.
 const frameHeader = 8
 
-// Seal marshals v into a frame: the body's Digest, then the body.
+// binaryMessage is a message whose body is binary rather than JSON.
+type binaryMessage interface {
+	maxBodyLen() int // bounds the body's length, so Seal allocates once
+	appendBody(b []byte) []byte
+	decodeBody(body []byte) error
+}
+
+// Seal encodes v into a frame: the body's Digest, then the body.
 func Seal(v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode: %w", err)
+	m, ok := v.(binaryMessage)
+	if !ok {
+		body, err := marshalSmall(v)
+		if err != nil {
+			return nil, fmt.Errorf("dist: encode: %w", err)
+		}
+		return frame(body), nil
 	}
-	return frame(body), nil
+	out := m.appendBody(make([]byte, frameHeader, frameHeader+m.maxBodyLen()))
+	binary.LittleEndian.PutUint64(out, Digest(out[frameHeader:]))
+	return out, nil
 }
 
 // frame puts body's digest in front of it.
@@ -101,9 +124,9 @@ func frame(body []byte) []byte {
 	return out
 }
 
-// Unseal verifies data's frame digest and unmarshals the body into v, so
+// Unseal verifies data's frame digest and decodes the body into v, so
 // corruption anywhere in flight surfaces as a failed call instead of a
-// silently wrong payload.
+// silently wrong payload. A decoded result's bytes alias data.
 func Unseal(data []byte, v any) error {
 	if len(data) < frameHeader {
 		return fmt.Errorf("dist: decode frame: %d bytes, shorter than its digest", len(data))
@@ -112,46 +135,54 @@ func Unseal(data []byte, v any) error {
 	if Digest(body) != binary.LittleEndian.Uint64(data) {
 		return ErrBadDigest
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	var err error
+	if m, ok := v.(binaryMessage); ok {
+		err = m.decodeBody(body)
+	} else {
+		err = unmarshalSmall(body, v)
+	}
+	if err != nil {
 		return fmt.Errorf("dist: decode body: %w", err)
 	}
 	return nil
 }
 
-// Unit names one work unit on the wire.
-type Unit struct {
-	Inst int `json:"inst"`
-	Prog int `json:"prog"`
-}
-
-// JoinRequest announces a worker. The coordinator refuses a worker whose
-// campaign configuration fingerprint, frontend or shape disagrees with its
-// own — a mismatched worker would fold structurally wrong results.
-type JoinRequest struct {
-	Worker    string `json:"worker"`
-	ConfigFP  uint64 `json:"config_fp"`
-	Frontend  string `json:"frontend"`
-	Instances int    `json:"instances"`
-	Programs  int    `json:"programs"`
-}
-
-// JoinReply assigns the worker its ID and the coordinator's lease terms.
-type JoinReply struct {
-	WorkerID   int64 `json:"worker_id"`
-	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	LeaseUnits int   `json:"lease_units"`
-}
-
-// UnitResult is one unit's result on the wire. Result is the raw JSON of
-// the checkpoint.ResultRec and ResultDigest its Digest — digesting the
-// exact bytes (rather than re-marshalling server-side) makes verification
-// independent of encoder details.
+// UnitResult is one unit's result on the wire. Result is the encoded
+// checkpoint.ResultRec (EncodeResult) and ResultDigest its Digest. On the
+// wire a result is its digest, then the unit's checkpoint record —
+// checkpoint.AppendUnitHeader of Inst, Prog and Draws, then Result — behind
+// its length:
+//
+//	result := uvarint ResultDigest | uvarint length | varint Inst | varint Prog | uvarint Draws | Result
 type UnitResult struct {
-	Inst         int             `json:"inst"`
-	Prog         int             `json:"prog"`
-	Draws        uint64          `json:"draws"`
-	ResultDigest uint64          `json:"result_digest"`
-	Result       json.RawMessage `json:"result"`
+	Inst         int
+	Prog         int
+	Draws        uint64
+	ResultDigest uint64
+	Result       []byte
+}
+
+// Result encoding bounds: the shortest (digest, length and the three header
+// varints of an empty record) and the most a result adds to its bytes.
+const (
+	minResultBytes  = 5
+	maxResultFields = 5 * binary.MaxVarintLen64
+)
+
+func appendResult(b []byte, inst, prog int, draws, digest uint64, result []byte) []byte {
+	b = codec.AppendUvarint(b, digest)
+	b, start := codec.BeginSized(b)
+	b = append(checkpoint.AppendUnitHeader(b, inst, prog, draws), result...)
+	return codec.EndSized(b, start)
+}
+
+func readResult(r *codec.Reader) (UnitResult, error) {
+	digest, rec := r.Uvarint(), r.Bytes()
+	if err := r.Err(); err != nil {
+		return UnitResult{}, err
+	}
+	inst, prog, draws, result, err := checkpoint.SplitUnit(rec)
+	return UnitResult{Inst: inst, Prog: prog, Draws: draws, ResultDigest: digest, Result: result}, err
 }
 
 // ExchangeRequest delivers a batch of results and asks for up to Want more
@@ -161,94 +192,99 @@ type UnitResult struct {
 // neither strands a grant nor earns a second one. 0 is an unnumbered call,
 // always answered afresh. Retries is the worker transport's cumulative
 // retry count, reported so the coordinator's robustness counters cover
-// client-side recovery too.
+// client-side recovery too. Its body is binary:
+//
+//	body := varint WorkerID | uvarint Seq | varint Want | varint Retries | uvarint count | result*
 type ExchangeRequest struct {
-	WorkerID int64        `json:"worker_id"`
-	Seq      uint64       `json:"seq"`
-	Results  []UnitResult `json:"results,omitempty"`
-	Want     int          `json:"want"`
-	Retries  int          `json:"retries"`
+	WorkerID int64
+	Seq      uint64
+	Results  []UnitResult
+	Want     int
+	Retries  int
 }
 
-// ExchangeReply grants units and acknowledges the request's results: all
-// of them are folded, Folded of them by this call (the rest were already
-// done — duplicates, harmless, dropped). Done means the campaign has
-// nothing left to schedule; a worker granted no units should exit.
-type ExchangeReply struct {
-	Units  []Unit `json:"units,omitempty"`
-	Folded int    `json:"folded"`
-	Done   bool   `json:"done"`
+func (req *ExchangeRequest) maxBodyLen() int {
+	n := 5 * binary.MaxVarintLen64
+	for i := range req.Results {
+		n += maxResultFields + len(req.Results[i].Result)
+	}
+	return n
 }
 
-// LeaseRequest is an exchange that delivers nothing: it asks for up to Max
-// units (0 = the coordinator's default).
-type LeaseRequest struct {
-	WorkerID int64 `json:"worker_id"`
-	Max      int   `json:"max"`
+func (req *ExchangeRequest) appendBody(b []byte) []byte {
+	b = codec.AppendVarint(b, req.WorkerID)
+	b = codec.AppendUvarint(b, req.Seq)
+	b = codec.AppendInt(b, req.Want)
+	b = codec.AppendInt(b, req.Retries)
+	b = codec.AppendUvarint(b, uint64(len(req.Results)))
+	for i := range req.Results {
+		r := &req.Results[i]
+		b = appendResult(b, r.Inst, r.Prog, r.Draws, r.ResultDigest, r.Result)
+	}
+	return b
 }
 
-// LeaseReply grants units. Done as in ExchangeReply.
-type LeaseReply struct {
-	Units []Unit `json:"units,omitempty"`
-	Done  bool   `json:"done"`
-}
-
-// HeartbeatRequest renews the worker's lease deadlines. Retries as in
-// ExchangeRequest.
-type HeartbeatRequest struct {
-	WorkerID int64 `json:"worker_id"`
-	Retries  int   `json:"retries"`
-}
-
-// HeartbeatReply: OK=false tells the worker it has been evicted (it should
-// rejoin); Done tells it the campaign is complete.
-type HeartbeatReply struct {
-	OK   bool `json:"ok"`
-	Done bool `json:"done"`
+func (req *ExchangeRequest) decodeBody(body []byte) error {
+	r := codec.NewReader(body)
+	*req = ExchangeRequest{WorkerID: r.Varint(), Seq: r.Uvarint(), Want: r.Int(), Retries: r.Int()}
+	if n := r.Count(minResultBytes); n > 0 {
+		req.Results = make([]UnitResult, n)
+	}
+	for i := range req.Results {
+		var err error
+		if req.Results[i], err = readResult(&r); err != nil {
+			return err
+		}
+	}
+	return r.Done()
 }
 
 // SubmitRequest is an exchange of one result that asks for no units; the
-// fields are UnitResult's and ExchangeRequest's.
+// fields are UnitResult's and ExchangeRequest's, and so is the body:
+//
+//	body := varint WorkerID | varint Retries | result
 type SubmitRequest struct {
-	WorkerID     int64           `json:"worker_id"`
-	Inst         int             `json:"inst"`
-	Prog         int             `json:"prog"`
-	Draws        uint64          `json:"draws"`
-	ResultDigest uint64          `json:"result_digest"`
-	Result       json.RawMessage `json:"result"`
-	Retries      int             `json:"retries"`
+	WorkerID     int64
+	Inst         int
+	Prog         int
+	Draws        uint64
+	ResultDigest uint64
+	Result       []byte
+	Retries      int
 }
 
-// SubmitReply: Folded=false means the unit was already done (a duplicate —
-// harmless, dropped). Done as in ExchangeReply.
-type SubmitReply struct {
-	Folded bool `json:"folded"`
-	Done   bool `json:"done"`
+func (req *SubmitRequest) maxBodyLen() int {
+	return 2*binary.MaxVarintLen64 + maxResultFields + len(req.Result)
 }
 
-// EncodeResult serializes a unit result for the wire.
-func EncodeResult(rec checkpoint.ResultRec) (raw json.RawMessage, digest uint64, err error) {
-	b, err := json.Marshal(rec)
+func (req *SubmitRequest) appendBody(b []byte) []byte {
+	b = codec.AppendVarint(b, req.WorkerID)
+	b = codec.AppendInt(b, req.Retries)
+	return appendResult(b, req.Inst, req.Prog, req.Draws, req.ResultDigest, req.Result)
+}
+
+func (req *SubmitRequest) decodeBody(body []byte) error {
+	r := codec.NewReader(body)
+	id, retries := r.Varint(), r.Int()
+	res, err := readResult(&r)
+	if err != nil {
+		return err
+	}
+	*req = SubmitRequest{WorkerID: id, Inst: res.Inst, Prog: res.Prog, Draws: res.Draws,
+		ResultDigest: res.ResultDigest, Result: res.Result, Retries: retries}
+	return r.Done()
+}
+
+// resultCap is the buffer a result is encoded into: one without violations
+// takes about 70 bytes.
+const resultCap = 128
+
+// EncodeResult encodes a unit result for the wire, once: the same bytes are
+// its coordinator's checkpoint record.
+func EncodeResult(rec checkpoint.ResultRec) (raw []byte, digest uint64, err error) {
+	b, err := rec.AppendBinary(make([]byte, 0, resultCap))
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: encode result: %w", err)
 	}
 	return b, Digest(b), nil
-}
-
-// DecodeResult verifies a SubmitRequest's result payload against its
-// digest and deserializes it. A mismatch is ErrBadDigest — the strike that
-// gets a worker banned.
-func DecodeResult(req *SubmitRequest) (checkpoint.ResultRec, error) {
-	return decodeResult(req.Result, req.ResultDigest)
-}
-
-func decodeResult(raw json.RawMessage, digest uint64) (checkpoint.ResultRec, error) {
-	if Digest(raw) != digest {
-		return checkpoint.ResultRec{}, ErrBadDigest
-	}
-	var rec checkpoint.ResultRec
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return checkpoint.ResultRec{}, fmt.Errorf("dist: decode result: %w", err)
-	}
-	return rec, nil
 }

@@ -239,19 +239,26 @@ func (w *Worker) serve(ctx context.Context, jr *JoinReply) error {
 	}
 }
 
-// runBatch runs the batch's units and encodes their results for the wire.
+// runBatch runs the batch's units and encodes their results for the wire,
+// into one buffer: a result's slice stays valid when a later append moves
+// the buffer, since the old array keeps its bytes.
 func (w *Worker) runBatch(ctx context.Context, batch []Unit) ([]UnitResult, error) {
-	var results []UnitResult
-	for _, u := range batch {
+	if len(batch) == 0 {
+		return nil, nil
+	}
+	results := make([]UnitResult, len(batch))
+	buf := make([]byte, 0, resultCap*len(batch))
+	for i, u := range batch {
 		rec, draws, err := w.runner.Run(ctx, engine.UnitID{Inst: u.Inst, Prog: u.Prog})
 		if err != nil {
 			return nil, err
 		}
-		raw, digest, err := EncodeResult(rec)
-		if err != nil {
-			return nil, err
+		start := len(buf)
+		if buf, err = rec.AppendBinary(buf); err != nil {
+			return nil, fmt.Errorf("dist: encode result: %w", err)
 		}
-		results = append(results, UnitResult{Inst: u.Inst, Prog: u.Prog, Draws: draws, ResultDigest: digest, Result: raw})
+		raw := buf[start:len(buf):len(buf)]
+		results[i] = UnitResult{Inst: u.Inst, Prog: u.Prog, Draws: draws, ResultDigest: Digest(raw), Result: raw}
 	}
 	return results, nil
 }

@@ -182,6 +182,23 @@ func (d *DistCampaign) Done(u UnitID) bool {
 // unit carry identical payloads. Out-of-bounds coordinates are an error
 // (a malfunctioning or malicious worker, never folded).
 func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws uint64) (folded bool, err error) {
+	return d.recordRemote(u, &rec, draws, nil)
+}
+
+// RecordEncoded is RecordRemote for a result as its worker encoded it
+// (ResultRec.AppendBinary): decoded here, once, and — on its first fold —
+// written into the unit's checkpoint record byte for byte as it arrived.
+// A result that does not decode is an error, like one out of bounds.
+func (d *DistCampaign) RecordEncoded(u UnitID, draws uint64, result []byte) (folded bool, err error) {
+	var rec checkpoint.ResultRec
+	if err := rec.UnmarshalBinary(result); err != nil {
+		return false, err
+	}
+	return d.recordRemote(u, &rec, draws, result)
+}
+
+// recordRemote folds rec; encoded, when not nil, is its encoding.
+func (d *DistCampaign) recordRemote(u UnitID, rec *checkpoint.ResultRec, draws uint64, encoded []byte) (bool, error) {
 	if !d.inBounds(u) {
 		return false, fmt.Errorf("engine: remote result for unit (%d,%d) out of campaign bounds %dx%d",
 			u.Inst, u.Prog, d.c.instances, d.c.programs)
@@ -199,8 +216,8 @@ func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws ui
 	d.accountLocked(lu, res)
 	d.mu.Unlock()
 	// First fold only, and outside the campaign lock: the record is encoded
-	// and written while other submissions fold.
-	d.c.logUnit(lu, rec, draws)
+	// (unless it came encoded) and written while other submissions fold.
+	d.c.logUnit(lu, rec, draws, encoded)
 	return true, nil
 }
 

@@ -294,7 +294,7 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 		rec := checkpoint.ResultRec{TestCases: 1, Programs: 1}
 		if violating {
 			rec.Violations = []checkpoint.ViolationRec{{
-				Sandbox: sb, InputA: isa.NewInput(sb), InputB: isa.NewInput(sb), ProgramIndex: u.Prog,
+				Program: &isa.Program{}, Sandbox: sb, InputA: isa.NewInput(sb), InputB: isa.NewInput(sb), ProgramIndex: u.Prog,
 			}}
 		}
 		return rec

@@ -103,19 +103,27 @@ func (c *campaign) closeLog() {
 // outcome is final. Without a checkpoint log it is one nil check.
 func (c *campaign) logOutcome(u unit, out unitOutcome) {
 	if out.done && c.log != nil {
-		c.logUnit(u, checkpoint.EncodeResult(out.res), out.draws)
+		res := checkpoint.EncodeResult(out.res)
+		c.logUnit(u, &res, out.draws, nil)
 	}
 }
 
 // logUnit appends a finished unit's record to the checkpoint log, on the
-// goroutine that finished the unit. A failed append leaves a hole: the unit
-// is done here but absent from the log, so resume will run it again.
-func (c *campaign) logUnit(u unit, res checkpoint.ResultRec, draws uint64) {
+// goroutine that finished the unit: res encoded into the record, or, when
+// encoded is not nil, encoded — res's bytes as a worker sent them —
+// written as they are. A failed append leaves a hole: the unit is done here
+// but absent from the log, so resume will run it again.
+func (c *campaign) logUnit(u unit, res *checkpoint.ResultRec, draws uint64, encoded []byte) {
 	if c.log == nil {
 		return
 	}
-	rec := checkpoint.UnitRec{Inst: u.inst, Prog: u.prog, RNGDraws: draws, Result: res}
-	if err := c.log.AppendUnit(&rec); err != nil {
+	var err error
+	if encoded != nil {
+		err = c.log.AppendEncodedUnit(u.inst, u.prog, draws, encoded)
+	} else {
+		err = c.log.AppendUnit(&checkpoint.UnitRec{Inst: u.inst, Prog: u.prog, RNGDraws: draws, Result: *res})
+	}
+	if err != nil {
 		c.failLog(err)
 	}
 }

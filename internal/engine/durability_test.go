@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -325,11 +324,10 @@ func readLog(t *testing.T, dir string) ([]byte, []logRecord) {
 	end, err := checkpoint.Walk(raw, func(kind byte, payload []byte, end int) error {
 		r := logRecord{kind: kind, end: end}
 		if kind == checkpoint.RecUnit {
-			var u struct{ Inst, Prog int }
-			if err := json.Unmarshal(payload, &u); err != nil {
+			var err error
+			if r.inst, r.prog, _, _, err = checkpoint.SplitUnit(payload); err != nil {
 				return err
 			}
-			r.inst, r.prog = u.Inst, u.Prog
 		}
 		recs = append(recs, r)
 		return nil

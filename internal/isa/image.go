@@ -2,10 +2,11 @@ package isa
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
+
+	"github.com/sith-lab/amulet-go/internal/codec"
 )
 
 // Memory model.
@@ -367,37 +368,161 @@ func (in *Input) Clone() *Input {
 	return c
 }
 
-// inputJSON is the serialized shape of an Input: registers and the dense
-// memory content (base64), whatever the in-memory representation. Checkpoint
-// format v2, quarantine bundles and dist frames all carry it.
-type inputJSON struct {
-	Regs  [NumRegs]uint64
-	Dense []byte `json:"Mem"`
+// Stream reports the span of the random stream the fill computes words
+// from: its root base and the n0 outputs served before it. ok is false for
+// zero memory.
+func (f Fill) Stream() (base, n0 uint64, ok bool) { return f.base, f.n0, f.stream }
+
+// Background returns the fill the image computes unwritten words from.
+func (im *Image) Background() Fill { return im.fill }
+
+// Written calls fn with the sandbox byte offset and value of every word
+// written down, in address order. Other words are the background's.
+func (im *Image) Written(fn func(off, word uint64)) {
+	for pi, p := range im.pages {
+		if p == nil {
+			continue
+		}
+		for wi, h := range p.have {
+			for ; h != 0; h &= h - 1 {
+				i := wi*64 + bits.TrailingZeros64(h)
+				fn(uint64(pi)*PageSize+uint64(i)*8, p.w[i])
+			}
+		}
+	}
 }
 
-// MarshalJSON implements json.Marshaler.
-func (in Input) MarshalJSON() ([]byte, error) {
-	return json.Marshal(inputJSON{Regs: in.Regs, Dense: in.Mem.Dense()})
+// The binary form of an input is as sparse as the input in memory:
+// registers, the background fill, and the words written down — never a
+// computed background word. A 128-page input whose mutation wrote two words
+// takes a few dozen bytes.
+//
+//	input := uvarint pages | 16 × uvarint reg | fill | uvarint count | page*
+//	fill  := 0 (zero memory) | 1 | base (8 bytes LE) | uvarint n0
+//	page  := uvarint index | mask byte | mask word* | word*
+//
+// Pages are the written ones, by increasing index, each holding at least
+// one word. Bit k of the mask byte says whether word k of the page's 512-bit
+// have mask is nonzero; the nonzero mask words follow (8 bytes LE each),
+// then the held words in address order (8 bytes LE each).
+
+// minPageBytes is the shortest page encoding: index, mask byte, one mask
+// word, one held word.
+const minPageBytes = 1 + 1 + 8 + 8
+
+// AppendBinary implements encoding.BinaryAppender.
+func (in *Input) AppendBinary(b []byte) ([]byte, error) {
+	im := &in.Mem
+	b = codec.AppendUvarint(b, uint64(im.sb.Pages))
+	for _, r := range in.Regs {
+		b = codec.AppendUvarint(b, r)
+	}
+	if im.fill.stream {
+		b = append(b, 1)
+		b = codec.AppendUint64(b, im.fill.base)
+		b = codec.AppendUvarint(b, im.fill.n0)
+	} else {
+		b = append(b, 0)
+	}
+	n := 0
+	for _, p := range im.pages {
+		if p != nil && p.have != [wordsPerPage / 64]uint64{} {
+			n++
+		}
+	}
+	b = codec.AppendUvarint(b, uint64(n))
+	for pi, p := range im.pages {
+		if p == nil || p.have == [wordsPerPage / 64]uint64{} {
+			continue // holds nothing: background, as a nil page
+		}
+		b = codec.AppendUvarint(b, uint64(pi))
+		var mask byte
+		for k, h := range p.have {
+			if h != 0 {
+				mask |= 1 << k
+			}
+		}
+		b = append(b, mask)
+		for _, h := range p.have {
+			if h != 0 {
+				b = codec.AppendUint64(b, h)
+			}
+		}
+		for wi, h := range p.have {
+			for ; h != 0; h &= h - 1 {
+				b = codec.AppendUint64(b, p.w[wi*64+bits.TrailingZeros64(h)])
+			}
+		}
+	}
+	return b, nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler. It rejects memory whose length
-// is not a valid sandbox size, so a malformed record fails where it is
-// decoded instead of panicking where it is replayed.
-func (in *Input) UnmarshalJSON(data []byte) error {
-	var w inputJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It refuses
+// anything AppendBinary does not write — an invalid sandbox, a page index
+// outside it or out of order, an empty page, trailing bytes — so a
+// malformed record fails where it is decoded instead of panicking where it
+// is replayed. The pages are allocated at once, after their count is
+// checked against the bytes that remain.
+func (in *Input) UnmarshalBinary(data []byte) error {
+	r := codec.NewReader(data)
+	pages := r.Uvarint()
+	sb := Sandbox{Pages: int(min(pages, MaxPages+1))}
+	if err := sb.Validate(); err != nil && r.Err() == nil {
+		return fmt.Errorf("isa: input: %w", err)
 	}
-	sb := Sandbox{Pages: len(w.Dense) / PageSize}
-	if len(w.Dense)%PageSize != 0 || sb.Validate() != nil {
-		return fmt.Errorf("isa: input memory is %d bytes, not a sandbox of 2^k pages, k <= 9", len(w.Dense))
+	var regs [NumRegs]uint64
+	for i := range regs {
+		regs[i] = r.Uvarint()
 	}
-	*in = Input{Regs: w.Regs, Mem: makeImage(sb)}
-	store := make([]Page, sb.Pages)
-	for pi := range in.Mem.pages {
-		store[pi].load(w.Dense[pi*PageSize:])
-		in.Mem.pages[pi] = &store[pi]
+	var fill Fill
+	if r.Bool() {
+		fill = StreamFill(r.Uint64(), r.Uvarint())
+	}
+	n := r.Count(minPageBytes)
+	if n > sb.Pages {
+		r.Fail("%d written pages in a %d-page sandbox", n, sb.Pages)
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("isa: input: %w", err)
+	}
+	*in = Input{Regs: regs, Mem: makeImage(sb)}
+	in.Mem.fill = fill
+	store := make([]Page, n)
+	next := 0 // the lowest index the next page may have
+	for k := range store {
+		pi := r.Uvarint()
+		if pi < uint64(next) || pi >= uint64(sb.Pages) {
+			r.Fail("page index %d out of order or outside %d pages", pi, sb.Pages)
+			break
+		}
+		next = int(pi) + 1
+		p := &store[k]
+		mask := r.Byte()
+		if mask == 0 {
+			r.Fail("page %d holds no word", pi)
+			break
+		}
+		for wi := range p.have {
+			if mask&(1<<wi) != 0 {
+				if p.have[wi] = r.Uint64(); p.have[wi] == 0 {
+					r.Fail("page %d: zero mask word", pi)
+				}
+			}
+		}
+		for wi, h := range p.have {
+			for ; h != 0; h &= h - 1 {
+				p.w[wi*64+bits.TrailingZeros64(h)] = r.Uint64()
+			}
+		}
+		if r.Err() != nil {
+			break
+		}
+		in.Mem.pages[pi] = p
 		in.Mem.owned[pi>>6] |= 1 << (pi & 63)
+	}
+	if err := r.Done(); err != nil {
+		*in = Input{}
+		return fmt.Errorf("isa: input: %w", err)
 	}
 	return nil
 }

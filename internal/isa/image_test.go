@@ -2,55 +2,102 @@ package isa
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"testing"
 )
 
-// TestInputJSONShape pins the serialized form of an input to what it was
-// when Mem was a dense []byte — registers plus the base64 of every sandbox
-// byte — so checkpoints, bundles and dist envelopes written before and after
-// the paged representation are mutually readable.
-func TestInputJSONShape(t *testing.T) {
-	sb := Sandbox{Pages: 2}
-	in := NewInput(sb)
-	in.Regs[5] = 0xabc
-	in.Mem.Reset(StreamFill(0x1234, 77))
-	in.Mem.Write(DataBase+PageSize-3, 8, 0x1122334455667788)
+// written lists an image's written-down words as (offset, value) pairs.
+func written(im *Image) [][2]uint64 {
+	var out [][2]uint64
+	im.Written(func(off, w uint64) { out = append(out, [2]uint64{off, w}) })
+	return out
+}
 
-	got, err := json.Marshal(in)
-	if err != nil {
+// TestInputBinaryRoundTrip: an input decodes to the same registers,
+// background and written words — the same sparse value, not just the same
+// bytes — and re-encodes to the bytes it came from. The encoding is as
+// sparse as the input: a 128-page input that wrote two words (one of them
+// straddling a page) is a few dozen bytes, a legacy dense one every word.
+func TestInputBinaryRoundTrip(t *testing.T) {
+	sparse := NewInput(Sandbox{Pages: 128})
+	sparse.Regs[5], sparse.Regs[15] = 0xabc, ^uint64(0)
+	sparse.Mem.Reset(StreamFill(0x1234, 77))
+	sparse.Mem.Write(DataBase+PageSize-3, 8, 0x1122334455667788)
+	sparse.Mem.Write(DataBase+100*PageSize, 1, 0x5a)
+
+	dense := NewInput(Sandbox{Pages: 2})
+	if err := dense.Mem.FillFrom(bytes.NewReader(bytes.Repeat([]byte{1, 2, 3}, 3*PageSize))); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf(`{"Regs":[0,0,0,0,0,2748,0,0,0,0,0,0,0,0,0,0],"Mem":%q}`,
-		base64.StdEncoding.EncodeToString(in.Mem.Dense()))
-	if string(got) != want {
-		t.Fatalf("serialized input changed shape:\ngot  %.120s...\nwant %.120s...", got, want)
-	}
-
-	back := &Input{}
-	if err := json.Unmarshal(got, back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Regs != in.Regs || back.Mem.Sandbox() != sb || !bytes.Equal(back.Mem.Dense(), in.Mem.Dense()) {
-		t.Errorf("input does not survive a JSON round trip")
+	for _, tc := range []struct {
+		name    string
+		in      *Input
+		maxSize int
+	}{
+		{"zero", NewInput(Sandbox{Pages: 1}), 20},
+		{"sparse 128 pages", sparse, 120},
+		{"dense 2 pages", dense, 2 * (PageSize + 80)},
+	} {
+		enc, err := tc.in.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) > tc.maxSize {
+			t.Errorf("%s: %d bytes, want at most %d", tc.name, len(enc), tc.maxSize)
+		}
+		back := &Input{}
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if back.Regs != tc.in.Regs || back.Mem.Sandbox() != tc.in.Mem.Sandbox() ||
+			back.Mem.Background() != tc.in.Mem.Background() ||
+			fmt.Sprint(written(&back.Mem)) != fmt.Sprint(written(&tc.in.Mem)) ||
+			!bytes.Equal(back.Mem.Dense(), tc.in.Mem.Dense()) {
+			t.Errorf("%s: input does not survive its binary round trip", tc.name)
+		}
+		again, _ := back.AppendBinary(nil)
+		if !bytes.Equal(again, enc) {
+			t.Errorf("%s: re-encoding changed the bytes", tc.name)
+		}
 	}
 }
 
-// TestInputUnmarshalRejectsBadSize: memory that is not a whole sandbox must
-// fail to decode; before, it decoded and panicked when replayed.
-func TestInputUnmarshalRejectsBadSize(t *testing.T) {
-	for _, n := range []int{0, 100, PageSize - 1, 3 * PageSize, 1024 * PageSize} {
-		doc := fmt.Sprintf(`{"Regs":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"Mem":%q}`,
-			base64.StdEncoding.EncodeToString(make([]byte, n)))
-		if err := json.Unmarshal([]byte(doc), &Input{}); err == nil {
-			t.Errorf("input with %d bytes of memory decoded", n)
-		}
+// TestInputUnmarshalRejects: anything the encoder does not write fails to
+// decode — before, a record with a wrong-sized input decoded and panicked
+// when replayed.
+func TestInputUnmarshalRejects(t *testing.T) {
+	in := NewInput(Sandbox{Pages: 2})
+	in.Mem.Write(DataBase+PageSize+8, 8, 7)
+	good, _ := in.AppendBinary(nil)
+	if err := (&Input{}).UnmarshalBinary(good); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(`{"Regs":[],"Mem":null}`), &Input{}); err == nil {
-		t.Errorf("input with null memory decoded")
+	// good: pages 2 | 16 zero regs | fill 0 | 1 page | index 1 | mask 1 | mask word | word
+	const pageAt = 1 + NumRegs + 1 + 1
+	patch := func(at int, b ...byte) []byte {
+		out := append([]byte(nil), good...)
+		copy(out[at:], b)
+		return out
+	}
+	for name, data := range map[string][]byte{
+		"empty":               nil,
+		"zero pages":          patch(0, 0),
+		"three pages":         patch(0, 3),
+		"1024 pages":          append([]byte{0x80, 0x08}, good[1:]...),
+		"non-minimal varint":  append([]byte{0x82, 0x00}, good[1:]...),
+		"fill flag 2":         patch(1+NumRegs, 2),
+		"page index 2":        patch(pageAt, 2),
+		"empty page":          patch(pageAt+1, 0),
+		"zero mask word":      patch(pageAt+2, 0),
+		"more pages than fit": patch(pageAt-1, 2),
+		"truncated":           good[:len(good)-1],
+		"trailing byte":       append(append([]byte(nil), good...), 0),
+		"count past the end":  append(append([]byte(nil), good[:pageAt-1]...), 0xff, 0xff, 0x03),
+	} {
+		if err := (&Input{}).UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package isa
 import (
 	"fmt"
 	"strings"
+
+	"github.com/sith-lab/amulet-go/internal/codec"
 )
 
 // Program is a test program: a flat instruction sequence. Control flow is a
@@ -123,3 +125,50 @@ func Branch(cond Cond, target int) Inst {
 
 // Jmp returns an unconditional jump to instruction index target.
 func Jmp(target int) Inst { return Inst{Op: OpJmp, Target: target} }
+
+// The binary form of a µop program, as checkpoint and wire records carry a
+// violation's lowered program:
+//
+//	program := varint NumBlocks | uvarint count | inst*
+//	inst    := op | dst | src1 | src2 | cond | size | imm? (0|1) | varint Imm | varint Target
+const minInstBytes = 7 + 1 + 1
+
+// AppendBinary implements encoding.BinaryAppender.
+func (p *Program) AppendBinary(b []byte) ([]byte, error) {
+	b = codec.AppendInt(b, p.NumBlocks)
+	b = codec.AppendUvarint(b, uint64(len(p.Insts)))
+	for _, in := range p.Insts {
+		b = append(b, byte(in.Op), byte(in.Dst), byte(in.Src1), byte(in.Src2), byte(in.Cond), in.Size)
+		b = codec.AppendBool(b, in.UseImm)
+		b = codec.AppendVarint(b, in.Imm)
+		b = codec.AppendInt(b, in.Target)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded
+// program must pass Validate: it is replayed, so a malformed one is refused
+// here rather than where it runs.
+func (p *Program) UnmarshalBinary(data []byte) error {
+	r := codec.NewReader(data)
+	q := Program{NumBlocks: r.Int()}
+	if n := r.Count(minInstBytes); n > 0 {
+		q.Insts = make([]Inst, n)
+	}
+	for i := range q.Insts {
+		f := r.Next(6)
+		if f == nil {
+			break
+		}
+		q.Insts[i] = Inst{Op: Op(f[0]), Dst: Reg(f[1]), Src1: Reg(f[2]), Src2: Reg(f[3]), Cond: Cond(f[4]), Size: f[5],
+			UseImm: r.Bool(), Imm: r.Varint(), Target: r.Int()}
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("isa: program: %w", err)
+	}
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("isa: program: %w", err)
+	}
+	*p = q
+	return nil
+}
