@@ -49,19 +49,18 @@
 //
 // # Pipeline scheduling
 //
-// The out-of-order core has one pipeline. The store-queue search,
-// memory-order check and speculation shadow re-derive their answers from
-// the ROB window. Issue, writeback and the idle-span proof read slot
-// bitmasks instead (the scoreboard: done, waiting, blocked and executing
-// slots, woken on writeback and commit) whenever its two mask words cover
-// the window's buffer (ROBSize <= 64); larger windows walk the full ROB,
-// which is also the scoreboard's test oracle. A completion watermark skips
-// writeback on cycles that wait on one long fill, and provably idle spans
-// of cycles are skipped wholesale (uarch/quiescent.go).
-// The reference paths — scan issue, cycle-by-cycle loop, full-walk
-// digests — are selectable only from tests, through each package's
-// export_test.go, and each is held bit-identical to the fast path by a test
-// in its package. The pending-fill queue is one (ready cycle, id) min-heap
+// The out-of-order core has one pipeline at every window size. The
+// store-queue search, memory-order check and speculation shadow re-derive
+// their answers from the ROB window. Issue, writeback and the idle-span
+// proof read slot bitmasks instead (the scoreboard: done, waiting, blocked
+// and executing slots, one bit per slot of the window's buffer, sized once
+// from ROBSize; woken on writeback and commit). A completion watermark
+// skips writeback on cycles that wait on one long fill, and provably idle
+// spans of cycles are skipped wholesale (uarch/quiescent.go).
+// The reference paths — scan issue and writeback, cycle-by-cycle loop,
+// full-walk digests — are selectable only from tests, through each
+// package's export_test.go, and each is held bit-identical to the fast
+// path by a test in its package. The pending-fill queue is one (ready cycle, id) min-heap
 // and the leakage model one hook-driven emulator.
 // docs/removal-ledger.md records what each cost and why it stayed or went.
 //

@@ -12,10 +12,6 @@ import (
 // ErrMaxCycles is returned by Run when the cycle budget is exhausted.
 var ErrMaxCycles = errors.New("uarch: simulation exceeded MaxCycles")
 
-// sbSlots is the number of robBuf slots the scoreboard's two mask words
-// name.
-const sbSlots = 128
-
 // Core is the out-of-order processor. One Core is reused across the many
 // inputs of a test program (the AMuLeT-Opt strategy): LoadTest installs a
 // program, ResetForInput rewinds the pipeline and architectural state while
@@ -73,13 +69,14 @@ type Core struct {
 	// bound on the earliest completion among executing instructions.
 	wbNext uint64
 
-	// Issue scoreboard, on (sbOn) whenever its two mask words cover the
-	// robBuf slots, i.e. 2*ROBSize <= sbSlots; larger windows run the
-	// full-ROB walks, which are also the scoreboard's test oracle (the two
-	// are bit-identical: same visit order, same attemptIssue calls, same
-	// side effects). Each mask has one bit per robBuf slot, and slot order
-	// is seq order, since the window occupies robBuf[robOff:] contiguously.
-	// The masks change only when the facts behind them do:
+	// Issue scoreboard: issue, writeback and the quiescent-span proof read
+	// slot masks instead of walking the ROB. Each mask has one bit per
+	// robBuf slot, in ceil(2*ROBSize/64) words sized once by NewCore, and
+	// slot order is seq order, since the window occupies robBuf[robOff:]
+	// contiguously. The full-ROB walks the scoreboard is specified against
+	// (same visit order, same attemptIssue calls, same side effects) are
+	// test oracles behind ref. The masks change only when the facts behind
+	// them do:
 	//
 	//   - sbDone: slots whose instruction reached StDone/StCommitted. Set at
 	//     writeback; committed slots below the window keep their bits until
@@ -87,9 +84,10 @@ type Core struct {
 	//   - sbWaiting: dispatched (StDispatched) slots. Set at dispatch,
 	//     cleared when the instruction starts executing.
 	//   - sbBlocked: the waiting slots whose next attemptIssue is a pure,
-	//     side-effect-free early return — exactly issueBlockedPure's cases.
-	//     sbWait[s] holds the producer slots such an attempt waits on; the
-	//     slot is woken when the last of them reaches sbDone at writeback.
+	//     side-effect-free early return: a pending register/flags producer,
+	//     or a fence away from the ROB head. sbWait[s] holds the producer
+	//     slots such an attempt waits on; the slot is woken when the last
+	//     of them reaches sbDone at writeback.
 	//     A fence waits on no producer and is woken once commit has made it
 	//     the ROB head; a store whose address phase completes is
 	//     re-classified to wait on its data producer instead.
@@ -99,19 +97,19 @@ type Core struct {
 	// (sbTruncate), and a window compaction re-derives all of them from
 	// the renumbered ROB (sbRebuild), so a reused slot never inherits
 	// state from the instruction that held it before.
-	sbOn      bool
-	sbDone    [2]uint64
-	sbWaiting [2]uint64
-	sbBlocked [2]uint64
-	sbExec    [2]uint64
-	sbWait    [sbSlots][2]uint64
-	sbDoneAt  [sbSlots]uint64
+	sbDone    []uint64
+	sbWaiting []uint64
+	sbBlocked []uint64
+	sbExec    []uint64
+	sbWait    []sbWaitSet
+	sbDoneAt  []uint64
 
 	// lastActCycle is the last cycle in which an instruction changed state
 	// (issued, wrote back or committed). skipQuiescentSpan uses it to pay
-	// for the span-proof ROB walk only on cycles that were themselves fully
-	// quiet — on a busy cycle the very activity that just happened almost
-	// always seeds more next cycle, so the walk would fail anyway.
+	// for the span proof (a defense call and a fill-queue peek) only on
+	// cycles that were themselves fully quiet — on a busy cycle the very
+	// activity that just happened almost always seeds more next cycle, so
+	// the proof would fail anyway.
 	// Suppressing the attempt only forgoes a skip; it can never change
 	// behaviour.
 	lastActCycle uint64
@@ -126,6 +124,11 @@ type Core struct {
 	// skipping (quiescent.go); only export_test.go sets it.
 	noSkip bool
 
+	// ref, when non-nil, replaces the scoreboard's issue and writeback with
+	// the full-ROB scans they are tested against; only export_test.go sets
+	// it, together with noSkip.
+	ref refStages
+
 	ended    bool
 	endCycle uint64
 }
@@ -139,18 +142,34 @@ func NewCore(cfg Config, def Defense) *Core {
 	if def == nil {
 		def = NopDefense{}
 	}
+	// The window and the scoreboard are sized here, once: robBuf holds
+	// twice ROBSize slots, and each scoreboard mask one bit per slot.
+	slots := 2 * cfg.ROBSize
+	nw := (slots + 63) / 64
+	masks := make([]uint64, 4*nw)
 	c := &Core{
-		cfg:  cfg,
-		def:  def,
-		Hier: mem.NewHierarchy(cfg.Hier),
-		BP:   NewBPred(cfg.BPred),
-		MD:   NewMDP(),
-		// The scoreboard needs one bit per robBuf slot (2*ROBSize) in its
-		// two mask words; larger windows issue by the full-ROB scan.
-		sbOn: 2*cfg.ROBSize <= sbSlots,
+		cfg:       cfg,
+		def:       def,
+		Hier:      mem.NewHierarchy(cfg.Hier),
+		BP:        NewBPred(cfg.BPred),
+		MD:        NewMDP(),
+		robBuf:    make([]*DynInst, slots),
+		sbDone:    masks[:nw:nw],
+		sbWaiting: masks[nw : 2*nw : 2*nw],
+		sbBlocked: masks[2*nw : 3*nw : 3*nw],
+		sbExec:    masks[3*nw:],
+		sbWait:    make([]sbWaitSet, slots),
+		sbDoneAt:  make([]uint64, slots),
 	}
 	def.Attach(c)
 	return c
+}
+
+// refStages is the reference issue and writeback the scoreboard is
+// specified against; export_test.go implements it with full-ROB scans.
+type refStages interface {
+	issue()
+	writeback()
 }
 
 // Config returns the core configuration.
@@ -236,9 +255,6 @@ func (c *Core) ResetForInput(in *isa.Input) {
 
 	c.cycle = 0
 	c.seq = 0
-	if c.robBuf == nil {
-		c.robBuf = make([]*DynInst, 2*c.cfg.ROBSize)
-	}
 	c.rob = c.robBuf[:0]
 	c.robOff = 0
 	c.wbNext = 0
@@ -388,14 +404,16 @@ func (c *Core) startExec(in *DynInst, doneAt uint64) {
 	if doneAt < c.wbNext {
 		c.wbNext = doneAt
 	}
-	if c.sbOn {
-		w, b := slotBit(in.RobIdx)
-		c.sbWaiting[w] &^= b
-		c.sbExec[w] |= b
-		c.sbDoneAt[in.RobIdx] = doneAt
-	}
+	w, b := slotBit(in.RobIdx)
+	c.sbWaiting[w] &^= b
+	c.sbExec[w] |= b
+	c.sbDoneAt[in.RobIdx] = doneAt
 }
 
+// writeback is the walk over the executing slots: the same completions in
+// the same (program) order as a walk of the whole ROB, without visiting the
+// entries that are not executing. Every slot that completes joins sbDone,
+// and the blocked slots whose last producer it was wake up.
 func (c *Core) writeback() {
 	// wbNext is a conservative lower bound on the earliest DoneAt of any
 	// executing instruction (startExec lowers it, the walk re-derives it),
@@ -406,39 +424,12 @@ func (c *Core) writeback() {
 	if c.cycle < c.wbNext {
 		return
 	}
-	if c.sbOn {
-		c.writebackScoreboard()
+	if c.ref != nil {
+		c.ref.writeback()
 		return
 	}
 	next := ^uint64(0)
-	for i := 0; i < len(c.rob); i++ {
-		in := c.rob[i]
-		if in.State != StExecuting {
-			continue
-		}
-		if in.DoneAt > c.cycle {
-			if in.DoneAt < next {
-				next = in.DoneAt
-			}
-			continue
-		}
-		if c.complete(in) {
-			// Squash truncated the ROB; younger entries are gone, and
-			// the walk did not finish deriving the bound.
-			c.wbNext = 0
-			return
-		}
-	}
-	c.wbNext = next
-}
-
-// writebackScoreboard is the writeback walk over the executing slots: the
-// same completions in the same (program) order as the ROB walk, without
-// visiting the entries that are not executing. Every slot that completes
-// joins sbDone, and the blocked slots whose last producer it was wake up.
-func (c *Core) writebackScoreboard() {
-	next := ^uint64(0)
-	var woke [2]uint64
+	var woke uint64 // wake signature of the completed slots (sbWaitSet.sig)
 walk:
 	for w := range c.sbExec {
 		for m := c.sbExec[w]; m != 0; m &= m - 1 {
@@ -450,7 +441,7 @@ walk:
 			b := uint64(1) << (s & 63)
 			c.sbExec[w] &^= b
 			c.sbDone[w] |= b
-			woke[w] |= b
+			woke |= b
 			if c.complete(c.robBuf[s]) {
 				// The squash removed every slot past this branch, and every
 				// executing slot before it was visited: next is exact.
@@ -475,17 +466,17 @@ func (c *Core) complete(in *DynInst) bool {
 }
 
 // sbWake clears the blocked bit of every blocked slot whose last pending
-// producer is among woke, the slots that just completed. A fence waits on
-// no producer; issueScoreboard wakes it when it reaches the ROB head.
-func (c *Core) sbWake(woke [2]uint64) {
-	if woke == ([2]uint64{}) {
+// producer is among the slots that just completed, whose wake signature is
+// woke. A fence waits on no producer; issue wakes it when it reaches the
+// ROB head.
+func (c *Core) sbWake(woke uint64) {
+	if woke == 0 {
 		return
 	}
-	for w := range c.sbBlocked {
-		for m := c.sbBlocked[w]; m != 0; m &= m - 1 {
+	for w, m := range c.sbBlocked {
+		for ; m != 0; m &= m - 1 {
 			s := w<<6 | bits.TrailingZeros64(m)
-			on := &c.sbWait[s]
-			if (on[0]&woke[0])|(on[1]&woke[1]) != 0 && (on[0]&^c.sbDone[0])|(on[1]&^c.sbDone[1]) == 0 {
+			if ws := &c.sbWait[s]; ws.sig&woke != 0 && c.sbReady(ws) {
 				c.sbBlocked[w] &^= 1 << (s & 63)
 			}
 		}
@@ -528,7 +519,7 @@ func (c *Core) squashYoungerThan(seq uint64, redirectIdx int) {
 	squashed := append(c.squashBuf[:0], c.rob[cut:]...)
 	c.squashBuf = squashed
 	c.rob = c.rob[:cut]
-	if c.sbOn && len(squashed) > 0 {
+	if len(squashed) > 0 {
 		// The truncated slots are the next ones robPush reuses: none of
 		// their bits may leak onto the instructions that take them over.
 		c.sbTruncate(squashed[0].RobIdx)
@@ -694,30 +685,17 @@ func (c *Core) InFlightLoadsBefore(seq uint64, fn func(*DynInst) bool) {
 	}
 }
 
+// issue is the walk over the waiting slots that are not blocked: the same
+// attemptIssue calls in the same (program) order as a scan of the whole
+// ROB, minus the visits to executing and done entries it would step over
+// and the attempts on blocked entries that it would burn on a
+// side-effect-free early return. A store the attempt leaves dispatched is
+// re-classified: once its address resolved, it waits on its data producer.
 func (c *Core) issue() {
-	if c.sbOn {
-		c.issueScoreboard()
+	if c.ref != nil {
+		c.ref.issue()
 		return
 	}
-	issued := 0
-	for i := 0; i < len(c.rob) && issued < c.cfg.IssueWidth; i++ {
-		in := c.rob[i]
-		if in.State != StDispatched {
-			continue
-		}
-		if c.attemptIssue(in, i == 0, &issued) {
-			return // memory-order squash rewrote the ROB
-		}
-	}
-}
-
-// issueScoreboard is the issue walk over the waiting slots that are not
-// blocked: the same attemptIssue calls in the same (program) order as the
-// reference full-ROB scan, minus the visits to executing and done entries
-// it steps over and the attempts on blocked entries that it would burn on
-// a side-effect-free early return. A store the attempt leaves dispatched is
-// re-classified: once its address resolved, it waits on its data producer.
-func (c *Core) issueScoreboard() {
 	if c.fence != nil && c.rob[0] == c.fence {
 		// This cycle's commit may have made the fence the ROB head, which
 		// lifts its serialization block. (Kept out of commit, whose inlined
@@ -750,21 +728,14 @@ func (c *Core) issueScoreboard() {
 	}
 }
 
-// depsDone reports whether branch or ALU op in, about to be attempted, has
-// all its register/flags dependencies produced. The scoreboard walk only
-// attempts slots that are not blocked, and for these kinds that means
-// exactly that every slot in the wait set is done; the scan asks the
-// producers.
-func (c *Core) depsDone(in *DynInst) bool {
-	return c.sbOn || in.DepsDone()
-}
-
 // attemptIssue tries to advance one dispatched instruction through its next
 // issue step, incrementing *issued per consumed slot. head reports whether
 // the instruction is at the ROB head (fences serialize there). It reports
-// whether a memory-order squash rewrote the pipeline. Both issue walks share
-// it, so the per-instruction issue semantics — and every defense/coverage
-// side effect of an attempt — are identical by construction.
+// whether a memory-order squash rewrote the pipeline. The issue walk only
+// attempts unblocked slots, so a branch or ALU op attempted here has every
+// register/flags producer done. The reference scan shares it, so the
+// per-instruction issue semantics — and every defense/coverage side effect
+// of an attempt — are identical by construction.
 func (c *Core) attemptIssue(in *DynInst, head bool, issued *int) (squashed bool) {
 	switch {
 	case in.In.Op == isa.OpNop:
@@ -780,15 +751,11 @@ func (c *Core) attemptIssue(in *DynInst, head bool, issued *int) (squashed bool)
 		c.startExec(in, c.cycle+1)
 		*issued++
 	case in.IsBranch():
-		if c.depsDone(in) {
-			c.startExec(in, c.cycle+uint64(c.cfg.LatBranch))
-			*issued++
-		}
+		c.startExec(in, c.cycle+uint64(c.cfg.LatBranch))
+		*issued++
 	case in.In.Op.IsALU():
-		if c.depsDone(in) {
-			c.executeALU(in)
-			*issued++
-		}
+		c.executeALU(in)
+		*issued++
 	case in.IsLoad():
 		if c.tryIssueLoad(in) {
 			*issued++
@@ -1174,18 +1141,13 @@ func (c *Core) fetchPhantom() {
 // indices untouched, so no consumer ever scans for a position.
 func (c *Core) robPush(d *DynInst) {
 	if len(c.rob) == cap(c.rob) {
-		if c.robBuf == nil || len(c.robBuf) < 2*c.cfg.ROBSize {
-			c.robBuf = make([]*DynInst, 2*c.cfg.ROBSize)
-		}
 		n := copy(c.robBuf, c.rob)
 		c.rob = c.robBuf[:n]
 		c.robOff = 0
 		for i, in := range c.rob {
 			in.RobIdx = i
 		}
-		if c.sbOn {
-			c.sbRebuild()
-		}
+		c.sbRebuild()
 	}
 	d.RobIdx = c.robOff + len(c.rob)
 	c.rob = append(c.rob, d)
@@ -1262,13 +1224,11 @@ func (c *Core) dispatch(idx int) {
 		c.renameFlags = d
 	}
 	c.robPush(d)
-	if c.sbOn {
-		// After robPush: a window compaction in there renumbers the
-		// producers' slots the wait set refers to.
-		w, b := slotBit(d.RobIdx)
-		c.sbWaiting[w] |= b
-		c.sbClassify(d)
-	}
+	// After robPush: a window compaction in there renumbers the producers'
+	// slots the wait set refers to.
+	w, b := slotBit(d.RobIdx)
+	c.sbWaiting[w] |= b
+	c.sbClassify(d)
 	c.stats.Fetched++
 	c.fetchIdx = next
 }
@@ -1276,63 +1236,81 @@ func (c *Core) dispatch(idx int) {
 // slotBit returns the scoreboard mask word and bit of robBuf slot s.
 func slotBit(s int) (int, uint64) { return s >> 6, 1 << (s & 63) }
 
+// sbWaitSet is what a blocked slot's next issue attempt waits on: the
+// slots of its pending producers, at most the three register operands and
+// the flags, and their wake signature — the OR of 1<<(slot&63) over them.
+// Writeback wakes a slot only when the signature meets that of the slots
+// just completed. The signature is exact while the window spans at most 64
+// slots, since a contiguous run of 64 slots maps onto distinct bits; past
+// that, a shared bit only costs a look at the producers' done bits.
+type sbWaitSet struct {
+	sig  uint64
+	prod [4]int32
+	n    int32
+}
+
+// add records producer p while p has not completed.
+func (ws *sbWaitSet) add(p *DynInst) {
+	if p != nil && p.State != StDone && p.State != StCommitted {
+		ws.prod[ws.n] = int32(p.RobIdx)
+		ws.sig |= 1 << (p.RobIdx & 63)
+		ws.n++
+	}
+}
+
+// sbReady reports whether every producer in ws has reached sbDone.
+func (c *Core) sbReady(ws *sbWaitSet) bool {
+	for _, p := range ws.prod[:ws.n] {
+		if c.sbDone[p>>6]&(1<<(p&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // sbClassify records which pending producers the next issue attempt of
 // dispatched instruction in waits on, and whether that attempt is a pure
-// block — issueBlockedPure's cases, kept as bits: a branch or ALU op waits
-// on every register/flags producer, a load on its address producer, a
-// store on its address producer and then, once the address resolved, on
-// its data producer; a fence away from the ROB head waits on no producer
-// but is blocked all the same. Producers already done or committed stay
-// done for as long as in is live, so they need no bit, and a pending one
-// can only complete (squashing a producer squashes in with it).
+// block, kept as a bit: a branch or ALU op waits on every register/flags
+// producer, a load on its address producer, a store on its address
+// producer and then, once the address resolved, on its data producer; a
+// fence away from the ROB head waits on no producer but is blocked all the
+// same. Producers already done or committed stay done for as long as in is
+// live, so they need no entry, and a pending one can only complete
+// (squashing a producer squashes in with it).
 func (c *Core) sbClassify(in *DynInst) {
-	var on [2]uint64
+	ws := &c.sbWait[in.RobIdx]
+	*ws = sbWaitSet{}
 	switch {
 	case in.IsBranch(), in.In.Op.IsALU():
 		for _, p := range in.Deps {
-			waitOn(&on, p)
+			ws.add(p)
 		}
-		waitOn(&on, in.FlagsDep)
+		ws.add(in.FlagsDep)
 	case in.IsLoad():
-		waitOn(&on, in.Deps[0])
+		ws.add(in.Deps[0])
 	case in.IsStore() && in.AddrValid:
-		waitOn(&on, in.Deps[1])
+		ws.add(in.Deps[1])
 	case in.IsStore():
-		waitOn(&on, in.Deps[0])
+		ws.add(in.Deps[0])
 	}
-	c.sbWait[in.RobIdx] = on
 	w, b := slotBit(in.RobIdx)
-	if on != ([2]uint64{}) || in.In.Op == isa.OpFence && in != c.rob[0] {
+	if ws.n != 0 || in.In.Op == isa.OpFence && in != c.rob[0] {
 		c.sbBlocked[w] |= b
 	} else {
 		c.sbBlocked[w] &^= b
 	}
 }
 
-// waitOn adds producer p's slot to the wait set on while p has not
-// completed.
-func waitOn(on *[2]uint64, p *DynInst) {
-	if p != nil && p.State != StDone && p.State != StCommitted {
-		w, b := slotBit(p.RobIdx)
-		on[w] |= b
-	}
-}
-
 // sbTruncate clears robBuf slot from, and every slot above it, out of every
 // scoreboard mask.
 func (c *Core) sbTruncate(from int) {
-	for w := range c.sbDone {
-		keep := ^uint64(0)
-		switch lo := w << 6; {
-		case from <= lo:
-			keep = 0
-		case from < lo+64:
-			keep = 1<<(from-lo) - 1
-		}
+	keep := uint64(1)<<(from&63) - 1
+	for w := from >> 6; w < len(c.sbDone); w++ {
 		c.sbDone[w] &= keep
 		c.sbWaiting[w] &= keep
 		c.sbBlocked[w] &= keep
 		c.sbExec[w] &= keep
+		keep = 0
 	}
 }
 

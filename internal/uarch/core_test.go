@@ -154,14 +154,13 @@ func smallROBConfig() uarch.Config {
 	return cfg
 }
 
-// TestWindowSizes runs every defense at window sizes on both sides of the
-// scoreboard's reach (2*ROBSize <= 128) — long programs on a fill-primed
-// L1D, so the larger windows actually fill. Every size must run to
-// completion, commit the emulator's architectural state and be
-// bit-identical to a twin pinned to scan issue: where the scoreboard
-// engages that is the oracle comparison, past its reach (where NewCore
-// picked the scan itself) it degenerates to a determinism check. Sizes
-// 65..127 are the ones whose robBuf slots overflow the two mask words.
+// TestWindowSizes runs every defense at window sizes from a one-word
+// scoreboard (8 entries, 16 slots) to an eight-word one (256 entries) —
+// long programs on a fill-primed L1D, so the larger windows actually fill.
+// Every size must run to completion, commit the emulator's architectural
+// state and be bit-identical to the reference pipeline (scan issue and
+// writeback, cycle by cycle). Sizes past 64 are the ones whose window spans
+// more than 64 slots, where wake signatures alias.
 func TestWindowSizes(t *testing.T) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 4242
@@ -174,9 +173,6 @@ func TestWindowSizes(t *testing.T) {
 				cfg := uarch.DefaultConfig()
 				cfg.ROBSize = rob
 				core := uarch.NewCore(cfg, mk())
-				if want := 2*rob <= 128; core.ScoreboardOn() != want {
-					t.Fatalf("scoreboard on = %v, want %v", core.ScoreboardOn(), want)
-				}
 				scan := uarch.NewCore(cfg, mk())
 				scan.UseScanIssue()
 				g := generator.New(gcfg)
@@ -243,13 +239,14 @@ func TestStoreTLBLatencyInvisible(t *testing.T) {
 }
 
 // TestCoreRunSteadyStateAllocs pins the zero-alloc invariant of the
-// pipeline under every defense: after warm-up, the DynInst arena, the ROB
-// window and its scoreboard masks, the trace slices and the defense's own
-// metadata (InvisiSpec's expose queue, SpecLFB's staged lines,
-// CleanupSpec's undo records) are all rewound per input — a full
-// ResetForInput + Run cycle allocates nothing. The program is long enough
-// that speculative loads commit and speculative accesses squash, the events
-// defense metadata is recorded and retired on.
+// pipeline under every defense, at the paper's window and at a 256-entry
+// one: after warm-up, the DynInst arena, the ROB window and its scoreboard
+// (sized once by NewCore), the trace slices and the defense's own metadata
+// (InvisiSpec's expose queue, SpecLFB's staged lines, CleanupSpec's undo
+// records) are all rewound per input — a full ResetForInput + Run cycle
+// allocates nothing. The program is long enough that speculative loads
+// commit and speculative accesses squash, the events defense metadata is
+// recorded and retired on.
 func TestCoreRunSteadyStateAllocs(t *testing.T) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 5
@@ -260,31 +257,35 @@ func TestCoreRunSteadyStateAllocs(t *testing.T) {
 	sb := g.Sandbox()
 	prog := g.Program()
 	in := g.Input()
-	for name, mk := range allDefenses() {
-		t.Run(name, func(t *testing.T) {
-			core := uarch.NewCore(uarch.DefaultConfig(), mk())
-			if err := core.LoadTest(prog, sb); err != nil {
-				t.Fatal(err)
-			}
-			run := func() {
-				// A fill-primed L1D makes the sandbox accesses miss, so
-				// speculative loads have lines to stage, expose and undo.
-				core.Hier.PrimeL1D(true)
-				core.ResetForInput(in)
-				if err := core.Run(); err != nil {
+	for _, rob := range []int{64, 256} {
+		for name, mk := range allDefenses() {
+			t.Run(fmt.Sprintf("rob%d/%s", rob, name), func(t *testing.T) {
+				cfg := uarch.DefaultConfig()
+				cfg.ROBSize = rob
+				core := uarch.NewCore(cfg, mk())
+				if err := core.LoadTest(prog, sb); err != nil {
 					t.Fatal(err)
 				}
-			}
-			for i := 0; i < 5; i++ {
-				run() // size the arena, window buffers, trace slices and defense metadata
-			}
-			if st := core.Stats(); st.Squashed == 0 || st.L1DMisses == 0 {
-				t.Fatalf("the program does not exercise speculation (stats %+v)", st)
-			}
-			if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
-				t.Errorf("Core.Run allocates %v objects per input in steady state, want 0", allocs)
-			}
-		})
+				run := func() {
+					// A fill-primed L1D makes the sandbox accesses miss, so
+					// speculative loads have lines to stage, expose and undo.
+					core.Hier.PrimeL1D(true)
+					core.ResetForInput(in)
+					if err := core.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 5; i++ {
+					run() // size the arena, trace slices and defense metadata
+				}
+				if st := core.Stats(); st.Squashed == 0 || st.L1DMisses == 0 {
+					t.Fatalf("the program does not exercise speculation (stats %+v)", st)
+				}
+				if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
+					t.Errorf("Core.Run allocates %v objects per input in steady state, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 
@@ -345,9 +346,10 @@ func BenchmarkCoreRunPrimed(b *testing.B) {
 }
 
 // BenchmarkCoreRunLargeWindow keeps the large-window cost of the one
-// pipeline on record: a 256-entry window (past the scoreboard's reach, so
-// issue is the full-ROB scan), ~200-instruction programs and a fill-primed
-// (all-miss) L1D — the regime where per-cycle ROB scans cost the most.
+// pipeline on record: a 256-entry window (an eight-word scoreboard whose
+// wake signatures alias), ~200-instruction programs and a fill-primed
+// (all-miss) L1D — the regime where a per-cycle ROB walk would cost the
+// most.
 func BenchmarkCoreRunLargeWindow(b *testing.B) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 17

@@ -103,20 +103,6 @@ func (d *DynInst) Flags() isa.Flags {
 	return d.FlagsVal
 }
 
-// DepsDone reports whether every register/flags dependency has produced its
-// result.
-func (d *DynInst) DepsDone() bool {
-	for _, p := range d.Deps {
-		if p != nil && p.State != StDone && p.State != StCommitted {
-			return false
-		}
-	}
-	if d.FlagsDep != nil && d.FlagsDep.State != StDone && d.FlagsDep.State != StCommitted {
-		return false
-	}
-	return true
-}
-
 // TaintedOperand reports whether any register dependency carries an STT
 // taint. Values captured from the committed register file are never
 // tainted.

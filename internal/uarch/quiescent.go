@@ -1,7 +1,5 @@
 package uarch
 
-import "github.com/sith-lab/amulet-go/internal/isa"
-
 // Quiescent-span cycle skipping.
 //
 // An idle cycle is cheap — a handful of comparisons — but campaigns pay for
@@ -40,14 +38,10 @@ import "github.com/sith-lab/amulet-go/internal/isa"
 //     delays — they invoke hooks and coverage) forbid skipping entirely.
 //     Blocked-on-producer is stable: only a writeback can release it, and
 //     writebacks bound the span; blocked-away-from-head is stable because
-//     nothing commits. With the scoreboard on, this is one mask test —
-//     every waiting slot is a blocked slot — since sbBlocked holds exactly
-//     these cases; the scan path asks issueBlockedPure of each dispatched
-//     entry on a ROB walk.
-//   - Writeback: the span ends before the earliest executing DoneAt. The
-//     scoreboard path takes wbNext, a lower bound on it (a stale-low value
-//     only shortens the skip); the scan path finds it on the same ROB
-//     walk as the issue proof.
+//     nothing commits. sbBlocked holds exactly these cases, so the proof is
+//     one mask test: every waiting slot is a blocked slot.
+//   - Writeback: the span ends at wbNext, a lower bound on the earliest
+//     executing DoneAt (a stale-low value only shortens the skip).
 //   - Fetch: blocked by an uncommitted fence for the whole span, stalled
 //     until fetchStallUntil (which then bounds the span), or pure-blocked on
 //     a full ROB that cannot drain inside the span. An active fetch —
@@ -74,8 +68,10 @@ func (c *Core) skipQuiescentSpan() {
 		// second cycle on, and forgoing a skip is always sound.
 		return
 	}
-	if c.sbOn && (c.sbWaiting[0]&^c.sbBlocked[0])|(c.sbWaiting[1]&^c.sbBlocked[1]) != 0 {
-		return // a dispatched instruction's next attempt can act
+	for w, m := range c.sbWaiting {
+		if m&^c.sbBlocked[w] != 0 {
+			return // a dispatched instruction's next attempt can act
+		}
 	}
 	if !c.def.TickIdle() {
 		return
@@ -97,52 +93,8 @@ func (c *Core) skipQuiescentSpan() {
 			return // fetch (or the phantom fetch) acts next cycle
 		}
 	}
-	if c.sbOn {
-		bound = min(bound, c.wbNext)
-	} else {
-		for _, in := range c.rob {
-			switch in.State {
-			case StExecuting:
-				if in.DoneAt < bound {
-					bound = in.DoneAt
-				}
-			case StDispatched:
-				if !c.issueBlockedPure(in) {
-					return
-				}
-			}
-		}
-	}
+	bound = min(bound, c.wbNext)
 	if bound > c.cycle+1 {
 		c.cycle = bound - 1
 	}
-}
-
-// issueBlockedPure reports whether the issue walk's attempt on dispatched
-// instruction in is a side-effect-free early return that stays one for
-// every cycle of a span in which no writeback or commit occurs. It
-// mirrors attemptIssue case by case; anything that would issue, or whose
-// re-attempt has observable side effects (address resolution, store-queue
-// search, defense and coverage hooks), returns false. The scan path asks
-// it per entry; the scoreboard keeps its answers as sbBlocked bits
-// (sbClassify), and its test oracle recomputes them with it.
-func (c *Core) issueBlockedPure(in *DynInst) bool {
-	switch {
-	case in.In.Op == isa.OpNop, in.In.Op == isa.OpJmp:
-		return false // always issue
-	case in.In.Op == isa.OpFence:
-		return in != c.rob[0] // serialized: issues only at the head
-	case in.IsBranch(), in.In.Op.IsALU():
-		return !in.DepsDone()
-	case in.IsLoad():
-		p := in.Deps[0]
-		return p != nil && p.State != StDone && p.State != StCommitted
-	case in.IsStore():
-		p := in.Deps[0]
-		if in.AddrValid {
-			p = in.Deps[1] // data phase
-		}
-		return p != nil && p.State != StDone && p.State != StCommitted
-	}
-	return false
 }

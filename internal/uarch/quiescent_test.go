@@ -8,28 +8,28 @@ import (
 )
 
 // TestQuiescentSkipBitIdentity is the direct equivalence proof of
-// quiescent-span cycle skipping: for every defense, under both issue walks,
-// a core that skips provably idle spans must produce identical cycle
-// counts, stats, debug logs, µarch-order traces, snapshots and coverage
-// bits to a core ticking through every cycle.
+// quiescent-span cycle skipping: for every defense, a core that skips
+// provably idle spans must produce identical cycle counts, stats, debug
+// logs, µarch-order traces, snapshots and coverage bits to a core ticking
+// through every cycle, both issuing by the scoreboard.
 func TestQuiescentSkipBitIdentity(t *testing.T) {
 	for name, mk := range allDefenses() {
-		for _, issue := range []string{"scoreboard", "scan"} {
-			t.Run(name+"/"+issue, func(t *testing.T) {
+		for _, cov := range []bool{false, true} {
+			tag := name
+			if cov {
+				tag += "/coverage"
+			}
+			t.Run(tag, func(t *testing.T) {
 				gcfg := generator.DefaultConfig()
 				gcfg.Seed = 1234
 				gcfg.Pages = 2
 				skip := uarch.NewCore(uarch.DefaultConfig(), mk())
 				ref := uarch.NewCore(uarch.DefaultConfig(), mk())
 				ref.UseCycleByCycle()
-				if issue == "scan" {
-					skip.UseScanIssue()
-					ref.UseScanIssue()
-				}
-				// Coverage on the scan pass only: collecting it makes
-				// specAtIssue count the shadow depth, without it the query is
-				// UnderShadow's early out, and both must hold.
-				oracleSweep(t, name+"/"+issue, skip, ref, gcfg, 15, 3, issue == "scan")
+				// Collecting coverage makes specAtIssue count the shadow
+				// depth, without it the query is UnderShadow's early out, and
+				// both must hold.
+				oracleSweep(t, tag, skip, ref, gcfg, 15, 3, cov)
 			})
 		}
 	}

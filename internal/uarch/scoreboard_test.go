@@ -12,10 +12,10 @@ import (
 // TestScoreboardBitIdentity is the direct equivalence proof of the issue
 // scoreboard: for every defense, random programs and inputs with state
 // carried across inputs, the scoreboard walks (waiting/blocked/executing
-// slot masks against a completion mask) and the full-ROB scans with
-// per-producer DepsDone checks must produce identical cycle counts, stats,
-// debug logs, µarch-order traces and snapshots — and, in the coverage pass,
-// identical coverage bits.
+// slot masks against a completion mask) and the reference pipeline
+// (full-ROB scans with per-producer DepsDone checks, cycle by cycle) must
+// produce identical cycle counts, stats, debug logs, µarch-order traces and
+// snapshots — and, in the coverage pass, identical coverage bits.
 func TestScoreboardBitIdentity(t *testing.T) {
 	for name, mk := range allDefenses() {
 		for _, cov := range []bool{false, true} {
@@ -80,15 +80,29 @@ func (d *checkedDefense) OnTick() {
 }
 
 // TestScoreboardInvariants checks the scoreboard's masks on every simulated
-// cycle — under every defense, at the paper geometry and on the tiny
-// window that compacts constantly, with coverage off and on — while the
-// same runs are held bit-identical to the scan + cycle-by-cycle oracle.
+// cycle — under every defense, at the paper geometry, on the tiny window
+// that compacts constantly and on two windows wider than 64 entries (three
+// and eight mask words, aliasing wake signatures) fed long programs, with
+// coverage off and on — while the same runs are held bit-identical to the
+// reference pipeline (scan issue and writeback, cycle by cycle).
 func TestScoreboardInvariants(t *testing.T) {
+	largeROB := func(rob int) uarch.Config {
+		cfg := uarch.DefaultConfig()
+		cfg.ROBSize = rob
+		return cfg
+	}
 	for name, mk := range allDefenses() {
 		for _, geo := range []struct {
-			name string
-			cfg  uarch.Config
-		}{{"default", uarch.DefaultConfig()}, {"small-rob", smallROBConfig()}} {
+			name  string
+			cfg   uarch.Config
+			progs int
+			long  bool
+		}{
+			{"default", uarch.DefaultConfig(), 20, false},
+			{"small-rob", smallROBConfig(), 20, false},
+			{"rob96", largeROB(96), 6, true},
+			{"rob256", largeROB(256), 6, true},
+		} {
 			for _, cov := range []bool{false, true} {
 				tag := name + "/" + geo.name
 				if cov {
@@ -98,15 +112,16 @@ func TestScoreboardInvariants(t *testing.T) {
 					gcfg := generator.DefaultConfig()
 					gcfg.Seed = 273
 					gcfg.Pages = 2
+					if geo.long {
+						gcfg.MinInsts = 180
+						gcfg.MaxInsts = 250
+						gcfg.MaxBlocks = 8
+					}
 					chk := &checkedDefense{Defense: mk()}
 					fast := uarch.NewCore(geo.cfg, chk)
-					if !fast.ScoreboardOn() {
-						t.Fatal("the scoreboard is off")
-					}
 					ref := uarch.NewCore(geo.cfg, mk())
 					ref.UseScanIssue()
-					ref.UseCycleByCycle()
-					oracleSweep(t, tag, fast, ref, gcfg, 20, 2, cov)
+					oracleSweep(t, tag, fast, ref, gcfg, geo.progs, 2, cov)
 					if chk.err != nil {
 						t.Fatal(chk.err)
 					}
@@ -238,7 +253,6 @@ func TestScoreboardWakeCases(t *testing.T) {
 				fast := uarch.NewCore(tc.cfg, chk)
 				ref := uarch.NewCore(tc.cfg, mk())
 				ref.UseScanIssue()
-				ref.UseCycleByCycle()
 				for run := 0; run < 2; run++ {
 					fast.Hier.PrimeL1D(true)
 					ref.Hier.PrimeL1D(true)
