@@ -4,8 +4,9 @@
 // distributed coordinator and workers drive. It decomposes a campaign into
 // program-level work units (generate → contract-model collect → µarch
 // execute → compare → validate) and runs them on a work-stealing worker
-// pool, each worker owning a pooled executor whose simulated core — and
-// post-boot checkpoint — is reused across programs.
+// pool, each worker owning a pooled executor whose simulated core is reused
+// across programs and starts every program from the process's shared
+// post-boot checkpoint.
 //
 // Scheduling the ~Instances×Programs individual programs, rather than whole
 // instances, lets a campaign of few instances use many cores and keeps a

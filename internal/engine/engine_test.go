@@ -194,27 +194,32 @@ func TestEngineMatchesCounters(t *testing.T) {
 	}
 }
 
-// TestEngineBootPaidPerWorker checks the pooled-executor economics: the
-// campaign simulates at most one boot workload per worker, not one per
-// program (the Naive/per-instance cost the engine exists to remove).
-func TestEngineBootPaidPerWorker(t *testing.T) {
-	cfg := engineConfig(5, 2, 10)
-	cfg.Workers = 4
-	res, err := RunCampaign(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boots := 0
-	starts := 0
-	for _, inst := range res.Instances {
-		boots += inst.Metrics.BootRuns
-		starts += inst.Metrics.Starts
-	}
-	if boots > 4 {
-		t.Errorf("boot workload simulated %d times for 4 workers; the checkpoint should cap it at one per worker", boots)
-	}
-	if starts != 20 {
-		t.Errorf("starts = %d, want one per program (20)", starts)
+// TestEngineBootPaidOncePerProcess checks the pooled-executor economics:
+// the boot workload is simulated at most once per process and
+// configuration — not once per worker, per program or per campaign (the
+// Naive/per-instance cost the engine exists to remove). The second
+// campaign on the same configuration simulates none.
+func TestEngineBootPaidOncePerProcess(t *testing.T) {
+	for run, maxBoots := range []int{1, 0} {
+		cfg := engineConfig(5, 2, 10)
+		cfg.Workers = 4
+		cfg.Campaign.Base.Exec.BootInsts = 509 // a key no other test uses
+		res, err := RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boots := 0
+		starts := 0
+		for _, inst := range res.Instances {
+			boots += inst.Metrics.BootRuns
+			starts += inst.Metrics.Starts
+		}
+		if boots > maxBoots {
+			t.Errorf("campaign %d: boot workload simulated %d times on 4 workers, want <= %d", run+1, boots, maxBoots)
+		}
+		if starts != 20 {
+			t.Errorf("campaign %d: starts = %d, want one per program (20)", run+1, starts)
+		}
 	}
 }
 

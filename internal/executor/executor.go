@@ -190,11 +190,10 @@ type Executor struct {
 	sb      isa.Sandbox
 	started bool
 
-	// reuseBoot makes startup capture the post-boot micro-architectural
-	// state once and restore that checkpoint on every later start, so a
-	// long-lived (pooled) executor pays the boot workload a single time.
-	reuseBoot bool
-	bootCP    *uarch.UarchState
+	// boot, set on pooled executors, makes every start restore the
+	// process-wide post-boot checkpoint of this configuration instead of
+	// simulating the boot workload (nil: boot on every start).
+	boot *bootSource
 
 	// valCP is the reusable context checkpoint of the validation replays:
 	// every µarch-trace mismatch saves a full cache/TLB/predictor copy, so
@@ -246,15 +245,6 @@ func (e *Executor) ResetCoverage() {
 
 // Core exposes the underlying core (analysis replays, tests).
 func (e *Executor) Core() *uarch.Core { return e.core }
-
-// EnableBootCheckpoint switches the executor to checkpointed startups: the
-// first start simulates the boot workload and saves the post-boot context;
-// every later start restores that checkpoint instead of re-simulating the
-// boot. This models keeping a booted simulator process alive across test
-// programs — the paper's observation that simulator startup is 96% of
-// Naive's per-test time is exactly the cost this removes. Pool executors
-// have it enabled.
-func (e *Executor) EnableBootCheckpoint() { e.reuseBoot = true }
 
 // Config returns the executor configuration.
 func (e *Executor) Config() Config { return e.cfg }
@@ -410,10 +400,12 @@ func (e *Executor) RunLoggedPair(a, b *isa.Input) (logA, logB []uarch.LogRec, tr
 }
 
 // startup models the simulator start: a fresh micro-architectural context
-// plus the boot workload running through the full pipeline. With the boot
-// checkpoint enabled, later starts restore the saved post-boot context —
-// behaviourally identical (Save/Restore deep-copy the same state ResetUarch
-// rebuilds) but without re-simulating the boot instructions.
+// plus the boot workload running through the full pipeline. A pooled
+// executor restores its configuration's shared post-boot checkpoint instead
+// — behaviourally identical (the boot ends in ResetUarch, so the checkpoint
+// is the context ResetUarch rebuilds) but without re-simulating the boot
+// instructions. The start that builds the checkpoint counts the one boot
+// run, and its time, in its own metrics.
 //
 // The Naive strategy never uses the checkpoint: Naive models launching a
 // fresh simulator process per input, and that per-input boot cost is the
@@ -424,17 +416,21 @@ func (e *Executor) RunLoggedPair(a, b *isa.Input) (logA, logB []uarch.LogRec, tr
 // death. The executor stays un-started, so a later call retries cleanly.
 func (e *Executor) startup() error {
 	t0 := time.Now()
-	if e.reuseBoot && e.bootCP != nil && e.cfg.Strategy != StrategyNaive {
-		e.core.RestoreUarch(e.bootCP)
+	if e.boot != nil && e.cfg.Strategy != StrategyNaive {
+		st, built, err := e.boot.checkpoint()
+		if built {
+			e.met.BootRuns++
+		}
+		if err != nil {
+			return err
+		}
+		e.core.RestoreUarch(st)
 	} else {
 		e.core.ResetUarch()
 		if err := e.runBoot(); err != nil {
 			return err
 		}
 		e.core.ResetUarch()
-		if e.reuseBoot && e.bootCP == nil && e.cfg.Strategy != StrategyNaive {
-			e.bootCP = e.core.SaveUarch()
-		}
 	}
 	e.started = true
 	e.met.Starts++

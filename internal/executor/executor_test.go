@@ -421,16 +421,15 @@ func TestCoverageDisabledReturnsNil(t *testing.T) {
 	e.ResetCoverage() // must be a no-op, not a panic
 }
 
-// TestCoverageDeterministicAcrossExecutors: two executors running the same
-// program and inputs from fresh boots record identical feature sets — the
+// TestCoverageDeterministicAcrossExecutors: two pooled executors running the
+// same program and inputs record identical feature sets — the
 // unit-level property engine determinism relies on.
 func TestCoverageDeterministicAcrossExecutors(t *testing.T) {
 	prog, sb, inA, inB := genProgram(9)
 	run := func() uint64 {
 		cfg := testConfig(StrategyOpt, PrimeFill)
 		cfg.Coverage = true
-		e := New(cfg, nil)
-		e.EnableBootCheckpoint()
+		e := acquire(t, cfg, nopFactory)
 		if err := e.LoadProgram(prog, sb); err != nil {
 			t.Fatal(err)
 		}

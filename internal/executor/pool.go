@@ -9,9 +9,11 @@ import (
 )
 
 // Pool hands out long-lived executors to campaign workers. Executors are
-// created lazily up to the pool size, each with its own defense instance
-// and the boot checkpoint enabled, so the boot workload is paid once per
-// worker instead of once per test program.
+// created lazily up to the pool size, each with its own defense instance.
+// Every start restores the process-wide post-boot checkpoint of the pool's
+// configuration, built once per process on a throwaway executor, so the
+// boot workload is paid once per process and configuration — not per worker,
+// campaign or test program — and no pooled core ever runs it.
 type Pool struct {
 	cfg     Config
 	factory func() uarch.Defense
@@ -55,7 +57,7 @@ func (p *Pool) Acquire(ctx context.Context) (*Executor, error) {
 	p.mu.Lock()
 	if len(p.created) < p.size {
 		e := New(p.cfg, p.factory())
-		e.EnableBootCheckpoint()
+		e.boot = newBootSource(e, p.factory)
 		p.created = append(p.created, e)
 		p.mu.Unlock()
 		return e, nil
@@ -69,9 +71,9 @@ func (p *Pool) Acquire(ctx context.Context) (*Executor, error) {
 	}
 }
 
-// Release returns an executor to the pool. The executor keeps its boot
-// checkpoint and metrics; the next LoadProgram gives the next borrower a
-// fresh post-boot context. A Release without a matching Acquire (or of an
+// Release returns an executor to the pool. The executor keeps its
+// metrics; the next LoadProgram gives the next borrower a fresh post-boot
+// context. A Release without a matching Acquire (or of an
 // executor already Discarded) cannot fit the free list; the executor is
 // dropped on the floor instead of panicking — the pool re-creates capacity
 // on demand, and a bookkeeping bug in a borrower must not kill a service

@@ -98,9 +98,9 @@ func TestPoolDiscard(t *testing.T) {
 }
 
 // TestBootCheckpointEquivalence is the correctness half of the pooling
-// optimization: a checkpointed executor must produce exactly the traces a
-// fresh executor produces, while simulating the boot workload only once
-// across programs.
+// optimization: a pooled executor must produce exactly the traces a bare
+// executor produces, while its starts restore the shared post-boot
+// checkpoint instead of simulating the boot workload.
 func TestBootCheckpointEquivalence(t *testing.T) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 11
@@ -138,8 +138,8 @@ func TestBootCheckpointEquivalence(t *testing.T) {
 	}
 
 	fresh := New(poolConfig(), nopFactory())
-	pooled := New(poolConfig(), nopFactory())
-	pooled.EnableBootCheckpoint()
+	pooled := acquire(t, poolConfig(), nopFactory)
+	forgetSharedBoot(pooled)
 
 	want := run(fresh)
 	got := run(pooled)
@@ -148,16 +148,16 @@ func TestBootCheckpointEquivalence(t *testing.T) {
 	}
 	for i := range want {
 		if !want[i].Equal(got[i]) {
-			t.Fatalf("trace %d differs between fresh and checkpointed executors:\n%s",
+			t.Fatalf("trace %d differs between bare and pooled executors:\n%s",
 				i, want[i].Diff(got[i]))
 		}
 	}
 	if fresh.Metrics().BootRuns != len(cases) {
-		t.Errorf("fresh executor boots = %d, want one per program (%d)",
+		t.Errorf("bare executor boots = %d, want one per program (%d)",
 			fresh.Metrics().BootRuns, len(cases))
 	}
 	if pooled.Metrics().BootRuns != 1 {
-		t.Errorf("checkpointed executor boots = %d, want 1", pooled.Metrics().BootRuns)
+		t.Errorf("pooled executor boots = %d, want 1 (it built the shared checkpoint)", pooled.Metrics().BootRuns)
 	}
 	if fresh.Metrics().Starts != pooled.Metrics().Starts {
 		t.Errorf("start counts diverge: %d vs %d", fresh.Metrics().Starts, pooled.Metrics().Starts)
@@ -165,14 +165,13 @@ func TestBootCheckpointEquivalence(t *testing.T) {
 }
 
 // TestBootCheckpointSkippedForNaive pins the Naive semantics: Naive models
-// a fresh simulator process per input, so a pooled (checkpoint-enabled)
-// executor must still simulate the boot workload on every start — that
-// per-input cost is what the Naive columns of Tables 2 and 3 measure.
+// a fresh simulator process per input, so a pooled executor must still
+// simulate the boot workload on every start — that per-input cost is what
+// the Naive columns of Tables 2 and 3 measure.
 func TestBootCheckpointSkippedForNaive(t *testing.T) {
 	cfg := poolConfig()
 	cfg.Strategy = StrategyNaive
-	e := New(cfg, nopFactory())
-	e.EnableBootCheckpoint()
+	e := acquire(t, cfg, nopFactory)
 
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 7
@@ -187,7 +186,7 @@ func TestBootCheckpointSkippedForNaive(t *testing.T) {
 	}
 	m := e.Metrics()
 	if m.BootRuns != m.Starts || m.BootRuns != 3 {
-		t.Errorf("Naive with checkpoint: boots=%d starts=%d, want 3 boots (one per input)",
+		t.Errorf("pooled Naive: boots=%d starts=%d, want 3 boots (one per input)",
 			m.BootRuns, m.Starts)
 	}
 }

@@ -281,3 +281,43 @@ func TestCTCondCampaignGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestBootLeavesNoCampaignState pins, end to end, the premise of one shared
+// post-boot checkpoint per configuration: the boot leaves no state behind,
+// so a campaign is bit-identical whatever the boot length. If a change lets
+// the boot warm the caches or predictors, the campaigns diverge here, and
+// the checkpoint's key must be revisited.
+func TestBootLeavesNoCampaignState(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		programs int
+		seed     int64
+	}{
+		{"invisispec", 40, 1},
+		{"stt", 60, 9},
+		{"speclfb", 300, 7},
+	} {
+		spec, err := experiments.DefenseByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(boot int) *fuzzer.Result {
+			sc := experiments.Scale{Instances: 2, Programs: c.programs, BaseInputs: 6, Mutants: 4, BootInsts: boot, Seed: c.seed}
+			out, err := engine.RunCampaign(context.Background(),
+				engine.Config{Campaign: experiments.CampaignConfig(spec, sc), Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.Totals()
+		}
+		short, long := run(1), run(2000)
+		t.Logf("%s: %d cases, %d validation runs, %d violations", c.name, short.TestCases, short.ValidationRuns, len(short.Violations))
+		if a, b := violationFingerprint(short.Violations), violationFingerprint(long.Violations); a != b {
+			t.Errorf("%s: fingerprint %#x at BootInsts 1, %#x at 2000", c.name, a, b)
+		}
+		if short.TestCases != long.TestCases || short.ValidationRuns != long.ValidationRuns {
+			t.Errorf("%s: %d cases / %d validation runs at BootInsts 1, %d / %d at 2000", c.name,
+				short.TestCases, short.ValidationRuns, long.TestCases, long.ValidationRuns)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -72,10 +73,34 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tb)
-	// Shape: startup dominates Naive, simulation dominates Opt. The row
-	// strings carry percentages; assert coarsely via the raw rows.
-	if len(tb.Rows) < 6 {
-		t.Fatalf("unexpected table size")
+	// Shape: startup dominates Naive, and Opt — whose pooled executor
+	// restores the process's shared post-boot checkpoint — spends a smaller
+	// share on it. Rows 0..7 are the components (startup first), each cell
+	// "<time> (<share of the column's total>%)".
+	if len(tb.Rows) != 10 || tb.Rows[0][0] != "simulator startup" {
+		t.Fatalf("unexpected table layout: %v", tb.Rows)
+	}
+	share := func(row, col int) float64 {
+		cell := tb.Rows[row][col]
+		i, j := strings.LastIndex(cell, "("), strings.LastIndex(cell, "%)")
+		if i < 0 || j < i {
+			t.Fatalf("row %d col %d: no share in %q", row, col, cell)
+		}
+		v, err := strconv.ParseFloat(cell[i+1:j], 64)
+		if err != nil {
+			t.Fatalf("row %d col %d: %v", row, col, err)
+		}
+		return v
+	}
+	const naive, opt = 1, 2
+	for row := 1; row < 8; row++ {
+		if share(row, naive) >= share(0, naive) {
+			t.Errorf("Naive: %q (%.1f%%) is not below simulator startup (%.1f%%)",
+				tb.Rows[row][0], share(row, naive), share(0, naive))
+		}
+	}
+	if share(0, opt) >= share(0, naive) {
+		t.Errorf("Opt's startup share %.1f%% is not below Naive's %.1f%%", share(0, opt), share(0, naive))
 	}
 }
 

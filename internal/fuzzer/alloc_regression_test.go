@@ -53,9 +53,7 @@ func steadyStateCase(t testing.TB) (Config, *executor.Executor, *ProgramCase) {
 		cls.Inputs = append(cls.Inputs, in)
 	}
 	pc := &ProgramCase{Prog: prog, SB: sb, Classes: []*InputClass{cls}}
-	exec := executor.New(cfg.Exec, cfg.DefenseFactory())
-	exec.EnableBootCheckpoint()
-	return cfg, exec, pc
+	return cfg, pooledExecutor(t, cfg), pc
 }
 
 // TestExecuteCaseSteadyStateAllocs pins the per-program allocation budget of

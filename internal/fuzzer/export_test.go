@@ -1,6 +1,9 @@
 package fuzzer
 
 import (
+	"context"
+	"testing"
+
 	"github.com/sith-lab/amulet-go/internal/contract"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -30,3 +33,19 @@ func quickConfig(seed int64, programs int) Config {
 // QuickConfig is quickConfig for the engine-driven campaign tests of package
 // fuzzer_test.
 var QuickConfig = quickConfig
+
+// pooledExecutor returns a campaign-style executor for cfg: one from an
+// executor pool, whose starts restore the configuration's shared post-boot
+// checkpoint.
+func pooledExecutor(t testing.TB, cfg Config) *executor.Executor {
+	t.Helper()
+	pool, err := executor.NewPool(cfg.Exec, cfg.DefenseFactory, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}

@@ -151,8 +151,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		}
 		exec := execs[u.cfg.Gen.Pages]
 		if exec == nil {
-			exec = executor.New(u.cfg.Exec, u.cfg.DefenseFactory())
-			exec.EnableBootCheckpoint()
+			exec = pooledExecutor(t, u.cfg)
 			execs[u.cfg.Gen.Pages] = exec
 		}
 		ctx = context.Background()
