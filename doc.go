@@ -57,11 +57,12 @@
 // from ROBSize; woken on writeback and commit). A completion watermark
 // skips writeback on cycles that wait on one long fill, and provably idle
 // spans of cycles are skipped wholesale (uarch/quiescent.go).
-// The reference paths — scan issue and writeback, cycle-by-cycle loop,
-// full-walk digests — are selectable only from tests, through each
-// package's export_test.go, and each is held bit-identical to the fast
-// path by a test in its package. The pending-fill queue is one (ready cycle, id) min-heap
-// and the leakage model one hook-driven emulator.
+// The reference paths — scan issue and writeback, cycle-by-cycle loop —
+// are selectable only from tests, through each package's export_test.go,
+// and each is held bit-identical to the fast path by a test in its
+// package. The pending-fill queue is one (ready cycle, id) min-heap and
+// the leakage model one hook-driven emulator. Traces are compared by
+// content (UTrace.Equal); nothing is hashed.
 // docs/removal-ledger.md records what each cost and why it stayed or went.
 //
 // Entry points:

@@ -231,7 +231,3 @@ func (cs *CleanupSpec) OnSquash(squashed []*uarch.DynInst) int {
 	}
 	return 0
 }
-
-// PendingMeta returns how many speculative accesses currently hold undo
-// metadata (tests).
-func (cs *CleanupSpec) PendingMeta() int { return len(cs.meta) }

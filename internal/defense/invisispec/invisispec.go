@@ -163,6 +163,3 @@ func (v *InvisiSpec) drainExposes() {
 		v.exposeQ = v.exposeQ[:copy(v.exposeQ, v.exposeQ[done:])]
 	}
 }
-
-// PendingExposes returns the number of queued expose requests (tests).
-func (v *InvisiSpec) PendingExposes() int { return len(v.exposeQ) }

@@ -200,6 +200,3 @@ func (s *SpecLFB) OnTick() {}
 
 // TickIdle implements uarch.Defense: no per-cycle work.
 func (s *SpecLFB) TickIdle() bool { return true }
-
-// StagedCount returns the number of loads with staged lines (tests).
-func (s *SpecLFB) StagedCount() int { return len(s.staged) }

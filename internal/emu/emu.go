@@ -184,10 +184,6 @@ func (m *Machine) Run(maxSteps int) error {
 	return nil
 }
 
-// Steps returns the number of instructions executed since the last
-// LoadInput (including speculatively executed, not-yet-rolled-back ones).
-func (m *Machine) Steps() int { return m.steps }
-
 // CurInst returns the instruction about to execute. It panics after exit.
 func (m *Machine) CurInst() isa.Inst { return m.prog.Insts[m.PCIdx] }
 
@@ -226,9 +222,6 @@ func (m *Machine) Rollback() {
 	m.PCIdx = cp.pcIdx
 	m.steps = cp.steps
 }
-
-// SpecDepth returns the number of active checkpoints.
-func (m *Machine) SpecDepth() int { return len(m.checkpoints) }
 
 func (m *Machine) recordUndo(va uint64, size uint8) {
 	m.journal = append(m.journal, undo{va: va, size: size, old: m.Mem.Read(va, size)})

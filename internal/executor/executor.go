@@ -99,7 +99,7 @@ type Metrics struct {
 	Prime        time.Duration // per-case cache/TLB priming
 	Simulate     time.Duration // test-case simulation (excl. priming)
 	TraceExtract time.Duration // µarch trace extraction (snapshots)
-	Digest       time.Duration // µarch trace digesting (hash computation)
+	Digest       time.Duration // always zero: traces are compared by content; kept for the unit-record codec
 	Starts       int           // simulator starts
 	BootRuns     int           // boot workloads actually simulated
 	TestCases    int           // inputs executed
@@ -207,13 +207,6 @@ type Executor struct {
 	// allocating cache-snapshot-sized buffers per case.
 	traceFree []*UTrace
 
-	// fullDigest withholds the memory structures' incrementally maintained
-	// content digests from extracted traces, so Hash re-derives the section
-	// sums by walking the section words — the incremental digests' test
-	// oracle (the sums are pure functions of the section content). Only the
-	// package's tests set it.
-	fullDigest bool
-
 	met Metrics
 }
 
@@ -246,9 +239,6 @@ func (e *Executor) ResetCoverage() {
 // Core exposes the underlying core (analysis replays, tests).
 func (e *Executor) Core() *uarch.Core { return e.core }
 
-// Config returns the executor configuration.
-func (e *Executor) Config() Config { return e.cfg }
-
 // Metrics returns the accumulated time breakdown.
 func (e *Executor) Metrics() Metrics { return e.met }
 
@@ -258,9 +248,6 @@ func (e *Executor) Metrics() Metrics { return e.met }
 // unit: the engine diffs snapshots around each unit, so a count recorded
 // anywhere else would be dropped.
 func (e *Executor) CountTruncations(n int) { e.met.Truncations += n }
-
-// ResetMetrics clears the accumulated metrics.
-func (e *Executor) ResetMetrics() { e.met = Metrics{} }
 
 // LoadProgram installs a test program. Under the Opt strategy this is
 // where the simulator starts (once per program).
@@ -292,16 +279,6 @@ func (e *Executor) Run(in *isa.Input) (*UTrace, error) {
 			return nil, err
 		}
 	}
-	return e.runOnce(in)
-}
-
-// RunFresh executes one input from a fresh micro-architectural context
-// (predictors and caches reset).
-func (e *Executor) RunFresh(in *isa.Input) (*UTrace, error) {
-	if e.prog == nil {
-		return nil, fmt.Errorf("executor: RunFresh before LoadProgram")
-	}
-	e.core.ResetUarch()
 	return e.runOnce(in)
 }
 
@@ -351,15 +328,7 @@ func (e *Executor) runOnce(in *isa.Input) (*UTrace, error) {
 		return nil, err
 	}
 	tr := e.extract()
-	t2 := time.Now()
-	e.met.TraceExtract += t2.Sub(t1)
-	// Digest eagerly rather than at first comparison: the hash is computed
-	// exactly once per trace either way (it is memoized), but doing it here
-	// makes its cost a visible Metrics bucket instead of vanishing into the
-	// comparison loop — and it is the step the incremental section sums
-	// accelerate.
-	tr.Hash()
-	e.met.Digest += time.Since(t2)
+	e.met.TraceExtract += time.Since(t1)
 	e.met.TestCases++
 	return tr, nil
 }
@@ -549,16 +518,10 @@ func (e *Executor) extract() *UTrace {
 	case FormatL1DTLB:
 		tr.L1D = e.core.Hier.L1D.SnapshotInto(tr.L1D[:0])
 		tr.TLB = e.core.Hier.DTLB.SnapshotInto(tr.TLB[:0])
-		if !e.fullDigest {
-			tr.setSectionSums(e.core.Hier.L1D.ContentDigest(), e.core.Hier.DTLB.ContentDigest(), 0)
-		}
 	case FormatL1DTLBL1I:
 		tr.L1D = e.core.Hier.L1D.SnapshotInto(tr.L1D[:0])
 		tr.TLB = e.core.Hier.DTLB.SnapshotInto(tr.TLB[:0])
 		tr.L1I = e.core.Hier.L1I.SnapshotInto(tr.L1I[:0])
-		if !e.fullDigest {
-			tr.setSectionSums(e.core.Hier.L1D.ContentDigest(), e.core.Hier.DTLB.ContentDigest(), e.core.Hier.L1I.ContentDigest())
-		}
 	case FormatBPState:
 		tr.BPDigest = e.core.BP.Snapshot()
 	case FormatMemOrder:
@@ -569,7 +532,7 @@ func (e *Executor) extract() *UTrace {
 	return tr
 }
 
-// ReleaseTrace returns a trace obtained from Run/RunFresh/RunValidationPair
+// ReleaseTrace returns a trace obtained from Run/RunValidationPair
 // to the executor's recycle list. Callers that are done comparing a trace
 // (and do not retain it in a violation report) hand it back so the next
 // test case reuses its buffers; releasing nil is a no-op. A released trace

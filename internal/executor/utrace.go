@@ -66,93 +66,6 @@ type UTrace struct {
 	BranchOrder []uarch.BranchRec
 
 	EndCycle uint64 // not part of equality; kept for analysis
-
-	// hash memoizes Hash(): traces are extracted once and then compared
-	// against every other trace of their contract-equivalence class, so the
-	// digest is computed at most once per trace. reset() clears it.
-	hash     uint64
-	hashDone bool
-
-	// l1dSum/tlbSum/l1iSum are the set-shaped sections' multiset digests
-	// (Σ Mix64(word)) when sumsDone is set. The extractor fills them from
-	// the structures' incrementally maintained content digests, so
-	// computeHash skips re-mixing the section words; hand-built traces and
-	// the executor's fullDigest oracle leave sumsDone unset and computeHash
-	// derives identical sums by walking the slices.
-	l1dSum, tlbSum, l1iSum uint64
-	sumsDone               bool
-}
-
-// Hash returns a digest for fast grouping and hash-first comparison. The
-// digest is computed once and cached; traces are immutable once extracted.
-func (t *UTrace) Hash() uint64 {
-	if !t.hashDone {
-		t.hash = t.computeHash()
-		t.hashDone = true
-	}
-	return t.hash
-}
-
-// computeHash digests the attacker-visible state. The set-shaped sections
-// (L1D, TLB, L1I) enter as multiset sums of the splitmix64 finalizer —
-// order-free, so the sum is a pure function of the section content and
-// matches the per-set digests mem.Cache/mem.TLB maintain incrementally;
-// when the extractor provided those sums, the section words are not walked
-// at all. Lengths and the ordered sections chain the finalizer as before,
-// with section lengths as separators so sections cannot alias each other.
-func (t *UTrace) computeHash() uint64 {
-	l1d, tlb, l1i := t.l1dSum, t.tlbSum, t.l1iSum
-	if !t.sumsDone {
-		l1d, tlb, l1i = sectionSum(t.L1D), sectionSum(t.TLB), sectionSum(t.L1I)
-	}
-	h := uarch.Mix64(uint64(t.Format) + 1)
-	mix := func(v uint64) { h = uarch.Mix64(h ^ v) }
-	mix(uint64(len(t.L1D)))
-	mix(l1d)
-	mix(uint64(len(t.TLB)))
-	mix(tlb)
-	mix(uint64(len(t.L1I)))
-	mix(l1i)
-	mix(t.BPDigest)
-	mix(uint64(len(t.MemOrder)))
-	for _, a := range t.MemOrder {
-		mix(a.PC)
-		v := a.Addr << 1
-		if a.Store {
-			v |= 1
-		}
-		mix(v)
-	}
-	mix(uint64(len(t.BranchOrder)))
-	for _, b := range t.BranchOrder {
-		mix(b.PC)
-		v := b.Target << 1
-		if b.PredTaken {
-			v |= 1
-		}
-		mix(v)
-	}
-	return h
-}
-
-// sectionSum folds a section's words into the order-free multiset digest:
-// the full-walk reference path, and the definition the incremental cache
-// digests are cross-checked against.
-func sectionSum(vs []uint64) uint64 {
-	var s uint64
-	for _, v := range vs {
-		s += uarch.Mix64(v)
-	}
-	return s
-}
-
-// setSectionSums records the set-shaped sections' digests as provided by
-// the memory structures' incremental tracking; Hash then skips the section
-// walks. Callers must pass exactly sectionSum of each populated section
-// (empty sections sum to 0).
-func (t *UTrace) setSectionSums(l1d, tlb, l1i uint64) {
-	t.l1dSum, t.tlbSum, t.l1iSum = l1d, tlb, l1i
-	t.sumsDone = true
 }
 
 // reset clears the trace for reuse, keeping the slice capacities.
@@ -165,21 +78,18 @@ func (t *UTrace) reset() {
 	t.MemOrder = t.MemOrder[:0]
 	t.BranchOrder = t.BranchOrder[:0]
 	t.EndCycle = 0
-	t.hash = 0
-	t.hashDone = false
-	t.l1dSum, t.tlbSum, t.l1iSum = 0, 0, 0
-	t.sumsDone = false
 }
 
-// Differs reports whether two traces expose different attacker
-// observations, comparing digests first: unequal digests prove a
-// difference without walking the traces, and equal digests fall back to
-// the exact Equal walk so a hash collision can never hide a violation.
-func (t *UTrace) Differs(u *UTrace) bool {
-	if t.Hash() != u.Hash() {
-		return true
+// Clone returns a deep copy whose sections are sized to their content. A
+// trace that outlives its test case, such as a violation's, is kept as a
+// clone so it does not pin a recycled trace's buffers, which are grown to a
+// whole cache's capacity.
+func (t *UTrace) Clone() *UTrace {
+	return &UTrace{
+		Format: t.Format, BPDigest: t.BPDigest, EndCycle: t.EndCycle,
+		L1D: slices.Clone(t.L1D), TLB: slices.Clone(t.TLB), L1I: slices.Clone(t.L1I),
+		MemOrder: slices.Clone(t.MemOrder), BranchOrder: slices.Clone(t.BranchOrder),
 	}
-	return !t.Equal(u)
 }
 
 // Equal reports whether two traces expose identical attacker observations.

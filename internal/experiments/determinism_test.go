@@ -321,3 +321,47 @@ func TestBootLeavesNoCampaignState(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceFormatGoldens pins every µarch trace format end to end: each row
+// is the CLI's `-defense invisispec -instances 2 -programs 200 -seed 1
+// -format F`. The other goldens run only the default format, so without
+// these rows a change to how one format's traces are extracted or compared
+// could shift its violation set unseen. The case count pins every mutant
+// accept/reject decision; the fingerprint, every violating input.
+func TestTraceFormatGoldens(t *testing.T) {
+	golden := []struct {
+		format      executor.TraceFormat
+		cases       int
+		violations  int
+		fingerprint uint64
+	}{
+		{executor.FormatL1DTLB, 19695, 29, 0xf16bab633c6c60b9},
+		{executor.FormatL1DTLBL1I, 26640, 18, 0xa5b8a94595d2a5a3},
+		{executor.FormatBPState, 21003, 1, 0x71e73fa26651188e},
+		{executor.FormatMemOrder, 24684, 40, 0x6488419affbc8268},
+		{executor.FormatBranchOrder, 20412, 0, 0xcbf29ce484222325}, // empty set: FNV-1a offset basis
+	}
+	spec, err := experiments.DefenseByName("invisispec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range golden {
+		for _, workers := range []int{1, 2} {
+			sc := experiments.Scale{Instances: 2, Programs: 200, BaseInputs: 8, Mutants: 5, BootInsts: executor.DefaultBootInsts, Seed: 1}
+			ccfg := experiments.CampaignConfig(spec, sc)
+			ccfg.Base.Exec.Format = g.format
+			res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TestCases != g.cases || len(res.Violations) != g.violations {
+				t.Errorf("%s workers=%d: %d cases, %d violations; want %d, %d",
+					g.format, workers, res.TestCases, len(res.Violations), g.cases, g.violations)
+			}
+			if fp := violationFingerprint(res.Violations); fp != g.fingerprint {
+				t.Errorf("%s workers=%d: violation-set fingerprint %#x, want %#x",
+					g.format, workers, fp, g.fingerprint)
+			}
+		}
+	}
+}

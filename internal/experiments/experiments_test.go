@@ -75,9 +75,9 @@ func TestTable2Shape(t *testing.T) {
 	t.Logf("\n%s", tb)
 	// Shape: startup dominates Naive, and Opt — whose pooled executor
 	// restores the process's shared post-boot checkpoint — spends a smaller
-	// share on it. Rows 0..7 are the components (startup first), each cell
+	// share on it. Rows 0..6 are the components (startup first), each cell
 	// "<time> (<share of the column's total>%)".
-	if len(tb.Rows) != 10 || tb.Rows[0][0] != "simulator startup" {
+	if len(tb.Rows) != 9 || tb.Rows[0][0] != "simulator startup" {
 		t.Fatalf("unexpected table layout: %v", tb.Rows)
 	}
 	share := func(row, col int) float64 {
@@ -93,7 +93,7 @@ func TestTable2Shape(t *testing.T) {
 		return v
 	}
 	const naive, opt = 1, 2
-	for row := 1; row < 8; row++ {
+	for row := 1; row < 7; row++ {
 		if share(row, naive) >= share(0, naive) {
 			t.Errorf("Naive: %q (%.1f%%) is not below simulator startup (%.1f%%)",
 				tb.Rows[row][0], share(row, naive), share(0, naive))

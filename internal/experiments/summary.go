@@ -27,15 +27,14 @@ func WriteSummary(w io.Writer, res *fuzzer.CampaignResult) {
 		fmt.Fprintf(w, "model truncations: %d (runs cut off at %d steps)\n",
 			tot.Metrics.Truncations, contract.MaxSteps)
 	}
-	cpu := tot.GenTime + tot.ModelTime + tot.Metrics.Startup + tot.Metrics.Prime + tot.Metrics.Simulate + tot.Metrics.TraceExtract + tot.Metrics.Digest
+	cpu := tot.GenTime + tot.ModelTime + tot.Metrics.Startup + tot.Metrics.Prime + tot.Metrics.Simulate + tot.Metrics.TraceExtract
 	if cpu > 0 {
-		fmt.Fprintf(w, "stage times (cpu): gen %v (%.0f%%) | model %v (%.0f%%) | prime %v (%.0f%%) | exec %v (%.0f%%) | trace %v (%.0f%%) | digest %v (%.0f%%) | startup %v (%.0f%%)\n",
+		fmt.Fprintf(w, "stage times (cpu): gen %v (%.0f%%) | model %v (%.0f%%) | prime %v (%.0f%%) | exec %v (%.0f%%) | trace %v (%.0f%%) | startup %v (%.0f%%)\n",
 			tot.GenTime.Round(1e6), 100*float64(tot.GenTime)/float64(cpu),
 			tot.ModelTime.Round(1e6), 100*float64(tot.ModelTime)/float64(cpu),
 			tot.Metrics.Prime.Round(1e6), 100*float64(tot.Metrics.Prime)/float64(cpu),
 			tot.Metrics.Simulate.Round(1e6), 100*float64(tot.Metrics.Simulate)/float64(cpu),
 			tot.Metrics.TraceExtract.Round(1e6), 100*float64(tot.Metrics.TraceExtract)/float64(cpu),
-			tot.Metrics.Digest.Round(1e6), 100*float64(tot.Metrics.Digest)/float64(cpu),
 			tot.Metrics.Startup.Round(1e6), 100*float64(tot.Metrics.Startup)/float64(cpu))
 	}
 	if tot.Metrics.Quarantined > 0 || tot.Metrics.TimedOut > 0 {

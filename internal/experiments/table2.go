@@ -15,8 +15,8 @@ import (
 // is an order of magnitude faster per program.
 func Table2(ctx context.Context, scale Scale) (*Table, error) {
 	type breakdown struct {
-		startup, prime, simulate, trace, digest, gen, model, total time.Duration
-		perProgram                                                 time.Duration
+		startup, prime, simulate, trace, gen, model, total time.Duration
+		perProgram                                         time.Duration
 	}
 	run := func(strategy executor.Strategy) (*breakdown, error) {
 		spec, err := DefenseByName("baseline")
@@ -43,7 +43,6 @@ func Table2(ctx context.Context, scale Scale) (*Table, error) {
 			prime:    m.Prime,
 			simulate: m.Simulate,
 			trace:    m.TraceExtract,
-			digest:   m.Digest,
 			gen:      res.GenTime,
 			model:    res.ModelTime,
 		}
@@ -68,7 +67,7 @@ func Table2(ctx context.Context, scale Scale) (*Table, error) {
 		}
 	}
 	other := func(b *breakdown) time.Duration {
-		o := b.total - b.startup - b.prime - b.simulate - b.trace - b.digest - b.gen - b.model
+		o := b.total - b.startup - b.prime - b.simulate - b.trace - b.gen - b.model
 		if o < 0 {
 			o = 0
 		}
@@ -82,7 +81,6 @@ func Table2(ctx context.Context, scale Scale) (*Table, error) {
 			row("cache priming", naive.prime, opt.prime),
 			row("simulator simulate", naive.simulate, opt.simulate),
 			row("µTrace extraction", naive.trace, opt.trace),
-			row("µTrace digesting", naive.digest, opt.digest),
 			row("test generation", naive.gen, opt.gen),
 			row("CTrace extraction", naive.model, opt.model),
 			row("others", other(naive), other(opt)),

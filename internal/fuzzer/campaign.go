@@ -3,7 +3,7 @@ package fuzzer
 import (
 	"time"
 
-	"github.com/sith-lab/amulet-go/internal/uarch"
+	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
 // CampaignConfig is a campaign of several fuzzing instances with distinct
@@ -25,7 +25,7 @@ func InstanceSeed(campaign int64, i int) int64 {
 }
 
 // UnitSeed derives the RNG seed of the program-level work unit (instSeed,
-// p) with the splitmix64 finalizer (uarch.Mix64). Every program of every
+// p) with the splitmix64 finalizer (isa.Mix64). Every program of every
 // instance gets an independent, well-spread stream, which is what lets the
 // engine schedule units in any order deterministically. The instance seed
 // is finalized before the program offset is added: InstanceSeed values are
@@ -33,8 +33,8 @@ func InstanceSeed(campaign int64, i int) int64 {
 // directly would alias unit (i, p) with unit (i+1, p-1) and make instances
 // replicas of each other.
 func UnitSeed(instSeed int64, p int) int64 {
-	x := uarch.Mix64(uint64(instSeed)) + uint64(p+1)*seedGamma
-	return int64(uarch.Mix64(x))
+	x := isa.Mix64(uint64(instSeed)) + uint64(p+1)*seedGamma
+	return int64(isa.Mix64(x))
 }
 
 // CampaignResult aggregates instance results.

@@ -112,6 +112,18 @@ func TestCampaignCleanupSpecFindsLeaks(t *testing.T) {
 	if len(res.Violations) == 0 {
 		t.Errorf("expected violations in unpatched CleanupSpec")
 	}
+	// A violation keeps content-sized copies of its traces, not the
+	// executor's recycled buffers, which are grown to the whole L1D: under
+	// the invalidate prime the cache holds a few lines, so a kept buffer
+	// would pin many times its content for the rest of the campaign.
+	for _, v := range res.Violations {
+		for _, tr := range []*executor.UTrace{v.TraceA, v.TraceB} {
+			if cap(tr.L1D) > 2*len(tr.L1D) || cap(tr.TLB) > 2*len(tr.TLB) {
+				t.Errorf("violation trace keeps L1D %d/%d and TLB %d/%d (len/cap), want content-sized copies",
+					len(tr.L1D), cap(tr.L1D), len(tr.TLB), cap(tr.TLB))
+			}
+		}
+	}
 }
 
 // TestCampaignSpecLFBFindsUV6 runs at seed 8: UV6 is rare, and with every

@@ -334,8 +334,12 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 		}
 		cls.retained = true
 		// Deep copies: a violation outlives its case by the whole campaign
-		// and must not pin the slab all of the case's inputs share.
+		// and must not pin the slab all of the case's inputs share, nor the
+		// replay traces' cache-sized buffers, which go back to the executor.
 		inA, inB := cls.Inputs[i].Clone(), cls.Inputs[j].Clone()
+		keptA, keptB := trA.Clone(), trB.Clone()
+		exec.ReleaseTrace(trA)
+		exec.ReleaseTrace(trB)
 		res.Violations = append(res.Violations, &Violation{
 			Defense:      defName,
 			Contract:     cfg.Contract.Name,
@@ -346,8 +350,8 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 			InputA:       inA,
 			InputB:       inB,
 			CTrace:       cls.CTrace,
-			TraceA:       trA,
-			TraceB:       trB,
+			TraceA:       keptA,
+			TraceB:       keptB,
 			ProgramIndex: pc.Index,
 			DetectedAt:   time.Since(start),
 		})
@@ -360,13 +364,12 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 	return found, nil
 }
 
-// firstDiffPair returns the indices of the first differing trace pair.
-// Comparison is hash-first (cached digests), falling back to the exact
-// Equal walk only when digests match, so the common all-equal class costs
-// one digest per trace instead of a full pairwise trace walk.
+// firstDiffPair returns the indices of the first differing trace pair. Each
+// trace is compared by content against the class's first one: an all-equal
+// class, the common case, costs one exact walk per trace.
 func firstDiffPair(traces []*executor.UTrace) (int, int, bool) {
 	for i := 1; i < len(traces); i++ {
-		if traces[0].Differs(traces[i]) {
+		if !traces[0].Equal(traces[i]) {
 			return 0, i, true
 		}
 	}

@@ -167,12 +167,6 @@ func (g *Generator) SpliceSource(a, b isa.SourceProgram) isa.SourceProgram {
 	return g.fe.Splice(g.rng, g.params, a, b)
 }
 
-// MutateProgram derives a mutant of a toy-frontend program (convenience
-// wrapper over MutateSource for µop-level callers and tests).
-func (g *Generator) MutateProgram(p *isa.Program) *isa.Program {
-	return g.fe.Lower(g.MutateSource(p))
-}
-
 // Splice crosses two toy-frontend programs (convenience wrapper over
 // SpliceSource for µop-level callers and tests).
 func (g *Generator) Splice(a, b *isa.Program) *isa.Program {

@@ -62,8 +62,6 @@ type SourceProgram interface {
 	String() string
 	// Validate checks source-level well-formedness.
 	Validate() error
-	// CloneSource returns a deep copy.
-	CloneSource() SourceProgram
 }
 
 // RNG is the deterministic random stream frontends draw from. The

@@ -245,15 +245,6 @@ const CodeBase uint64 = 0x400000
 // PCOf returns the program counter of the instruction at index idx.
 func PCOf(idx int) uint64 { return CodeBase + uint64(idx)*InstBytes }
 
-// IndexOf returns the instruction index for program counter pc and whether
-// pc is a valid, aligned code address at or above CodeBase.
-func IndexOf(pc uint64) (int, bool) {
-	if pc < CodeBase || (pc-CodeBase)%InstBytes != 0 {
-		return 0, false
-	}
-	return int((pc - CodeBase) / InstBytes), true
-}
-
 // ReadsFlags reports whether the instruction consumes the flags register.
 func (in Inst) ReadsFlags() bool { return in.Op == OpBranch || in.Op == OpCmov }
 

@@ -22,9 +22,6 @@ func init() { RegisterFrontend(Toy) }
 // FrontendName marks *Program as the toy frontend's source representation.
 func (p *Program) FrontendName() string { return ToyName }
 
-// CloneSource implements SourceProgram.
-func (p *Program) CloneSource() SourceProgram { return p.Clone() }
-
 type toyFrontend struct{}
 
 // Name implements Frontend.

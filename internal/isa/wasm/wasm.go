@@ -203,9 +203,6 @@ func (p *Program) Clone() *Program {
 	return q
 }
 
-// CloneSource implements isa.SourceProgram.
-func (p *Program) CloneSource() isa.SourceProgram { return p.Clone() }
-
 // String renders the program with instruction indices as labels.
 func (p *Program) String() string {
 	var b strings.Builder

@@ -9,6 +9,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // CacheConfig describes one cache array.
@@ -31,9 +32,6 @@ func (c CacheConfig) Validate() error {
 	}
 	return nil
 }
-
-// SizeBytes returns the cache capacity in bytes.
-func (c CacheConfig) SizeBytes() int { return c.Sets * c.Ways * c.LineSize }
 
 // cacheLine is one way of one set. key encodes validity and the tag in a
 // single word — addr+1 for a valid line, 0 for an invalid one — so the way
@@ -69,31 +67,6 @@ type Cache struct {
 	// touching only the sets a test case actually dirtied; a fresh cache
 	// starts all-dirty because its state is not any canonical prime state.
 	dirty []uint64
-
-	// setDig holds each set's content digest — the multiset sum of
-	// Mix64(lineAddr) over the set's valid lines — and digDirty flags the
-	// sets whose entry is stale. The two bitmaps are deliberately separate:
-	// dirty means "not bit-identical to the canonical prime state" and is
-	// cleared by the prime paths, digDirty means "setDig is stale" and is
-	// cleared by ContentDigest. Only content changes mark digDirty — an
-	// LRU-updating hit dirties the prime bitmap but leaves the digest alone,
-	// because the digest (like the trace snapshot) sees addresses only.
-	setDig   []uint64
-	digDirty []uint64
-
-	// snap, snapLen and snapDirty maintain the canonical snapshot the same
-	// way setDig/digDirty maintain the digest: snap holds each set's valid
-	// line addresses sorted ascending in a fixed-stride segment (set s
-	// occupies snap[s*Ways : s*Ways+snapLen[s]]) and snapDirty flags the
-	// segments staled by a content change. SnapshotInto then refreshes only
-	// the stale segments and concatenates — a steady-state test case stales
-	// a handful of sets, so trace extraction degenerates to a copy instead
-	// of a Sets*Ways walk with per-line insertion sorting. The buffers stay
-	// nil until the first SnapshotInto, so untraced caches (the L2) never
-	// pay for them.
-	snap      []uint64
-	snapLen   []int32
-	snapDirty []uint64
 }
 
 // NewCache builds a cache. It panics on invalid configuration: cache
@@ -113,11 +86,8 @@ func NewCache(cfg CacheConfig) *Cache {
 		setMask:   uint64(cfg.Sets - 1),
 		lineMask:  ^(uint64(cfg.LineSize) - 1),
 		dirty:     make([]uint64, (cfg.Sets+63)/64),
-		setDig:    make([]uint64, cfg.Sets),
-		digDirty:  make([]uint64, (cfg.Sets+63)/64),
 	}
 	c.markAllDirty()
-	c.markAllDigDirty()
 	return c
 }
 
@@ -190,65 +160,6 @@ func (c *Cache) allDirty() bool {
 	}
 	return true
 }
-
-// markDigDirty records a content change (a line appearing or vanishing) of
-// the set containing addr, staling its setDig entry and, once snapshot
-// tracking is live, its snapshot segment.
-func (c *Cache) markDigDirty(addr uint64) {
-	s := (addr >> c.lineShift) & c.setMask
-	c.digDirty[s>>6] |= 1 << (s & 63)
-	if c.snapDirty != nil {
-		c.snapDirty[s>>6] |= 1 << (s & 63)
-	}
-}
-
-// markAllDigDirty stales every set's digest and snapshot segment (bulk
-// state changes).
-func (c *Cache) markAllDigDirty() {
-	for i := range c.digDirty {
-		c.digDirty[i] = ^uint64(0)
-	}
-	for i := range c.snapDirty {
-		c.snapDirty[i] = ^uint64(0)
-	}
-}
-
-// ContentDigest returns the multiset digest of the cache content: the sum
-// of Mix64(lineAddr) over every valid line, which is exactly the digest of
-// the canonical Snapshot (every line maps to one set, so the address
-// multiset determines the snapshot and vice versa). Only sets flagged in
-// digDirty are re-walked; a steady-state test case stales a handful of
-// sets, so the refresh touches a few dozen lines instead of Sets*Ways.
-func (c *Cache) ContentDigest() uint64 {
-	ways := c.cfg.Ways
-	for wi, word := range c.digDirty {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			s := wi<<6 + b
-			if s >= c.cfg.Sets {
-				break
-			}
-			var d uint64
-			base := s * ways
-			for _, ln := range c.lines[base : base+ways] {
-				if ln.key != 0 {
-					d += Mix64(ln.key - 1)
-				}
-			}
-			c.setDig[s] = d
-		}
-		c.digDirty[wi] = 0
-	}
-	var total uint64
-	for _, d := range c.setDig {
-		total += d
-	}
-	return total
-}
-
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
@@ -345,21 +256,6 @@ func victimWay(set []cacheLine) int {
 	return lruWay
 }
 
-// ProbeVictim returns the address Install(addr) would evict, if any,
-// without side effects.
-func (c *Cache) ProbeVictim(addr uint64) (victim uint64, wouldEvict bool) {
-	if c.Contains(addr) {
-		return 0, false
-	}
-	base := c.setBase(addr)
-	set := c.lines[base : base+c.cfg.Ways]
-	w := victimWay(set)
-	if set[w].valid() {
-		return set[w].addr(), true
-	}
-	return 0, false
-}
-
 // Install brings the line holding addr into the cache, evicting the LRU
 // line if the set is full. If the line is already present it only refreshes
 // LRU state. It returns the evicted line address, if any.
@@ -376,7 +272,6 @@ func (c *Cache) Install(addr uint64) (victim uint64, evicted bool) {
 	c.useTick++
 	set[w] = cacheLine{key: c.LineAddr(addr) + 1, lastUse: c.useTick}
 	c.markDirty(addr)
-	c.markDigDirty(addr)
 	return victim, evicted
 }
 
@@ -398,7 +293,6 @@ func (c *Cache) EvictVictim(addr uint64) (victim uint64, evicted bool) {
 	victim = set[w].addr()
 	set[w] = cacheLine{}
 	c.markDirty(addr)
-	c.markDigDirty(addr)
 	return victim, true
 }
 
@@ -411,7 +305,6 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	}
 	c.lines[idx] = cacheLine{}
 	c.markDirty(addr)
-	c.markDigDirty(addr)
 	return true
 }
 
@@ -421,7 +314,6 @@ func (c *Cache) InvalidateAll() {
 	clear(c.lines)
 	c.useTick = 0
 	c.markAllDirty()
-	c.markAllDigDirty()
 }
 
 // InvalidateDirty clears only the sets mutated since the dirty bitmap was
@@ -432,15 +324,6 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) InvalidateDirty() {
 	ways := c.cfg.Ways
 	for wi, word := range c.dirty {
-		// The cleared sets change content, so their digests and snapshot
-		// segments go stale too (in practice they already are — a set only
-		// holds lines here if the run installed them, which staled both —
-		// but the OR keeps the invariant local instead of relying on that
-		// argument).
-		c.digDirty[wi] |= word
-		if c.snapDirty != nil {
-			c.snapDirty[wi] |= word
-		}
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
@@ -465,71 +348,18 @@ func (c *Cache) Snapshot() []uint64 {
 
 // SnapshotInto appends the valid line addresses to buf (usually buf[:0] of
 // a reused trace buffer) in canonical order and returns the extended slice,
-// so the steady-state trace-extraction path allocates nothing.
+// so the steady-state trace-extraction path allocates nothing, and a fresh
+// buffer is grown once to the cache's capacity.
 //
 // Canonical order is set-major with each set's lines address-sorted — not
 // globally sorted. Every line maps to exactly one set, so two caches hold
 // the same line multiset if and only if their canonical snapshots are
-// element-wise equal, which is all that trace digesting, comparison and
-// determinism need; the old globally-sorted form bought nothing beyond
-// that, yet its bottom-up run merge was ~19% of campaign CPU once priming
-// was amortized. The human-readable diff renderers sort their scratch
-// copies on demand (they already did, for hand-built traces in tests).
-// The segments are maintained incrementally: only sets whose content
-// changed since the last snapshot (snapDirty) re-derive their sorted
-// segment from the line array; everything else is a straight copy of the
-// cached segment. SnapshotRef is the from-scratch reference derivation the
-// incremental path is cross-checked against.
+// element-wise equal, which is all that trace comparison and determinism
+// need; the old globally-sorted form bought nothing beyond that, yet its
+// bottom-up run merge was ~19% of campaign CPU once priming was amortized.
+// The human-readable diff renderers sort their scratch copies on demand.
 func (c *Cache) SnapshotInto(buf []uint64) []uint64 {
-	sets, ways := c.cfg.Sets, c.cfg.Ways
-	if c.snap == nil {
-		// First snapshot of this cache: allocate the segment store and
-		// derive everything. From here on markDigDirty keeps it current.
-		c.snap = make([]uint64, sets*ways)
-		c.snapLen = make([]int32, sets)
-		c.snapDirty = make([]uint64, (sets+63)/64)
-		for i := range c.snapDirty {
-			c.snapDirty[i] = ^uint64(0)
-		}
-	}
-	for wi, word := range c.snapDirty {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			s := wi<<6 + b
-			if s >= sets {
-				break
-			}
-			base := s * ways
-			seg := c.snap[base:base]
-			for w := 0; w < ways; w++ {
-				if k := c.lines[base+w].key; k != 0 {
-					addr := k - 1
-					i := len(seg)
-					seg = append(seg, addr)
-					for i > 0 && seg[i-1] > addr {
-						seg[i] = seg[i-1]
-						i--
-					}
-					seg[i] = addr
-				}
-			}
-			c.snapLen[s] = int32(len(seg))
-		}
-		c.snapDirty[wi] = 0
-	}
-	for s := 0; s < sets; s++ {
-		base := s * ways
-		buf = append(buf, c.snap[base:base+int(c.snapLen[s])]...)
-	}
-	return buf
-}
-
-// SnapshotRef derives the canonical snapshot directly from the line array,
-// bypassing the incrementally maintained segments. It is the reference
-// definition SnapshotInto is tested against and is not used on any hot
-// path.
-func (c *Cache) SnapshotRef(buf []uint64) []uint64 {
+	buf = slices.Grow(buf, len(c.lines))
 	sets, ways := c.cfg.Sets, c.cfg.Ways
 	for s := 0; s < sets; s++ {
 		base := s * ways
@@ -550,17 +380,6 @@ func (c *Cache) SnapshotRef(buf []uint64) []uint64 {
 	return buf
 }
 
-// ValidCount returns the number of valid lines.
-func (c *Cache) ValidCount() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid() {
-			n++
-		}
-	}
-	return n
-}
-
 // CacheState is an opaque copy of a cache's content, used to replay test
 // cases from an identical micro-architectural context during violation
 // validation.
@@ -568,13 +387,6 @@ type CacheState struct {
 	cfg     CacheConfig
 	lines   []cacheLine
 	useTick uint64
-}
-
-// Save captures the full tag state.
-func (c *Cache) Save() *CacheState {
-	st := &CacheState{}
-	c.SaveInto(st)
-	return st
 }
 
 // SaveInto captures the full tag state into st, reusing st's buffers. The
@@ -595,5 +407,4 @@ func (c *Cache) Restore(st *CacheState) {
 	copy(c.lines, st.lines)
 	c.useTick = st.useTick
 	c.markAllDirty()
-	c.markAllDigDirty()
 }

@@ -157,13 +157,6 @@ type Hierarchy struct {
 	tplTLB     []tlbEntry
 	tplTLBTick uint64
 
-	// tplL1DDig/tplTLBDig are the content digests of the template state
-	// (per L1D set, and the whole TLB), captured alongside it so the
-	// incremental prime's raw template copies re-seed the digest tracking
-	// exactly instead of staling it for a later re-walk.
-	tplL1DDig []uint64
-	tplTLBDig uint64
-
 	// conflictScan caches every conflict line address in the full prime's
 	// (way, set) scan order, so the incremental prime's per-case L2 pass
 	// walks a flat array instead of recomputing 512 conflict addresses.
@@ -348,13 +341,6 @@ func (h *Hierarchy) DropPendingFills() { h.pending = h.pending[:0] }
 type HierState struct {
 	l1d, l1i, l2 CacheState
 	tlb          TLBState
-}
-
-// Save captures cache and TLB state for later replay.
-func (h *Hierarchy) Save() *HierState {
-	st := &HierState{}
-	h.SaveInto(st)
-	return st
 }
 
 // SaveInto captures cache and TLB state into st, reusing st's buffers so
@@ -625,18 +611,6 @@ func (h *Hierarchy) primeFillFull() {
 		h.tplL1DTick = h.L1D.useTick
 		h.tplTLB = append(h.tplTLB[:0], h.DTLB.entries...)
 		h.tplTLBTick = h.DTLB.useTick
-		ways := h.Cfg.L1D.Ways
-		h.tplL1DDig = h.tplL1DDig[:0]
-		for s := 0; s < h.Cfg.L1D.Sets; s++ {
-			var d uint64
-			for _, ln := range h.tplL1D[s*ways : (s+1)*ways] {
-				if ln.key != 0 {
-					d += Mix64(ln.key - 1)
-				}
-			}
-			h.tplL1DDig = append(h.tplL1DDig, d)
-		}
-		h.tplTLBDig = h.DTLB.ContentDigest()
 		h.tplValid = true
 	}
 	h.L1D.clearDirtyBits()
@@ -661,16 +635,7 @@ func (h *Hierarchy) primeFillIncremental() {
 			}
 			base := s * ways
 			copy(l1.lines[base:base+ways], h.tplL1D[base:base+ways])
-			l1.setDig[s] = h.tplL1DDig[s]
 		}
-		// The restored sets now carry the exact template digests, so their
-		// staleness flags clear along with the prime-dirty bits. The
-		// snapshot segments have no template to restore from, so they go
-		// stale instead and refresh on the next SnapshotInto.
-		if l1.snapDirty != nil {
-			l1.snapDirty[wi] |= l1.dirty[wi]
-		}
-		l1.digDirty[wi] &^= l1.dirty[wi]
 		l1.dirty[wi] = 0
 	}
 	l1.useTick = h.tplL1DTick
@@ -679,8 +644,6 @@ func (h *Hierarchy) primeFillIncremental() {
 		copy(h.DTLB.entries, h.tplTLB)
 		h.DTLB.useTick = h.tplTLBTick
 		h.DTLB.clearTouched()
-		h.DTLB.dig = h.tplTLBDig
-		h.DTLB.digValid = true
 	}
 	if h.MSHR.Used() {
 		h.MSHR.Reset()

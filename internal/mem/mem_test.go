@@ -161,49 +161,96 @@ func TestCacheSaveRestore(t *testing.T) {
 	}
 }
 
-// TestCacheInvariantsProperty: after arbitrary operation sequences, no set
-// holds duplicate lines and ValidCount matches the snapshot length.
+// TestCacheInvariantsProperty drives caches of several geometries through
+// randomized mixes of every state-changing operation — installs, LRU hits,
+// eviction without install, targeted, bulk and dirty-set invalidation,
+// save/restore — snapshotting at random points into one reused buffer. Every
+// snapshot must be in canonical form (set-major, strictly sorted within each
+// set, so no line appears twice), hold exactly the resident lines, and have
+// ValidCount entries: the properties trace comparison relies on (same line
+// multiset, same snapshot).
 func TestCacheInvariantsProperty(t *testing.T) {
+	geoms := []CacheConfig{
+		{Sets: 8, Ways: 4, LineSize: 64},
+		{Sets: 64, Ways: 8, LineSize: 64},
+		{Sets: 16, Ways: 3, LineSize: 32}, // non-power-of-two ways
+	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewCache(CacheConfig{Sets: 8, Ways: 4, LineSize: 64})
-		for i := 0; i < 300; i++ {
-			addr := uint64(rng.Intn(1 << 14))
-			switch rng.Intn(4) {
-			case 0:
-				c.Install(addr)
-			case 1:
+		geom := geoms[rng.Intn(len(geoms))]
+		c := NewCache(geom)
+		span := 4 * geom.SizeBytes() // ~4x capacity: plenty of conflicts
+		var cp CacheState
+		saved := false
+		var snap []uint64
+		for step := 0; step < 600; step++ {
+			addr := uint64(rng.Intn(span))
+			switch rng.Intn(16) {
+			case 0, 1:
 				c.Touch(addr)
 			case 2:
 				c.Invalidate(addr)
 			case 3:
 				c.EvictVictim(addr)
+			case 4:
+				c.InvalidateDirty()
+			case 5:
+				if rng.Intn(8) == 0 {
+					c.InvalidateAll()
+				}
+			case 6:
+				if saved && rng.Intn(4) == 0 {
+					c.Restore(&cp)
+				} else {
+					c.SaveInto(&cp)
+					saved = true
+				}
+			default:
+				c.Install(addr)
 			}
-		}
-		snap := c.Snapshot()
-		if len(snap) != c.ValidCount() {
-			return false
-		}
-		seen := map[uint64]bool{}
-		lastSet, lastAddr := -1, uint64(0)
-		for _, la := range snap {
-			if seen[la] || la%64 != 0 {
+			if rng.Intn(4) != 0 {
+				continue
+			}
+			snap = c.SnapshotInto(snap[:0])
+			if len(snap) != c.ValidCount() {
+				t.Logf("seed %d step %d: snapshot has %d lines, ValidCount %d", seed, step, len(snap), c.ValidCount())
 				return false
 			}
-			// The snapshot must stay in canonical form — set-major, and
-			// strictly sorted within each set — the property the trace
-			// comparison relies on (same line multiset, same snapshot).
-			set := c.SetIndex(la)
-			if set < lastSet || (set == lastSet && la <= lastAddr) {
-				return false
+			lastSet, lastAddr := -1, uint64(0)
+			for _, la := range snap {
+				set := c.SetIndex(la)
+				if la%uint64(geom.LineSize) != 0 || !c.Contains(la) ||
+					set < lastSet || (set == lastSet && la <= lastAddr) {
+					t.Logf("seed %d step %d: snapshot %#x not canonical at %#x", seed, step, snap, la)
+					return false
+				}
+				lastSet, lastAddr = set, la
 			}
-			lastSet, lastAddr = set, la
-			seen[la] = true
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSnapshotFreshBufferAllocs pins the cost of snapshotting a full cache
+// into a fresh buffer at one allocation: the buffer is grown once to the
+// cache's capacity instead of doubling its way there.
+func TestSnapshotFreshBufferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the -race runtime allocates on its own")
+	}
+	c := NewCache(CacheConfig{Sets: 64, Ways: 8, LineSize: 64})
+	for a := uint64(0); a < 64*8*64; a += 64 {
+		c.Install(a)
+	}
+	var snap []uint64
+	if allocs := testing.AllocsPerRun(20, func() { snap = c.SnapshotInto(nil) }); allocs != 1 {
+		t.Errorf("SnapshotInto(nil) of a full cache allocates %v times, want 1", allocs)
+	}
+	if len(snap) != 64*8 {
+		t.Errorf("snapshot of a full cache has %d lines, want %d", len(snap), 64*8)
 	}
 }
 
@@ -295,68 +342,5 @@ func TestLFBAllocReleaseDrop(t *testing.T) {
 	}
 	if l.FreeCount() != 2 {
 		t.Errorf("FreeCount = %d", l.FreeCount())
-	}
-}
-
-// TestSnapshotIncrementalMatchesReference drives a cache through a long
-// randomized mix of every content-changing operation — installs, eviction
-// without install, targeted and bulk invalidation, dirty-set invalidation,
-// save/restore — snapshotting at random points, and asserts the
-// incrementally maintained canonical snapshot is element-wise identical to
-// SnapshotRef's from-scratch derivation of the same line array. Interleaved
-// snapshots matter: they exercise partially dirty segment bitmaps, which is
-// where incremental maintenance can silently go stale.
-func TestSnapshotIncrementalMatchesReference(t *testing.T) {
-	for _, geom := range []CacheConfig{
-		{Sets: 4, Ways: 2, LineSize: 64},
-		{Sets: 64, Ways: 8, LineSize: 64},
-		{Sets: 16, Ways: 3, LineSize: 32}, // non-power-of-two ways
-	} {
-		rng := rand.New(rand.NewSource(int64(geom.Sets)*31 + int64(geom.Ways)))
-		c := NewCache(geom)
-		span := uint64(4 * geom.SizeBytes()) // ~4x capacity: plenty of conflicts
-		var cp CacheState
-		saved := false
-		var inc, ref []uint64
-		for step := 0; step < 4000; step++ {
-			addr := uint64(rng.Intn(int(span)))
-			switch rng.Intn(16) {
-			case 0:
-				c.EvictVictim(addr)
-			case 1:
-				c.Invalidate(addr)
-			case 2:
-				c.Touch(addr)
-			case 3:
-				c.InvalidateDirty()
-			case 4:
-				if rng.Intn(8) == 0 {
-					c.InvalidateAll()
-				}
-			case 5:
-				if saved && rng.Intn(4) == 0 {
-					c.Restore(&cp)
-				} else {
-					c.SaveInto(&cp)
-					saved = true
-				}
-			default:
-				c.Install(addr)
-			}
-			if rng.Intn(4) == 0 {
-				inc = c.SnapshotInto(inc[:0])
-				ref = c.SnapshotRef(ref[:0])
-				if len(inc) != len(ref) {
-					t.Fatalf("geom %+v step %d: incremental snapshot has %d lines, reference %d",
-						geom, step, len(inc), len(ref))
-				}
-				for i := range inc {
-					if inc[i] != ref[i] {
-						t.Fatalf("geom %+v step %d: snapshots differ at %d: %#x vs %#x",
-							geom, step, i, inc[i], ref[i])
-					}
-				}
-			}
-		}
 	}
 }

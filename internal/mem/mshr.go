@@ -1,7 +1,5 @@
 package mem
 
-import "sort"
-
 // MSHRFile models the miss-status handling registers of the L1 data cache.
 // Each outstanding line fill occupies one entry from allocation until the
 // fill completes. When every entry is busy, new misses must wait — the
@@ -118,18 +116,4 @@ func (m *MSHRFile) Alloc(start, until uint64, lineAddr uint64) {
 func (m *MSHRFile) Reset() {
 	m.busy = m.busy[:0]
 	m.used = false
-}
-
-// Busy returns the line addresses of entries still busy at cycle now,
-// sorted; used by the debug log when explaining interference violations
-// (paper Table 7).
-func (m *MSHRFile) Busy(now uint64) []uint64 {
-	var out []uint64
-	for _, e := range m.busy {
-		if e.busyUntil > now {
-			out = append(out, e.addr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -14,14 +14,6 @@ type TLB struct {
 	// since the last clearTouched. The incremental prime skips the TLB
 	// rebuild entirely when a test case never touched a translation.
 	touched bool
-
-	// dig is the content digest — the multiset sum of Mix64(page) over the
-	// valid entries, i.e. exactly the digest of the Snapshot — maintained
-	// incrementally on install/evict while digValid holds. Bulk rewinds
-	// (Restore) drop digValid and ContentDigest recomputes by one walk;
-	// the prime template copy re-seeds it exactly from the captured value.
-	dig      uint64
-	digValid bool
 }
 
 // tlbEntry packs validity and the page number into one key word (page+1,
@@ -41,7 +33,7 @@ func NewTLB(n int) *TLB {
 	if n < 1 {
 		panic("mem: TLB size must be at least 1")
 	}
-	return &TLB{entries: make([]tlbEntry, n), touched: true, digValid: true}
+	return &TLB{entries: make([]tlbEntry, n), touched: true}
 }
 
 // clearTouched resets the mutation flag. Only the prime paths call it,
@@ -100,12 +92,6 @@ func (t *TLB) Install(page uint64) (victim uint64, evicted bool) {
 	t.useTick++
 	t.entries[lruIdx] = tlbEntry{key: page + 1, lastUse: t.useTick}
 	t.touched = true
-	if t.digValid {
-		t.dig += Mix64(page)
-		if evicted {
-			t.dig -= Mix64(victim)
-		}
-	}
 	return victim, evicted
 }
 
@@ -114,21 +100,12 @@ func (t *TLB) InvalidateAll() {
 	clear(t.entries)
 	t.useTick = 0
 	t.touched = true
-	t.dig = 0
-	t.digValid = true
 }
 
 // TLBState is an opaque copy of the TLB content (violation validation).
 type TLBState struct {
 	entries []tlbEntry
 	useTick uint64
-}
-
-// Save captures the TLB state.
-func (t *TLB) Save() *TLBState {
-	st := &TLBState{}
-	t.SaveInto(st)
-	return st
 }
 
 // SaveInto captures the TLB state into st, reusing st's buffer.
@@ -145,23 +122,6 @@ func (t *TLB) Restore(st *TLBState) {
 	copy(t.entries, st.entries)
 	t.useTick = st.useTick
 	t.touched = true
-	t.digValid = false
-}
-
-// ContentDigest returns the multiset digest of the TLB content: the sum of
-// Mix64(page) over valid entries, exactly the digest of Snapshot (the
-// digest is order-free, so the snapshot's sorting does not matter).
-func (t *TLB) ContentDigest() uint64 {
-	if !t.digValid {
-		t.dig = 0
-		for _, e := range t.entries {
-			if e.valid() {
-				t.dig += Mix64(e.page())
-			}
-		}
-		t.digValid = true
-	}
-	return t.dig
 }
 
 // Snapshot returns the sorted virtual page numbers currently cached: the

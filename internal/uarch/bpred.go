@@ -117,13 +117,6 @@ type BPredState struct {
 	btb     []btbEntry
 }
 
-// Save captures the predictor state.
-func (b *BPred) Save() *BPredState {
-	st := &BPredState{}
-	b.SaveInto(st)
-	return st
-}
-
 // SaveInto captures the predictor state into st, reusing st's buffers.
 func (b *BPred) SaveInto(st *BPredState) {
 	st.pht = append(st.pht[:0], b.pht...)

@@ -172,9 +172,6 @@ type refStages interface {
 	writeback()
 }
 
-// Config returns the core configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Defense returns the attached defense.
 func (c *Core) Defense() Defense { return c.def }
 

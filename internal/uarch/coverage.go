@@ -3,7 +3,7 @@ package uarch
 import (
 	"math/bits"
 
-	"github.com/sith-lab/amulet-go/internal/mem"
+	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
 // Coverage is the speculation-coverage signal: a fixed-size feature bitmap
@@ -55,17 +55,11 @@ const (
 	hookSquashDelay                     // OnSquash returned extra redirect cycles
 )
 
-// Mix64 is splitmix64's output finalizer (a bijective avalanche). Coverage
-// feature hashing and the fuzzer's work-unit seed derivation share it. The
-// definition lives in mem (whose content digests fold the same finalizer);
-// this re-export keeps the historical uarch.Mix64 call sites working.
-func Mix64(x uint64) uint64 { return mem.Mix64(x) }
-
 // covMix hashes a (kind, a, b) feature into a bitmap index (splitmix64
-// finalizer over the packed triple).
+// finalizer, isa.Mix64, over the packed triple).
 func covMix(kind covKind, a, b uint64) uint64 {
 	x := uint64(kind)*0x9E3779B97F4A7C15 + a*0xBF58476D1CE4E5B9 + b
-	return Mix64(x) % CoverageBits
+	return isa.Mix64(x) % CoverageBits
 }
 
 // NewCoverage returns an empty coverage map.

@@ -85,29 +85,3 @@ func (d *DebugLog) String() string {
 	}
 	return b.String()
 }
-
-// Filter returns the records of the given kinds, preserving order.
-func (d *DebugLog) Filter(kinds ...LogKind) []LogRec {
-	want := make(map[LogKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []LogRec
-	for _, r := range d.Recs {
-		if want[r.Kind] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Has reports whether any record of kind k is present (violation-signature
-// matching in the analysis package).
-func (d *DebugLog) Has(k LogKind) bool {
-	for _, r := range d.Recs {
-		if r.Kind == k {
-			return true
-		}
-	}
-	return false
-}

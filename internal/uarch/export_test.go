@@ -197,3 +197,17 @@ func (c *Core) CheckScoreboard() error {
 	}
 	return nil
 }
+
+// Save captures the predictor state.
+func (b *BPred) Save() *BPredState {
+	st := &BPredState{}
+	b.SaveInto(st)
+	return st
+}
+
+// Save captures the predictor state.
+func (m *MDP) Save() *MDPState {
+	st := &MDPState{}
+	m.SaveInto(st)
+	return st
+}

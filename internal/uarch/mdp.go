@@ -71,13 +71,6 @@ type MDPState struct {
 	vals  []uint8
 }
 
-// Save captures the predictor state.
-func (m *MDP) Save() *MDPState {
-	st := &MDPState{}
-	m.SaveInto(st)
-	return st
-}
-
 // SaveInto captures the predictor state into st, reusing st's buffers.
 func (m *MDP) SaveInto(st *MDPState) {
 	st.slots = st.slots[:0]
