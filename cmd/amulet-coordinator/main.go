@@ -42,7 +42,7 @@ const exitPartial = 3
 
 func main() {
 	fs := flag.CommandLine
-	cf := dist.AddCampaignFlags(fs)
+	cf := experiments.AddCampaignFlags(fs)
 	var (
 		listen     = fs.String("listen", "127.0.0.1:9131", "address to serve the worker protocol on")
 		leaseTTL   = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease/heartbeat deadline; a worker silent this long is evicted and its units reassigned")

@@ -29,6 +29,7 @@ import (
 	"syscall"
 
 	"github.com/sith-lab/amulet-go/internal/dist"
+	"github.com/sith-lab/amulet-go/internal/experiments"
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	_ "github.com/sith-lab/amulet-go/internal/isa/wasm" // register the stack frontend
 )
@@ -37,7 +38,7 @@ const exitPartial = 3
 
 func main() {
 	fs := flag.CommandLine
-	cf := dist.AddCampaignFlags(fs)
+	cf := experiments.AddCampaignFlags(fs)
 	var (
 		coordinator = fs.String("coordinator", "http://127.0.0.1:9131", "coordinator base URL")
 		name        = fs.String("name", "", "worker name in coordinator logs (default host:pid)")

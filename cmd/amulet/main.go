@@ -42,12 +42,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"github.com/sith-lab/amulet-go/internal/analysis"
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
-	"github.com/sith-lab/amulet-go/internal/contract"
 	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
@@ -63,21 +61,13 @@ import (
 const exitPartial = 3
 
 func main() {
+	cf := experiments.AddCampaignFlags(flag.CommandLine)
 	var (
-		defense    = flag.String("defense", "baseline", "target defense configuration ("+strings.Join(experiments.DefenseNames(), ", ")+")")
-		isaName    = flag.String("isa", isa.ToyName, "ISA frontend generating test programs ("+strings.Join(isa.FrontendNames(), ", ")+")")
-		contractFl = flag.String("contract", "", "override the contract (CT-SEQ, CT-COND, ARCH-SEQ)")
-		instances  = flag.Int("instances", 4, "parallel AMuLeT instances")
-		programs   = flag.Int("programs", 100, "test programs per instance")
-		baseInputs = flag.Int("base-inputs", 8, "base inputs per program")
-		mutants    = flag.Int("mutants", 5, "contract-preserving mutants per base input")
-		seed       = flag.Int64("seed", 1, "campaign seed")
 		ways       = flag.Int("l1d-ways", 0, "override L1D associativity (leakage amplification)")
 		mshrs      = flag.Int("mshrs", 0, "override MSHR count (leakage amplification)")
 		pages      = flag.Int("pages", 0, "override sandbox pages")
 		naive      = flag.Bool("naive", false, "use the Naive strategy (restart per input)")
 		format     = flag.String("format", "", "µarch trace format: l1d-tlb, l1d-tlb-l1i, bp-state, mem-order, branch-order")
-		stopFirst  = flag.Bool("stop-on-first", false, "stop each instance at its first confirmed violation")
 		report     = flag.Bool("report", false, "analyze and print violation reports (paper-figure style)")
 		minimize   = flag.Bool("minimize", false, "with -report: also minimize each violation to its gadget")
 		experiment = flag.String("experiment", "", "regenerate a paper table: table2, table3, table4, table5, table6, table8, table11, figures; 'compare' for the extended defense comparison; 'strategy' for the coverage-vs-random head-to-head; 'isa' for the frontends-by-defenses comparison")
@@ -153,7 +143,7 @@ func main() {
 		if *strategy != engine.StrategyRandom || *epochs != 0 {
 			fatal(fmt.Errorf("-strategy/-epochs do not apply to -experiment runs (experiments pin their strategies)"))
 		}
-		if *isaName != isa.ToyName {
+		if *cf.ISA != isa.ToyName {
 			fatal(fmt.Errorf("-isa does not apply to -experiment runs (the table reproductions pin the toy frontend; 'isa' compares all frontends)"))
 		}
 		// Experiments need whole campaigns for their tables; a partially
@@ -167,59 +157,37 @@ func main() {
 		return
 	}
 
-	spec, err := experiments.DefenseByName(*defense)
+	ecfg, err := cf.EngineConfig()
 	if err != nil {
 		fatal(err)
 	}
-	scale := experiments.Scale{
-		Instances:  *instances,
-		Programs:   *programs,
-		BaseInputs: *baseInputs,
-		Mutants:    *mutants,
-		BootInsts:  executor.DefaultBootInsts,
-		Seed:       *seed,
-	}
-	ccfg := experiments.CampaignConfig(spec, scale)
-	frontend, err := isa.FrontendByName(*isaName)
-	if err != nil {
-		fatal(err)
-	}
-	ccfg.Base.Frontend = frontend
-	if *contractFl != "" {
-		c, err := contract.ByName(*contractFl)
-		if err != nil {
-			fatal(err)
-		}
-		ccfg.Base.Contract = c
-	}
+	base := &ecfg.Campaign.Base
 	if *ways > 0 {
-		ccfg.Base.Exec.Core.Hier.L1D.Ways = *ways
+		base.Exec.Core.Hier.L1D.Ways = *ways
 	}
 	if *mshrs > 0 {
-		ccfg.Base.Exec.Core.Hier.MSHRs = *mshrs
+		base.Exec.Core.Hier.MSHRs = *mshrs
 	}
 	if *pages > 0 {
-		ccfg.Base.Gen.Pages = *pages
+		base.Gen.Pages = *pages
 	}
 	if *naive {
-		ccfg.Base.Exec.Strategy = executor.StrategyNaive
+		base.Exec.Strategy = executor.StrategyNaive
 	}
 	if *format != "" {
 		f, err := parseFormat(*format)
 		if err != nil {
 			fatal(err)
 		}
-		ccfg.Base.Exec.Format = f
+		base.Exec.Format = f
 	}
-	ccfg.Base.StopOnFirstViolation = *stopFirst
+	ecfg.Workers, ecfg.Strategy, ecfg.Epochs = *workers, *strategy, *epochs
+	ecfg.CheckpointDir, ecfg.Resume, ecfg.UnitTimeout = *ckptDir, *resume, *unitTO
 
 	fmt.Printf("testing %s against %s: %d instance(s) x %d program(s) x %d input(s), strategy=%s, isa=%s\n",
-		spec.Name, ccfg.Base.Contract.Name, ccfg.Instances, ccfg.Base.Programs,
-		ccfg.Base.BaseInputs*(1+ccfg.Base.MutantsPerInput), *strategy, frontend.Name())
-	res, err := engine.RunCampaign(ctx, engine.Config{
-		Campaign: ccfg, Workers: *workers, Strategy: *strategy, Epochs: *epochs,
-		CheckpointDir: *ckptDir, Resume: *resume, UnitTimeout: *unitTO,
-	})
+		*cf.Defense, base.Contract.Name, ecfg.Campaign.Instances, base.Programs,
+		base.BaseInputs*(1+base.MutantsPerInput), *strategy, base.Frontend.Name())
+	res, err := engine.RunCampaign(ctx, ecfg)
 	partial := false
 	if err != nil {
 		if res == nil {
@@ -246,7 +214,7 @@ func main() {
 	}
 
 	if *report && len(res.Violations) > 0 {
-		exec := executor.New(ccfg.Base.Exec, spec.Factory())
+		exec := executor.New(base.Exec, base.DefenseFactory())
 		max := 3
 		for i, v := range res.Violations {
 			if i >= max {
@@ -259,7 +227,7 @@ func main() {
 			}
 			fmt.Println(rep)
 			if *minimize {
-				min, removed, err := analysis.Minimize(exec, ccfg.Base.Contract, v)
+				min, removed, err := analysis.Minimize(exec, base.Contract, v)
 				if err != nil {
 					fatal(err)
 				}

@@ -1,10 +1,10 @@
-// Distributed dispatch: the exported seams internal/dist drives. The
-// coordinator owns a DistCampaign — the same campaign bookkeeping
-// RunCampaign uses, folded through the same record/mergeInstance path, so a
-// distributed run is bit-identical to a single-process run at the same
-// seed. Workers own a UnitRunner — a persistent executor and workspace that
-// run arbitrary units of the campaign by coordinates, exactly as a pooled
-// engine worker would.
+// The scheduler and the fold. Every campaign runs through a DistCampaign:
+// RunCampaign's workers draw units from its cursor and settle them like the
+// coordinator's local fallback does, and the coordinator additionally folds
+// remote results through the same settle — so a distributed run is
+// bit-identical to a single-process run at the same seed. Workers own a
+// UnitRunner — a persistent executor and workspace that run arbitrary units
+// of the campaign by coordinates, exactly as a pooled engine worker would.
 //
 // Distributed campaigns are random-strategy only: the corpus strategy's
 // epochs are cross-unit barriers (epoch N's generation depends on epoch
@@ -32,12 +32,14 @@ type UnitID struct {
 // ErrDistCorpus rejects distributed corpus-strategy campaigns.
 var ErrDistCorpus = errors.New("engine: distributed campaigns support the random strategy only (corpus epochs are cross-unit barriers)")
 
-// DistCampaign is the coordinator's half of a distributed campaign: it
-// tracks which units are done, folds remote results exactly once per unit,
-// runs units locally when the remote fleet degrades, and appends to/restores
-// from the same checkpoint log single-process campaigns use — so a lost
-// coordinator resumes from its own checkpoint, and a distributed checkpoint
-// even resumes under the single-process engine (and vice versa).
+// DistCampaign schedules a campaign and folds its results: it tracks which
+// units are done, hands out the open ones from one cursor, folds each
+// result exactly once, and appends to/restores from the campaign's
+// checkpoint log. RunCampaign drives one in-process; the coordinator drives
+// one for a distributed campaign, folding remote results and running units
+// locally when the remote fleet degrades — so a lost coordinator resumes
+// from its own checkpoint, and a distributed checkpoint even resumes under
+// the single-process engine (and vice versa).
 //
 // All methods are safe for concurrent use; results fold in (instance,
 // program) order at Result() time regardless of submission order, which is
@@ -62,9 +64,12 @@ type DistCampaign struct {
 	// reaches zero.
 	remaining int
 	finished  chan struct{}
-	// The scheduling cursor: every open unit before (curInst, curProg) in
-	// (instance, program) order has been handed out by Next.
+	// The scheduling cursor: every open unit of the program window
+	// [lo, hi) before (curInst, curProg) in (instance, program) order has
+	// been handed out by Next. The window is the whole grid except while
+	// RunCampaign runs a corpus epoch.
 	curInst, curProg int
+	lo, hi           int
 }
 
 // NewDistCampaign validates cfg and builds the coordinator-side campaign
@@ -77,16 +82,22 @@ func NewDistCampaign(cfg Config) (*DistCampaign, error) {
 		return nil, err
 	}
 	if corpus {
+		// Refused before the log opens: a fresh log replaces an existing one.
 		return nil, ErrDistCorpus
 	}
-	if err := c.openLog(cfg.Resume); err != nil {
+	return newDistCampaign(c, cfg.Resume)
+}
+
+// newDistCampaign opens c's checkpoint log (restoring a resumed campaign's
+// progress from it) and builds the scheduler over c.
+func newDistCampaign(c *campaign, resume bool) (*DistCampaign, error) {
+	if err := c.openLog(resume); err != nil {
 		return nil, err
 	}
-	d := &DistCampaign{c: c, finished: make(chan struct{})}
+	d := &DistCampaign{c: c, finished: make(chan struct{}), hi: c.programs}
 	// The one full scan of the grid: what a resumed log left open.
 	for i := 0; i < c.instances; i++ {
-		cut := c.stopAt[i].Load()
-		for p := 0; p < c.programs && int64(p) <= cut; p++ {
+		for p := 0; p <= c.stopAt[i]; p++ {
 			if !c.done[i][p] {
 				d.remaining++
 			}
@@ -144,8 +155,8 @@ func (d *DistCampaign) Next() (UnitID, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for d.curInst < d.c.instances {
-		if d.curProg >= d.c.programs || int64(d.curProg) > d.c.stopAt[d.curInst].Load() {
-			d.curInst, d.curProg = d.curInst+1, 0
+		if d.curProg >= d.hi || d.curProg > d.c.stopAt[d.curInst] {
+			d.curInst, d.curProg = d.curInst+1, d.lo
 			continue
 		}
 		p := d.curProg
@@ -157,11 +168,19 @@ func (d *DistCampaign) Next() (UnitID, bool) {
 	return UnitID{}, false
 }
 
+// setWindow restricts the cursor to programs [lo, hi) of every instance
+// and restarts it at (0, lo).
+func (d *DistCampaign) setWindow(lo, hi int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.lo, d.hi, d.curInst, d.curProg = lo, hi, 0, lo
+}
+
 // Open reports whether unit u still needs execution.
 func (d *DistCampaign) Open(u UnitID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.inBounds(u) && !d.c.done[u.Inst][u.Prog] && int64(u.Prog) <= d.c.stopAt[u.Inst].Load()
+	return d.inBounds(u) && !d.c.done[u.Inst][u.Prog] && u.Prog <= d.c.stopAt[u.Inst]
 }
 
 func (d *DistCampaign) inBounds(u UnitID) bool {
@@ -182,7 +201,11 @@ func (d *DistCampaign) Done(u UnitID) bool {
 // unit carry identical payloads. Out-of-bounds coordinates are an error
 // (a malfunctioning or malicious worker, never folded).
 func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws uint64) (folded bool, err error) {
-	return d.recordRemote(u, &rec, draws, nil)
+	result, err := rec.AppendBinary(nil)
+	if err != nil {
+		return false, err
+	}
+	return d.RecordEncoded(u, draws, result)
 }
 
 // RecordEncoded is RecordRemote for a result as its worker encoded it
@@ -190,51 +213,67 @@ func (d *DistCampaign) RecordRemote(u UnitID, rec checkpoint.ResultRec, draws ui
 // written into the unit's checkpoint record byte for byte as it arrived.
 // A result that does not decode is an error, like one out of bounds.
 func (d *DistCampaign) RecordEncoded(u UnitID, draws uint64, result []byte) (folded bool, err error) {
-	var rec checkpoint.ResultRec
-	if err := rec.UnmarshalBinary(result); err != nil {
-		return false, err
-	}
-	return d.recordRemote(u, &rec, draws, result)
-}
-
-// recordRemote folds rec; encoded, when not nil, is its encoding.
-func (d *DistCampaign) recordRemote(u UnitID, rec *checkpoint.ResultRec, draws uint64, encoded []byte) (bool, error) {
 	if !d.inBounds(u) {
 		return false, fmt.Errorf("engine: remote result for unit (%d,%d) out of campaign bounds %dx%d",
 			u.Inst, u.Prog, d.c.instances, d.c.programs)
 	}
-	d.foldMu.RLock()
-	defer d.foldMu.RUnlock()
-	d.mu.Lock()
-	if d.c.done[u.Inst][u.Prog] {
-		d.mu.Unlock()
-		return false, nil
+	var rec checkpoint.ResultRec
+	if err := rec.UnmarshalBinary(result); err != nil {
+		return false, err
 	}
-	lu := unit{inst: u.Inst, prog: u.Prog}
-	res := rec.Decode()
-	d.c.fold(lu, unitOutcome{res: res, draws: draws, done: true})
-	d.accountLocked(lu, res)
-	d.mu.Unlock()
-	// First fold only, and outside the campaign lock: the record is encoded
-	// (unless it came encoded) and written while other submissions fold.
-	d.c.logUnit(lu, rec, draws, encoded)
-	return true, nil
+	out := unitOutcome{res: rec.Decode(), draws: draws, done: true}
+	return d.settle(unit{inst: u.Inst, prog: u.Prog}, out, result), nil
 }
 
-// accountLocked settles remaining after unit u's first fold, and advances
-// the instance's stop-on-first cut after a violating result (lowerCut, the
-// helper in-process workers use too). A unit at or before the cut was
-// counted; one beyond it is dead work folding late and never was. A cut
-// moving down from old to u.prog kills the not-done units in between — the
-// ranges of an instance's successive moves are disjoint, so they cost
-// O(programs) per instance over the whole campaign.
+// settle folds one unit's outcome — run here or, with encoded its result's
+// encoding, by a remote worker — and reports whether it did: the first fold
+// of a unit wins, and a later one (a remote submission racing the local
+// fallback, a duplicate submit) changes nothing. A final outcome is
+// accounted (remaining, the stop-on-first cut) and its record appended to
+// the checkpoint log outside the campaign lock, so folds encode and append
+// side by side; an interrupted one keeps its partial result and leaves the
+// unit open.
+func (d *DistCampaign) settle(u unit, out unitOutcome, encoded []byte) bool {
+	d.foldMu.RLock()
+	defer d.foldMu.RUnlock()
+	c := d.c
+	d.mu.Lock()
+	if c.done[u.inst][u.prog] {
+		d.mu.Unlock()
+		return false
+	}
+	c.results[u.inst][u.prog] = out.res
+	if c.progs != nil {
+		c.progs[u.inst][u.prog] = out.prog
+	}
+	if out.done {
+		c.draws[u.inst][u.prog] = out.draws
+		c.done[u.inst][u.prog] = true
+		d.accountLocked(u, out.res)
+	}
+	d.mu.Unlock()
+	if out.done {
+		c.logUnit(u, out.res, out.draws, encoded)
+	}
+	return true
+}
+
+// accountLocked settles remaining after unit u's first final fold, and
+// moves the instance's stop-on-first cut down to u.prog after a violating
+// result. A unit at or before the cut was counted; one beyond it is dead
+// work folding late and never was. A cut moving down from old to u.prog
+// kills the not-done units in between — the ranges of an instance's
+// successive moves are disjoint, so they cost O(programs) per instance over
+// the whole campaign.
 func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
-	if int64(u.prog) > d.c.stopAt[u.inst].Load() {
+	old := d.c.stopAt[u.inst]
+	if u.prog > old {
 		return
 	}
 	d.remaining--
-	if old, moved := d.c.lowerCut(u, res); moved {
-		for p := u.prog + 1; p < d.c.programs && int64(p) <= old; p++ {
+	if d.c.base.StopOnFirstViolation && len(res.Violations) > 0 && u.prog < old {
+		d.c.stopAt[u.inst] = u.prog
+		for p := u.prog + 1; p <= old; p++ {
 			if !d.c.done[u.inst][p] {
 				d.remaining--
 			}
@@ -265,29 +304,17 @@ func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
 	pool := d.localPool
 	d.mu.Unlock()
 
-	q := &deque{units: make([]unit, len(units))}
-	for k, id := range units {
-		q.units[k] = d.c.unitAt(id.Inst, id.Prog)
+	next := func() (UnitID, bool) {
+		for len(units) > 0 {
+			u := units[0]
+			units = units[1:]
+			if d.Open(u) {
+				return u, true
+			}
+		}
+		return UnitID{}, false
 	}
-	return d.c.runWorker(ctx, pool, generator.Random{}, []*deque{q}, 0, d)
-}
-
-// recordLocal folds a locally-run unit outcome under the campaign lock and
-// appends its record outside it, exactly as RecordRemote does.
-func (d *DistCampaign) recordLocal(u unit, out unitOutcome) {
-	d.foldMu.RLock()
-	defer d.foldMu.RUnlock()
-	d.mu.Lock()
-	if d.c.done[u.inst][u.prog] {
-		d.mu.Unlock()
-		return // a remote submission won the race; keep the first fold
-	}
-	d.c.fold(u, out)
-	if out.done { // an interrupted unit keeps its partial result and stays open
-		d.accountLocked(u, out.res)
-	}
-	d.mu.Unlock()
-	d.c.logOutcome(u, out)
+	return d.runWorker(ctx, pool, generator.Random{}, next)
 }
 
 // SaveCheckpoint makes every folded unit durable: the units' records are
@@ -317,9 +344,9 @@ func (d *DistCampaign) SaveCheckpoint() error {
 	return errors.Join(d.c.logFailure(), err)
 }
 
-// Result folds the campaign outcome in (instance, program) order — the
-// same mergeInstance path RunCampaign returns through, so fingerprints are
-// directly comparable with single-process runs.
+// Result folds the campaign outcome in (instance, program) order — what
+// RunCampaign returns, so fingerprints are directly comparable with
+// single-process runs.
 func (d *DistCampaign) Result() *fuzzer.CampaignResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -23,12 +26,10 @@ func (d *DistCampaign) Pending() []UnitID {
 	defer d.mu.Unlock()
 	var out []UnitID
 	for i := 0; i < d.c.instances; i++ {
-		cut := d.c.stopAt[i].Load()
-		for p := 0; p < d.c.programs; p++ {
-			if d.c.done[i][p] || int64(p) > cut {
-				continue
+		for p := 0; p <= d.c.stopAt[i]; p++ {
+			if !d.c.done[i][p] {
+				out = append(out, UnitID{Inst: i, Prog: p})
 			}
-			out = append(out, UnitID{Inst: i, Prog: p})
 		}
 	}
 	return out
@@ -135,15 +136,29 @@ func TestRecordRemoteExactlyOnce(t *testing.T) {
 }
 
 // TestDistRejectsCorpusStrategy: corpus epochs are cross-unit barriers and
-// cannot be distributed; both distributed entry points must refuse them.
+// cannot be distributed; both distributed entry points must refuse them —
+// before touching the checkpoint directory, where opening a fresh log would
+// replace the one already there.
 func TestDistRejectsCorpusStrategy(t *testing.T) {
 	cfg := engineConfig(1, 1, 4)
+	cfg.CheckpointDir = t.TempDir()
+	if _, err := RunCampaign(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(cfg.CheckpointDir, checkpoint.FileName)
+	want, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Strategy = StrategyCorpus
 	if _, err := NewDistCampaign(cfg); !errors.Is(err, ErrDistCorpus) {
 		t.Errorf("NewDistCampaign: err = %v, want ErrDistCorpus", err)
 	}
 	if _, err := NewUnitRunner(cfg); !errors.Is(err, ErrDistCorpus) {
 		t.Errorf("NewUnitRunner: err = %v, want ErrDistCorpus", err)
+	}
+	if got, err := os.ReadFile(logPath); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a refused campaign changed the checkpoint log already in its directory (err %v)", err)
 	}
 }
 
@@ -280,13 +295,15 @@ func TestLogInterchange(t *testing.T) {
 
 // TestRemainingAndCursorMatchFullScan pins the O(1) bookkeeping against the
 // full scan it replaced. Synthetic results fold in random order — through
-// RecordRemote, through recordLocal, through both at once, twice, and as
-// interrupted local runs that must leave the unit open — with and without
-// StopOnFirstViolation (cuts move down past done and not-done units, dead
-// units beyond a cut fold late), units are drawn from the cursor in between,
-// and the campaign is now and then resumed from its log. After every step
-// Complete, Remaining and Finished must say what Pending says, and the
-// cursor's next unit must be the first pending unit not handed out yet.
+// RecordRemote, through settle as local runs, through both at once, twice,
+// and as interrupted local runs that must leave the unit open — with and
+// without StopOnFirstViolation (cuts move down past done and not-done
+// units, dead units beyond a cut fold late), units are drawn from the
+// cursor in between, the cursor is now and then windowed to a program range
+// as a corpus epoch is, and the campaign is now and then resumed from its
+// log. After every step Complete, Remaining and Finished must say what
+// Pending says, and the cursor's next unit must be the first pending unit
+// of its window not handed out yet.
 func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 	const instances, programs = 3, 12
 	sb := isa.Sandbox{Pages: 1}
@@ -318,6 +335,7 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 					}
 				}
 				handed := map[UnitID]bool{}
+				lo, hi := 0, programs // the cursor's window
 
 				check := func(step string) {
 					t.Helper()
@@ -343,13 +361,17 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 					t.Helper()
 					var want *UnitID
 					for _, u := range dc.Pending() {
-						if !handed[u] {
+						if !handed[u] && u.Prog >= lo && u.Prog < hi {
 							want = &u
 							break
 						}
 					}
 					got, ok := dc.Next()
 					switch {
+					case ok && (got.Prog < lo || got.Prog >= hi):
+						t.Fatalf("%s: cursor hands out %v outside its window [%d, %d)", step, got, lo, hi)
+					case ok && got.Prog > dc.c.stopAt[got.Inst]:
+						t.Fatalf("%s: cursor hands out %v past its instance's cut %d", step, got, dc.c.stopAt[got.Inst])
 					case want == nil && ok:
 						t.Fatalf("%s: cursor hands out %v, the full scan has nothing left to hand out", step, got)
 					case want != nil && (!ok || got != *want):
@@ -366,7 +388,7 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 					local := unit{inst: u.Inst, prog: u.Prog}
 					rec := result(u, violating[u])
 					label := fmt.Sprintf("step %d, unit %v", step, u)
-					switch op := rng.Intn(40); {
+					switch op := rng.Intn(42); {
 					case op < 16:
 						was := dc.Done(u)
 						folded, err := dc.RecordRemote(u, rec, 1)
@@ -374,11 +396,14 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 							t.Fatalf("%s: RecordRemote folded=%v err=%v, unit done before: %v", label, folded, err, was)
 						}
 					case op < 24:
-						dc.recordLocal(local, unitOutcome{res: rec.Decode(), draws: 1, done: true})
+						was := dc.Done(u)
+						if folded := dc.settle(local, unitOutcome{res: rec.Decode(), draws: 1, done: true}, nil); folded == was {
+							t.Fatalf("%s: local settle folded=%v, unit done before: %v", label, folded, was)
+						}
 					case op < 28:
 						// Interrupted local run: the partial result is kept, the unit stays open.
 						was := dc.Done(u)
-						dc.recordLocal(local, unitOutcome{res: &fuzzer.Result{}, err: context.Canceled})
+						dc.settle(local, unitOutcome{res: &fuzzer.Result{}, err: context.Canceled}, nil)
 						if dc.Done(u) != was {
 							t.Fatalf("%s: an interrupted local run marked the unit done", label)
 						}
@@ -388,7 +413,7 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 						wg.Add(2)
 						go func() {
 							defer wg.Done()
-							dc.recordLocal(local, unitOutcome{res: rec.Decode(), draws: 1, done: true})
+							dc.settle(local, unitOutcome{res: rec.Decode(), draws: 1, done: true}, nil)
 						}()
 						go func() {
 							defer wg.Done()
@@ -401,6 +426,19 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 						for n := rng.Intn(4); n >= 0; n-- {
 							next(label)
 						}
+					case op < 41:
+						// A new epoch: the cursor restarts at the top of its window.
+						lo = rng.Intn(programs)
+						hi = lo + 1 + rng.Intn(programs-lo)
+						dc.setWindow(lo, hi)
+						if dc.curInst != 0 || dc.curProg != lo {
+							t.Fatalf("%s: window [%d, %d) restarts the cursor at (%d, %d), want (0, %d)",
+								label, lo, hi, dc.curInst, dc.curProg, lo)
+						}
+						handed = map[UnitID]bool{}
+						for n := rng.Intn(4); n >= 0; n-- {
+							next(label)
+						}
 					default: // rare: every resume costs an fsync
 						if err := dc.SaveCheckpoint(); err != nil {
 							t.Fatal(err)
@@ -410,12 +448,18 @@ func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 						if dc, err = NewDistCampaign(cfg); err != nil {
 							t.Fatalf("%s: resume: %v", label, err)
 						}
-						handed = map[UnitID]bool{} // a restarted coordinator schedules from the top
+						// A restarted coordinator schedules the whole grid from the top.
+						handed, lo, hi = map[UnitID]bool{}, 0, programs
 					}
 					check(label)
 				}
-				// Drain: what was handed out and never folded is its taker's to
-				// run again; everything else still comes from the cursor.
+				// Drain over the whole grid: what was handed out and never
+				// folded is its taker's to run again; everything else still
+				// comes from the cursor.
+				if lo != 0 || hi != programs {
+					dc.setWindow(0, programs)
+					handed, lo, hi = map[UnitID]bool{}, 0, programs
+				}
 				for !dc.Complete() {
 					u := dc.Pending()[0]
 					if !handed[u] {

@@ -99,21 +99,13 @@ func (c *campaign) closeLog() {
 	}
 }
 
-// logOutcome appends the record of a unit this process ran, once its
-// outcome is final. Without a checkpoint log it is one nil check.
-func (c *campaign) logOutcome(u unit, out unitOutcome) {
-	if out.done && c.log != nil {
-		res := checkpoint.EncodeResult(out.res)
-		c.logUnit(u, &res, out.draws, nil)
-	}
-}
-
 // logUnit appends a finished unit's record to the checkpoint log, on the
-// goroutine that finished the unit: res encoded into the record, or, when
+// goroutine that settled the unit: res encoded into the record, or, when
 // encoded is not nil, encoded — res's bytes as a worker sent them —
-// written as they are. A failed append leaves a hole: the unit is done here
-// but absent from the log, so resume will run it again.
-func (c *campaign) logUnit(u unit, res *checkpoint.ResultRec, draws uint64, encoded []byte) {
+// written as they are. Without a checkpoint log it is one nil check. A
+// failed append leaves a hole: the unit is done here but absent from the
+// log, so resume will run it again.
+func (c *campaign) logUnit(u unit, res *fuzzer.Result, draws uint64, encoded []byte) {
 	if c.log == nil {
 		return
 	}
@@ -121,7 +113,7 @@ func (c *campaign) logUnit(u unit, res *checkpoint.ResultRec, draws uint64, enco
 	if encoded != nil {
 		err = c.log.AppendEncodedUnit(u.inst, u.prog, draws, encoded)
 	} else {
-		err = c.log.AppendUnit(&checkpoint.UnitRec{Inst: u.inst, Prog: u.prog, RNGDraws: draws, Result: *res})
+		err = c.log.AppendUnit(&checkpoint.UnitRec{Inst: u.inst, Prog: u.prog, RNGDraws: draws, Result: checkpoint.EncodeResult(res)})
 	}
 	if err != nil {
 		c.failLog(err)
@@ -269,7 +261,7 @@ func (c *campaign) restore(st *checkpoint.State) error {
 	if c.base.StopOnFirstViolation {
 		for i := 0; i < c.instances; i++ {
 			if p := c.firstViolatingIndex(i, c.programs); p >= 0 {
-				c.stopAt[i].Store(int64(p))
+				c.stopAt[i] = p
 			}
 		}
 	}

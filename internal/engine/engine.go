@@ -3,17 +3,18 @@
 // instance is Instances: 1), and DistCampaign/UnitRunner are the seams the
 // distributed coordinator and workers drive. It decomposes a campaign into
 // program-level work units (generate → contract-model collect → µarch
-// execute → compare → validate) and runs them on a work-stealing worker
-// pool, each worker owning a pooled executor whose simulated core is reused
-// across programs and starts every program from the process's shared
-// post-boot checkpoint.
+// execute → compare → validate) and runs them on a worker pool, each worker
+// owning a pooled executor whose simulated core is reused across programs
+// and starts every program from the process's shared post-boot checkpoint.
 //
 // Scheduling the ~Instances×Programs individual programs, rather than whole
 // instances, lets a campaign of few instances use many cores and keeps a
-// slow instance from straggling the run: workers drain their own queues
-// front-first and steal from the back of others' queues when empty, so load
-// imbalance (programs vary widely in simulation cost) evens out
-// automatically.
+// slow instance from straggling the run. Every campaign, in-process or
+// distributed, is scheduled by one DistCampaign: workers draw units from
+// its cursor, in (instance, program) order, and fold each result exactly
+// once under its lock. A unit costs about a millisecond of simulation or
+// more, so the lock is never the bottleneck, and the cursor never hands out
+// a unit already past its instance's stop-on-first cut.
 //
 // # Generation strategies and epochs
 //
@@ -52,10 +53,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
@@ -141,50 +140,21 @@ func (c *campaign) unitAt(inst, prog int) unit {
 	return unit{inst: inst, prog: prog, seed: fuzzer.UnitSeed(fuzzer.InstanceSeed(c.base.Seed, inst), prog)}
 }
 
-// deque is one worker's unit queue. The owner pops from the front; idle
-// workers steal from the back, which moves whole chunks of untouched work
-// away from busy workers with minimal contention.
-type deque struct {
-	mu    sync.Mutex
-	units []unit
-}
-
-func (d *deque) popFront() (unit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.units) == 0 {
-		return unit{}, false
-	}
-	u := d.units[0]
-	d.units = d.units[1:]
-	return u, true
-}
-
-func (d *deque) stealBack() (unit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.units) == 0 {
-		return unit{}, false
-	}
-	u := d.units[len(d.units)-1]
-	d.units = d.units[:len(d.units)-1]
-	return u, true
-}
-
 // campaign is the mutable state of one engine run, shared by its epochs.
 type campaign struct {
 	base      fuzzer.Config
 	instances int
 	programs  int
 	workers   int
-	pool      *executor.Pool
 	start     time.Time
 
-	// stopAt[i] is the lowest program index of instance i known to hold a
-	// confirmed violation; under StopOnFirstViolation, units beyond it are
-	// skipped. Aggregation and corpus admission re-derive the deterministic
-	// cut, so the racy skip is purely a work-avoidance optimization.
-	stopAt []atomic.Int64
+	// stopAt[i] is the last program index of instance i that still needs
+	// running: programs-1, or under StopOnFirstViolation the lowest index
+	// known to hold a confirmed violation. Units beyond it are skipped.
+	// Aggregation and corpus admission re-derive the deterministic cut, so
+	// the skip is purely a work-avoidance optimization. Written under
+	// DistCampaign.mu once workers run.
+	stopAt []int
 
 	// results[i][p] is the unit result; progs[i][p] the generated source
 	// program (recorded only under the corpus strategy, for admission).
@@ -201,9 +171,9 @@ type campaign struct {
 	// purposes — completed, or degraded to a counted quarantine/timeout —
 	// so restored units are skipped and only done units are persisted;
 	// draws[i][p] is the unit's final PRNG draw count (a determinism
-	// diagnostic the checkpoint records). Each cell is written by at most
-	// one worker (deque pops are exclusive) or by restore before workers
-	// start.
+	// diagnostic the checkpoint records). Cells are written by restore
+	// before workers start and afterwards only by DistCampaign.settle,
+	// under DistCampaign.mu.
 	done  [][]bool
 	draws [][]uint64
 
@@ -242,11 +212,11 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 	if err != nil {
 		return nil, err
 	}
-	c.pool = pool
-	if err := c.openLog(cfg.Resume); err != nil {
+	d, err := newDistCampaign(c, cfg.Resume)
+	if err != nil {
 		return nil, err
 	}
-	defer c.closeLog()
+	defer d.Close()
 
 	var errs []error
 	epochsDone := c.loggedEpochs // what a resumed log has admitted; 0 when fresh
@@ -256,7 +226,7 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 			strat = generator.NewCorpusStrategy(c.entries)
 		}
 		lo, hi := epochBounds(c.programs, c.epochs, e)
-		errs = append(errs, c.runEpoch(ctx, strat, lo, hi)...)
+		errs = append(errs, d.runEpoch(ctx, pool, strat, lo, hi)...)
 		if ctx.Err() != nil {
 			// The epoch was interrupted: don't admit its (partial) results —
 			// resume re-runs the missing units and admits the epoch whole.
@@ -278,20 +248,14 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 		}
 	}
 
-	out := &fuzzer.CampaignResult{Instances: make([]*fuzzer.Result, c.instances)}
-	for i := 0; i < c.instances; i++ {
-		out.Instances[i] = mergeInstance(c.results[i], c.base.StopOnFirstViolation)
-	}
-	out.Elapsed = time.Since(c.start)
-	out.Aggregate()
-	return out, errors.Join(append(errs, c.logFailure(), ctx.Err())...)
+	return d.Result(), errors.Join(append(errs, c.logFailure(), ctx.Err())...)
 }
 
 // newCampaign validates cfg and builds the campaign bookkeeping shared by
-// the in-process scheduler (RunCampaign) and the distributed dispatch layer
-// (DistCampaign, UnitRunner): per-unit result/progress grids, stop-on-first
-// cuts, strategy and epoch resolution, and the campaign identity
-// fingerprint. It creates no executor pool and runs nothing.
+// RunCampaign, the coordinator (DistCampaign) and its workers (UnitRunner):
+// per-unit result/progress grids, stop-on-first cuts, strategy and epoch
+// resolution, and the campaign identity fingerprint. It opens no log,
+// creates no executor pool and runs nothing.
 func newCampaign(cfg Config) (*campaign, bool, error) {
 	if cfg.Campaign.Instances < 1 {
 		return nil, false, fmt.Errorf("engine: campaign needs at least one instance")
@@ -349,9 +313,9 @@ func newCampaign(cfg Config) (*campaign, bool, error) {
 	if n := c.instances * c.programs; c.workers > n {
 		c.workers = n
 	}
-	c.stopAt = make([]atomic.Int64, c.instances)
+	c.stopAt = make([]int, c.instances)
 	for i := range c.stopAt {
-		c.stopAt[i].Store(math.MaxInt64)
+		c.stopAt[i] = c.programs - 1
 	}
 	c.results = make([][]*fuzzer.Result, c.instances)
 	c.done = make([][]bool, c.instances)
@@ -374,43 +338,25 @@ func epochBounds(programs, epochs, e int) (lo, hi int) {
 	return e * programs / epochs, (e + 1) * programs / epochs
 }
 
-// runEpoch schedules the units of one epoch (program indices [lo, hi) of
-// every instance) on the worker pool and waits for all of them — the
-// barrier that makes the next epoch's corpus schedule-independent.
-func (c *campaign) runEpoch(ctx context.Context, strat generator.Strategy, lo, hi int) []error {
-	nUnits := c.instances * (hi - lo)
+// runEpoch runs the units of one epoch (program indices [lo, hi) of every
+// instance) on the worker pool and waits for all of them — the barrier that
+// makes the next epoch's corpus schedule-independent. The workers draw from
+// the cursor, windowed to the epoch.
+func (d *DistCampaign) runEpoch(ctx context.Context, pool *executor.Pool, strat generator.Strategy, lo, hi int) []error {
+	nUnits := d.c.instances * (hi - lo)
 	if nUnits == 0 {
 		return nil
 	}
-	workers := c.workers
-	if workers > nUnits {
-		workers = nUnits
-	}
-
-	// Deal units round-robin over the worker deques, in (instance,
-	// program) order, so every worker starts with a spread of instances
-	// and early steals are rare.
-	deques := make([]*deque, workers)
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	k := 0
-	for i := 0; i < c.instances; i++ {
-		for p := lo; p < hi; p++ {
-			d := deques[k%workers]
-			d.units = append(d.units, c.unitAt(i, p))
-			k++
-		}
-	}
-
+	d.setWindow(lo, hi)
+	workers := min(d.c.workers, nUnits)
 	errCh := make(chan error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			errCh <- c.runWorker(ctx, c.pool, strat, deques, w, nil)
-		}(w)
+			errCh <- d.runWorker(ctx, pool, strat, d.Next)
+		}()
 	}
 	wg.Wait()
 	close(errCh)
@@ -506,19 +452,13 @@ func (s *slot) replace(ctx context.Context) error {
 // release returns the slot's executor to the pool.
 func (s *slot) release() { s.pool.Release(s.exec) }
 
-// runWorker is the one unit loop. A worker drains deque w and then steals
-// from the back of the others until no work is left; it skips units that
-// are done or beyond their instance's stop-on-first cut, runs the rest
-// behind the fault-isolation layer, and folds every outcome. It owns one
-// executor from pool and one workspace for its whole lifetime — unless a
-// unit poisons them (panic or watchdog abandonment), in which case both are
-// discarded and fresh ones acquired, and the campaign keeps going.
-//
-// d is nil for RunCampaign's workers. The coordinator's local fallback
-// (DistCampaign.RunLocal) passes its DistCampaign and one deque: remote
-// results fold concurrently there, so units are checked and folded under
-// its lock.
-func (c *campaign) runWorker(ctx context.Context, pool *executor.Pool, strat generator.Strategy, deques []*deque, w int, d *DistCampaign) error {
+// runWorker is the one unit loop. A worker takes units from next until it
+// has none left, runs each behind the fault-isolation layer, and settles
+// every outcome. It owns one executor from pool and one workspace for its
+// whole lifetime — unless a unit poisons them (panic or watchdog
+// abandonment), in which case both are discarded and fresh ones acquired,
+// and the campaign keeps going.
+func (d *DistCampaign) runWorker(ctx context.Context, pool *executor.Pool, strat generator.Strategy, next func() (UnitID, bool)) error {
 	s, err := acquireSlot(ctx, pool)
 	if err != nil {
 		return err
@@ -526,28 +466,23 @@ func (c *campaign) runWorker(ctx context.Context, pool *executor.Pool, strat gen
 	defer s.release()
 	var errs []error
 	for ctx.Err() == nil {
-		u, ok := deques[w].popFront()
-		for v := 1; !ok && v < len(deques); v++ {
-			u, ok = deques[(w+v)%len(deques)].stealBack()
-		}
+		id, ok := next()
 		if !ok {
 			break
 		}
-		if !c.open(u, d) {
-			continue
-		}
-		out := c.runUnitIsolated(ctx, s.exec, s.ws, strat, u)
+		u := d.c.unitAt(id.Inst, id.Prog)
+		out := d.c.runUnitIsolated(ctx, s.exec, s.ws, strat, u)
 		if out.poison {
 			// The executor and the workspace went down with the unit (an
 			// abandoned wedged unit's goroutine still holds both); replace
 			// them before touching any more work.
 			if err := s.replace(ctx); err != nil {
-				c.settle(u, out, d)
+				d.settle(u, out, nil)
 				errs = append(errs, err)
 				break
 			}
 		}
-		c.settle(u, out, d)
+		d.settle(u, out, nil)
 		if out.err != nil {
 			var qe *QuarantineError
 			if errors.As(out.err, &qe) {
@@ -560,74 +495,6 @@ func (c *campaign) runWorker(ctx context.Context, pool *executor.Pool, strat gen
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// open reports whether unit u still needs running: not done (restored from
-// a checkpoint, or folded already) and not beyond its instance's
-// stop-on-first cut. In-process, a done cell is written only by the worker
-// that popped its unit or by restore before any worker starts, so it is
-// read without a lock.
-func (c *campaign) open(u unit, d *DistCampaign) bool {
-	if d != nil {
-		return d.Open(UnitID{Inst: u.inst, Prog: u.prog})
-	}
-	return !c.done[u.inst][u.prog] && int64(u.prog) <= c.stopAt[u.inst].Load()
-}
-
-// settle folds one unit's outcome: in-process through record, for the
-// coordinator's local fallback through DistCampaign.recordLocal.
-func (c *campaign) settle(u unit, out unitOutcome, d *DistCampaign) {
-	if d != nil {
-		d.recordLocal(u, out)
-		return
-	}
-	c.record(u, out)
-}
-
-// record folds one unit's outcome, moves the stop-on-first cut after a
-// final violating result and, when the outcome is final, appends its record
-// to the checkpoint log — on the worker that produced it, while the other
-// workers simulate.
-func (c *campaign) record(u unit, out unitOutcome) {
-	c.fold(u, out)
-	if out.done {
-		c.lowerCut(u, out.res)
-	}
-	c.logOutcome(u, out)
-}
-
-// lowerCut moves instance u.inst's stop-on-first cut down to u.prog when
-// the campaign stops on first violation and res violates below the current
-// cut, and reports the cut it replaced. Workers race on the cut, so the
-// move is a compare-and-swap; the distributed fold calls it under its lock.
-func (c *campaign) lowerCut(u unit, res *fuzzer.Result) (from int64, moved bool) {
-	if !c.base.StopOnFirstViolation || res == nil || len(res.Violations) == 0 {
-		return 0, false
-	}
-	for {
-		cur := c.stopAt[u.inst].Load()
-		if int64(u.prog) >= cur {
-			return cur, false
-		}
-		if c.stopAt[u.inst].CompareAndSwap(cur, int64(u.prog)) {
-			return cur, true
-		}
-	}
-}
-
-// fold stores one unit's outcome. Only done units (completed or degraded
-// to a counted quarantine/timeout) are marked for the checkpoint; a
-// context-interrupted unit keeps its partial result for this run's report
-// but re-runs in full on resume.
-func (c *campaign) fold(u unit, out unitOutcome) {
-	c.results[u.inst][u.prog] = out.res
-	if c.progs != nil {
-		c.progs[u.inst][u.prog] = out.prog
-	}
-	if out.done {
-		c.draws[u.inst][u.prog] = out.draws
-		c.done[u.inst][u.prog] = true
-	}
 }
 
 // runUnit runs the full stage pipeline of one work unit on the worker's

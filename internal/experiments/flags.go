@@ -1,4 +1,4 @@
-package dist
+package experiments
 
 import (
 	"flag"
@@ -7,16 +7,17 @@ import (
 	"github.com/sith-lab/amulet-go/internal/contract"
 	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
-	"github.com/sith-lab/amulet-go/internal/experiments"
 	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
-// CampaignFlags is the campaign-shape flag set shared by
-// cmd/amulet-coordinator and cmd/amulet-worker. Both binaries MUST be
-// launched with identical values — the campaign configuration fingerprint
-// is derived from them, and the join handshake refuses a worker whose
-// fingerprint disagrees with the coordinator's. Sharing one definition
-// keeps the flag names and defaults from drifting apart.
+// CampaignFlags is the campaign-shape flag set shared by cmd/amulet,
+// cmd/amulet-coordinator and cmd/amulet-worker. A coordinator and its
+// workers MUST be launched with identical values — the campaign
+// configuration fingerprint is derived from them, and the join handshake
+// refuses a worker whose fingerprint disagrees with the coordinator's.
+// Sharing one definition keeps the flag names and defaults from drifting
+// apart, so a coordinator's checkpoint resumes under plain `amulet -resume`
+// given the same flags.
 type CampaignFlags struct {
 	Defense    *string
 	ISA        *string
@@ -29,11 +30,10 @@ type CampaignFlags struct {
 	StopFirst  *bool
 }
 
-// AddCampaignFlags registers the shared campaign flags on fs, with the
-// same names and defaults cmd/amulet uses.
+// AddCampaignFlags registers the shared campaign flags on fs.
 func AddCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 	return &CampaignFlags{
-		Defense:    fs.String("defense", "baseline", "target defense configuration ("+strings.Join(experiments.DefenseNames(), ", ")+")"),
+		Defense:    fs.String("defense", "baseline", "target defense configuration ("+strings.Join(DefenseNames(), ", ")+")"),
 		ISA:        fs.String("isa", isa.ToyName, "ISA frontend generating test programs ("+strings.Join(isa.FrontendNames(), ", ")+")"),
 		Contract:   fs.String("contract", "", "override the contract (CT-SEQ, CT-COND, ARCH-SEQ)"),
 		Instances:  fs.Int("instances", 4, "parallel AMuLeT instances"),
@@ -45,15 +45,15 @@ func AddCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 	}
 }
 
-// EngineConfig resolves the parsed flags into the engine configuration
-// both sides of a distributed campaign run. Distributed campaigns pin the
-// random strategy (see ErrDistCorpus).
+// EngineConfig resolves the parsed flags into an engine configuration of
+// the random strategy — the one distributed campaigns run (see
+// engine.ErrDistCorpus); cmd/amulet applies its own flags on top.
 func (f *CampaignFlags) EngineConfig() (engine.Config, error) {
-	spec, err := experiments.DefenseByName(*f.Defense)
+	spec, err := DefenseByName(*f.Defense)
 	if err != nil {
 		return engine.Config{}, err
 	}
-	ccfg := experiments.CampaignConfig(spec, experiments.Scale{
+	ccfg := CampaignConfig(spec, Scale{
 		Instances:  *f.Instances,
 		Programs:   *f.Programs,
 		BaseInputs: *f.BaseInputs,
