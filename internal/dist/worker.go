@@ -54,8 +54,7 @@ type Worker struct {
 	units  atomic.Int64
 }
 
-// NewWorker builds a worker and boots its executor (the boot workload is
-// paid here, once, not per unit).
+// NewWorker builds a worker and its executor, once, not per unit.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Rejoins <= 0 {
 		cfg.Rejoins = 3

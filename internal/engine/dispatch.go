@@ -289,8 +289,8 @@ func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
 // (panic quarantine, optional watchdog), folding their results into the
 // campaign. It is the coordinator's graceful-degradation path: units done
 // or past their cut are skipped, so racing a late remote submission is
-// harmless. The executor pool (one executor, starting from the shared
-// post-boot checkpoint) is created on first use and reused across calls.
+// harmless. The executor pool (one executor) is created on first use and
+// reused across calls.
 func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
 	d.mu.Lock()
 	if d.localPool == nil {
@@ -361,10 +361,10 @@ func (d *DistCampaign) Result() *fuzzer.CampaignResult {
 
 // UnitRunner executes individual units of a campaign, standalone, on a
 // persistent executor and workspace — the worker's half of a distributed
-// campaign. The boot workload is paid once per process; every Run starts
-// from the same post-boot context a pooled engine worker restores, so the
-// unit result depends only on the unit coordinates and the campaign seed,
-// never on which worker ran it or in what order.
+// campaign. Every Run starts from the same reset context a pooled engine
+// worker starts from, so the unit result depends only on the unit
+// coordinates and the campaign seed, never on which worker ran it or in
+// what order.
 type UnitRunner struct {
 	c *campaign
 	s *slot

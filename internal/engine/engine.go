@@ -5,7 +5,7 @@
 // program-level work units (generate → contract-model collect → µarch
 // execute → compare → validate) and runs them on a worker pool, each worker
 // owning a pooled executor whose simulated core is reused across programs
-// and starts every program from the process's shared post-boot checkpoint.
+// and reset at the start of every program.
 //
 // Scheduling the ~Instances×Programs individual programs, rather than whole
 // instances, lets a campaign of few instances use many cores and keeps a
@@ -37,10 +37,9 @@
 //
 //   - every work unit draws from its own RNG streams derived from the
 //     campaign seed (fuzzer.UnitSeed), so build order is irrelevant;
-//   - µarch execution of one program always starts from the same post-boot
-//     context (the pooled executors' checkpoint restores exactly the state
-//     a fresh start builds), so unit results — violations and coverage
-//     alike — depend only on the unit, not on which worker ran it;
+//   - µarch execution of one program always starts from the same reset
+//     context, so unit results — violations and coverage alike — depend
+//     only on the unit, not on which worker ran it;
 //   - epochs are barriers: all of epoch N−1 completes before its coverage
 //     is merged (in (instance, program) order) and its corpus frozen, so
 //     the corpus an epoch-N unit mutates is schedule-independent;

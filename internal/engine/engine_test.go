@@ -194,31 +194,40 @@ func TestEngineMatchesCounters(t *testing.T) {
 	}
 }
 
-// TestEngineBootPaidOncePerProcess checks the pooled-executor economics:
-// the boot workload is simulated at most once per process and
-// configuration — not once per worker, per program or per campaign (the
-// Naive/per-instance cost the engine exists to remove). The second
-// campaign on the same configuration simulates none.
-func TestEngineBootPaidOncePerProcess(t *testing.T) {
-	for run, maxBoots := range []int{1, 0} {
-		cfg := engineConfig(5, 2, 10)
+// TestEngineBootsOnlyUnderNaive checks the start economics of pooled
+// executors: an Opt campaign starts once per program and never simulates
+// the boot workload, however many workers run it; a Naive campaign boots
+// on every start, which is the per-input cost Naive exists to measure.
+func TestEngineBootsOnlyUnderNaive(t *testing.T) {
+	for _, c := range []struct {
+		strategy  executor.Strategy
+		instances int
+		programs  int
+	}{
+		{executor.StrategyOpt, 2, 10},
+		{executor.StrategyNaive, 2, 3},
+	} {
+		cfg := engineConfig(5, c.instances, c.programs)
 		cfg.Workers = 4
-		cfg.Campaign.Base.Exec.BootInsts = 509 // a key no other test uses
+		cfg.Campaign.Base.Exec.Strategy = c.strategy
 		res, err := RunCampaign(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		boots := 0
-		starts := 0
+		boots, starts := 0, 0
 		for _, inst := range res.Instances {
 			boots += inst.Metrics.BootRuns
 			starts += inst.Metrics.Starts
 		}
-		if boots > maxBoots {
-			t.Errorf("campaign %d: boot workload simulated %d times on 4 workers, want <= %d", run+1, boots, maxBoots)
-		}
-		if starts != 20 {
-			t.Errorf("campaign %d: starts = %d, want one per program (20)", run+1, starts)
+		switch c.strategy {
+		case executor.StrategyOpt:
+			if programs := c.instances * c.programs; boots != 0 || starts != programs {
+				t.Errorf("Opt: %d boots, %d starts; want 0 boots and one start per program (%d)", boots, starts, programs)
+			}
+		case executor.StrategyNaive:
+			if boots != starts || starts == 0 {
+				t.Errorf("Naive: %d boots, %d starts; want one boot per start", boots, starts)
+			}
 		}
 	}
 }

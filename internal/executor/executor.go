@@ -76,11 +76,13 @@ type Config struct {
 	Coverage bool
 
 	// BootInsts is the length of the simulated SE-mode startup workload
-	// (process loader, runtime init) executed whenever the simulator
-	// "starts". It stands in for gem5's multi-second startup, which the
-	// paper measures as 96% of Naive's per-test time; the boot program runs
-	// through the full pipeline, so its cost scales with simulator fidelity
-	// exactly as gem5's does. Zero selects the default.
+	// (process loader, runtime init) executed on every Naive start, i.e.
+	// once per input. It stands in for gem5's multi-second startup, which
+	// the paper measures as 96% of Naive's per-test time; the boot program
+	// runs through the full pipeline, so its cost scales with simulator
+	// fidelity exactly as gem5's does. Opt starts never run it: the boot
+	// ends in a reset and leaves no state, so under Opt it would only cost
+	// time. Zero selects the default.
 	BootInsts int
 
 	// FullPrime disables the incremental dirty-set prime and runs the
@@ -189,11 +191,6 @@ type Executor struct {
 	prog    *isa.Program
 	sb      isa.Sandbox
 	started bool
-
-	// boot, set on pooled executors, makes every start restore the
-	// process-wide post-boot checkpoint of this configuration instead of
-	// simulating the boot workload (nil: boot on every start).
-	boot *bootSource
 
 	// valCP is the reusable context checkpoint of the validation replays:
 	// every µarch-trace mismatch saves a full cache/TLB/predictor copy, so
@@ -368,34 +365,20 @@ func (e *Executor) RunLoggedPair(a, b *isa.Input) (logA, logB []uarch.LogRec, tr
 	return logA, logB, trA, trB, nil
 }
 
-// startup models the simulator start: a fresh micro-architectural context
-// plus the boot workload running through the full pipeline. A pooled
-// executor restores its configuration's shared post-boot checkpoint instead
-// — behaviourally identical (the boot ends in ResetUarch, so the checkpoint
-// is the context ResetUarch rebuilds) but without re-simulating the boot
-// instructions. The start that builds the checkpoint counts the one boot
-// run, and its time, in its own metrics.
-//
-// The Naive strategy never uses the checkpoint: Naive models launching a
-// fresh simulator process per input, and that per-input boot cost is the
-// very thing its experiments (Table 2/3) measure.
+// startup models the simulator start: a fresh micro-architectural context.
+// Under the Naive strategy a start also simulates the boot workload through
+// the full pipeline and resets again, so the boot leaves no state and only
+// costs time. Naive models launching a fresh simulator process per input,
+// and that per-input boot cost is what its experiments (Table 2/3)
+// measure. Opt, which starts once per program, skips the boot.
 //
 // A boot failure is returned, not panicked: in a long-lived service a
 // failing start must surface as that campaign's error, never as process
 // death. The executor stays un-started, so a later call retries cleanly.
 func (e *Executor) startup() error {
 	t0 := time.Now()
-	if e.boot != nil && e.cfg.Strategy != StrategyNaive {
-		st, built, err := e.boot.checkpoint()
-		if built {
-			e.met.BootRuns++
-		}
-		if err != nil {
-			return err
-		}
-		e.core.RestoreUarch(st)
-	} else {
-		e.core.ResetUarch()
+	e.core.ResetUarch()
+	if e.cfg.Strategy == StrategyNaive {
 		if err := e.runBoot(); err != nil {
 			return err
 		}
@@ -440,6 +423,8 @@ func bootProgram(n int) *isa.Program {
 	return p
 }
 
+// runBoot simulates the boot workload on the core, then reloads the test
+// program it displaced.
 func (e *Executor) runBoot() error {
 	e.met.BootRuns++
 	// The boot workload is identical for every start; its features are
@@ -449,7 +434,6 @@ func (e *Executor) runBoot() error {
 		defer e.core.SetCoverage(cov)
 	}
 	boot := bootProgram(e.cfg.BootInsts)
-	saveProg, saveSB := e.prog, e.sb
 	bootSB := isa.Sandbox{Pages: 4}
 	if err := e.core.LoadTest(boot, bootSB); err != nil {
 		return fmt.Errorf("executor: boot program rejected: %w", err)
@@ -458,16 +442,8 @@ func (e *Executor) runBoot() error {
 	if err := e.core.Run(); err != nil {
 		return fmt.Errorf("executor: boot workload failed: %w", err)
 	}
-	if saveProg != nil {
-		if err := e.core.LoadTest(saveProg, saveSB); err != nil {
-			return fmt.Errorf("executor: reloading test program failed: %w", err)
-		}
-	} else {
-		// No test program was loaded when the boot ran: restore a defined
-		// empty state instead of leaving the boot program and its sandbox
-		// mapped (Run keeps failing with "before LoadProgram", and the next
-		// LoadProgram rebuilds the image from scratch).
-		e.core.ClearTest()
+	if err := e.core.LoadTest(e.prog, e.sb); err != nil {
+		return fmt.Errorf("executor: reloading test program failed: %w", err)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package executor
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -68,8 +70,8 @@ func TestOptStartsOncePerProgram(t *testing.T) {
 	if _, err := e.Run(inB); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().Starts; got != 1 {
-		t.Errorf("Opt started the simulator %d times for one program", got)
+	if m := e.Metrics(); m.Starts != 1 || m.BootRuns != 0 {
+		t.Errorf("Opt: %d starts and %d boots for one program, want 1 start and no boot", m.Starts, m.BootRuns)
 	}
 }
 
@@ -85,8 +87,8 @@ func TestNaiveStartsPerInput(t *testing.T) {
 	if _, err := e.Run(inB); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().Starts; got != 2 {
-		t.Errorf("Naive started the simulator %d times for two inputs", got)
+	if m := e.Metrics(); m.Starts != 2 || m.BootRuns != 2 {
+		t.Errorf("Naive: %d starts and %d boots for two inputs, want 2 of each", m.Starts, m.BootRuns)
 	}
 }
 
@@ -105,6 +107,160 @@ func TestStartupDominatesNaive(t *testing.T) {
 	if m.Startup <= m.Simulate {
 		t.Errorf("Naive startup (%v) should dominate simulation (%v), as in the paper's Table 2",
 			m.Startup, m.Simulate)
+	}
+}
+
+// TestBootLeavesNoState pins what makes a start a reset: a Naive start
+// simulates the boot workload after a warm run, yet leaves exactly a reset
+// core's context, with the test program loaded again. If a change lets the
+// boot warm the caches or predictors, this fails: the boot would then be
+// state rather than only time, and Opt starts, which skip it, would begin
+// from a different context than Naive ones.
+func TestBootLeavesNoState(t *testing.T) {
+	cfg := testConfig(StrategyNaive, PrimeFill)
+	cfg.BootInsts = DefaultBootInsts
+	e := New(cfg, nil)
+	prog, sb, in, _ := genProgram(6)
+	if err := e.LoadProgram(prog, sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(in); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.startup(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Metrics().BootRuns; got != 2 {
+		t.Fatalf("two Naive starts ran %d boots, want 2", got)
+	}
+	reset := New(cfg, nil)
+	reset.Core().ResetUarch()
+	if !reflect.DeepEqual(reset.Core().SaveUarch(), e.Core().SaveUarch()) {
+		t.Error("a Naive start's context differs from a reset core's: the boot left state behind")
+	}
+	if e.Core().Program() != prog {
+		t.Error("the test program was not reloaded after the boot")
+	}
+}
+
+// TestOptStartIsReset: an Opt start after a warm run leaves exactly a reset
+// core's context, with the new program loaded and no boot simulated.
+func TestOptStartIsReset(t *testing.T) {
+	cfg := testConfig(StrategyOpt, PrimeFill)
+	e := New(cfg, nil)
+	progA, sb, in, _ := genProgram(6)
+	if err := e.LoadProgram(progA, sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(in); err != nil {
+		t.Fatal(err)
+	}
+	progB, sbB, _, _ := genProgram(7)
+	if err := e.LoadProgram(progB, sbB); err != nil {
+		t.Fatal(err)
+	}
+	reset := New(cfg, nil)
+	reset.Core().ResetUarch()
+	if !reflect.DeepEqual(reset.Core().SaveUarch(), e.Core().SaveUarch()) {
+		t.Error("an Opt start's context differs from a reset core's: the previous program's run left state behind")
+	}
+	if e.Core().Program() != progB {
+		t.Error("the new test program is not loaded after an Opt start")
+	}
+	if m := e.Metrics(); m.Starts != 2 || m.BootRuns != 0 {
+		t.Errorf("two Opt programs: %d starts and %d boots, want 2 starts and no boot", m.Starts, m.BootRuns)
+	}
+}
+
+// TestBootLengthInvisibleToTraces: the Naive boot is only time, so its
+// length cannot change a trace. Executors booting 1 and DefaultBootInsts
+// instructions give identical traces input for input. PrimeNone keeps the
+// prime from hiding cache state a boot might leave behind.
+func TestBootLengthInvisibleToTraces(t *testing.T) {
+	run := func(bootInsts int) []*UTrace {
+		cfg := testConfig(StrategyNaive, PrimeNone)
+		cfg.BootInsts = bootInsts
+		e := New(cfg, nil)
+		var traces []*UTrace
+		for seed := int64(1); seed <= 3; seed++ {
+			prog, sb, inA, inB := genProgram(seed)
+			if err := e.LoadProgram(prog, sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range []*isa.Input{inA, inB, inA} {
+				tr, err := e.Run(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces = append(traces, tr)
+			}
+		}
+		if m := e.Metrics(); m.BootRuns != len(traces) {
+			t.Fatalf("BootInsts %d: %d boots for %d Naive inputs", bootInsts, m.BootRuns, len(traces))
+		}
+		return traces
+	}
+	short, long := run(1), run(DefaultBootInsts)
+	for i := range short {
+		if !short[i].Equal(long[i]) {
+			t.Fatalf("trace %d depends on the boot length:\n%s", i, short[i].Diff(long[i]))
+		}
+	}
+}
+
+// TestNaiveFirstInputMatchesOpt: Opt and Naive starts begin from the same
+// reset context, the boot aside, so a program's first input yields the
+// same trace under either strategy, even with no prime to hide a
+// difference.
+func TestNaiveFirstInputMatchesOpt(t *testing.T) {
+	opt := New(testConfig(StrategyOpt, PrimeNone), nil)
+	naive := New(testConfig(StrategyNaive, PrimeNone), nil)
+	for seed := int64(1); seed <= 4; seed++ {
+		prog, sb, in, _ := genProgram(seed)
+		var traces [2]*UTrace
+		for i, e := range []*Executor{opt, naive} {
+			if err := e.LoadProgram(prog, sb); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := e.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces[i] = tr
+		}
+		if !traces[0].Equal(traces[1]) {
+			t.Fatalf("program %d: first-input traces differ between Opt and Naive:\n%s",
+				seed, traces[0].Diff(traces[1]))
+		}
+	}
+	if opt.Metrics().BootRuns != 0 || naive.Metrics().BootRuns != 4 {
+		t.Errorf("boots: Opt %d, Naive %d; want 0 and one per input (4)",
+			opt.Metrics().BootRuns, naive.Metrics().BootRuns)
+	}
+}
+
+// TestBootFailureReturned: a Naive boot that fails (20 000 boot
+// instructions cannot finish in 1000 cycles) is returned from Run, leaves
+// the executor un-started, and is simulated — and fails — again on retry.
+func TestBootFailureReturned(t *testing.T) {
+	cfg := testConfig(StrategyNaive, PrimeFill)
+	cfg.BootInsts = DefaultBootInsts
+	cfg.Core.MaxCycles = 1000
+	e := New(cfg, nil)
+	prog, sb, in, _ := genProgram(5)
+	if err := e.LoadProgram(prog, sb); err != nil {
+		t.Fatal(err)
+	}
+	for try := 1; try <= 2; try++ {
+		if _, err := e.Run(in); !errors.Is(err, uarch.ErrMaxCycles) {
+			t.Fatalf("try %d: Run returned %v, want ErrMaxCycles", try, err)
+		}
+		if e.started {
+			t.Fatalf("try %d: a failed start left the executor started", try)
+		}
+	}
+	if m := e.Metrics(); m.Starts != 0 || m.BootRuns != 2 {
+		t.Errorf("starts=%d boots=%d, want 0 starts and 2 failed boots", m.Starts, m.BootRuns)
 	}
 }
 
@@ -258,34 +414,6 @@ func TestMetricsPrimeBucket(t *testing.T) {
 	}
 }
 
-// TestBootWithoutProgramLeavesDefinedState: a boot that runs while no test
-// program is loaded must not leave the boot program and its sandbox mapped
-// — the core ends in a defined empty state and a later LoadProgram works
-// from scratch.
-func TestBootWithoutProgramLeavesDefinedState(t *testing.T) {
-	e := New(testConfig(StrategyOpt, PrimeFill), nil)
-	if err := e.startup(); err != nil { // boots with e.prog == nil
-		t.Fatal(err)
-	}
-	if e.core.Program() != nil {
-		t.Fatalf("boot program left loaded after a no-program startup")
-	}
-	if _, err := e.Run(isa.NewInput(isa.Sandbox{Pages: 1})); err == nil {
-		t.Fatalf("Run succeeded against the leaked boot state")
-	}
-	prog, sb, in, _ := genProgram(23)
-	if err := e.LoadProgram(prog, sb); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := e.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.L1D) == 0 {
-		t.Errorf("post-recovery run produced an empty trace")
-	}
-}
-
 func TestPrimeModesDiffer(t *testing.T) {
 	prog, sb, in, _ := genProgram(8)
 	runWith := func(p PrimeMode) *UTrace {
@@ -392,10 +520,10 @@ func TestValidationPairDeterministic(t *testing.T) {
 
 // TestCoverageCollection: an executor built with Coverage records features
 // while running inputs, ResetCoverage clears them, and the boot workload
-// contributes nothing (its features are constant noise).
+// of a Naive start contributes nothing (its features are constant noise).
 func TestCoverageCollection(t *testing.T) {
 	prog, sb, inA, inB := genProgram(3)
-	cfg := testConfig(StrategyOpt, PrimeFill)
+	cfg := testConfig(StrategyNaive, PrimeFill)
 	cfg.Coverage = true
 	e := New(cfg, nil)
 	if e.Coverage() == nil {
@@ -404,8 +532,14 @@ func TestCoverageCollection(t *testing.T) {
 	if err := e.LoadProgram(prog, sb); err != nil {
 		t.Fatal(err)
 	}
-	// LoadProgram under Opt simulates the boot workload; with boot features
-	// suppressed the map must still be empty here.
+	if err := e.startup(); err != nil {
+		t.Fatal(err)
+	}
+	// The start simulated the boot workload; with boot features suppressed
+	// the map must still be empty here.
+	if e.Metrics().BootRuns != 1 {
+		t.Fatalf("a Naive start ran %d boots, want 1", e.Metrics().BootRuns)
+	}
 	if !e.Coverage().Empty() {
 		t.Errorf("boot workload leaked %d coverage features", e.Coverage().Count())
 	}
@@ -512,7 +646,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := g.Input()
-	// Warm the executor (boot, template capture, trace freelist) before
+	// Warm the executor (start, template capture, trace freelist) before
 	// measuring; the steady-state loop is what campaigns run millions of
 	// times.
 	for i := 0; i < 3; i++ {

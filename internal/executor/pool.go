@@ -9,11 +9,8 @@ import (
 )
 
 // Pool hands out long-lived executors to campaign workers. Executors are
-// created lazily up to the pool size, each with its own defense instance.
-// Every start restores the process-wide post-boot checkpoint of the pool's
-// configuration, built once per process on a throwaway executor, so the
-// boot workload is paid once per process and configuration — not per worker,
-// campaign or test program — and no pooled core ever runs it.
+// created lazily up to the pool size, each with its own defense instance,
+// and start exactly as a bare executor does (see Executor.startup).
 type Pool struct {
 	cfg     Config
 	factory func() uarch.Defense
@@ -57,7 +54,6 @@ func (p *Pool) Acquire(ctx context.Context) (*Executor, error) {
 	p.mu.Lock()
 	if len(p.created) < p.size {
 		e := New(p.cfg, p.factory())
-		e.boot = newBootSource(e, p.factory)
 		p.created = append(p.created, e)
 		p.mu.Unlock()
 		return e, nil
@@ -72,7 +68,7 @@ func (p *Pool) Acquire(ctx context.Context) (*Executor, error) {
 }
 
 // Release returns an executor to the pool. The executor keeps its
-// metrics; the next LoadProgram gives the next borrower a fresh post-boot
+// metrics; the next LoadProgram gives the next borrower a freshly reset
 // context. A Release without a matching Acquire (or of an
 // executor already Discarded) cannot fit the free list; the executor is
 // dropped on the floor instead of panicking — the pool re-creates capacity

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -21,6 +22,20 @@ func poolConfig() Config {
 }
 
 func nopFactory() uarch.Defense { return uarch.NopDefense{} }
+
+// acquire returns a pooled executor for cfg from a fresh one-executor pool.
+func acquire(t testing.TB, cfg Config, factory func() uarch.Defense) *Executor {
+	t.Helper()
+	p, err := NewPool(cfg, factory, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := p.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 func TestPoolAcquireRelease(t *testing.T) {
 	p, err := NewPool(poolConfig(), nopFactory, 2)
@@ -97,11 +112,10 @@ func TestPoolDiscard(t *testing.T) {
 	}
 }
 
-// TestBootCheckpointEquivalence is the correctness half of the pooling
-// optimization: a pooled executor must produce exactly the traces a bare
-// executor produces, while its starts restore the shared post-boot
-// checkpoint instead of simulating the boot workload.
-func TestBootCheckpointEquivalence(t *testing.T) {
+// TestPooledMatchesBare: a pooled executor starts exactly as a bare one
+// does, so the two produce identical traces, and under Opt neither runs
+// the boot workload.
+func TestPooledMatchesBare(t *testing.T) {
 	gcfg := generator.DefaultConfig()
 	gcfg.Seed = 11
 	g := generator.New(gcfg)
@@ -137,11 +151,10 @@ func TestBootCheckpointEquivalence(t *testing.T) {
 		return traces
 	}
 
-	fresh := New(poolConfig(), nopFactory())
+	bare := New(poolConfig(), nopFactory())
 	pooled := acquire(t, poolConfig(), nopFactory)
-	forgetSharedBoot(pooled)
 
-	want := run(fresh)
+	want := run(bare)
 	got := run(pooled)
 	if len(want) != len(got) {
 		t.Fatalf("trace counts differ: %d vs %d", len(want), len(got))
@@ -152,23 +165,19 @@ func TestBootCheckpointEquivalence(t *testing.T) {
 				i, want[i].Diff(got[i]))
 		}
 	}
-	if fresh.Metrics().BootRuns != len(cases) {
-		t.Errorf("bare executor boots = %d, want one per program (%d)",
-			fresh.Metrics().BootRuns, len(cases))
-	}
-	if pooled.Metrics().BootRuns != 1 {
-		t.Errorf("pooled executor boots = %d, want 1 (it built the shared checkpoint)", pooled.Metrics().BootRuns)
-	}
-	if fresh.Metrics().Starts != pooled.Metrics().Starts {
-		t.Errorf("start counts diverge: %d vs %d", fresh.Metrics().Starts, pooled.Metrics().Starts)
+	for name, e := range map[string]*Executor{"bare": bare, "pooled": pooled} {
+		if m := e.Metrics(); m.BootRuns != 0 || m.Starts != len(cases) {
+			t.Errorf("%s Opt executor: %d boots, %d starts; want 0 boots and one start per program (%d)",
+				name, m.BootRuns, m.Starts, len(cases))
+		}
 	}
 }
 
-// TestBootCheckpointSkippedForNaive pins the Naive semantics: Naive models
-// a fresh simulator process per input, so a pooled executor must still
-// simulate the boot workload on every start — that per-input cost is what
-// the Naive columns of Tables 2 and 3 measure.
-func TestBootCheckpointSkippedForNaive(t *testing.T) {
+// TestPooledNaiveBootsPerInput pins the Naive semantics: Naive models a
+// fresh simulator process per input, so a pooled executor simulates the
+// boot workload on every start — that per-input cost is what the Naive
+// columns of Tables 2 and 3 measure.
+func TestPooledNaiveBootsPerInput(t *testing.T) {
 	cfg := poolConfig()
 	cfg.Strategy = StrategyNaive
 	e := acquire(t, cfg, nopFactory)
@@ -188,5 +197,32 @@ func TestBootCheckpointSkippedForNaive(t *testing.T) {
 	if m.BootRuns != m.Starts || m.BootRuns != 3 {
 		t.Errorf("pooled Naive: boots=%d starts=%d, want 3 boots (one per input)",
 			m.BootRuns, m.Starts)
+	}
+}
+
+// TestPoolWarmStartAllocs pins the memory cost of a campaign worker's first
+// start: a new pool's executor and its first Opt LoadProgram allocate well
+// under a megabyte, with no warm-up start before — no boot-sized
+// instruction arena, no saved context.
+func TestPoolWarmStartAllocs(t *testing.T) {
+	cfg := poolConfig()
+	cfg.BootInsts = DefaultBootInsts
+	prog, sb, _, _ := genProgram(2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := acquire(t, cfg, nopFactory)
+	if err := e.LoadProgram(prog, sb); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 1 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Acquire + first LoadProgram: %d bytes", got)
+	if got >= budget {
+		t.Errorf("Acquire + first LoadProgram allocated %d bytes, want < %d", got, budget)
+	}
+	if boots := e.Metrics().BootRuns; boots != 0 {
+		t.Errorf("a pooled Opt executor booted %d times", boots)
 	}
 }

@@ -282,11 +282,11 @@ func TestCTCondCampaignGolden(t *testing.T) {
 	}
 }
 
-// TestBootLeavesNoCampaignState pins, end to end, the premise of one shared
-// post-boot checkpoint per configuration: the boot leaves no state behind,
-// so a campaign is bit-identical whatever the boot length. If a change lets
-// the boot warm the caches or predictors, the campaigns diverge here, and
-// the checkpoint's key must be revisited.
+// TestBootLeavesNoCampaignState pins, end to end, that the boot workload is
+// only time: Naive campaigns, which boot on every input, are bit-identical
+// whatever the boot length. If a change lets the boot warm the caches or
+// predictors, the campaigns diverge here — and Opt starts, which skip the
+// boot, would no longer begin from the context a Naive start does.
 func TestBootLeavesNoCampaignState(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -295,7 +295,6 @@ func TestBootLeavesNoCampaignState(t *testing.T) {
 	}{
 		{"invisispec", 40, 1},
 		{"stt", 60, 9},
-		{"speclfb", 300, 7},
 	} {
 		spec, err := experiments.DefenseByName(c.name)
 		if err != nil {
@@ -303,15 +302,20 @@ func TestBootLeavesNoCampaignState(t *testing.T) {
 		}
 		run := func(boot int) *fuzzer.Result {
 			sc := experiments.Scale{Instances: 2, Programs: c.programs, BaseInputs: 6, Mutants: 4, BootInsts: boot, Seed: c.seed}
-			out, err := engine.RunCampaign(context.Background(),
-				engine.Config{Campaign: experiments.CampaignConfig(spec, sc), Workers: 2})
+			cc := experiments.CampaignConfig(spec, sc)
+			cc.Base.Exec.Strategy = executor.StrategyNaive
+			out, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: cc, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out.Totals()
 		}
 		short, long := run(1), run(2000)
-		t.Logf("%s: %d cases, %d validation runs, %d violations", c.name, short.TestCases, short.ValidationRuns, len(short.Violations))
+		t.Logf("%s: %d cases, %d validation runs, %d violations, %d boots", c.name,
+			short.TestCases, short.ValidationRuns, len(short.Violations), long.Metrics.BootRuns)
+		if long.Metrics.BootRuns == 0 {
+			t.Fatalf("%s: the Naive campaign simulated no boot", c.name)
+		}
 		if a, b := violationFingerprint(short.Violations), violationFingerprint(long.Violations); a != b {
 			t.Errorf("%s: fingerprint %#x at BootInsts 1, %#x at 2000", c.name, a, b)
 		}

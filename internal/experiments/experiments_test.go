@@ -73,10 +73,10 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tb)
-	// Shape: startup dominates Naive, and Opt — whose pooled executor
-	// restores the process's shared post-boot checkpoint — spends a smaller
-	// share on it. Rows 0..6 are the components (startup first), each cell
-	// "<time> (<share of the column's total>%)".
+	// Shape: startup dominates Naive, which boots on every input, and Opt —
+	// whose start is a reset, with no boot — spends a smaller share on it.
+	// Rows 0..6 are the components (startup first), each cell "<time>
+	// (<share of the column's total>%)".
 	if len(tb.Rows) != 9 || tb.Rows[0][0] != "simulator startup" {
 		t.Fatalf("unexpected table layout: %v", tb.Rows)
 	}

@@ -80,7 +80,7 @@ func TestExecuteCaseSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		run() // warm executor arenas, boot checkpoint, trace freelist
+		run() // warm executor arenas, prime templates, trace freelist
 	}
 	allocs := testing.AllocsPerRun(20, run)
 	// One slice for the class trace scratch, plus the violations-slice

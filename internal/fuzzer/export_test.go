@@ -35,8 +35,7 @@ func quickConfig(seed int64, programs int) Config {
 var QuickConfig = quickConfig
 
 // pooledExecutor returns a campaign-style executor for cfg: one from an
-// executor pool, whose starts restore the configuration's shared post-boot
-// checkpoint.
+// executor pool, as every campaign worker uses.
 func pooledExecutor(t testing.TB, cfg Config) *executor.Executor {
 	t.Helper()
 	pool, err := executor.NewPool(cfg.Exec, cfg.DefenseFactory, 1)

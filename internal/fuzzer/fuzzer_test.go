@@ -258,8 +258,8 @@ func TestResultHelpers(t *testing.T) {
 }
 
 // TestStrategyNaiveCampaign exercises the Naive path end to end, through
-// pooled executors on one and on two workers: the pool's boot checkpoint
-// must never stand in for a Naive start.
+// pooled executors on one and on two workers: every Naive start simulates
+// the boot workload.
 func TestStrategyNaiveCampaign(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -273,6 +273,9 @@ func TestStrategyNaiveCampaign(t *testing.T) {
 			if want := res.TestCases - 3*res.ValidationRuns; res.Metrics.Starts != want {
 				t.Errorf("Naive must start the simulator per fuzzing test case: %d starts, want %d (%d tests, %d validations)",
 					res.Metrics.Starts, want, res.TestCases, res.ValidationRuns)
+			}
+			if res.Metrics.BootRuns != res.Metrics.Starts {
+				t.Errorf("Naive: %d boots for %d starts, want one per start", res.Metrics.BootRuns, res.Metrics.Starts)
 			}
 		})
 	}

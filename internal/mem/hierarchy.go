@@ -556,8 +556,8 @@ func (h *Hierarchy) DrainFills() {
 // and replays every conflict line against the L2 — the full pass itself,
 // minus the simulated fill traffic — so no clean-set assumption is left
 // to violate even though the prior state is not a canonical prime state.
-// This is what makes the once-per-program prime after a boot-checkpoint
-// restore incremental rather than a full re-simulation.
+// This is what makes the once-per-program prime after a start's reset
+// incremental rather than a full re-simulation.
 func (h *Hierarchy) PrimeL1D(incremental bool) {
 	if incremental && h.tplValid &&
 		(h.lastPrime == primeKindFill ||

@@ -167,7 +167,7 @@ func TestPrimeModeSwitchFallsBackToFull(t *testing.T) {
 // state Reset and Restore leave behind (every set dirty, TLB touched) takes
 // the incremental replay — no simulated fill traffic — and still lands on
 // the exact full-prime state. This is the once-per-program prime after a
-// boot-checkpoint restore, which previously re-simulated sets × ways fills.
+// start's reset, which previously re-simulated sets × ways fills.
 func TestPrimeFillIncrementalFromBulkDirty(t *testing.T) {
 	for ci, cfg := range primeTestConfigs() {
 		full, incr := NewHierarchy(cfg), NewHierarchy(cfg)
@@ -177,8 +177,8 @@ func TestPrimeFillIncrementalFromBulkDirty(t *testing.T) {
 		primeWorkload(full, rand.New(rand.NewSource(seed)), 120)
 		primeWorkload(incr, rand.New(rand.NewSource(seed)), 120)
 
-		// The per-program shape: Reset (what a boot-checkpoint restore into
-		// an empty context leaves), then the next program's first prime.
+		// The per-program shape: Reset (what a start leaves), then the next
+		// program's first prime.
 		full.Reset()
 		incr.Reset()
 		incr.PrimeL1D(true)

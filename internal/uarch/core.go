@@ -228,17 +228,6 @@ func (c *Core) LoadTest(p *isa.Program, sb isa.Sandbox) error {
 	return nil
 }
 
-// ClearTest unloads the test program and its sandbox mapping, leaving the
-// core in a defined empty state: Run fails until the next LoadTest, which
-// rebuilds the memory image from scratch. The executor uses it when a boot
-// workload ran without a test program loaded, so the boot program never
-// lingers as an accidental test target.
-func (c *Core) ClearTest() {
-	c.prog = nil
-	c.sb = isa.Sandbox{}
-	c.img = nil
-}
-
 // ResetForInput rewinds the pipeline and loads the architectural input,
 // preserving predictor, cache and TLB state — the AMuLeT-Opt behaviour of
 // overwriting registers and sandbox memory in the running simulator. The
