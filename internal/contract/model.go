@@ -20,13 +20,21 @@ import (
 // touches a few dozen bytes of a sandbox of up to 2 MB, so the bitsets are
 // paged like the memory they describe (isa.Image): a page's bits exist only
 // while a byte of that page is marked, and the marked pages are kept as a
-// list. Building, clearing, counting and walking the summary cost O(touched),
-// not O(sandbox); membership stays O(1).
+// list. Membership and marking are O(1), and so is LoadedCount, a running
+// count. CopyLoaded, the mutator's restore walk, visits only the bitset words
+// holding a loaded bit, which are kept as a list too: O(loaded words), not
+// O(pages touched × words per page). Reset clears each touched page's
+// 1 KiB of bits: O(pages touched).
 type Usage struct {
 	// pages holds, per sandbox page, the bits of its bytes; nil: none marked.
 	pages []*pageUse
 	// touched lists the indices of the non-nil pages, in first-touch order.
 	touched []uint32
+	// loadedWords lists, once each and in first-load order, the bitset
+	// words holding a loaded bit, by sandbox-wide index (offset/64).
+	loadedWords []uint32
+	// nLoaded counts the loaded bytes: the bits set over loadedWords.
+	nLoaded int
 	// spare holds cleared pages released by Reset, for the next input.
 	spare []*pageUse
 	// LiveInRegs is a bitmask of registers read on the architectural path
@@ -42,10 +50,13 @@ type pageUse struct {
 	// are not recorded: their initial content never reaches the
 	// architectural data flow, which is exactly what makes them usable as
 	// Spectre-v4 secrets.
-	loaded [isa.PageSize / 64]uint64
+	loaded [pageWords]uint64
 	// clobbered marks offsets overwritten by an architectural store.
-	clobbered [isa.PageSize / 64]uint64
+	clobbered [pageWords]uint64
 }
+
+// pageWords is the number of bitset words per sandbox page.
+const pageWords = isa.PageSize / 64
 
 // word splits a sandbox offset into its page, its word within the page's
 // bitsets, and its bit within the word.
@@ -53,9 +64,19 @@ func word(off uint64) (page, w uint64, bit uint64) {
 	return off / isa.PageSize, off % isa.PageSize / 64, 1 << (off % 64)
 }
 
+// usageListCap is the starting capacity of a summary's page and word
+// lists. A generated test marks at most a few dozen of each, so the lists
+// are allocated once per summary instead of growing through every doubling
+// in each new fuzzer workspace; Reset keeps their backing arrays.
+const usageListCap = 64
+
 // NewUsage returns an empty usage summary for sandbox sb.
 func NewUsage(sb isa.Sandbox) *Usage {
-	return &Usage{pages: make([]*pageUse, sb.Pages)}
+	return &Usage{
+		pages:       make([]*pageUse, sb.Pages),
+		touched:     make([]uint32, 0, usageListCap),
+		loadedWords: make([]uint32, 0, usageListCap),
+	}
 }
 
 // Reset clears the summary for reuse across inputs.
@@ -66,6 +87,8 @@ func (u *Usage) Reset() {
 		u.pages[pi] = nil
 	}
 	u.touched = u.touched[:0]
+	u.loadedWords = u.loadedWords[:0]
+	u.nLoaded = 0
 	u.LiveInRegs = 0
 }
 
@@ -78,36 +101,28 @@ func (u *Usage) Loaded(off uint64) bool {
 }
 
 // LoadedCount returns the number of architecturally loaded bytes.
-func (u *Usage) LoadedCount() int {
-	n := 0
-	for _, pi := range u.touched {
-		for _, w := range u.pages[pi].loaded {
-			n += bits.OnesCount64(w)
-		}
-	}
-	return n
-}
+func (u *Usage) LoadedCount() int { return u.nLoaded }
 
 // CopyLoaded copies the byte at every architecturally loaded offset from
 // src to dst — the mutator's "restore the contract-visible bytes" fast
-// path. It copies a memory word at a time, so only the words of dst that
-// hold such a byte are materialized, and a word loaded whole is copied
-// without computing dst's background for it.
+// path. It walks the list of bitset words holding a loaded bit and copies a
+// memory word at a time, so only the words of dst that hold such a byte are
+// materialized, and a word loaded whole is copied without computing dst's
+// background for it.
 func (u *Usage) CopyLoaded(dst, src *isa.Image) {
-	for _, pi := range u.touched {
-		for wi, w := range u.pages[pi].loaded {
-			for w != 0 {
-				k := bits.TrailingZeros64(w) &^ 7 // first bit of the lowest loaded word
-				m := w >> k & 0xff                // its loaded bytes
-				w &^= 0xff << k
-				va := isa.DataBase + uint64(pi)*isa.PageSize + uint64(wi*64+k)
-				x := src.Read(va, 8)
-				if m != 0xff {
-					keep := ^byteMask(m)
-					x = x&^keep | dst.Read(va, 8)&keep
-				}
-				dst.Write(va, 8, x)
+	for _, wi := range u.loadedWords {
+		w := u.pages[wi/pageWords].loaded[wi%pageWords]
+		for w != 0 {
+			k := bits.TrailingZeros64(w) &^ 7 // first bit of the lowest loaded word
+			m := w >> k & 0xff                // its loaded bytes
+			w &^= 0xff << k
+			va := isa.DataBase + uint64(wi)*64 + uint64(k)
+			x := src.Read(va, 8)
+			if m != 0xff {
+				keep := ^byteMask(m)
+				x = x&^keep | dst.Read(va, 8)&keep
 			}
+			dst.Write(va, 8, x)
 		}
 	}
 }
@@ -139,7 +154,15 @@ func (u *Usage) page(pi uint64) *pageUse {
 
 func (u *Usage) markLoaded(off uint64) {
 	pi, w, bit := word(off)
-	u.page(pi).loaded[w] |= bit
+	lw := &u.page(pi).loaded[w]
+	if *lw&bit != 0 {
+		return
+	}
+	if *lw == 0 {
+		u.loadedWords = append(u.loadedWords, uint32(off/64))
+	}
+	*lw |= bit
+	u.nLoaded++
 }
 
 func (u *Usage) markClobbered(off uint64) {

@@ -1,11 +1,13 @@
 package contract_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
 	"github.com/sith-lab/amulet-go/internal/generator"
+	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
 // TestModelReuseMatchesFresh pins the reuse every campaign relies on: one
@@ -15,7 +17,9 @@ import (
 // CT-COND excursion or a program. Odd inputs are verified mutants, which mix
 // the generator's background pages with materialized ones, and CollectTrace
 // (the mutant-verification path, no usage tracking) must agree with
-// Collect's trace.
+// Collect's trace. Both summaries must match the dense references of
+// export_test.go: the loaded-word list and count against every page's bits,
+// and CopyLoaded against a byte-by-byte copy driven by Loaded.
 func TestModelReuseMatchesFresh(t *testing.T) {
 	for _, c := range contracts {
 		t.Run(c.Name, func(t *testing.T) {
@@ -72,6 +76,21 @@ func modelReuseMatchesFresh(t *testing.T, c contract.Contract, pages, programs i
 					t.Fatalf("program %d input %d: loaded bit differs at %#x: reused=%v fresh=%v\n%s",
 						p, k, off, ru.Loaded(off), fu.Loaded(off), prog)
 				}
+			}
+			for _, u := range []*contract.Usage{ru, fu} {
+				if err := u.CheckLoadedIndex(); err != nil {
+					t.Fatalf("program %d input %d: %v\n%s", p, k, err, prog)
+				}
+			}
+			// Restore onto a background that differs from the input's.
+			got, want := isa.NewImage(sb), isa.NewImage(sb)
+			bg := isa.StreamFill(uint64(p*5+k+1), 0)
+			got.Reset(bg)
+			want.Reset(bg)
+			ru.CopyLoaded(got, &in.Mem)
+			ru.CopyLoadedBytewise(want, &in.Mem)
+			if !bytes.Equal(got.Dense(), want.Dense()) {
+				t.Fatalf("program %d input %d: CopyLoaded differs from the byte-by-byte copy\n%s", p, k, prog)
 			}
 			if !reused.CollectTrace(in).Equal(ftr) {
 				t.Fatalf("program %d input %d: CollectTrace differs from Collect's trace\n%s", p, k, prog)

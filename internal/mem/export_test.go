@@ -44,6 +44,12 @@ func (c *Cache) Save() *CacheState {
 	return st
 }
 
+// Touch looks up page and refreshes LRU on a hit.
+func (t *TLB) Touch(page uint64) bool {
+	hit, _, _ := t.lookup(page, false)
+	return hit
+}
+
 // Save captures the TLB state.
 func (t *TLB) Save() *TLBState {
 	st := &TLBState{}
@@ -69,4 +75,59 @@ func (m *MSHRFile) Busy(now uint64) []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// The three-scan TLB access lookup replaced, kept as its oracle: a lookup
+// scan, the same scan again inside Install, then a victim scan.
+
+// refTouch looks up page and refreshes LRU on a hit.
+func (t *TLB) refTouch(page uint64) bool {
+	key := page + 1
+	for i := range t.entries {
+		if t.entries[i].key == key {
+			t.useTick++
+			t.entries[i].lastUse = t.useTick
+			t.touched = true
+			return true
+		}
+	}
+	return false
+}
+
+// refInstall inserts page, evicting the LRU entry if full.
+func (t *TLB) refInstall(page uint64) (victim uint64, evicted bool) {
+	if t.refTouch(page) {
+		return 0, false
+	}
+	lru, lruIdx := ^uint64(0), 0
+	for i := range t.entries {
+		if !t.entries[i].valid() {
+			lruIdx = i
+			lru = 0
+			break
+		}
+		if t.entries[i].lastUse < lru {
+			lru = t.entries[i].lastUse
+			lruIdx = i
+		}
+	}
+	if t.entries[lruIdx].valid() {
+		victim, evicted = t.entries[lruIdx].page(), true
+	}
+	t.useTick++
+	t.entries[lruIdx] = tlbEntry{key: page + 1, lastUse: t.useTick}
+	t.touched = true
+	return victim, evicted
+}
+
+// refTranslate is Hierarchy.TranslateData's D-TLB side: Touch, then Install
+// on a miss when install is set.
+func (t *TLB) refTranslate(page uint64, install bool) (hit bool) {
+	if t.refTouch(page) {
+		return true
+	}
+	if install {
+		t.refInstall(page)
+	}
+	return false
 }

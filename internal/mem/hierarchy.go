@@ -499,12 +499,8 @@ func (h *Hierarchy) AccessInst(now, va uint64) (latency int) {
 // true a missing translation is brought into the D-TLB (this is the hook
 // STT's KV3 bug abuses: tainted speculative stores install translations).
 func (h *Hierarchy) TranslateData(now, va uint64, install bool) (latency int, hit bool) {
-	page := va / isa.PageSize
-	if h.DTLB.Touch(page) {
+	if hit, _, _ := h.DTLB.lookup(va/isa.PageSize, install); hit {
 		return 0, true
-	}
-	if install {
-		h.DTLB.Install(page)
 	}
 	return h.Cfg.LatTLBWalk, false
 }

@@ -6,6 +6,9 @@ import "slices"
 // virtual page numbers. Its final state is part of the default
 // micro-architectural trace: speculative TLB fills are how AMuLeT flags the
 // known STT vulnerability (KV3, tainted stores installing D-TLB entries).
+// Every access (Install, Hierarchy.TranslateData) is one scan of the
+// entries that finds a hit, the first free entry and the LRU victim
+// together (lookup).
 type TLB struct {
 	entries []tlbEntry
 	useTick uint64
@@ -43,20 +46,6 @@ func (t *TLB) clearTouched() { t.touched = false }
 // Size returns the number of entries.
 func (t *TLB) Size() int { return len(t.entries) }
 
-// Touch looks up page and refreshes LRU on a hit.
-func (t *TLB) Touch(page uint64) bool {
-	key := page + 1
-	for i := range t.entries {
-		if t.entries[i].key == key {
-			t.useTick++
-			t.entries[i].lastUse = t.useTick
-			t.touched = true
-			return true
-		}
-	}
-	return false
-}
-
 // Contains reports presence without updating LRU.
 func (t *TLB) Contains(page uint64) bool {
 	key := page + 1
@@ -69,30 +58,48 @@ func (t *TLB) Contains(page uint64) bool {
 }
 
 // Install inserts page, evicting the LRU entry if full. It returns the
-// evicted page, if any.
+// evicted page, if any. Installing a present page only refreshes its LRU.
 func (t *TLB) Install(page uint64) (victim uint64, evicted bool) {
-	if t.Touch(page) {
-		return 0, false
-	}
+	_, victim, evicted = t.lookup(page, true)
+	return victim, evicted
+}
+
+// lookup is the TLB access in one scan of the entries: on a hit it
+// refreshes LRU; on a miss with install it fills the first invalid entry,
+// or else evicts the least recently used one (the lowest index among
+// equals), and reports the evicted page. The valid entries are always a
+// prefix of the array — a miss fills the first invalid entry, and only
+// InvalidateAll (or a Restore of such a state) invalidates — so the scan
+// stops at the first invalid entry: the page is not further on.
+func (t *TLB) lookup(page uint64, install bool) (hit bool, victim uint64, evicted bool) {
+	key := page + 1
 	lru, lruIdx := ^uint64(0), 0
 	for i := range t.entries {
-		if !t.entries[i].valid() {
+		e := &t.entries[i]
+		if e.key == key {
+			t.useTick++
+			e.lastUse = t.useTick
+			t.touched = true
+			return true, 0, false
+		}
+		if e.key == 0 {
 			lruIdx = i
-			lru = 0
 			break
 		}
-		if t.entries[i].lastUse < lru {
-			lru = t.entries[i].lastUse
-			lruIdx = i
+		if e.lastUse < lru {
+			lru, lruIdx = e.lastUse, i
 		}
 	}
-	if t.entries[lruIdx].valid() {
-		victim, evicted = t.entries[lruIdx].page(), true
+	if !install {
+		return false, 0, false
+	}
+	if e := t.entries[lruIdx]; e.valid() {
+		victim, evicted = e.page(), true
 	}
 	t.useTick++
-	t.entries[lruIdx] = tlbEntry{key: page + 1, lastUse: t.useTick}
+	t.entries[lruIdx] = tlbEntry{key: key, lastUse: t.useTick}
 	t.touched = true
-	return victim, evicted
+	return false, victim, evicted
 }
 
 // InvalidateAll clears the TLB.

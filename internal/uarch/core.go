@@ -920,18 +920,12 @@ func (c *Core) searchStoreStep(ld, st *DynInst, ldBytes *byteSpan) (fwd bool, va
 	return true, extractForward(&stBytes, ldBytes, st.SrcVal(1)), false, true
 }
 
-// extractForward assembles the load value from the store's data bytes.
+// extractForward assembles the load value from the store's data bytes. The
+// store covers the load, so the load's bytes are the store's from the
+// load's ring distance to it on.
 func extractForward(stBytes, ldBytes *byteSpan, stVal uint64) uint64 {
-	var v uint64
-	for k := 0; k < ldBytes.n; k++ {
-		for j := 0; j < stBytes.n; j++ {
-			if stBytes.off[j] == ldBytes.off[k] {
-				v |= uint64(byte(stVal>>(8*j))) << (8 * k)
-				break
-			}
-		}
-	}
-	return v
+	d := (ldBytes.off - stBytes.off) & stBytes.mask
+	return stVal >> (8 * d) & (^uint64(0) >> (64 - 8*ldBytes.n))
 }
 
 // tryIssueStore advances a store through its two execute phases: address

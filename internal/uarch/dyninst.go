@@ -123,52 +123,32 @@ func (d *DynInst) AddrDepTainted() bool {
 	return p != nil && p.Tainted
 }
 
-// byteSpan is the set of wrapped sandbox offsets a memory access touches.
-// Accesses are at most 8 bytes, so the offsets live in a fixed array and
-// the overlap/cover checks are allocation-free nested loops over at most
-// 8x8 elements — the load/store-queue search runs these on every load.
+// byteSpan is the run of sandbox offsets a memory access touches: n bytes
+// from off, wrapping modulo the sandbox size (mask+1, a power of two). A
+// sandbox is at least one page and an access at most 8 bytes, so a span
+// never wraps onto itself, and the overlap, cover and forwarding checks the
+// load/store-queue search runs on every load are ring arithmetic on the two
+// start offsets: a few word operations, whatever the access sizes.
 type byteSpan struct {
-	off [8]uint64
-	n   int
+	off, n, mask uint64
 }
 
 // spanOf returns the wrapped sandbox offsets the access touches.
 func spanOf(sb isa.Sandbox, va uint64, size uint8) byteSpan {
-	var s byteSpan
-	s.n = int(size)
-	for k := uint8(0); k < size; k++ {
-		s.off[k] = (sb.ByteAddr(va, k) - isa.DataBase) & sb.Mask()
-	}
-	return s
+	mask := sb.Mask()
+	return byteSpan{off: (va - isa.DataBase) & mask, n: uint64(size), mask: mask}
 }
 
-// overlaps reports whether two accesses share at least one byte.
+// overlaps reports whether two accesses share at least one byte: whether
+// either one starts inside the other.
 func (a *byteSpan) overlaps(b *byteSpan) bool {
-	for i := 0; i < a.n; i++ {
-		for j := 0; j < b.n; j++ {
-			if a.off[i] == b.off[j] {
-				return true
-			}
-		}
-	}
-	return false
+	return (b.off-a.off)&a.mask < a.n || (a.off-b.off)&a.mask < b.n
 }
 
-// covers reports whether access a fully contains access b.
+// covers reports whether access a fully contains access b: b starts inside
+// a and ends no later than a does.
 func (a *byteSpan) covers(b *byteSpan) bool {
-	for j := 0; j < b.n; j++ {
-		found := false
-		for i := 0; i < a.n; i++ {
-			if a.off[i] == b.off[j] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return (b.off-a.off)&a.mask+b.n <= a.n
 }
 
 // dynArena recycles DynInst structs across the inputs a core executes. The

@@ -211,3 +211,60 @@ func (m *MDP) Save() *MDPState {
 	m.SaveInto(st)
 	return st
 }
+
+// refSpan is the byte-set form of byteSpan that the ring arithmetic
+// replaced, kept as its oracle: an access is the set of its wrapped sandbox
+// offsets, and overlap, cover and forwarding compare the sets byte by byte.
+type refSpan struct {
+	off [8]uint64
+	n   int
+}
+
+func refSpanOf(sb isa.Sandbox, va uint64, size uint8) refSpan {
+	var s refSpan
+	s.n = int(size)
+	for k := uint8(0); k < size; k++ {
+		s.off[k] = (sb.ByteAddr(va, k) - isa.DataBase) & sb.Mask()
+	}
+	return s
+}
+
+func (a *refSpan) overlaps(b *refSpan) bool {
+	for i := 0; i < a.n; i++ {
+		for j := 0; j < b.n; j++ {
+			if a.off[i] == b.off[j] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (a *refSpan) covers(b *refSpan) bool {
+	for j := 0; j < b.n; j++ {
+		found := false
+		for i := 0; i < a.n; i++ {
+			if a.off[i] == b.off[j] {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+func refExtractForward(stBytes, ldBytes *refSpan, stVal uint64) uint64 {
+	var v uint64
+	for k := 0; k < ldBytes.n; k++ {
+		for j := 0; j < stBytes.n; j++ {
+			if stBytes.off[j] == ldBytes.off[k] {
+				v |= uint64(byte(stVal>>(8*j))) << (8 * k)
+				break
+			}
+		}
+	}
+	return v
+}
