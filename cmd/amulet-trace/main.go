@@ -82,7 +82,7 @@ func main() {
 	ctrace, usage := md.Collect(in)
 	fmt.Printf("=== contract trace (%s, %d observations, hash %#x) ===\n%s\n\n",
 		spec.Contract.Name, len(ctrace), ctrace.Hash(), ctrace)
-	fmt.Printf("architecturally loaded bytes: %d; live-in registers: %#x\n\n",
+	fmt.Printf("loaded bytes (every explored path): %d; live-in registers: %#x\n\n",
 		usage.LoadedCount(), usage.LiveInRegs)
 
 	core := uarch.NewCore(uarch.DefaultConfig(), spec.Factory())

@@ -7,21 +7,24 @@ import (
 	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
-// Usage summarizes which parts of the input the architectural execution
-// path actually consumed. The input mutator uses it to randomize only state
-// that cannot influence the contract trace (AMuLeT's contract-preserving
-// input mutation): memory bytes never loaded and registers never read
-// before being written are free to vary.
+// Usage summarizes which parts of the input the contract trace can depend
+// on: every byte and register that any path the model explores — the
+// architectural one and, under a speculative execution clause, each
+// mispredicted excursion — reads before it is defined. The input mutator
+// uses it to randomize only state that cannot influence the contract trace
+// (AMuLeT's contract-preserving input mutation): memory bytes never loaded
+// and registers never read before being written are free to vary, and a
+// mutant that keeps the rest has the base input's trace by construction.
 //
 // Byte-level tracking uses bitsets over the sandbox offset space (one bit
-// per byte) instead of hash maps: the model marks bytes on every
-// architectural load and store, and the mutator probes membership for every
-// candidate byte, so both sides of the hot loop are word operations. A test
-// touches a few dozen bytes of a sandbox of up to 2 MB, so the bitsets are
-// paged like the memory they describe (isa.Image): a page's bits exist only
-// while a byte of that page is marked, and the marked pages are kept as a
-// list. Membership and marking are O(1), and so is LoadedCount, a running
-// count. CopyLoaded, the mutator's restore walk, visits only the bitset words
+// per byte) instead of hash maps: the model marks bytes on every load and
+// architectural store, and the mutator restores the marked bytes, so both
+// sides of the hot loop are word operations. A test touches a few dozen
+// bytes of a sandbox of up to 2 MB, so the bitsets are paged like the
+// memory they describe (isa.Image): a page's bits exist only while a byte
+// of that page is marked, and the marked pages are kept as a list.
+// Membership and marking are O(1), and so is LoadedCount, a running count.
+// CopyLoaded, the mutator's restore walk, visits only the bitset words
 // holding a loaded bit, which are kept as a list too: O(loaded words), not
 // O(pages touched × words per page). Reset clears each touched page's
 // 1 KiB of bits: O(pages touched).
@@ -37,19 +40,22 @@ type Usage struct {
 	nLoaded int
 	// spare holds cleared pages released by Reset, for the next input.
 	spare []*pageUse
-	// LiveInRegs is a bitmask of registers read on the architectural path
-	// before being written.
+	// LiveInRegs is a bitmask of registers read on an explored path before
+	// the architectural path wrote them; under a contract that observes the
+	// initial register file, every register.
 	LiveInRegs uint16
 }
 
 // pageUse is the usage of one sandbox page, one bit per byte.
 type pageUse struct {
-	// loaded marks offsets whose *initial* value was read by an
-	// architectural load, i.e. offsets loaded before any architectural store
-	// clobbered them. Offsets that are stored first and only read afterwards
-	// are not recorded: their initial content never reaches the
-	// architectural data flow, which is exactly what makes them usable as
-	// Spectre-v4 secrets.
+	// loaded marks offsets whose *initial* value a load on an explored path
+	// may have read, i.e. offsets loaded before any architectural store
+	// clobbered them. Offsets that the architectural path stores first and
+	// only reads afterwards are not recorded: their initial content reaches
+	// no explored path, which is exactly what makes them usable as
+	// Spectre-v4 secrets. An excursion's own stores clobber nothing, since
+	// they are rolled back, so a byte an excursion stores and then reloads
+	// is marked: a sound over-approximation.
 	loaded [pageWords]uint64
 	// clobbered marks offsets overwritten by an architectural store.
 	clobbered [pageWords]uint64
@@ -92,23 +98,22 @@ func (u *Usage) Reset() {
 	u.LiveInRegs = 0
 }
 
-// Loaded reports whether the initial byte at sandbox offset off was
-// consumed by an architectural load.
+// Loaded reports whether the initial byte at sandbox offset off may be
+// consumed by a load on an explored path.
 func (u *Usage) Loaded(off uint64) bool {
 	pi, w, bit := word(off)
 	p := u.pages[pi]
 	return p != nil && p.loaded[w]&bit != 0
 }
 
-// LoadedCount returns the number of architecturally loaded bytes.
+// LoadedCount returns the number of loaded bytes.
 func (u *Usage) LoadedCount() int { return u.nLoaded }
 
-// CopyLoaded copies the byte at every architecturally loaded offset from
-// src to dst — the mutator's "restore the contract-visible bytes" fast
-// path. It walks the list of bitset words holding a loaded bit and copies a
-// memory word at a time, so only the words of dst that hold such a byte are
-// materialized, and a word loaded whole is copied without computing dst's
-// background for it.
+// CopyLoaded copies the byte at every loaded offset from src to dst — the
+// mutator's "restore the contract-visible bytes" step. It walks the list of
+// bitset words holding a loaded bit and copies a memory word at a time, so
+// only the words of dst that hold such a byte are materialized, and a word
+// loaded whole is copied without computing dst's background for it.
 func (u *Usage) CopyLoaded(dst, src *isa.Image) {
 	for _, wi := range u.loadedWords {
 		w := u.pages[wi/pageWords].loaded[wi%pageWords]
@@ -194,7 +199,6 @@ type Model struct {
 	// per-run state
 	trace   Trace
 	usage   *Usage
-	track   bool // record usage for this run (Collect yes, CollectTrace no)
 	depth   int
 	written uint16 // registers defined so far on the arch path
 }
@@ -237,10 +241,10 @@ func (md *Model) Load(p *isa.Program, sb isa.Sandbox) {
 func (md *Model) Truncated() int { return md.truncated }
 
 // Collect executes the test case (p, in) under the contract and returns the
-// contract trace together with the architectural usage summary. The Usage
-// is a buffer owned by the model, reset and rewritten by the next Collect
-// call; callers that need it longer (none do — the mutator verifies mutants
-// through CollectTrace) must copy it.
+// contract trace together with the usage summary of every path it explored.
+// The Usage is a buffer owned by the model, reset and rewritten by the next
+// Collect call; callers that need it longer (none do — the mutator reads it
+// before the next input is collected) must copy it.
 func (md *Model) Collect(in *isa.Input) (Trace, *Usage) {
 	return md.CollectInto(in, nil)
 }
@@ -250,36 +254,21 @@ func (md *Model) Collect(in *isa.Input) (Trace, *Usage) {
 // buffers (a fuzzer workspace's TracePool) collects traces without the
 // per-input copy allocation Collect pays. Passing nil allocates fresh.
 func (md *Model) CollectInto(in *isa.Input, buf Trace) (Trace, *Usage) {
-	md.run(in, true)
-	return append(buf[:0], md.trace...), md.usage
-}
-
-// CollectTrace executes the test case and returns only its contract trace,
-// skipping usage tracking. The returned trace is a buffer owned by the
-// model, valid until the next Collect/CollectTrace call — it exists for the
-// mutation-verification loop, which only compares the trace against the
-// base input's and drops it.
-func (md *Model) CollectTrace(in *isa.Input) Trace {
-	md.run(in, false)
-	return md.trace
-}
-
-func (md *Model) run(in *isa.Input, track bool) {
 	md.trace = md.trace[:0]
-	md.track = track
-	if track {
-		md.usage.Reset()
-	}
+	md.usage.Reset()
 	md.depth = 0
 	md.written = 0
 
 	if md.C.ObserveInitRegs {
+		// The trace holds the whole initial register file.
+		md.usage.LiveInRegs = 1<<isa.NumRegs - 1
 		for _, v := range in.Regs {
 			md.trace = append(md.trace, Obs{Kind: ObsInitReg, V: v})
 		}
 	}
 	md.m.LoadInput(in)
 	md.runArch()
+	return append(buf[:0], md.trace...), md.usage
 }
 
 // runArch executes the architectural path to completion, forking a
@@ -289,7 +278,7 @@ func (md *Model) runArch() {
 	steps := 0
 	for !md.m.Done() && steps < MaxSteps {
 		md.maybeExplore()
-		md.trackUsage()
+		md.trackRegs()
 		md.m.Step()
 		steps++
 	}
@@ -328,16 +317,17 @@ func (md *Model) maybeExplore() {
 func (md *Model) runSpec(window int) {
 	for i := 0; i < window && !md.m.Done(); i++ {
 		md.maybeExplore()
+		md.trackRegs()
 		md.m.Step()
 	}
 }
 
-// trackUsage records register/memory liveness for the instruction about to
-// execute, on the architectural path only.
-func (md *Model) trackUsage() {
-	if md.depth != 0 || !md.track {
-		return
-	}
+// trackRegs records the live-in registers the instruction about to execute
+// reads, on every explored path: a source the architectural path has not
+// written (before the branch, on an excursion) is live-in. Only
+// architectural writes are definitions — an excursion's are rolled back —
+// so a register an excursion writes and then reads is marked too.
+func (md *Model) trackRegs() {
 	in := md.m.CurInst()
 	readReg := func(r isa.Reg) {
 		if md.written&(1<<uint(r)) == 0 {
@@ -363,10 +353,7 @@ func (md *Model) trackUsage() {
 		readReg(in.Src1)
 		readReg(in.Src2)
 	}
-	if in.Op.IsALU() && in.Op != isa.OpCmp {
-		md.written |= 1 << uint(in.Dst)
-	}
-	if in.Op == isa.OpLoad {
+	if md.depth == 0 && (in.Op.IsALU() && in.Op != isa.OpCmp || in.Op == isa.OpLoad) {
 		md.written |= 1 << uint(in.Dst)
 	}
 }
@@ -384,15 +371,13 @@ func (md *Model) onLoad(pc, addr uint64, size uint8, val uint64) {
 	if md.C.ObserveLoadVal {
 		md.trace = append(md.trace, Obs{Kind: ObsLoadVal, V: val})
 	}
-	if md.depth == 0 && md.track {
-		// Record every byte whose initial content the architectural load
-		// consumed. Bytes already clobbered by an older store carry program
-		// data, not input data.
-		for k := uint8(0); k < size; k++ {
-			off := (md.sb.ByteAddr(addr, k) - isa.DataBase) & md.sb.Mask()
-			if !md.usage.isClobbered(off) {
-				md.usage.markLoaded(off)
-			}
+	// Record every byte whose initial content the load may consume, on
+	// every explored path. Bytes an older architectural store clobbered
+	// carry program data, not input data.
+	for k := uint8(0); k < size; k++ {
+		off := (md.sb.ByteAddr(addr, k) - isa.DataBase) & md.sb.Mask()
+		if !md.usage.isClobbered(off) {
+			md.usage.markLoaded(off)
 		}
 	}
 }
@@ -401,7 +386,7 @@ func (md *Model) onStore(pc, addr uint64, size uint8, val uint64) {
 	if md.C.ObserveMemAddr {
 		md.trace = append(md.trace, Obs{Kind: ObsStoreAddr, V: addr})
 	}
-	if md.depth == 0 && md.track {
+	if md.depth == 0 {
 		for k := uint8(0); k < size; k++ {
 			off := (md.sb.ByteAddr(addr, k) - isa.DataBase) & md.sb.Mask()
 			md.usage.markClobbered(off)

@@ -35,34 +35,33 @@ func TestModelSteadyStateAllocs(t *testing.T) {
 	for _, c := range contracts {
 		t.Run(c.Name, func(t *testing.T) {
 			models, ins := benchModels(t, c)
+			var buf contract.Trace
 			run := func() {
 				for i, md := range models {
-					md.CollectTrace(ins[i])
+					buf, _ = md.CollectInto(ins[i], buf)
 				}
 			}
 			for i := 0; i < 5; i++ {
 				run()
 			}
 			if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
-				t.Errorf("CollectTrace allocates %v objects per run in steady state, want 0", allocs)
+				t.Errorf("CollectInto allocates %v objects per run in steady state, want 0", allocs)
 			}
 		})
 	}
 }
 
 // BenchmarkModelCollect measures the leakage model's per-input cost: one
-// usage-tracked collection plus one mutant-style trace-only collection per
-// iteration.
+// collection, trace and usage summary, into a recycled trace buffer.
 func BenchmarkModelCollect(b *testing.B) {
 	for _, c := range contracts {
 		b.Run(c.Name, func(b *testing.B) {
 			models, ins := benchModels(b, c)
+			var buf contract.Trace
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				md := models[i%len(models)]
-				md.Collect(ins[i%len(ins)])
-				md.CollectTrace(ins[(i+1)%len(ins)])
+				buf, _ = models[i%len(models)].CollectInto(ins[i%len(ins)], buf)
 			}
 		})
 	}

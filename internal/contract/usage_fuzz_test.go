@@ -25,7 +25,7 @@ func FuzzUsage(f *testing.F) {
 		}
 		sb := isa.Sandbox{Pages: []int{1, 2, 128}[data[0]%3]}
 		size := sb.Size()
-		md := &Model{sb: sb, usage: NewUsage(sb), track: true}
+		md := &Model{sb: sb, usage: NewUsage(sb)}
 		loaded, clobbered := make([]bool, size), make([]bool, size)
 		check := func() {
 			t.Helper()

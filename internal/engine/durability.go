@@ -35,14 +35,10 @@ import (
 func campaignFingerprint(base fuzzer.Config, defense, frontend string, instances, epochs int, strategy string) uint64 {
 	exec := base.Exec
 	exec.FullPrime, exec.Coverage = false, false
-	mutRegs := "auto"
-	if base.MutateRegs != nil {
-		mutRegs = fmt.Sprint(*base.MutateRegs)
-	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "contract=%+v|gen=%+v|exec=%+v|defense=%s|frontend=%s|seed=%d|programs=%d|baseinputs=%d|mutants=%d|mutregs=%s|stopfirst=%t|maxviol=%d|instances=%d|epochs=%d|strategy=%s",
+	fmt.Fprintf(h, "contract=%+v|gen=%+v|exec=%+v|defense=%s|frontend=%s|seed=%d|programs=%d|baseinputs=%d|mutants=%d|stopfirst=%t|maxviol=%d|instances=%d|epochs=%d|strategy=%s",
 		base.Contract, base.Gen, exec, defense, frontend, base.Seed, base.Programs,
-		base.BaseInputs, base.MutantsPerInput, mutRegs,
+		base.BaseInputs, base.MutantsPerInput,
 		base.StopOnFirstViolation, base.MaxViolationsPerProgram,
 		instances, epochs, strategy)
 	return h.Sum64()

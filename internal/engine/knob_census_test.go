@@ -24,7 +24,6 @@ func TestKnobCensus(t *testing.T) {
 		"Contract.ObserveLoadVal",
 		"Contract.ObserveInitRegs",
 		"Contract.SpecBranches",
-		"MutateRegs",
 		"StopOnFirstViolation",
 		// Derived from the generation strategy, never set by hand.
 		"Exec.Coverage",

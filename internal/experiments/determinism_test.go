@@ -253,31 +253,54 @@ func TestLargeSandboxViolationGolden(t *testing.T) {
 	}
 }
 
-// TestCTCondCampaignGolden pins a campaign under CT-COND, the one contract
+// TestCTCondCampaignGolden pins campaigns under CT-COND, the one contract
 // whose leakage model forks mispredicted-path excursions on nested emulator
-// checkpoints; no other golden runs it. It is the CLI's
-// `-defense baseline -contract CT-COND -instances 2 -programs 200 -seed 3`.
-// Every mutant is accepted or rejected by CT-COND trace equality, so the
-// case and rejected-mutant counts pin the model's trace for each candidate,
-// and the validation-run count pins which classes reached the simulator's
-// comparison.
+// checkpoints; no other golden runs it. The first is the CLI's
+// `-defense baseline -contract CT-COND -instances 2 -programs 200 -seed 3`,
+// the second the same at 3×350, which finds one violation, so its
+// fingerprint pins violating inputs too. Every mutant keeps the bytes and
+// registers the usage summary of every explored path marks, so the case
+// count pins that summary, the fingerprint the mutant bytes drawn around
+// it, and the validation-run count which classes reached the simulator's
+// comparison. No mutant is rejected: a base input always leaves something
+// free to vary.
+//
+// Re-pinned when mutants became contract-equivalent by construction. The
+// old mutator re-ran the model on each mutant and retried rejected ones at
+// shrinking scopes, spending draws on them, so its mutant stream differs;
+// the 2×200 campaign then read 18544 cases, 0 violations, 1118 rejected
+// mutants and 154 validation runs.
 func TestCTCondCampaignGolden(t *testing.T) {
 	spec, err := experiments.DefenseByName("baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := experiments.Scale{Instances: 2, Programs: 200, BaseInputs: 8, Mutants: 5, BootInsts: executor.DefaultBootInsts, Seed: 3}
-	ccfg := experiments.CampaignConfig(spec, sc)
-	ccfg.Base.Contract = contract.CTCond
-	for _, workers := range []int{1, 4} {
-		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tot := res.Totals()
-		if res.TestCases != 18544 || len(res.Violations) != 0 || tot.RejectedMutants != 1118 || tot.ValidationRuns != 154 {
-			t.Errorf("workers=%d: %d cases, %d violations, %d rejected mutants, %d validation runs; want 18544, 0, 1118, 154",
-				workers, res.TestCases, len(res.Violations), tot.RejectedMutants, tot.ValidationRuns)
+	for _, g := range []struct {
+		instances, programs    int
+		workers                []int
+		cases, violations, val int
+		fingerprint            uint64
+	}{
+		{2, 200, []int{1, 4}, 19614, 0, 138, 0xcbf29ce484222325},
+		{3, 350, []int{2}, 51477, 1, 359, 0x6a041c5451d1d522},
+	} {
+		sc := experiments.Scale{Instances: g.instances, Programs: g.programs, BaseInputs: 8, Mutants: 5, BootInsts: executor.DefaultBootInsts, Seed: 3}
+		ccfg := experiments.CampaignConfig(spec, sc)
+		ccfg.Base.Contract = contract.CTCond
+		for _, workers := range g.workers {
+			res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tot := res.Totals()
+			if res.TestCases != g.cases || len(res.Violations) != g.violations || tot.RejectedMutants != 0 || tot.ValidationRuns != g.val {
+				t.Errorf("%dx%d workers=%d: %d cases, %d violations, %d rejected mutants, %d validation runs; want %d, %d, 0, %d",
+					g.instances, g.programs, workers, res.TestCases, len(res.Violations), tot.RejectedMutants, tot.ValidationRuns,
+					g.cases, g.violations, g.val)
+			}
+			if fp := violationFingerprint(res.Violations); fp != g.fingerprint {
+				t.Errorf("%dx%d workers=%d: violation fingerprint %#x, want %#x", g.instances, g.programs, workers, fp, g.fingerprint)
+			}
 		}
 	}
 }

@@ -4,7 +4,14 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/engine"
+	"github.com/sith-lab/amulet-go/internal/executor"
+	"github.com/sith-lab/amulet-go/internal/fuzzer"
+	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
 // tinyScale keeps experiment tests fast; the benchmarks and cmd/amulet run
@@ -101,6 +108,68 @@ func TestTable2Shape(t *testing.T) {
 	}
 	if share(0, opt) >= share(0, naive) {
 		t.Errorf("Opt's startup share %.1f%% is not below Naive's %.1f%%", share(0, opt), share(0, naive))
+	}
+}
+
+// cycleCounter wraps the baseline defense and counts every simulated
+// cycle, boot runs included. Its OnTick is never idle, so the core's
+// quiescent-span skip — bit-identical by construction — elides none of them.
+type cycleCounter struct {
+	uarch.NopDefense
+	n *atomic.Int64
+}
+
+func (c cycleCounter) OnTick()        { c.n.Add(1) }
+func (c cycleCounter) TickIdle() bool { return false }
+
+// TestTable3Shape asserts Table 3's shape on deterministic proxies instead
+// of wall time: a Naive start boots and an Opt start does not; Naive
+// simulates more cycles per test case, the per-input boot that makes it
+// slower; and at the same seed CT-SEQ finds more violations per instance
+// than CT-COND, whose contract allows the Spectre-v1 leaks CT-SEQ flags.
+func TestTable3Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment")
+	}
+	type cell struct {
+		res    *fuzzer.CampaignResult
+		cycles int64
+	}
+	run := func(c contract.Contract, strategy executor.Strategy) cell {
+		ccfg, err := table3Config(tinyScale(), c, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int64
+		ccfg.Base.DefenseFactory = func() uarch.Defense { return cycleCounter{n: &n} }
+		res, err := engine.RunCampaign(context.Background(), engine.Config{Campaign: ccfg, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cell{res, n.Load()}
+	}
+	perInstance := map[string]float64{}
+	for _, c := range []contract.Contract{contract.CTSeq, contract.CTCond} {
+		naive, opt := run(c, executor.StrategyNaive), run(c, executor.StrategyOpt)
+		nm, om := naive.res.Totals().Metrics, opt.res.Totals().Metrics
+		if nm.Starts == 0 || nm.BootRuns != nm.Starts {
+			t.Errorf("%s Naive: %d boots for %d starts, want one per start", c.Name, nm.BootRuns, nm.Starts)
+		}
+		if om.BootRuns != 0 {
+			t.Errorf("%s Opt: %d boots, want none", c.Name, om.BootRuns)
+		}
+		nc := float64(naive.cycles) / float64(naive.res.TestCases)
+		oc := float64(opt.cycles) / float64(opt.res.TestCases)
+		t.Logf("%s: cycles per case Naive %.0f, Opt %.0f; violations Naive %d, Opt %d",
+			c.Name, nc, oc, len(naive.res.Violations), len(opt.res.Violations))
+		if nc <= oc {
+			t.Errorf("%s: Naive simulates %.0f cycles per case, Opt %.0f; want Naive more", c.Name, nc, oc)
+		}
+		perInstance[c.Name] = float64(len(opt.res.Violations)) / float64(len(opt.res.Instances))
+	}
+	if perInstance["CT-SEQ"] <= perInstance["CT-COND"] {
+		t.Errorf("violations per instance: CT-SEQ %.1f, CT-COND %.1f; want CT-SEQ more",
+			perInstance["CT-SEQ"], perInstance["CT-COND"])
 	}
 }
 

@@ -17,31 +17,12 @@ import (
 // earlier; CT-COND (Spectre-v4) violations are orders of magnitude rarer
 // than CT-SEQ (Spectre-v1) ones.
 func Table3(ctx context.Context, scale Scale) (*Table, error) {
-	type cell struct {
-		res *fuzzer.CampaignResult
-	}
-	run := func(c contract.Contract, strategy executor.Strategy) (*cell, error) {
-		spec, err := DefenseByName("baseline")
+	run := func(c contract.Contract, strategy executor.Strategy) (*fuzzer.CampaignResult, error) {
+		ccfg, err := table3Config(scale, c, strategy)
 		if err != nil {
 			return nil, err
 		}
-		ccfg := CampaignConfig(spec, scale)
-		ccfg.Base.Contract = c
-		ccfg.Base.Exec.Strategy = strategy
-		if strategy == executor.StrategyNaive {
-			// Naive pays the startup per input; keep its budget comparable
-			// in wall-clock terms, as the paper did with its shorter Naive
-			// campaigns.
-			ccfg.Base.Programs = scale.Programs / 4
-			if ccfg.Base.Programs < 2 {
-				ccfg.Base.Programs = 2
-			}
-		}
-		res, err := engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
-		if err != nil {
-			return nil, err
-		}
-		return &cell{res: res}, nil
+		return engine.RunCampaign(ctx, engine.Config{Campaign: ccfg, Workers: scale.Workers})
 	}
 
 	t := &Table{
@@ -49,15 +30,14 @@ func Table3(ctx context.Context, scale Scale) (*Table, error) {
 		Header: []string{"Metric", "Contract", "Naive", "Opt"},
 	}
 	for _, c := range []contract.Contract{contract.CTSeq, contract.CTCond} {
-		naive, err := run(c, executor.StrategyNaive)
+		nv, err := run(c, executor.StrategyNaive)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := run(c, executor.StrategyOpt)
+		ov, err := run(c, executor.StrategyOpt)
 		if err != nil {
 			return nil, err
 		}
-		nv, ov := naive.res, opt.res
 		t.Rows = append(t.Rows,
 			[]string{"campaign time", c.Name, fmtDuration(nv.Elapsed), fmtDuration(ov.Elapsed)},
 			[]string{"throughput (tests/s)", c.Name,
@@ -71,6 +51,25 @@ func Table3(ctx context.Context, scale Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper shape: Opt ~10x higher throughput; more CT-SEQ violations; CT-COND (Spectre-v4) rare")
 	return t, nil
+}
+
+// table3Config is the campaign of one Table 3 cell: the baseline under
+// contract c with the given strategy.
+func table3Config(scale Scale, c contract.Contract, strategy executor.Strategy) (fuzzer.CampaignConfig, error) {
+	spec, err := DefenseByName("baseline")
+	if err != nil {
+		return fuzzer.CampaignConfig{}, err
+	}
+	ccfg := CampaignConfig(spec, scale)
+	ccfg.Base.Contract = c
+	ccfg.Base.Exec.Strategy = strategy
+	if strategy == executor.StrategyNaive {
+		// Naive pays the startup per input; keep its budget comparable
+		// in wall-clock terms, as the paper did with its shorter Naive
+		// campaigns.
+		ccfg.Base.Programs = max(scale.Programs/4, 2)
+	}
+	return ccfg, nil
 }
 
 func detTime(r *fuzzer.CampaignResult) string {

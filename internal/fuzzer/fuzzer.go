@@ -47,12 +47,6 @@ type Config struct {
 	BaseInputs      int
 	MutantsPerInput int
 
-	// MutateRegs lets mutants vary architecturally dead registers
-	// (register-borne secrets); campaigns against contracts that observe
-	// the register file leave it off. When unset it defaults to the
-	// complement of the contract's ObserveInitRegs.
-	MutateRegs *bool
-
 	// StopOnFirstViolation ends the campaign at the first confirmed
 	// violation (the paper's detection-time experiments).
 	StopOnFirstViolation bool
@@ -97,14 +91,6 @@ func (c Config) ResolvedFrontend() isa.Frontend {
 	return c.Frontend
 }
 
-// mutateRegs resolves the register-mutation policy against the contract.
-func (c Config) mutateRegs() bool {
-	if c.MutateRegs != nil {
-		return *c.MutateRegs
-	}
-	return !c.Contract.ObserveInitRegs
-}
-
 // Violation is one confirmed contract violation: two contract-equivalent
 // inputs with different µarch traces, surviving the fresh-context
 // validation re-run.
@@ -141,7 +127,8 @@ type Result struct {
 	// mismatches (including those that turned out to be predictor-state
 	// artifacts).
 	ValidationRuns int
-	// RejectedMutants counts mutation attempts the model refused.
+	// RejectedMutants counts mutants that could not be made: their base
+	// input left nothing free to vary.
 	RejectedMutants int
 
 	// Coverage is the union of the speculation-coverage features observed
@@ -150,9 +137,9 @@ type Result struct {
 	Coverage *uarch.Coverage
 
 	// GenTime is time spent generating programs and inputs; ModelTime is
-	// time spent collecting contract traces (leakage-model execution,
-	// including mutation verification). Together with the executor metrics
-	// these give the paper's Table 2 breakdown.
+	// time spent collecting contract traces and deriving mutants from
+	// them. Together with the executor metrics these give the paper's
+	// Table 2 breakdown.
 	GenTime   time.Duration
 	ModelTime time.Duration
 }
@@ -220,8 +207,8 @@ type InputClass struct {
 
 // ProgramCase is the output of the generate and contract-model-collect
 // stages for one test program: the program, its sandbox, and its inputs
-// (bases plus verified contract-preserving mutants) grouped into
-// contract-equivalence classes in deterministic first-seen order.
+// (bases plus contract-preserving mutants) grouped into contract-equivalence
+// classes in deterministic first-seen order.
 type ProgramCase struct {
 	Index int
 	// Source is the frontend-level program; Prog its µop lowering (the same
@@ -234,9 +221,9 @@ type ProgramCase struct {
 	GenTime         time.Duration
 	ModelTime       time.Duration
 	RejectedMutants int
-	// Truncations counts this program's leakage-model runs (base-input
-	// collections and mutant verifications) that hit contract.MaxSteps
-	// before exiting; ExecuteCase folds it into the executor metrics.
+	// Truncations counts this program's leakage-model runs (one per base
+	// input) that hit contract.MaxSteps before exiting; ExecuteCase folds
+	// it into the executor metrics.
 	Truncations int
 
 	// ws is the workspace that built the case, nil for a hand-built one.

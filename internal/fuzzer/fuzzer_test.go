@@ -231,19 +231,35 @@ func TestCampaignPartialResultsOnCancel(t *testing.T) {
 	}
 }
 
-func TestMutateRegsDefaultsFollowContract(t *testing.T) {
-	cfg := fuzzer.QuickConfig(1, 1)
-	cfg.Contract = contract.ArchSeq
-	// ARCH-SEQ observes registers, so mutants must not vary them: covered
-	// behaviourally by TestCampaignSTTPatchedClean; here we just ensure the
-	// config builds with both defaults and an explicit override.
-	if err := fuzzer.NewWorkspace().Reset(cfg, cfg.Seed); err != nil {
-		t.Fatal(err)
-	}
-	on := true
-	cfg.MutateRegs = &on
-	if err := fuzzer.NewWorkspace().Reset(cfg, cfg.Seed); err != nil {
-		t.Fatal(err)
+// TestMutantRegistersFollowContract: mutants vary the registers a contract
+// cannot see — under CT-SEQ some mutant differs from its class's first input
+// in a register — and none under ARCH-SEQ, whose trace holds the initial
+// register file.
+func TestMutantRegistersFollowContract(t *testing.T) {
+	for _, c := range []contract.Contract{contract.CTSeq, contract.ArchSeq} {
+		cfg := fuzzer.QuickConfig(1, 1)
+		cfg.Contract = c
+		ws := fuzzer.NewWorkspace()
+		if err := ws.Reset(cfg, cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+		varied := 0
+		for p := 0; p < 10; p++ {
+			pc, err := ws.Case(context.Background(), nil, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cls := range pc.Classes {
+				for _, in := range cls.Inputs[1:] {
+					if in.Regs != cls.Inputs[0].Regs {
+						varied++
+					}
+				}
+			}
+		}
+		if want := !c.ObserveInitRegs; (varied > 0) != want {
+			t.Errorf("%s: %d inputs vary a register of their class, want some: %v", c.Name, varied, want)
+		}
 	}
 }
 

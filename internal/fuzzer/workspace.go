@@ -48,8 +48,8 @@ func NewWorkspace() *Workspace {
 // streams are seeded with seed: the generator and mutator come back in
 // exactly the state generator.NewFor and generator.NewMutator build for it
 // (Draws zero, legacy stream included). Storage is kept; only a change of
-// the generator configuration, frontend, mutation policy or contract
-// rebuilds the part that depends on it.
+// the generator configuration, frontend or contract rebuilds the part that
+// depends on it.
 func (w *Workspace) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -62,8 +62,10 @@ func (w *Workspace) Reset(cfg Config, seed int64) error {
 	} else {
 		w.gen.Reseed(seed)
 	}
-	if w.mut == nil || cfg.mutateRegs() != w.cfg.mutateRegs() || cfg.Gen.LegacyRand != w.cfg.Gen.LegacyRand {
-		w.mut = generator.NewMutator(seed^mutatorSeedMix, cfg.mutateRegs(), cfg.Gen.LegacyRand)
+	// Registers are free to vary unless the contract observes them all.
+	mutateRegs := !cfg.Contract.ObserveInitRegs
+	if w.mut == nil || mutateRegs != w.mut.MutateRegs || cfg.Gen.LegacyRand != w.cfg.Gen.LegacyRand {
+		w.mut = generator.NewMutator(seed^mutatorSeedMix, mutateRegs, cfg.Gen.LegacyRand)
 	} else {
 		w.mut.Reseed(seed ^ mutatorSeedMix)
 	}
@@ -138,7 +140,7 @@ func (w *Workspace) Case(ctx context.Context, strat generator.Strategy, pIdx int
 		}
 		cls.Inputs = append(cls.Inputs, base)
 		for m := 0; m < cfg.MutantsPerInput; m++ {
-			mutant, ok := w.mut.MutateIn(&w.slab, w.model, base, usage, ctrace)
+			mutant, ok := w.mut.MutateIn(&w.slab, base, usage)
 			if !ok {
 				pc.RejectedMutants++
 				continue
@@ -146,8 +148,8 @@ func (w *Workspace) Case(ctx context.Context, strat generator.Strategy, pIdx int
 			cls.Inputs = append(cls.Inputs, mutant)
 		}
 		if ok {
-			// Duplicate of an existing class: the mutation loop above was
-			// the buffer's last reader, so it goes back to the pool.
+			// Duplicate of an existing class: the hash above was the
+			// buffer's last reader, so it goes back to the pool.
 			tp.Put(ctrace)
 		}
 		pc.ModelTime += time.Since(t1)

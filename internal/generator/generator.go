@@ -11,10 +11,10 @@
 // and is recorded as an isa.Fill — a span of the stream — instead of being
 // written down (see the memory model in isa/image.go). A base input advances
 // the stream counter by Size()/8 and materializes nothing; a mutant is a
-// fresh fill plus the few contract-visible bytes restored from its base, or
-// a copy-on-write view of its base plus pokes. The legacy math/rand stream
-// (Config.LegacyRand) has no addressable outputs, so its Fill method writes
-// every page; that is the only place a dense image is ever produced.
+// fresh fill plus the few contract-visible bytes restored from its base.
+// The legacy math/rand stream (Config.LegacyRand) has no addressable
+// outputs, so its Fill method writes every page; that is the only place a
+// dense image is ever produced.
 package generator
 
 import (

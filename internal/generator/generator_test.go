@@ -319,8 +319,8 @@ func TestMutateCollectAllocsIndependentOfSandbox(t *testing.T) {
 }
 
 // BenchmarkCollectMutate prices what the fuzzer does per mutant before the
-// simulator runs: collect the base input's trace and derive one verified
-// mutant from it, on generated programs, on the default sandbox and on the
+// simulator runs: collect the base input's trace and derive one mutant from
+// it, on generated programs, on the default sandbox and on the
 // paper's 128-page STT one (ARCH-SEQ, the model-stt workload's contract).
 // Both pay for every store the model commits into a page of its view.
 func BenchmarkCollectMutate(b *testing.B) {
@@ -348,7 +348,7 @@ func BenchmarkCollectMutate(b *testing.B) {
 				slab.Reset(sb, 1)
 				tr, usage := u.model.CollectInto(u.base, buf)
 				buf = tr
-				mut.MutateIn(slab, u.model, u.base, usage, tr)
+				mut.MutateIn(slab, u.base, usage)
 			}
 		})
 	}
