@@ -66,9 +66,9 @@ func Analyze(exec *executor.Executor, v *fuzzer.Violation) (*Report, error) {
 }
 
 func classify(v *fuzzer.Violation, trA, trB *executor.UTrace, logA, logB []uarch.LogRec) (Signature, string) {
-	l1dDiff := !equalU64(trA.L1D, trB.L1D)
+	l1dDiff := !trA.L1D.Equal(&trB.L1D)
 	tlbDiff := !equalU64(trA.TLB, trB.TLB)
-	l1iDiff := !equalU64(trA.L1I, trB.L1I)
+	l1iDiff := !trA.L1I.Equal(&trB.L1I)
 
 	if tlbDiff && !l1dDiff && !l1iDiff {
 		return SigTLBLeak, "traces differ only in D-TLB state: a speculative access installed " +
@@ -87,7 +87,7 @@ func classify(v *fuzzer.Violation, trA, trB *executor.UTrace, logA, logB []uarch
 		return SigMSHRInterference, "Expose requests stalled on busy MSHRs or completed differently " +
 			"across the two runs: same-core speculative interference (InvisiSpec UV2 shape)"
 	}
-	onlyA, onlyB := setDiff(trA.L1D, trB.L1D)
+	onlyA, onlyB := setDiff(trA.L1D.AppendLines(nil), trB.L1D.AppendLines(nil))
 	if sig, det, ok := classifyLineDiff(v, logA, logB, onlyA, onlyB); ok {
 		return sig, det
 	}

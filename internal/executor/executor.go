@@ -492,12 +492,12 @@ func (e *Executor) extract() *UTrace {
 	tr.EndCycle = e.core.EndCycle()
 	switch e.cfg.Format {
 	case FormatL1DTLB:
-		tr.L1D = e.core.Hier.L1D.SnapshotInto(tr.L1D[:0])
+		e.core.Hier.L1D.DeltaInto(&tr.L1D)
 		tr.TLB = e.core.Hier.DTLB.SnapshotInto(tr.TLB[:0])
 	case FormatL1DTLBL1I:
-		tr.L1D = e.core.Hier.L1D.SnapshotInto(tr.L1D[:0])
+		e.core.Hier.L1D.DeltaInto(&tr.L1D)
 		tr.TLB = e.core.Hier.DTLB.SnapshotInto(tr.TLB[:0])
-		tr.L1I = e.core.Hier.L1I.SnapshotInto(tr.L1I[:0])
+		e.core.Hier.L1I.DeltaInto(&tr.L1I)
 	case FormatBPState:
 		tr.BPDigest = e.core.BP.Snapshot()
 	case FormatMemOrder:

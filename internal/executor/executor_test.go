@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/isa"
+	"github.com/sith-lab/amulet-go/internal/mem"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
@@ -43,7 +45,7 @@ func TestRunProducesTrace(t *testing.T) {
 	if tr.Format != FormatL1DTLB {
 		t.Errorf("format = %v", tr.Format)
 	}
-	if len(tr.L1D) == 0 {
+	if len(tr.L1D.AppendLines(nil)) == 0 {
 		t.Errorf("empty L1D snapshot after a primed run")
 	}
 	if tr.EndCycle == 0 {
@@ -326,11 +328,11 @@ func TestTraceFormats(t *testing.T) {
 		}
 		switch format {
 		case FormatL1DTLB:
-			if len(tr.L1D) == 0 || tr.L1I != nil {
+			if len(tr.L1D.AppendLines(nil)) == 0 || tr.L1I.AppendLines(nil) != nil {
 				t.Errorf("%v: wrong sections populated", format)
 			}
 		case FormatL1DTLBL1I:
-			if len(tr.L1I) == 0 {
+			if len(tr.L1I.AppendLines(nil)) == 0 {
 				t.Errorf("%v: no L1I section", format)
 			}
 		case FormatBPState:
@@ -430,16 +432,29 @@ func TestPrimeModesDiffer(t *testing.T) {
 	fill := runWith(PrimeFill)
 	inval := runWith(PrimeInvalidate)
 	// A primed cache holds conflict lines; a clean one holds only what the
-	// test touched.
-	if len(fill.L1D) <= len(inval.L1D) {
-		t.Errorf("primed snapshot (%d lines) not larger than clean snapshot (%d lines)",
-			len(fill.L1D), len(inval.L1D))
+	// test touched. Both sections store only the sets the case changed, so
+	// the comparison is on their expansions.
+	nFill, nInval := len(fill.L1D.AppendLines(nil)), len(inval.L1D.AppendLines(nil))
+	if nFill <= nInval {
+		t.Errorf("primed snapshot (%d lines) not larger than clean snapshot (%d lines)", nFill, nInval)
 	}
 }
 
+// cacheSection returns the trace section of a default-geometry L1D, starting
+// empty, after lines are installed in order.
+func cacheSection(lines ...uint64) mem.CacheDelta {
+	c := mem.NewCache(uarch.DefaultConfig().Hier.L1D)
+	for _, a := range lines {
+		c.Install(a)
+	}
+	var d mem.CacheDelta
+	c.DeltaInto(&d)
+	return d
+}
+
 func TestUTraceDiffRendering(t *testing.T) {
-	a := &UTrace{L1D: []uint64{0x100, 0x200}, TLB: []uint64{1}}
-	b := &UTrace{L1D: []uint64{0x100, 0x300}, TLB: []uint64{2}}
+	a := &UTrace{L1D: cacheSection(0x100, 0x200), TLB: []uint64{1}}
+	b := &UTrace{L1D: cacheSection(0x100, 0x300), TLB: []uint64{2}}
 	d := a.Diff(b)
 	for _, want := range []string{"0x200", "0x300", "L1D-cache tags", "D-TLB pages"} {
 		if !strings.Contains(d, want) {
@@ -451,25 +466,28 @@ func TestUTraceDiffRendering(t *testing.T) {
 	}
 }
 
-// TestUTraceEqualProperty: copies and clones of a trace are Equal; a single-element
-// change in any section, or one extra element, breaks equality.
+// TestUTraceEqualProperty: traces built alike are Equal, a clone is Equal to
+// its original, and two cache sections are Equal exactly when they expand to
+// the same lines; a changed TLB element or BP digest breaks equality.
 func TestUTraceEqualProperty(t *testing.T) {
-	prop := func(l1d []uint64, tlb []uint64, bp uint64) bool {
-		a := &UTrace{L1D: append([]uint64(nil), l1d...), TLB: append([]uint64(nil), tlb...), BPDigest: bp}
-		b := &UTrace{L1D: append([]uint64(nil), l1d...), TLB: append([]uint64(nil), tlb...), BPDigest: bp}
+	prop := func(l1d []uint64, tlb []uint64, bp uint64, drop uint8) bool {
+		a := &UTrace{L1D: cacheSection(l1d...), TLB: append([]uint64(nil), tlb...), BPDigest: bp}
+		b := &UTrace{L1D: cacheSection(l1d...), TLB: append([]uint64(nil), tlb...), BPDigest: bp}
 		if !a.Equal(b) || !b.Equal(a) {
 			return false
 		}
-		// A clone is Equal and shares no buffer with its original.
-		if c := a.Clone(); !c.Equal(a) || len(l1d) > 0 && &c.L1D[0] == &a.L1D[0] {
+		if c := a.Clone(); !c.Equal(a) || !a.Equal(c) {
 			return false
 		}
 		if len(l1d) > 0 {
-			b.L1D[0]++
-			if a.Equal(b) {
+			// Leave one install out: equal exactly when the expansions are.
+			short := slices.Delete(slices.Clone(l1d), int(drop)%len(l1d), int(drop)%len(l1d)+1)
+			b.L1D = cacheSection(short...)
+			same := slices.Equal(a.L1D.AppendLines(nil), b.L1D.AppendLines(nil))
+			if a.Equal(b) != same || b.Equal(a) != same {
 				return false
 			}
-			b.L1D[0]--
+			b.L1D = a.L1D.Clone()
 		}
 		if len(tlb) > 0 {
 			b.TLB[len(tlb)-1]++
@@ -478,11 +496,6 @@ func TestUTraceEqualProperty(t *testing.T) {
 			}
 			b.TLB[len(tlb)-1]--
 		}
-		b.L1D = append(b.L1D, 0)
-		if a.Equal(b) {
-			return false
-		}
-		b.L1D = b.L1D[:len(l1d)]
 		b.BPDigest++
 		return !a.Equal(b)
 	}
@@ -635,36 +648,49 @@ func TestRunLeavesInputUntouched(t *testing.T) {
 // snapshot sections reuse the structures' preallocated state and the
 // recycled trace's buffers.
 func TestRunSteadyStateAllocs(t *testing.T) {
-	cfg := testConfig(StrategyOpt, PrimeFill)
-	cfg.Format = FormatL1DTLBL1I
-	e := New(cfg, nil)
-	gcfg := generator.DefaultConfig()
-	gcfg.Seed = 11
-	g := generator.New(gcfg)
-	prog, sb := g.Program(), g.Sandbox()
-	if err := e.LoadProgram(prog, sb); err != nil {
-		t.Fatal(err)
-	}
-	warm := g.Input()
-	// Warm the executor (start, template capture, trace freelist) before
-	// measuring; the steady-state loop is what campaigns run millions of
-	// times.
-	for i := 0; i < 3; i++ {
-		tr, err := e.Run(warm)
-		if err != nil {
+	for _, prime := range []PrimeMode{PrimeFill, PrimeInvalidate} {
+		cfg := testConfig(StrategyOpt, prime)
+		cfg.Format = FormatL1DTLBL1I
+		e := New(cfg, nil)
+		gcfg := generator.DefaultConfig()
+		gcfg.Seed = 11
+		g := generator.New(gcfg)
+		prog, sb := g.Program(), g.Sandbox()
+		if err := e.LoadProgram(prog, sb); err != nil {
 			t.Fatal(err)
 		}
-		e.ReleaseTrace(tr)
-	}
-	in := g.Input()
-	allocs := testing.AllocsPerRun(50, func() {
+		warm := g.Input()
+		// Warm the executor (start, template capture, trace freelist)
+		// before measuring; the steady-state loop is what campaigns run
+		// millions of times.
+		for i := 0; i < 3; i++ {
+			tr, err := e.Run(warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.ReleaseTrace(tr)
+		}
+		in := g.Input()
+		allocs := testing.AllocsPerRun(50, func() {
+			tr, err := e.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.ReleaseTrace(tr)
+		})
+		if allocs != 0 {
+			t.Errorf("prime %d: steady-state Run allocates %.1f objects per case, want 0", prime, allocs)
+		}
+
+		// A clone costs the trace struct plus one buffer per non-empty
+		// section: the changed-set bitmap shares its section's buffer.
 		tr, err := e.Run(in)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = tr.Clone() }); allocs > 4 {
+			t.Errorf("prime %d: UTrace.Clone allocates %.1f objects, want <= 4 (struct, L1D, TLB, L1I)", prime, allocs)
+		}
 		e.ReleaseTrace(tr)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Run allocates %.1f objects per case, want 0", allocs)
 	}
 }

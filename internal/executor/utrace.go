@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/sith-lab/amulet-go/internal/mem"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
@@ -53,12 +54,15 @@ func (f TraceFormat) String() string {
 type UTrace struct {
 	Format TraceFormat
 
-	// Cache sections are in the snapshot's canonical set-major order
-	// (addresses sorted within each set, not globally — see
-	// mem.Cache.SnapshotInto); the TLB section is sorted.
-	L1D []uint64 // valid L1D line addresses, canonical order
+	// Cache sections are deltas from the content the prime established
+	// (mem.CacheDelta): only the sets the test case changed are stored.
+	// AppendLines expands one to the valid line addresses in the
+	// snapshot's canonical set-major order (addresses sorted within each
+	// set, not globally — see mem.Cache.SnapshotInto). The TLB section is
+	// sorted.
+	L1D mem.CacheDelta
 	TLB []uint64 // sorted D-TLB page numbers
-	L1I []uint64 // valid L1I line addresses, canonical order
+	L1I mem.CacheDelta
 
 	BPDigest uint64 // branch-predictor state digest
 
@@ -71,23 +75,23 @@ type UTrace struct {
 // reset clears the trace for reuse, keeping the slice capacities.
 func (t *UTrace) reset() {
 	t.Format = 0
-	t.L1D = t.L1D[:0]
+	t.L1D.Reset()
 	t.TLB = t.TLB[:0]
-	t.L1I = t.L1I[:0]
+	t.L1I.Reset()
 	t.BPDigest = 0
 	t.MemOrder = t.MemOrder[:0]
 	t.BranchOrder = t.BranchOrder[:0]
 	t.EndCycle = 0
 }
 
-// Clone returns a deep copy whose sections are sized to their content. A
-// trace that outlives its test case, such as a violation's, is kept as a
-// clone so it does not pin a recycled trace's buffers, which are grown to a
-// whole cache's capacity.
+// Clone returns a deep copy whose sections are sized to their content (the
+// cache sections' immutable bases are shared). A trace that outlives its
+// test case, such as a violation's, is kept as a clone so it does not pin a
+// recycled trace's buffers, which are grown to a whole cache's capacity.
 func (t *UTrace) Clone() *UTrace {
 	return &UTrace{
 		Format: t.Format, BPDigest: t.BPDigest, EndCycle: t.EndCycle,
-		L1D: slices.Clone(t.L1D), TLB: slices.Clone(t.TLB), L1I: slices.Clone(t.L1I),
+		L1D: t.L1D.Clone(), TLB: slices.Clone(t.TLB), L1I: t.L1I.Clone(),
 		MemOrder: slices.Clone(t.MemOrder), BranchOrder: slices.Clone(t.BranchOrder),
 	}
 }
@@ -97,7 +101,7 @@ func (t *UTrace) Equal(u *UTrace) bool {
 	if t.Format != u.Format || t.BPDigest != u.BPDigest {
 		return false
 	}
-	if !eqU64(t.L1D, u.L1D) || !eqU64(t.TLB, u.TLB) || !eqU64(t.L1I, u.L1I) {
+	if !t.L1D.Equal(&u.L1D) || !eqU64(t.TLB, u.TLB) || !t.L1I.Equal(&u.L1I) {
 		return false
 	}
 	if len(t.MemOrder) != len(u.MemOrder) || len(t.BranchOrder) != len(u.BranchOrder) {
@@ -146,9 +150,9 @@ func (t *UTrace) Diff(u *UTrace) string {
 			fmt.Fprintf(&b, "  only in B: %s\n", hexList(onlyC))
 		}
 	}
-	diffSet("L1D-cache tags", t.L1D, u.L1D)
+	diffSet("L1D-cache tags", t.L1D.AppendLines(nil), u.L1D.AppendLines(nil))
 	diffSet("D-TLB pages", t.TLB, u.TLB)
-	diffSet("L1I-cache tags", t.L1I, u.L1I)
+	diffSet("L1I-cache tags", t.L1I.AppendLines(nil), u.L1I.AppendLines(nil))
 	if t.BPDigest != u.BPDigest {
 		fmt.Fprintf(&b, "BP state: %#x vs %#x\n", t.BPDigest, u.BPDigest)
 	}

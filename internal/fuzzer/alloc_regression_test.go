@@ -66,28 +66,42 @@ func steadyStateCase(t testing.TB) (Config, *executor.Executor, *ProgramCase) {
 // tracking in particular must stay allocation-free (see also
 // mem.TestPrimeIncrementalAllocFree).
 func TestExecuteCaseSteadyStateAllocs(t *testing.T) {
-	cfg, exec, pc := steadyStateCase(t)
-	ctx := context.Background()
-	res := &Result{}
-	start := time.Now()
-	run := func() {
-		found, err := ExecuteCase(ctx, exec, cfg, pc, res, start)
-		if err != nil {
-			t.Fatal(err)
+	// Every cache-trace shape: the fill prime's delta over the template,
+	// the invalidate prime's over an empty base, and the L1I section.
+	for _, v := range []struct {
+		format executor.TraceFormat
+		prime  executor.PrimeMode
+	}{
+		{executor.FormatL1DTLB, executor.PrimeFill},
+		{executor.FormatL1DTLB, executor.PrimeInvalidate},
+		{executor.FormatL1DTLBL1I, executor.PrimeFill},
+	} {
+		cfg, _, pc := steadyStateCase(t)
+		cfg.Exec.Format, cfg.Exec.Prime = v.format, v.prime
+		exec := pooledExecutor(t, cfg)
+		ctx := context.Background()
+		res := &Result{}
+		start := time.Now()
+		run := func() {
+			found, err := ExecuteCase(ctx, exec, cfg, pc, res, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found {
+				t.Fatal("steady-state case must not violate")
+			}
 		}
-		if found {
-			t.Fatal("steady-state case must not violate")
+		for i := 0; i < 3; i++ {
+			run() // warm executor arenas, prime templates, trace freelist
 		}
-	}
-	for i := 0; i < 3; i++ {
-		run() // warm executor arenas, prime templates, trace freelist
-	}
-	allocs := testing.AllocsPerRun(20, run)
-	// One slice for the class trace scratch, plus the violations-slice
-	// growth headroom AllocsPerRun can observe on unlucky GC timing.
-	const budget = 3
-	if allocs > budget {
-		t.Errorf("ExecuteCase allocates %v objects per program in steady state, want <= %d", allocs, budget)
+		allocs := testing.AllocsPerRun(20, run)
+		// One slice for the class trace scratch, plus the violations-slice
+		// growth headroom AllocsPerRun can observe on unlucky GC timing.
+		const budget = 3
+		if allocs > budget {
+			t.Errorf("%v/prime %d: ExecuteCase allocates %v objects per program in steady state, want <= %d",
+				v.format, v.prime, allocs, budget)
+		}
 	}
 }
 

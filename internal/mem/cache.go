@@ -62,11 +62,20 @@ type Cache struct {
 	lineMask  uint64
 
 	// dirty is a per-set bitmap of sets mutated (install, eviction,
-	// invalidation or an LRU-updating hit) since the last clearDirtyBits.
-	// The prime paths consume it to re-establish a canonical state by
-	// touching only the sets a test case actually dirtied; a fresh cache
-	// starts all-dirty because its state is not any canonical prime state.
+	// invalidation or an LRU-updating hit) since the last rebase. The
+	// prime paths consume it to re-establish a canonical state by touching
+	// only the sets a test case actually dirtied, and DeltaInto to walk
+	// only those sets; a fresh cache starts all-dirty because its state is
+	// not any canonical prime state.
 	dirty []uint64
+
+	// base is the content every clean set holds: the canonical state the
+	// last rebase recorded (the fill prime's template, or empty). It is nil
+	// when the clean sets hold no canonical content, as in the L2, which
+	// primes keep warm. empty is this cache's all-invalid base, which
+	// holds no lines and so costs no allocation.
+	base  *CacheBase
+	empty CacheBase
 }
 
 // NewCache builds a cache. It panics on invalid configuration: cache
@@ -87,6 +96,8 @@ func NewCache(cfg CacheConfig) *Cache {
 		lineMask:  ^(uint64(cfg.LineSize) - 1),
 		dirty:     make([]uint64, (cfg.Sets+63)/64),
 	}
+	c.empty = c.emptyBase()
+	c.base = &c.empty
 	c.markAllDirty()
 	return c
 }
@@ -105,11 +116,13 @@ func (c *Cache) markAllDirty() {
 	}
 }
 
-// clearDirtyBits resets the dirty bitmap. Only the prime paths call it,
+// rebase resets the dirty bitmap and records base as the content every set
+// now holds (nil: no canonical content). Only the prime paths call it,
 // immediately after re-establishing a canonical state, so "clean" always
 // means "bit-identical to that canonical state".
-func (c *Cache) clearDirtyBits() {
+func (c *Cache) rebase(base *CacheBase) {
 	clear(c.dirty)
+	c.base = base
 }
 
 // dirtyAt reports whether the set containing addr was mutated since the
@@ -318,10 +331,15 @@ func (c *Cache) InvalidateAll() {
 
 // InvalidateDirty clears only the sets mutated since the dirty bitmap was
 // last cleared, then resets the LRU clock — bit-identical to InvalidateAll
-// whenever the bitmap's clean sets are already all-invalid, which holds
-// because the bitmap is cleared exclusively after a state that leaves clean
-// sets empty (this method itself, or a full invalidate in the prime paths).
+// whenever the bitmap's clean sets are already all-invalid, that is when
+// the base is empty (this method itself, or a full invalidate in the prime
+// paths, left them so). Over any other base, clean sets may hold lines, so
+// it is InvalidateAll.
 func (c *Cache) InvalidateDirty() {
+	if c.base != &c.empty {
+		c.InvalidateAll()
+		return
+	}
 	ways := c.cfg.Ways
 	for wi, word := range c.dirty {
 		for word != 0 {
@@ -358,24 +376,33 @@ func (c *Cache) Snapshot() []uint64 {
 // need; the old globally-sorted form bought nothing beyond that, yet its
 // bottom-up run merge was ~19% of campaign CPU once priming was amortized.
 // The human-readable diff renderers sort their scratch copies on demand.
+//
+// The executor's traces keep the cheaper DeltaInto instead; this full walk
+// is the delta's oracle (CacheDelta.AppendLines must reproduce it).
 func (c *Cache) SnapshotInto(buf []uint64) []uint64 {
 	buf = slices.Grow(buf, len(c.lines))
-	sets, ways := c.cfg.Sets, c.cfg.Ways
-	for s := 0; s < sets; s++ {
-		base := s * ways
-		runStart := len(buf)
-		for w := 0; w < ways; w++ {
-			if k := c.lines[base+w].key; k != 0 {
-				addr := k - 1
-				i := len(buf)
-				buf = append(buf, addr)
-				for i > runStart && buf[i-1] > addr {
-					buf[i] = buf[i-1]
-					i--
-				}
-				buf[i] = addr
-			}
+	for s := 0; s < c.cfg.Sets; s++ {
+		buf = c.appendSet(buf, s)
+	}
+	return buf
+}
+
+// appendSet appends the valid line addresses of set s to buf, sorted (an
+// insertion sort over at most Ways entries).
+func (c *Cache) appendSet(buf []uint64, s int) []uint64 {
+	runStart := len(buf)
+	for _, ln := range c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways] {
+		if ln.key == 0 {
+			continue
 		}
+		addr := ln.key - 1
+		i := len(buf)
+		buf = append(buf, addr)
+		for i > runStart && buf[i-1] > addr {
+			buf[i] = buf[i-1]
+			i--
+		}
+		buf[i] = addr
 	}
 	return buf
 }

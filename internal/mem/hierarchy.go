@@ -151,9 +151,12 @@ type Hierarchy struct {
 	// Prime template: the canonical post-fill-prime L1D and D-TLB state,
 	// captured once from a real full prime (the state is independent of
 	// what preceded the prime, so one capture serves every later prime).
+	// tplBase is tplL1D's content, the base of fill-primed traces; it is
+	// allocated on its own, so a retained trace pins only it.
 	tplValid   bool
 	tplL1D     []cacheLine
 	tplL1DTick uint64
+	tplBase    *CacheBase
 	tplTLB     []tlbEntry
 	tplTLBTick uint64
 
@@ -607,10 +610,11 @@ func (h *Hierarchy) primeFillFull() {
 		h.tplL1DTick = h.L1D.useTick
 		h.tplTLB = append(h.tplTLB[:0], h.DTLB.entries...)
 		h.tplTLBTick = h.DTLB.useTick
+		h.tplBase = h.L1D.newBase()
 		h.tplValid = true
 	}
-	h.L1D.clearDirtyBits()
-	h.L2.clearDirtyBits()
+	h.L1D.rebase(h.tplBase)
+	h.L2.rebase(nil)
 	h.DTLB.clearTouched()
 }
 
@@ -635,6 +639,7 @@ func (h *Hierarchy) primeFillIncremental() {
 		l1.dirty[wi] = 0
 	}
 	l1.useTick = h.tplL1DTick
+	l1.base = h.tplBase
 
 	if h.DTLB.touched {
 		copy(h.DTLB.entries, h.tplTLB)
@@ -711,7 +716,7 @@ func (h *Hierarchy) primeFillIncremental() {
 	}
 	h.primeReplay = replay
 	l2.useTick += uint64(cfg.Ways*cfg.Sets - len(replay))
-	l2.clearDirtyBits()
+	l2.rebase(nil)
 }
 
 // PrimeInvalidate resets the L1D, L1I, D-TLB and transient structures to a
@@ -742,8 +747,8 @@ func (h *Hierarchy) PrimeInvalidate(incremental bool) {
 		h.LFBuf.Reset()
 		h.MSHR.Reset()
 		h.DropPendingFills()
-		h.L1D.clearDirtyBits()
-		h.L1I.clearDirtyBits()
+		h.L1D.rebase(&h.L1D.empty)
+		h.L1I.rebase(&h.L1I.empty)
 		h.DTLB.clearTouched()
 	}
 	h.lastPrime = primeKindInvalidate
@@ -757,6 +762,6 @@ func (h *Hierarchy) InvalidateL1I(incremental bool) {
 		h.L1I.InvalidateDirty()
 	} else {
 		h.L1I.InvalidateAll()
-		h.L1I.clearDirtyBits()
+		h.L1I.rebase(&h.L1I.empty)
 	}
 }

@@ -122,9 +122,9 @@ func TestCacheInvalidateDirtyMatchesInvalidateAll(t *testing.T) {
 	// after arbitrary traffic must be bit-identical to an InvalidateAll.
 	a, b := testCache(), testCache()
 	a.InvalidateAll()
-	a.clearDirtyBits()
+	a.rebase(&a.empty)
 	b.InvalidateAll()
-	b.clearDirtyBits()
+	b.rebase(&b.empty)
 	traffic := func(c *Cache) {
 		c.Install(0x100)
 		c.Install(0x200)

@@ -44,8 +44,15 @@ package uarch
 //     executing DoneAt (a stale-low value only shortens the skip).
 //   - Fetch: blocked by an uncommitted fence for the whole span, stalled
 //     until fetchStallUntil (which then bounds the span), or pure-blocked on
-//     a full ROB that cannot drain inside the span. An active fetch —
-//     including the phantom fetch past the program end — forbids skipping.
+//     a full ROB that cannot drain inside the span. An active fetch inside
+//     the program forbids skipping.
+//   - Phantom fetch: past the program end, fetch only pulls sequential
+//     lines into the L1I (fetchPhantom), which no other stage reads inside
+//     the span, and nothing can redirect it there (no squash, no commit).
+//     So the span does not end at it: skipPhantomFetches performs each
+//     access in closed form at the cycle fetch would have, and an L1I miss's
+//     scheduled fill re-bounds the span, since its completion is a Tick that
+//     acts.
 //
 // MaxCycles caps every span at MaxCycles+1 so a wedged pipeline trips the
 // runaway guard at the same cycle value the reference loop would.
@@ -80,8 +87,13 @@ func (c *Core) skipQuiescentSpan() {
 	if m := c.cfg.MaxCycles + 1; m < bound {
 		bound = m
 	}
+	phantom := false
 	if c.fence == nil {
 		switch {
+		case c.fetchIdx >= c.prog.Len():
+			// Past the program end (the ROB is not empty, or Run would
+			// have ended): only phantom fetches act, emulated below.
+			phantom = true
 		case c.fetchStallUntil > c.cycle+1:
 			if c.fetchStallUntil < bound {
 				bound = c.fetchStallUntil
@@ -90,11 +102,28 @@ func (c *Core) skipQuiescentSpan() {
 			// ROB full: fetch early-returns, and the window cannot drain
 			// inside the span because nothing commits.
 		default:
-			return // fetch (or the phantom fetch) acts next cycle
+			return // fetch acts next cycle
 		}
 	}
 	bound = min(bound, c.wbNext)
+	if phantom {
+		bound = c.skipPhantomFetches(bound)
+	}
 	if bound > c.cycle+1 {
 		c.cycle = bound - 1
 	}
+}
+
+// skipPhantomFetches performs, in order, the phantom fetches fetch would
+// make in the cycles before bound, each at its own cycle, and returns the
+// bound cut to the first cycle at which a fill one of them scheduled is
+// applied. A fill due at cycle k or earlier is applied by Tick(k+1) at the
+// earliest, since the access at k comes after that cycle's Tick.
+func (c *Core) skipPhantomFetches(bound uint64) uint64 {
+	for k := max(c.cycle+1, c.fetchStallUntil); k < bound; k = max(k+1, c.fetchStallUntil) {
+		c.cycle = k
+		c.fetchPhantom()
+		bound = min(bound, max(c.Hier.NextReady(), k+1))
+	}
+	return bound
 }
