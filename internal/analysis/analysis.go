@@ -31,6 +31,7 @@ const (
 	SigOverClean        Signature = "undo-overclean"     // rollback removed a non-speculative footprint (UV5)
 	SigSpecEviction     Signature = "spec-eviction"      // primed line evicted by a squashed access (InvisiSpec UV1)
 	SigSpecInstall      Signature = "spec-install"       // transient line installed (Spectre-v1/v4, SpecLFB UV6)
+	SigNotReproduced    Signature = "not-reproduced"     // the replay's two traces are identical
 	SigUnknown          Signature = "unknown"
 )
 
@@ -66,6 +67,11 @@ func Analyze(exec *executor.Executor, v *fuzzer.Violation) (*Report, error) {
 }
 
 func classify(v *fuzzer.Violation, trA, trB *executor.UTrace, logA, logB []uarch.LogRec) (Signature, string) {
+	if trA.Equal(trB) {
+		return SigNotReproduced, "the replay's two traces are identical, so its logs show no leak: " +
+			"the campaign validated this pair in the context the program's earlier inputs left " +
+			"behind, which a replay from the program's start does not rebuild"
+	}
 	l1dDiff := !trA.L1D.Equal(&trB.L1D)
 	tlbDiff := !equalU64(trA.TLB, trB.TLB)
 	l1iDiff := !trA.L1I.Equal(&trB.L1I)

@@ -76,6 +76,24 @@ func TestClassifyInvisiSpecUV1(t *testing.T) {
 	}
 }
 
+// TestClassifyNotReproduced: a pair whose replay gives identical traces (here
+// input A against itself) is reported as not reproduced, not matched
+// against a leak signature its logs cannot show.
+func TestClassifyNotReproduced(t *testing.T) {
+	cfg := baseConfig(2, 120)
+	cfg.DefenseFactory = func() uarch.Defense { return invisispec.New(invisispec.Config{}) }
+	exec, v := findViolation(t, cfg)
+	same := *v
+	same.InputB = v.InputA.Clone()
+	rep, err := analysis.Analyze(exec, &same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Signature != analysis.SigNotReproduced {
+		t.Errorf("identical replay classified %q (%s), want %q", rep.Signature, rep.Detail, analysis.SigNotReproduced)
+	}
+}
+
 // TestClassifySTTKV3 verifies the TLB-leak signature for STT.
 func TestClassifySTTKV3(t *testing.T) {
 	cfg := baseConfig(9, 200)

@@ -288,28 +288,60 @@ func (e *Executor) Run(in *isa.Input) (*UTrace, error) {
 // so the L2 and predictors are in a realistic (and identical) state for
 // both measured runs.
 func (e *Executor) RunValidationPair(a, b *isa.Input) (trA, trB *UTrace, err error) {
+	_, _, trA, trB, err = e.runPair(a, b, false)
+	return trA, trB, err
+}
+
+// RunLoggedPair is RunValidationPair with the simulator debug log enabled
+// for the two measured runs, returning each run's log records too. The
+// analysis package uses it to root-cause violations the way the paper
+// parses gem5 debug logs (§3.3).
+func (e *Executor) RunLoggedPair(a, b *isa.Input) (logA, logB []uarch.LogRec, trA, trB *UTrace, err error) {
+	return e.runPair(a, b, true)
+}
+
+// runPair is the body of both pair replays. It starts the executor if it
+// has not started (a fresh executor after LoadProgram under Naive), and the
+// captured context goes into the reused valCP, so a steady-state validation
+// allocates no checkpoint.
+func (e *Executor) runPair(a, b *isa.Input, logged bool) (logA, logB []uarch.LogRec, trA, trB *UTrace, err error) {
 	if e.prog == nil {
-		return nil, nil, fmt.Errorf("executor: RunValidationPair before LoadProgram")
+		return nil, nil, nil, nil, fmt.Errorf("executor: pair replay before LoadProgram")
+	}
+	if !e.started {
+		if err := e.startup(); err != nil {
+			return nil, nil, nil, nil, err
+		}
 	}
 	warm, err := e.runOnce(a)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	e.ReleaseTrace(warm)
 	if e.valCP == nil {
 		e.valCP = &uarch.UarchState{}
 	}
 	e.core.SaveUarchInto(e.valCP)
+	if logged {
+		e.core.Log.Enabled = true
+		defer func() { e.core.Log.Enabled = false }()
+	}
 	trA, err = e.runOnce(a)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, nil, err
+	}
+	if logged {
+		logA = append([]uarch.LogRec(nil), e.core.Log.Recs...)
 	}
 	e.core.RestoreUarch(e.valCP)
 	trB, err = e.runOnce(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	return trA, trB, nil
+	if logged {
+		logB = append([]uarch.LogRec(nil), e.core.Log.Recs...)
+	}
+	return logA, logB, trA, trB, nil
 }
 
 func (e *Executor) runOnce(in *isa.Input) (*UTrace, error) {
@@ -328,41 +360,6 @@ func (e *Executor) runOnce(in *isa.Input) (*UTrace, error) {
 	e.met.TraceExtract += time.Since(t1)
 	e.met.TestCases++
 	return tr, nil
-}
-
-// RunLoggedPair replays two inputs from an identical captured context with
-// the simulator debug log enabled, returning each run's log records and
-// traces. The analysis package uses it to root-cause violations the way
-// the paper parses gem5 debug logs (§3.3).
-func (e *Executor) RunLoggedPair(a, b *isa.Input) (logA, logB []uarch.LogRec, trA, trB *UTrace, err error) {
-	if e.prog == nil {
-		return nil, nil, nil, nil, fmt.Errorf("executor: RunLoggedPair before LoadProgram")
-	}
-	if !e.started {
-		if err := e.startup(); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	warm, err := e.runOnce(a)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	e.ReleaseTrace(warm)
-	ctx := e.core.SaveUarch()
-	e.core.Log.Enabled = true
-	defer func() { e.core.Log.Enabled = false }()
-	trA, err = e.runOnce(a)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	logA = append([]uarch.LogRec(nil), e.core.Log.Recs...)
-	e.core.RestoreUarch(ctx)
-	trB, err = e.runOnce(b)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	logB = append([]uarch.LogRec(nil), e.core.Log.Recs...)
-	return logA, logB, trA, trB, nil
 }
 
 // startup models the simulator start: a fresh micro-architectural context.
@@ -451,9 +448,11 @@ func (e *Executor) runBoot() error {
 // prime resets the memory-system state ahead of a test case according to
 // the configured mode. The actual prime semantics live in mem.Hierarchy
 // (PrimeL1D / PrimeInvalidate), shared with the gadget tests so the two
-// can never diverge; by default the hierarchy's dirty tracking makes the
-// prime incremental — bit-identical to the full prime, but touching only
-// the sets and entries the previous case dirtied.
+// can never diverge. By default the prime is incremental: each cache's
+// dirty bitmap and base (the fill template, or empty) say which sets the
+// previous case changed, and only those are restored or cleared, with the
+// small D-TLB and transient structures rewritten whole — bit-identical to
+// the full prime.
 func (e *Executor) prime() {
 	h := e.core.Hier
 	incremental := !e.cfg.FullPrime

@@ -62,11 +62,10 @@ type Cache struct {
 	lineMask  uint64
 
 	// dirty is a per-set bitmap of sets mutated (install, eviction,
-	// invalidation or an LRU-updating hit) since the last rebase. The
-	// prime paths consume it to re-establish a canonical state by touching
-	// only the sets a test case actually dirtied, and DeltaInto to walk
-	// only those sets; a fresh cache starts all-dirty because its state is
-	// not any canonical prime state.
+	// invalidation or an LRU-updating hit) since the last rebase: a clean
+	// set holds its base content. The prime paths restore or clear only the
+	// dirty sets, and DeltaInto walks only those; a fresh cache starts
+	// all-dirty.
 	dirty []uint64
 
 	// base is the content every clean set holds: the canonical state the
@@ -125,53 +124,24 @@ func (c *Cache) rebase(base *CacheBase) {
 	c.base = base
 }
 
-// dirtyAt reports whether the set containing addr was mutated since the
-// bitmap was last cleared.
-func (c *Cache) dirtyAt(addr uint64) bool {
-	s := (addr >> c.lineShift) & c.setMask
-	return c.dirty[s>>6]&(1<<(s&63)) != 0
-}
-
-// setAbsorbsInstalls reports whether installing every address in cls into
-// set s and then invalidating them all would leave the set's content
-// untouched: none is already resident, and the invalid ways outnumber the
-// installs, so no install ever evicts a live line. The prime replay uses
-// it to skip such round trips wholesale; only the LRU clock advance
-// remains, which the caller compensates.
-func (c *Cache) setAbsorbsInstalls(s int, cls []uint64) bool {
+// setAbsorbsInstalls reports whether installing the fill prime's conflict
+// lines of set s (PrimeBase + k·LineSize for k = k0, k0+Sets, … below n)
+// and then invalidating them all would leave the set's content untouched:
+// none is already resident, and the invalid ways outnumber the installs,
+// so no install ever evicts a live line. The prime replay uses it to skip
+// such round trips wholesale; only the LRU clock advance remains, which the
+// caller compensates.
+func (c *Cache) setAbsorbsInstalls(s, k0, n int) bool {
+	end := PrimeBase + uint64(n)<<c.lineShift
 	free := 0
 	for _, ln := range c.lines[s*c.cfg.Ways : (s+1)*c.cfg.Ways] {
 		if ln.key == 0 {
 			free++
-			continue
-		}
-		for _, cl := range cls {
-			if ln.key == c.LineAddr(cl)+1 {
-				return false
-			}
+		} else if a := ln.addr(); a >= PrimeBase && a < end {
+			return false // in set s and the range: one of its conflict lines
 		}
 	}
-	return free >= len(cls)
-}
-
-// allDirty reports whether every set is marked dirty — the state a bulk
-// change (Restore, InvalidateAll) leaves behind. With no clean set left,
-// an incremental prime has no canonical-state assumption to violate: it
-// restores or replays every set, which is exactly the full prime's pass.
-func (c *Cache) allDirty() bool {
-	full := c.cfg.Sets >> 6
-	for i := 0; i < full; i++ {
-		if c.dirty[i] != ^uint64(0) {
-			return false
-		}
-	}
-	if rem := uint(c.cfg.Sets & 63); rem != 0 {
-		mask := uint64(1)<<rem - 1
-		if c.dirty[full]&mask != mask {
-			return false
-		}
-	}
-	return true
+	return free >= (n-k0+c.cfg.Sets-1)/c.cfg.Sets
 }
 
 // LineAddr returns the line-aligned address containing addr.

@@ -87,7 +87,6 @@ func (t *TLB) refTouch(page uint64) bool {
 		if t.entries[i].key == key {
 			t.useTick++
 			t.entries[i].lastUse = t.useTick
-			t.touched = true
 			return true
 		}
 	}
@@ -116,7 +115,6 @@ func (t *TLB) refInstall(page uint64) (victim uint64, evicted bool) {
 	}
 	t.useTick++
 	t.entries[lruIdx] = tlbEntry{key: page + 1, lastUse: t.useTick}
-	t.touched = true
 	return victim, evicted
 }
 

@@ -57,6 +57,12 @@ func (c HierConfig) Validate() error {
 	if c.LFBEntries < 1 {
 		return fmt.Errorf("mem: LFB entries must be >= 1, got %d", c.LFBEntries)
 	}
+	// The fill prime's L2 replay finds a set's conflict lines by line-size
+	// arithmetic, so every level must share one line size.
+	if c.L1I.LineSize != c.L1D.LineSize || c.L2.LineSize != c.L1D.LineSize {
+		return fmt.Errorf("mem: L1D, L1I and L2 line sizes must match, got %d, %d, %d",
+			c.L1D.LineSize, c.L1I.LineSize, c.L2.LineSize)
+	}
 	if c.LatL1 < 1 || c.LatL2 < 1 || c.LatMem < 1 || c.LatTLBWalk < 1 {
 		return fmt.Errorf("mem: latencies must be >= 1")
 	}
@@ -141,51 +147,18 @@ type Hierarchy struct {
 	// work on the critical path of execution (the unXpec timing channel).
 	portBusyUntil uint64
 
-	// lastPrime records which canonical state the structures' dirty
-	// tracking is relative to. The incremental prime paths only engage when
-	// the previous prime was of the same kind; any other transition (a
-	// Reset, a checkpoint Restore, a mode switch) falls back to the full
-	// prime, which is always correct.
-	lastPrime primeKind
-
 	// Prime template: the canonical post-fill-prime L1D and D-TLB state,
-	// captured once from a real full prime (the state is independent of
+	// captured once from a simulated prime (the state is independent of
 	// what preceded the prime, so one capture serves every later prime).
 	// tplBase is tplL1D's content, the base of fill-primed traces; it is
-	// allocated on its own, so a retained trace pins only it.
-	tplValid   bool
+	// allocated on its own, so a retained trace pins only it. It is nil
+	// until the first simulated prime.
 	tplL1D     []cacheLine
 	tplL1DTick uint64
 	tplBase    *CacheBase
 	tplTLB     []tlbEntry
 	tplTLBTick uint64
-
-	// conflictScan caches every conflict line address in the full prime's
-	// (way, set) scan order, so the incremental prime's per-case L2 pass
-	// walks a flat array instead of recomputing 512 conflict addresses.
-	conflictScan []uint64
-
-	// conflictBySet/conflictSetOff regroup conflictScan by L2 set (CSR
-	// layout: set s's lines are conflictBySet[off[s]:off[s+1]], preserving
-	// scan order within the set). The incremental prime walks the L2 dirty
-	// bitmap and looks up each dirty set's lines directly, instead of
-	// testing all sets × ways conflict lines against the bitmap per case.
-	conflictBySet  []uint64
-	conflictSetOff []int32
-
-	// primeReplay is the reused scratch list of conflict lines whose L2
-	// sets were dirtied and therefore need the install+invalidate replay.
-	primeReplay []uint64
 }
-
-// primeKind distinguishes the canonical states a prime establishes.
-type primeKind uint8
-
-const (
-	primeKindNone       primeKind = iota // no prime since the last bulk state change
-	primeKindFill                        // PrimeL1D: primed L1D + primed D-TLB
-	primeKindInvalidate                  // PrimeInvalidate: empty L1D/L1I/D-TLB
-)
 
 // NewHierarchy builds the hierarchy. It panics on invalid configuration.
 func NewHierarchy(cfg HierConfig) *Hierarchy {
@@ -214,7 +187,6 @@ func (h *Hierarchy) Reset() {
 	h.DropPendingFills()
 	h.nextFillID = 0
 	h.portBusyUntil = 0
-	h.lastPrime = primeKindNone
 }
 
 // Tick applies every pending fill due at or before cycle now and returns
@@ -365,7 +337,6 @@ func (h *Hierarchy) Restore(st *HierState) {
 	h.MSHR.Reset()
 	h.LFBuf.Reset()
 	h.DropPendingFills()
-	h.lastPrime = primeKindNone
 }
 
 // CancelFill marks an in-flight fill as cancelled (squash paths of
@@ -541,31 +512,22 @@ func (h *Hierarchy) DrainFills() {
 // the single shared implementation behind both the executor's per-case
 // prime and the gadget tests' primed runs.
 //
-// With incremental set, and when the previous prime was also a fill prime,
-// only the state the last test case dirtied is re-primed: dirty L1D sets
-// are restored from the canonical template, the D-TLB is rebuilt only if
-// touched, and the L2 install+invalidate pass replays only the conflict
-// lines whose L2 sets were mutated (for an untouched L2 set the full pass
-// is a no-op apart from the LRU clock, which is advanced to compensate).
-// The result is bit-identical to the full prime, pinned by tests.
-//
-// The incremental replay is also taken from a bulk-dirty state (the state
-// Reset and Restore leave: every set marked, the TLB touched) once the
-// template exists. With nothing clean, the replay restores every L1D set
-// and replays every conflict line against the L2 — the full pass itself,
-// minus the simulated fill traffic — so no clean-set assumption is left
-// to violate even though the prior state is not a canonical prime state.
-// This is what makes the once-per-program prime after a start's reset
-// incremental rather than a full re-simulation.
+// With incremental set, once a simulated prime has captured the template,
+// the prime restores instead of simulating, from any prior state. The
+// caches' bases say what is already canonical: an L1D set that is clean
+// over the template base still holds the template, so only the dirty sets
+// are copied back (every set, when the L1D's base is another one). The
+// D-TLB is copied whole and the transient structures are reset. In the L2,
+// whose dirty bitmap only the fill prime clears, the install+invalidate
+// pass is replayed only in dirty sets: in a set untouched since the last
+// fill prime it changes nothing but the LRU clock. The result is
+// bit-identical to the simulated prime, pinned by tests.
 func (h *Hierarchy) PrimeL1D(incremental bool) {
-	if incremental && h.tplValid &&
-		(h.lastPrime == primeKindFill ||
-			(h.L1D.allDirty() && h.L2.allDirty() && h.DTLB.touched)) {
+	if incremental && h.tplBase != nil {
 		h.primeFillIncremental()
 	} else {
 		h.primeFillFull()
 	}
-	h.lastPrime = primeKindFill
 }
 
 // primeFillFull is the reference fill prime: correct from any prior state.
@@ -605,25 +567,24 @@ func (h *Hierarchy) primeFillFull() {
 
 	// The post-prime L1D and D-TLB state depends only on the geometry:
 	// capture it once as the template incremental primes restore from.
-	if !h.tplValid {
+	if h.tplBase == nil {
 		h.tplL1D = append(h.tplL1D[:0], h.L1D.lines...)
 		h.tplL1DTick = h.L1D.useTick
 		h.tplTLB = append(h.tplTLB[:0], h.DTLB.entries...)
 		h.tplTLBTick = h.DTLB.useTick
 		h.tplBase = h.L1D.newBase()
-		h.tplValid = true
 	}
 	h.L1D.rebase(h.tplBase)
 	h.L2.rebase(nil)
-	h.DTLB.clearTouched()
 }
 
 // primeFillIncremental re-establishes the full prime's exact post-state by
-// touching only what the previous case dirtied.
+// touching only what differs from it.
 func (h *Hierarchy) primeFillIncremental() {
-	// L1D: clean sets already hold the canonical primed lines; restore the
-	// dirty ones from the template and rewind the LRU clock.
 	l1 := h.L1D
+	if l1.base != h.tplBase {
+		l1.markAllDirty()
+	}
 	ways := l1.cfg.Ways
 	for wi, word := range l1.dirty {
 		for word != 0 {
@@ -636,122 +597,78 @@ func (h *Hierarchy) primeFillIncremental() {
 			base := s * ways
 			copy(l1.lines[base:base+ways], h.tplL1D[base:base+ways])
 		}
-		l1.dirty[wi] = 0
 	}
 	l1.useTick = h.tplL1DTick
-	l1.base = h.tplBase
+	l1.rebase(h.tplBase)
 
-	if h.DTLB.touched {
-		copy(h.DTLB.entries, h.tplTLB)
-		h.DTLB.useTick = h.tplTLBTick
-		h.DTLB.clearTouched()
-	}
-	if h.MSHR.Used() {
-		h.MSHR.Reset()
-	}
-	if h.LFBuf.Used() {
-		h.LFBuf.Reset()
-	}
+	copy(h.DTLB.entries, h.tplTLB)
+	h.DTLB.useTick = h.tplTLBTick
+	h.MSHR.Reset()
+	h.LFBuf.Reset()
 	h.DropPendingFills()
 
-	// L2: the full prime installs then invalidates every conflict line, in
-	// (way, set) order with the invalidation pass trailing all installs.
-	// For an L2 set untouched since the previous prime that sequence is a
-	// no-op — the way the conflict line vacated is still invalid, so the
-	// install takes it back and the invalidate frees it — except for the
-	// LRU clock, which advances once per install. The replay therefore
-	// walks the L2 dirty bitmap and handles only dirtied sets (where an
-	// install can genuinely evict a sandbox line), advancing the clock for
-	// everything skipped. A dirty set whose invalid ways absorb all of its
-	// conflict lines is itself a content no-op — the install-then-invalidate
-	// round trip cannot displace a live line — so only its clock advance
-	// remains. Reordering replays by set is immaterial: victim choice is
-	// per-set, and the conflict lines' own LRU stamps die with the trailing
-	// invalidates.
-	cfg := h.Cfg.L1D
+	// L2: the full prime installs then invalidates the n conflict lines
+	// PrimeBase + k·LineSize (k < n, k = way·Sets + set of the L1D, so scan
+	// order is increasing k), the invalidation pass trailing all installs.
+	// For an L2 set untouched since the previous fill prime that sequence
+	// is a no-op — the ways the conflict lines vacated are still invalid,
+	// so the installs take them back and the invalidates free them —
+	// except for the LRU clock, which advances once per install. The replay
+	// therefore handles only dirty sets, whose conflict lines are every
+	// L2.Sets-th k from the set's first, and advances the clock for the
+	// rest. A dirty set whose invalid ways absorb all of its conflict lines
+	// is itself a content no-op, so only its clock advance remains.
+	// Replaying set by set is immaterial: victim choice is per-set, and the
+	// conflict lines' own LRU stamps die with the invalidates.
 	l2 := h.L2
-	if h.conflictScan == nil {
-		for w := 0; w < cfg.Ways; w++ {
-			for s := 0; s < cfg.Sets; s++ {
-				h.conflictScan = append(h.conflictScan, h.ConflictAddr(s, w))
-			}
-		}
-		counts := make([]int32, l2.cfg.Sets+1)
-		for _, cl := range h.conflictScan {
-			counts[(cl>>l2.lineShift)&l2.setMask+1]++
-		}
-		for s := 0; s < l2.cfg.Sets; s++ {
-			counts[s+1] += counts[s]
-		}
-		h.conflictSetOff = counts
-		h.conflictBySet = make([]uint64, len(h.conflictScan))
-		fill := append([]int32(nil), counts[:l2.cfg.Sets]...)
-		for _, cl := range h.conflictScan {
-			s := (cl >> l2.lineShift) & l2.setMask
-			h.conflictBySet[fill[s]] = cl
-			fill[s]++
-		}
-	}
-	replay := h.primeReplay[:0]
+	n := h.Cfg.L1D.Sets * h.Cfg.L1D.Ways
+	sets, first := l2.cfg.Sets, l2.SetIndex(PrimeBase)
+	replayed := 0
 	for wi, word := range l2.dirty {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
 			s := wi<<6 + b
-			if s >= l2.cfg.Sets {
+			if s >= sets {
 				break
 			}
-			cls := h.conflictBySet[h.conflictSetOff[s]:h.conflictSetOff[s+1]]
-			if len(cls) == 0 || l2.setAbsorbsInstalls(s, cls) {
+			k0 := (s - first) & (sets - 1)
+			if k0 >= n || l2.setAbsorbsInstalls(s, k0, n) {
 				continue
 			}
-			replay = append(replay, cls...)
+			for k := k0; k < n; k += sets {
+				l2.Install(PrimeBase + uint64(k)<<l2.lineShift)
+				replayed++
+			}
+			for k := k0; k < n; k += sets {
+				l2.Invalidate(PrimeBase + uint64(k)<<l2.lineShift)
+			}
 		}
 	}
-	for _, cl := range replay {
-		l2.Install(cl)
-	}
-	for _, cl := range replay {
-		l2.Invalidate(cl)
-	}
-	h.primeReplay = replay
-	l2.useTick += uint64(cfg.Ways*cfg.Sets - len(replay))
+	l2.useTick += uint64(n - replayed)
 	l2.rebase(nil)
 }
 
 // PrimeInvalidate resets the L1D, L1I, D-TLB and transient structures to a
 // clean state through the direct simulator hook (CleanupSpec and SpecLFB
 // campaigns). The L2 is deliberately left warm, exactly as in the fill
-// prime. With incremental set, and when the previous prime was also an
-// invalidate prime, only the sets and entries dirtied since then are
-// cleared — bit-identical to the full reset.
+// prime. With incremental set, an L1 whose base is empty clears only its
+// dirty sets (Cache.InvalidateDirty; over any other base it clears all),
+// bit-identical to the full reset.
 func (h *Hierarchy) PrimeInvalidate(incremental bool) {
-	if incremental && h.lastPrime == primeKindInvalidate {
+	if incremental {
 		h.L1D.InvalidateDirty()
 		h.L1I.InvalidateDirty()
-		if h.DTLB.touched {
-			h.DTLB.InvalidateAll()
-			h.DTLB.clearTouched()
-		}
-		if h.MSHR.Used() {
-			h.MSHR.Reset()
-		}
-		if h.LFBuf.Used() {
-			h.LFBuf.Reset()
-		}
-		h.DropPendingFills()
 	} else {
 		h.L1D.InvalidateAll()
 		h.L1I.InvalidateAll()
-		h.DTLB.InvalidateAll()
-		h.LFBuf.Reset()
-		h.MSHR.Reset()
-		h.DropPendingFills()
-		h.L1D.rebase(&h.L1D.empty)
-		h.L1I.rebase(&h.L1I.empty)
-		h.DTLB.clearTouched()
 	}
-	h.lastPrime = primeKindInvalidate
+	h.DTLB.InvalidateAll()
+	h.MSHR.Reset()
+	h.LFBuf.Reset()
+	h.DropPendingFills()
+	h.L1D.rebase(&h.L1D.empty)
+	h.L1I.rebase(&h.L1I.empty)
 }
 
 // InvalidateL1I clears the instruction cache ahead of a test case (trace

@@ -255,4 +255,14 @@ func TestHierConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Errorf("zero latency accepted")
 	}
+	// Each level alone is valid at another line size; mixed, the fill
+	// prime's conflict-line arithmetic would walk the wrong L2 lines.
+	for _, lvl := range []*CacheConfig{&bad.L1D, &bad.L1I, &bad.L2} {
+		bad = cfg
+		*lvl = CacheConfig{Sets: lvl.Sets, Ways: lvl.Ways, LineSize: 32}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("mixed line sizes accepted: L1D %d, L1I %d, L2 %d",
+				bad.L1D.LineSize, bad.L1I.LineSize, bad.L2.LineSize)
+		}
+	}
 }

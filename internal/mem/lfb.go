@@ -9,14 +9,7 @@ import "sort"
 // becoming visible.
 type LFB struct {
 	entries []lfbEntry
-
-	// used flags any allocation since the last Reset, so the incremental
-	// prime can skip resetting an already-empty buffer.
-	used bool
 }
-
-// Used reports whether any entry was staged since the last Reset.
-func (l *LFB) Used() bool { return l.used }
 
 type lfbEntry struct {
 	valid bool
@@ -49,7 +42,6 @@ func (l *LFB) FreeCount() int {
 // Alloc reserves an entry for lineAddr owned by load sequence owner. It
 // returns false when the buffer is full (the caller must stall the miss).
 func (l *LFB) Alloc(lineAddr, owner uint64) bool {
-	l.used = true
 	for i := range l.entries {
 		if l.entries[i].valid && l.entries[i].addr == lineAddr {
 			return true // already staged; coalesce
@@ -96,12 +88,7 @@ func (l *LFB) DropOwner(owner uint64) {
 }
 
 // Reset clears the buffer.
-func (l *LFB) Reset() {
-	for i := range l.entries {
-		l.entries[i] = lfbEntry{}
-	}
-	l.used = false
-}
+func (l *LFB) Reset() { clear(l.entries) }
 
 // Snapshot returns the sorted staged line addresses (debugging aid).
 func (l *LFB) Snapshot() []uint64 {

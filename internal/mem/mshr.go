@@ -16,14 +16,7 @@ package mem
 type MSHRFile struct {
 	size int
 	busy []mshrEntry // allocations whose fill may still be in flight
-
-	// used flags any allocation since the last Reset, so the incremental
-	// prime can skip resetting an already-clean file.
-	used bool
 }
-
-// Used reports whether any entry was allocated since the last Reset.
-func (m *MSHRFile) Used() bool { return m.used }
 
 type mshrEntry struct {
 	addr      uint64 // line address
@@ -104,7 +97,6 @@ func (m *MSHRFile) EarliestFree(now uint64) uint64 {
 // over-allocation would hide exactly the contention this model exists to
 // expose.
 func (m *MSHRFile) Alloc(start, until uint64, lineAddr uint64) {
-	m.used = true
 	m.compact(start)
 	if len(m.busy) >= m.size {
 		panic("mem: MSHR Alloc with no free entry")
@@ -115,5 +107,4 @@ func (m *MSHRFile) Alloc(start, until uint64, lineAddr uint64) {
 // Reset frees all entries.
 func (m *MSHRFile) Reset() {
 	m.busy = m.busy[:0]
-	m.used = false
 }

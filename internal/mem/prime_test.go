@@ -139,11 +139,10 @@ func TestPrimeInvalidateIncrementalBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrimeModeSwitchFallsBackToFull: an incremental prime request after a
-// prime of the other kind must not trust the stale dirty tracking — with no
-// template yet it runs the full prime; after a Restore the bulk-dirty state
-// takes the incremental replay instead — and either way the result matches
-// the reference.
+// TestPrimeModeSwitchFallsBackToFull: an incremental fill prime after an
+// invalidate prime must not take the empty L1D base for the template —
+// with no template yet it runs the full prime; after a Restore it restores
+// every set — and either way the result matches the reference.
 func TestPrimeModeSwitchFallsBackToFull(t *testing.T) {
 	cfg := DefaultHierConfig()
 	full, incr := NewHierarchy(cfg), NewHierarchy(cfg)
@@ -164,9 +163,9 @@ func TestPrimeModeSwitchFallsBackToFull(t *testing.T) {
 }
 
 // TestPrimeFillIncrementalFromBulkDirty pins the bulk-dirty fast path: the
-// state Reset and Restore leave behind (every set dirty, TLB touched) takes
-// the incremental replay — no simulated fill traffic — and still lands on
-// the exact full-prime state. This is the once-per-program prime after a
+// state Reset and Restore leave behind (every set dirty) takes the
+// incremental replay — no simulated fill traffic — and still lands on the
+// exact full-prime state. This is the once-per-program prime after a
 // start's reset, which previously re-simulated sets × ways fills.
 func TestPrimeFillIncrementalFromBulkDirty(t *testing.T) {
 	for ci, cfg := range primeTestConfigs() {
@@ -207,7 +206,7 @@ func TestPrimeTemplateMatchesSimulatedPrime(t *testing.T) {
 	for _, cfg := range primeTestConfigs() {
 		h := NewHierarchy(cfg)
 		h.PrimeL1D(false) // captures the template
-		if !h.tplValid {
+		if h.tplBase == nil {
 			t.Fatalf("full prime did not capture the template")
 		}
 		for i := range h.tplL1D {

@@ -8,15 +8,11 @@ import "slices"
 // known STT vulnerability (KV3, tainted stores installing D-TLB entries).
 // Every access (Install, Hierarchy.TranslateData) is one scan of the
 // entries that finds a hit, the first free entry and the LRU victim
-// together (lookup).
+// together (lookup). It keeps no dirty tracking: every prime rewrites all
+// of its entries (64 by default, one 1 KiB copy or clear).
 type TLB struct {
 	entries []tlbEntry
 	useTick uint64
-
-	// touched flags any mutation (install, LRU-updating hit, bulk reset)
-	// since the last clearTouched. The incremental prime skips the TLB
-	// rebuild entirely when a test case never touched a translation.
-	touched bool
 }
 
 // tlbEntry packs validity and the page number into one key word (page+1,
@@ -36,12 +32,8 @@ func NewTLB(n int) *TLB {
 	if n < 1 {
 		panic("mem: TLB size must be at least 1")
 	}
-	return &TLB{entries: make([]tlbEntry, n), touched: true}
+	return &TLB{entries: make([]tlbEntry, n)}
 }
-
-// clearTouched resets the mutation flag. Only the prime paths call it,
-// right after re-establishing a canonical TLB state.
-func (t *TLB) clearTouched() { t.touched = false }
 
 // Size returns the number of entries.
 func (t *TLB) Size() int { return len(t.entries) }
@@ -79,7 +71,6 @@ func (t *TLB) lookup(page uint64, install bool) (hit bool, victim uint64, evicte
 		if e.key == key {
 			t.useTick++
 			e.lastUse = t.useTick
-			t.touched = true
 			return true, 0, false
 		}
 		if e.key == 0 {
@@ -98,7 +89,6 @@ func (t *TLB) lookup(page uint64, install bool) (hit bool, victim uint64, evicte
 	}
 	t.useTick++
 	t.entries[lruIdx] = tlbEntry{key: key, lastUse: t.useTick}
-	t.touched = true
 	return false, victim, evicted
 }
 
@@ -106,7 +96,6 @@ func (t *TLB) lookup(page uint64, install bool) (hit bool, victim uint64, evicte
 func (t *TLB) InvalidateAll() {
 	clear(t.entries)
 	t.useTick = 0
-	t.touched = true
 }
 
 // TLBState is an opaque copy of the TLB content (violation validation).
@@ -128,7 +117,6 @@ func (t *TLB) Restore(st *TLBState) {
 	}
 	copy(t.entries, st.entries)
 	t.useTick = st.useTick
-	t.touched = true
 }
 
 // Snapshot returns the sorted virtual page numbers currently cached: the

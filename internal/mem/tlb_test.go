@@ -67,13 +67,9 @@ func TestTLBMatchesThreeScan(t *testing.T) {
 				if gotOut != refOut {
 					t.Fatalf("step %d %s(%d): (hit, victim|latency, evicted) = %v, three-scan oracle %v", step, op, page, gotOut, refOut)
 				}
-				if !slices.Equal(got.entries, ref.entries) || got.useTick != ref.useTick || got.touched != ref.touched {
-					t.Fatalf("step %d %s(%d): state diverged\none-scan   tick=%d touched=%v %v\nthree-scan tick=%d touched=%v %v",
-						step, op, page, got.useTick, got.touched, got.entries, ref.useTick, ref.touched, ref.entries)
-				}
-				if rng.Intn(50) == 0 {
-					got.clearTouched()
-					ref.clearTouched()
+				if !slices.Equal(got.entries, ref.entries) || got.useTick != ref.useTick {
+					t.Fatalf("step %d %s(%d): state diverged\none-scan   tick=%d %v\nthree-scan tick=%d %v",
+						step, op, page, got.useTick, got.entries, ref.useTick, ref.entries)
 				}
 			}
 		})

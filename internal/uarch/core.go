@@ -290,19 +290,12 @@ type UarchState struct {
 	mdp  MDPState
 }
 
-// SaveUarch captures the current micro-architectural context, so violation
-// validation can replay two inputs from the *same* context µ, as
-// Definition 2.1 requires.
-func (c *Core) SaveUarch() *UarchState {
-	st := &UarchState{}
-	c.SaveUarchInto(st)
-	return st
-}
-
-// SaveUarchInto captures the context into st, reusing st's buffers: the
-// validation path saves a checkpoint per µarch-trace mismatch, so the
-// executor hands the same state object back in instead of reallocating
-// cache-sized copies every time.
+// SaveUarchInto captures the current micro-architectural context into st,
+// so violation validation can replay two inputs from the *same* context µ,
+// as Definition 2.1 requires. It reuses st's buffers: the validation path
+// saves a checkpoint per µarch-trace mismatch, so the executor hands the
+// same state object back in instead of reallocating cache-sized copies
+// every time.
 func (c *Core) SaveUarchInto(st *UarchState) {
 	c.Hier.SaveInto(&st.hier)
 	c.BP.SaveInto(&st.bp)
