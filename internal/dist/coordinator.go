@@ -388,12 +388,10 @@ func (co *Coordinator) takeLocalOnly() []engine.UnitID {
 func (co *Coordinator) fleetDead() bool {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for _, w := range co.workers {
-		if !w.evicted {
-			co.degradedNow = false
-			co.lastFleetActivity = time.Now()
-			return false
-		}
+	if co.live > 0 {
+		co.degradedNow = false
+		co.lastFleetActivity = time.Now()
+		return false
 	}
 	if time.Since(co.lastFleetActivity) < co.cfg.DegradeGrace {
 		return false

@@ -4,7 +4,7 @@
 // remote results through the same settle — so a distributed run is
 // bit-identical to a single-process run at the same seed. Workers own a
 // UnitRunner — a persistent executor and workspace that run arbitrary units
-// of the campaign by coordinates, exactly as a pooled engine worker would.
+// of the campaign by coordinates, exactly as an engine worker would.
 //
 // Distributed campaigns are random-strategy only: the corpus strategy's
 // epochs are cross-unit barriers (epoch N's generation depends on epoch
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
-	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
 )
@@ -54,9 +53,8 @@ type DistCampaign struct {
 	// encode and append side by side. Taken before mu.
 	foldMu sync.RWMutex
 
-	mu        sync.Mutex
-	c         *campaign
-	localPool *executor.Pool
+	mu sync.Mutex
+	c  *campaign
 
 	// remaining counts the units still needing execution: not done and not
 	// beyond their instance's stop-on-first cut. Every fold and cut move
@@ -289,21 +287,8 @@ func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
 // (panic quarantine, optional watchdog), folding their results into the
 // campaign. It is the coordinator's graceful-degradation path: units done
 // or past their cut are skipped, so racing a late remote submission is
-// harmless. The executor pool (one executor) is created on first use and
-// reused across calls.
+// harmless. Each call runs on a slot of its own.
 func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
-	d.mu.Lock()
-	if d.localPool == nil {
-		pool, err := executor.NewPool(d.c.base.Exec, d.c.base.DefenseFactory, 1)
-		if err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		d.localPool = pool
-	}
-	pool := d.localPool
-	d.mu.Unlock()
-
 	next := func() (UnitID, bool) {
 		for len(units) > 0 {
 			u := units[0]
@@ -314,7 +299,7 @@ func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
 		}
 		return UnitID{}, false
 	}
-	return d.runWorker(ctx, pool, generator.Random{}, next)
+	return d.runWorker(ctx, d.c.newSlot(), generator.Random{}, next)
 }
 
 // SaveCheckpoint makes every folded unit durable: the units' records are
@@ -361,8 +346,8 @@ func (d *DistCampaign) Result() *fuzzer.CampaignResult {
 
 // UnitRunner executes individual units of a campaign, standalone, on a
 // persistent executor and workspace — the worker's half of a distributed
-// campaign. Every Run starts from the same reset context a pooled engine
-// worker starts from, so the unit result depends only on the unit
+// campaign. Every Run starts from the same reset context an engine worker
+// starts from, so the unit result depends only on the unit
 // coordinates and the campaign seed, never on which worker ran it or in
 // what order.
 type UnitRunner struct {
@@ -381,15 +366,7 @@ func NewUnitRunner(cfg Config) (*UnitRunner, error) {
 	if corpus {
 		return nil, ErrDistCorpus
 	}
-	pool, err := executor.NewPool(c.base.Exec, c.base.DefenseFactory, 1)
-	if err != nil {
-		return nil, err
-	}
-	s, err := acquireSlot(context.Background(), pool)
-	if err != nil {
-		return nil, err
-	}
-	return &UnitRunner{c: c, s: s}, nil
+	return &UnitRunner{c: c, s: c.newSlot()}, nil
 }
 
 // ConfigFP is the campaign configuration fingerprint the runner was built

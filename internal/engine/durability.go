@@ -289,7 +289,7 @@ type unitOutcome struct {
 	done bool
 	// poison marks the worker's executor unfit for reuse — it panicked
 	// mid-simulation or is still owned by an abandoned wedged goroutine.
-	// The worker discards it (and its workspace) and acquires fresh ones.
+	// The worker replaces it (and its workspace) with a new slot.
 	poison bool
 }
 
@@ -398,14 +398,7 @@ func ReplayUnit(ctx context.Context, cfg Config, b *checkpoint.Bundle, inj *faul
 		return nil, fmt.Errorf("engine: bundle unit (%d,%d) out of campaign bounds %dx%d",
 			b.Inst, b.Prog, c.instances, c.programs)
 	}
-	pool, err := executor.NewPool(c.base.Exec, c.base.DefenseFactory, 1)
-	if err != nil {
-		return nil, err
-	}
-	s, err := acquireSlot(ctx, pool)
-	if err != nil {
-		return nil, err
-	}
+	s := c.newSlot()
 	var strat generator.Strategy = generator.Random{}
 	if corpus {
 		strat = generator.NewCorpusStrategy(nil)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
-	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -627,31 +626,32 @@ func TestUnitWatchdog(t *testing.T) {
 }
 
 // assertPoisonReplacesSlot runs unit (inst, prog) of cfg's campaign — armed
-// to poison its worker — behind the isolation layer on a worker slot, and
-// requires the slot to come out of it with a fresh executor and a fresh
-// workspace.
+// to poison its worker — through the worker loop, and requires the worker's
+// slot to come out of it with a new executor and a new workspace.
 func assertPoisonReplacesSlot(t *testing.T, cfg Config, inst, prog int) {
 	t.Helper()
-	ctx := context.Background()
 	c, _, err := newCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := executor.NewPool(c.base.Exec, c.base.DefenseFactory, 1)
+	d, err := newDistCampaign(c, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := acquireSlot(ctx, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer d.Close()
+	s := c.newSlot()
 	exec, ws := s.exec, s.ws
-	u := unit{inst: inst, prog: prog, seed: fuzzer.UnitSeed(fuzzer.InstanceSeed(c.base.Seed, inst), prog)}
-	if out := c.runUnitIsolated(ctx, s.exec, s.ws, generator.Random{}, u); !out.poison {
-		t.Fatalf("unit (%d,%d) did not poison its worker: %+v", inst, prog, out)
+	left := true
+	next := func() (UnitID, bool) {
+		ok := left
+		left = false
+		return UnitID{Inst: inst, Prog: prog}, ok
 	}
-	if err := s.replace(ctx); err != nil {
+	if err := d.runWorker(context.Background(), s, generator.Random{}, next); err != nil {
 		t.Fatal(err)
+	}
+	if m := d.Result().Totals().Metrics; m.Quarantined+m.TimedOut != 1 || !d.Done(UnitID{Inst: inst, Prog: prog}) {
+		t.Fatalf("unit (%d,%d) did not poison its worker: %+v", inst, prog, m)
 	}
 	if s.exec == nil || s.exec == exec {
 		t.Error("the poisoned executor was kept")

@@ -3,9 +3,9 @@
 // instance is Instances: 1), and DistCampaign/UnitRunner are the seams the
 // distributed coordinator and workers drive. It decomposes a campaign into
 // program-level work units (generate → contract-model collect → µarch
-// execute → compare → validate) and runs them on a worker pool, each worker
-// owning a pooled executor whose simulated core is reused across programs
-// and reset at the start of every program.
+// execute → compare → validate) and runs them on worker goroutines, each
+// owning an executor whose simulated core is reused across programs and
+// reset at the start of every program.
 //
 // Scheduling the ~Instances×Programs individual programs, rather than whole
 // instances, lets a campaign of few instances use many cores and keeps a
@@ -85,11 +85,10 @@ type Config struct {
 	// Campaign is the campaign shape: Base config plus the instance count.
 	// Base.Seed seeds the whole campaign.
 	Campaign fuzzer.CampaignConfig
-	// Workers sets the worker-pool size (and thus the executor-pool size);
-	// zero uses GOMAXPROCS. The violation set is identical for every
-	// value; counters and timings (TestCases, Metrics, Elapsed) are not,
-	// since cancellation and stop-on-first races decide how much extra
-	// work runs.
+	// Workers sets the worker count, one executor each; zero uses
+	// GOMAXPROCS. The violation set is identical for every value; counters
+	// and timings (TestCases, Metrics, Elapsed) are not, since cancellation
+	// and stop-on-first races decide how much extra work runs.
 	Workers int
 	// Strategy selects the generation strategy: StrategyRandom (default)
 	// or StrategyCorpus.
@@ -207,16 +206,14 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 	if err != nil {
 		return nil, err
 	}
-	pool, err := executor.NewPool(c.base.Exec, c.base.DefenseFactory, c.workers)
-	if err != nil {
-		return nil, err
-	}
 	d, err := newDistCampaign(c, cfg.Resume)
 	if err != nil {
 		return nil, err
 	}
 	defer d.Close()
 
+	// Worker w keeps slots[w] across epochs.
+	slots := make([]*slot, c.workers)
 	var errs []error
 	epochsDone := c.loggedEpochs // what a resumed log has admitted; 0 when fresh
 	for e := epochsDone; e < c.epochs; e++ {
@@ -225,7 +222,7 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 			strat = generator.NewCorpusStrategy(c.entries)
 		}
 		lo, hi := epochBounds(c.programs, c.epochs, e)
-		errs = append(errs, d.runEpoch(ctx, pool, strat, lo, hi)...)
+		errs = append(errs, d.runEpoch(ctx, slots, strat, lo, hi)...)
 		if ctx.Err() != nil {
 			// The epoch was interrupted: don't admit its (partial) results —
 			// resume re-runs the missing units and admits the epoch whole.
@@ -254,7 +251,7 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 // RunCampaign, the coordinator (DistCampaign) and its workers (UnitRunner):
 // per-unit result/progress grids, stop-on-first cuts, strategy and epoch
 // resolution, and the campaign identity fingerprint. It opens no log,
-// creates no executor pool and runs nothing.
+// builds no executor and runs nothing.
 func newCampaign(cfg Config) (*campaign, bool, error) {
 	if cfg.Campaign.Instances < 1 {
 		return nil, false, fmt.Errorf("engine: campaign needs at least one instance")
@@ -338,10 +335,11 @@ func epochBounds(programs, epochs, e int) (lo, hi int) {
 }
 
 // runEpoch runs the units of one epoch (program indices [lo, hi) of every
-// instance) on the worker pool and waits for all of them — the barrier that
+// instance) on the workers and waits for all of them — the barrier that
 // makes the next epoch's corpus schedule-independent. The workers draw from
-// the cursor, windowed to the epoch.
-func (d *DistCampaign) runEpoch(ctx context.Context, pool *executor.Pool, strat generator.Strategy, lo, hi int) []error {
+// the cursor, windowed to the epoch; worker w runs on slots[w], building it
+// on first use.
+func (d *DistCampaign) runEpoch(ctx context.Context, slots []*slot, strat generator.Strategy, lo, hi int) []error {
 	nUnits := d.c.instances * (hi - lo)
 	if nUnits == 0 {
 		return nil
@@ -354,7 +352,10 @@ func (d *DistCampaign) runEpoch(ctx context.Context, pool *executor.Pool, strat 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errCh <- d.runWorker(ctx, pool, strat, d.Next)
+			if slots[w] == nil {
+				slots[w] = d.c.newSlot()
+			}
+			errCh <- d.runWorker(ctx, slots[w], strat, d.Next)
 		}()
 	}
 	wg.Wait()
@@ -417,52 +418,27 @@ func (c *campaign) firstViolatingIndex(i, hi int) int {
 	return -1
 }
 
-// slot is what a worker runs units on: a pooled executor and the fuzzer
+// slot is what a worker runs units on: its executor and the fuzzer
 // workspace that recycles everything else a unit builds. The two share a
 // fate — a unit that poisons the worker (a panic mid-pipeline, or a wedged
 // goroutine the watchdog abandoned, which may still hold both) costs it
-// both, and replace swaps them together.
+// both, and the worker builds a new slot in place.
 type slot struct {
-	pool *executor.Pool
 	exec *executor.Executor
 	ws   *fuzzer.Workspace
 }
 
-// acquireSlot acquires an executor from pool and pairs it with a fresh
-// workspace.
-func acquireSlot(ctx context.Context, pool *executor.Pool) (*slot, error) {
-	exec, err := pool.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &slot{pool: pool, exec: exec, ws: fuzzer.NewWorkspace()}, nil
+// newSlot builds a worker's slot: an executor with its own defense instance
+// and an empty workspace.
+func (c *campaign) newSlot() *slot {
+	return &slot{exec: executor.New(c.base.Exec, c.base.DefenseFactory()), ws: fuzzer.NewWorkspace()}
 }
-
-// replace discards the poisoned executor and workspace and acquires fresh
-// ones. On error the slot holds no executor.
-func (s *slot) replace(ctx context.Context) error {
-	s.pool.Discard(s.exec)
-	s.ws = fuzzer.NewWorkspace()
-	var err error
-	s.exec, err = s.pool.Acquire(ctx)
-	return err
-}
-
-// release returns the slot's executor to the pool.
-func (s *slot) release() { s.pool.Release(s.exec) }
 
 // runWorker is the one unit loop. A worker takes units from next until it
-// has none left, runs each behind the fault-isolation layer, and settles
-// every outcome. It owns one executor from pool and one workspace for its
-// whole lifetime — unless a unit poisons them (panic or watchdog
-// abandonment), in which case both are discarded and fresh ones acquired,
-// and the campaign keeps going.
-func (d *DistCampaign) runWorker(ctx context.Context, pool *executor.Pool, strat generator.Strategy, next func() (UnitID, bool)) error {
-	s, err := acquireSlot(ctx, pool)
-	if err != nil {
-		return err
-	}
-	defer s.release()
+// has none left, runs each on s behind the fault-isolation layer, and
+// settles every outcome. A unit that poisons s (panic or watchdog
+// abandonment) has s rebuilt in place, and the campaign keeps going.
+func (d *DistCampaign) runWorker(ctx context.Context, s *slot, strat generator.Strategy, next func() (UnitID, bool)) error {
 	var errs []error
 	for ctx.Err() == nil {
 		id, ok := next()
@@ -473,13 +449,8 @@ func (d *DistCampaign) runWorker(ctx context.Context, pool *executor.Pool, strat
 		out := d.c.runUnitIsolated(ctx, s.exec, s.ws, strat, u)
 		if out.poison {
 			// The executor and the workspace went down with the unit (an
-			// abandoned wedged unit's goroutine still holds both); replace
-			// them before touching any more work.
-			if err := s.replace(ctx); err != nil {
-				d.settle(u, out, nil)
-				errs = append(errs, err)
-				break
-			}
+			// abandoned wedged unit's goroutine still holds both).
+			*s = *d.c.newSlot()
 		}
 		d.settle(u, out, nil)
 		if out.err != nil {

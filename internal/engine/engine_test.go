@@ -194,7 +194,7 @@ func TestEngineMatchesCounters(t *testing.T) {
 	}
 }
 
-// TestEngineBootsOnlyUnderNaive checks the start economics of pooled
+// TestEngineBootsOnlyUnderNaive checks the start economics of worker
 // executors: an Opt campaign starts once per program and never simulates
 // the boot workload, however many workers run it; a Naive campaign boots
 // on every start, which is the per-input cost Naive exists to measure.

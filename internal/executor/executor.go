@@ -158,8 +158,8 @@ func (m *Metrics) Add(other Metrics) {
 	m.DegradedLocal += other.DegradedLocal
 }
 
-// Minus returns m - other, for snapshot-diff accounting of a shared
-// executor (the engine attributes a pooled executor's time to the work
+// Minus returns m - other, for snapshot-diff accounting of a long-lived
+// executor (the engine attributes a worker's executor time to the work
 // units it ran this way).
 func (m Metrics) Minus(other Metrics) Metrics {
 	return Metrics{

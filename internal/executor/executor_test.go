@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -74,6 +75,33 @@ func TestOptStartsOncePerProgram(t *testing.T) {
 	}
 	if m := e.Metrics(); m.Starts != 1 || m.BootRuns != 0 {
 		t.Errorf("Opt: %d starts and %d boots for one program, want 1 start and no boot", m.Starts, m.BootRuns)
+	}
+}
+
+// TestWarmStartAllocs pins the memory cost of a campaign worker's first
+// start: a new executor and its first Opt LoadProgram allocate well under a
+// megabyte, with no warm-up start before — no boot-sized instruction arena,
+// no saved context.
+func TestWarmStartAllocs(t *testing.T) {
+	cfg := testConfig(StrategyOpt, PrimeFill)
+	cfg.BootInsts = DefaultBootInsts
+	prog, sb, _, _ := genProgram(2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := New(cfg, uarch.NopDefense{})
+	if err := e.LoadProgram(prog, sb); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 1 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New + first LoadProgram: %d bytes", got)
+	if got >= budget {
+		t.Errorf("New + first LoadProgram allocated %d bytes, want < %d", got, budget)
+	}
+	if boots := e.Metrics().BootRuns; boots != 0 {
+		t.Errorf("an Opt executor booted %d times", boots)
 	}
 }
 
@@ -588,7 +616,7 @@ func TestCoverageDisabledReturnsNil(t *testing.T) {
 	e.ResetCoverage() // must be a no-op, not a panic
 }
 
-// TestCoverageDeterministicAcrossExecutors: two pooled executors running the
+// TestCoverageDeterministicAcrossExecutors: two executors running the
 // same program and inputs record identical feature sets — the
 // unit-level property engine determinism relies on.
 func TestCoverageDeterministicAcrossExecutors(t *testing.T) {
@@ -596,7 +624,7 @@ func TestCoverageDeterministicAcrossExecutors(t *testing.T) {
 	run := func() uint64 {
 		cfg := testConfig(StrategyOpt, PrimeFill)
 		cfg.Coverage = true
-		e := acquire(t, cfg, nopFactory)
+		e := New(cfg, uarch.NopDefense{})
 		if err := e.LoadProgram(prog, sb); err != nil {
 			t.Fatal(err)
 		}

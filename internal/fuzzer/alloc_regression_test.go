@@ -53,7 +53,7 @@ func steadyStateCase(t testing.TB) (Config, *executor.Executor, *ProgramCase) {
 		cls.Inputs = append(cls.Inputs, in)
 	}
 	pc := &ProgramCase{Prog: prog, SB: sb, Classes: []*InputClass{cls}}
-	return cfg, pooledExecutor(t, cfg), pc
+	return cfg, workerExecutor(cfg), pc
 }
 
 // TestExecuteCaseSteadyStateAllocs pins the per-program allocation budget of
@@ -78,7 +78,7 @@ func TestExecuteCaseSteadyStateAllocs(t *testing.T) {
 	} {
 		cfg, _, pc := steadyStateCase(t)
 		cfg.Exec.Format, cfg.Exec.Prime = v.format, v.prime
-		exec := pooledExecutor(t, cfg)
+		exec := workerExecutor(cfg)
 		ctx := context.Background()
 		res := &Result{}
 		start := time.Now()

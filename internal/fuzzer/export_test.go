@@ -1,9 +1,6 @@
 package fuzzer
 
 import (
-	"context"
-	"testing"
-
 	"github.com/sith-lab/amulet-go/internal/contract"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/generator"
@@ -34,17 +31,8 @@ func quickConfig(seed int64, programs int) Config {
 // fuzzer_test.
 var QuickConfig = quickConfig
 
-// pooledExecutor returns a campaign-style executor for cfg: one from an
-// executor pool, as every campaign worker uses.
-func pooledExecutor(t testing.TB, cfg Config) *executor.Executor {
-	t.Helper()
-	pool, err := executor.NewPool(cfg.Exec, cfg.DefenseFactory, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := pool.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+// workerExecutor returns an executor for cfg built as every campaign
+// worker builds its own.
+func workerExecutor(cfg Config) *executor.Executor {
+	return executor.New(cfg.Exec, cfg.DefenseFactory())
 }

@@ -274,7 +274,7 @@ func TestResultHelpers(t *testing.T) {
 }
 
 // TestStrategyNaiveCampaign exercises the Naive path end to end, through
-// pooled executors on one and on two workers: every Naive start simulates
+// the executors of one and of two workers: every Naive start simulates
 // the boot workload.
 func TestStrategyNaiveCampaign(t *testing.T) {
 	for _, workers := range []int{1, 2} {

@@ -151,7 +151,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		}
 		exec := execs[u.cfg.Gen.Pages]
 		if exec == nil {
-			exec = pooledExecutor(t, u.cfg)
+			exec = workerExecutor(u.cfg)
 			execs[u.cfg.Gen.Pages] = exec
 		}
 		ctx = context.Background()
