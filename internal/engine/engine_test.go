@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,6 +286,35 @@ func TestEngineCorpusDeterministicAcrossWorkerCounts(t *testing.T) {
 		if one[i] != four[i] || one[i] != eight[i] {
 			t.Errorf("violation %d differs across worker counts:\n  1: %s\n  4: %s\n  8: %s",
 				i, one[i], four[i], eight[i])
+		}
+	}
+}
+
+// TestWorkersBuildSlotsOnce: each worker builds its executor on first use
+// and keeps it across corpus epochs, so a campaign calls the defense
+// factory once for its name and once per worker — not once per epoch or
+// per unit.
+func TestWorkersBuildSlotsOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		cfg := engineConfig(1, 2, 16)
+		cfg.Workers = workers
+		cfg.Strategy = StrategyCorpus
+		cfg.Epochs = 4
+		var built atomic.Int64
+		cfg.Campaign.Base.DefenseFactory = func() uarch.Defense {
+			built.Add(1)
+			return uarch.NopDefense{}
+		}
+		res, err := RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := res.Totals().Metrics; m.Quarantined+m.TimedOut != 0 {
+			t.Fatalf("workers=%d: a unit poisoned its worker: %+v", workers, m)
+		}
+		if got, want := built.Load(), int64(1+workers); got != want {
+			t.Errorf("workers=%d: defense factory called %d times over 4 epochs, want %d (name + one per worker)",
+				workers, got, want)
 		}
 	}
 }
