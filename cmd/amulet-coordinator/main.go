@@ -44,13 +44,12 @@ func main() {
 	fs := flag.CommandLine
 	cf := experiments.AddCampaignFlags(fs)
 	var (
-		listen     = fs.String("listen", "127.0.0.1:9131", "address to serve the worker protocol on")
-		leaseTTL   = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease/heartbeat deadline; a worker silent this long is evicted and its units reassigned")
-		leaseUnits = fs.Int("lease-units", dist.DefaultLeaseUnits, "work units granted per lease request")
-		ckptDir    = fs.String("checkpoint", "", "checkpoint directory: persist campaign progress there (atomically); a restarted coordinator resumes from it")
-		resume     = fs.Bool("resume", false, "resume the campaign from -checkpoint")
-		timeout    = fs.Duration("timeout", 0, "abort the campaign after this duration, reporting partial results (0 = no limit)")
-		quiet      = fs.Bool("quiet", false, "suppress coordinator event logging")
+		listen   = fs.String("listen", "127.0.0.1:9131", "address to serve the worker protocol on")
+		leaseTTL = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease/heartbeat deadline; a worker silent this long is evicted and its units reassigned")
+		ckptDir  = fs.String("checkpoint", "", "checkpoint directory: persist campaign progress there (atomically); a restarted coordinator resumes from it")
+		resume   = fs.Bool("resume", false, "resume the campaign from -checkpoint")
+		timeout  = fs.Duration("timeout", 0, "abort the campaign after this duration, reporting partial results (0 = no limit)")
+		quiet    = fs.Bool("quiet", false, "suppress coordinator event logging")
 	)
 	flag.Parse()
 
@@ -69,10 +68,9 @@ func main() {
 		logger = nil
 	}
 	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Campaign:   ecfg,
-		LeaseTTL:   *leaseTTL,
-		LeaseUnits: *leaseUnits,
-		Log:        logger,
+		Campaign: ecfg,
+		LeaseTTL: *leaseTTL,
+		Log:      logger,
 	})
 	if err != nil {
 		fatal(err)

@@ -42,7 +42,6 @@ func main() {
 	var (
 		coordinator = fs.String("coordinator", "http://127.0.0.1:9131", "coordinator base URL")
 		name        = fs.String("name", "", "worker name in coordinator logs (default host:pid)")
-		leaseMax    = fs.Int("lease-max", 0, "max units per lease request (0 = coordinator's default)")
 		dropEvery   = fs.Int("fault-drop-every", 0, "TESTING: drop every n-th RPC response on this worker's transport")
 		severAfter  = fs.Int("fault-sever-after", 0, "TESTING: sever this worker's transport after n RPCs")
 	)
@@ -71,7 +70,6 @@ func main() {
 		Coordinator: *coordinator,
 		Name:        *name,
 		Campaign:    ecfg,
-		LeaseMax:    *leaseMax,
 		Log:         log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds),
 	})
 	if err != nil {

@@ -134,6 +134,19 @@ func (r *ResultRec) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// ResultElapsed reads an encoded result's Elapsed without decoding the rest
+// of it; it is 0 for bytes that do not begin like a result.
+func ResultElapsed(result []byte) time.Duration {
+	rd := codec.NewReader(result)
+	rd.Varint() // TestCases
+	rd.Varint() // Programs
+	elapsed := time.Duration(rd.Varint())
+	if rd.Err() != nil {
+		return 0
+	}
+	return elapsed
+}
+
 // appendMetrics and readMetrics list executor.Metrics field by field;
 // TestMetricsEncodeEveryField fails when a field is added without them.
 func appendMetrics(b []byte, m *executor.Metrics) []byte {

@@ -46,7 +46,8 @@ func TestMetricsEncodeEveryField(t *testing.T) {
 // the bytes that are there can describe (a page costs 4 KB of memory and at
 // least 18 bytes of record): no count or length is trusted before it is
 // checked against what remains. Whatever decodes re-encodes to exactly the
-// bytes it came from — the encoding is canonical.
+// bytes it came from — the encoding is canonical — and ResultElapsed reads
+// the decoded Elapsed.
 func FuzzUnitRec(f *testing.F) {
 	for _, u := range testState(f).Units {
 		b, err := u.AppendBinary(nil)
@@ -74,6 +75,9 @@ func FuzzUnitRec(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding changed the bytes:\nin  %x\nout %x", data, again)
+		}
+		if _, _, _, result, _ := SplitUnit(data); ResultElapsed(result) != u.Result.Elapsed {
+			t.Fatalf("ResultElapsed reads %v, the decoded result has %v", ResultElapsed(result), u.Result.Elapsed)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sith-lab/amulet-go/internal/checkpoint"
 	"github.com/sith-lab/amulet-go/internal/engine"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
@@ -19,7 +20,6 @@ import (
 // Coordinator defaults.
 const (
 	DefaultLeaseTTL        = 10 * time.Second
-	DefaultLeaseUnits      = 4
 	DefaultMaxReassign     = 3
 	DefaultMaxStrikes      = 2
 	DefaultCheckpointEvery = 16
@@ -40,9 +40,6 @@ type CoordinatorConfig struct {
 	// heartbeat before it is reassigned (default 10s). Workers heartbeat
 	// at TTL/3.
 	LeaseTTL time.Duration
-	// LeaseUnits is the units per lease grant (default 4); a worker holds
-	// at most two grants, one running and one prefetched.
-	LeaseUnits int
 	// DegradeGrace is how long the coordinator waits with zero live
 	// workers before finishing the campaign locally (default 2×LeaseTTL).
 	DegradeGrace time.Duration
@@ -68,9 +65,6 @@ func (cfg *CoordinatorConfig) fillDefaults() {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	if cfg.LeaseUnits <= 0 {
-		cfg.LeaseUnits = DefaultLeaseUnits
-	}
 	if cfg.DegradeGrace <= 0 {
 		cfg.DegradeGrace = 2 * cfg.LeaseTTL
 	}
@@ -88,11 +82,11 @@ func (cfg *CoordinatorConfig) fillDefaults() {
 	}
 }
 
-// lease is one unit's assignment to a worker.
-type lease struct {
-	worker   int64
-	deadline time.Time
-}
+// grantShare sizes grants in time: a fresh grant covers about
+// LeaseTTL/grantShare of its worker's measured unit time. A round trip per
+// ~50 ms of work on a 1 s TTL is noise beside the simulation, and a worker
+// that dies strands at most two grants, a tenth of a TTL's work.
+const grantShare = 20
 
 // workerState tracks one joined worker.
 type workerState struct {
@@ -101,7 +95,12 @@ type workerState struct {
 	evicted  bool
 	strikes  int
 	retries  int // highest cumulative client-retry count it reported
-	held     int // leases it holds
+	// The units it holds leases on, each with its deadline: a heartbeat
+	// renews these and no other worker's.
+	leases map[engine.UnitID]time.Time
+	// unitTime is the mean Elapsed of the results its last exchange
+	// carried; 0 until it has delivered one.
+	unitTime time.Duration
 
 	// The last numbered exchange and what it was granted: a retransmission
 	// (same seq) is answered from here.
@@ -121,13 +120,16 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	workers    map[int64]*workerState
-	live       int // workers not evicted
-	leases     map[engine.UnitID]lease
-	requeue    []engine.UnitID        // lapsed leases, granted again before the cursor moves on
-	tries      map[engine.UnitID]int  // reassignment count per unit
-	localOnly  map[engine.UnitID]bool // past MaxReassign: coordinator-only, guarded
+	live       int                     // workers not evicted
+	leases     map[engine.UnitID]int64 // leased unit → holder; deadlines are the holder's
+	requeue    []engine.UnitID         // lapsed leases, granted again before the cursor moves on
+	tries      map[engine.UnitID]int   // reassignment count per unit
+	localOnly  map[engine.UnitID]bool  // past MaxReassign: coordinator-only, guarded
 	nextWorker int64
-	folds      int // folded results since the last checkpoint fsync
+	folds      int           // folded results since the last checkpoint fsync
+	cuts       int           // the campaign's stop-on-first cut moves its leases have seen
+	localUnit  time.Duration // unit time of the last fleet-death fallback chunk
+	fixedGrant int           // > 0: the size of every fresh grant (tests pin it)
 
 	evictions, reassigned, dups, degraded int
 	degradedNow                           bool // currently in local-fallback mode
@@ -147,7 +149,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:               cfg,
 		dc:                dc,
 		workers:           map[int64]*workerState{},
-		leases:            map[engine.UnitID]lease{},
+		leases:            map[engine.UnitID]int64{},
 		tries:             map[engine.UnitID]int{},
 		localOnly:         map[engine.UnitID]bool{},
 		lastFleetActivity: time.Now(),
@@ -251,10 +253,11 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 		// joins late still gets leases in between.
 		if co.fleetDead() {
 			if units := co.takeFallbackChunk(); len(units) > 0 {
+				t0 := time.Now()
 				if err := co.dc.RunLocal(ctx, units); err != nil && ctx.Err() == nil {
 					localErrs = append(localErrs, err)
 				}
-				co.requeueOpen(units)
+				co.requeueOpen(units, time.Since(t0)/time.Duration(len(units)))
 			}
 		}
 	}
@@ -305,11 +308,14 @@ func (co *Coordinator) sweep() {
 			co.evictLocked(id, "heartbeat lapsed")
 		}
 	}
-	for u, l := range co.leases {
-		if now.After(l.deadline) {
-			co.expireLeaseLocked(u, "lease expired")
+	for _, w := range co.workers {
+		for u, deadline := range w.leases {
+			if now.After(deadline) {
+				co.expireLeaseLocked(u, "lease expired")
+			}
 		}
 	}
+	co.retireClosedLocked()
 }
 
 // evictLocked marks a worker dead and expires its leases. Its in-flight
@@ -324,18 +330,33 @@ func (co *Coordinator) evictLocked(id int64, why string) {
 	co.live--
 	co.evictions++
 	co.cfg.Log.Printf("dist: evicting worker %d (%s): %s", id, w.name, why)
-	for u, l := range co.leases {
-		if l.worker == id {
-			co.expireLeaseLocked(u, "holder evicted")
-		}
+	for u := range w.leases {
+		co.expireLeaseLocked(u, "holder evicted")
 	}
 }
 
 // retireLocked ends unit u's lease, if it has one.
 func (co *Coordinator) retireLocked(u engine.UnitID) {
-	if l, ok := co.leases[u]; ok {
+	if id, ok := co.leases[u]; ok {
 		delete(co.leases, u)
-		co.workers[l.worker].held--
+		delete(co.workers[id].leases, u)
+	}
+}
+
+// retireClosedLocked ends the leases on units that a stop-on-first cut
+// closed since it last looked: they are dead work, and counting them as
+// leased would shrink the end-of-campaign taper. Cuts move a few times per
+// instance, so the scan of the lease table is rare.
+func (co *Coordinator) retireClosedLocked() {
+	cuts := co.dc.Cuts()
+	if cuts == co.cuts {
+		return
+	}
+	co.cuts = cuts
+	for u := range co.leases {
+		if !co.dc.Open(u) {
+			co.retireLocked(u)
+		}
 	}
 }
 
@@ -404,13 +425,14 @@ func (co *Coordinator) fleetDead() bool {
 	return true
 }
 
-// takeFallbackChunk claims up to LeaseUnits unleased units for local
-// execution during fleet-death fallback.
+// takeFallbackChunk claims unleased units for local execution during
+// fleet-death fallback: as many as a grant at the unit time of the last
+// chunk.
 func (co *Coordinator) takeFallbackChunk() []engine.UnitID {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	var out []engine.UnitID
-	for len(out) < co.cfg.LeaseUnits {
+	for n := co.grantUnitsLocked(co.localUnit); len(out) < n; {
 		u, ok := co.nextUnitLocked()
 		if !ok {
 			break
@@ -421,10 +443,12 @@ func (co *Coordinator) takeFallbackChunk() []engine.UnitID {
 }
 
 // requeueOpen puts back the units of a fallback chunk its local run left
-// open (a failed or interrupted unit): the cursor has moved past them.
-func (co *Coordinator) requeueOpen(units []engine.UnitID) {
+// open (a failed or interrupted unit): the cursor has moved past them. The
+// chunk took unitTime per unit, which sizes the next one.
+func (co *Coordinator) requeueOpen(units []engine.UnitID, unitTime time.Duration) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	co.localUnit = unitTime
 	for _, u := range units {
 		if co.dc.Open(u) {
 			co.requeue = append(co.requeue, u)
@@ -494,24 +518,26 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	co.mu.Lock()
 	co.nextWorker++
 	id := co.nextWorker
-	co.workers[id] = &workerState{name: req.Worker, lastBeat: time.Now()}
+	co.workers[id] = &workerState{name: req.Worker, lastBeat: time.Now(), leases: map[engine.UnitID]time.Time{}}
 	co.live++
 	co.degradedNow = false
 	co.lastFleetActivity = time.Now()
 	co.mu.Unlock()
 	co.cfg.Log.Printf("dist: worker %d (%s) joined", id, req.Worker)
-	reply(w, &JoinReply{
-		WorkerID:   id,
-		LeaseTTLMS: co.cfg.LeaseTTL.Milliseconds(),
-		LeaseUnits: co.cfg.LeaseUnits,
-	})
+	reply(w, &JoinReply{WorkerID: id, LeaseTTLMS: co.cfg.LeaseTTL.Milliseconds()})
 }
 
 func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !readReq(w, r, &req) {
-		return
+	if readReq(w, r, &req) {
+		reply(w, co.heartbeat(&req))
 	}
+}
+
+// heartbeat renews the sender's leases — its own, at a cost of its own
+// lease count — and tells it whether it is still a member and whether the
+// campaign is complete.
+func (co *Coordinator) heartbeat(req *HeartbeatRequest) *HeartbeatReply {
 	co.mu.Lock()
 	ws := co.workers[req.WorkerID]
 	ok := ws != nil && !ws.evicted
@@ -520,14 +546,12 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		ws.lastBeat = now
 		ws.retries = max(ws.retries, req.Retries)
 		deadline := now.Add(co.cfg.LeaseTTL)
-		for u, l := range co.leases {
-			if l.worker == req.WorkerID {
-				co.leases[u] = lease{worker: req.WorkerID, deadline: deadline}
-			}
+		for u := range ws.leases {
+			ws.leases[u] = deadline
 		}
 	}
 	co.mu.Unlock()
-	reply(w, &HeartbeatReply{OK: ok, Done: co.dc.Complete()})
+	return &HeartbeatReply{OK: ok, Done: co.dc.Complete()}
 }
 
 func (co *Coordinator) handleExchange(w http.ResponseWriter, r *http.Request) {
@@ -550,7 +574,7 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Max <= 0 {
-		req.Max = co.cfg.LeaseUnits
+		req.Max = GrantAll
 	}
 	if rep, ok := co.serveExchange(w, &ExchangeRequest{WorkerID: req.WorkerID, Want: req.Max}); ok {
 		reply(w, &LeaseReply{Units: rep.Units, Done: rep.Done})
@@ -596,6 +620,7 @@ var errGone = errors.New("dist: unknown or evicted worker")
 func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, error) {
 	var bad error
 	taken, folded := 0, 0
+	var elapsed time.Duration
 	for i := range req.Results {
 		r := &req.Results[i]
 		first, err := false, ErrBadDigest
@@ -607,6 +632,7 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 			break
 		}
 		taken++
+		elapsed += checkpoint.ResultElapsed(r.Result)
 		if first {
 			folded++
 		}
@@ -616,6 +642,7 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 	for _, r := range req.Results[:taken] {
 		co.retireLocked(engine.UnitID{Inst: r.Inst, Prog: r.Prog})
 	}
+	co.retireClosedLocked()
 	co.dups += taken - folded
 	co.folds += folded
 	ckpt := co.folds >= co.cfg.CheckpointEvery
@@ -625,6 +652,9 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 	ws := co.workers[req.WorkerID]
 	if ws != nil {
 		ws.retries = max(ws.retries, req.Retries)
+		if elapsed > 0 {
+			ws.unitTime = elapsed / time.Duration(taken)
+		}
 		if bad != nil {
 			co.strikeLocked(req.WorkerID, ws, bad)
 		}
@@ -657,10 +687,10 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 // grantLocked leases units to a live worker. A retransmission — the seq of
 // the worker's last numbered exchange — gets that exchange's grant again:
 // the leases it still holds, refreshed, minus the units done since; an
-// older seq gets nothing. Anything else is a fresh grant of up to LeaseUnits, within the two grants
-// a worker may hold, and tapered near the end of the campaign so that
-// prefetching does not leave one worker holding the last units while the
-// others idle.
+// older seq gets nothing. Anything else is a fresh grant of up to Want
+// units, sized in time by grantUnitsLocked, within the two grants a worker
+// may hold, and tapered near the end of the campaign so that prefetching
+// does not leave one worker holding the last units while the others idle.
 func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeRequest) []Unit {
 	deadline := time.Now().Add(co.cfg.LeaseTTL)
 	var grant []Unit
@@ -669,30 +699,45 @@ func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeReque
 			return nil // a stray copy its successor overtook: nobody is waiting for this reply
 		}
 		for _, u := range ws.lastGrant {
-			if l, ok := co.leases[u]; ok && l.worker == id {
-				co.leases[u] = lease{worker: id, deadline: deadline}
+			if _, ok := ws.leases[u]; ok {
+				ws.leases[u] = deadline
 				grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
 			}
 		}
 		return grant
 	}
+	g := co.grantUnitsLocked(ws.unitTime)
 	unleased := co.dc.Remaining() - len(co.leases)
-	n := min(req.Want, co.cfg.LeaseUnits, 2*co.cfg.LeaseUnits-ws.held, max(1, unleased/(2*co.live)))
-	var granted []engine.UnitID
+	n := max(0, min(req.Want, g, 2*g-len(ws.leases), max(1, unleased/(2*co.live))))
+	granted := make([]engine.UnitID, 0, n)
+	grant = make([]Unit, 0, n)
 	for len(granted) < n {
 		u, ok := co.nextUnitLocked()
 		if !ok {
 			break
 		}
-		co.leases[u] = lease{worker: id, deadline: deadline}
+		co.leases[u], ws.leases[u] = id, deadline
 		granted = append(granted, u)
 		grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
 	}
-	ws.held += len(granted)
 	if req.Seq != 0 {
 		ws.lastSeq, ws.lastGrant = req.Seq, granted
 	}
 	return grant
+}
+
+// grantUnitsLocked is the size of a fresh grant at unitTime per unit: the
+// units that fill LeaseTTL/grantShare, and at least one. An unmeasured
+// worker (unitTime 0) gets one unit: a first unit may take a millisecond
+// or, booting a Naive executor, a second.
+func (co *Coordinator) grantUnitsLocked(unitTime time.Duration) int {
+	if co.fixedGrant > 0 {
+		return co.fixedGrant
+	}
+	if unitTime <= 0 {
+		return 1
+	}
+	return max(1, int(co.cfg.LeaseTTL/grantShare/unitTime))
 }
 
 // strikeLocked records an integrity failure against a worker; at MaxStrikes

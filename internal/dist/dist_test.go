@@ -68,9 +68,14 @@ type testWorker struct {
 
 func startWorkers(t *testing.T, ctx context.Context, wg *sync.WaitGroup, base string, injs map[string]*faultinject.Injector, names ...string) []*testWorker {
 	t.Helper()
+	return startWorkersOn(t, ctx, wg, base, goldenConfig(t), injs, names...)
+}
+
+// startWorkersOn is startWorkers for campaign cfg.
+func startWorkersOn(t *testing.T, ctx context.Context, wg *sync.WaitGroup, base string, cfg engine.Config, injs map[string]*faultinject.Injector, names ...string) []*testWorker {
+	t.Helper()
 	out := make([]*testWorker, len(names))
 	for i, name := range names {
-		cfg := goldenConfig(t)
 		cfg.Inject = injs[name]
 		w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: base, Name: name, Campaign: cfg})
 		if err != nil {
@@ -142,13 +147,56 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestDistributedStopOnFirst: a stop-on-first campaign over two workers,
+// on grants sized in time, folds to the single-process violation set, and
+// leaves no lease behind — a lease on a unit a cut closed ends with the
+// fold that moved the cut.
+func TestDistributedStopOnFirst(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := goldenConfig(t)
+	cfg.Campaign.Base.StopOnFirstViolation = true
+	ref, err := engine.RunCampaign(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Violations) == 0 {
+		t.Fatal("the single-process stop-on-first campaign finds no violation")
+	}
+
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Second}, "127.0.0.1:0")
+	var wg sync.WaitGroup
+	workers := startWorkersOn(t, ctx, &wg, base, cfg, nil, "w1", "w2")
+	res, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	want := fuzzer.ViolationFingerprint(ref.Violations)
+	if fp := fuzzer.ViolationFingerprint(res.Violations); fp != want || len(res.Violations) != len(ref.Violations) {
+		t.Errorf("distributed stop-on-first: %d violations, fingerprint %#x; single process %d, %#x",
+			len(res.Violations), fp, len(ref.Violations), want)
+	}
+	if held := co.LeasesHeld(); len(held) != 0 {
+		t.Errorf("leases outlived the campaign: %v", held)
+	}
+	cancel()
+	wg.Wait()
+	for _, w := range workers {
+		if w.err != nil && !errors.Is(w.err, context.Canceled) {
+			t.Errorf("worker %s: %v", w.name, w.err)
+		}
+	}
+}
+
 // TestDistributedFaultSweep drives the full failure menagerie at once —
 // a worker killed by an injected simulator panic (lease expiry +
 // reassignment), a worker on a deterministically lossy link (dropped
 // responses, retries, duplicate submissions), a worker whose network is
 // severed mid-campaign (heartbeat lapse, eviction) — and proves the final
 // results are still bit-identical to the golden single-process run, with
-// the robustness counters recording what was absorbed.
+// the robustness counters recording what was absorbed. Grants are pinned
+// at 4 units: the fault schedule counts RPCs, and grants sized in time
+// would finish the 80-unit campaign in too few of them.
 func TestDistributedFaultSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -157,6 +205,7 @@ func TestDistributedFaultSweep(t *testing.T) {
 		Campaign: goldenConfig(t),
 		LeaseTTL: 500 * time.Millisecond,
 	}, "127.0.0.1:0")
+	co.PinGrant(4)
 
 	victim := faultinject.New()
 	victim.Arm(faultinject.KindPanicInUnit, faultinject.Any, faultinject.Any)
@@ -623,11 +672,12 @@ func runUnits(t *testing.T, runner *engine.UnitRunner, units []dist.Unit) []dist
 // retransmission — the same sequence number again, as a client sends when
 // the reply was lost — is answered with the grant the first copy got, its
 // results fold as duplicates, and the lease table does not change; the next
-// sequence number earns fresh units.
+// sequence number earns fresh units. Grants are pinned at 4 units.
 func TestExchangeRetransmitGetsSameGrant(t *testing.T) {
 	ctx := context.Background()
 	cfg := goldenConfig(t)
 	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute}, "127.0.0.1:0")
+	co.PinGrant(4)
 	cl, id, runner := handClient(t, base, cfg)
 
 	first, err := cl.Exchange(ctx, &dist.ExchangeRequest{WorkerID: id, Seq: 1, Want: 4})
@@ -707,11 +757,13 @@ func TestWorkerIDsSurviveNoRestart(t *testing.T) {
 // lost. Its retransmissions must earn the grants the lost replies carried —
 // the campaign completes with the golden fingerprint, retries and duplicate
 // results counted, and nobody evicted, nothing reassigned: a grant leaked by
-// a lost reply would sit leased until a TTL reassigned it.
+// a lost reply would sit leased until a TTL reassigned it. Grants are
+// pinned at 4 units, so that enough replies carry results to lose some.
 func TestLossyLinkStrandsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: 2 * time.Second}, "127.0.0.1:0")
+	co.PinGrant(4)
 	lossy := faultinject.New()
 	lossy.ArmDropEvery(3)
 	var wg sync.WaitGroup
@@ -743,12 +795,15 @@ func TestLossyLinkStrandsNothing(t *testing.T) {
 // prefetched one, never more. Then, by hand, it reads the grant sizes of a
 // whole campaign: full until the unleased units run short, then tapering
 // down to single units, so that the end of a campaign is shared out instead
-// of prefetched by whoever asks first.
+// of prefetched by whoever asks first. Grants are pinned at 4 units, for
+// many of them on the 80-unit campaign; TestGrantSizedInTime reads grants
+// sized in time.
 func TestWorkerHoldsAtMostTwoBatches(t *testing.T) {
 	const leaseUnits = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: time.Second, LeaseUnits: leaseUnits}, "127.0.0.1:0")
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: time.Second}, "127.0.0.1:0")
+	co.PinGrant(leaseUnits)
 	var wg sync.WaitGroup
 	workers := startWorkers(t, ctx, &wg, base, nil, "w1", "w2")
 	most := make(chan int)
@@ -779,9 +834,10 @@ func TestWorkerHoldsAtMostTwoBatches(t *testing.T) {
 	}
 
 	// Grant sizes, with two workers joined and one of them doing all the
-	// asking: min(want, max(1, unleased/(2*2))).
+	// asking: min(leaseUnits, max(1, unleased/(2*2))).
 	cfg := goldenConfig(t)
-	_, base = startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, LeaseUnits: leaseUnits}, "127.0.0.1:0")
+	co, base = startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute}, "127.0.0.1:0")
+	co.PinGrant(leaseUnits)
 	cl, id, _ := handClient(t, base, cfg)
 	handClient(t, base, cfg)
 	empty, digest, err := dist.EncodeResult(checkpoint.ResultRec{})
@@ -791,7 +847,7 @@ func TestWorkerHoldsAtMostTwoBatches(t *testing.T) {
 	var sizes []int
 	var results []dist.UnitResult
 	for seq := uint64(1); ; seq++ {
-		rep, err := cl.Exchange(context.Background(), &dist.ExchangeRequest{WorkerID: id, Seq: seq, Results: results, Want: leaseUnits})
+		rep, err := cl.Exchange(context.Background(), &dist.ExchangeRequest{WorkerID: id, Seq: seq, Results: results, Want: dist.GrantAll})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -828,6 +884,7 @@ func TestExchangeIntegrity(t *testing.T) {
 	ctx := context.Background()
 	cfg := goldenConfig(t)
 	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, MaxStrikes: 2}, "127.0.0.1:0")
+	co.PinGrant(4)
 	cl, id, runner := handClient(t, base, cfg)
 
 	lr, err := cl.Exchange(ctx, &dist.ExchangeRequest{WorkerID: id, Seq: 1, Want: 4})
@@ -869,7 +926,8 @@ func TestExchangeIntegrity(t *testing.T) {
 
 // TestExchangesPerUnit pins what the pipelined protocol costs a clean
 // campaign in round trips: an exchange per grant, not a lease per batch
-// plus a submit per unit.
+// plus a submit per unit. Grants are pinned at 4 units, so that the count
+// is mostly grants on the 80-unit campaign.
 func TestExchangesPerUnit(t *testing.T) {
 	const (
 		units, leaseUnits, nWorkers = 80, 4, 2
@@ -883,7 +941,8 @@ func TestExchangesPerUnit(t *testing.T) {
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: ttl, LeaseUnits: leaseUnits}, "127.0.0.1:0")
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: ttl}, "127.0.0.1:0")
+	co.PinGrant(leaseUnits)
 	injs := map[string]*faultinject.Injector{"w1": faultinject.New(), "w2": faultinject.New()}
 	var wg sync.WaitGroup
 	t0 := time.Now()

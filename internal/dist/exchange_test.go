@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -11,48 +12,79 @@ import (
 	"github.com/sith-lab/amulet-go/internal/experiments"
 )
 
-// testCoordinator builds a coordinator (never started) for an instances x
-// programs baseline campaign, with one worker joined as ID 1 who cannot be
-// struck out.
-func testCoordinator(tb testing.TB, instances, programs int) *Coordinator {
+// testCampaign is the baseline campaign of instances x programs units the
+// dist tests run.
+func testCampaign(tb testing.TB, instances, programs int) engine.Config {
 	tb.Helper()
 	spec, err := experiments.DefenseByName("baseline")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	sc := experiments.Scale{Instances: instances, Programs: programs, BaseInputs: 6, Mutants: 4, BootInsts: 2000, Seed: 1}
-	co, err := NewCoordinator(CoordinatorConfig{
-		Campaign:   engine.Config{Campaign: experiments.CampaignConfig(spec, sc), Strategy: engine.StrategyRandom},
-		LeaseTTL:   time.Minute,
-		MaxStrikes: 1 << 30,
-	})
+	return engine.Config{Campaign: experiments.CampaignConfig(spec, sc), Strategy: engine.StrategyRandom}
+}
+
+// testCoordinator builds a coordinator (never started, so nothing lapses)
+// with a 1 s lease TTL for an instances x programs baseline campaign, with
+// one worker joined as ID 1 who cannot be struck out.
+func testCoordinator(tb testing.TB, instances, programs int) *Coordinator {
+	return newTestCoordinator(tb, testCampaign(tb, instances, programs))
+}
+
+func newTestCoordinator(tb testing.TB, cfg engine.Config) *Coordinator {
+	tb.Helper()
+	co, err := NewCoordinator(CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Second, MaxStrikes: 1 << 30})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(co.dc.Close)
-	co.workers[1] = &workerState{name: "test", lastBeat: time.Now()}
-	co.live = 1
+	joinTestWorker(co, 1)
 	return co
 }
 
+// joinTestWorker adds a live worker with ID id to a coordinator that is
+// not serving.
+func joinTestWorker(co *Coordinator, id int64) {
+	co.workers[id] = &workerState{name: "test", lastBeat: time.Now(), leases: map[engine.UnitID]time.Time{}}
+	co.live++
+}
+
+// On testCoordinator's 1 s TTL, results that took a millisecond each earn
+// grants of TTL/20 ÷ 1 ms units.
+const (
+	fastUnit  = time.Millisecond
+	fastGrant = 50
+)
+
 // exchanger drives a coordinator through steady-state exchanges the way a
-// worker does: each call delivers (empty) results for the units the last
-// one granted and asks for a full grant.
+// worker does: each call delivers results, each of which took unitTime,
+// for the units the last one granted, and asks for a full grant.
 type exchanger struct {
 	co     *Coordinator
 	req    ExchangeRequest
-	empty  []byte
+	result []byte
 	digest uint64
 }
 
 func newExchanger(tb testing.TB, co *Coordinator) *exchanger {
-	raw, digest, err := EncodeResult(checkpoint.ResultRec{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &exchanger{co: co, req: ExchangeRequest{WorkerID: 1, Want: co.cfg.LeaseUnits}, empty: raw, digest: digest}
+	x := &exchanger{co: co, req: ExchangeRequest{WorkerID: 1, Want: GrantAll}}
+	x.setUnitTime(tb, fastUnit)
+	return x
 }
 
+// setUnitTime makes the results delivered from now on, the pending ones
+// too, report unitTime.
+func (x *exchanger) setUnitTime(tb testing.TB, unitTime time.Duration) {
+	var err error
+	if x.result, x.digest, err = EncodeResult(checkpoint.ResultRec{Elapsed: unitTime}); err != nil {
+		tb.Fatal(err)
+	}
+	for i := range x.req.Results {
+		x.req.Results[i].Result, x.req.Results[i].ResultDigest = x.result, x.digest
+	}
+}
+
+// step runs one exchange and returns the size of its grant.
 func (x *exchanger) step(tb testing.TB) int {
 	x.req.Seq++
 	rep, _, err := x.co.exchange(&x.req)
@@ -61,62 +93,266 @@ func (x *exchanger) step(tb testing.TB) int {
 	}
 	x.req.Results = x.req.Results[:0]
 	for _, u := range rep.Units {
-		x.req.Results = append(x.req.Results, UnitResult{Inst: u.Inst, Prog: u.Prog, ResultDigest: x.digest, Result: x.empty})
+		x.req.Results = append(x.req.Results, UnitResult{Inst: u.Inst, Prog: u.Prog, ResultDigest: x.digest, Result: x.result})
 	}
 	return len(rep.Units)
 }
 
+// warm runs the two exchanges that take a worker from unmeasured to full
+// grants: the first grants one unit, the second delivers it.
+func (x *exchanger) warm(tb testing.TB) {
+	if n := x.step(tb); n != 1 {
+		tb.Fatalf("first grant %d units, want 1 before any result", n)
+	}
+	if n := x.step(tb); n != fastGrant {
+		tb.Fatalf("grant after a %v result: %d units, want %d", fastUnit, n, fastGrant)
+	}
+}
+
+// TestGrantSizedInTime drives one worker's exchanges by hand, on a 1 s
+// TTL: before it has delivered a result it is granted one unit; results
+// of 1 ms earn grants of TTL/20 ÷ 1 ms units, results of 400 ms grants of
+// one; it never holds more than two grants; and the campaign's last grants
+// taper down to single units, full ones before them.
+func TestGrantSizedInTime(t *testing.T) {
+	x := newExchanger(t, testCoordinator(t, 2, 1000))
+	x.warm(t)
+
+	// Asking without delivering: the second grant is prefetched, a third is
+	// refused.
+	pending := x.req.Results
+	for _, want := range []int{fastGrant, 0} {
+		x.req.Seq++
+		rep, _, err := x.co.exchange(&ExchangeRequest{WorkerID: 1, Seq: x.req.Seq, Want: GrantAll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Units) != want {
+			t.Fatalf("ask while holding %d leases: %d units, want %d", x.co.LeasesHeld()[1], len(rep.Units), want)
+		}
+		for _, u := range rep.Units {
+			pending = append(pending, UnitResult{Inst: u.Inst, Prog: u.Prog, ResultDigest: x.digest, Result: x.result})
+		}
+	}
+	if held := x.co.LeasesHeld()[1]; held != 2*fastGrant {
+		t.Fatalf("%d leases held, want two grants of %d", held, fastGrant)
+	}
+
+	x.req.Results = pending
+	x.setUnitTime(t, 400*time.Millisecond)
+	for i := 0; i < 3; i++ {
+		if n := x.step(t); n != 1 {
+			t.Fatalf("grant after 400 ms results: %d units, want 1", n)
+		}
+	}
+
+	x.setUnitTime(t, fastUnit)
+	var sizes []int
+	for n := x.step(t); n > 0; n = x.step(t) {
+		if held := x.co.LeasesHeld()[1]; held > 2*fastGrant {
+			t.Fatalf("%d leases held, more than two grants of %d", held, fastGrant)
+		}
+		sizes = append(sizes, n)
+	}
+	for i, n := range sizes {
+		if n > fastGrant || (i > 0 && n > sizes[i-1]) {
+			t.Fatalf("grant sizes %v: grant %d is above a full grant or grows again", sizes, i)
+		}
+	}
+	if !x.co.dc.Complete() || sizes[0] != fastGrant || sizes[len(sizes)-1] != 1 {
+		t.Errorf("grant sizes %v, campaign complete %v: want full grants first, single units last, and every unit run",
+			sizes, x.co.dc.Complete())
+	}
+}
+
+// TestHeartbeatRenewsOnlySender: a heartbeat moves the deadlines of the
+// sender's leases, and of no other worker's.
+func TestHeartbeatRenewsOnlySender(t *testing.T) {
+	co := testCoordinator(t, 2, 1000)
+	joinTestWorker(co, 2)
+	co.fixedGrant = 4
+	for id := int64(1); id <= 2; id++ {
+		if rep, _, err := co.exchange(&ExchangeRequest{WorkerID: id, Seq: 1, Want: GrantAll}); err != nil || len(rep.Units) != 4 {
+			t.Fatalf("worker %d: grant %+v, %v", id, rep, err)
+		}
+	}
+	stale := time.Now().Add(-time.Hour)
+	for _, ws := range co.workers {
+		for u := range ws.leases {
+			ws.leases[u] = stale
+		}
+	}
+	if rep := co.heartbeat(&HeartbeatRequest{WorkerID: 1}); !rep.OK || rep.Done {
+		t.Fatalf("heartbeat: %+v", rep)
+	}
+	for id, ws := range co.workers {
+		for u, deadline := range ws.leases {
+			if renewed := deadline.After(time.Now()); renewed != (id == 1) {
+				t.Errorf("worker 1 beat: worker %d's lease on %v runs to %v", id, u, deadline)
+			}
+		}
+	}
+}
+
+// firstViolation returns the first unit of instance 0 that reports a
+// violation, and its result.
+func firstViolation(t *testing.T, runner *engine.UnitRunner, programs int) (engine.UnitID, checkpoint.ResultRec, uint64) {
+	t.Helper()
+	for id := (engine.UnitID{}); id.Prog < programs; id.Prog++ {
+		rec, draws, err := runner.Run(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Violations) > 0 {
+			return id, rec, draws
+		}
+	}
+	t.Fatal("no violating unit in instance 0")
+	return engine.UnitID{}, checkpoint.ResultRec{}, 0
+}
+
+// TestStopOnFirstRetiresClosedLeases: in a stop-on-first campaign, a
+// violation at (0, p) that folds closes every unit (0, q > p), and the
+// leases on them end with the fold — they are dead work and must not count
+// as leased in the end-of-campaign taper — while the leases before the cut
+// stay.
+func TestStopOnFirstRetiresClosedLeases(t *testing.T) {
+	const programs = 40
+	cfg := testCampaign(t, 2, programs)
+	cfg.Campaign.Base.StopOnFirstViolation = true
+	runner, err := engine.NewUnitRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, rec, draws := firstViolation(t, runner, programs)
+	raw, digest, err := EncodeResult(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	co := newTestCoordinator(t, cfg)
+	co.fixedGrant = programs
+	// Worker 1 leases the whole of instance 0; worker 2 joins and brings
+	// (0, p).
+	if rep, _, err := co.exchange(&ExchangeRequest{WorkerID: 1, Seq: 1, Want: programs}); err != nil || len(rep.Units) != programs || rep.Units[programs-1].Inst != 0 {
+		t.Fatalf("grant: %+v, %v; want the %d units of instance 0", rep, err, programs)
+	}
+	joinTestWorker(co, 2)
+	if _, _, err := co.exchange(&ExchangeRequest{WorkerID: 2, Results: []UnitResult{
+		{Inst: v.Inst, Prog: v.Prog, Draws: draws, ResultDigest: digest, Result: raw},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if held := co.LeasesHeld()[1]; held != v.Prog {
+		t.Errorf("after the violation at %v folded worker 1 holds %d leases, want the %d before it", v, held, v.Prog)
+	}
+	for u := range co.leases {
+		if !co.dc.Open(u) {
+			t.Errorf("a lease on %v, which the cut closed", u)
+		}
+	}
+	if unleased := co.dc.Remaining() - len(co.leases); unleased != programs {
+		t.Errorf("%d units unleased, want instance 1's %d", unleased, programs)
+	}
+}
+
+// TestWorkerSkipsUnitsPastItsCut: a stop-on-first worker that finds a
+// violation at (0, p) runs no unit (0, q > p) after it — in the same batch
+// or a later one — and still runs the units before the cut and other
+// instances'. Without stop-on-first it runs every unit.
+func TestWorkerSkipsUnitsPastItsCut(t *testing.T) {
+	const programs = 40
+	for _, stopOnFirst := range []bool{true, false} {
+		cfg := testCampaign(t, 2, programs)
+		cfg.Campaign.Base.StopOnFirstViolation = stopOnFirst
+		w, err := NewWorker(WorkerConfig{Coordinator: "http://127.0.0.1:1", Name: "skip", Campaign: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, _ := firstViolation(t, w.runner, programs)
+		if v.Prog == 0 {
+			t.Fatal("instance 0 violates at its first unit; the test needs a unit before the cut")
+		}
+		var ran, want []Unit
+		for _, batch := range [][]Unit{
+			{{0, v.Prog}, {0, v.Prog + 1}, {1, 0}, {0, v.Prog + 2}},
+			{{0, v.Prog + 3}, {0, v.Prog - 1}},
+		} {
+			results, err := w.runBatch(context.Background(), batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				ran = append(ran, Unit{r.Inst, r.Prog})
+			}
+			for _, u := range batch {
+				if !stopOnFirst || u.Inst != 0 || u.Prog <= v.Prog {
+					want = append(want, u)
+				}
+			}
+		}
+		if fmt.Sprint(ran) != fmt.Sprint(want) {
+			t.Errorf("stop-on-first %v, violation at %v: ran %v, want %v", stopOnFirst, v, ran, want)
+		}
+	}
+}
+
 // TestExchangeCostIndependentOfGrid: folding a grant's results and leasing
-// the next grant allocates the same on an 80-unit and on an 8000-unit
+// the next grant allocates the same on a 2 000-unit and on a 200 000-unit
 // campaign: completion is a count and the next units come from a cursor,
 // neither lists the grid.
 func TestExchangeCostIndependentOfGrid(t *testing.T) {
 	allocs := func(programs int) float64 {
 		x := newExchanger(t, testCoordinator(t, 2, programs))
-		x.step(t)
+		x.warm(t)
 		return testing.AllocsPerRun(10, func() {
-			if x.step(t) != x.co.cfg.LeaseUnits {
+			if x.step(t) != fastGrant {
 				t.Fatal("short grant in the middle of a campaign")
 			}
 		})
 	}
-	small, large := allocs(40), allocs(4000)
+	small, large := allocs(1000), allocs(100000)
 	if small != large {
-		t.Errorf("an exchange allocates %.0f times on an 80-unit campaign, %.0f on an 8000-unit one", small, large)
+		t.Errorf("an exchange allocates %.0f times on a 2 000-unit campaign, %.0f on a 200 000-unit one", small, large)
 	}
-	t.Logf("%.0f allocations per exchange of %d results and %d units", small, DefaultLeaseUnits, DefaultLeaseUnits)
+	t.Logf("%.0f allocations per exchange of %d results and %d units", small, fastGrant, fastGrant)
 }
 
 // BenchmarkExchange times the coordinator's side of one steady-state
-// exchange at three grid sizes; ns/op must not follow the grid.
+// exchange of full grants at three grid sizes; ns/op must not follow the
+// grid.
 func BenchmarkExchange(b *testing.B) {
-	for _, programs := range []int{40, 4000, 400000} {
+	for _, programs := range []int{1000, 10000, 400000} {
 		b.Run(fmt.Sprintf("units=%d", 2*programs), func(b *testing.B) {
 			var x *exchanger
 			for i := 0; i < b.N; i++ {
 				if x == nil || x.step(b) == 0 { // campaign used up: start another
 					b.StopTimer()
 					x = newExchanger(b, testCoordinator(b, 2, programs))
-					x.step(b)
+					x.warm(b)
 					b.StartTimer()
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fastGrant), "ns/unit")
 		})
 	}
 }
 
-// TestExchangeAllocs pins what the coordinator allocates to fold a batch
-// of four non-violating results and grant the next four units: the decode
-// of an encoded result allocates nothing, so what is left is the folded
-// result itself and the grant's bookkeeping.
+// TestExchangeAllocs pins what the coordinator allocates to fold a full
+// grant of non-violating results and grant the next one: the decode of an
+// encoded result allocates nothing, so what is left is each folded result
+// itself, one allocation, and a few for the grant's bookkeeping (12 for an
+// exchange of 4 results and 4 units when grants grew by append; 39 with
+// JSON results).
 func TestExchangeAllocs(t *testing.T) {
-	const budget = 12 // 39 when results crossed JSON
+	const budget = fastGrant + 4
 	x := newExchanger(t, testCoordinator(t, 2, 4000))
-	x.step(t)
+	x.warm(t)
 	allocs := testing.AllocsPerRun(20, func() { x.step(t) })
 	if allocs > budget {
-		t.Errorf("an exchange of %d results allocates %.0f times, budget %d", DefaultLeaseUnits, allocs, budget)
+		t.Errorf("an exchange of %d results allocates %.0f times, budget %d", fastGrant, allocs, budget)
 	}
+	t.Logf("%.0f allocations per exchange of %d results and %d units", allocs, fastGrant, fastGrant)
 }
 
 // sealedExchange is a valid exchange frame carrying one result.

@@ -6,8 +6,17 @@ func (co *Coordinator) LeasesHeld() map[int64]int {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	held := map[int64]int{}
-	for _, l := range co.leases {
-		held[l.worker]++
+	for _, id := range co.leases {
+		held[id]++
 	}
 	return held
+}
+
+// PinGrant fixes the size of every fresh grant at n units in place of the
+// one sized in time, for protocol tests that need many small exchanges:
+// small grants on a small campaign, whatever its units cost.
+func (co *Coordinator) PinGrant(n int) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.fixedGrant = n
 }

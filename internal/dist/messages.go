@@ -27,11 +27,10 @@ type JoinRequest struct {
 	Programs  int    `json:"programs"`
 }
 
-// JoinReply assigns the worker its ID and the coordinator's lease terms.
+// JoinReply assigns the worker its ID and the coordinator's lease TTL.
 type JoinReply struct {
 	WorkerID   int64 `json:"worker_id"`
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-	LeaseUnits int   `json:"lease_units"`
 }
 
 // ExchangeReply grants units and acknowledges the request's results: all
@@ -45,7 +44,7 @@ type ExchangeReply struct {
 }
 
 // LeaseRequest is an exchange that delivers nothing: it asks for up to Max
-// units (0 = the coordinator's default).
+// units (0 = GrantAll).
 type LeaseRequest struct {
 	WorkerID int64 `json:"worker_id"`
 	Max      int   `json:"max"`

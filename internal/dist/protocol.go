@@ -20,8 +20,10 @@
 //
 //	join      → validate config fingerprint + frontend, get a worker ID
 //	exchange  → deliver a finished batch's results (each folded exactly
-//	            once) and lease up to K more units, deadline now+TTL
-//	heartbeat → renew the lease deadlines; learn of eviction/completion
+//	            once) and lease a grant of about TTL/20 of work, deadline
+//	            now+TTL
+//	heartbeat → renew the sender's lease deadlines; learn of
+//	            eviction/completion
 //	lease, submit → exchange's single-step forms (no results / one result
 //	            and no units), for a client that replays a campaign call
 //	            by call; no worker uses them
@@ -31,7 +33,10 @@
 // so it holds at most two batches of leases and waits for the network only
 // when the coordinator is slower than a whole batch. Exchanges carry a
 // per-worker sequence number: a retransmission (the reply was lost) is
-// answered with the same grant again, never a second one.
+// answered with the same grant again, never a second one. Under
+// stop-on-first a violation at (i, p) makes every unit (i, q > p) dead
+// work: its worker skips those it holds, and the coordinator retires their
+// leases when the violation folds.
 //
 // Workers that stop heartbeating are evicted and their leased units
 // reassigned; a unit reassigned too many times is degraded to guarded
@@ -67,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
 	"github.com/sith-lab/amulet-go/internal/codec"
@@ -186,7 +192,10 @@ func readResult(r *codec.Reader) (UnitResult, error) {
 }
 
 // ExchangeRequest delivers a batch of results and asks for up to Want more
-// units (0 = none; the coordinator grants at most its LeaseUnits). Seq
+// units (0 = none). The coordinator sizes each grant in time — about a
+// twentieth of its lease TTL at the unit time the worker's last results
+// report, one unit before there are any — so Want only caps it: a worker
+// asks for GrantAll. Seq
 // numbers the worker's exchanges from 1: a retransmission repeats its Seq
 // and is answered with the grant the first copy got, so a lost reply
 // neither strands a grant nor earns a second one. 0 is an unnumbered call,
@@ -202,6 +211,10 @@ type ExchangeRequest struct {
 	Want     int
 	Retries  int
 }
+
+// GrantAll is the Want of a worker that takes whatever grant the
+// coordinator sizes for it.
+const GrantAll = math.MaxInt32
 
 func (req *ExchangeRequest) maxBodyLen() int {
 	n := 5 * binary.MaxVarintLen64

@@ -27,8 +27,6 @@ type WorkerConfig struct {
 	// (injected panics kill the worker, exercising reassignment) and
 	// transport faults (drops, delays, severs) on this worker's client.
 	Campaign engine.Config
-	// LeaseMax caps units per lease grant (0 = coordinator's default).
-	LeaseMax int
 	// Rejoins caps how many times an evicted worker rejoins for a fresh
 	// identity before giving up (default 3).
 	Rejoins int
@@ -52,6 +50,9 @@ type Worker struct {
 	runner *engine.UnitRunner
 	client *Client
 	units  atomic.Int64
+	// cut maps an instance to the lowest program in it this worker found
+	// violating, under stop-on-first: the units past it are dead work.
+	cut map[int]int
 }
 
 // NewWorker builds a worker and its executor, once, not per unit.
@@ -72,6 +73,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:    cfg,
 		runner: runner,
 		client: NewClient(cfg.Coordinator, cfg.Campaign.Inject, int64(h.Sum64())),
+		cut:    map[int]int{},
 	}, nil
 }
 
@@ -136,10 +138,6 @@ func (w *Worker) serve(ctx context.Context, jr *JoinReply) error {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	want := w.cfg.LeaseMax
-	if want <= 0 {
-		want = jr.LeaseUnits
-	}
 
 	// runCtx carries the simulation and the heartbeats; eviction, a dead
 	// transport and completion end it, with their cause. Exchanges run on
@@ -162,7 +160,7 @@ func (w *Worker) serve(ctx context.Context, jr *JoinReply) error {
 	var seq uint64
 	send := func(results []UnitResult) <-chan flight {
 		seq++
-		req := &ExchangeRequest{WorkerID: jr.WorkerID, Seq: seq, Results: results, Want: want, Retries: w.client.Retries()}
+		req := &ExchangeRequest{WorkerID: jr.WorkerID, Seq: seq, Results: results, Want: GrantAll, Retries: w.client.Retries()}
 		ch := make(chan flight, 1)
 		bg.Add(1)
 		go func() {
@@ -240,24 +238,33 @@ func (w *Worker) serve(ctx context.Context, jr *JoinReply) error {
 
 // runBatch runs the batch's units and encodes their results for the wire,
 // into one buffer: a result's slice stays valid when a later append moves
-// the buffer, since the old array keeps its bytes.
+// the buffer, since the old array keeps its bytes. Under stop-on-first it
+// skips the units past a violation it found: the coordinator's cut will
+// close them once that violation folds, and retire their leases.
 func (w *Worker) runBatch(ctx context.Context, batch []Unit) ([]UnitResult, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	results := make([]UnitResult, len(batch))
+	stopOnFirst := w.cfg.Campaign.Campaign.Base.StopOnFirstViolation
+	results := make([]UnitResult, 0, len(batch))
 	buf := make([]byte, 0, resultCap*len(batch))
-	for i, u := range batch {
+	for _, u := range batch {
+		if p, ok := w.cut[u.Inst]; ok && u.Prog > p {
+			continue
+		}
 		rec, draws, err := w.runner.Run(ctx, engine.UnitID{Inst: u.Inst, Prog: u.Prog})
 		if err != nil {
 			return nil, err
+		}
+		if stopOnFirst && len(rec.Violations) > 0 {
+			w.cut[u.Inst] = u.Prog // never above the old cut: the units past it are skipped
 		}
 		start := len(buf)
 		if buf, err = rec.AppendBinary(buf); err != nil {
 			return nil, fmt.Errorf("dist: encode result: %w", err)
 		}
 		raw := buf[start:len(buf):len(buf)]
-		results[i] = UnitResult{Inst: u.Inst, Prog: u.Prog, Draws: draws, ResultDigest: Digest(raw), Result: raw}
+		results = append(results, UnitResult{Inst: u.Inst, Prog: u.Prog, Draws: draws, ResultDigest: Digest(raw), Result: raw})
 	}
 	return results, nil
 }

@@ -62,6 +62,9 @@ type DistCampaign struct {
 	// reaches zero.
 	remaining int
 	finished  chan struct{}
+	// cuts counts the stop-on-first cut moves, so that whoever leases units
+	// out learns cheaply when some of them closed.
+	cuts int
 	// The scheduling cursor: every open unit of the program window
 	// [lo, hi) before (curInst, curProg) in (instance, program) order has
 	// been handed out by Next. The window is the whole grid except while
@@ -136,6 +139,14 @@ func (d *DistCampaign) Remaining() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.remaining
+}
+
+// Cuts is how many times a stop-on-first cut has moved: a change means
+// units that were open may not be any more.
+func (d *DistCampaign) Cuts() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cuts
 }
 
 // Finished is closed once the campaign is complete — already so when a
@@ -271,6 +282,7 @@ func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
 	d.remaining--
 	if d.c.base.StopOnFirstViolation && len(res.Violations) > 0 && u.prog < old {
 		d.c.stopAt[u.inst] = u.prog
+		d.cuts++
 		for p := u.prog + 1; p <= old; p++ {
 			if !d.c.done[u.inst][p] {
 				d.remaining--
