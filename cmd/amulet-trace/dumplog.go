@@ -98,6 +98,7 @@ type inputView struct {
 	Regs  [isa.NumRegs]uint64
 	Fill  *fillView `json:",omitempty"`
 	Words [][2]uint64
+	Error string `json:",omitempty"`
 }
 
 type fillView struct{ Base, N0 uint64 }
@@ -132,7 +133,13 @@ func viewResult(r *checkpoint.ResultRec) *resultView {
 	return out
 }
 
-func viewInput(in *isa.Input) inputView {
+// viewInput decodes an input's binary form; the log reader has already
+// refused one that does not decode.
+func viewInput(enc []byte) inputView {
+	var in isa.Input
+	if err := in.UnmarshalBinary(enc); err != nil {
+		return inputView{Error: err.Error()}
+	}
 	out := inputView{Regs: in.Regs, Words: [][2]uint64{}}
 	if base, n0, ok := in.Mem.Background().Stream(); ok {
 		out.Fill = &fillView{Base: base, N0: n0}

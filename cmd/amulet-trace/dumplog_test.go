@@ -9,6 +9,7 @@ import (
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/fuzzer"
 	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
@@ -29,9 +30,10 @@ func TestDumpLog(t *testing.T) {
 	inA.Mem.Write(isa.DataBase+isa.PageSize+16, 8, 0xfeed)
 	inB.Mem.Write(isa.DataBase+8, 4, 0x1234)
 	prog := &isa.Program{Insts: []isa.Inst{isa.Load(1, 3, 0, 8), isa.Fence()}}
+	encA, encB, _ := fuzzer.PackInputs(nil, inA, inB)
 	unit := &checkpoint.UnitRec{Inst: 0, Prog: 2, RNGDraws: 17, Result: checkpoint.ResultRec{TestCases: 30, Programs: 1,
 		Violations: []checkpoint.ViolationRec{{Defense: "baseline", Contract: "CT-SEQ", Program: prog, Sandbox: sb,
-			InputA: inA, InputB: inB, CTrace: contract.Trace{{Kind: contract.ObsLoadAddr, V: 0x200040}}, ProgramIndex: 2}}}}
+			InputA: encA, InputB: encB, CTrace: contract.Trace{{Kind: contract.ObsLoadAddr, V: 0x200040}}, ProgramIndex: 2}}}}
 	if err := l.AppendUnit(unit); err != nil {
 		t.Fatal(err)
 	}

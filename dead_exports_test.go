@@ -31,11 +31,12 @@ var deadExportAllow = map[string]string{
 	"internal/engine.ReplayUnit":     "re-runs a quarantined unit standalone (README, repro bundles)",
 
 	// Used by other packages' tests, which cannot see an export_test.go.
-	"internal/contract.Usage.Loaded": "per-byte membership for the generator's dense mutation oracle",
-	"internal/emu.New":               "builds the reference machine in the uarch and wasm equivalence tests",
-	"internal/isa.NewSlab":           "standalone slab for the generator's input tests",
-	"internal/uarch.Core.Image":      "committed memory, compared against the emulator by executor and uarch tests",
-	"internal/uarch.Coverage.Empty":  "coverage assertions in the engine and executor tests",
+	"internal/contract.Usage.Loaded":  "per-byte membership for the generator's dense mutation oracle",
+	"internal/emu.New":                "builds the reference machine in the uarch and wasm equivalence tests",
+	"internal/isa.NewSlab":            "standalone slab for the generator's input tests",
+	"internal/isa.Image.Materialized": "page count the executor's copy-on-write tests assert",
+	"internal/uarch.Core.Image":       "committed memory, compared against the emulator by executor and uarch tests",
+	"internal/uarch.Coverage.Empty":   "coverage assertions in the engine and executor tests",
 }
 
 // TestNoDeadExports fails on an exported func, method, type, const or var

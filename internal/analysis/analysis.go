@@ -48,10 +48,14 @@ type Report struct {
 // with the same defense and core parameters as the campaign that found it)
 // and classifies it.
 func Analyze(exec *executor.Executor, v *fuzzer.Violation) (*Report, error) {
+	inA, inB, err := v.Inputs()
+	if err != nil {
+		return nil, err
+	}
 	if err := exec.LoadProgram(v.Program, v.Sandbox); err != nil {
 		return nil, err
 	}
-	logA, logB, trA, trB, err := exec.RunLoggedPair(v.InputA, v.InputB)
+	logA, logB, trA, trB, err := exec.RunLoggedPair(inA, inB)
 	if err != nil {
 		return nil, err
 	}
@@ -270,14 +274,18 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "=== Contract violation: %s vs %s ===\n", v.Defense, v.Contract)
 	fmt.Fprintf(&b, "Classification: %s\n  %s\n", r.Signature, r.Detail)
 	fmt.Fprintf(&b, "\nTest program (index %d in campaign):\n%s", v.ProgramIndex, v.Program)
-	fmt.Fprintf(&b, "\nDiffering input state (the leaked secret):\n%s", diffInputs(v.InputA, v.InputB))
+	fmt.Fprintf(&b, "\nDiffering input state (the leaked secret):\n%s", diffInputs(v))
 	fmt.Fprintf(&b, "\nMicro-architectural trace diff:\n%s", v.TraceA.Diff(v.TraceB))
 	fmt.Fprintf(&b, "\nOperation log (side by side, input A | input B):\n%s", SideBySide(r.LogA, r.LogB, 40))
 	return b.String()
 }
 
-// diffInputs summarizes how the two inputs differ.
-func diffInputs(a, b *isa.Input) string {
+// diffInputs summarizes how the violation's two inputs differ.
+func diffInputs(v *fuzzer.Violation) string {
+	a, b, err := v.Inputs()
+	if err != nil {
+		return fmt.Sprintf("  (%v)\n", err)
+	}
 	var sb strings.Builder
 	for r := 0; r < isa.NumRegs; r++ {
 		if a.Regs[r] != b.Regs[r] {

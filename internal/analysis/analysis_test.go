@@ -84,7 +84,7 @@ func TestClassifyNotReproduced(t *testing.T) {
 	cfg.DefenseFactory = func() uarch.Defense { return invisispec.New(invisispec.Config{}) }
 	exec, v := findViolation(t, cfg)
 	same := *v
-	same.InputB = v.InputA.Clone()
+	same.InputB = v.InputA
 	rep, err := analysis.Analyze(exec, &same)
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,10 @@ import (
 // program (the original is not modified) and the number of instructions
 // NOPed out.
 func Minimize(exec *executor.Executor, c contract.Contract, v *fuzzer.Violation) (*fuzzer.Violation, int, error) {
+	inA, inB, err := v.Inputs()
+	if err != nil {
+		return nil, 0, err
+	}
 	prog := v.Program.Clone()
 	removed := 0
 
@@ -30,15 +34,15 @@ func Minimize(exec *executor.Executor, c contract.Contract, v *fuzzer.Violation)
 	// program.
 	still := func(p *isa.Program) (bool, *executor.UTrace, *executor.UTrace, error) {
 		md := contract.NewModel(c, p, v.Sandbox)
-		trA, _ := md.Collect(v.InputA)
-		trB, _ := md.Collect(v.InputB)
+		trA, _ := md.Collect(inA)
+		trB, _ := md.Collect(inB)
 		if !trA.Equal(trB) {
 			return false, nil, nil, nil
 		}
 		if err := exec.LoadProgram(p, v.Sandbox); err != nil {
 			return false, nil, nil, err
 		}
-		uA, uB, err := exec.RunValidationPair(v.InputA, v.InputB)
+		uA, uB, err := exec.RunValidationPair(inA, inB)
 		if err != nil {
 			return false, nil, nil, err
 		}

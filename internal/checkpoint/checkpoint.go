@@ -165,7 +165,8 @@ func (r *ProgRec) Decode() (isa.SourceProgram, error) {
 // analysis replay regenerates them deterministically from the program and
 // inputs when a report is requested. Program is always the lowered µop
 // program (what replays execute); Source is the frontend-level program,
-// recorded only when it is a distinct object (non-toy frontends).
+// recorded only when it is a distinct object (non-toy frontends). InputA
+// and InputB are isa.Input's binary form, as fuzzer.Violation holds them.
 type ViolationRec struct {
 	Defense      string
 	Contract     string
@@ -173,8 +174,8 @@ type ViolationRec struct {
 	Source       *ProgRec
 	Program      *isa.Program
 	Sandbox      isa.Sandbox
-	InputA       *isa.Input
-	InputB       *isa.Input
+	InputA       []byte
+	InputB       []byte
 	CTrace       contract.Trace
 	ProgramIndex int
 	DetectedAt   time.Duration

@@ -37,7 +37,7 @@ func testState(t testing.TB) *State {
 	gcfg.Seed = 42
 	g := generator.New(gcfg)
 	prog := g.Program()
-	inA, inB := g.Input(), g.Input()
+	inA, inB, _ := fuzzer.PackInputs(nil, g.Input(), g.Input())
 
 	cov := uarch.NewCoverage()
 	words := make([]uint64, len(cov.Words()))
@@ -93,7 +93,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inputs come back as sparse as the generator built them: the same
-	// background fill and written words, compared by value.
+	// canonical bytes.
 	if !sameState(got, st) {
 		t.Errorf("round-trip mismatch:\ngot  %s\nwant %s", describe(got), describe(st))
 	}
@@ -105,7 +105,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("decoded violation carries µarch traces; checkpoints must drop them")
 	}
 	if v.Defense != want.Defense || v.ProgramIndex != want.ProgramIndex ||
-		v.InputA.Regs != want.InputA.Regs || !bytes.Equal(v.InputA.Mem.Dense(), want.InputA.Mem.Dense()) ||
+		!bytes.Equal(v.InputA, want.InputA) || !bytes.Equal(v.InputB, want.InputB) ||
 		!reflect.DeepEqual(v.CTrace, want.CTrace) {
 		t.Errorf("decoded violation differs from encoded:\ngot  %+v\nwant %+v", v, want)
 	}
@@ -298,24 +298,36 @@ func TestLoadRefusesVersion3(t *testing.T) {
 }
 
 // TestLoadRejectsMalformedInput crafts logs whose records are intact — kind,
-// length and CRC all agree — but whose violation carries an input of an
-// impossible geometry, or of one other than its record's sandbox. Before
-// inputs validated themselves at decode, these loaded fine and panicked
-// ("image size mismatch") once analysis replayed the violation.
+// length and CRC all agree — but whose violation carries an input that does
+// not decode, or one of an impossible geometry, or of one other than its
+// record's sandbox. Before inputs validated themselves at decode, these
+// loaded fine and panicked ("image size mismatch") once analysis replayed
+// the violation; violations now hold inputs in their binary form, and the
+// read still checks them.
 func TestLoadRejectsMalformedInput(t *testing.T) {
+	pages := func(n int) []byte {
+		enc, _ := isa.NewInput(isa.Sandbox{Pages: n}).AppendBinary(nil)
+		return enc
+	}
+	written := isa.NewInput(isa.Sandbox{Pages: 1})
+	written.Mem.Write(isa.DataBase+8, 8, 7)
+	good, _ := written.AppendBinary(nil)
 	for _, tc := range []struct {
 		name  string
-		pages int
+		input []byte
 	}{
-		{"no pages", 0},
-		{"three pages", 3},
-		{"two pages in a one-page record", 2},
-		{"512 pages in a one-page record", 512},
+		{"no pages", pages(0)},
+		{"three pages", pages(3)},
+		{"two pages in a one-page record", pages(2)},
+		{"512 pages in a one-page record", pages(512)},
+		{"truncated", good[:len(good)-1]},
+		{"trailing byte", append(append([]byte(nil), good...), 0)},
+		{"empty page", append(append([]byte(nil), good[:len(good)-17]...), 0)},
 	} {
 		st := testState(t)
 		u := st.Units[0]
 		u.Result.Violations = append([]ViolationRec(nil), u.Result.Violations...)
-		u.Result.Violations[0].InputB = isa.NewInput(isa.Sandbox{Pages: tc.pages})
+		u.Result.Violations[0].InputB = tc.input
 
 		buf, start := beginFrame([]byte(magic))
 		buf, err := endFrame(st.header().appendBinary(buf), start, RecHeader)

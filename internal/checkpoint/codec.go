@@ -209,7 +209,7 @@ func readCoverage(r *codec.Reader) []uint64 {
 }
 
 func (v *ViolationRec) appendBinary(b []byte) ([]byte, error) {
-	if v.Program == nil || v.InputA == nil || v.InputB == nil {
+	if v.Program == nil || len(v.InputA) == 0 || len(v.InputB) == 0 {
 		return b, fmt.Errorf("checkpoint: encode: violation without its program and both inputs")
 	}
 	b = codec.AppendString(b, v.Defense)
@@ -221,11 +221,8 @@ func (v *ViolationRec) appendBinary(b []byte) ([]byte, error) {
 	b, _ = v.Program.AppendBinary(b)
 	b = codec.EndSized(b, start)
 	b = codec.AppendInt(b, v.Sandbox.Pages)
-	for _, in := range []*isa.Input{v.InputA, v.InputB} {
-		b, start = codec.BeginSized(b)
-		b, _ = in.AppendBinary(b)
-		b = codec.EndSized(b, start)
-	}
+	b = codec.AppendBytes(b, v.InputA)
+	b = codec.AppendBytes(b, v.InputB)
 	b = codec.AppendUvarint(b, uint64(len(v.CTrace)))
 	for _, o := range v.CTrace {
 		b = codec.AppendUvarint(append(b, byte(o.Kind)), o.V)
@@ -234,6 +231,10 @@ func (v *ViolationRec) appendBinary(b []byte) ([]byte, error) {
 	return codec.AppendVarint(b, int64(v.DetectedAt)), nil
 }
 
+// read decodes a violation. Its inputs are checked — well formed, of the
+// record's sandbox — but kept in their binary form, copied into one
+// exact-size buffer: a record outlives the file or request it was read
+// from.
 func (v *ViolationRec) read(r *codec.Reader) error {
 	*v = ViolationRec{Defense: r.String(), Contract: r.String(), Frontend: r.String(), Source: readProg(r)}
 	prog := r.Bytes()
@@ -256,18 +257,19 @@ func (v *ViolationRec) read(r *codec.Reader) error {
 	if len(inA) == 0 || len(inB) == 0 {
 		return fmt.Errorf("checkpoint: violation record without both inputs")
 	}
-	v.InputA, v.InputB = &isa.Input{}, &isa.Input{}
-	for _, in := range []struct {
-		dst  *isa.Input
-		data []byte
-	}{{v.InputA, inA}, {v.InputB, inB}} {
-		if err := in.dst.UnmarshalBinary(in.data); err != nil {
+	for _, in := range [...][]byte{inA, inB} {
+		sb, err := isa.CheckInput(in)
+		if err != nil {
 			return fmt.Errorf("checkpoint: violation: %w", err)
 		}
-		if sb := in.dst.Mem.Sandbox(); sb != v.Sandbox {
+		if sb != v.Sandbox {
 			return fmt.Errorf("checkpoint: violation input has %d pages, its record's sandbox %d", sb.Pages, v.Sandbox.Pages)
 		}
 	}
+	buf := make([]byte, len(inA)+len(inB))
+	n := copy(buf, inA)
+	copy(buf[n:], inB)
+	v.InputA, v.InputB = buf[:n:n], buf[n:]
 	return nil
 }
 

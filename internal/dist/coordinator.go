@@ -212,6 +212,17 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 	defer ticker.Stop()
 
 	var localErrs []error
+	// local runs units in-process: built on the first one, then kept, so a
+	// fallback episode runs all its chunks on one executor.
+	var local *engine.LocalRunner
+	runLocal := func(units []engine.UnitID) {
+		if local == nil {
+			local = co.dc.NewLocalRunner()
+		}
+		if err := local.Run(ctx, units); err != nil && ctx.Err() == nil {
+			localErrs = append(localErrs, err)
+		}
+	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -230,35 +241,38 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 			}
 			// Linger half a TTL before the deferred shutdown: idle workers
 			// poll within that window, observe Done, and exit cleanly
-			// instead of erroring against a vanished coordinator.
-			linger := time.NewTimer(co.cfg.LeaseTTL / 2)
-			select {
-			case <-ctx.Done():
-			case <-linger.C:
+			// instead of erroring against a vanished coordinator. Without a
+			// live worker there is nobody to wait for.
+			if co.liveWorkers() > 0 {
+				linger := time.NewTimer(co.cfg.LeaseTTL / 2)
+				select {
+				case <-ctx.Done():
+				case <-linger.C:
+				}
+				linger.Stop()
 			}
-			linger.Stop()
 			return co.result(), errors.Join(localErrs...)
 		}
 
 		// Degraded units run locally through the guarded path: quarantine
 		// for genuinely poisonous units, normal folding otherwise.
 		if units := co.takeLocalOnly(); len(units) > 0 {
-			if err := co.dc.RunLocal(ctx, units); err != nil && ctx.Err() == nil {
-				localErrs = append(localErrs, err)
-			}
+			runLocal(units)
 		}
 
 		// Fleet-death fallback: no live workers for DegradeGrace means the
-		// campaign finishes locally. One chunk per tick, so a worker that
-		// joins late still gets leases in between.
-		if co.fleetDead() {
-			if units := co.takeFallbackChunk(); len(units) > 0 {
-				t0 := time.Now()
-				if err := co.dc.RunLocal(ctx, units); err != nil && ctx.Err() == nil {
-					localErrs = append(localErrs, err)
-				}
-				co.requeueOpen(units, time.Since(t0)/time.Duration(len(units)))
+		// campaign finishes locally, chunk after chunk while the fleet stays
+		// dead. The fleet is looked at between chunks, so a worker that
+		// joins late still gets leases; units leased to the dead fleet come
+		// back when a later sweep expires them.
+		for ctx.Err() == nil && co.fleetDead() {
+			units := co.takeFallbackChunk()
+			if len(units) == 0 {
+				break
 			}
+			t0 := time.Now()
+			runLocal(units)
+			co.requeueOpen(units, time.Since(t0)/time.Duration(len(units)))
 		}
 	}
 }
@@ -402,6 +416,13 @@ func (co *Coordinator) takeLocalOnly() []engine.UnitID {
 		}
 	}
 	return out
+}
+
+// liveWorkers is the number of joined workers not evicted.
+func (co *Coordinator) liveWorkers() int {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.live
 }
 
 // fleetDead reports whether no live worker has been seen for DegradeGrace;

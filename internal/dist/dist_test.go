@@ -379,11 +379,73 @@ func TestLocalFallback(t *testing.T) {
 	}
 	checkGolden(t, "local fallback", res)
 	m := co.Robustness()
-	if m.DegradedLocal == 0 {
-		t.Error("fleet death was not counted as a degraded-to-local transition")
+	if m.DegradedLocal != 1 {
+		t.Errorf("fleet death counted as %d degraded-to-local transitions, want 1", m.DegradedLocal)
 	}
-	if tot := res.Totals(); tot.Metrics.DegradedLocal == 0 {
-		t.Error("DegradedLocal not surfaced through result metrics")
+	if tot := res.Totals(); tot.Metrics.DegradedLocal != 1 {
+		t.Errorf("result metrics carry DegradedLocal %d, want 1", tot.Metrics.DegradedLocal)
+	}
+}
+
+// TestLocalFallbackYieldsToLateWorker: the fallback runs chunk after chunk
+// without waiting for a tick, but looks at the fleet between chunks, so a
+// worker that joins mid-episode takes the campaign over instead of sharing
+// it with the coordinator; the outcome is the single-process one.
+func TestLocalFallbackYieldsToLateWorker(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := goldenConfig(t)
+	cfg.Campaign.Base.Programs = 60
+	want, err := engine.RunCampaign(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, base := startCoordinator(t, dist.CoordinatorConfig{
+		Campaign:     cfg,
+		LeaseTTL:     200 * time.Millisecond,
+		DegradeGrace: 20 * time.Millisecond,
+	}, "127.0.0.1:0")
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: base, Name: "late", Campaign: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *fuzzer.CampaignResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := co.Run(ctx)
+		done <- outcome{res, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); co.Robustness().DegradedLocal == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never fell back to local execution")
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := w.Run(ctx); err != nil {
+			t.Errorf("late worker: %v", err)
+		}
+	}()
+	out := <-done
+	wg.Wait()
+	if out.err != nil {
+		t.Fatalf("coordinator: %v", out.err)
+	}
+	if got, want := fuzzer.ViolationFingerprint(out.res.Violations), fuzzer.ViolationFingerprint(want.Violations); got != want {
+		t.Errorf("fingerprint %#x, single-process %#x", got, want)
+	}
+	// The coordinator had run a few chunks when the worker joined, and
+	// finishes the one in hand; a coordinator that kept going would run
+	// about half of what is left.
+	total := 2 * cfg.Campaign.Base.Programs
+	t.Logf("the worker ran %d of %d units", w.UnitsRun(), total)
+	if w.UnitsRun() < 3*total/4 {
+		t.Errorf("the worker that joined during the fallback ran %d of %d units, want at least 3/4", w.UnitsRun(), total)
 	}
 }
 
@@ -605,7 +667,7 @@ func TestSubmitRejectsMalformedInput(t *testing.T) {
 	for _, pages := range []int{0, 3, 2} {
 		doc := rec
 		doc.Violations = append([]checkpoint.ViolationRec(nil), rec.Violations...)
-		doc.Violations[0].InputA = isa.NewInput(isa.Sandbox{Pages: pages})
+		doc.Violations[0].InputA, _ = isa.NewInput(isa.Sandbox{Pages: pages}).AppendBinary(nil)
 		bad, _, err := dist.EncodeResult(doc)
 		if err != nil {
 			t.Fatal(err)

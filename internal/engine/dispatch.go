@@ -40,10 +40,11 @@ var ErrDistCorpus = errors.New("engine: distributed campaigns support the random
 // from its own checkpoint, and a distributed checkpoint even resumes under
 // the single-process engine (and vice versa).
 //
-// All methods are safe for concurrent use; results fold in (instance,
-// program) order at Result() time regardless of submission order, which is
-// what makes the distributed outcome bit-identical to the single-process
-// one.
+// All methods are safe for concurrent use. Results fold into their
+// instance's accumulator in program order as soon as every earlier unit of
+// the instance has folded, regardless of submission order, which is what
+// makes the distributed outcome bit-identical to the single-process one —
+// and keeps a campaign's memory from growing with its unit count.
 type DistCampaign struct {
 	// foldMu orders folds against commits. A fold holds it shared from
 	// marking its unit done until the unit's record is in the checkpoint
@@ -259,6 +260,7 @@ func (d *DistCampaign) settle(u unit, out unitOutcome, encoded []byte) bool {
 		c.draws[u.inst][u.prog] = out.draws
 		c.done[u.inst][u.prog] = true
 		d.accountLocked(u, out.res)
+		c.fold(u.inst)
 	}
 	d.mu.Unlock()
 	if out.done {
@@ -294,24 +296,37 @@ func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
 	}
 }
 
-// RunLocal executes the given units in-process, in order, through the
-// engine's one unit loop (runWorker) and so the same fault-isolation layer
-// (panic quarantine, optional watchdog), folding their results into the
-// campaign. It is the coordinator's graceful-degradation path: units done
+// LocalRunner executes units of a DistCampaign in-process, on one slot it
+// keeps from call to call: the coordinator's graceful-degradation path.
+type LocalRunner struct {
+	d *DistCampaign
+	s *slot
+}
+
+// NewLocalRunner builds a runner with a slot of its own: an executor and a
+// workspace, as an engine worker has. It belongs to one goroutine at a
+// time.
+func (d *DistCampaign) NewLocalRunner() *LocalRunner {
+	return &LocalRunner{d: d, s: d.c.newSlot()}
+}
+
+// Run executes the given units in order through the engine's one unit loop
+// (runWorker) and so the same fault-isolation layer (panic quarantine,
+// optional watchdog), folding their results into the campaign. Units done
 // or past their cut are skipped, so racing a late remote submission is
-// harmless. Each call runs on a slot of its own.
-func (d *DistCampaign) RunLocal(ctx context.Context, units []UnitID) error {
+// harmless.
+func (r *LocalRunner) Run(ctx context.Context, units []UnitID) error {
 	next := func() (UnitID, bool) {
 		for len(units) > 0 {
 			u := units[0]
 			units = units[1:]
-			if d.Open(u) {
+			if r.d.Open(u) {
 				return u, true
 			}
 		}
 		return UnitID{}, false
 	}
-	return d.runWorker(ctx, d.c.newSlot(), generator.Random{}, next)
+	return r.d.runWorker(ctx, r.s, generator.Random{}, next)
 }
 
 // SaveCheckpoint makes every folded unit durable: the units' records are
@@ -341,15 +356,16 @@ func (d *DistCampaign) SaveCheckpoint() error {
 	return errors.Join(d.c.logFailure(), err)
 }
 
-// Result folds the campaign outcome in (instance, program) order — what
-// RunCampaign returns, so fingerprints are directly comparable with
-// single-process runs.
+// Result returns the campaign outcome, folded in (instance, program) order
+// — what RunCampaign returns, so fingerprints are directly comparable with
+// single-process runs. It copies the instances' folds: a unit folded later
+// does not change a result already returned.
 func (d *DistCampaign) Result() *fuzzer.CampaignResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := &fuzzer.CampaignResult{Instances: make([]*fuzzer.Result, d.c.instances)}
 	for i := 0; i < d.c.instances; i++ {
-		out.Instances[i] = mergeInstance(d.c.results[i], d.c.base.StopOnFirstViolation)
+		out.Instances[i] = d.c.instanceResult(i)
 	}
 	out.Elapsed = time.Since(d.c.start)
 	out.Aggregate()

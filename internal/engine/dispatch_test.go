@@ -36,7 +36,7 @@ func (d *DistCampaign) Pending() []UnitID {
 }
 
 // TestDistCampaignLocalEquivalence proves the two distributed execution
-// paths — RunLocal (the coordinator's degradation path) and
+// paths — LocalRunner (the coordinator's degradation path) and
 // UnitRunner.Run + RecordRemote (the worker round-trip, including the
 // serialize/deserialize hop) — both reproduce the single-process
 // campaign's violation set bit for bit.
@@ -53,15 +53,15 @@ func TestDistCampaignLocalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dc.RunLocal(context.Background(), dc.Pending()); err != nil {
+		if err := dc.NewLocalRunner().Run(context.Background(), dc.Pending()); err != nil {
 			t.Fatal(err)
 		}
 		if !dc.Complete() {
-			t.Fatal("campaign not complete after RunLocal of all pending units")
+			t.Fatal("campaign not complete after a local run of all pending units")
 		}
 		res := dc.Result()
 		if fp := fuzzer.ViolationFingerprint(res.Violations); fp != wantFP {
-			t.Errorf("RunLocal fingerprint %#x, want single-process %#x", fp, wantFP)
+			t.Errorf("local run fingerprint %#x, want single-process %#x", fp, wantFP)
 		}
 	})
 
@@ -183,7 +183,7 @@ func TestDistCampaignCheckpointRoundTrip(t *testing.T) {
 	if len(pending) != 16 {
 		t.Fatalf("fresh campaign: %d pending units, want 16", len(pending))
 	}
-	if err := dc.RunLocal(context.Background(), pending[:5]); err != nil {
+	if err := dc.NewLocalRunner().Run(context.Background(), pending[:5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.SaveCheckpoint(); err != nil {
@@ -208,7 +208,7 @@ func TestDistCampaignCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("unit (%d,%d) folded before the crash but pending after resume", u.Inst, u.Prog)
 		}
 	}
-	if err := dc2.RunLocal(context.Background(), rest); err != nil {
+	if err := dc2.NewLocalRunner().Run(context.Background(), rest); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc2.SaveCheckpoint(); err != nil {
@@ -241,7 +241,7 @@ func TestLogInterchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Six units folded, never synced or committed: a SIGKILLed coordinator.
-		if err := dc.RunLocal(context.Background(), dc.Pending()[:6]); err != nil {
+		if err := dc.NewLocalRunner().Run(context.Background(), dc.Pending()[:6]); err != nil {
 			t.Fatal(err)
 		}
 		dc.Close()
@@ -278,7 +278,7 @@ func TestLogInterchange(t *testing.T) {
 		if len(rest) != 10 {
 			t.Fatalf("%d units pending after resume, want 10", len(rest))
 		}
-		if err := dc.RunLocal(context.Background(), rest); err != nil {
+		if err := dc.NewLocalRunner().Run(context.Background(), rest); err != nil {
 			t.Fatal(err)
 		}
 		if err := dc.SaveCheckpoint(); err != nil {
@@ -307,11 +307,12 @@ func TestLogInterchange(t *testing.T) {
 func TestRemainingAndCursorMatchFullScan(t *testing.T) {
 	const instances, programs = 3, 12
 	sb := isa.Sandbox{Pages: 1}
+	in, _ := isa.NewInput(sb).AppendBinary(nil)
 	result := func(u UnitID, violating bool) checkpoint.ResultRec {
 		rec := checkpoint.ResultRec{TestCases: 1, Programs: 1}
 		if violating {
 			rec.Violations = []checkpoint.ViolationRec{{
-				Program: &isa.Program{}, Sandbox: sb, InputA: isa.NewInput(sb), InputB: isa.NewInput(sb), ProgramIndex: u.Prog,
+				Program: &isa.Program{}, Sandbox: sb, InputA: in, InputB: in, ProgramIndex: u.Prog,
 			}}
 		}
 		return rec

@@ -254,8 +254,13 @@ func (c *campaign) restore(st *checkpoint.State) error {
 			})
 		}
 	}
-	if c.base.StopOnFirstViolation {
-		for i := 0; i < c.instances; i++ {
+	for i := 0; i < c.instances; i++ {
+		if c.progs != nil {
+			// Only the admitted epochs fold.
+			_, c.folds[i].limit = epochBounds(c.programs, c.epochs, st.EpochsDone-1)
+		}
+		c.fold(i)
+		if c.base.StopOnFirstViolation {
 			if p := c.firstViolatingIndex(i, c.programs); p >= 0 {
 				c.stopAt[i] = p
 			}

@@ -154,10 +154,14 @@ type campaign struct {
 	// DistCampaign.mu once workers run.
 	stopAt []int
 
-	// results[i][p] is the unit result; progs[i][p] the generated source
-	// program (recorded only under the corpus strategy, for admission).
+	// results[i][p] is the unit result until instance i's fold takes it;
+	// progs[i][p] the generated source program (recorded only under the
+	// corpus strategy, for admission), released by admission or the fold.
 	results [][]*fuzzer.Result
 	progs   [][]isa.SourceProgram
+	// folds[i] accumulates instance i's results as they settle; written
+	// under DistCampaign.mu once workers run, like the grids.
+	folds []instanceFold
 
 	// Corpus state (corpus strategy only): the campaign-global coverage map
 	// and the admitted entries. Mutated only between epochs, in
@@ -202,13 +206,20 @@ type campaign struct {
 // error. Unit failures likewise don't discard the campaign: errors are
 // joined and partial results returned.
 func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error) {
+	_, res, err := runCampaign(ctx, cfg)
+	return res, err
+}
+
+// runCampaign is RunCampaign, also returning the campaign it ran (nil if
+// it never started) for tests to inspect.
+func runCampaign(ctx context.Context, cfg Config) (*DistCampaign, *fuzzer.CampaignResult, error) {
 	c, corpus, err := newCampaign(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d, err := newDistCampaign(c, cfg.Resume)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer d.Close()
 
@@ -244,7 +255,7 @@ func RunCampaign(ctx context.Context, cfg Config) (*fuzzer.CampaignResult, error
 		}
 	}
 
-	return d.Result(), errors.Join(append(errs, c.logFailure(), ctx.Err())...)
+	return d, d.Result(), errors.Join(append(errs, c.logFailure(), ctx.Err())...)
 }
 
 // newCampaign validates cfg and builds the campaign bookkeeping shared by
@@ -314,6 +325,15 @@ func newCampaign(cfg Config) (*campaign, bool, error) {
 		c.stopAt[i] = c.programs - 1
 	}
 	c.results = make([][]*fuzzer.Result, c.instances)
+	c.folds = make([]instanceFold, c.instances)
+	for i := range c.folds {
+		// Under the corpus strategy nothing folds before the first epoch
+		// is admitted.
+		c.folds[i] = instanceFold{viol: -1, limit: c.programs}
+		if corpus {
+			c.folds[i].limit = 0
+		}
+	}
 	c.done = make([][]bool, c.instances)
 	c.draws = make([][]uint64, c.instances)
 	for i := range c.results {
@@ -402,15 +422,22 @@ func (c *campaign) admit(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			c.progs[i][p] = nil
 		}
+		// The epoch is admitted: its units may fold.
+		c.folds[i].limit = hi
+		c.fold(i)
 	}
 }
 
 // firstViolatingIndex returns instance i's lowest violating program index
 // below hi, or -1. Every unit below that index is guaranteed to have run
 // (the stop-at skip only ever cuts above it), which is what makes the cut
-// deterministic.
+// deterministic. The fold has seen the units below its fold point.
 func (c *campaign) firstViolatingIndex(i, hi int) int {
-	for p := 0; p < hi; p++ {
+	f := &c.folds[i]
+	if f.viol >= 0 && f.viol < hi {
+		return f.viol
+	}
+	for p := f.next; p < hi; p++ {
 		if r := c.results[i][p]; r != nil && len(r.Violations) > 0 {
 			return p
 		}
@@ -492,35 +519,69 @@ func (c *campaign) runUnit(ctx context.Context, exec *executor.Executor, ws *fuz
 	return res, prog, draws, err
 }
 
-// mergeInstance folds one instance's unit results in program-index order.
-// Under StopOnFirstViolation the deterministic cut is the lowest violating
-// program index: units past it may or may not have run (the stop signal
-// races with the workers), so their violations and coverage are dropped —
-// only their counters are kept — making the violation set and the reported
-// coverage independent of scheduling.
-func mergeInstance(units []*fuzzer.Result, stopFirst bool) *fuzzer.Result {
-	ir := &fuzzer.Result{}
-	firstViol := -1
-	if stopFirst {
-		for p, ur := range units {
-			if ur != nil && len(ur.Violations) > 0 {
-				firstViol = p
-				break
-			}
+// instanceFold is one instance's result, folded in program-index order as
+// its units settle, so that a folded unit's result, coverage and program
+// are garbage as soon as the fold has them: units [0, next) are folded into
+// acc and their cells released. The fold stops at the first unit not done,
+// and at limit — under the corpus strategy the end of the last admitted
+// epoch, since admission reads the open epoch's results and programs
+// (programs otherwise). viol is the first violating folded unit, -1 while
+// there is none.
+type instanceFold struct {
+	acc         fuzzer.Result
+	next, limit int
+	viol        int
+}
+
+// fold advances instance i's fold over its done units. It allocates nothing
+// of its own beyond acc's first coverage map and the growth of its
+// violation list.
+func (c *campaign) fold(i int) {
+	f := &c.folds[i]
+	for ; f.next < f.limit && c.done[i][f.next]; f.next++ {
+		f.viol = foldUnit(&f.acc, c.results[i][f.next], f.next, f.viol, c.base.StopOnFirstViolation)
+		c.results[i][f.next] = nil
+		if c.progs != nil {
+			c.progs[i][f.next] = nil
 		}
 	}
-	for p, ur := range units {
-		if ur == nil {
-			continue
-		}
-		if firstViol >= 0 && p > firstViol {
-			trimmed := *ur
-			trimmed.Violations = nil
-			trimmed.Coverage = nil
-			ir.Merge(&trimmed)
-			continue
-		}
-		ir.Merge(ur)
+}
+
+// foldUnit merges unit p's result into acc, in program-index order, and
+// returns the first violating unit so far (viol before it). Under
+// StopOnFirstViolation the deterministic cut is the lowest violating index:
+// units past it may or may not have run (the stop signal races with the
+// workers), so their violations and coverage are dropped — only their
+// counters are kept — making the violation set and the reported coverage
+// independent of scheduling.
+func foldUnit(acc, ur *fuzzer.Result, p, viol int, stopFirst bool) int {
+	if stopFirst && viol >= 0 && p > viol {
+		trimmed := *ur
+		trimmed.Violations, trimmed.Coverage = nil, nil
+		acc.Merge(&trimmed)
+		return viol
 	}
-	return ir
+	acc.Merge(ur)
+	if viol < 0 && len(ur.Violations) > 0 {
+		viol = p
+	}
+	return viol
+}
+
+// instanceResult returns a copy of instance i's result: its fold, then, in
+// program-index order, whatever settled past the fold point — units beyond
+// a gap the fold has not crossed (an interrupted campaign's, or dead work
+// past a stop-on-first cut), and under the corpus strategy the open
+// epoch's.
+func (c *campaign) instanceResult(i int) *fuzzer.Result {
+	f := &c.folds[i]
+	r := &fuzzer.Result{}
+	r.Merge(&f.acc)
+	viol := f.viol
+	for p := f.next; p < c.programs; p++ {
+		if ur := c.results[i][p]; ur != nil {
+			viol = foldUnit(r, ur, p, viol, c.base.StopOnFirstViolation)
+		}
+	}
+	return r
 }

@@ -46,9 +46,13 @@ func engineConfig(seed int64, instances, programs int) Config {
 // violationKey identifies a violation by its deterministic coordinates and
 // content (wall-clock stamps excluded).
 func violationKey(inst int, v *fuzzer.Violation) string {
+	a, b, err := v.Inputs()
+	if err != nil {
+		return err.Error()
+	}
 	return fmt.Sprintf("i%d p%d regsA=%v regsB=%v memEq=%v trEq=%v",
-		inst, v.ProgramIndex, v.InputA.Regs, v.InputB.Regs,
-		bytes.Equal(v.InputA.Mem.Dense(), v.InputB.Mem.Dense()), v.TraceA.Equal(v.TraceB))
+		inst, v.ProgramIndex, a.Regs, b.Regs,
+		bytes.Equal(a.Mem.Dense(), b.Mem.Dense()), v.TraceA.Equal(v.TraceB))
 }
 
 func campaignKeys(t *testing.T, res *fuzzer.CampaignResult) []string {

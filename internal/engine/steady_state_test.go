@@ -26,10 +26,10 @@ import (
 //     tables and µop Program (8);
 //   - the unit's Result (1); no coverage map — a UnitRunner runs
 //     random-strategy campaigns, which collect none;
-//   - a violating unit's report: the Violation, two input clones with
-//     their page tables, the retained validation traces with their
-//     snapshot buffers, and their encoded copies (a few dozen, in 3 of the
-//     50 measured units of the invisispec campaign);
+//   - a violating unit's report: the Violation, one buffer for both
+//     encoded inputs, the contract-trace copy, the retained validation
+//     traces with their snapshot buffers, and their encoded copies (a few
+//     dozen, in 3 of the 50 measured units of the invisispec campaign);
 //   - warm-up not yet finished by unit 10: the executor's trace freelist
 //     grows to the widest contract-equivalence class seen so far, a trace
 //     and its snapshot buffers at a time, and a core's recycled dynamic

@@ -94,6 +94,17 @@ func (c Config) ResolvedFrontend() isa.Frontend {
 // Violation is one confirmed contract violation: two contract-equivalent
 // inputs with different µarch traces, surviving the fresh-context
 // validation re-run.
+//
+// A campaign holds every violation it finds until it ends, so a violation
+// keeps its inputs in the sparse binary form the checkpoint log and the
+// distributed wire carry (isa.Input.AppendBinary: registers, background
+// fill, written words), not as materialized pages: InputA and InputB share
+// one exact-size buffer, and Inputs decodes them when a replay needs them.
+// CTrace is an exact-length copy of the class trace. A violation found in
+// this process keeps its validation replay's traces in TraceA/TraceB
+// (≈ 2.1 KB together; the rendered report shows them); one restored from a
+// checkpoint or folded from a remote worker has none, and analysis.Analyze
+// re-derives them by replay.
 type Violation struct {
 	Defense  string
 	Contract string
@@ -105,14 +116,38 @@ type Violation struct {
 	Source   isa.SourceProgram
 	Program  *isa.Program
 	Sandbox  isa.Sandbox
-	InputA   *isa.Input
-	InputB   *isa.Input
+	InputA   []byte
+	InputB   []byte
 	CTrace   contract.Trace
 	TraceA   *executor.UTrace
 	TraceB   *executor.UTrace
 
 	ProgramIndex int
 	DetectedAt   time.Duration // since campaign start
+}
+
+// Inputs decodes the violating inputs.
+func (v *Violation) Inputs() (a, b *isa.Input, err error) {
+	a, b = &isa.Input{}, &isa.Input{}
+	if err := a.UnmarshalBinary(v.InputA); err != nil {
+		return nil, nil, fmt.Errorf("fuzzer: violation input A: %w", err)
+	}
+	if err := b.UnmarshalBinary(v.InputB); err != nil {
+		return nil, nil, fmt.Errorf("fuzzer: violation input B: %w", err)
+	}
+	return a, b, nil
+}
+
+// PackInputs encodes a and b into scratch, grown as needed and returned for
+// the next call, and copies the two encodings into one exact-size buffer:
+// a Violation's InputA and InputB.
+func PackInputs(scratch []byte, a, b *isa.Input) (inA, inB, grown []byte) {
+	scratch, _ = a.AppendBinary(scratch[:0])
+	n := len(scratch)
+	scratch, _ = b.AppendBinary(scratch)
+	buf := make([]byte, len(scratch))
+	copy(buf, scratch)
+	return buf[:n:n], buf[n:], scratch
 }
 
 // Result summarizes one fuzzing instance.
@@ -199,10 +234,6 @@ const mutatorSeedMix = 0x5eed
 type InputClass struct {
 	CTrace contract.Trace
 	Inputs []*isa.Input
-
-	// retained marks the class trace as referenced by a recorded Violation,
-	// excluding it from the post-execution recycle into the trace pool.
-	retained bool
 }
 
 // ProgramCase is the output of the generate and contract-model-collect
@@ -228,7 +259,7 @@ type ProgramCase struct {
 
 	// ws is the workspace that built the case, nil for a hand-built one.
 	// ExecuteCase recycles the class traces into its pool once they have
-	// been compared (and possibly retained), and runs on its trace scratch.
+	// been compared, and runs on its trace and encoding scratch.
 	ws *Workspace
 }
 
@@ -257,7 +288,7 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 	}
 	defer func() {
 		// The class traces have served their purpose (compared, and copied
-		// into violations by reference where retained): recycle the rest.
+		// into the violations that need them): recycle them.
 		if pc.ws != nil {
 			pc.ws.recycleTraces()
 		}
@@ -319,11 +350,20 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 		if !ok {
 			continue
 		}
-		cls.retained = true
-		// Deep copies: a violation outlives its case by the whole campaign
-		// and must not pin the slab all of the case's inputs share, nor the
-		// replay traces' cache-sized buffers, which go back to the executor.
-		inA, inB := cls.Inputs[i].Clone(), cls.Inputs[j].Clone()
+		// Copies: a violation outlives its case by the whole campaign and
+		// must not pin the slab all of the case's inputs share, the pooled
+		// class trace, nor the replay traces' cache-sized buffers, which go
+		// back to the executor.
+		var scratch []byte
+		if pc.ws != nil {
+			scratch = pc.ws.enc
+		}
+		inA, inB, scratch := PackInputs(scratch, cls.Inputs[i], cls.Inputs[j])
+		if pc.ws != nil {
+			pc.ws.enc = scratch
+		}
+		ctrace := make(contract.Trace, len(cls.CTrace))
+		copy(ctrace, cls.CTrace)
 		keptA, keptB := trA.Clone(), trB.Clone()
 		exec.ReleaseTrace(trA)
 		exec.ReleaseTrace(trB)
@@ -336,7 +376,7 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 			Sandbox:      pc.SB,
 			InputA:       inA,
 			InputB:       inB,
-			CTrace:       cls.CTrace,
+			CTrace:       ctrace,
 			TraceA:       keptA,
 			TraceB:       keptB,
 			ProgramIndex: pc.Index,

@@ -31,9 +31,13 @@ func TestViolationRecordConsistency(t *testing.T) {
 	}
 	// The recorded pair must be contract-equivalent: re-verify with a
 	// fresh model.
+	inA, inB, err := v.Inputs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	md := contract.NewModel(contract.CTSeq, v.Program, v.Sandbox)
-	trA, _ := md.Collect(v.InputA)
-	trB, _ := md.Collect(v.InputB)
+	trA, _ := md.Collect(inA)
+	trB, _ := md.Collect(inB)
 	if !trA.Equal(trB) {
 		t.Errorf("violation inputs are not contract-equivalent")
 	}

@@ -15,10 +15,10 @@ import (
 // program: the generator and mutator streams (reseeded per unit), the
 // leakage model (re-targeted per program), the slab the inputs are carved
 // from, the program case with its classes and their input lists, the
-// contract-trace pool and ExecuteCase's trace scratch. What outlives a
-// program is allocated fresh — the program itself, the unit's Result, and a
-// violation's deep copies — so a campaign's steady state allocates only
-// that.
+// contract-trace pool and ExecuteCase's trace and encoding scratch. What
+// outlives a program is allocated fresh — the program itself, the unit's
+// Result, and a violation's copies — so a campaign's steady state allocates
+// only that.
 //
 // A workspace belongs to one goroutine at a time, like the executor it runs
 // beside: every engine worker and distributed UnitRunner owns one for its
@@ -37,6 +37,7 @@ type Workspace struct {
 	classes []InputClass           // storage behind pc.Classes, one per base input
 	byTrace map[uint64]*InputClass // contract-trace hash → class of the current case
 	traces  []*executor.UTrace     // ExecuteCase's per-class trace scratch
+	enc     []byte                 // ExecuteCase's scratch for a violation's inputs
 }
 
 // NewWorkspace returns an empty workspace; Reset prepares it for a unit.
@@ -91,8 +92,8 @@ func (w *Workspace) Draws() uint64 { return w.gen.Draws() + w.mut.Draws() }
 //
 // The case, its inputs and its class lists are the workspace's: they are
 // valid until the next Case, which recycles them. Retain only the program
-// (Source, Prog) beyond that; ExecuteCase deep-copies the inputs of a
-// violation.
+// (Source, Prog) beyond that; ExecuteCase copies out what a violation
+// keeps.
 func (w *Workspace) Case(ctx context.Context, strat generator.Strategy, pIdx int) (*ProgramCase, error) {
 	if strat == nil {
 		strat = generator.Random{}
@@ -158,13 +159,13 @@ func (w *Workspace) Case(ctx context.Context, strat generator.Strategy, pIdx int
 	return pc, nil
 }
 
-// recycleTraces returns the current case's class traces to the pool, except
-// those a recorded violation retains. ExecuteCase calls it once the classes
-// are compared; Case calls it again for a case that was never executed (its
-// unit cut short), and it is a no-op for classes already recycled.
+// recycleTraces returns the current case's class traces to the pool.
+// ExecuteCase calls it once the classes are compared; Case calls it again
+// for a case that was never executed (its unit cut short), and it is a
+// no-op for classes already recycled.
 func (w *Workspace) recycleTraces() {
 	for _, cls := range w.pc.Classes {
-		if cls.CTrace != nil && !cls.retained {
+		if cls.CTrace != nil {
 			w.tp.Put(cls.CTrace)
 		}
 		cls.CTrace = nil

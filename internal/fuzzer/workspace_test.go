@@ -36,7 +36,7 @@ type reuseUnit struct {
 	cfg  Config
 	seed int64
 	// execute runs the case on an executor after the comparison, so the
-	// trace pool, the retained flags and the violation copies are
+	// trace pool, the encoding scratch and the violation copies are
 	// exercised; cutBuild / cutExec cut the unit off after that many
 	// context polls in Case / ExecuteCase (-1: never).
 	execute           bool
@@ -105,10 +105,10 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 
 	// recorded is a violation and what it read as when it was recorded.
 	type recorded struct {
-		v            *Violation
-		ctrace       contract.Trace
-		memA, memB   []byte
-		regsA, regsB [isa.NumRegs]uint64
+		v          *Violation
+		ctrace     contract.Trace
+		inA, inB   []byte // the encoded inputs
+		memA, memB []byte // and what they decode to
 	}
 	var kept []recorded
 	execs := map[int]*executor.Executor{} // by sandbox pages
@@ -170,10 +170,14 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
+			a, b, err := v.Inputs()
+			if err != nil {
+				t.Fatal(err)
+			}
 			kept = append(kept, recorded{
 				v: v, ctrace: append(contract.Trace(nil), v.CTrace...),
-				memA: v.InputA.Mem.Dense(), memB: v.InputB.Mem.Dense(),
-				regsA: v.InputA.Regs, regsB: v.InputB.Regs,
+				inA: bytes.Clone(v.InputA), inB: bytes.Clone(v.InputB),
+				memA: a.Mem.Dense(), memB: b.Mem.Dense(),
 			})
 		}
 	}
@@ -181,8 +185,12 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		t.Fatalf("%d violations recorded, want the two of units 3 and 9", len(kept))
 	}
 	for k, r := range kept {
-		if !r.v.CTrace.Equal(r.ctrace) || r.v.InputA.Regs != r.regsA || r.v.InputB.Regs != r.regsB ||
-			!bytes.Equal(r.v.InputA.Mem.Dense(), r.memA) || !bytes.Equal(r.v.InputB.Mem.Dense(), r.memB) {
+		a, b, err := r.v.Inputs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.v.CTrace.Equal(r.ctrace) || !bytes.Equal(r.v.InputA, r.inA) || !bytes.Equal(r.v.InputB, r.inB) ||
+			!bytes.Equal(a.Mem.Dense(), r.memA) || !bytes.Equal(b.Mem.Dense(), r.memB) {
 			t.Errorf("violation %d (program %d) changed after its workspace was reused", k, r.v.ProgramIndex)
 		}
 	}

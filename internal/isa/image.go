@@ -349,25 +349,6 @@ func NewInput(sb Sandbox) *Input {
 	return &Input{Mem: makeImage(sb)}
 }
 
-// Clone returns a deep copy of the input on the heap: same background, and
-// a private copy of every page that holds written-down words. It shares
-// nothing with the original or with the slab the original was carved from.
-func (in *Input) Clone() *Input {
-	c := NewInput(in.Mem.sb)
-	c.Regs = in.Regs
-	c.Mem.fill = in.Mem.fill
-	store := make([]Page, in.Mem.Materialized())
-	for pi, p := range in.Mem.pages {
-		if p != nil {
-			store[0] = *p
-			c.Mem.pages[pi] = &store[0]
-			c.Mem.owned[pi>>6] |= 1 << (pi & 63)
-			store = store[1:]
-		}
-	}
-	return c
-}
-
 // Stream reports the span of the random stream the fill computes words
 // from: its root base and the n0 outputs served before it. ok is false for
 // zero memory.
@@ -464,11 +445,25 @@ func (in *Input) AppendBinary(b []byte) ([]byte, error) {
 // is replayed. The pages are allocated at once, after their count is
 // checked against the bytes that remain.
 func (in *Input) UnmarshalBinary(data []byte) error {
+	_, err := decodeInput(data, in)
+	return err
+}
+
+// CheckInput validates an input's binary form as UnmarshalBinary does and
+// returns its sandbox, without building the input: a holder of encoded
+// inputs refuses a malformed one at read and allocates nothing for it.
+func CheckInput(data []byte) (Sandbox, error) {
+	return decodeInput(data, nil)
+}
+
+// decodeInput reads an encoded input into in, or with a nil in only checks
+// it.
+func decodeInput(data []byte, in *Input) (Sandbox, error) {
 	r := codec.NewReader(data)
 	pages := r.Uvarint()
 	sb := Sandbox{Pages: int(min(pages, MaxPages+1))}
 	if err := sb.Validate(); err != nil && r.Err() == nil {
-		return fmt.Errorf("isa: input: %w", err)
+		return Sandbox{}, fmt.Errorf("isa: input: %w", err)
 	}
 	var regs [NumRegs]uint64
 	for i := range regs {
@@ -483,48 +478,66 @@ func (in *Input) UnmarshalBinary(data []byte) error {
 		r.Fail("%d written pages in a %d-page sandbox", n, sb.Pages)
 	}
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("isa: input: %w", err)
+		return Sandbox{}, fmt.Errorf("isa: input: %w", err)
 	}
-	*in = Input{Regs: regs, Mem: makeImage(sb)}
-	in.Mem.fill = fill
-	store := make([]Page, n)
+	var store []Page
+	var check Page // where a check-only decode reads each page
+	if in != nil {
+		*in = Input{Regs: regs, Mem: makeImage(sb)}
+		in.Mem.fill = fill
+		store = make([]Page, n)
+	}
 	next := 0 // the lowest index the next page may have
-	for k := range store {
+	for k := 0; k < n; k++ {
 		pi := r.Uvarint()
 		if pi < uint64(next) || pi >= uint64(sb.Pages) {
 			r.Fail("page index %d out of order or outside %d pages", pi, sb.Pages)
 			break
 		}
 		next = int(pi) + 1
-		p := &store[k]
-		mask := r.Byte()
-		if mask == 0 {
-			r.Fail("page %d holds no word", pi)
+		p := &check
+		if in != nil {
+			p = &store[k]
+		}
+		if !readPage(&r, p, pi) {
 			break
 		}
-		for wi := range p.have {
-			if mask&(1<<wi) != 0 {
-				if p.have[wi] = r.Uint64(); p.have[wi] == 0 {
-					r.Fail("page %d: zero mask word", pi)
-				}
-			}
+		if in != nil {
+			in.Mem.pages[pi] = &store[k]
+			in.Mem.owned[pi>>6] |= 1 << (pi & 63)
 		}
-		for wi, h := range p.have {
-			for ; h != 0; h &= h - 1 {
-				p.w[wi*64+bits.TrailingZeros64(h)] = r.Uint64()
-			}
-		}
-		if r.Err() != nil {
-			break
-		}
-		in.Mem.pages[pi] = p
-		in.Mem.owned[pi>>6] |= 1 << (pi & 63)
 	}
 	if err := r.Done(); err != nil {
-		*in = Input{}
-		return fmt.Errorf("isa: input: %w", err)
+		if in != nil {
+			*in = Input{}
+		}
+		return Sandbox{}, fmt.Errorf("isa: input: %w", err)
 	}
-	return nil
+	return sb, nil
+}
+
+// readPage reads the encoding of page pi, after its index, into p and
+// reports whether it was well formed.
+func readPage(r *codec.Reader, p *Page, pi uint64) bool {
+	mask := r.Byte()
+	if mask == 0 {
+		r.Fail("page %d holds no word", pi)
+		return false
+	}
+	for wi := range p.have {
+		p.have[wi] = 0
+		if mask&(1<<wi) != 0 {
+			if p.have[wi] = r.Uint64(); p.have[wi] == 0 {
+				r.Fail("page %d: zero mask word", pi)
+			}
+		}
+	}
+	for wi, h := range p.have {
+		for ; h != 0; h &= h - 1 {
+			p.w[wi*64+bits.TrailingZeros64(h)] = r.Uint64()
+		}
+	}
+	return r.Err() == nil
 }
 
 // Slab carves the inputs of one test program — the Input structs, their
@@ -532,8 +545,8 @@ func (in *Input) UnmarshalBinary(data []byte) error {
 // one program to the next. Reset rewinds it for the next program: every
 // input and page carved before is handed out again, so a slab that has seen
 // its widest program allocates nothing more. Whoever retains an input beyond
-// the slab's next Reset (a violation report) must Clone it. A nil *Slab
-// allocates on the heap.
+// the slab's next Reset (a violation report) keeps its binary form
+// (AppendBinary) instead. A nil *Slab allocates on the heap.
 type Slab struct {
 	sb     Sandbox
 	inputs []Input // len: the capacity of this program; nIn handed out

@@ -64,14 +64,17 @@ func TestInputBinaryRoundTrip(t *testing.T) {
 }
 
 // TestInputUnmarshalRejects: anything the encoder does not write fails to
-// decode — before, a record with a wrong-sized input decoded and panicked
-// when replayed.
+// decode, and fails CheckInput too — before, a record with a wrong-sized
+// input decoded and panicked when replayed.
 func TestInputUnmarshalRejects(t *testing.T) {
 	in := NewInput(Sandbox{Pages: 2})
 	in.Mem.Write(DataBase+PageSize+8, 8, 7)
 	good, _ := in.AppendBinary(nil)
 	if err := (&Input{}).UnmarshalBinary(good); err != nil {
 		t.Fatal(err)
+	}
+	if sb, err := CheckInput(good); err != nil || sb.Pages != 2 {
+		t.Fatalf("CheckInput(good) = %v, %v", sb, err)
 	}
 	// good: pages 2 | 16 zero regs | fill 0 | 1 page | index 1 | mask 1 | mask word | word
 	const pageAt = 1 + NumRegs + 1 + 1
@@ -98,12 +101,15 @@ func TestInputUnmarshalRejects(t *testing.T) {
 		if err := (&Input{}).UnmarshalBinary(data); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
+		if _, err := CheckInput(data); err == nil {
+			t.Errorf("%s: passed CheckInput", name)
+		}
 	}
 }
 
 // TestSlabInputsAreIndependent: inputs carved from one slab do not share
-// state, a full slab falls back to the heap, and a Clone shares nothing
-// with the slab it came from.
+// state, a full slab falls back to the heap, and a decoded copy shares
+// nothing with the slab it came from.
 func TestSlabInputsAreIndependent(t *testing.T) {
 	sb := Sandbox{Pages: 2}
 	slab := NewSlab(sb, 2)
@@ -112,7 +118,11 @@ func TestSlabInputsAreIndependent(t *testing.T) {
 		in.Mem.SetByte(5, byte(i+1))
 		in.Mem.SetByte(PageSize+5, byte(i+11))
 	}
-	clone := a.Clone()
+	enc, _ := a.AppendBinary(nil)
+	clone := &Input{}
+	if err := clone.UnmarshalBinary(enc); err != nil {
+		t.Fatal(err)
+	}
 	a.Mem.SetByte(5, 0xff)
 	for i, in := range []*Input{clone, b, c} {
 		if in.Mem.Byte(5) != byte(i+1) || in.Mem.Byte(PageSize+5) != byte(i+11) || in.Mem.Byte(6) != 0 {

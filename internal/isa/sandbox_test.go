@@ -106,19 +106,6 @@ func TestImageViewIsCopyOnWrite(t *testing.T) {
 	v.ViewOf(NewImage(Sandbox{Pages: 1}))
 }
 
-func TestInputClone(t *testing.T) {
-	sb := Sandbox{Pages: 1}
-	in := NewInput(sb)
-	in.Regs[3] = 42
-	in.Mem.SetByte(7, 9)
-	c := in.Clone()
-	c.Regs[3] = 1
-	c.Mem.SetByte(7, 1)
-	if in.Regs[3] != 42 || in.Mem.Byte(7) != 9 {
-		t.Errorf("Clone shares state")
-	}
-}
-
 func TestByteAddrWraps(t *testing.T) {
 	sb := Sandbox{Pages: 1}
 	va := DataBase + sb.Size() - 1
