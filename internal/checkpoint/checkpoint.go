@@ -10,13 +10,13 @@
 // A checkpoint is a single append-only file, checkpoint.amulet, in the
 // checkpoint directory: a format tag, then records.
 //
-//	AMULETCKPT4\n
+//	AMULETCKPT5\n
 //	record*
 //	record := kind (1 byte) | length (uint32 LE) | CRC-32C (uint32 LE) | payload (length bytes, binary)
 //
 // The CRC (Castagnoli) covers kind, length and payload. Payloads are the
 // binary encoding codec.go lays out: varints, sparse inputs (registers,
-// fill, written words), programs stored raw. Four kinds exist:
+// fill, written words), programs in their binary forms. Four kinds exist:
 //
 //	H  header   the campaign identity (config fingerprint, seed, shape,
 //	            strategy, frontend); always first, written when the log is
@@ -28,17 +28,21 @@
 //	            sent: a unit record is also the unit's result on the wire
 //	C  commit   an epoch boundary: EpochsDone, the corpus entries admitted
 //	            since the previous commit, the merged coverage words
-//	P  pending  the generated programs of the done units of the epoch still
-//	            awaiting admission, written when a cancelled campaign has
-//	            drained its workers
+//	P  pending  the done units of the epoch still awaiting its commit, with
+//	            the generated programs resume needs to admit it again,
+//	            written when a cancelled campaign has drained its workers
 //
 // A unit record of a random-strategy campaign stands alone: the unit is
 // done. Under the corpus strategy a unit's epoch is admitted from the
-// generated programs of all its units, so a unit of an epoch with no commit
-// record yet is restored only if a pending record carries its program;
-// Load drops the others and resume runs them again. Files of earlier
-// formats are refused by their tag: AMULETCKPT2 was one JSON document
-// rewritten whole at every save, AMULETCKPT3 this log with JSON payloads.
+// generated programs of its units, so a unit of an epoch with no commit
+// record yet is restored only if a pending record names it; Load drops the
+// others and resume runs them again. A pending record names a unit without
+// its program when the unit was passed over by admission (it added no
+// coverage feature, so it changes nothing on resume), quarantined or timed
+// out. Files of earlier formats are refused by their tag: AMULETCKPT2 was
+// one JSON document rewritten whole at every save, AMULETCKPT3 this log
+// with JSON payloads, AMULETCKPT4 this log with each frontend's JSON for
+// its source programs.
 //
 // # What is durable when
 //
@@ -80,6 +84,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -123,23 +128,26 @@ var ErrCorrupt = errors.New("checkpoint: corrupt checkpoint")
 
 // ProgRec serializes one frontend-level source program, tagged with the
 // owning frontend's name so decoding resolves the right decoder through the
-// isa frontend registry.
+// isa frontend registry. Data is the frontend's EncodeProgram form.
 type ProgRec struct {
 	Frontend string
 	Data     []byte
 }
 
-// EncodeProg serializes a source program through its frontend.
-func EncodeProg(src isa.SourceProgram) (*ProgRec, error) {
+// EncodeProg serializes a source program through its frontend: encoded
+// into a pooled record buffer, then copied once at its exact size. A source
+// program exists only through its registered frontend, so this cannot
+// fail.
+func EncodeProg(src isa.SourceProgram) *ProgRec {
 	fe, err := isa.FrontendByName(src.FrontendName())
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		panic(fmt.Sprintf("checkpoint: %v", err))
 	}
-	data, err := fe.EncodeProgram(src)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode %s program: %w", fe.Name(), err)
-	}
-	return &ProgRec{Frontend: fe.Name(), Data: data}, nil
+	p := framePool.Get().(*[]byte)
+	*p = fe.EncodeProgram((*p)[:0], src)
+	rec := &ProgRec{Frontend: fe.Name(), Data: bytes.Clone(*p)}
+	framePool.Put(p)
+	return rec
 }
 
 // Decode rebuilds the source program through the registered frontend. An
@@ -198,11 +206,7 @@ func EncodeViolation(v *fuzzer.Violation) ViolationRec {
 	if v.Source != nil {
 		if p, ok := v.Source.(*isa.Program); !ok || p != v.Program {
 			// The source is a distinct frontend-level object; persist it.
-			// Best effort: the µop program is the replayable artifact, the
-			// source is the human-readable provenance.
-			if src, err := EncodeProg(v.Source); err == nil {
-				rec.Source = src
-			}
+			rec.Source = EncodeProg(v.Source)
 		}
 	}
 	return rec

@@ -19,16 +19,6 @@ import (
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// mustProgRec encodes a source program into its checkpoint record form.
-func mustProgRec(t testing.TB, src isa.SourceProgram) *ProgRec {
-	t.Helper()
-	rec, err := EncodeProg(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
 // testState builds a state with every field populated: a violating unit
 // result (program, inputs, contract trace), coverage words, corpus entries.
 func testState(t testing.TB) *State {
@@ -75,9 +65,9 @@ func testState(t testing.TB) *State {
 		EpochsDone: 1,
 		Units: []UnitRec{
 			{Inst: 0, Prog: 7, RNGDraws: 912, Result: EncodeResult(res)},
-			{Inst: 1, Prog: 5, RNGDraws: 333, Result: EncodeResult(&fuzzer.Result{TestCases: 30}), GenSrc: mustProgRec(t, g.Program())},
+			{Inst: 1, Prog: 5, RNGDraws: 333, Result: EncodeResult(&fuzzer.Result{TestCases: 30}), GenSrc: EncodeProg(g.Program())},
 		},
-		Corpus:   []CorpusRec{{Src: mustProgRec(t, prog), NewBits: 4, Violating: true}},
+		Corpus:   []CorpusRec{{Src: EncodeProg(prog), NewBits: 4, Violating: true}},
 		Coverage: words,
 	}
 }
@@ -274,7 +264,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		"garbage":             []byte("not a checkpoint\n{}"),
 		"short garbage":       []byte("nope"),
 		"version 2 file":      []byte(magic[:len(magic)-2] + "2 00000000deadbeef 2\n{}"),
-		"tag without its \\n": append([]byte("AMULETCKPT4 "), whole[len(magic):]...),
+		"tag without its \\n": append([]byte(magic[:len(magic)-1]+" "), whole[len(magic):]...),
 	} {
 		if _, err := load(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Load err = %v, want ErrCorrupt", name, err)
@@ -294,6 +284,29 @@ func TestLoadRefusesVersion3(t *testing.T) {
 	_, err := Load(dir)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "AMULETCKPT3") {
 		t.Errorf("version 3 log: Load err = %v, want ErrCorrupt naming the tag", err)
+	}
+}
+
+// TestLoadRefusesVersion4: a log whose source programs are their
+// frontend's JSON is refused by its tag, though every record after the tag
+// is framed as today's are, and the error names the tag.
+func TestLoadRefusesVersion4(t *testing.T) {
+	dir := t.TempDir()
+	if err := Save(dir, testState(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, FileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := append([]byte("AMULETCKPT4\n"), raw[len(magic):]...)
+	if err := os.WriteFile(path, v4, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(dir)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "AMULETCKPT4") {
+		t.Errorf("version 4 log: Load err = %v, want ErrCorrupt naming the tag", err)
 	}
 }
 

@@ -33,12 +33,26 @@ import (
 //	pending   := uvarint count | (varint Inst | varint Prog | [prog] GenSrc)*
 //
 // Program is isa.Program's binary form, the inputs isa.Input's (sparse:
-// registers, fill, written words); Source and the corpus and pending
-// programs are their frontend's EncodeProgram bytes, stored raw. A unit
-// record is the unit header followed by the result's bytes, so a result
-// encoded once — by a worker, for the wire — is written to the log as is.
-// Decoding refuses anything the encoder does not write; whatever decodes
-// re-encodes to the same bytes.
+// registers, fill, written words). A prog's Data — a violation's Source,
+// a corpus entry, a pending unit's program — is its frontend's
+// EncodeProgram form, stored raw and decoded (and validated) only when
+// resume or analysis needs the program. For the toy frontend that is
+// isa.Program's binary form again:
+//
+//	program := varint NumBlocks | uvarint count | inst*
+//	inst    := op | dst | src1 | src2 | cond | size (a byte each) |
+//	           bool UseImm | varint Imm | varint Target
+//
+// and for the wasm frontend (package isa/wasm) a generated instruction
+// takes 5 bytes unless its immediate or target needs a longer varint:
+//
+//	program := varint NumBlocks | uvarint count | inst*
+//	inst    := op | local | size (a byte each) | varint Imm | varint Target
+//
+// A unit record is the unit header followed by the result's bytes, so a
+// result encoded once — by a worker, for the wire — is written to the log
+// as is. Decoding refuses anything the encoder does not write; whatever
+// decodes re-encodes to the same bytes.
 
 // Minimum encoded sizes of list elements: what Reader.Count checks a count
 // against before a list is allocated.

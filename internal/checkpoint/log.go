@@ -18,16 +18,18 @@ import (
 // magic opens every checkpoint file; a format change bumps it, and Load
 // refuses any other tag rather than guessing. Version 2 was a single
 // whole-state JSON document rewritten at every save; version 3 the
-// append-only record log with JSON payloads; version 4 is that log with the
-// binary payloads described in the package comment.
-const magic = "AMULETCKPT4\n"
+// append-only record log with JSON payloads; version 4 that log with binary
+// payloads but each frontend's JSON for source programs; version 5 stores
+// those in their frontend's binary form too, as the package comment
+// describes.
+const magic = "AMULETCKPT5\n"
 
 // Record kinds, as Walk reports them.
 const (
 	RecHeader  byte = 'H' // campaign identity; always the first record
 	RecUnit    byte = 'U' // one completed unit (UnitRec, GenSrc never set)
 	RecCommit  byte = 'C' // an epoch boundary
-	RecPending byte = 'P' // programs of the unadmitted epoch's done units ([]PendingRec)
+	RecPending byte = 'P' // the uncommitted epoch's done units and their programs ([]PendingRec)
 )
 
 // frameLen is the fixed part of a record: kind (1 byte), payload length
@@ -54,10 +56,12 @@ type CommitRec struct {
 	Coverage   []uint64
 }
 
-// PendingRec carries the generated program of one done unit whose epoch has
-// not been admitted yet (corpus strategy) — what resume needs to admit the
-// epoch without re-running the unit. GenSrc is nil for a unit that finished
-// without a program (quarantined or timed out).
+// PendingRec names one done unit whose epoch has not been committed yet
+// (corpus strategy), with its generated program — what resume needs to
+// admit the epoch again without re-running the unit. GenSrc is nil for a
+// unit admission passed over (it added no coverage feature, so resume
+// passes over it too) and for one that finished without a program
+// (quarantined or timed out).
 type PendingRec struct {
 	Inst, Prog int
 	GenSrc     *ProgRec
@@ -227,9 +231,9 @@ func (l *Log) AppendEncodedUnit(inst, prog int, draws uint64, result []byte) err
 	})
 }
 
-// AppendPending appends the programs of the done units of the epoch still
-// awaiting admission. Every unit record written before it counts as
-// resumable from then on, so recs must name all of them.
+// AppendPending appends the done units of the epoch still awaiting its
+// commit, with the programs resume needs. Every unit record written before
+// it counts as resumable from then on, so recs must name all of them.
 func (l *Log) AppendPending(recs []PendingRec) error {
 	return l.appendRecord(RecPending, func(b []byte) ([]byte, error) { return appendPending(b, recs), nil })
 }

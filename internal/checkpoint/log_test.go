@@ -369,7 +369,8 @@ func TestLoadRejectsImpossibleRecords(t *testing.T) {
 // run under plain `go test`.
 func FuzzLoad(f *testing.F) {
 	// Seeds are committed under testdata/fuzz/FuzzLoad: a valid three-record
-	// log, the same with a torn tail, and a record claiming 2³²−1 bytes.
+	// log, the same with a torn tail, a record claiming 2³²−1 bytes, and a
+	// corpus-strategy log whose commit and pending records carry programs.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, end, err := replay(data) // Load is os.ReadFile and this
 		if err != nil {

@@ -72,6 +72,10 @@ type DistCampaign struct {
 	// RunCampaign runs a corpus epoch.
 	curInst, curProg int
 	lo, hi           int
+	// The admission front (corpus strategy only) follows the cursor in its
+	// own order: every unit of the window before (frontInst, frontProg)
+	// has been passed by admitLocked.
+	frontInst, frontProg int
 }
 
 // NewDistCampaign validates cfg and builds the coordinator-side campaign
@@ -179,11 +183,75 @@ func (d *DistCampaign) Next() (UnitID, bool) {
 }
 
 // setWindow restricts the cursor to programs [lo, hi) of every instance
-// and restarts it at (0, lo).
+// and restarts it at (0, lo). Under the corpus strategy the admission front
+// restarts there too, and passes whatever a resumed log restored.
 func (d *DistCampaign) setWindow(lo, hi int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.lo, d.hi, d.curInst, d.curProg = lo, hi, 0, lo
+	if d.c.progs != nil {
+		d.frontInst, d.frontProg = 0, lo
+		d.admitLocked()
+	}
+}
+
+// admitLocked advances the admission front over the window's settled units
+// in (instance, program) order — the cursor's, so the front trails it by
+// the units still in flight — and admits each unit it passes: its coverage
+// merges into the campaign's map, and it becomes a corpus entry when that
+// added a feature or it confirmed a violation. Only an admitted unit keeps
+// its program, until the epoch commits. Under StopOnFirstViolation the
+// front leaves an instance at its cut, the first violating unit: units past
+// it may or may not have run, and are dead work. So the corpus is the same
+// at any worker count, and the instance's fold may follow the front.
+func (d *DistCampaign) admitLocked() {
+	c := d.c
+	for d.frontInst < c.instances {
+		i, p := d.frontInst, d.frontProg
+		if p >= d.hi || p > c.stopAt[i] {
+			clear(c.progs[i][p:d.hi]) // dead work past a cut
+			c.folds[i].limit = d.hi
+			c.fold(i)
+			d.frontInst, d.frontProg = i+1, d.lo
+			continue
+		}
+		if !c.done[i][p] {
+			break
+		}
+		// A unit without a program adds nothing: it was quarantined, timed
+		// out, or passed over before the log it was restored from ended.
+		if res, prog := c.results[i][p], c.progs[i][p]; res != nil && prog != nil {
+			violating := len(res.Violations) > 0
+			if newBits := c.cover.Merge(res.Coverage); newBits > 0 || violating {
+				c.entries = append(c.entries, generator.CorpusEntry{Prog: prog, NewBits: newBits, Violating: violating})
+			} else {
+				c.progs[i][p] = nil
+			}
+		}
+		d.frontProg++
+		c.folds[i].limit = d.frontProg
+	}
+	if d.frontInst < c.instances {
+		c.fold(d.frontInst)
+	}
+}
+
+// passedLocked reports whether the admission front has passed unit u: a
+// unit settling behind it is dead work past a stop-on-first cut, whose
+// program nobody needs.
+func (d *DistCampaign) passedLocked(u unit) bool {
+	return u.inst < d.frontInst || u.inst == d.frontInst && u.prog < d.frontProg
+}
+
+// closeWindow ends a corpus epoch that ran to completion and is about to
+// commit: its admitted programs live on in the corpus, so every program
+// cell of the window is released.
+func (d *DistCampaign) closeWindow() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, progs := range d.c.progs {
+		clear(progs[d.lo:d.hi])
+	}
 }
 
 // Open reports whether unit u still needs execution.
@@ -253,14 +321,20 @@ func (d *DistCampaign) settle(u unit, out unitOutcome, encoded []byte) bool {
 		return false
 	}
 	c.results[u.inst][u.prog] = out.res
-	if c.progs != nil {
+	if c.progs != nil && !d.passedLocked(u) {
 		c.progs[u.inst][u.prog] = out.prog
 	}
 	if out.done {
 		c.draws[u.inst][u.prog] = out.draws
 		c.done[u.inst][u.prog] = true
 		d.accountLocked(u, out.res)
+		if c.progs != nil {
+			d.admitLocked()
+		}
 		c.fold(u.inst)
+	}
+	if c.settled != nil {
+		c.settled(d)
 	}
 	d.mu.Unlock()
 	if out.done {

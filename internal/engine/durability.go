@@ -141,9 +141,13 @@ func (c *campaign) logFailure() error {
 // log's last commit record says, a commit record with the corpus entries
 // admitted since then and the merged coverage; and, when done units of the
 // next epoch exist (a cancelled campaign, its workers drained), a pending
-// record with their generated programs, which resume needs to admit that
-// epoch. The unit records themselves are already there — each worker
-// appended its own. The caller owns the barrier: no unit is in flight.
+// record naming them, with the programs resume needs to admit that epoch
+// again: those of the units admitted so far and of those the admission
+// front has not reached. A unit the front passed without admitting it added
+// no coverage feature, so resume passes over it without its program and
+// admits the same entries. The unit records themselves are already there —
+// each worker appended its own. The caller owns the barrier: no unit is in
+// flight.
 func (c *campaign) appendBoundary(epochsDone int) error {
 	if c.logFailure() != nil {
 		return nil // reported by the caller; resume re-runs from the last commit
@@ -154,11 +158,7 @@ func (c *campaign) appendBoundary(epochsDone int) error {
 		if c.cover != nil {
 			cover = c.cover.Words()
 			for _, e := range c.entries[c.loggedEntries:] {
-				src, err := checkpoint.EncodeProg(e.Prog)
-				if err != nil {
-					return err
-				}
-				corpus = append(corpus, checkpoint.CorpusRec{Src: src, NewBits: e.NewBits, Violating: e.Violating})
+				corpus = append(corpus, checkpoint.CorpusRec{Src: checkpoint.EncodeProg(e.Prog), NewBits: e.NewBits, Violating: e.Violating})
 			}
 		}
 		if err := c.log.AppendCommit(epochsDone, corpus, cover); err != nil {
@@ -177,12 +177,8 @@ func (c *campaign) appendBoundary(epochsDone int) error {
 				continue
 			}
 			rec := checkpoint.PendingRec{Inst: i, Prog: p}
-			if c.progs[i][p] != nil { // nil: quarantined or timed out
-				src, err := checkpoint.EncodeProg(c.progs[i][p])
-				if err != nil {
-					return err
-				}
-				rec.GenSrc = src
+			if c.progs[i][p] != nil { // nil: passed over, quarantined or timed out
+				rec.GenSrc = checkpoint.EncodeProg(c.progs[i][p])
 			}
 			pending = append(pending, rec)
 		}
@@ -256,12 +252,13 @@ func (c *campaign) restore(st *checkpoint.State) error {
 	}
 	for i := 0; i < c.instances; i++ {
 		if c.progs != nil {
-			// Only the admitted epochs fold.
+			// The admitted epochs fold; the open one's units wait for the
+			// admission front, which passes them when its window opens.
 			_, c.folds[i].limit = epochBounds(c.programs, c.epochs, st.EpochsDone-1)
 		}
 		c.fold(i)
 		if c.base.StopOnFirstViolation {
-			if p := c.firstViolatingIndex(i, c.programs); p >= 0 {
+			if p := c.firstViolatingIndex(i); p >= 0 {
 				c.stopAt[i] = p
 			}
 		}

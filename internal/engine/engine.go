@@ -25,9 +25,13 @@
 // speculation-coverage signal enabled (uarch.Coverage), and the campaign is
 // split into deterministic epochs. Epoch N generates programs only from the
 // corpus frozen at the end of epoch N−1 (coverage-novel and violating
-// programs, recombined by the program-level mutators); after the epoch's
-// units complete, their coverage is merged and corpus admission decided in
-// (instance, program-index) order, never in completion order.
+// programs, recombined by the program-level mutators). Admission streams:
+// an admission front follows the scheduling cursor through the epoch's
+// units in (instance, program-index) order, never in completion order,
+// merging each unit's coverage and deciding its admission as soon as every
+// unit before it has settled — so an open epoch holds the programs of the
+// units it admitted and of those the front has not reached, not of every
+// unit it ran.
 //
 // # Determinism contract
 //
@@ -40,8 +44,8 @@
 //   - µarch execution of one program always starts from the same reset
 //     context, so unit results — violations and coverage alike — depend
 //     only on the unit, not on which worker ran it;
-//   - epochs are barriers: all of epoch N−1 completes before its coverage
-//     is merged (in (instance, program) order) and its corpus frozen, so
+//   - epochs are barriers: all of epoch N−1 completes, and its coverage is
+//     merged in (instance, program) order, before its corpus is frozen, so
 //     the corpus an epoch-N unit mutates is schedule-independent;
 //   - results are aggregated in (instance, program-index) order no matter
 //     the order in which workers finished them, with the StopOnFirst cut
@@ -156,7 +160,9 @@ type campaign struct {
 
 	// results[i][p] is the unit result until instance i's fold takes it;
 	// progs[i][p] the generated source program (recorded only under the
-	// corpus strategy, for admission), released by admission or the fold.
+	// corpus strategy, for admission): released when the admission front
+	// passes the unit without admitting it, or, for an admitted unit, when
+	// its epoch commits — an interrupted epoch's pending record needs it.
 	results [][]*fuzzer.Result
 	progs   [][]isa.SourceProgram
 	// folds[i] accumulates instance i's results as they settle; written
@@ -164,8 +170,9 @@ type campaign struct {
 	folds []instanceFold
 
 	// Corpus state (corpus strategy only): the campaign-global coverage map
-	// and the admitted entries. Mutated only between epochs, in
-	// (instance, program) order.
+	// and the admitted entries. Only the admission front changes them
+	// (DistCampaign.admitLocked), in (instance, program) order; an epoch's
+	// generation reads the entries as they stood when it began.
 	cover   *uarch.Coverage
 	entries []generator.CorpusEntry
 
@@ -197,6 +204,10 @@ type campaign struct {
 	frontendName string
 	epochs       int
 	configFP     uint64
+
+	// settled, when set (tests only), is called under DistCampaign.mu at
+	// the end of every settle.
+	settled func(*DistCampaign)
 }
 
 // RunCampaign executes the campaign on the engine — the one in-process
@@ -217,7 +228,13 @@ func runCampaign(ctx context.Context, cfg Config) (*DistCampaign, *fuzzer.Campai
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := newDistCampaign(c, cfg.Resume)
+	return c.run(ctx, corpus, cfg.Resume)
+}
+
+// run runs the campaign newCampaign built: it opens the log (restoring
+// from it when resume is set), then runs the epochs on the workers.
+func (c *campaign) run(ctx context.Context, corpus, resume bool) (*DistCampaign, *fuzzer.CampaignResult, error) {
+	d, err := newDistCampaign(c, resume)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -235,12 +252,12 @@ func runCampaign(ctx context.Context, cfg Config) (*DistCampaign, *fuzzer.Campai
 		lo, hi := epochBounds(c.programs, c.epochs, e)
 		errs = append(errs, d.runEpoch(ctx, slots, strat, lo, hi)...)
 		if ctx.Err() != nil {
-			// The epoch was interrupted: don't admit its (partial) results —
-			// resume re-runs the missing units and admits the epoch whole.
+			// The epoch was interrupted: it is not committed. Its pending
+			// record carries the programs resume needs to admit it again.
 			break
 		}
 		if corpus {
-			c.admit(lo, hi)
+			d.closeWindow()
 		}
 		epochsDone = e + 1
 		if err := c.saveCheckpoint(epochsDone); err != nil {
@@ -327,8 +344,8 @@ func newCampaign(cfg Config) (*campaign, bool, error) {
 	c.results = make([][]*fuzzer.Result, c.instances)
 	c.folds = make([]instanceFold, c.instances)
 	for i := range c.folds {
-		// Under the corpus strategy nothing folds before the first epoch
-		// is admitted.
+		// Under the corpus strategy nothing folds before the admission
+		// front has passed it.
 		c.folds[i] = instanceFold{viol: -1, limit: c.programs}
 		if corpus {
 			c.folds[i].limit = 0
@@ -389,55 +406,16 @@ func (d *DistCampaign) runEpoch(ctx context.Context, slots []*slot, strat genera
 	return errs
 }
 
-// admit folds the epoch's coverage into the campaign-global map and admits
-// corpus entries, scanning strictly in (instance, program) order so the
-// corpus is identical at any worker count. A program is admitted when it
-// contributed at least one new coverage feature or confirmed a violation.
-// Under StopOnFirstViolation only programs up to the instance's
-// deterministic cut (its lowest violating index — units beyond it may or
-// may not have run) are considered.
-func (c *campaign) admit(lo, hi int) {
-	for i := 0; i < c.instances; i++ {
-		cut := c.firstViolatingIndex(i, hi)
-		for p := lo; p < hi; p++ {
-			if c.base.StopOnFirstViolation && cut >= 0 && p > cut {
-				break
-			}
-			res := c.results[i][p]
-			prog := c.progs[i][p]
-			if res == nil || prog == nil {
-				continue
-			}
-			violating := len(res.Violations) > 0
-			newBits := c.cover.Merge(res.Coverage)
-			if newBits > 0 || violating {
-				c.entries = append(c.entries, generator.CorpusEntry{
-					Prog: prog, NewBits: newBits, Violating: violating,
-				})
-			}
-		}
-		// The window has been scanned; release the program references so
-		// non-admitted programs don't stay live for the whole campaign
-		// (admitted ones are retained by c.entries).
-		for p := lo; p < hi; p++ {
-			c.progs[i][p] = nil
-		}
-		// The epoch is admitted: its units may fold.
-		c.folds[i].limit = hi
-		c.fold(i)
-	}
-}
-
-// firstViolatingIndex returns instance i's lowest violating program index
-// below hi, or -1. Every unit below that index is guaranteed to have run
-// (the stop-at skip only ever cuts above it), which is what makes the cut
-// deterministic. The fold has seen the units below its fold point.
-func (c *campaign) firstViolatingIndex(i, hi int) int {
+// firstViolatingIndex returns instance i's lowest violating program index,
+// or -1: the fold's first violation, else the first past its fold point.
+// Every unit below that index is guaranteed to have run (the stop-at skip
+// only ever cuts above it), which is what makes the cut deterministic.
+func (c *campaign) firstViolatingIndex(i int) int {
 	f := &c.folds[i]
-	if f.viol >= 0 && f.viol < hi {
+	if f.viol >= 0 {
 		return f.viol
 	}
-	for p := f.next; p < hi; p++ {
+	for p := f.next; p < c.programs; p++ {
 		if r := c.results[i][p]; r != nil && len(r.Violations) > 0 {
 			return p
 		}
@@ -520,13 +498,12 @@ func (c *campaign) runUnit(ctx context.Context, exec *executor.Executor, ws *fuz
 }
 
 // instanceFold is one instance's result, folded in program-index order as
-// its units settle, so that a folded unit's result, coverage and program
-// are garbage as soon as the fold has them: units [0, next) are folded into
-// acc and their cells released. The fold stops at the first unit not done,
-// and at limit — under the corpus strategy the end of the last admitted
-// epoch, since admission reads the open epoch's results and programs
-// (programs otherwise). viol is the first violating folded unit, -1 while
-// there is none.
+// its units settle, so that a folded unit's result and coverage are garbage
+// as soon as the fold has them: units [0, next) are folded into acc and
+// their result cells released. The fold stops at the first unit not done,
+// and at limit — under the corpus strategy the admission front, since
+// admission reads each unit's result (programs otherwise). viol is the
+// first violating folded unit, -1 while there is none.
 type instanceFold struct {
 	acc         fuzzer.Result
 	next, limit int
@@ -541,9 +518,6 @@ func (c *campaign) fold(i int) {
 	for ; f.next < f.limit && c.done[i][f.next]; f.next++ {
 		f.viol = foldUnit(&f.acc, c.results[i][f.next], f.next, f.viol, c.base.StopOnFirstViolation)
 		c.results[i][f.next] = nil
-		if c.progs != nil {
-			c.progs[i][f.next] = nil
-		}
 	}
 }
 
@@ -571,8 +545,8 @@ func foldUnit(acc, ur *fuzzer.Result, p, viol int, stopFirst bool) int {
 // instanceResult returns a copy of instance i's result: its fold, then, in
 // program-index order, whatever settled past the fold point — units beyond
 // a gap the fold has not crossed (an interrupted campaign's, or dead work
-// past a stop-on-first cut), and under the corpus strategy the open
-// epoch's.
+// past a stop-on-first cut), and under the corpus strategy those the
+// admission front has not reached.
 func (c *campaign) instanceResult(i int) *fuzzer.Result {
 	f := &c.folds[i]
 	r := &fuzzer.Result{}

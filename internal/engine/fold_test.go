@@ -13,22 +13,25 @@ import (
 	"github.com/sith-lab/amulet-go/internal/defense/invisispec"
 	"github.com/sith-lab/amulet-go/internal/faultinject"
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
+	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// checkFolded fails unless every cell below each instance's fold point has
-// been released — result and program — and reports the fold points.
+// checkFolded fails unless every result cell below each instance's fold
+// point has been released, and every program held is one admission still
+// needs (checkHeldPrograms); it reports the fold points.
 func checkFolded(t *testing.T, tag string, d *DistCampaign) []int {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	checkHeldPrograms(t, tag, d)
 	c := d.c
 	next := make([]int, c.instances)
 	for i, f := range c.folds {
 		next[i] = f.next
 		for p := 0; p < f.next; p++ {
-			if c.results[i][p] != nil || (c.progs != nil && c.progs[i][p] != nil) {
-				t.Errorf("%s: unit (%d,%d) is folded (fold point %d) but its cell is still held", tag, i, p, f.next)
+			if c.results[i][p] != nil {
+				t.Errorf("%s: unit (%d,%d) is folded (fold point %d) but its result is still held", tag, i, p, f.next)
 			}
 		}
 		if f.viol >= f.next {
@@ -36,6 +39,44 @@ func checkFolded(t *testing.T, tag string, d *DistCampaign) []int {
 		}
 	}
 	return next
+}
+
+// checkHeldPrograms fails unless the campaign holds a program only for a
+// unit of the open window that the admission front has not reached, or for
+// one it admitted — a corpus entry until the epoch commits. Under d.mu.
+func checkHeldPrograms(t *testing.T, tag string, d *DistCampaign) {
+	t.Helper()
+	c := d.c
+	if c.progs == nil {
+		return
+	}
+	admitted := map[isa.SourceProgram]bool{}
+	for _, e := range c.entries {
+		admitted[e.Prog] = true
+	}
+	for i := range c.progs {
+		for p, prog := range c.progs[i] {
+			switch {
+			case prog == nil:
+			case p < d.lo || p >= d.hi:
+				t.Errorf("%s: unit (%d,%d) outside the open window [%d,%d) holds its program", tag, i, p, d.lo, d.hi)
+			case d.passedLocked(unit{inst: i, prog: p}) && !admitted[prog]:
+				t.Errorf("%s: unit (%d,%d) was passed over by admission but holds its program", tag, i, p)
+			}
+		}
+	}
+}
+
+// frontPoint is where the admission front stands in instance i's window:
+// past it, at it, or before it. Under d.mu.
+func frontPoint(d *DistCampaign, i int) int {
+	switch {
+	case i < d.frontInst:
+		return d.hi
+	case i == d.frontInst:
+		return d.frontProg
+	}
+	return d.lo
 }
 
 // checkAllFolded fails unless every instance folded every unit.
@@ -100,9 +141,9 @@ func TestFoldReleasesUnits(t *testing.T) {
 		clean, want := run(t, cfg)
 		checkAllFolded(t, "corpus", clean)
 
-		// Interrupted in epoch 1: the fold stops at epoch 0's end, the
-		// open epoch's settled units wait in their cells for admission,
-		// and the result still counts them.
+		// Interrupted in epoch 1: the admission front has passed the
+		// units of the open epoch that settled, every instance's fold has
+		// followed it, and the result still counts the interrupted unit.
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		inj := faultinject.New()
@@ -113,19 +154,13 @@ func TestFoldReleasesUnits(t *testing.T) {
 			t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 		}
 		checkFolded(t, "corpus, interrupted", d)
-		held := 0
 		for i := range d.c.folds {
-			if f := d.c.folds[i]; f.limit != 4 || f.next > 4 {
-				t.Errorf("instance %d: fold point %d, limit %d; want both at epoch 0's end, 4", i, f.next, f.limit)
-			}
-			for p := 4; p < d.c.programs; p++ {
-				if d.c.results[i][p] != nil {
-					held++
-				}
+			if f, front := d.c.folds[i], frontPoint(d, i); f.limit != front || f.next != front {
+				t.Errorf("instance %d: fold point %d, limit %d; want both at the admission front, %d", i, f.next, f.limit, front)
 			}
 		}
-		if held == 0 {
-			t.Error("no unit of the open epoch settled before the interruption")
+		if d.frontInst != 0 || d.frontProg != 6 {
+			t.Errorf("admission front at (%d,%d), want (0,6): past the two units of epoch 1 that settled", d.frontInst, d.frontProg)
 		}
 		if got, total := res.TestCases, want.TestCases; got == 0 || got >= total {
 			t.Errorf("interrupted result counts %d cases, want some of the %d", got, total)

@@ -43,9 +43,11 @@ type Frontend interface {
 	// may be the identity.
 	Lower(src SourceProgram) *Program
 
-	// EncodeProgram and DecodeProgram serialize source programs for
-	// checkpoints and repro bundles.
-	EncodeProgram(src SourceProgram) ([]byte, error)
+	// EncodeProgram appends src's binary form to b, and DecodeProgram
+	// reads one back: how checkpoint logs store source programs. Encoding
+	// cannot fail; decoding refuses trailing bytes and anything that does
+	// not Validate, and whatever decodes re-encodes to the same bytes.
+	EncodeProgram(b []byte, src SourceProgram) []byte
 	DecodeProgram(data []byte) (SourceProgram, error)
 }
 

@@ -127,13 +127,14 @@ func Branch(cond Cond, target int) Inst {
 func Jmp(target int) Inst { return Inst{Op: OpJmp, Target: target} }
 
 // The binary form of a µop program, as checkpoint and wire records carry a
-// violation's lowered program:
+// violation's lowered program (and, the toy frontend's source programs
+// being µop programs, its EncodeProgram form):
 //
 //	program := varint NumBlocks | uvarint count | inst*
 //	inst    := op | dst | src1 | src2 | cond | size | imm? (0|1) | varint Imm | varint Target
 const minInstBytes = 7 + 1 + 1
 
-// AppendBinary implements encoding.BinaryAppender.
+// AppendBinary implements encoding.BinaryAppender. It never fails.
 func (p *Program) AppendBinary(b []byte) ([]byte, error) {
 	b = codec.AppendInt(b, p.NumBlocks)
 	b = codec.AppendUvarint(b, uint64(len(p.Insts)))

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // ToyName is the registered name of the built-in toy RISC frontend.
 const ToyName = "toy"
@@ -30,19 +27,18 @@ func (toyFrontend) Name() string { return ToyName }
 // Lower implements Frontend: toy source programs are already µop programs.
 func (toyFrontend) Lower(src SourceProgram) *Program { return src.(*Program) }
 
-// EncodeProgram implements Frontend.
-func (toyFrontend) EncodeProgram(src SourceProgram) ([]byte, error) {
-	return json.Marshal(src.(*Program))
+// EncodeProgram implements Frontend: a toy source program is a µop
+// program, stored in Program's binary form.
+func (toyFrontend) EncodeProgram(b []byte, src SourceProgram) []byte {
+	b, _ = src.(*Program).AppendBinary(b) // never fails
+	return b
 }
 
 // DecodeProgram implements Frontend.
 func (toyFrontend) DecodeProgram(data []byte) (SourceProgram, error) {
 	p := &Program{}
-	if err := json.Unmarshal(data, p); err != nil {
-		return nil, fmt.Errorf("isa: toy program decode: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("isa: toy program decode: %w", err)
+	if err := p.UnmarshalBinary(data); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -1,9 +1,9 @@
 package wasm
 
 import (
-	"encoding/json"
 	"fmt"
 
+	"github.com/sith-lab/amulet-go/internal/codec"
 	"github.com/sith-lab/amulet-go/internal/isa"
 )
 
@@ -25,15 +25,47 @@ func (frontend) Name() string { return Name }
 // Lower implements isa.Frontend.
 func (frontend) Lower(src isa.SourceProgram) *isa.Program { return lower(src.(*Program)) }
 
+// The binary form of a stack-machine program, in the primitives of package
+// codec (varint: zig-zag varint):
+//
+//	program := varint NumBlocks | uvarint count | inst*
+//	inst    := op byte | Local byte | Size byte | varint Imm | varint Target
+//
+// Every field is written for every instruction, so each Inst value has
+// exactly one encoding. A generated instruction takes 5 bytes unless its
+// operand does not fit one varint byte: an i64.const, a load or store
+// offset, a branch target past 63.
+const minInstBytes = 3 + 1 + 1
+
 // EncodeProgram implements isa.Frontend.
-func (frontend) EncodeProgram(src isa.SourceProgram) ([]byte, error) {
-	return json.Marshal(src.(*Program))
+func (frontend) EncodeProgram(b []byte, src isa.SourceProgram) []byte {
+	p := src.(*Program)
+	b = codec.AppendInt(b, p.NumBlocks)
+	b = codec.AppendUvarint(b, uint64(len(p.Insts)))
+	for _, in := range p.Insts {
+		b = append(b, byte(in.Op), in.Local, in.Size)
+		b = codec.AppendVarint(b, in.Imm)
+		b = codec.AppendInt(b, in.Target)
+	}
+	return b
 }
 
-// DecodeProgram implements isa.Frontend.
+// DecodeProgram implements isa.Frontend. The decoded program must pass
+// Validate: a resumed campaign lowers and runs it.
 func (frontend) DecodeProgram(data []byte) (isa.SourceProgram, error) {
-	p := &Program{}
-	if err := json.Unmarshal(data, p); err != nil {
+	r := codec.NewReader(data)
+	p := &Program{NumBlocks: r.Int()}
+	if n := r.Count(minInstBytes); n > 0 {
+		p.Insts = make([]Inst, n)
+	}
+	for i := range p.Insts {
+		f := r.Next(3)
+		if f == nil {
+			break
+		}
+		p.Insts[i] = Inst{Op: Op(f[0]), Local: f[1], Size: f[2], Imm: r.Varint(), Target: r.Int()}
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wasm: program decode: %w", err)
 	}
 	if err := p.Validate(); err != nil {

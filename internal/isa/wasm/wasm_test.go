@@ -86,11 +86,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := newTestRNG(3)
 	for i := 0; i < 50; i++ {
 		src := Frontend.Generate(rng, gp)
-		data, err := Frontend.EncodeProgram(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Frontend.DecodeProgram(data)
+		got, err := Frontend.DecodeProgram(Frontend.EncodeProgram(nil, src))
 		if err != nil {
 			t.Fatal(err)
 		}
