@@ -45,7 +45,7 @@ func main() {
 	cf := experiments.AddCampaignFlags(fs)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:9131", "address to serve the worker protocol on")
-		leaseTTL = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease/heartbeat deadline; a worker silent this long is evicted and its units reassigned")
+		leaseTTL = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease deadline: a worker silent this long (workers exchange at least every TTL/3) is evicted and its units reassigned; with no live worker for 2×TTL the coordinator finishes the campaign itself")
 		ckptDir  = fs.String("checkpoint", "", "checkpoint directory: persist campaign progress there (atomically); a restarted coordinator resumes from it")
 		resume   = fs.Bool("resume", false, "resume the campaign from -checkpoint")
 		timeout  = fs.Duration("timeout", 0, "abort the campaign after this duration, reporting partial results (0 = no limit)")

@@ -32,7 +32,9 @@
 //     (Table 4).
 //   - PrimeInvalidate resets L1D, L1I and D-TLB through a direct simulator
 //     hook, starting every case from a clean state (CleanupSpec, SpecLFB).
-//   - PrimeNone leaves all state from the previous case (ablations only).
+//   - PrimeNone leaves all state from the previous case (no campaign uses
+//     it; the executor's boot and start tests do, so that no prime hides
+//     state a start leaves behind).
 //
 // Neither mode touches the L2: as in the paper's setup, the L2 stays warm
 // across the inputs of a program, so the first input of a program runs

@@ -48,7 +48,7 @@
 //
 // Appends go to the page cache. The file is fsynced after every commit
 // record, after the pending record of an interrupted campaign, and — on a
-// distributed coordinator — every CoordinatorConfig.CheckpointEvery folds;
+// distributed coordinator — every 16 folds;
 // the directory is fsynced once, with the first of those. So a killed
 // process (SIGKILL, panic, OOM) loses at most the record it was in the
 // middle of writing, and a machine that loses power keeps at least

@@ -40,19 +40,20 @@ type Client struct {
 	hc   *http.Client
 	inj  *faultinject.Injector
 
-	// MaxAttempts bounds each call (default 8); Backoff is the initial
-	// retry delay (default 50ms), doubling per attempt up to BackoffCap
-	// (default 2s). With the defaults a call survives ~6s of coordinator
-	// outage before giving up.
-	MaxAttempts int
-	Backoff     time.Duration
-	BackoffCap  time.Duration
-
 	retries atomic.Int64
 
 	mu  sync.Mutex
 	rng *rand.Rand // jitter only; never touches campaign determinism
 }
+
+// A call makes at most maxAttempts attempts; the first retry waits backoff,
+// doubling per attempt up to backoffCap, so a call survives ~6s of
+// coordinator outage before giving up.
+const (
+	maxAttempts = 8
+	backoff     = 50 * time.Millisecond
+	backoffCap  = 2 * time.Second
+)
 
 // NewClient builds a client for the coordinator at base (e.g.
 // "http://127.0.0.1:9131"). inj (nil in production) injects transport
@@ -60,23 +61,20 @@ type Client struct {
 // deterministically in tests.
 func NewClient(base string, inj *faultinject.Injector, jitterSeed int64) *Client {
 	return &Client{
-		base:        base,
-		hc:          &http.Client{},
-		inj:         inj,
-		MaxAttempts: 8,
-		Backoff:     50 * time.Millisecond,
-		BackoffCap:  2 * time.Second,
-		rng:         rand.New(rand.NewSource(jitterSeed)),
+		base: base,
+		hc:   &http.Client{},
+		inj:  inj,
+		rng:  rand.New(rand.NewSource(jitterSeed)),
 	}
 }
 
 // Retries returns the cumulative retry count across all calls — what the
-// worker reports in heartbeats so the coordinator's robustness counters
-// include client-side recovery.
+// worker reports in every exchange, its heartbeats included, so the
+// coordinator's robustness counters include client-side recovery.
 func (c *Client) Retries() int { return int(c.retries.Load()) }
 
-// Join, Exchange and Heartbeat are the worker's protocol calls; Lease and
-// Submit are Exchange's single-step forms.
+// Join and Exchange are the worker's protocol calls; Lease and Submit are
+// Exchange's single-step forms.
 
 func (c *Client) Join(ctx context.Context, req *JoinRequest) (*JoinReply, error) {
 	reply := &JoinReply{}
@@ -86,11 +84,6 @@ func (c *Client) Join(ctx context.Context, req *JoinRequest) (*JoinReply, error)
 func (c *Client) Exchange(ctx context.Context, req *ExchangeRequest) (*ExchangeReply, error) {
 	reply := &ExchangeReply{}
 	return reply, c.call(ctx, PathExchange, req, reply)
-}
-
-func (c *Client) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatReply, error) {
-	reply := &HeartbeatReply{}
-	return reply, c.call(ctx, PathHeartbeat, req, reply)
 }
 
 func (c *Client) Lease(ctx context.Context, req *LeaseRequest) (*LeaseReply, error) {
@@ -115,23 +108,22 @@ func (c *Client) call(ctx context.Context, path string, req, reply any) error {
 	if err != nil {
 		return err
 	}
-	backoff := c.Backoff
+	wait := backoff
 	var last error
-	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
-			if err := c.sleep(ctx, c.jittered(backoff)); err != nil {
+			if err := c.sleep(ctx, c.jittered(wait)); err != nil {
 				return errors.Join(err, last)
 			}
-			if backoff *= 2; backoff > c.BackoffCap {
-				backoff = c.BackoffCap
-			}
+			wait = min(2*wait, backoffCap)
 		}
 
 		f := c.inj.RPC()
 		if f.Severed {
 			// The network is gone, not flaky: fail the call unsent and let
-			// the worker die of it. The coordinator sees lapsed heartbeats.
+			// the worker die of it. The coordinator hears nothing more and
+			// evicts it a TTL later.
 			return fmt.Errorf("%w (rpc %d)", ErrSevered, f.Seq)
 		}
 		data, status, err := c.post(ctx, path, body)
@@ -174,7 +166,7 @@ func (c *Client) call(ctx context.Context, path string, req, reply any) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("dist: %s: giving up after %d attempts: %w", path, c.MaxAttempts, last)
+	return fmt.Errorf("dist: %s: giving up after %d attempts: %w", path, maxAttempts, last)
 }
 
 // post performs one HTTP POST, returning the raw response body and status.

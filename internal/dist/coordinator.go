@@ -17,12 +17,23 @@ import (
 	"github.com/sith-lab/amulet-go/internal/fuzzer"
 )
 
-// Coordinator defaults.
+// DefaultLeaseTTL is the lease TTL of a CoordinatorConfig that sets none.
+const DefaultLeaseTTL = 10 * time.Second
+
+// Coordinator settings that have one value outside the tests.
 const (
-	DefaultLeaseTTL        = 10 * time.Second
-	DefaultMaxReassign     = 3
-	DefaultMaxStrikes      = 2
-	DefaultCheckpointEvery = 16
+	// maxReassign caps per-unit reassignments; past it the unit is presumed
+	// poisonous (it kills whoever runs it) and degrades to guarded local
+	// execution — the quarantine path, converging to single-process
+	// semantics.
+	maxReassign = 3
+	// defaultMaxStrikes is how many integrity failures (bad result digests,
+	// out-of-bounds submissions) a worker survives before being banned.
+	defaultMaxStrikes = 2
+	// defaultCheckpointEvery is the fsync cadence of the checkpoint log:
+	// every fold appends its unit's record as it happens, and after that
+	// many folds — as on completion and interruption — the file is fsynced.
+	defaultCheckpointEvery = 16
 )
 
 // ErrInterrupted reports a coordinator run stopped by its context with the
@@ -36,50 +47,14 @@ type CoordinatorConfig struct {
 	// crash-safety; Inject drives checkpoint-write and local-unit faults.
 	Campaign engine.Config
 
-	// LeaseTTL is how long a leased unit stays assigned without a
-	// heartbeat before it is reassigned (default 10s). Workers heartbeat
-	// at TTL/3.
+	// LeaseTTL is how long a leased unit stays assigned without word from
+	// its holder before it is reassigned (default 10s). Every exchange
+	// renews the holder's leases, and workers send an empty one at TTL/3.
+	// With no live worker for 2×LeaseTTL the coordinator finishes the
+	// campaign locally.
 	LeaseTTL time.Duration
-	// DegradeGrace is how long the coordinator waits with zero live
-	// workers before finishing the campaign locally (default 2×LeaseTTL).
-	DegradeGrace time.Duration
-	// MaxReassign caps per-unit reassignments; past it the unit is
-	// presumed poisonous (it kills whoever runs it) and degrades to
-	// guarded local execution — the quarantine path, converging to
-	// single-process semantics (default 3).
-	MaxReassign int
-	// MaxStrikes is how many integrity failures (bad result digests,
-	// out-of-bounds submissions) a worker survives before being banned
-	// (default 2).
-	MaxStrikes int
-	// CheckpointEvery is the fsync cadence of the checkpoint log: every
-	// fold appends its unit's record as it happens, and after that many
-	// folds — as on completion and interruption — the file is fsynced
-	// (default 16; requires Campaign.CheckpointDir).
-	CheckpointEvery int
 	// Log receives coordinator events; nil discards them.
 	Log *log.Logger
-}
-
-func (cfg *CoordinatorConfig) fillDefaults() {
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.DegradeGrace <= 0 {
-		cfg.DegradeGrace = 2 * cfg.LeaseTTL
-	}
-	if cfg.MaxReassign <= 0 {
-		cfg.MaxReassign = DefaultMaxReassign
-	}
-	if cfg.MaxStrikes <= 0 {
-		cfg.MaxStrikes = DefaultMaxStrikes
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = DefaultCheckpointEvery
-	}
-	if cfg.Log == nil {
-		cfg.Log = log.New(io.Discard, "", 0)
-	}
 }
 
 // grantShare sizes grants in time: a fresh grant covers about
@@ -95,8 +70,8 @@ type workerState struct {
 	evicted  bool
 	strikes  int
 	retries  int // highest cumulative client-retry count it reported
-	// The units it holds leases on, each with its deadline: a heartbeat
-	// renews these and no other worker's.
+	// The units it holds leases on, each with its deadline: its exchanges
+	// renew these and no other worker's.
 	leases map[engine.UnitID]time.Time
 	// unitTime is the mean Elapsed of the results its last exchange
 	// carried; 0 until it has delivered one.
@@ -124,12 +99,16 @@ type Coordinator struct {
 	leases     map[engine.UnitID]int64 // leased unit → holder; deadlines are the holder's
 	requeue    []engine.UnitID         // lapsed leases, granted again before the cursor moves on
 	tries      map[engine.UnitID]int   // reassignment count per unit
-	localOnly  map[engine.UnitID]bool  // past MaxReassign: coordinator-only, guarded
+	localOnly  map[engine.UnitID]bool  // past maxReassign: coordinator-only, guarded
 	nextWorker int64
 	folds      int           // folded results since the last checkpoint fsync
 	cuts       int           // the campaign's stop-on-first cut moves its leases have seen
 	localUnit  time.Duration // unit time of the last fleet-death fallback chunk
-	fixedGrant int           // > 0: the size of every fresh grant (tests pin it)
+	// Set at construction, changed only by tests (export_test.go):
+	fixedGrant      int           // > 0: the size of every fresh grant
+	degradeGrace    time.Duration // no live worker this long: finish locally
+	maxStrikes      int           // integrity failures that ban a worker
+	checkpointEvery int           // folds between checkpoint fsyncs
 
 	evictions, reassigned, dups, degraded int
 	degradedNow                           bool // currently in local-fallback mode
@@ -140,7 +119,12 @@ type Coordinator struct {
 // cfg.Campaign.Resume set, progress is restored from the checkpoint
 // directory — the crash-restart path.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	cfg.fillDefaults()
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = DefaultLeaseTTL
+	}
+	if cfg.Log == nil {
+		cfg.Log = log.New(io.Discard, "", 0)
+	}
 	dc, err := engine.NewDistCampaign(cfg.Campaign)
 	if err != nil {
 		return nil, err
@@ -148,6 +132,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return &Coordinator{
 		cfg:               cfg,
 		dc:                dc,
+		degradeGrace:      2 * cfg.LeaseTTL,
+		maxStrikes:        defaultMaxStrikes,
+		checkpointEvery:   defaultCheckpointEvery,
 		workers:           map[int64]*workerState{},
 		leases:            map[engine.UnitID]int64{},
 		tries:             map[engine.UnitID]int{},
@@ -172,13 +159,12 @@ func (co *Coordinator) Start(addr string) (net.Addr, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathJoin, co.handleJoin)
 	mux.HandleFunc(PathExchange, co.handleExchange)
-	mux.HandleFunc(PathHeartbeat, co.handleHeartbeat)
 	mux.HandleFunc(PathLease, co.handleLease)
 	mux.HandleFunc(PathSubmit, co.handleSubmit)
 	co.ln = ln
 	// A peer slower than a lease is as good as gone — its leases lapse
 	// before its request has arrived — so it does not get to hold a
-	// connection either. Workers talk at least every TTL/3.
+	// connection either. Workers exchange at least every TTL/3.
 	ttl := co.cfg.LeaseTTL
 	co.srv = &http.Server{Handler: mux, ReadHeaderTimeout: ttl, ReadTimeout: 2 * ttl, IdleTimeout: 4 * ttl}
 	go co.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
@@ -260,7 +246,7 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 			runLocal(units)
 		}
 
-		// Fleet-death fallback: no live workers for DegradeGrace means the
+		// Fleet-death fallback: no live workers for degradeGrace means the
 		// campaign finishes locally, chunk after chunk while the fleet stays
 		// dead. The fleet is looked at between chunks, so a worker that
 		// joins late still gets leases; units leased to the dead fleet come
@@ -312,14 +298,14 @@ func (co *Coordinator) Robustness() executor.Metrics {
 	}
 }
 
-// sweep expires lapsed leases and evicts workers whose heartbeats stopped.
+// sweep expires lapsed leases and evicts workers that fell silent.
 func (co *Coordinator) sweep() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	now := time.Now()
 	for id, w := range co.workers {
 		if !w.evicted && now.Sub(w.lastBeat) > co.cfg.LeaseTTL {
-			co.evictLocked(id, "heartbeat lapsed")
+			co.evictLocked(id, "silent for a lease TTL")
 		}
 	}
 	for _, w := range co.workers {
@@ -383,7 +369,7 @@ func (co *Coordinator) expireLeaseLocked(u engine.UnitID, why string) {
 	}
 	co.reassigned++
 	co.tries[u]++
-	if co.tries[u] <= co.cfg.MaxReassign {
+	if co.tries[u] <= maxReassign {
 		co.requeue = append(co.requeue, u)
 	} else if !co.localOnly[u] {
 		co.localOnly[u] = true
@@ -425,7 +411,7 @@ func (co *Coordinator) liveWorkers() int {
 	return co.live
 }
 
-// fleetDead reports whether no live worker has been seen for DegradeGrace;
+// fleetDead reports whether no live worker has been seen for degradeGrace;
 // the first true transition counts a degraded-to-local event.
 func (co *Coordinator) fleetDead() bool {
 	co.mu.Lock()
@@ -435,13 +421,13 @@ func (co *Coordinator) fleetDead() bool {
 		co.lastFleetActivity = time.Now()
 		return false
 	}
-	if time.Since(co.lastFleetActivity) < co.cfg.DegradeGrace {
+	if time.Since(co.lastFleetActivity) < co.degradeGrace {
 		return false
 	}
 	if !co.degradedNow {
 		co.degradedNow = true
 		co.degraded++
-		co.cfg.Log.Printf("dist: no live workers for %v; finishing the campaign locally", co.cfg.DegradeGrace)
+		co.cfg.Log.Printf("dist: no live workers for %v; finishing the campaign locally", co.degradeGrace)
 	}
 	return true
 }
@@ -548,33 +534,6 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	reply(w, &JoinReply{WorkerID: id, LeaseTTLMS: co.cfg.LeaseTTL.Milliseconds()})
 }
 
-func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if readReq(w, r, &req) {
-		reply(w, co.heartbeat(&req))
-	}
-}
-
-// heartbeat renews the sender's leases — its own, at a cost of its own
-// lease count — and tells it whether it is still a member and whether the
-// campaign is complete.
-func (co *Coordinator) heartbeat(req *HeartbeatRequest) *HeartbeatReply {
-	co.mu.Lock()
-	ws := co.workers[req.WorkerID]
-	ok := ws != nil && !ws.evicted
-	if ok {
-		now := time.Now()
-		ws.lastBeat = now
-		ws.retries = max(ws.retries, req.Retries)
-		deadline := now.Add(co.cfg.LeaseTTL)
-		for u := range ws.leases {
-			ws.leases[u] = deadline
-		}
-	}
-	co.mu.Unlock()
-	return &HeartbeatReply{OK: ok, Done: co.dc.Complete()}
-}
-
 func (co *Coordinator) handleExchange(w http.ResponseWriter, r *http.Request) {
 	var req ExchangeRequest
 	if !readReq(w, r, &req) {
@@ -629,12 +588,14 @@ var errGone = errors.New("dist: unknown or evicted worker")
 
 // exchange is the one server path of the worker protocol: it folds the
 // request's results in order, retires their leases, keeps the checkpoint's
-// fsync cadence, and grants units.
+// fsync cadence, renews every lease a live sender holds — its own, at a
+// cost of its own lease count — and grants units. An empty exchange is the
+// worker's heartbeat.
 //
 // A result that fails its digest, does not decode, or names a unit outside
 // the campaign is a worker-side integrity failure, not line noise (the
 // frame already survived its digest check): the sender is struck — banned
-// at MaxStrikes — the results before it stay folded, the ones after it are
+// at maxStrikes — the results before it stay folded, the ones after it are
 // not looked at, and the call is refused with 409. Eviction revokes
 // scheduling, not results: what an evicted or unknown worker brought is
 // folded first, then it is refused with 410 and gets no units.
@@ -666,7 +627,7 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 	co.retireClosedLocked()
 	co.dups += taken - folded
 	co.folds += folded
-	ckpt := co.folds >= co.cfg.CheckpointEvery
+	ckpt := co.folds >= co.checkpointEvery
 	if ckpt {
 		co.folds = 0
 	}
@@ -682,9 +643,14 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 	}
 	var units []Unit
 	if ws != nil && !ws.evicted {
-		ws.lastBeat = time.Now()
+		now := time.Now()
+		ws.lastBeat = now
+		deadline := now.Add(co.cfg.LeaseTTL)
+		for u := range ws.leases {
+			ws.leases[u] = deadline
+		}
 		if bad == nil {
-			units = co.grantLocked(req.WorkerID, ws, req)
+			units = co.grantLocked(req.WorkerID, ws, req, deadline)
 		}
 	} else if bad == nil {
 		bad = errGone
@@ -705,15 +671,14 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 	return &ExchangeReply{Units: units, Folded: folded, Done: co.dc.Complete()}, http.StatusOK, nil
 }
 
-// grantLocked leases units to a live worker. A retransmission — the seq of
-// the worker's last numbered exchange — gets that exchange's grant again:
-// the leases it still holds, refreshed, minus the units done since; an
+// grantLocked leases units to a live worker, to deadline. A retransmission
+// — the seq of the worker's last numbered exchange — gets that exchange's
+// grant again: the leases it still holds, minus the units done since; an
 // older seq gets nothing. Anything else is a fresh grant of up to Want
 // units, sized in time by grantUnitsLocked, within the two grants a worker
 // may hold, and tapered near the end of the campaign so that prefetching
 // does not leave one worker holding the last units while the others idle.
-func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeRequest) []Unit {
-	deadline := time.Now().Add(co.cfg.LeaseTTL)
+func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeRequest, deadline time.Time) []Unit {
 	var grant []Unit
 	if req.Seq != 0 && req.Seq <= ws.lastSeq {
 		if req.Seq < ws.lastSeq {
@@ -721,7 +686,6 @@ func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeReque
 		}
 		for _, u := range ws.lastGrant {
 			if _, ok := ws.leases[u]; ok {
-				ws.leases[u] = deadline
 				grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
 			}
 		}
@@ -761,13 +725,13 @@ func (co *Coordinator) grantUnitsLocked(unitTime time.Duration) int {
 	return max(1, int(co.cfg.LeaseTTL/grantShare/unitTime))
 }
 
-// strikeLocked records an integrity failure against a worker; at MaxStrikes
+// strikeLocked records an integrity failure against a worker; at maxStrikes
 // the worker is banned (evicted with its leases reassigned).
 func (co *Coordinator) strikeLocked(id int64, ws *workerState, cause error) {
 	ws.strikes++
 	co.cfg.Log.Printf("dist: worker %d (%s) strike %d/%d: %v",
-		id, ws.name, ws.strikes, co.cfg.MaxStrikes, cause)
-	if ws.strikes >= co.cfg.MaxStrikes {
+		id, ws.name, ws.strikes, co.maxStrikes, cause)
+	if ws.strikes >= co.maxStrikes {
 		co.evictLocked(id, "integrity strikes exhausted")
 	}
 }

@@ -192,7 +192,7 @@ func TestDistributedStopOnFirst(t *testing.T) {
 // a worker killed by an injected simulator panic (lease expiry +
 // reassignment), a worker on a deterministically lossy link (dropped
 // responses, retries, duplicate submissions), a worker whose network is
-// severed mid-campaign (heartbeat lapse, eviction) — and proves the final
+// severed mid-campaign (silence for a TTL, eviction) — and proves the final
 // results are still bit-identical to the golden single-process run, with
 // the robustness counters recording what was absorbed. Grants are pinned
 // at 4 units: the fault schedule counts RPCs, and grants sized in time
@@ -283,11 +283,11 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 			cfg := goldenConfig(t)
 			cfg.CheckpointDir = dir
 			ccfg := dist.CoordinatorConfig{
-				Campaign:        cfg,
-				LeaseTTL:        500 * time.Millisecond,
-				CheckpointEvery: 4,
+				Campaign: cfg,
+				LeaseTTL: 500 * time.Millisecond,
 			}
 			co1, base := startCoordinator(t, ccfg, "127.0.0.1:0")
+			co1.SetCheckpointEvery(4)
 			addr := co1.Addr().String()
 
 			var wg sync.WaitGroup
@@ -335,6 +335,7 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			co2.SetCheckpointEvery(4)
 			var bound net.Addr
 			for i := 0; i < 100; i++ {
 				if bound, err = co2.Start(addr); err == nil {
@@ -369,10 +370,10 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 // grace, still bit-identical, with the transition counted.
 func TestLocalFallback(t *testing.T) {
 	co, _ := startCoordinator(t, dist.CoordinatorConfig{
-		Campaign:     goldenConfig(t),
-		LeaseTTL:     200 * time.Millisecond,
-		DegradeGrace: 100 * time.Millisecond,
+		Campaign: goldenConfig(t),
+		LeaseTTL: 200 * time.Millisecond,
 	}, "127.0.0.1:0")
+	co.SetDegradeGrace(100 * time.Millisecond)
 	res, err := co.Run(context.Background())
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -401,10 +402,10 @@ func TestLocalFallbackYieldsToLateWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	co, base := startCoordinator(t, dist.CoordinatorConfig{
-		Campaign:     cfg,
-		LeaseTTL:     200 * time.Millisecond,
-		DegradeGrace: 20 * time.Millisecond,
+		Campaign: cfg,
+		LeaseTTL: 200 * time.Millisecond,
 	}, "127.0.0.1:0")
+	co.SetDegradeGrace(20 * time.Millisecond)
 	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: base, Name: "late", Campaign: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -451,15 +452,14 @@ func TestLocalFallbackYieldsToLateWorker(t *testing.T) {
 
 // TestSubmitIntegrity drives the protocol by hand: duplicate submissions
 // fold exactly once, and a worker whose result payloads fail their digest
-// is struck and ultimately banned (evicted), after which it can no longer
-// lease work.
+// is struck and, at the second strike, banned (evicted), after which it can
+// no longer lease work.
 func TestSubmitIntegrity(t *testing.T) {
 	ctx := context.Background()
 	cfg := goldenConfig(t)
 	co, base := startCoordinator(t, dist.CoordinatorConfig{
-		Campaign:   cfg,
-		LeaseTTL:   time.Minute, // no sweeps: this test drives everything
-		MaxStrikes: 2,
+		Campaign: cfg,
+		LeaseTTL: time.Minute, // no sweeps: this test drives everything
 	}, "127.0.0.1:0")
 
 	cl := dist.NewClient(base, nil, 1)
@@ -542,7 +542,8 @@ func TestCoordinatorCheckpointIsIncremental(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg.CheckpointDir = dir
-	_, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, CheckpointEvery: 4}, "127.0.0.1:0")
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute}, "127.0.0.1:0")
+	co.SetCheckpointEvery(4)
 	cl := dist.NewClient(base, nil, 1)
 	jr, err := cl.Join(ctx, &dist.JoinRequest{
 		Worker: "hand", ConfigFP: runner.ConfigFP(), Frontend: runner.FrontendName(),
@@ -654,7 +655,8 @@ func TestSubmitRejectsMalformedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, MaxStrikes: 10}, "127.0.0.1:0")
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute}, "127.0.0.1:0")
+	co.SetMaxStrikes(10)
 	cl := dist.NewClient(base, nil, 1)
 	jr, err := cl.Join(ctx, &dist.JoinRequest{
 		Worker: "hand", ConfigFP: runner.ConfigFP(), Frontend: runner.FrontendName(),
@@ -852,6 +854,43 @@ func TestLossyLinkStrandsNothing(t *testing.T) {
 	}
 }
 
+// TestLongUnitKeepsItsLease: one worker runs a unit that takes three lease
+// TTLs. While it runs, the worker sends no results, only its heartbeats —
+// empty exchanges every TTL/3 — and each renews the leases it holds, so
+// none lapses: the campaign ends on the golden fingerprint with nobody
+// evicted and nothing reassigned.
+func TestLongUnitKeepsItsLease(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: ttl}, "127.0.0.1:0")
+	slow := faultinject.New()
+	slow.HangDuration = 3 * ttl
+	slow.Arm(faultinject.KindHangInUnit, 0, 5)
+	var wg sync.WaitGroup
+	workers := startWorkers(t, ctx, &wg, base, map[string]*faultinject.Injector{"slow": slow}, "slow")
+
+	res, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	checkGolden(t, "long unit", res)
+	if len(slow.Fired()) != 1 {
+		t.Error("the long unit never ran")
+	}
+	if m := co.Robustness(); m.Evictions != 0 || m.Reassigned != 0 || m.DegradedLocal != 0 {
+		t.Errorf("a unit of %v on a %v TTL lost its lease: %d evictions, %d reassigned, %d degraded",
+			slow.HangDuration, ttl, m.Evictions, m.Reassigned, m.DegradedLocal)
+	}
+	cancel()
+	wg.Wait()
+	for _, w := range workers {
+		if w.err != nil && !errors.Is(w.err, context.Canceled) {
+			t.Errorf("worker %s: %v", w.name, w.err)
+		}
+	}
+}
+
 // TestWorkerHoldsAtMostTwoBatches samples the lease table while two workers
 // run the golden campaign: double buffering means a running grant and a
 // prefetched one, never more. Then, by hand, it reads the grant sizes of a
@@ -945,7 +984,7 @@ func TestWorkerHoldsAtMostTwoBatches(t *testing.T) {
 func TestExchangeIntegrity(t *testing.T) {
 	ctx := context.Background()
 	cfg := goldenConfig(t)
-	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute, MaxStrikes: 2}, "127.0.0.1:0")
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Minute}, "127.0.0.1:0")
 	co.PinGrant(4)
 	cl, id, runner := handClient(t, base, cfg)
 
@@ -1085,7 +1124,7 @@ func TestServerRefusesOversizedBody(t *testing.T) {
 // stops is cut off after the header timeout (one lease TTL), not held.
 func TestServerClosesStalledConnection(t *testing.T) {
 	const ttl = 200 * time.Millisecond
-	co, _ := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: ttl, DegradeGrace: time.Hour}, "127.0.0.1:0")
+	co, _ := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: ttl}, "127.0.0.1:0")
 	conn, err := net.Dial("tcp", co.Addr().String())
 	if err != nil {
 		t.Fatal(err)

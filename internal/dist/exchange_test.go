@@ -33,10 +33,11 @@ func testCoordinator(tb testing.TB, instances, programs int) *Coordinator {
 
 func newTestCoordinator(tb testing.TB, cfg engine.Config) *Coordinator {
 	tb.Helper()
-	co, err := NewCoordinator(CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Second, MaxStrikes: 1 << 30})
+	co, err := NewCoordinator(CoordinatorConfig{Campaign: cfg, LeaseTTL: time.Second})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	co.maxStrikes = 1 << 30
 	tb.Cleanup(co.dc.Close)
 	joinTestWorker(co, 1)
 	return co
@@ -165,30 +166,53 @@ func TestGrantSizedInTime(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRenewsOnlySender: a heartbeat moves the deadlines of the
-// sender's leases, and of no other worker's.
-func TestHeartbeatRenewsOnlySender(t *testing.T) {
+// TestExchangeRenewsOnlySender: an exchange moves the deadlines of every
+// lease its sender holds, and of no other worker's — the empty one a
+// worker's heartbeat sends, which is answered with no units, and one that
+// carries a result and asks for more alike.
+func TestExchangeRenewsOnlySender(t *testing.T) {
 	co := testCoordinator(t, 2, 1000)
 	joinTestWorker(co, 2)
 	co.fixedGrant = 4
+	var held []Unit
 	for id := int64(1); id <= 2; id++ {
-		if rep, _, err := co.exchange(&ExchangeRequest{WorkerID: id, Seq: 1, Want: GrantAll}); err != nil || len(rep.Units) != 4 {
+		rep, _, err := co.exchange(&ExchangeRequest{WorkerID: id, Seq: 1, Want: GrantAll})
+		if err != nil || len(rep.Units) != 4 {
 			t.Fatalf("worker %d: grant %+v, %v", id, rep, err)
 		}
-	}
-	stale := time.Now().Add(-time.Hour)
-	for _, ws := range co.workers {
-		for u := range ws.leases {
-			ws.leases[u] = stale
+		if id == 1 {
+			held = rep.Units
 		}
 	}
-	if rep := co.heartbeat(&HeartbeatRequest{WorkerID: 1}); !rep.OK || rep.Done {
-		t.Fatalf("heartbeat: %+v", rep)
+	raw, digest, err := EncodeResult(checkpoint.ResultRec{Elapsed: fastUnit})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, ws := range co.workers {
-		for u, deadline := range ws.leases {
-			if renewed := deadline.After(time.Now()); renewed != (id == 1) {
-				t.Errorf("worker 1 beat: worker %d's lease on %v runs to %v", id, u, deadline)
+	for _, tc := range []struct {
+		name string
+		req  ExchangeRequest
+	}{
+		{"heartbeat", ExchangeRequest{WorkerID: 1}},
+		{"exchange of a result", ExchangeRequest{WorkerID: 1, Seq: 2, Want: GrantAll, Results: []UnitResult{
+			{Inst: held[0].Inst, Prog: held[0].Prog, ResultDigest: digest, Result: raw},
+		}}},
+	} {
+		stale := time.Now().Add(-time.Hour)
+		for _, ws := range co.workers {
+			for u := range ws.leases {
+				ws.leases[u] = stale
+			}
+		}
+		rep, _, err := co.exchange(&tc.req)
+		if err != nil || rep.Done || (len(tc.req.Results) == 0 && len(rep.Units) != 0) {
+			t.Fatalf("%s: %+v, %v", tc.name, rep, err)
+		}
+		now := time.Now()
+		for id, ws := range co.workers {
+			for u, deadline := range ws.leases {
+				if renewed := deadline.After(now); renewed != (id == 1) {
+					t.Errorf("%s from worker 1: worker %d's lease on %v runs to %v", tc.name, id, u, deadline)
+				}
 			}
 		}
 	}
@@ -381,8 +405,7 @@ func FuzzUnseal(f *testing.F) {
 	f.Add(sealedExchange(f, raw))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, v := range []any{
-			&JoinRequest{}, &JoinReply{}, &ExchangeReply{}, &HeartbeatRequest{}, &HeartbeatReply{},
-			&LeaseRequest{}, &LeaseReply{}, &SubmitReply{},
+			&JoinRequest{}, &JoinReply{}, &ExchangeReply{}, &LeaseRequest{}, &LeaseReply{}, &SubmitReply{},
 		} {
 			_ = Unseal(data, v)
 		}
@@ -410,25 +433,31 @@ func FuzzUnseal(f *testing.F) {
 }
 
 // FuzzExchangeRequest puts arbitrary bytes where a unit's result belongs,
-// in an exchange whose frame and result digests are right — what a buggy or
-// hostile worker can get past every checksum — and runs it through the
-// coordinator: it folds or refuses, and never panics.
+// copies%3 times, in an exchange whose frame and result digests are right —
+// what a buggy or hostile worker can get past every checksum — and runs it
+// through the coordinator: it folds or refuses, and never panics. With no
+// result it is a heartbeat, which the live worker gets answered with no
+// units.
 func FuzzExchangeRequest(f *testing.F) {
 	raw, _, err := EncodeResult(checkpoint.ResultRec{TestCases: 30, Programs: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(raw)
+	f.Add(raw, uint8(1))
+	f.Add([]byte(nil), uint8(0))
 	var co *Coordinator
 	next := 0
-	f.Fuzz(func(t *testing.T, result []byte) {
+	f.Fuzz(func(t *testing.T, result []byte, copies uint8) {
 		const programs = 1 << 12
-		if co == nil || next == programs { // every input gets a unit that is still open
+		n := int(copies % 3)
+		if co == nil || next+n > programs { // every result gets a unit that is still open
 			co, next = testCoordinator(t, 1, programs), 0
 		}
-		sent := &ExchangeRequest{WorkerID: 1, Results: []UnitResult{
-			{Inst: 0, Prog: next, Draws: 1, ResultDigest: Digest(result), Result: result},
-		}}
+		sent := &ExchangeRequest{WorkerID: 1}
+		for i := 0; i < n; i++ {
+			sent.Results = append(sent.Results, UnitResult{Inst: 0, Prog: next + i, Draws: 1, ResultDigest: Digest(result), Result: result})
+		}
+		next += n
 		data, err := Seal(sent)
 		if err != nil {
 			t.Fatal(err)
@@ -441,8 +470,8 @@ func FuzzExchangeRequest(f *testing.F) {
 		if (err == nil) != (status == 200) || (err == nil) != (rep != nil) {
 			t.Fatalf("exchange: reply %+v, status %d, err %v", rep, status, err)
 		}
-		if err == nil {
-			next++
+		if n == 0 && (err != nil || len(rep.Units) != 0) {
+			t.Fatalf("heartbeat: reply %+v, err %v; want no units", rep, err)
 		}
 	})
 }

@@ -56,20 +56,6 @@ type LeaseReply struct {
 	Done  bool   `json:"done"`
 }
 
-// HeartbeatRequest renews the worker's lease deadlines. Retries as in
-// ExchangeRequest.
-type HeartbeatRequest struct {
-	WorkerID int64 `json:"worker_id"`
-	Retries  int   `json:"retries"`
-}
-
-// HeartbeatReply: OK=false tells the worker it has been evicted (it should
-// rejoin); Done tells it the campaign is complete.
-type HeartbeatReply struct {
-	OK   bool `json:"ok"`
-	Done bool `json:"done"`
-}
-
 // SubmitReply: Folded=false means the unit was already done (a duplicate —
 // harmless, dropped). Done as in ExchangeReply.
 type SubmitReply struct {

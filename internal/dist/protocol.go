@@ -20,13 +20,16 @@
 //
 //	join      → validate config fingerprint + frontend, get a worker ID
 //	exchange  → deliver a finished batch's results (each folded exactly
-//	            once) and lease a grant of about TTL/20 of work, deadline
-//	            now+TTL
-//	heartbeat → renew the sender's lease deadlines; learn of
-//	            eviction/completion
+//	            once), renew every lease the sender holds to now+TTL, and
+//	            lease a grant of about TTL/20 of work; learn of
+//	            eviction (410) or completion
 //	lease, submit → exchange's single-step forms (no results / one result
 //	            and no units), for a client that replays a campaign call
 //	            by call; no worker uses them
+//
+// A worker's heartbeat is an exchange too: every TTL/3 it sends an empty,
+// unnumbered one (no results, Want 0), which renews its leases while a long
+// unit runs.
 //
 // A worker keeps one exchange in flight while it simulates: batch n's
 // results travel, and the batch after next is leased, while batch n+1 runs,
@@ -38,7 +41,7 @@
 // work: its worker skips those it holds, and the coordinator retires their
 // leases when the violation folds.
 //
-// Workers that stop heartbeating are evicted and their leased units
+// Workers that fall silent for a TTL are evicted and their leased units
 // reassigned; a unit reassigned too many times is degraded to guarded
 // local execution on the coordinator (the quarantine path, converging to
 // single-process semantics); if the whole fleet dies the coordinator
@@ -63,8 +66,9 @@
 // worker whose payloads disagree with their own digests accumulates
 // strikes and is banned.
 //
-// The endpoints are versioned by the encoding: a peer that speaks an older
-// one is refused at join (404), not on its first result.
+// The endpoints are versioned by the protocol: a peer that speaks an older
+// one is refused at join (404), not on its first result or heartbeat.
+// (/v1/ had JSON results, /v2/ a heartbeat message of its own.)
 package dist
 
 import (
@@ -80,11 +84,10 @@ import (
 
 // Endpoint paths served by the coordinator.
 const (
-	PathJoin      = "/v2/join"
-	PathExchange  = "/v2/exchange"
-	PathHeartbeat = "/v2/heartbeat"
-	PathLease     = "/v2/lease"
-	PathSubmit    = "/v2/submit"
+	PathJoin     = "/v3/join"
+	PathExchange = "/v3/exchange"
+	PathLease    = "/v3/lease"
+	PathSubmit   = "/v3/submit"
 )
 
 // ErrBadDigest reports a frame or result payload whose bytes disagree with
@@ -195,11 +198,11 @@ func readResult(r *codec.Reader) (UnitResult, error) {
 // units (0 = none). The coordinator sizes each grant in time — about a
 // twentieth of its lease TTL at the unit time the worker's last results
 // report, one unit before there are any — so Want only caps it: a worker
-// asks for GrantAll. Seq
-// numbers the worker's exchanges from 1: a retransmission repeats its Seq
-// and is answered with the grant the first copy got, so a lost reply
-// neither strands a grant nor earns a second one. 0 is an unnumbered call,
-// always answered afresh. Retries is the worker transport's cumulative
+// asks for GrantAll. Seq numbers the worker's exchanges from 1: a
+// retransmission repeats its Seq and is answered with the grant the first
+// copy got, so a lost reply neither strands a grant nor earns a second one.
+// 0 is an unnumbered call, always answered afresh; a heartbeat is one with
+// no results and Want 0. Retries is the worker transport's cumulative
 // retry count, reported so the coordinator's robustness counters cover
 // client-side recovery too. Its body is binary:
 //

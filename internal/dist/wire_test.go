@@ -86,22 +86,25 @@ func TestWireBytesAreLogBytes(t *testing.T) {
 	}
 }
 
-// TestOldWirePathRefused: a worker of the JSON wire format posts to /v1/.
-// The coordinator has no such endpoint, so the worker is refused at join —
-// a 404, which its client reports as "coordinator refused" and does not
-// retry — instead of failing on its first result.
+// TestOldWirePathRefused: a worker of an older protocol posts to /v1/ (JSON
+// results) or /v2/ (a heartbeat message of its own). The coordinator has no
+// such endpoints, so the worker is refused at join — a 404, which its client
+// reports as "coordinator refused" and does not retry — instead of failing
+// on its first result or heartbeat.
 func TestOldWirePathRefused(t *testing.T) {
 	_, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: time.Minute}, "127.0.0.1:0")
-	body, err := dist.Seal(&dist.JoinRequest{Worker: "v1"})
+	body, err := dist.Seal(&dist.JoinRequest{Worker: "old"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/v1/join", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("POST /v1/join: status %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/v1/join", "/v2/join"} {
+		resp, err := http.Post(base+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

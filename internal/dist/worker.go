@@ -27,24 +27,25 @@ type WorkerConfig struct {
 	// (injected panics kill the worker, exercising reassignment) and
 	// transport faults (drops, delays, severs) on this worker's client.
 	Campaign engine.Config
-	// Rejoins caps how many times an evicted worker rejoins for a fresh
-	// identity before giving up (default 3).
-	Rejoins int
 	// Log receives worker events; nil discards them.
 	Log *log.Logger
 }
 
+// maxRejoins caps how many times an evicted worker rejoins for a fresh
+// identity before giving up.
+const maxRejoins = 3
+
 // errCampaignDone is serve's "the campaign is complete", learned from an
-// exchange reply or a heartbeat; Run maps it to a clean exit.
+// exchange reply, a heartbeat's included; Run maps it to a clean exit.
 var errCampaignDone = errors.New("dist: campaign complete")
 
 // Worker is the executing side of a distributed campaign: it joins a
 // coordinator and runs leased units on a persistent executor, one exchange
 // always in flight beside the simulation — the last batch's results out,
-// the batch after next in — heartbeating throughout so its leases survive
-// long units. A worker is deliberately stateless between units: everything
-// it knows is (campaign config, unit coordinates), so killing one at any
-// instant loses nothing but time.
+// the batch after next in — and an empty one every TTL/3, its heartbeat,
+// so that its leases survive long units. A worker is deliberately
+// stateless between units: everything it knows is (campaign config, unit
+// coordinates), so killing one at any instant loses nothing but time.
 type Worker struct {
 	cfg    WorkerConfig
 	runner *engine.UnitRunner
@@ -57,9 +58,6 @@ type Worker struct {
 
 // NewWorker builds a worker and its executor, once, not per unit.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.Rejoins <= 0 {
-		cfg.Rejoins = 3
-	}
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
 	}
@@ -92,7 +90,7 @@ func (w *Worker) UnitsRun() int { return int(w.units.Load()) }
 func (w *Worker) Run(ctx context.Context) error {
 	inst, progs := w.cfg.Campaign.Campaign.Instances, w.cfg.Campaign.Campaign.Base.Programs
 	for rejoin := 0; ; rejoin++ {
-		if rejoin > w.cfg.Rejoins {
+		if rejoin > maxRejoins {
 			return fmt.Errorf("dist: worker %s: evicted %d times; giving up", w.cfg.Name, rejoin-1)
 		}
 		jr, err := w.client.Join(ctx, &JoinRequest{
@@ -113,10 +111,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		if !errors.Is(err, ErrEvicted) {
 			return err
 		}
-		// Evicted (a heartbeat arrived too late, or the coordinator
-		// restarted and forgot us): rejoin under a fresh identity. Results
-		// already delivered stay folded; the leases we held lapse and are
-		// granted again, to us or to someone else.
+		// Evicted (we were silent for a TTL, or the coordinator restarted
+		// and forgot us): rejoin under a fresh identity. Results already
+		// delivered stay folded; the leases we held lapse and are granted
+		// again, to us or to someone else.
 		w.cfg.Log.Printf("dist: worker %s evicted; rejoining", w.cfg.Name)
 	}
 }
@@ -269,9 +267,10 @@ func (w *Worker) runBatch(ctx context.Context, batch []Unit) ([]UnitResult, erro
 	return results, nil
 }
 
-// heartbeat renews the worker's leases every TTL/3 so that they survive
-// units longer than the TTL, until ctx ends. An eviction or completion
-// verdict, or a transport that stays dead, ends ctx through cancel.
+// heartbeat sends an empty, unnumbered exchange every TTL/3 until ctx ends:
+// it renews the worker's leases, so that they survive units longer than the
+// TTL. An eviction (410) or completion verdict, or a transport that stays
+// dead, ends ctx through cancel.
 func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelCauseFunc, id int64, ttl time.Duration) {
 	tick := ttl / 3
 	if tick < time.Millisecond {
@@ -285,17 +284,14 @@ func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelCauseFunc, 
 			return
 		case <-ticker.C:
 		}
-		hr, err := w.client.Heartbeat(ctx, &HeartbeatRequest{WorkerID: id, Retries: w.client.Retries()})
+		rep, err := w.client.Exchange(ctx, &ExchangeRequest{WorkerID: id, Retries: w.client.Retries()})
 		switch {
 		case err != nil:
 			if ctx.Err() == nil {
 				cancel(err)
 			}
 			return
-		case !hr.OK:
-			cancel(ErrEvicted)
-			return
-		case hr.Done:
+		case rep.Done:
 			cancel(errCampaignDone)
 			return
 		}
@@ -303,7 +299,7 @@ func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelCauseFunc, 
 }
 
 // unwrapCause maps a call error caused by the heartbeat goroutine's
-// cancellation back to its cause (eviction, heartbeat transport death), so
+// cancellation back to its cause (eviction, a dead transport), so
 // Run's rejoin logic sees ErrEvicted rather than a bare context error.
 func unwrapCause(ctx context.Context, err error) error {
 	if ctx.Err() != nil {

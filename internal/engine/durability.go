@@ -31,15 +31,17 @@ import (
 // name too (the Config field is an interface whose rendering would be an
 // unstable pointer). Every other field renders through %+v, so adding or
 // removing one changes the fingerprint: state written by a binary with a
-// different Config shape is refused, by design.
+// different Config shape is refused, by design. maxviol renders 0, what
+// the retired fuzzer.Config.MaxViolationsPerProgram read in every campaign
+// (none set it), so that no fingerprint moved when the cap became a
+// constant.
 func campaignFingerprint(base fuzzer.Config, defense, frontend string, instances, epochs int, strategy string) uint64 {
 	exec := base.Exec
 	exec.FullPrime, exec.Coverage = false, false
 	h := fnv.New64a()
-	fmt.Fprintf(h, "contract=%+v|gen=%+v|exec=%+v|defense=%s|frontend=%s|seed=%d|programs=%d|baseinputs=%d|mutants=%d|stopfirst=%t|maxviol=%d|instances=%d|epochs=%d|strategy=%s",
+	fmt.Fprintf(h, "contract=%+v|gen=%+v|exec=%+v|defense=%s|frontend=%s|seed=%d|programs=%d|baseinputs=%d|mutants=%d|stopfirst=%t|maxviol=0|instances=%d|epochs=%d|strategy=%s",
 		base.Contract, base.Gen, exec, defense, frontend, base.Seed, base.Programs,
-		base.BaseInputs, base.MutantsPerInput,
-		base.StopOnFirstViolation, base.MaxViolationsPerProgram,
+		base.BaseInputs, base.MutantsPerInput, base.StopOnFirstViolation,
 		instances, epochs, strategy)
 	return h.Sum64()
 }

@@ -23,8 +23,9 @@ const (
 	// PrimeInvalidate resets caches through a direct simulator hook,
 	// starting every test from a clean state (CleanupSpec, SpecLFB).
 	PrimeInvalidate
-	// PrimeNone leaves cache state untouched between inputs (used by
-	// ablation benchmarks only).
+	// PrimeNone leaves cache state untouched between inputs. No campaign
+	// configuration uses it; the executor's boot and start tests do, so
+	// that no prime hides state a start leaves behind.
 	PrimeNone
 )
 
@@ -123,9 +124,9 @@ type Metrics struct {
 
 	// Distributed-campaign robustness counters (internal/dist). All zero on
 	// a single-process run. Retries counts RPC attempts beyond the first
-	// (client-side backoff retries, reported by workers on submit);
-	// Evictions counts workers the coordinator evicted for lapsed
-	// heartbeats or digest-invalid submissions; Reassigned counts units
+	// (client-side backoff retries, reported by workers in each exchange);
+	// Evictions counts workers the coordinator evicted for a TTL of silence
+	// or digest-invalid submissions; Reassigned counts units
 	// whose lease expired or was revoked and that went back to the pending
 	// pool; DuplicatesDropped counts unit results that arrived for
 	// already-folded units (late or retransmitted leases) and were dropped

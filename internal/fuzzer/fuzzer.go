@@ -50,11 +50,11 @@ type Config struct {
 	// StopOnFirstViolation ends the campaign at the first confirmed
 	// violation (the paper's detection-time experiments).
 	StopOnFirstViolation bool
-
-	// MaxViolationsPerProgram bounds recorded violations per program to
-	// keep pathological programs from flooding the report. Zero = 4.
-	MaxViolationsPerProgram int
 }
+
+// maxViolationsPerProgram bounds recorded violations per program to keep
+// pathological programs from flooding the report.
+const maxViolationsPerProgram = 4
 
 // Validate reports configuration problems. Campaign entry points
 // (Workspace.Reset, engine.RunCampaign) call it on entry.
@@ -72,11 +72,8 @@ func (c Config) Validate() error {
 	return c.Exec.Core.Validate()
 }
 
-// withDefaults fills the zero-value knobs.
+// withDefaults resolves the frontend, the one zero-value knob.
 func (c Config) withDefaults() Config {
-	if c.MaxViolationsPerProgram == 0 {
-		c.MaxViolationsPerProgram = 4
-	}
 	c.Frontend = c.ResolvedFrontend()
 	return c
 }
@@ -334,7 +331,7 @@ func ExecuteCase(ctx context.Context, exec *executor.Executor, cfg Config, pc *P
 			traces = append(traces, tr)
 		}
 		i, j, differ := 0, 0, false
-		if violations < cfg.MaxViolationsPerProgram {
+		if violations < maxViolationsPerProgram {
 			i, j, differ = firstDiffPair(traces)
 		}
 		for _, tr := range traces {
