@@ -12,10 +12,12 @@
 //
 // Both binaries take the same campaign flags and must be given identical
 // values; the join handshake rejects mismatches. The coordinator tolerates
-// worker failure (lease expiry reassigns their units), finishes the
-// campaign locally if every worker dies, and — with -checkpoint — survives
-// its own death: restart with -resume and the campaign continues from the
-// persisted units.
+// worker failure (lease expiry reassigns their units, and a unit that kills
+// four workers is quarantined unrun), waits for a worker to join if every
+// worker dies, and — with -checkpoint — survives its own death: restart
+// with -resume and the campaign continues from the persisted units. The
+// same log resumes under `amulet -resume`, which finishes a campaign no
+// fleet will.
 //
 // Exit status: 0 on a complete campaign, 3 when interrupted with partial
 // results (resumable via -resume when checkpointing), 1 on failure.
@@ -45,7 +47,7 @@ func main() {
 	cf := experiments.AddCampaignFlags(fs)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:9131", "address to serve the worker protocol on")
-		leaseTTL = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease deadline: a worker silent this long (workers exchange at least every TTL/3) is evicted and its units reassigned; with no live worker for 2×TTL the coordinator finishes the campaign itself")
+		leaseTTL = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "lease deadline: a worker silent this long (workers exchange at least every TTL/3) is evicted and its units reassigned")
 		ckptDir  = fs.String("checkpoint", "", "checkpoint directory: persist campaign progress there (atomically); a restarted coordinator resumes from it")
 		resume   = fs.Bool("resume", false, "resume the campaign from -checkpoint")
 		timeout  = fs.Duration("timeout", 0, "abort the campaign after this duration, reporting partial results (0 = no limit)")

@@ -16,6 +16,7 @@ const BundleDir = "quarantine"
 const (
 	BundlePanic   = "panic"   // the unit's worker panicked
 	BundleTimeout = "timeout" // the watchdog degraded a wedged unit
+	BundleLost    = "lost"    // the unit lost its distributed workers, too many times to run again
 )
 
 // Bundle is a quarantined work unit's repro bundle: everything needed to
@@ -38,10 +39,11 @@ type Bundle struct {
 	Seed       int64
 	Inst, Prog int
 
-	// Kind is BundlePanic or BundleTimeout; Value renders the recovered
-	// panic value (empty for timeouts); Stack is the worker goroutine's
-	// stack at recovery (empty for timeouts — the wedged goroutine is
-	// abandoned, not inspected).
+	// Kind is BundlePanic, BundleTimeout or BundleLost; Value renders the
+	// recovered panic value (empty for timeouts; "lost N workers" for a
+	// lost unit); Stack is the worker goroutine's stack at recovery (empty
+	// for timeouts — the wedged goroutine is abandoned, not inspected — and
+	// for lost units, whose workers died elsewhere).
 	Kind  string
 	Value string
 	Stack string
@@ -107,7 +109,7 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	if err := json.Unmarshal(data, b); err != nil {
 		return nil, fmt.Errorf("checkpoint: quarantine: %w", err)
 	}
-	if b.Kind != BundlePanic && b.Kind != BundleTimeout {
+	if b.Kind != BundlePanic && b.Kind != BundleTimeout && b.Kind != BundleLost {
 		return nil, fmt.Errorf("checkpoint: quarantine: unknown bundle kind %q", b.Kind)
 	}
 	if b.Inst < 0 || b.Prog < 0 {

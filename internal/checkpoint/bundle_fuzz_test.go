@@ -17,6 +17,11 @@ func FuzzLoadBundle(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
+	if data, err = encodeBundle(&Bundle{ConfigFP: 0xfeed, Defense: "baseline", Contract: "CT-SEQ", Frontend: "toy",
+		Seed: 5, Inst: 0, Prog: 10, Kind: BundleLost, Value: "lost 4 workers"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Add([]byte(`{"Kind":"timeout","Inst":-1}`))
 	f.Add([]byte(`{"Kind":"exploded"}`))
 	f.Add([]byte(`not json`))

@@ -22,10 +22,13 @@ const DefaultLeaseTTL = 10 * time.Second
 
 // Coordinator settings that have one value outside the tests.
 const (
-	// maxReassign caps per-unit reassignments; past it the unit is presumed
-	// poisonous (it kills whoever runs it) and degrades to guarded local
-	// execution — the quarantine path, converging to single-process
-	// semantics.
+	// maxReassign caps how often a unit's lease may lapse. Workers run
+	// units unguarded, so a unit that panics kills whoever runs it: one that
+	// has lost more workers than this is presumed poisonous and quarantined
+	// unrun (DistCampaign.Quarantine), as a guarded panic is in a
+	// single-process run. A unit that has lost a worker runs alone after
+	// that (freshUnitsLocked), so a poisonous unit takes no other unit to
+	// the cap.
 	maxReassign = 3
 	// defaultMaxStrikes is how many integrity failures (bad result digests,
 	// out-of-bounds submissions) a worker survives before being banned.
@@ -44,14 +47,14 @@ var ErrInterrupted = errors.New("dist: campaign interrupted")
 type CoordinatorConfig struct {
 	// Campaign is the campaign to run — the same engine.Config a
 	// single-process run takes. CheckpointDir/Resume give the coordinator
-	// crash-safety; Inject drives checkpoint-write and local-unit faults.
+	// crash-safety; Inject drives checkpoint-write faults.
 	Campaign engine.Config
 
 	// LeaseTTL is how long a leased unit stays assigned without word from
 	// its holder before it is reassigned (default 10s). Every exchange
 	// renews the holder's leases, and workers send an empty one at TTL/3.
-	// With no live worker for 2×LeaseTTL the coordinator finishes the
-	// campaign locally.
+	// The coordinator runs no unit itself: with no live worker it waits for
+	// one to join.
 	LeaseTTL time.Duration
 	// Log receives coordinator events; nil discards them.
 	Log *log.Logger
@@ -85,8 +88,9 @@ type workerState struct {
 
 // Coordinator owns a distributed campaign: it serves the worker protocol,
 // tracks leases and worker health, folds results exactly once, reassigns
-// the work of failed workers, and degrades to local execution rather than
-// ever failing a campaign for lack of a fleet.
+// the work of failed workers and quarantines the units that keep killing
+// them. It runs no unit itself: a campaign whose fleet is gone stays open
+// until a worker joins, or until its context ends it, resumable.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	dc  *engine.DistCampaign
@@ -97,22 +101,18 @@ type Coordinator struct {
 	workers    map[int64]*workerState
 	live       int                     // workers not evicted
 	leases     map[engine.UnitID]int64 // leased unit → holder; deadlines are the holder's
-	requeue    []engine.UnitID         // lapsed leases, granted again before the cursor moves on
+	requeue    []engine.UnitID         // lapsed leases, each granted again alone
+	lost       []engine.UnitID         // units past maxReassign, for Run to quarantine
 	tries      map[engine.UnitID]int   // reassignment count per unit
-	localOnly  map[engine.UnitID]bool  // past maxReassign: coordinator-only, guarded
 	nextWorker int64
-	folds      int           // folded results since the last checkpoint fsync
-	cuts       int           // the campaign's stop-on-first cut moves its leases have seen
-	localUnit  time.Duration // unit time of the last fleet-death fallback chunk
+	folds      int // folded results since the last checkpoint fsync
+	cuts       int // the campaign's stop-on-first cut moves its leases have seen
 	// Set at construction, changed only by tests (export_test.go):
-	fixedGrant      int           // > 0: the size of every fresh grant
-	degradeGrace    time.Duration // no live worker this long: finish locally
-	maxStrikes      int           // integrity failures that ban a worker
-	checkpointEvery int           // folds between checkpoint fsyncs
+	fixedGrant      int // > 0: the size of every fresh grant
+	maxStrikes      int // integrity failures that ban a worker
+	checkpointEvery int // folds between checkpoint fsyncs
 
-	evictions, reassigned, dups, degraded int
-	degradedNow                           bool // currently in local-fallback mode
-	lastFleetActivity                     time.Time
+	evictions, reassigned, dups int
 }
 
 // NewCoordinator builds a coordinator for cfg's campaign. With
@@ -130,16 +130,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	return &Coordinator{
-		cfg:               cfg,
-		dc:                dc,
-		degradeGrace:      2 * cfg.LeaseTTL,
-		maxStrikes:        defaultMaxStrikes,
-		checkpointEvery:   defaultCheckpointEvery,
-		workers:           map[int64]*workerState{},
-		leases:            map[engine.UnitID]int64{},
-		tries:             map[engine.UnitID]int{},
-		localOnly:         map[engine.UnitID]bool{},
-		lastFleetActivity: time.Now(),
+		cfg:             cfg,
+		dc:              dc,
+		maxStrikes:      defaultMaxStrikes,
+		checkpointEvery: defaultCheckpointEvery,
+		workers:         map[int64]*workerState{},
+		leases:          map[engine.UnitID]int64{},
+		tries:           map[engine.UnitID]int{},
 		// Worker IDs start where no earlier incarnation's did: a worker that
 		// outlived a restarted coordinator must be told 410, not taken for a
 		// new worker that was dealt its old ID — sequence numbers and held
@@ -175,11 +172,12 @@ func (co *Coordinator) Start(addr string) (net.Addr, error) {
 func (co *Coordinator) Addr() net.Addr { return co.ln.Addr() }
 
 // Run drives the campaign to completion: sweeping lapsed leases, evicting
-// silent workers, running degraded units locally, and falling back to
-// all-local execution if the fleet dies. It returns the campaign result —
-// bit-identical to a single-process run at the same seed — or, on context
-// cancellation, the partial result alongside ErrInterrupted with the
-// checkpoint saved for resumption.
+// silent workers, and quarantining the units that lost too many of them.
+// It returns the campaign result — bit-identical to a single-process run at
+// the same seed — or, on context cancellation, the partial result alongside
+// ErrInterrupted with the checkpoint saved for resumption. With no live
+// worker it waits: the context bounds the wait, and `amulet -resume` on the
+// checkpoint finishes a campaign no fleet will.
 func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) {
 	defer co.dc.Close()
 	defer func() {
@@ -197,18 +195,6 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
 
-	var localErrs []error
-	// local runs units in-process: built on the first one, then kept, so a
-	// fallback episode runs all its chunks on one executor.
-	var local *engine.LocalRunner
-	runLocal := func(units []engine.UnitID) {
-		if local == nil {
-			local = co.dc.NewLocalRunner()
-		}
-		if err := local.Run(ctx, units); err != nil && ctx.Err() == nil {
-			localErrs = append(localErrs, err)
-		}
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -221,9 +207,13 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 		}
 
 		co.sweep()
+		// Outside co.mu: a quarantine writes a bundle and appends to the log.
+		for _, u := range co.takeLost() {
+			co.dc.Quarantine(u, fmt.Sprintf("lost %d workers", maxReassign+1))
+		}
 		if co.dc.Complete() {
 			if err := co.dc.SaveCheckpoint(); err != nil {
-				return co.result(), errors.Join(err, errors.Join(localErrs...))
+				return co.result(), err
 			}
 			// Linger half a TTL before the deferred shutdown: idle workers
 			// poll within that window, observe Done, and exit cleanly
@@ -237,28 +227,7 @@ func (co *Coordinator) Run(ctx context.Context) (*fuzzer.CampaignResult, error) 
 				}
 				linger.Stop()
 			}
-			return co.result(), errors.Join(localErrs...)
-		}
-
-		// Degraded units run locally through the guarded path: quarantine
-		// for genuinely poisonous units, normal folding otherwise.
-		if units := co.takeLocalOnly(); len(units) > 0 {
-			runLocal(units)
-		}
-
-		// Fleet-death fallback: no live workers for degradeGrace means the
-		// campaign finishes locally, chunk after chunk while the fleet stays
-		// dead. The fleet is looked at between chunks, so a worker that
-		// joins late still gets leases; units leased to the dead fleet come
-		// back when a later sweep expires them.
-		for ctx.Err() == nil && co.fleetDead() {
-			units := co.takeFallbackChunk()
-			if len(units) == 0 {
-				break
-			}
-			t0 := time.Now()
-			runLocal(units)
-			co.requeueOpen(units, time.Since(t0)/time.Duration(len(units)))
+			return co.result(), nil
 		}
 	}
 }
@@ -275,7 +244,6 @@ func (co *Coordinator) result() *fuzzer.CampaignResult {
 		m.Evictions += rob.Evictions
 		m.Reassigned += rob.Reassigned
 		m.DuplicatesDropped += rob.DuplicatesDropped
-		m.DegradedLocal += rob.DegradedLocal
 	}
 	return res
 }
@@ -294,7 +262,6 @@ func (co *Coordinator) Robustness() executor.Metrics {
 		Evictions:         co.evictions,
 		Reassigned:        co.reassigned,
 		DuplicatesDropped: co.dups,
-		DegradedLocal:     co.degraded,
 	}
 }
 
@@ -361,7 +328,7 @@ func (co *Coordinator) retireClosedLocked() {
 }
 
 // expireLeaseLocked queues a unit to be granted again, counting the
-// reassignment and degrading chronic offenders to local-only execution.
+// reassignment; past maxReassign Run quarantines it instead.
 func (co *Coordinator) expireLeaseLocked(u engine.UnitID, why string) {
 	co.retireLocked(u)
 	if co.dc.Done(u) {
@@ -371,37 +338,19 @@ func (co *Coordinator) expireLeaseLocked(u engine.UnitID, why string) {
 	co.tries[u]++
 	if co.tries[u] <= maxReassign {
 		co.requeue = append(co.requeue, u)
-	} else if !co.localOnly[u] {
-		co.localOnly[u] = true
-		co.cfg.Log.Printf("dist: unit (%d,%d) reassigned %d times (%s); degrading to guarded local execution",
-			u.Inst, u.Prog, co.tries[u], why)
+	} else {
+		co.lost = append(co.lost, u)
+		co.cfg.Log.Printf("dist: unit (%d,%d) lost %d workers (%s); quarantining it unrun", u.Inst, u.Prog, co.tries[u], why)
 	}
 }
 
-// nextUnitLocked takes the next unit to schedule: a lapsed lease that is
-// still open, else the campaign cursor's. Nothing it returns is leased.
-func (co *Coordinator) nextUnitLocked() (engine.UnitID, bool) {
-	for len(co.requeue) > 0 {
-		u := co.requeue[0]
-		co.requeue = co.requeue[1:]
-		if co.dc.Open(u) {
-			return u, true
-		}
-	}
-	return co.dc.Next()
-}
-
-// takeLocalOnly returns the degraded units awaiting local execution.
-func (co *Coordinator) takeLocalOnly() []engine.UnitID {
+// takeLost returns the units past maxReassign, for Run to quarantine.
+func (co *Coordinator) takeLost() []engine.UnitID {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	var out []engine.UnitID
-	for u := range co.localOnly {
-		if !co.dc.Done(u) {
-			out = append(out, u)
-		}
-	}
-	return out
+	lost := co.lost
+	co.lost = nil
+	return lost
 }
 
 // liveWorkers is the number of joined workers not evicted.
@@ -409,58 +358,6 @@ func (co *Coordinator) liveWorkers() int {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.live
-}
-
-// fleetDead reports whether no live worker has been seen for degradeGrace;
-// the first true transition counts a degraded-to-local event.
-func (co *Coordinator) fleetDead() bool {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.live > 0 {
-		co.degradedNow = false
-		co.lastFleetActivity = time.Now()
-		return false
-	}
-	if time.Since(co.lastFleetActivity) < co.degradeGrace {
-		return false
-	}
-	if !co.degradedNow {
-		co.degradedNow = true
-		co.degraded++
-		co.cfg.Log.Printf("dist: no live workers for %v; finishing the campaign locally", co.degradeGrace)
-	}
-	return true
-}
-
-// takeFallbackChunk claims unleased units for local execution during
-// fleet-death fallback: as many as a grant at the unit time of the last
-// chunk.
-func (co *Coordinator) takeFallbackChunk() []engine.UnitID {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	var out []engine.UnitID
-	for n := co.grantUnitsLocked(co.localUnit); len(out) < n; {
-		u, ok := co.nextUnitLocked()
-		if !ok {
-			break
-		}
-		out = append(out, u)
-	}
-	return out
-}
-
-// requeueOpen puts back the units of a fallback chunk its local run left
-// open (a failed or interrupted unit): the cursor has moved past them. The
-// chunk took unitTime per unit, which sizes the next one.
-func (co *Coordinator) requeueOpen(units []engine.UnitID, unitTime time.Duration) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.localUnit = unitTime
-	for _, u := range units {
-		if co.dc.Open(u) {
-			co.requeue = append(co.requeue, u)
-		}
-	}
 }
 
 // --- handlers ---
@@ -527,8 +424,6 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id := co.nextWorker
 	co.workers[id] = &workerState{name: req.Worker, lastBeat: time.Now(), leases: map[engine.UnitID]time.Time{}}
 	co.live++
-	co.degradedNow = false
-	co.lastFleetActivity = time.Now()
 	co.mu.Unlock()
 	co.cfg.Log.Printf("dist: worker %d (%s) joined", id, req.Worker)
 	reply(w, &JoinReply{WorkerID: id, LeaseTTLMS: co.cfg.LeaseTTL.Milliseconds()})
@@ -674,10 +569,7 @@ func (co *Coordinator) exchange(req *ExchangeRequest) (*ExchangeReply, int, erro
 // grantLocked leases units to a live worker, to deadline. A retransmission
 // — the seq of the worker's last numbered exchange — gets that exchange's
 // grant again: the leases it still holds, minus the units done since; an
-// older seq gets nothing. Anything else is a fresh grant of up to Want
-// units, sized in time by grantUnitsLocked, within the two grants a worker
-// may hold, and tapered near the end of the campaign so that prefetching
-// does not leave one worker holding the last units while the others idle.
+// older seq gets nothing. Anything else is a fresh grant (freshUnitsLocked).
 func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeRequest, deadline time.Time) []Unit {
 	var grant []Unit
 	if req.Seq != 0 && req.Seq <= ws.lastSeq {
@@ -691,24 +583,53 @@ func (co *Coordinator) grantLocked(id int64, ws *workerState, req *ExchangeReque
 		}
 		return grant
 	}
-	g := co.grantUnitsLocked(ws.unitTime)
-	unleased := co.dc.Remaining() - len(co.leases)
-	n := max(0, min(req.Want, g, 2*g-len(ws.leases), max(1, unleased/(2*co.live))))
-	granted := make([]engine.UnitID, 0, n)
-	grant = make([]Unit, 0, n)
-	for len(granted) < n {
-		u, ok := co.nextUnitLocked()
-		if !ok {
-			break
-		}
+	granted := co.freshUnitsLocked(ws, req.Want)
+	grant = make([]Unit, len(granted))
+	for i, u := range granted {
 		co.leases[u], ws.leases[u] = id, deadline
-		granted = append(granted, u)
-		grant = append(grant, Unit{Inst: u.Inst, Prog: u.Prog})
+		grant[i] = Unit{Inst: u.Inst, Prog: u.Prog}
 	}
 	if req.Seq != 0 {
 		ws.lastSeq, ws.lastGrant = req.Seq, granted
 	}
 	return grant
+}
+
+// freshUnitsLocked picks a fresh grant of up to want units for ws. A lapsed
+// lease goes alone, to a worker that holds nothing and is granted nothing
+// more while it holds it: should the unit kill that worker too, no other
+// unit lapses with it, so only a unit that kills its workers reaches
+// maxReassign, never its neighbours in a grant. Other grants come from the
+// cursor: sized in time by grantUnitsLocked, within the two grants a worker
+// may hold, and tapered near the end of the campaign so that prefetching
+// does not leave one worker holding the last units while the others idle.
+func (co *Coordinator) freshUnitsLocked(ws *workerState, want int) []engine.UnitID {
+	if len(ws.leases) == 1 {
+		for u := range ws.leases {
+			if co.tries[u] > 0 {
+				return nil
+			}
+		}
+	}
+	for len(ws.leases) == 0 && want > 0 && len(co.requeue) > 0 {
+		u := co.requeue[0]
+		co.requeue = co.requeue[1:]
+		if co.dc.Open(u) {
+			return []engine.UnitID{u}
+		}
+	}
+	g := co.grantUnitsLocked(ws.unitTime)
+	unleased := co.dc.Remaining() - len(co.leases)
+	n := max(0, min(want, g, 2*g-len(ws.leases), max(1, unleased/(2*co.live))))
+	granted := make([]engine.UnitID, 0, n)
+	for len(granted) < n {
+		u, ok := co.dc.Next()
+		if !ok {
+			break
+		}
+		granted = append(granted, u)
+	}
+	return granted
 }
 
 // grantUnitsLocked is the size of a fresh grant at unitTime per unit: the

@@ -134,7 +134,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	checkGolden(t, "distributed", res)
-	if m := co.Robustness(); m.Evictions != 0 || m.Reassigned != 0 || m.DegradedLocal != 0 {
+	if m := co.Robustness(); m.Evictions != 0 || m.Reassigned != 0 {
 		t.Errorf("clean run: robustness counters non-zero: %+v", m)
 	}
 
@@ -365,51 +365,54 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 	}
 }
 
-// TestLocalFallback: a coordinator whose fleet never shows up (or dies —
-// same code path) finishes the campaign itself after the degradation
-// grace, still bit-identical, with the transition counted.
+// TestLocalFallback: a coordinator runs no unit itself. With no fleet it
+// folds nothing, long past the 2×TTL after which it used to finish the
+// campaign alone, and returns resumable when its context ends; the fallback
+// is the single-process engine resuming its log, which reaches the golden
+// fingerprint.
 func TestLocalFallback(t *testing.T) {
-	co, _ := startCoordinator(t, dist.CoordinatorConfig{
-		Campaign: goldenConfig(t),
-		LeaseTTL: 200 * time.Millisecond,
-	}, "127.0.0.1:0")
-	co.SetDegradeGrace(100 * time.Millisecond)
-	res, err := co.Run(context.Background())
+	dir := t.TempDir()
+	cfg := goldenConfig(t)
+	cfg.CheckpointDir = dir
+	const ttl = 100 * time.Millisecond
+	co, _ := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: ttl}, "127.0.0.1:0")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*ttl)
+	defer cancel()
+	res, err := co.Run(ctx)
+	if !errors.Is(err, dist.ErrInterrupted) {
+		t.Fatalf("fleetless coordinator: err = %v, want ErrInterrupted", err)
+	}
+	if n := res.Totals().Programs; n != 0 {
+		t.Errorf("a coordinator with no worker folded %d units", n)
+	}
+	st, err := checkpoint.Load(dir)
 	if err != nil {
-		t.Fatalf("coordinator: %v", err)
+		t.Fatalf("fleetless coordinator's log: %v", err)
 	}
-	checkGolden(t, "local fallback", res)
-	m := co.Robustness()
-	if m.DegradedLocal != 1 {
-		t.Errorf("fleet death counted as %d degraded-to-local transitions, want 1", m.DegradedLocal)
+	if len(st.Units) != 0 {
+		t.Errorf("fleetless coordinator's log holds %d unit records", len(st.Units))
 	}
-	if tot := res.Totals(); tot.Metrics.DegradedLocal != 1 {
-		t.Errorf("result metrics carry DegradedLocal %d, want 1", tot.Metrics.DegradedLocal)
+
+	cfg.Resume = true
+	res, err = engine.RunCampaign(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "resumed under the engine", res)
+	if n, want := res.Totals().Programs, cfg.Campaign.Instances*cfg.Campaign.Base.Programs; n != want {
+		t.Errorf("resumed campaign ran %d programs, want %d", n, want)
 	}
 }
 
-// TestLocalFallbackYieldsToLateWorker: the fallback runs chunk after chunk
-// without waiting for a tick, but looks at the fleet between chunks, so a
-// worker that joins mid-episode takes the campaign over instead of sharing
-// it with the coordinator; the outcome is the single-process one.
+// TestLocalFallbackYieldsToLateWorker: a campaign whose fleet never showed
+// up stays open, and a worker that joins more than 2×TTL later finishes it
+// alone — every unit, with the single-process fingerprint.
 func TestLocalFallbackYieldsToLateWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := goldenConfig(t)
-	cfg.Campaign.Base.Programs = 60
-	want, err := engine.RunCampaign(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, base := startCoordinator(t, dist.CoordinatorConfig{
-		Campaign: cfg,
-		LeaseTTL: 200 * time.Millisecond,
-	}, "127.0.0.1:0")
-	co.SetDegradeGrace(20 * time.Millisecond)
-	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: base, Name: "late", Campaign: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const ttl = 100 * time.Millisecond
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: ttl}, "127.0.0.1:0")
 	type outcome struct {
 		res *fuzzer.CampaignResult
 		err error
@@ -419,10 +422,15 @@ func TestLocalFallbackYieldsToLateWorker(t *testing.T) {
 		res, err := co.Run(ctx)
 		done <- outcome{res, err}
 	}()
-	for deadline := time.Now().Add(10 * time.Second); co.Robustness().DegradedLocal == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the coordinator never fell back to local execution")
-		}
+	select {
+	case out := <-done:
+		t.Fatalf("the coordinator returned with no worker: %v", out.err)
+	case <-time.After(3 * ttl):
+	}
+
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: base, Name: "late", Campaign: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -437,16 +445,83 @@ func TestLocalFallbackYieldsToLateWorker(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("coordinator: %v", out.err)
 	}
-	if got, want := fuzzer.ViolationFingerprint(out.res.Violations), fuzzer.ViolationFingerprint(want.Violations); got != want {
-		t.Errorf("fingerprint %#x, single-process %#x", got, want)
+	checkGolden(t, "late worker", out.res)
+	if n, want := w.UnitsRun(), cfg.Campaign.Instances*cfg.Campaign.Base.Programs; n != want {
+		t.Errorf("the late worker ran %d units, want all %d", n, want)
 	}
-	// The coordinator had run a few chunks when the worker joined, and
-	// finishes the one in hand; a coordinator that kept going would run
-	// about half of what is left.
-	total := 2 * cfg.Campaign.Base.Programs
-	t.Logf("the worker ran %d of %d units", w.UnitsRun(), total)
-	if w.UnitsRun() < 3*total/4 {
-		t.Errorf("the worker that joined during the fallback ran %d of %d units, want at least 3/4", w.UnitsRun(), total)
+}
+
+// TestPoisonousUnitQuarantined: a unit that kills every worker that runs it
+// is quarantined unrun once it has lost four of them (the reassignment cap,
+// 3, plus one) — folded as the engine's guard folds a panicking unit in a
+// single-process run, with a "lost" repro bundle — and no other unit is,
+// though the first workers it killed held whole grants besides it. So the
+// violation set is the single-process campaign's with that unit quarantined.
+func TestPoisonousUnitQuarantined(t *testing.T) {
+	const inst, prog = 0, 10
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	ref := goldenConfig(t)
+	ref.Inject = faultinject.New()
+	ref.Inject.Arm(faultinject.KindPanicInUnit, inst, prog)
+	want, err := engine.RunCampaign(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cfg := goldenConfig(t)
+	cfg.CheckpointDir = dir
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: cfg, LeaseTTL: 300 * time.Millisecond}, "127.0.0.1:0")
+	names := []string{"w1", "w2", "w3", "w4", "w5", "w6"}
+	injs := map[string]*faultinject.Injector{}
+	for _, name := range names {
+		injs[name] = faultinject.New()
+		injs[name].Arm(faultinject.KindPanicInUnit, inst, prog)
+	}
+	var wg sync.WaitGroup
+	workers := startWorkers(t, ctx, &wg, base, injs, names...)
+
+	res, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	tot, wantTot := res.Totals(), want.Totals()
+	if tot.Metrics.Quarantined != 1 || tot.Programs != wantTot.Programs {
+		t.Errorf("%d units quarantined, %d programs folded; want 1 and %d", tot.Metrics.Quarantined, tot.Programs, wantTot.Programs)
+	}
+	if got, wantFP := fuzzer.ViolationFingerprint(res.Violations), fuzzer.ViolationFingerprint(want.Violations); got != wantFP ||
+		len(res.Violations) != len(want.Violations) {
+		t.Errorf("%d violations, fingerprint %#x; single-process with the unit quarantined: %d, %#x",
+			len(res.Violations), got, len(want.Violations), wantFP)
+	}
+
+	b, err := checkpoint.LoadBundle(checkpoint.BundlePath(dir, inst, prog, checkpoint.BundleLost))
+	if err != nil {
+		t.Fatalf("no repro bundle for the lost unit: %v", err)
+	}
+	if b.Inst != inst || b.Prog != prog || b.Value != "lost 4 workers" {
+		t.Errorf("bundle does not describe the loss: %+v", b)
+	}
+	// It replays like any other bundle: the unit panics again.
+	reInj := faultinject.New()
+	reInj.Arm(faultinject.KindPanicInUnit, inst, prog)
+	var qe *engine.QuarantineError
+	if _, err := engine.ReplayUnit(ctx, goldenConfig(t), b, reInj); !errors.As(err, &qe) {
+		t.Errorf("replay of the lost unit: err = %v, want a *QuarantineError", err)
+	}
+
+	cancel()
+	wg.Wait()
+	died := 0
+	for _, w := range workers {
+		if w.died {
+			died++
+		}
+	}
+	if died != 4 {
+		t.Errorf("%d workers died on the unit, want 4", died)
 	}
 }
 
@@ -842,8 +917,8 @@ func TestLossyLinkStrandsNothing(t *testing.T) {
 	if m.Retries == 0 || m.DuplicatesDropped == 0 {
 		t.Errorf("lost replies left no trace: %d retries, %d duplicates dropped", m.Retries, m.DuplicatesDropped)
 	}
-	if m.Evictions != 0 || m.Reassigned != 0 || m.DegradedLocal != 0 {
-		t.Errorf("a lost reply stranded leases: %d evictions, %d reassigned, %d degraded", m.Evictions, m.Reassigned, m.DegradedLocal)
+	if m.Evictions != 0 || m.Reassigned != 0 {
+		t.Errorf("a lost reply stranded leases: %d evictions, %d reassigned", m.Evictions, m.Reassigned)
 	}
 	cancel()
 	wg.Wait()
@@ -878,9 +953,9 @@ func TestLongUnitKeepsItsLease(t *testing.T) {
 	if len(slow.Fired()) != 1 {
 		t.Error("the long unit never ran")
 	}
-	if m := co.Robustness(); m.Evictions != 0 || m.Reassigned != 0 || m.DegradedLocal != 0 {
-		t.Errorf("a unit of %v on a %v TTL lost its lease: %d evictions, %d reassigned, %d degraded",
-			slow.HangDuration, ttl, m.Evictions, m.Reassigned, m.DegradedLocal)
+	if m := co.Robustness(); m.Evictions != 0 || m.Reassigned != 0 {
+		t.Errorf("a unit of %v on a %v TTL lost its lease: %d evictions, %d reassigned",
+			slow.HangDuration, ttl, m.Evictions, m.Reassigned)
 	}
 	cancel()
 	wg.Wait()
@@ -1068,7 +1143,7 @@ func TestExchangesPerUnit(t *testing.T) {
 		t.Errorf("%d RPCs for %d units in %v, want at most %d", rpcs, units, elapsed, budget)
 	}
 	t.Logf("%d RPCs for %d units (%.2f per unit) in %v", rpcs, units, float64(rpcs)/units, elapsed)
-	if m := co.Robustness(); m.Retries+m.Evictions+m.Reassigned+m.DuplicatesDropped+m.DegradedLocal != 0 {
+	if m := co.Robustness(); m.Retries+m.Evictions+m.Reassigned+m.DuplicatesDropped != 0 {
 		t.Errorf("clean run: robustness counters non-zero: %+v", m)
 	}
 }

@@ -218,6 +218,81 @@ func TestExchangeRenewsOnlySender(t *testing.T) {
 	}
 }
 
+// TestLapsedUnitRunsAlone: a unit whose lease lapsed is granted again
+// alone, only to a worker that holds nothing, and that worker is granted
+// nothing more until it has delivered it. So a poisonous unit that kills
+// its next worker too takes no other unit's lease with it, and only the
+// unit itself climbs towards the reassignment cap.
+func TestLapsedUnitRunsAlone(t *testing.T) {
+	co := testCoordinator(t, 2, 1000)
+	joinTestWorker(co, 2)
+	joinTestWorker(co, 3)
+	co.fixedGrant = 4
+	raw, digest, err := EncodeResult(checkpoint.ResultRec{Elapsed: fastUnit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lapsed := map[engine.UnitID]bool{}
+	exchange := func(id int64, seq uint64, results ...Unit) []Unit {
+		t.Helper()
+		req := &ExchangeRequest{WorkerID: id, Seq: seq, Want: GrantAll}
+		for _, u := range results {
+			req.Results = append(req.Results, UnitResult{Inst: u.Inst, Prog: u.Prog, ResultDigest: digest, Result: raw})
+		}
+		rep, _, err := co.exchange(req)
+		if err != nil {
+			t.Fatalf("worker %d, exchange %d: %v", id, seq, err)
+		}
+		return rep.Units
+	}
+	evict := func(id int64) {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		co.evictLocked(id, "test")
+	}
+
+	exchange(1, 1)
+	for seq := uint64(1); seq <= 2; seq++ {
+		for _, u := range exchange(2, seq) {
+			lapsed[engine.UnitID{Inst: u.Inst, Prog: u.Prog}] = true
+		}
+	}
+	evict(2) // two grants lapse: eight units
+	if len(co.requeue) != 8 {
+		t.Fatalf("%d units requeued, want the dead worker's 8", len(co.requeue))
+	}
+
+	// A worker that holds a grant gets cursor units, never a lapsed one.
+	for _, u := range exchange(1, 2) {
+		if lapsed[engine.UnitID{Inst: u.Inst, Prog: u.Prog}] {
+			t.Errorf("lapsed unit %v granted beside another grant", u)
+		}
+	}
+	// A worker that holds nothing gets one lapsed unit, alone, and nothing
+	// more until it delivers it; then the next one, alone.
+	lone := func(grant []Unit) Unit {
+		t.Helper()
+		if len(grant) != 1 || !lapsed[engine.UnitID{Inst: grant[0].Inst, Prog: grant[0].Prog}] {
+			t.Fatalf("leaseless worker granted %v, want one lapsed unit", grant)
+		}
+		return grant[0]
+	}
+	first := lone(exchange(3, 1))
+	if grant := exchange(3, 2); len(grant) != 0 {
+		t.Fatalf("worker holding a lapsed unit granted %v", grant)
+	}
+	held := lone(exchange(3, 3, first))
+	if grant := exchange(3, 4); len(grant) != 0 {
+		t.Fatalf("worker holding a lapsed unit granted %v", grant)
+	}
+	// Its worker dies too: that unit alone lapses again.
+	evict(3)
+	u := engine.UnitID{Inst: held.Inst, Prog: held.Prog}
+	if len(co.requeue) != 7 || co.tries[u] != 2 {
+		t.Errorf("after the lone unit's worker died: %d requeued, its tries %d; want 7 and 2", len(co.requeue), co.tries[u])
+	}
+}
+
 // firstViolation returns the first unit of instance 0 that reports a
 // violation, and its result.
 func firstViolation(t *testing.T, runner *engine.UnitRunner, programs int) (engine.UnitID, checkpoint.ResultRec, uint64) {

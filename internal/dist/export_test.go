@@ -1,7 +1,5 @@
 package dist
 
-import "time"
-
 // LeasesHeld returns how many leases each worker holds, by worker ID — the
 // lease table as the protocol tests sample it.
 func (co *Coordinator) LeasesHeld() map[int64]int {
@@ -21,14 +19,6 @@ func (co *Coordinator) PinGrant(n int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.fixedGrant = n
-}
-
-// SetDegradeGrace sets how long the coordinator waits with no live worker
-// before finishing the campaign locally (2×LeaseTTL otherwise).
-func (co *Coordinator) SetDegradeGrace(d time.Duration) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.degradeGrace = d
 }
 
 // SetMaxStrikes sets how many integrity failures ban a worker (2

@@ -42,10 +42,10 @@
 // leases when the violation folds.
 //
 // Workers that fall silent for a TTL are evicted and their leased units
-// reassigned; a unit reassigned too many times is degraded to guarded
-// local execution on the coordinator (the quarantine path, converging to
-// single-process semantics); if the whole fleet dies the coordinator
-// finishes the campaign locally. The coordinator checkpoints through
+// reassigned, each alone; a unit that lost a worker four times is
+// quarantined unrun, as a panicking unit is in a single-process run. The
+// coordinator runs no unit itself: if the whole fleet dies the campaign
+// stays open until a worker joins. The coordinator checkpoints through
 // internal/checkpoint, so killing it and restarting with Resume continues
 // from the persisted units — the same file format plain `amulet -resume`
 // reads.

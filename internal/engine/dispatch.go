@@ -1,10 +1,10 @@
 // The scheduler and the fold. Every campaign runs through a DistCampaign:
-// RunCampaign's workers draw units from its cursor and settle them like the
-// coordinator's local fallback does, and the coordinator additionally folds
-// remote results through the same settle — so a distributed run is
-// bit-identical to a single-process run at the same seed. Workers own a
-// UnitRunner — a persistent executor and workspace that run arbitrary units
-// of the campaign by coordinates, exactly as an engine worker would.
+// RunCampaign's workers draw units from its cursor and settle them, and the
+// coordinator folds remote results through the same settle — so a
+// distributed run is bit-identical to a single-process run at the same
+// seed. Distributed workers own a UnitRunner — a persistent executor and
+// workspace that run arbitrary units of the campaign by coordinates, exactly
+// as an engine worker would.
 //
 // Distributed campaigns are random-strategy only: the corpus strategy's
 // epochs are cross-unit barriers (epoch N's generation depends on epoch
@@ -35,10 +35,10 @@ var ErrDistCorpus = errors.New("engine: distributed campaigns support the random
 // units are done, hands out the open ones from one cursor, folds each
 // result exactly once, and appends to/restores from the campaign's
 // checkpoint log. RunCampaign drives one in-process; the coordinator drives
-// one for a distributed campaign, folding remote results and running units
-// locally when the remote fleet degrades — so a lost coordinator resumes
-// from its own checkpoint, and a distributed checkpoint even resumes under
-// the single-process engine (and vice versa).
+// one for a distributed campaign, folding remote results and quarantining
+// the units that kill their workers — so a lost coordinator resumes from
+// its own checkpoint, and a distributed checkpoint even resumes under the
+// single-process engine (and vice versa).
 //
 // All methods are safe for concurrent use. Results fold into their
 // instance's accumulator in program order as soon as every earlier unit of
@@ -163,8 +163,8 @@ func (d *DistCampaign) Finished() <-chan struct{} { return d.finished }
 // instance's current cut (a violation at program p makes every unit q > p
 // of that instance dead work; the merge drops their results anyway). Each
 // unit is handed out once: whoever takes one and does not see it folded
-// (a lapsed lease, a failed local run) schedules it again itself. The
-// cursor only moves forward, so a campaign's calls cost O(units) together.
+// (a lapsed lease) schedules it again itself. The cursor only moves
+// forward, so a campaign's calls cost O(units) together.
 func (d *DistCampaign) Next() (UnitID, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -305,8 +305,8 @@ func (d *DistCampaign) RecordEncoded(u UnitID, draws uint64, result []byte) (fol
 
 // settle folds one unit's outcome — run here or, with encoded its result's
 // encoding, by a remote worker — and reports whether it did: the first fold
-// of a unit wins, and a later one (a remote submission racing the local
-// fallback, a duplicate submit) changes nothing. A final outcome is
+// of a unit wins, and a later one (a late lease's result racing its
+// quarantine, a duplicate submit) changes nothing. A final outcome is
 // accounted (remaining, the stop-on-first cut) and its record appended to
 // the checkpoint log outside the campaign lock, so folds encode and append
 // side by side; an interrupted one keeps its partial result and leaves the
@@ -370,37 +370,20 @@ func (d *DistCampaign) accountLocked(u unit, res *fuzzer.Result) {
 	}
 }
 
-// LocalRunner executes units of a DistCampaign in-process, on one slot it
-// keeps from call to call: the coordinator's graceful-degradation path.
-type LocalRunner struct {
-	d *DistCampaign
-	s *slot
-}
-
-// NewLocalRunner builds a runner with a slot of its own: an executor and a
-// workspace, as an engine worker has. It belongs to one goroutine at a
-// time.
-func (d *DistCampaign) NewLocalRunner() *LocalRunner {
-	return &LocalRunner{d: d, s: d.c.newSlot()}
-}
-
-// Run executes the given units in order through the engine's one unit loop
-// (runWorker) and so the same fault-isolation layer (panic quarantine,
-// optional watchdog), folding their results into the campaign. Units done
-// or past their cut are skipped, so racing a late remote submission is
-// harmless.
-func (r *LocalRunner) Run(ctx context.Context, units []UnitID) error {
-	next := func() (UnitID, bool) {
-		for len(units) > 0 {
-			u := units[0]
-			units = units[1:]
-			if r.d.Open(u) {
-				return u, true
-			}
-		}
-		return UnitID{}, false
+// Quarantine folds unit u without running it, as a guarded panic folds in
+// a single-process run: a result counting Metrics.Quarantined, and a repro
+// bundle of kind checkpoint.BundleLost that says why. The coordinator
+// quarantines a unit that lost too many workers. It reports whether it
+// folded: a unit done or past its cut is left as it is.
+func (d *DistCampaign) Quarantine(id UnitID, why string) bool {
+	if !d.Open(id) {
+		return false
 	}
-	return r.d.runWorker(ctx, r.s, generator.Random{}, next)
+	u := d.c.unitAt(id.Inst, id.Prog)
+	d.c.quarantine(u, checkpoint.BundleLost, why, "")
+	res := &fuzzer.Result{}
+	res.Metrics.Quarantined = 1
+	return d.settle(u, unitOutcome{res: res, done: true}, nil)
 }
 
 // SaveCheckpoint makes every folded unit durable: the units' records are
@@ -481,10 +464,10 @@ func (r *UnitRunner) FrontendName() string { return r.c.frontendName }
 // Run executes unit u and returns its serialized result and PRNG draw
 // count. Panics are NOT swallowed here: a simulator panic must kill the
 // worker process (its lease lapses and the unit is re-run elsewhere, or
-// quarantined by the coordinator's guarded local path after the
-// reassignment cap) rather than silently submitting a degraded result —
-// that is what keeps a distributed campaign's violation set bit-identical
-// to a single-process run's.
+// quarantined unrun by the coordinator past the reassignment cap) rather
+// than silently submitting a degraded result — that is what keeps a
+// distributed campaign's violation set bit-identical to a single-process
+// run's.
 func (r *UnitRunner) Run(ctx context.Context, id UnitID) (checkpoint.ResultRec, uint64, error) {
 	if id.Inst < 0 || id.Inst >= r.c.instances || id.Prog < 0 || id.Prog >= r.c.programs {
 		return checkpoint.ResultRec{}, 0, fmt.Errorf("engine: unit (%d,%d) out of campaign bounds %dx%d",

@@ -35,11 +35,29 @@ func (d *DistCampaign) Pending() []UnitID {
 	return out
 }
 
-// TestDistCampaignLocalEquivalence proves the two distributed execution
-// paths — LocalRunner (the coordinator's degradation path) and
-// UnitRunner.Run + RecordRemote (the worker round-trip, including the
-// serialize/deserialize hop) — both reproduce the single-process
-// campaign's violation set bit for bit.
+// foldRemote runs units on a UnitRunner of cfg's campaign and folds each
+// result through RecordRemote: a worker's round trip without the network,
+// and the only path by which a coordinator's log gets its units.
+func foldRemote(t *testing.T, dc *DistCampaign, cfg Config, units []UnitID) {
+	t.Helper()
+	runner, err := NewUnitRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		rec, draws, err := runner.Run(context.Background(), u)
+		if err != nil {
+			t.Fatalf("unit (%d,%d): %v", u.Inst, u.Prog, err)
+		}
+		if _, err := dc.RecordRemote(u, rec, draws); err != nil {
+			t.Fatalf("unit (%d,%d): %v", u.Inst, u.Prog, err)
+		}
+	}
+}
+
+// TestDistCampaignLocalEquivalence proves the worker round trip —
+// UnitRunner.Run + RecordRemote, including the serialize/deserialize hop —
+// reproduces the single-process campaign's violation set bit for bit.
 func TestDistCampaignLocalEquivalence(t *testing.T) {
 	cfg := engineConfig(7, 2, 8)
 	want, err := RunCampaign(context.Background(), cfg)
@@ -47,23 +65,6 @@ func TestDistCampaignLocalEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFP := fuzzer.ViolationFingerprint(want.Violations)
-
-	t.Run("run-local", func(t *testing.T) {
-		dc, err := NewDistCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dc.NewLocalRunner().Run(context.Background(), dc.Pending()); err != nil {
-			t.Fatal(err)
-		}
-		if !dc.Complete() {
-			t.Fatal("campaign not complete after a local run of all pending units")
-		}
-		res := dc.Result()
-		if fp := fuzzer.ViolationFingerprint(res.Violations); fp != wantFP {
-			t.Errorf("local run fingerprint %#x, want single-process %#x", fp, wantFP)
-		}
-	})
 
 	t.Run("unit-runner-round-trip", func(t *testing.T) {
 		dc, err := NewDistCampaign(cfg)
@@ -183,9 +184,7 @@ func TestDistCampaignCheckpointRoundTrip(t *testing.T) {
 	if len(pending) != 16 {
 		t.Fatalf("fresh campaign: %d pending units, want 16", len(pending))
 	}
-	if err := dc.NewLocalRunner().Run(context.Background(), pending[:5]); err != nil {
-		t.Fatal(err)
-	}
+	foldRemote(t, dc, cfg, pending[:5])
 	if err := dc.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +207,7 @@ func TestDistCampaignCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("unit (%d,%d) folded before the crash but pending after resume", u.Inst, u.Prog)
 		}
 	}
-	if err := dc2.NewLocalRunner().Run(context.Background(), rest); err != nil {
-		t.Fatal(err)
-	}
+	foldRemote(t, dc2, cfg, rest)
 	if err := dc2.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +238,7 @@ func TestLogInterchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Six units folded, never synced or committed: a SIGKILLed coordinator.
-		if err := dc.NewLocalRunner().Run(context.Background(), dc.Pending()[:6]); err != nil {
-			t.Fatal(err)
-		}
+		foldRemote(t, dc, cfg, dc.Pending()[:6])
 		dc.Close()
 		cfg.Resume = true
 		res, err := RunCampaign(context.Background(), cfg)
@@ -278,9 +273,7 @@ func TestLogInterchange(t *testing.T) {
 		if len(rest) != 10 {
 			t.Fatalf("%d units pending after resume, want 10", len(rest))
 		}
-		if err := dc.NewLocalRunner().Run(context.Background(), rest); err != nil {
-			t.Fatal(err)
-		}
+		foldRemote(t, dc, cfg, rest)
 		if err := dc.SaveCheckpoint(); err != nil {
 			t.Fatal(err)
 		}

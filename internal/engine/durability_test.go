@@ -625,9 +625,10 @@ func TestUnitWatchdog(t *testing.T) {
 	assertPoisonReplacesSlot(t, cfg, 0, 2)
 }
 
-// assertPoisonReplacesSlot runs unit (inst, prog) of cfg's campaign — armed
-// to poison its worker — through the worker loop, and requires the worker's
-// slot to come out of it with a new executor and a new workspace.
+// assertPoisonReplacesSlot runs program prog of every instance of cfg's
+// campaign — unit (inst, prog) armed to poison its worker — through the
+// worker loop, and requires the worker's slot to come out of it with a new
+// executor and a new workspace.
 func assertPoisonReplacesSlot(t *testing.T, cfg Config, inst, prog int) {
 	t.Helper()
 	c, _, err := newCampaign(cfg)
@@ -641,13 +642,8 @@ func assertPoisonReplacesSlot(t *testing.T, cfg Config, inst, prog int) {
 	defer d.Close()
 	s := c.newSlot()
 	exec, ws := s.exec, s.ws
-	left := true
-	next := func() (UnitID, bool) {
-		ok := left
-		left = false
-		return UnitID{Inst: inst, Prog: prog}, ok
-	}
-	if err := d.runWorker(context.Background(), s, generator.Random{}, next); err != nil {
+	d.setWindow(prog, prog+1)
+	if err := d.runWorker(context.Background(), s, generator.Random{}); err != nil {
 		t.Fatal(err)
 	}
 	if m := d.Result().Totals().Metrics; m.Quarantined+m.TimedOut != 1 || !d.Done(UnitID{Inst: inst, Prog: prog}) {

@@ -392,7 +392,7 @@ func (d *DistCampaign) runEpoch(ctx context.Context, slots []*slot, strat genera
 			if slots[w] == nil {
 				slots[w] = d.c.newSlot()
 			}
-			errCh <- d.runWorker(ctx, slots[w], strat, d.Next)
+			errCh <- d.runWorker(ctx, slots[w], strat)
 		}()
 	}
 	wg.Wait()
@@ -439,14 +439,14 @@ func (c *campaign) newSlot() *slot {
 	return &slot{exec: executor.New(c.base.Exec, c.base.DefenseFactory()), ws: fuzzer.NewWorkspace()}
 }
 
-// runWorker is the one unit loop. A worker takes units from next until it
-// has none left, runs each on s behind the fault-isolation layer, and
+// runWorker is the one unit loop. A worker takes units from the cursor until
+// it has none left, runs each on s behind the fault-isolation layer, and
 // settles every outcome. A unit that poisons s (panic or watchdog
 // abandonment) has s rebuilt in place, and the campaign keeps going.
-func (d *DistCampaign) runWorker(ctx context.Context, s *slot, strat generator.Strategy, next func() (UnitID, bool)) error {
+func (d *DistCampaign) runWorker(ctx context.Context, s *slot, strat generator.Strategy) error {
 	var errs []error
 	for ctx.Err() == nil {
-		id, ok := next()
+		id, ok := d.Next()
 		if !ok {
 			break
 		}

@@ -115,7 +115,8 @@ type Metrics struct {
 
 	// Quarantined counts work units whose worker panicked and was isolated
 	// by the engine (the unit's repro bundle lands in the checkpoint
-	// directory; the campaign keeps going on a fresh executor). TimedOut
+	// directory; the campaign keeps going on a fresh executor), or that a
+	// coordinator folded unrun after they lost four workers. TimedOut
 	// counts units the -unit-timeout watchdog degraded the same way. Both
 	// mean the campaign's results are partial: the counts flow to the CLI
 	// summary and its resumable exit path.
@@ -130,8 +131,9 @@ type Metrics struct {
 	// whose lease expired or was revoked and that went back to the pending
 	// pool; DuplicatesDropped counts unit results that arrived for
 	// already-folded units (late or retransmitted leases) and were dropped
-	// by the exactly-once fold; DegradedLocal counts coordinator
-	// transitions to local execution after the remote fleet died.
+	// by the exactly-once fold. DegradedLocal is always zero: it counted
+	// a coordinator's switches to running units itself, which it no longer
+	// does; the field stays while the unit-record codec carries it.
 	Retries           int
 	Evictions         int
 	Reassigned        int

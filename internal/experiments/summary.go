@@ -40,15 +40,15 @@ func WriteSummary(w io.Writer, res *fuzzer.CampaignResult) {
 	if tot.Metrics.Quarantined > 0 || tot.Metrics.TimedOut > 0 {
 		// Degraded units were isolated, not fixed: their programs went
 		// untested, so the reported violation set is a lower bound.
-		fmt.Fprintf(w, "degraded units:    %d quarantined (panic), %d timed out — repro bundles under the checkpoint dir\n",
+		fmt.Fprintf(w, "degraded units:    %d quarantined (panic or lost workers), %d timed out — repro bundles under the checkpoint dir\n",
 			tot.Metrics.Quarantined, tot.Metrics.TimedOut)
 	}
-	if m := tot.Metrics; m.Retries+m.Evictions+m.Reassigned+m.DuplicatesDropped+m.DegradedLocal > 0 {
+	if m := tot.Metrics; m.Retries+m.Evictions+m.Reassigned+m.DuplicatesDropped > 0 {
 		// Distributed-campaign robustness counters: how much failure the
 		// run absorbed on its way to the (still bit-identical) result.
 		// Zero on single-process runs, so the line never appears there.
-		fmt.Fprintf(w, "robustness:        %d retries, %d evictions, %d reassigned units, %d duplicates dropped, %d degraded-to-local\n",
-			m.Retries, m.Evictions, m.Reassigned, m.DuplicatesDropped, m.DegradedLocal)
+		fmt.Fprintf(w, "robustness:        %d retries, %d evictions, %d reassigned units, %d duplicates dropped\n",
+			m.Retries, m.Evictions, m.Reassigned, m.DuplicatesDropped)
 	}
 	if tot.Coverage != nil {
 		fmt.Fprintf(w, "coverage features: %d of %d\n", tot.Coverage.Count(), uarch.CoverageBits)
