@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 
 	"github.com/sith-lab/amulet-go/internal/checkpoint"
@@ -95,7 +96,9 @@ func main() {
 	res, err := co.Run(ctx)
 	exitCode := 0
 	if err != nil {
-		fmt.Printf("campaign incomplete (%v); partial results:\n", err)
+		// Run joins its errors, and errors.Join's text puts each on a line
+		// of its own.
+		fmt.Printf("campaign incomplete (%s); partial results:\n", strings.ReplaceAll(err.Error(), "\n", "; "))
 		if errors.Is(err, dist.ErrInterrupted) {
 			exitCode = exitPartial
 		} else {

@@ -34,6 +34,7 @@ var deadExportAllow = map[string]string{
 	"internal/contract.Usage.Loaded":  "per-byte membership for the generator's dense mutation oracle",
 	"internal/emu.New":                "builds the reference machine in the uarch and wasm equivalence tests",
 	"internal/isa.NewSlab":            "standalone slab for the generator's input tests",
+	"internal/isa.Slab.Carved":        "slab storage bound the fuzzer's model-stt footprint test asserts",
 	"internal/isa.Image.Materialized": "page count the executor's copy-on-write tests assert",
 	"internal/uarch.Core.Image":       "committed memory, compared against the emulator by executor and uarch tests",
 	"internal/uarch.Coverage.Empty":   "coverage assertions in the engine and executor tests",

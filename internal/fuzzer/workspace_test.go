@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/defense/stt"
 	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/isa"
 	"github.com/sith-lab/amulet-go/internal/isa/wasm"
+	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
 // cutCtx is a context whose Err turns into Canceled after a number of
@@ -244,5 +246,40 @@ func TestWorkspaceResetRejectsBadConfig(t *testing.T) {
 	cfg.DefenseFactory = nil
 	if err := NewWorkspace().Reset(cfg, 1); err == nil {
 		t.Error("a config without a defense factory was accepted")
+	}
+}
+
+// slabFootprint is the most page and block storage a workspace's slab may
+// hold after generating 60 of model-stt's units. Each mutant materializes
+// the pages its restored loaded words live in, ≈ 16 per input and a word or
+// two each: 760 pages and 824 blocks at the widest program, which two
+// 512-page and two 512-block chunks hold, 640 KB in all at 128 bytes a page
+// and 512 a block. Stored as whole 4 KB pages, the same 760 took ≈ 3.2 MB
+// per worker.
+const slabFootprint = 768 << 10
+
+// TestSlabFootprint pins what a worker's slab carves for the inputs of the
+// model-stt workload's units: STT at ARCH-SEQ, a 128-page sandbox, 8 base
+// inputs with 5 mutants each. The slab keeps its widest program's pages
+// and blocks, so this is the storage a worker carries for the campaign.
+func TestSlabFootprint(t *testing.T) {
+	cfg := quickConfig(1, 1)
+	cfg.Contract = contract.ArchSeq
+	cfg.DefenseFactory = func() uarch.Defense { return stt.New(stt.Config{}) }
+	cfg.Gen.Pages = 128
+	cfg.BaseInputs, cfg.MutantsPerInput = 8, 5
+	w := NewWorkspace()
+	for u := 0; u < 60; u++ {
+		if err := w.Reset(cfg, int64(1000+u)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Case(context.Background(), nil, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	carved := w.slab.Carved()
+	t.Logf("the slab holds %d KB of pages and blocks", carved>>10)
+	if carved > slabFootprint {
+		t.Errorf("the slab holds %d bytes of pages and blocks, budget %d", carved, slabFootprint)
 	}
 }

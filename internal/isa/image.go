@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"unsafe"
 
 	"github.com/sith-lab/amulet-go/internal/codec"
 )
@@ -29,6 +30,11 @@ import (
 //   - Writes materialize words, not pages: a write computes the one or two
 //     background words it lands in, not the 512 of its page, and a write of
 //     a whole aligned word computes none.
+//   - Storage follows the words, too: a page is a 512-bit have mask and
+//     eight pointers, and it stores its words in 64-word blocks, one per
+//     have-mask word, attached when that mask word first becomes nonzero.
+//     A page holding one word costs 128 bytes plus one 512-byte block, not
+//     the 4 KB of the page.
 //   - A view (ViewOf) shares the pages of another image read-only and copies
 //     a page's written-down words on first write. The leakage model and the
 //     simulator execute on a view of the input, so stores land in private
@@ -37,52 +43,42 @@ import (
 //
 // The cost of building, copying and loading an input is thus proportional
 // to the words the test touches, not to Sandbox.Size().
+//
+// A page comes from the image's spare list first (the pages its Reset and
+// ViewOf released, with their blocks), then from its slab, then from the
+// heap; a block comes from its page's unused blocks, then from the slab,
+// then from the heap. A heap image (a long-lived view, a decoded input)
+// therefore never holds a slab's storage: a slab's Reset hands its pages
+// and blocks out again, and a view that kept one would share it with the
+// next program's inputs.
 
 const (
-	pageShift    = 12
-	wordsPerPage = PageSize / 8
+	pageShift     = 12
+	wordsPerPage  = PageSize / 8
+	blocksPerPage = wordsPerPage / 64
 )
+
+// block stores the 64 words of a page that one have-mask word covers.
+type block [64]uint64
 
 // Page is the storage of one sandbox page that holds written-down words.
 // Word i (bytes 8i to 8i+7, little-endian) is written down when bit i of
-// have is set; the storage of the other words is stale and never read.
+// have is set, and is then word i%64 of blk[i/64]. A nonzero have word
+// always has its block; a block whose have word is zero holds stale words
+// that are never read, and is the page's to attach where it needs one.
 type Page struct {
-	w    [wordsPerPage]uint64
-	have [wordsPerPage / 64]uint64
+	have [blocksPerPage]uint64
+	blk  [blocksPerPage]*block
 }
 
 // holds reports whether word i of the page is written down.
 func (p *Page) holds(i uint64) bool { return p.have[i>>6]&(1<<(i&63)) != 0 }
 
-// set writes down x as word i of the page.
-func (p *Page) set(i, x uint64) {
-	p.w[i] = x
-	p.have[i>>6] |= 1 << (i & 63)
-}
-
-// load writes down every word of the page from the PageSize bytes of b.
-func (p *Page) load(b []byte) {
-	for i := range p.w {
-		p.w[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	for i := range p.have {
-		p.have[i] = ^uint64(0)
-	}
-}
-
-// copyFrom makes p hold exactly the words src holds.
-func (p *Page) copyFrom(src *Page) {
-	p.have = src.have
-	for wi, h := range src.have {
-		if h == ^uint64(0) {
-			copy(p.w[wi*64:wi*64+64], src.w[wi*64:])
-			continue
-		}
-		for ; h != 0; h &= h - 1 {
-			i := wi*64 + bits.TrailingZeros64(h)
-			p.w[i] = src.w[i]
-		}
-	}
+// heapPage is a page allocated together with its first block: a page a
+// heap image materializes for one write is one object, not two.
+type heapPage struct {
+	Page
+	first block
 }
 
 // streamGamma is the splitmix64 stream increment (the golden-ratio odd
@@ -134,10 +130,14 @@ type Image struct {
 	// from a viewed image are not owned; a write copies them first.
 	owned [MaxPages / 64]uint64
 	// spare holds pages released by Reset and ViewOf for the next write to
-	// reuse, so a long-lived view (one per model, one per core) stops
-	// allocating once it has seen its widest test.
+	// reuse, with the blocks they had, so a long-lived view (one per model,
+	// one per core) stops allocating once it has seen its widest test.
 	spare []*Page
-	slab  *Slab // page source after spare; nil: the heap
+	slab  *Slab // page and block source after spare; nil: the heap
+	// free holds the blocks a heap image carved and has not attached yet,
+	// the rest of a chunk that doubles from 8 to 64 blocks: a view warms up
+	// with a few allocations, not one per block.
+	free []block
 }
 
 // makeImage returns a zeroed image for sandbox sb, by value for embedding.
@@ -182,33 +182,99 @@ func (im *Image) ViewOf(src *Image) {
 	im.fill = src.fill
 }
 
-// own attaches a private page at index pi. Its words and have mask are
-// stale: the caller sets both.
-func (im *Image) own(pi uint64) *Page {
+// own attaches a private page at index pi that holds no word, and whose
+// first write lands in word i.
+func (im *Image) own(pi, i uint64) *Page {
 	var p *Page
 	if n := len(im.spare); n > 0 {
 		p, im.spare = im.spare[n-1], im.spare[:n-1]
-	} else {
+	} else if im.slab != nil {
 		p = im.slab.page()
+	} else {
+		hp := new(heapPage)
+		hp.blk[i>>6] = &hp.first
+		p = &hp.Page
 	}
+	p.have = [blocksPerPage]uint64{}
 	im.pages[pi] = p
 	im.owned[pi>>6] |= 1 << (pi & 63)
 	return p
 }
 
-// writable returns page pi for writing. A background page becomes a private
-// page that holds no word yet; a shared one, a private copy of the words it
-// holds.
-func (im *Image) writable(pi uint64) *Page {
+// attach gives p, a page im owns, a block for have-mask word k: one of its
+// own blocks that holds no word, or else a new one.
+func (im *Image) attach(p *Page, k uint64) *block {
+	for j, b := range p.blk {
+		if b != nil && p.have[j] == 0 {
+			p.blk[j], p.blk[k] = nil, b
+			return b
+		}
+	}
+	var b *block
+	if im.slab != nil {
+		b = im.slab.block()
+	} else {
+		if len(im.free) == 0 {
+			im.free = make([]block, min(max(2*cap(im.free), 8), 64))
+		}
+		// Taken from the end, so cap(im.free) stays the chunk's size.
+		b, im.free = &im.free[len(im.free)-1], im.free[:len(im.free)-1]
+	}
+	p.blk[k] = b
+	return b
+}
+
+// slot returns the storage of word i of p, a page im owns, attaching its
+// block first if p has none.
+func (im *Image) slot(p *Page, i uint64) *uint64 {
+	b := p.blk[i>>6]
+	if b == nil {
+		b = im.attach(p, i>>6)
+	}
+	return &b[i&63]
+}
+
+// set writes down x as word i of p, a page im owns.
+func (im *Image) set(p *Page, i, x uint64) {
+	*im.slot(p, i) = x
+	p.have[i>>6] |= 1 << (i & 63)
+}
+
+// copyFrom makes p, a page im owns, hold exactly the words src holds, in
+// blocks of its own.
+func (im *Image) copyFrom(p, src *Page) {
+	p.have = src.have
+	for k, h := range src.have {
+		if h == 0 {
+			continue
+		}
+		b := p.blk[k]
+		if b == nil {
+			b = im.attach(p, uint64(k))
+		}
+		from := src.blk[k]
+		if h == ^uint64(0) {
+			*b = *from
+			continue
+		}
+		for ; h != 0; h &= h - 1 {
+			j := bits.TrailingZeros64(h)
+			b[j] = from[j]
+		}
+	}
+}
+
+// writable returns page pi for writing, whose first write lands in word i.
+// A background page becomes a private page that holds no word yet; a shared
+// one, a private copy of the words it holds.
+func (im *Image) writable(pi, i uint64) *Page {
 	if im.owned[pi>>6]&(1<<(pi&63)) != 0 {
 		return im.pages[pi]
 	}
 	shared := im.pages[pi]
-	p := im.own(pi)
+	p := im.own(pi, i)
 	if shared != nil {
-		p.copyFrom(shared)
-	} else {
-		p.have = [wordsPerPage / 64]uint64{}
+		im.copyFrom(p, shared)
 	}
 	return p
 }
@@ -216,7 +282,7 @@ func (im *Image) writable(pi uint64) *Page {
 // word returns little-endian word i of the sandbox.
 func (im *Image) word(i uint64) uint64 {
 	if p := im.pages[i/wordsPerPage]; p != nil && p.holds(i%wordsPerPage) {
-		return p.w[i%wordsPerPage]
+		return p.blk[i%wordsPerPage>>6][i&63]
 	}
 	return im.fill.word(i)
 }
@@ -224,10 +290,12 @@ func (im *Image) word(i uint64) uint64 {
 // wordAt returns word i of sandbox page pi, which p stores privately, for
 // writing: computed from the background first if p does not hold it yet.
 func (im *Image) wordAt(p *Page, pi, i uint64) *uint64 {
+	x := im.slot(p, i)
 	if !p.holds(i) {
-		p.set(i, im.fill.word(pi*wordsPerPage+i))
+		*x = im.fill.word(pi*wordsPerPage + i)
+		p.have[i>>6] |= 1 << (i & 63)
 	}
-	return &p.w[i]
+	return x
 }
 
 // Byte returns the byte at sandbox offset off.
@@ -237,8 +305,8 @@ func (im *Image) Byte(off uint64) byte {
 
 // SetByte stores b at sandbox offset off.
 func (im *Image) SetByte(off uint64, b byte) {
-	pi := off >> pageShift
-	x := im.wordAt(im.writable(pi), pi, (off>>3)%wordsPerPage)
+	pi, i := off>>pageShift, (off>>3)%wordsPerPage
+	x := im.wordAt(im.writable(pi, i), pi, i)
 	sh := 8 * (off & 7)
 	*x = *x&^(0xff<<sh) | uint64(b)<<sh
 }
@@ -280,10 +348,10 @@ func (im *Image) Write(va uint64, size uint8, val uint64) {
 		return
 	}
 	pi, i, sh := off>>pageShift, (off>>3)%wordsPerPage, 8*(off&7)
-	p := im.writable(pi)
+	p := im.writable(pi, i)
 	if size == 8 && sh == 0 {
 		// A whole word: nothing of the background survives it.
-		p.set(i, val)
+		im.set(p, i, val)
 		return
 	}
 	m := ^uint64(0)
@@ -309,7 +377,10 @@ func (im *Image) FillFrom(r io.Reader) error {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return err
 		}
-		im.own(uint64(pi)).load(buf[:])
+		p := im.own(uint64(pi), 0)
+		for i := uint64(0); i < wordsPerPage; i++ {
+			im.set(p, i, binary.LittleEndian.Uint64(buf[8*i:]))
+		}
 	}
 	return nil
 }
@@ -364,10 +435,10 @@ func (im *Image) Written(fn func(off, word uint64)) {
 		if p == nil {
 			continue
 		}
-		for wi, h := range p.have {
+		for k, h := range p.have {
 			for ; h != 0; h &= h - 1 {
-				i := wi*64 + bits.TrailingZeros64(h)
-				fn(uint64(pi)*PageSize+uint64(i)*8, p.w[i])
+				j := bits.TrailingZeros64(h)
+				fn(uint64(pi)*PageSize+uint64(64*k+j)*8, p.blk[k][j])
 			}
 		}
 	}
@@ -407,13 +478,13 @@ func (in *Input) AppendBinary(b []byte) ([]byte, error) {
 	}
 	n := 0
 	for _, p := range im.pages {
-		if p != nil && p.have != [wordsPerPage / 64]uint64{} {
+		if p != nil && p.have != [blocksPerPage]uint64{} {
 			n++
 		}
 	}
 	b = codec.AppendUvarint(b, uint64(n))
 	for pi, p := range im.pages {
-		if p == nil || p.have == [wordsPerPage / 64]uint64{} {
+		if p == nil || p.have == [blocksPerPage]uint64{} {
 			continue // holds nothing: background, as a nil page
 		}
 		b = codec.AppendUvarint(b, uint64(pi))
@@ -429,9 +500,9 @@ func (in *Input) AppendBinary(b []byte) ([]byte, error) {
 				b = codec.AppendUint64(b, h)
 			}
 		}
-		for wi, h := range p.have {
+		for k, h := range p.have {
 			for ; h != 0; h &= h - 1 {
-				b = codec.AppendUint64(b, p.w[wi*64+bits.TrailingZeros64(h)])
+				b = codec.AppendUint64(b, p.blk[k][bits.TrailingZeros64(h)])
 			}
 		}
 	}
@@ -442,10 +513,13 @@ func (in *Input) AppendBinary(b []byte) ([]byte, error) {
 // anything AppendBinary does not write — an invalid sandbox, a page index
 // outside it or out of order, an empty page, trailing bytes — so a
 // malformed record fails where it is decoded instead of panicking where it
-// is replayed. The pages are allocated at once, after their count is
-// checked against the bytes that remain.
+// is replayed. The input is checked whole first; then its pages and their
+// blocks are allocated at once, in one slice each.
 func (in *Input) UnmarshalBinary(data []byte) error {
-	_, err := decodeInput(data, in)
+	_, blocks, err := decodeInput(data, nil, nil)
+	if err == nil {
+		_, _, err = decodeInput(data, in, make([]block, blocks))
+	}
 	return err
 }
 
@@ -453,17 +527,19 @@ func (in *Input) UnmarshalBinary(data []byte) error {
 // returns its sandbox, without building the input: a holder of encoded
 // inputs refuses a malformed one at read and allocates nothing for it.
 func CheckInput(data []byte) (Sandbox, error) {
-	return decodeInput(data, nil)
+	sb, _, err := decodeInput(data, nil, nil)
+	return sb, err
 }
 
-// decodeInput reads an encoded input into in, or with a nil in only checks
-// it.
-func decodeInput(data []byte, in *Input) (Sandbox, error) {
+// decodeInput reads an encoded input into in, whose words it stores in
+// blks, or with a nil in only checks it. It returns the input's sandbox and
+// how many blocks its words take.
+func decodeInput(data []byte, in *Input, blks []block) (Sandbox, int, error) {
 	r := codec.NewReader(data)
 	pages := r.Uvarint()
 	sb := Sandbox{Pages: int(min(pages, MaxPages+1))}
 	if err := sb.Validate(); err != nil && r.Err() == nil {
-		return Sandbox{}, fmt.Errorf("isa: input: %w", err)
+		return Sandbox{}, 0, fmt.Errorf("isa: input: %w", err)
 	}
 	var regs [NumRegs]uint64
 	for i := range regs {
@@ -478,7 +554,7 @@ func decodeInput(data []byte, in *Input) (Sandbox, error) {
 		r.Fail("%d written pages in a %d-page sandbox", n, sb.Pages)
 	}
 	if err := r.Err(); err != nil {
-		return Sandbox{}, fmt.Errorf("isa: input: %w", err)
+		return Sandbox{}, 0, fmt.Errorf("isa: input: %w", err)
 	}
 	var store []Page
 	var check Page // where a check-only decode reads each page
@@ -487,6 +563,7 @@ func decodeInput(data []byte, in *Input) (Sandbox, error) {
 		in.Mem.fill = fill
 		store = make([]Page, n)
 	}
+	blocks := 0
 	next := 0 // the lowest index the next page may have
 	for k := 0; k < n; k++ {
 		pi := r.Uvarint()
@@ -499,8 +576,13 @@ func decodeInput(data []byte, in *Input) (Sandbox, error) {
 		if in != nil {
 			p = &store[k]
 		}
-		if !readPage(&r, p, pi) {
+		if !readPage(&r, p, pi, &blks) {
 			break
+		}
+		for _, h := range p.have {
+			if h != 0 {
+				blocks++
+			}
 		}
 		if in != nil {
 			in.Mem.pages[pi] = &store[k]
@@ -511,49 +593,62 @@ func decodeInput(data []byte, in *Input) (Sandbox, error) {
 		if in != nil {
 			*in = Input{}
 		}
-		return Sandbox{}, fmt.Errorf("isa: input: %w", err)
+		return Sandbox{}, 0, fmt.Errorf("isa: input: %w", err)
 	}
-	return sb, nil
+	return sb, blocks, nil
 }
 
 // readPage reads the encoding of page pi, after its index, into p and
-// reports whether it was well formed.
-func readPage(r *codec.Reader, p *Page, pi uint64) bool {
+// reports whether it was well formed. The page's blocks are taken from the
+// front of *blks; with *blks empty the words are checked, not stored.
+func readPage(r *codec.Reader, p *Page, pi uint64, blks *[]block) bool {
 	mask := r.Byte()
 	if mask == 0 {
 		r.Fail("page %d holds no word", pi)
 		return false
 	}
-	for wi := range p.have {
-		p.have[wi] = 0
-		if mask&(1<<wi) != 0 {
-			if p.have[wi] = r.Uint64(); p.have[wi] == 0 {
+	for k := range p.have {
+		p.have[k] = 0
+		if mask&(1<<k) != 0 {
+			if p.have[k] = r.Uint64(); p.have[k] == 0 {
 				r.Fail("page %d: zero mask word", pi)
 			}
 		}
 	}
-	for wi, h := range p.have {
+	for k, h := range p.have {
+		if h == 0 {
+			continue
+		}
+		var b *block
+		if len(*blks) > 0 {
+			b, *blks = &(*blks)[0], (*blks)[1:]
+			p.blk[k] = b
+		}
 		for ; h != 0; h &= h - 1 {
-			p.w[wi*64+bits.TrailingZeros64(h)] = r.Uint64()
+			x := r.Uint64()
+			if b != nil {
+				b[bits.TrailingZeros64(h)] = x
+			}
 		}
 	}
 	return r.Err() == nil
 }
 
 // Slab carves the inputs of one test program — the Input structs, their
-// page tables and the pages they materialize — out of storage it keeps from
-// one program to the next. Reset rewinds it for the next program: every
-// input and page carved before is handed out again, so a slab that has seen
-// its widest program allocates nothing more. Whoever retains an input beyond
-// the slab's next Reset (a violation report) keeps its binary form
-// (AppendBinary) instead. A nil *Slab allocates on the heap.
+// page tables, and the pages and blocks they materialize — out of storage
+// it keeps from one program to the next. Reset rewinds it for the next
+// program: every input, page and block carved before is handed out again,
+// so a slab that has seen its widest program allocates nothing more.
+// Whoever retains an input beyond the slab's next Reset (a violation
+// report) keeps its binary form (AppendBinary) instead. A nil *Slab
+// allocates on the heap.
 type Slab struct {
 	sb     Sandbox
 	inputs []Input // len: the capacity of this program; nIn handed out
 	nIn    int
 	tables []*Page // page tables of the inputs, sb.Pages each
-	chunks [][]Page
-	ci, pi int // next page: chunks[ci][pi]
+	pages  chunks[Page]
+	blocks chunks[block]
 }
 
 // NewSlab returns a slab for n inputs of sandbox sb.
@@ -563,13 +658,17 @@ func NewSlab(sb Sandbox, n int) *Slab {
 	return s
 }
 
-// Reset rewinds the slab for n inputs of sandbox sb. Every input and page
-// carved since the last Reset becomes free storage again; the slab allocates
-// only when this program needs more than any before it. Pages come back
-// holding stale words and masks, which is sound because an image sets a
-// page's have mask before it reads or writes the page (see writable).
+// Reset rewinds the slab for n inputs of sandbox sb. Every input, page and
+// block carved since the last Reset becomes free storage again; the slab
+// allocates only when this program needs more than any before it. A page
+// comes back holding no block and a stale have mask, which is sound because
+// an image sets a page's have mask before it reads or writes the page (see
+// writable); a block comes back holding stale words, which no have bit
+// covers yet.
 func (s *Slab) Reset(sb Sandbox, n int) {
-	s.sb, s.nIn, s.ci, s.pi = sb, 0, 0, 0
+	s.sb, s.nIn = sb, 0
+	s.pages.rewind()
+	s.blocks.rewind()
 	if cap(s.inputs) < n {
 		s.inputs = make([]Input, n)
 	}
@@ -590,29 +689,60 @@ func (s *Slab) NewInput(sb Sandbox) *Input {
 	pages := s.tables[s.nIn*sb.Pages : (s.nIn+1)*sb.Pages : (s.nIn+1)*sb.Pages]
 	s.nIn++
 	clear(pages)
-	// The spare list's backing array is kept; the pages on it were this
-	// slab's and are free again.
+	// The spare list's backing array is kept; the pages on it, and their
+	// blocks, were this slab's and are free again.
 	*in = Input{Mem: Image{sb: sb, pages: pages, spare: in.Mem.spare[:0], slab: s}}
 	return in
 }
 
-// page returns an unused page. Chunks double from 8 to 64 pages: a 1-page
-// program materializes one page per mutant, a 128-page one a few per mutant.
+// page returns an unused page with no block attached: the blocks a page
+// held before the last Reset are carved again for other pages.
 func (s *Slab) page() *Page {
-	if s == nil {
-		return new(Page)
-	}
-	if s.ci < len(s.chunks) && s.pi == len(s.chunks[s.ci]) {
-		s.ci, s.pi = s.ci+1, 0
-	}
-	if s.ci == len(s.chunks) {
-		size := 8
-		if s.ci > 0 {
-			size = min(2*len(s.chunks[s.ci-1]), 64)
-		}
-		s.chunks = append(s.chunks, make([]Page, size))
-	}
-	p := &s.chunks[s.ci][s.pi]
-	s.pi++
+	p := s.pages.next()
+	*p = Page{}
 	return p
 }
+
+// block returns an unused block.
+func (s *Slab) block() *block { return s.blocks.next() }
+
+// Carved returns the bytes of page and block storage the slab holds: what
+// its widest program since it was made materialized.
+func (s *Slab) Carved() int {
+	return s.pages.len()*int(unsafe.Sizeof(Page{})) + s.blocks.len()*int(unsafe.Sizeof(block{}))
+}
+
+// chunkLen is the length of a slab chunk. A 1-page program carves a page
+// and up to eight blocks per mutant, which one chunk of each holds; a
+// 128-page STT program about 16 pages and blocks per input, which two
+// chunks of each hold. So a worker's slab warms up in two to four
+// allocations, where chunks that doubled from a small size took three per
+// kind even for a 1-page program.
+const chunkLen = 512
+
+// chunks carves values of T out of chunks of chunkLen it keeps until
+// rewound.
+type chunks[T any] struct {
+	cs    [][]T
+	ci, i int // next value: cs[ci][i]
+}
+
+// next returns the next unused value, which holds whatever it held when
+// last carved.
+func (c *chunks[T]) next() *T {
+	if c.i == chunkLen {
+		c.ci, c.i = c.ci+1, 0
+	}
+	if c.ci == len(c.cs) {
+		c.cs = append(c.cs, make([]T, chunkLen))
+	}
+	v := &c.cs[c.ci][c.i]
+	c.i++
+	return v
+}
+
+// rewind makes every value carved so far unused again.
+func (c *chunks[T]) rewind() { c.ci, c.i = 0, 0 }
+
+// len returns how many values the chunks hold.
+func (c *chunks[T]) len() int { return len(c.cs) * chunkLen }

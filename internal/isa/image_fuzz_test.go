@@ -25,9 +25,14 @@ func denseFill(sb Sandbox, stream bool, base, n0 uint64) []byte {
 // equal its model. Neither image may hold a word written down that no write
 // since its last reset touched: reads, views and copies write nothing down.
 // Accesses are steered onto page boundaries and the sandbox end, where they
-// straddle and wrap.
+// straddle and wrap. The first byte also picks the images' storage: both
+// images carved from one slab, which a reset of the image (with no view
+// open) rewinds and carves both from again — the slab hands out pages and
+// blocks other pages held before — and whether the image starts from
+// FillFrom, every word written down in full blocks.
 func FuzzImage(f *testing.F) {
-	// pages selector, fill selector, then ops of 5 bytes: op, where, lo, hi, val.
+	// pages selector (data[0]%3; data[0]/3: bit 0 slab, bit 1 FillFrom),
+	// fill selector, then ops of 5 bytes: op, where, lo, hi, val.
 	f.Add([]byte{1, 1, 0, 2, 0xff, 0x0f, 8, 1, 2, 0xfe, 0x0f, 0xaa, 0, 2, 0xfd, 0x0f, 8})          // straddling read, write, read back
 	f.Add([]byte{0, 1, 1, 3, 0xfc, 0xff, 0x5a, 0, 3, 0xfb, 0xff, 8, 2, 0, 0, 0, 1})                // wrap at the sandbox end
 	f.Add([]byte{1, 1, 3, 0, 0, 0, 0, 1, 0, 0x10, 0x00, 0x77, 0, 0, 0x10, 0x00, 8, 3, 0, 0, 0, 0}) // view, write through it, re-view
@@ -38,21 +43,43 @@ func FuzzImage(f *testing.F) {
 			return
 		}
 		sb := Sandbox{Pages: 1 << (data[0] % 3)}
+		mode := data[0] / 3
+		var slab *Slab // nil: both images are the heap's
+		if mode&1 != 0 {
+			slab = NewSlab(sb, 2)
+		}
+		carve := func() *Image {
+			if slab == nil {
+				return NewImage(sb)
+			}
+			return &slab.NewInput(sb).Mem
+		}
 		stream := data[1]&1 == 1
 		fbase, fn0 := uint64(data[1])*0x9E3779B97F4A7C15, uint64(data[1]>>1)
-		img := NewImage(sb)
+		img := carve()
 		model := denseFill(sb, false, 0, 0)
 		if stream {
 			img.Reset(StreamFill(fbase, fn0))
 			model = denseFill(sb, true, fbase, fn0)
 		}
-		var view *Image       // when non-nil, ops go through it and img is frozen
-		var frozen []byte     // model of img while viewed
-		spare := NewImage(sb) // the one view object, re-aimed by every view op
+		var view *Image   // when non-nil, ops go through it and img is frozen
+		var frozen []byte // model of img while viewed
+		spare := carve()  // the one view object, re-aimed by every view op
 		mask := sb.Mask()
 		// wrote marks the words writes touched since the image's last reset;
 		// a view starts from the words of the image it views.
 		wrote, viewWrote := make([]bool, sb.Size()/8), []bool(nil)
+		if mode&2 != 0 {
+			for i := range model {
+				model[i] = byte(i>>3) ^ byte(i)*data[1]
+			}
+			if err := img.FillFrom(bytes.NewReader(model)); err != nil {
+				t.Fatal(err)
+			}
+			for i := range wrote {
+				wrote[i] = true
+			}
+		}
 
 		onlyWritten := func(im *Image, wrote []bool) {
 			t.Helper()
@@ -136,6 +163,11 @@ func FuzzImage(f *testing.F) {
 				s, b, n := val&1 == 1, uint64(ops[2])<<32|uint64(val), uint64(ops[3])
 				model = denseFill(sb, s, b, n)
 				clear(curWrote)
+				if slab != nil && view == nil {
+					slab.Reset(sb, 2)
+					img, spare = carve(), carve()
+					cur = img
+				}
 				if s {
 					cur.Reset(StreamFill(b, n))
 				} else {
