@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"github.com/sith-lab/amulet-go/internal/contract"
+	"github.com/sith-lab/amulet-go/internal/executor"
 	"github.com/sith-lab/amulet-go/internal/experiments"
 	"github.com/sith-lab/amulet-go/internal/generator"
 	"github.com/sith-lab/amulet-go/internal/isa"
@@ -36,7 +37,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator seed")
 		program = flag.Int("program", 0, "program index within the seed's stream")
 		input   = flag.Int("input", 0, "input index within the program")
-		prime   = flag.Bool("prime", true, "fill-prime the L1D (and D-TLB) with conflicting lines before the run, as campaigns do")
+		prime   = flag.Bool("prime", true, "prime the L1D before the run as the defense's campaigns do: fill it (and the D-TLB) with conflicting lines, or invalidate it")
 		dumpDir = flag.String("dump-log", "", "print the records of the checkpoint log in `DIR` as JSON lines, then exit")
 	)
 	flag.Parse()
@@ -85,13 +86,9 @@ func main() {
 	fmt.Printf("loaded bytes (every explored path): %d; live-in registers: %#x\n\n",
 		usage.LoadedCount(), usage.LiveInRegs)
 
-	core := uarch.NewCore(uarch.DefaultConfig(), spec.Factory())
-	if err := core.LoadTest(prog, sb); err != nil {
+	core, err := newCore(spec, prog, sb, *prime)
+	if err != nil {
 		fatal(err)
-	}
-	core.ResetUarch()
-	if *prime {
-		core.Hier.PrimeL1D(false)
 	}
 	core.Log.Enabled = true
 	core.ResetForInput(in)
@@ -108,6 +105,25 @@ func main() {
 		core.Hier.L1D.Snapshot(), core.Hier.DTLB.Snapshot(), core.Hier.L1I.Snapshot())
 
 	fmt.Printf("=== debug log (%d records) ===\n%s", len(core.Log.Recs), core.Log.String())
+}
+
+// newCore loads prog into a fresh core for the defense and, with prime set,
+// primes the L1D the way the defense's campaigns do (spec.Prime).
+func newCore(spec experiments.DefenseSpec, prog *isa.Program, sb isa.Sandbox, prime bool) (*uarch.Core, error) {
+	core := uarch.NewCore(uarch.DefaultConfig(), spec.Factory())
+	if err := core.LoadTest(prog, sb); err != nil {
+		return nil, err
+	}
+	core.ResetUarch()
+	if prime {
+		switch spec.Prime {
+		case executor.PrimeFill:
+			core.Hier.PrimeL1D(false)
+		case executor.PrimeInvalidate:
+			core.Hier.PrimeInvalidate(false)
+		}
+	}
+	return core, nil
 }
 
 func fatal(err error) {

@@ -39,6 +39,7 @@ const defaultCleanupCycles = 8
 
 // CleanupSpec implements uarch.Defense.
 type CleanupSpec struct {
+	uarch.NoHooks
 	cfg Config
 	c   *uarch.Core
 
@@ -139,12 +140,6 @@ func (cs *CleanupSpec) record(in *uarch.DynInst, res1, res2 mem.DataAccessResult
 	cs.meta[in.Seq] = m
 }
 
-// OnResult implements uarch.Defense.
-func (cs *CleanupSpec) OnResult(*uarch.DynInst) {}
-
-// OnBranchResolved implements uarch.Defense.
-func (cs *CleanupSpec) OnBranchResolved(*uarch.DynInst) {}
-
 // OnCommit implements uarch.Defense: committed accesses are safe, their
 // metadata is retired without cleanup.
 func (cs *CleanupSpec) OnCommit(in *uarch.DynInst) {
@@ -173,13 +168,6 @@ func (cs *CleanupSpec) OnFills(fills []mem.CompletedFill) {
 		cs.meta[f.Owner] = m
 	}
 }
-
-// OnTick implements uarch.Defense.
-func (cs *CleanupSpec) OnTick() {}
-
-// TickIdle implements uarch.Defense: no per-cycle work (rollback timing
-// lives in MSHR occupancy, a pure function of the cycle).
-func (cs *CleanupSpec) TickIdle() bool { return true }
 
 // OnSquash implements uarch.Defense: roll back the cache state changes of
 // every squashed speculative access that has metadata. Each rollback

@@ -15,6 +15,7 @@ import (
 
 // DelayOnMiss implements uarch.Defense.
 type DelayOnMiss struct {
+	uarch.NoHooks
 	c *uarch.Core
 }
 
@@ -26,9 +27,6 @@ func (d *DelayOnMiss) Name() string { return "DelayOnMiss" }
 
 // Attach implements uarch.Defense.
 func (d *DelayOnMiss) Attach(c *uarch.Core) { d.c = c }
-
-// Reset implements uarch.Defense.
-func (d *DelayOnMiss) Reset() {}
 
 // LoadAction implements uarch.Defense: speculative hits proceed (they
 // change no tag state), speculative misses wait for the shadow to clear.
@@ -57,31 +55,3 @@ func (d *DelayOnMiss) StoreAction(st *uarch.DynInst, spec bool) uarch.StoreActio
 	}
 	return uarch.StoreAction{TLBAccess: true, TLBInstall: true}
 }
-
-// OnLoadExecuted implements uarch.Defense.
-func (d *DelayOnMiss) OnLoadExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnStoreExecuted implements uarch.Defense.
-func (d *DelayOnMiss) OnStoreExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {
-}
-
-// OnResult implements uarch.Defense.
-func (d *DelayOnMiss) OnResult(*uarch.DynInst) {}
-
-// OnBranchResolved implements uarch.Defense.
-func (d *DelayOnMiss) OnBranchResolved(*uarch.DynInst) {}
-
-// OnCommit implements uarch.Defense.
-func (d *DelayOnMiss) OnCommit(*uarch.DynInst) {}
-
-// OnSquash implements uarch.Defense.
-func (d *DelayOnMiss) OnSquash([]*uarch.DynInst) int { return 0 }
-
-// OnFills implements uarch.Defense.
-func (d *DelayOnMiss) OnFills([]mem.CompletedFill) {}
-
-// OnTick implements uarch.Defense.
-func (d *DelayOnMiss) OnTick() {}
-
-// TickIdle implements uarch.Defense: no per-cycle work.
-func (d *DelayOnMiss) TickIdle() bool { return true }

@@ -12,19 +12,13 @@ import (
 )
 
 // FenceAll implements uarch.Defense.
-type FenceAll struct{}
+type FenceAll struct{ uarch.NoHooks }
 
 // New builds the defense.
 func New() *FenceAll { return &FenceAll{} }
 
 // Name implements uarch.Defense.
 func (FenceAll) Name() string { return "FenceAll" }
-
-// Attach implements uarch.Defense.
-func (FenceAll) Attach(*uarch.Core) {}
-
-// Reset implements uarch.Defense.
-func (FenceAll) Reset() {}
 
 // LoadAction implements uarch.Defense: no load issues under a shadow.
 func (FenceAll) LoadAction(_ *uarch.DynInst, spec bool) uarch.LoadAction {
@@ -41,30 +35,3 @@ func (FenceAll) StoreAction(_ *uarch.DynInst, spec bool) uarch.StoreAction {
 	}
 	return uarch.StoreAction{TLBAccess: true, TLBInstall: true}
 }
-
-// OnLoadExecuted implements uarch.Defense.
-func (FenceAll) OnLoadExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnStoreExecuted implements uarch.Defense.
-func (FenceAll) OnStoreExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnResult implements uarch.Defense.
-func (FenceAll) OnResult(*uarch.DynInst) {}
-
-// OnBranchResolved implements uarch.Defense.
-func (FenceAll) OnBranchResolved(*uarch.DynInst) {}
-
-// OnCommit implements uarch.Defense.
-func (FenceAll) OnCommit(*uarch.DynInst) {}
-
-// OnSquash implements uarch.Defense.
-func (FenceAll) OnSquash([]*uarch.DynInst) int { return 0 }
-
-// OnFills implements uarch.Defense.
-func (FenceAll) OnFills([]mem.CompletedFill) {}
-
-// OnTick implements uarch.Defense.
-func (FenceAll) OnTick() {}
-
-// TickIdle implements uarch.Defense: no per-cycle work.
-func (FenceAll) TickIdle() bool { return true }

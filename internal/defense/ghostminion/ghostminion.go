@@ -20,8 +20,10 @@ import (
 	"github.com/sith-lab/amulet-go/internal/uarch"
 )
 
-// GhostMinion implements uarch.Defense.
+// GhostMinion implements uarch.Defense. It needs no squash hook: the
+// ghost-buffer entries of squashed loads vanish without a trace.
 type GhostMinion struct {
+	uarch.NoHooks
 	c *uarch.Core
 }
 
@@ -33,9 +35,6 @@ func (g *GhostMinion) Name() string { return "GhostMinion" }
 
 // Attach implements uarch.Defense.
 func (g *GhostMinion) Attach(c *uarch.Core) { g.c = c }
-
-// Reset implements uarch.Defense.
-func (g *GhostMinion) Reset() {}
 
 // LoadAction implements uarch.Defense: speculative loads are invisible and
 // MSHR-free (strictness ordering: they may never delay anything older).
@@ -60,19 +59,6 @@ func (g *GhostMinion) StoreAction(st *uarch.DynInst, spec bool) uarch.StoreActio
 	return uarch.StoreAction{TLBAccess: true, TLBInstall: true}
 }
 
-// OnLoadExecuted implements uarch.Defense.
-func (g *GhostMinion) OnLoadExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnStoreExecuted implements uarch.Defense.
-func (g *GhostMinion) OnStoreExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {
-}
-
-// OnResult implements uarch.Defense.
-func (g *GhostMinion) OnResult(*uarch.DynInst) {}
-
-// OnBranchResolved implements uarch.Defense.
-func (g *GhostMinion) OnBranchResolved(*uarch.DynInst) {}
-
 // OnCommit implements uarch.Defense: the now-safe load's lines transfer
 // from the ghost buffer into the caches. Unlike InvisiSpec's expose queue
 // this happens unconditionally: a safe request is the strictest age class
@@ -93,16 +79,3 @@ func (g *GhostMinion) OnCommit(in *uarch.DynInst) {
 		install(in.Line2)
 	}
 }
-
-// OnSquash implements uarch.Defense: ghost-buffer entries of squashed
-// loads vanish without a trace.
-func (g *GhostMinion) OnSquash([]*uarch.DynInst) int { return 0 }
-
-// OnFills implements uarch.Defense.
-func (g *GhostMinion) OnFills([]mem.CompletedFill) {}
-
-// OnTick implements uarch.Defense.
-func (g *GhostMinion) OnTick() {}
-
-// TickIdle implements uarch.Defense: no per-cycle work.
-func (g *GhostMinion) TickIdle() bool { return true }

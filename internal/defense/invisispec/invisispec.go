@@ -24,8 +24,11 @@ type Config struct {
 	PatchUV1 bool
 }
 
-// InvisiSpec implements uarch.Defense.
+// InvisiSpec implements uarch.Defense. It needs no squash hook: squashed
+// speculative loads leave no visible state to clean (their MSHRs stay busy
+// until the fill returns, which is exactly the interference channel).
 type InvisiSpec struct {
+	uarch.NoHooks
 	cfg Config
 	c   *uarch.Core
 
@@ -84,20 +87,6 @@ func (v *InvisiSpec) StoreAction(*uarch.DynInst, bool) uarch.StoreAction {
 	return uarch.StoreAction{TLBAccess: true, TLBInstall: true}
 }
 
-// OnLoadExecuted implements uarch.Defense.
-func (v *InvisiSpec) OnLoadExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {
-}
-
-// OnStoreExecuted implements uarch.Defense.
-func (v *InvisiSpec) OnStoreExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {
-}
-
-// OnResult implements uarch.Defense.
-func (v *InvisiSpec) OnResult(*uarch.DynInst) {}
-
-// OnBranchResolved implements uarch.Defense.
-func (v *InvisiSpec) OnBranchResolved(*uarch.DynInst) {}
-
 // OnCommit implements uarch.Defense: a load that executed speculatively
 // becomes safe at commit and enqueues Expose requests for its line(s).
 // The queue drains immediately when MSHRs allow, so under uncontended
@@ -114,14 +103,6 @@ func (v *InvisiSpec) OnCommit(in *uarch.DynInst) {
 	}
 	v.drainExposes()
 }
-
-// OnSquash implements uarch.Defense: squashed speculative loads left no
-// visible state to clean (their MSHRs stay busy until the fill returns,
-// which is exactly the interference channel).
-func (v *InvisiSpec) OnSquash([]*uarch.DynInst) int { return 0 }
-
-// OnFills implements uarch.Defense.
-func (v *InvisiSpec) OnFills([]mem.CompletedFill) {}
 
 // OnTick implements uarch.Defense: keep draining the in-order expose queue.
 func (v *InvisiSpec) OnTick() { v.drainExposes() }

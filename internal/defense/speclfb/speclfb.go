@@ -25,6 +25,7 @@ type Config struct {
 
 // SpecLFB implements uarch.Defense.
 type SpecLFB struct {
+	uarch.NoHooks
 	cfg Config
 	c   *uarch.Core
 
@@ -141,15 +142,6 @@ func (s *SpecLFB) OnLoadExecuted(ld *uarch.DynInst, res1, res2 mem.DataAccessRes
 	}
 }
 
-// OnStoreExecuted implements uarch.Defense.
-func (s *SpecLFB) OnStoreExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnResult implements uarch.Defense.
-func (s *SpecLFB) OnResult(*uarch.DynInst) {}
-
-// OnBranchResolved implements uarch.Defense.
-func (s *SpecLFB) OnBranchResolved(*uarch.DynInst) {}
-
 // OnCommit implements uarch.Defense: the load is safe now; release its
 // staged lines from the fill buffer into the cache.
 func (s *SpecLFB) OnCommit(in *uarch.DynInst) {
@@ -194,9 +186,3 @@ func (s *SpecLFB) OnFills(fills []mem.CompletedFill) {
 		}
 	}
 }
-
-// OnTick implements uarch.Defense.
-func (s *SpecLFB) OnTick() {}
-
-// TickIdle implements uarch.Defense: no per-cycle work.
-func (s *SpecLFB) TickIdle() bool { return true }

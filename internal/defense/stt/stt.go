@@ -26,6 +26,7 @@ type Config struct {
 
 // STT implements uarch.Defense.
 type STT struct {
+	uarch.NoHooks
 	cfg Config
 	c   *uarch.Core
 }
@@ -43,9 +44,6 @@ func (s *STT) Name() string {
 
 // Attach implements uarch.Defense.
 func (s *STT) Attach(c *uarch.Core) { s.c = c }
-
-// Reset implements uarch.Defense.
-func (s *STT) Reset() {}
 
 // LoadAction implements uarch.Defense. Loads with untainted addresses
 // execute normally (STT's access instructions are unrestricted); loads
@@ -76,9 +74,6 @@ func (s *STT) StoreAction(st *uarch.DynInst, spec bool) uarch.StoreAction {
 func (s *STT) OnLoadExecuted(ld *uarch.DynInst, _, _ mem.DataAccessResult) {
 	ld.Tainted = ld.SpecAtIssue
 }
-
-// OnStoreExecuted implements uarch.Defense.
-func (s *STT) OnStoreExecuted(*uarch.DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
 
 // OnResult implements uarch.Defense: taint propagates through computation.
 func (s *STT) OnResult(in *uarch.DynInst) {
@@ -132,15 +127,3 @@ func (s *STT) underShadowAfter(in *uarch.DynInst, br *uarch.DynInst) bool {
 func (s *STT) OnCommit(in *uarch.DynInst) {
 	in.Tainted = false // visibility point reached
 }
-
-// OnSquash implements uarch.Defense.
-func (s *STT) OnSquash([]*uarch.DynInst) int { return 0 }
-
-// OnFills implements uarch.Defense.
-func (s *STT) OnFills([]mem.CompletedFill) {}
-
-// OnTick implements uarch.Defense.
-func (s *STT) OnTick() {}
-
-// TickIdle implements uarch.Defense: no per-cycle work.
-func (s *STT) TickIdle() bool { return true }

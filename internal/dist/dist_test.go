@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -919,6 +920,53 @@ func TestLossyLinkStrandsNothing(t *testing.T) {
 	}
 	if m.Evictions != 0 || m.Reassigned != 0 {
 		t.Errorf("a lost reply stranded leases: %d evictions, %d reassigned", m.Evictions, m.Reassigned)
+	}
+	cancel()
+	wg.Wait()
+	for _, w := range workers {
+		if w.err != nil && !errors.Is(w.err, context.Canceled) {
+			t.Errorf("worker %s: %v", w.name, w.err)
+		}
+	}
+}
+
+// TestClientFaults drives the client's duplicate, delay and corrupt paths:
+// the only worker's 2nd RPC is sent twice, its 3rd reply is held back by
+// RPCDelay and its 4th reply arrives with a flipped bit. The coordinator
+// must fold the duplicated request once, the slow reply must cost no lease,
+// and the corrupted reply must fail its digest and be retried — the
+// campaign ends on the golden fingerprint. Grants are pinned at 4 units so
+// that the campaign outlasts the first four RPCs.
+func TestClientFaults(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co, base := startCoordinator(t, dist.CoordinatorConfig{Campaign: goldenConfig(t), LeaseTTL: 2 * time.Second}, "127.0.0.1:0")
+	co.PinGrant(4)
+	inj := faultinject.New()
+	want := []faultinject.Point{
+		{Kind: faultinject.KindDupRPC, A: 2},
+		{Kind: faultinject.KindDelayRPC, A: 3},
+		{Kind: faultinject.KindCorruptRPC, A: 4, B: 5},
+	}
+	for _, p := range want {
+		inj.Arm(p.Kind, p.A, p.B)
+	}
+	var wg sync.WaitGroup
+	workers := startWorkers(t, ctx, &wg, base, map[string]*faultinject.Injector{"faulty": inj}, "faulty")
+
+	res, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	checkGolden(t, "client faults", res)
+	fired := inj.Fired()
+	for _, p := range want {
+		if !slices.Contains(fired, p) {
+			t.Errorf("%v at rpc %d never fired (fired: %v)", p.Kind, p.A, fired)
+		}
+	}
+	if m := co.Robustness(); m.Retries < 1 {
+		t.Errorf("the corrupted reply was not retried: %d retries", m.Retries)
 	}
 	cancel()
 	wg.Wait()

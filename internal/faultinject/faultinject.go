@@ -142,7 +142,7 @@ func (p InjectedPanic) String() string {
 // cheap no-op, which is what production configs pass.
 type Injector struct {
 	mu    sync.Mutex
-	armed map[Point]int // remaining fire count per point
+	armed map[Point]bool // armed points that have not fired yet
 	fired []Point
 
 	// HangDuration is how long a KindHangInUnit point blocks (default 2s —
@@ -175,20 +175,17 @@ type Injector struct {
 // New returns an empty injector.
 func New() *Injector {
 	return &Injector{
-		armed:        map[Point]int{},
+		armed:        map[Point]bool{},
 		HangDuration: 2 * time.Second,
 		RPCDelay:     100 * time.Millisecond,
 	}
 }
 
 // Arm arms point (kind, a, b) to fire exactly once.
-func (i *Injector) Arm(kind Kind, a, b int) { i.ArmN(kind, a, b, 1) }
-
-// ArmN arms point (kind, a, b) to fire n times.
-func (i *Injector) ArmN(kind Kind, a, b, n int) {
+func (i *Injector) Arm(kind Kind, a, b int) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.armed[Point{kind, a, b}] = n
+	i.armed[Point{kind, a, b}] = true
 }
 
 // ArmCancel makes the injector call cancel once afterUnits work units have
@@ -232,28 +229,27 @@ func (i *Injector) Fired() []Point {
 	return append([]Point(nil), i.fired...)
 }
 
-// fire consumes one charge of the point if armed.
+// fire disarms the point and records it if it was armed.
 func (i *Injector) fire(p Point) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	n := i.armed[p]
-	if n <= 0 {
+	if !i.armed[p] {
 		return false
 	}
-	i.armed[p] = n - 1
+	delete(i.armed, p)
 	i.fired = append(i.fired, p)
 	return true
 }
 
-// fireAt consumes one charge of an armed (kind, a, ·) point, whatever its B
+// fireAt fires an armed (kind, a, ·) point, whatever its B
 // coordinate, and returns that B — for kinds whose B is a parameter of the
 // fault rather than part of its address.
 func (i *Injector) fireAt(kind Kind, a int) (b int, ok bool) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	for p, n := range i.armed {
-		if p.Kind == kind && p.A == a && n > 0 {
-			i.armed[p] = n - 1
+	for p := range i.armed {
+		if p.Kind == kind && p.A == a {
+			delete(i.armed, p)
 			i.fired = append(i.fired, p)
 			return p.B, true
 		}
@@ -435,8 +431,8 @@ func (i *Injector) MutateBytes(buf []byte) {
 	}
 	i.mu.Lock()
 	var pts []Point
-	for p, n := range i.armed {
-		if p.Kind == KindFlipByte && n > 0 {
+	for p := range i.armed {
+		if p.Kind == KindFlipByte {
 			pts = append(pts, p)
 		}
 	}

@@ -92,19 +92,31 @@ type Defense interface {
 	TickIdle() bool
 }
 
+// NoHooks carries the no-op versions of every optional Defense hook. A
+// defense embeds it and declares only Name, LoadAction, StoreAction and the
+// hooks it acts on. Embedding adds one rule: a defense that overrides OnTick
+// must also override TickIdle, or the quiescent-span skip elides its ticks.
+type NoHooks struct{}
+
+func (NoHooks) Attach(*Core)                                                         {}
+func (NoHooks) Reset()                                                               {}
+func (NoHooks) OnLoadExecuted(*DynInst, mem.DataAccessResult, mem.DataAccessResult)  {}
+func (NoHooks) OnStoreExecuted(*DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
+func (NoHooks) OnResult(*DynInst)                                                    {}
+func (NoHooks) OnBranchResolved(*DynInst)                                            {}
+func (NoHooks) OnCommit(*DynInst)                                                    {}
+func (NoHooks) OnSquash([]*DynInst) int                                              { return 0 }
+func (NoHooks) OnFills([]mem.CompletedFill)                                          {}
+func (NoHooks) OnTick()                                                              {}
+func (NoHooks) TickIdle() bool                                                       { return true }
+
 // NopDefense is the unprotected baseline: every speculative access hits the
 // caches and TLB directly, which is what makes the stock out-of-order CPU
 // leak Spectre-v1 and v4.
-type NopDefense struct{}
+type NopDefense struct{ NoHooks }
 
 // Name implements Defense.
 func (NopDefense) Name() string { return "Baseline" }
-
-// Attach implements Defense.
-func (NopDefense) Attach(*Core) {}
-
-// Reset implements Defense.
-func (NopDefense) Reset() {}
 
 // LoadAction implements Defense: loads always install.
 func (NopDefense) LoadAction(*DynInst, bool) LoadAction {
@@ -115,30 +127,3 @@ func (NopDefense) LoadAction(*DynInst, bool) LoadAction {
 func (NopDefense) StoreAction(*DynInst, bool) StoreAction {
 	return StoreAction{TLBAccess: true, TLBInstall: true}
 }
-
-// OnLoadExecuted implements Defense.
-func (NopDefense) OnLoadExecuted(*DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnStoreExecuted implements Defense.
-func (NopDefense) OnStoreExecuted(*DynInst, mem.DataAccessResult, mem.DataAccessResult) {}
-
-// OnResult implements Defense.
-func (NopDefense) OnResult(*DynInst) {}
-
-// OnBranchResolved implements Defense.
-func (NopDefense) OnBranchResolved(*DynInst) {}
-
-// OnCommit implements Defense.
-func (NopDefense) OnCommit(*DynInst) {}
-
-// OnSquash implements Defense.
-func (NopDefense) OnSquash([]*DynInst) int { return 0 }
-
-// OnFills implements Defense.
-func (NopDefense) OnFills([]mem.CompletedFill) {}
-
-// OnTick implements Defense.
-func (NopDefense) OnTick() {}
-
-// TickIdle implements Defense: the baseline has no per-cycle work.
-func (NopDefense) TickIdle() bool { return true }
